@@ -1684,7 +1684,7 @@ func report(r *train.Result) {
 			r.OverlapPrefetchTrain, r.OverlapMaintTrain)
 	}
 	if r.Engine == "lrpp" {
-		fmt.Printf("  lrpp: %d replica rows pushed, %d sync contributions merged, flushes %d urgent / %d delayed\n",
+		fmt.Printf("  lrpp: %d replica rows pushed, %d gradient partials merged, flushes %d urgent / %d delayed\n",
 			r.ReplicaRows, r.SyncEntries, r.UrgentFlushes, r.DelayedFlushes)
 		fmt.Printf("  mesh: %d msgs, %.2f MB", r.Mesh.Msgs, float64(r.Mesh.Bytes)/1e6)
 		if r.Mesh.SimulatedDelay > 0 {

@@ -1,9 +1,6 @@
 package train
 
-import (
-	"bagpipe/internal/collective"
-	"bagpipe/internal/transport"
-)
+import "bagpipe/internal/transport"
 
 // efState is one trainer's error-feedback compressor for the
 // -sync-compress-grad mode: delayed-sync gradient flushes are quantized to
@@ -27,20 +24,12 @@ func newEFState(dim int) *efState {
 	return &efState{dim: dim, res: make(map[int]map[uint64][]float32)}
 }
 
-// compress quantizes one (owner, id)'s contributions for one iteration in
-// place. The carried residual is injected into the first entry — the owner
-// folds entries additively, so adding it to any one entry adds it to the
-// merged gradient — then every entry is rounded through float16 and the new
-// rounding error becomes the residual the next flush carries.
-//
-// The entries' gradient slices are disjoint sub-ranges of the backward
-// pass's per-example buffers (owned-row ranges are merged on the trainer
-// loop, remote-row ranges belong to this flusher), so the in-place rewrite
-// races with nothing.
-func (ef *efState) compress(owner int, id uint64, es []contribEntry) {
-	if len(es) == 0 {
-		return
-	}
+// compress quantizes one (owner, id)'s partial for one iteration in place:
+// the carried residual is injected, every element is rounded through
+// float16, and the new rounding error becomes the residual the next flush
+// carries. The partial belongs to the flusher from the moment the trainer
+// loop queued it, so the in-place rewrite races with nothing.
+func (ef *efState) compress(owner int, id uint64, g []float32) {
 	byID := ef.res[owner]
 	if byID == nil {
 		byID = make(map[uint64][]float32)
@@ -51,14 +40,10 @@ func (ef *efState) compress(owner int, id uint64, es []contribEntry) {
 		r = make([]float32, ef.dim)
 		byID[id] = r
 	}
-	collective.AddF32(es[0].Grad, r)
-	clear(r)
-	for _, e := range es {
-		g := e.Grad
-		for k, x := range g {
-			q := transport.F32FromF16(transport.F16FromF32(x))
-			r[k] += x - q
-			g[k] = q
-		}
+	for k, x := range g {
+		x += r[k]
+		q := transport.F32FromF16(transport.F16FromF32(x))
+		r[k] = x - q
+		g[k] = q
 	}
 }

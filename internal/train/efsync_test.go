@@ -12,9 +12,9 @@ import (
 )
 
 // wideSpec is tinySpec at EmbDim 32. The ≥40% sync-byte-cut bar needs a
-// width where payload dominates framing: a single-contrib sync entry is
-// 8 + 4 + dim·elem bytes, so dim 32 drops 140 → 76 bytes (45.7%) under f16
-// while dim 8 would only drop 44 → 28 (36.4%).
+// width where payload dominates framing: a sync partial is 8 + dim·elem
+// bytes, so dim 32 drops 136 → 72 bytes (47.1%) under f16 while dim 8
+// would only drop 40 → 24 (40.0%) before per-table headers.
 func wideSpec() *data.Spec {
 	s := tinySpec()
 	s.Name = "tiny32"
@@ -40,7 +40,7 @@ func TestSyncCompressGradResidualDrains(t *testing.T) {
 			g[k] = 1e-4 * float32(2*k+1) * float32(round+1)
 			sumIn[k] += float64(g[k])
 		}
-		ef.compress(owner, id, []contribEntry{{Example: round, Grad: g}})
+		ef.compress(owner, id, g)
 		for k, x := range g {
 			if q := transport.F32FromF16(transport.F16FromF32(x)); q != x {
 				t.Fatalf("round %d: flushed g[%d]=%v is not an f16 fixed point (re-quantizes to %v)", round, k, x, q)
@@ -76,7 +76,7 @@ func TestSyncCompressGradResidualDrains(t *testing.T) {
 	var lastFlush []float32
 	for round := 0; round < 8; round++ {
 		g := make([]float32, dim)
-		ef.compress(owner, id, []contribEntry{{Example: round, Grad: g}})
+		ef.compress(owner, id, g)
 		lastFlush = g
 	}
 	for k, v := range ef.res[owner][id] {
@@ -90,24 +90,16 @@ func TestSyncCompressGradResidualDrains(t *testing.T) {
 		}
 	}
 
-	// Injection point: with multiple contributions for one (owner,id) the
-	// residual lands in entry 0 only — the owner folds additively, so the
-	// merged gradient still absorbs it exactly once.
-	ef2 := newEFState(2)
-	ef2.compress(0, 7, []contribEntry{
-		{Example: 0, Grad: []float32{1e-4, 0}},
-		{Example: 1, Grad: []float32{3e-4, 0}},
-	})
-	ef2.compress(0, 7, []contribEntry{
-		{Example: 0, Grad: []float32{0, 0}},
-		{Example: 1, Grad: []float32{0, 0}},
-	})
-	// Second flush: entry 0 carries f16(residual), entry 1 stayed all-zero.
-	if es := ef2.res[0][7]; es == nil {
-		t.Fatal("two-entry compress dropped the residual map")
-	}
-	if ef2.res[0][7][1] != 0 {
-		t.Fatalf("untouched element grew a residual: %v", ef2.res[0][7][1])
+	// Residuals are per (owner, row): a second row on the same owner, and the
+	// same row on another owner, start from zero.
+	ef.compress(owner, id+1, make([]float32, dim))
+	ef.compress(owner+1, id, make([]float32, dim))
+	for _, r := range [][]float32{ef.res[owner][id+1], ef.res[owner+1][id]} {
+		for k, v := range r {
+			if v != 0 {
+				t.Fatalf("fresh row picked up a foreign residual: res[%d] = %v", k, v)
+			}
+		}
 	}
 }
 

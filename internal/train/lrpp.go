@@ -40,40 +40,29 @@ type LRPPHooks struct {
 	OnRetire func(owner, iter int)
 }
 
-// contribEntry is one example's gradient for one embedding row — the unit
-// the owners merge. The Example field is the example's index in the full
-// batch, so owners can re-fold contributions in exact batch order no matter
-// which trainer computed them or in which order the mesh delivered them.
-// It is the transport wire type directly: the engine's mesh payloads
-// (transport.ReplicaMsg, transport.SyncMsg, and in worker mode
+// The unit the owners merge is one trainer's gradient partial for one
+// (row, iteration): the sum of that trainer's own examples' gradients for
+// the row, in its sub-batch order (rankPartials). Partials travel as the
+// transport wire types directly: the engine's mesh payloads
+// (transport.ReplicaMsg, transport.SyncBatchMsg, and in worker mode
 // transport.PlanMsg / transport.CollMsg) are identical over in-process,
 // simulated, and TCP fabrics — only the TCP mesh additionally runs them
 // through the little-endian codec.
-type contribEntry = transport.Contrib
 
-// syncElem is the declared per-gradient-element wire cost: 4 bytes for
-// float32 entries, 2 once -sync-compress-grad quantized the flush to f16.
-func syncElem(f16 bool) int64 {
-	if f16 {
-		return 2
-	}
-	return 4
-}
-
-func syncMsgBytes(entries map[uint64][]contribEntry, dim int, elem int64) int64 {
-	b := int64(8) // iteration header
-	for _, es := range entries {
-		b += 8 + int64(len(es))*(4+elem*int64(dim))
-	}
-	return b
-}
-
-// syncBatchBytes is the declared wire size of one coalesced sync frame:
-// a flush count plus one SyncMsg body per iteration table.
+// syncBatchBytes is the size of one coalesced sync frame, exactly what the
+// codec writes for it (len(transport.EncodePayload(msg)), pinned by
+// TestSyncBatchBytesMatchesCodec): payload tag and flush count, then per
+// iteration table its header (iteration, f16 flag, width, row count) and
+// one id plus dim elements per partial — 4 bytes each as float32, 2 once
+// -sync-compress-grad quantized the flush to f16.
 func syncBatchBytes(flushes []transport.SyncMsg, dim int) int64 {
-	b := int64(4)
+	b := int64(1 + 4)
 	for _, f := range flushes {
-		b += syncMsgBytes(f.Entries, dim, syncElem(f.F16))
+		elem := int64(4)
+		if f.F16 {
+			elem = 2
+		}
+		b += 8 + 1 + 4 + 4 + int64(len(f.Partials))*(8+elem*int64(dim))
 	}
 	return b
 }
@@ -170,20 +159,21 @@ type idMergeQueue struct {
 	byIter map[int]*iterMerge
 }
 
-// iterMerge accumulates one (id, iteration)'s contributions until every
-// expected trainer has reported (expectN bits still set in expect).
+// iterMerge holds one (id, iteration)'s partials, one slot per rank, until
+// every expected trainer has reported (expect, the ranks still owing one,
+// is empty).
 type iterMerge struct {
-	expect  rankBits
-	expectN int
-	entries []contribEntry
+	expect rankBits
+	parts  [][]float32 // rank → arena-backed partial; nil until deposited
 }
 
-// flushItem hands one iteration's remote contributions to the delayed-sync
-// flusher, split by criticality.
+// flushItem hands one iteration's remote partials to the delayed-sync
+// flusher, split by criticality. The inner maps are pooled row maps and the
+// partials arena rows; both transfer to the owner with the flush.
 type flushItem struct {
 	iter   int
-	urgent map[int]map[uint64][]contribEntry // owner → id → entries; needed next iter
-	lazy   map[int]map[uint64][]contribEntry // deferrable off the critical path
+	urgent map[int]map[uint64][]float32 // owner → id → partial; needed next iter
+	lazy   map[int]map[uint64][]float32 // deferrable off the critical path
 }
 
 // lrppWork is one iteration moving through a trainer's private pipeline.
@@ -228,12 +218,13 @@ type lrppTrainer struct {
 
 	// Hot-path scratch, all guarded by mu (or touched only by the single
 	// trainer-loop goroutine where noted): the arena rows and pooled maps
-	// every fetch/replica/write-back recycles through, the shared gradient
-	// fold buffer, the reusable gather map (trainer loop only), and the
-	// merge-record and eviction-batch free lists.
+	// every fetch/replica/partial/write-back recycles through, the shared
+	// gradient fold buffer, the reusable gather and partial maps (trainer
+	// loop only), and the merge-record and eviction-batch free lists.
 	arena    *transport.RowArena
 	foldBuf  []float32
 	gathered map[uint64][]float32
+	partials map[uint64][]float32
 	freeIM   []*iterMerge
 	freeQ    []*idMergeQueue
 	evFree   [][]core.Eviction
@@ -258,8 +249,11 @@ type lrppTrainer struct {
 // delayed-sync goroutine — batched per owner, contributions the next
 // iteration depends on flushed first, the rest one iteration later — so no
 // cross-trainer synchronization sits on the forward/backward critical
-// path. Each owner merges contributions in exact batch-example order and
-// applies one update per (row, iteration), which keeps the run
+// path. Each trainer pre-aggregates its own examples' gradients into one
+// partial per (row, iteration) in sub-batch order; each owner folds an
+// (id, iteration)'s partials in rank order from zero — the rule dense
+// gradients follow, and exactly what RunBaseline's ranks.step computes —
+// and applies one update per (row, iteration), which keeps the run
 // bit-identical to RunBaseline over the same Config: the differential
 // property the tests certify for every trainer count and partitioner.
 //
@@ -398,6 +392,7 @@ func newLRPPTrainer(eng *lrppEngine, p int, tr transport.Store, ep transport.End
 		arena:       transport.Rows(cfg.Spec.EmbDim),
 		foldBuf:     make([]float32, cfg.Spec.EmbDim),
 		gathered:    make(map[uint64][]float32),
+		partials:    make(map[uint64][]float32),
 		flushQ:      make(chan flushItem, cfg.NumBatches+1),
 		maintCh:     make(chan maintJob, cfg.NumBatches+1),
 		tokens:      make(chan struct{}, cfg.LookAhead),
@@ -417,16 +412,13 @@ func (t *lrppTrainer) getMerge() *iterMerge {
 		t.freeIM = t.freeIM[:n-1]
 		return im
 	}
-	return &iterMerge{}
+	return &iterMerge{parts: make([][]float32, t.eng.P)}
 }
 
-// putMerge recycles an applied merge record, dropping its gradient
-// references so the pooled record does not pin backward-pass buffers.
+// putMerge recycles an applied merge record: every expected rank reported
+// and the fold returned the partials to the arena, so it is already empty.
 // Caller holds t.mu.
 func (t *lrppTrainer) putMerge(im *iterMerge) {
-	clear(im.entries)
-	im.entries = im.entries[:0]
-	im.expect, im.expectN = 0, 0
 	t.freeIM = append(t.freeIM, im)
 }
 
@@ -597,25 +589,23 @@ func (t *lrppTrainer) startReceiver() {
 				t.repFrom[pl.Iter] = rb
 				t.mu.Unlock()
 				t.cond.Broadcast()
-			case transport.SyncMsg:
-				t.mu.Lock()
-				for id, es := range pl.Entries {
-					t.depositLocked(id, pl.Iter, msg.From, es)
-				}
-				t.mu.Unlock()
-				t.cond.Broadcast()
 			case transport.SyncBatchMsg:
 				// One coalesced frame, several iterations' flushes: deposits
-				// are keyed by (id, iteration), so the tables unpack exactly
-				// like the per-iteration frames they replace.
+				// are keyed by (id, iteration, sender), so table order is
+				// irrelevant. As with replica pushes the flush transfers
+				// ownership of its pooled maps and partials: the merges
+				// recycle the partials, the emptied maps go back here.
 				t.mu.Lock()
 				for _, f := range pl.Flushes {
-					for id, es := range f.Entries {
-						t.depositLocked(id, f.Iter, msg.From, es)
+					for id, g := range f.Partials {
+						t.depositLocked(id, f.Iter, msg.From, g)
 					}
 				}
 				t.mu.Unlock()
 				t.cond.Broadcast()
+				for _, f := range pl.Flushes {
+					transport.PutRowMap(f.Partials)
+				}
 			case transport.PlanMsg:
 				// Worker mode only: the rank-0 process streams oracle plans.
 				if t.planBox == nil {
@@ -643,20 +633,20 @@ func (t *lrppTrainer) startReceiver() {
 }
 
 // startFlusher runs the delayed-sync sender: per iteration it flushes
-// critical contributions (rows the next iteration reads) immediately and
+// critical partials (rows the next iteration reads) immediately and
 // holds the rest back lag iterations. Everything one flush pass owes one
-// owner — typically iteration x's urgent contributions plus iteration
+// owner — typically iteration x's urgent partials plus iteration
 // x−lag's deferred ones — is coalesced into a single SyncBatchMsg frame
-// with a per-iteration entry table, instead of one frame per (iteration,
-// criticality), so the trainer loop never blocks on cross-trainer traffic
-// and the fabric sees one frame per owner per pass.
+// with a per-iteration id → partial table, instead of one frame per
+// (iteration, criticality), so the trainer loop never blocks on
+// cross-trainer traffic and the fabric sees one frame per owner per pass.
 func (t *lrppTrainer) startFlusher() {
 	eng := t.eng
 	t.flushWG.Add(1)
 	go func() {
 		defer t.flushWG.Done()
 		// With -sync-compress-grad the flusher is the quantization point:
-		// every outgoing contribution is rounded through float16 here, after
+		// every outgoing partial is rounded through float16 here, after
 		// injecting the row's carried rounding error (error feedback), so
 		// all fabrics ship the identical quantized values and the wire
 		// encoding (2 bytes/element on TCP) is lossless with respect to them.
@@ -668,17 +658,14 @@ func (t *lrppTrainer) startFlusher() {
 		// urgent/delayed counters keep their historical granularity (one
 		// per non-empty per-owner table) even though the frames coalesce.
 		pass := make(map[int][]transport.SyncMsg)
-		collect := func(buckets map[int]map[uint64][]contribEntry, iter int, urgent bool) {
-			for o, entries := range buckets {
-				if len(entries) == 0 {
-					continue
-				}
+		collect := func(buckets map[int]map[uint64][]float32, iter int, urgent bool) {
+			for o, partials := range buckets {
 				if ef != nil {
-					for id, es := range entries {
-						ef.compress(o, id, es)
+					for id, g := range partials {
+						ef.compress(o, id, g)
 					}
 				}
-				pass[o] = append(pass[o], transport.SyncMsg{Iter: iter, F16: ef != nil, Entries: entries})
+				pass[o] = append(pass[o], transport.SyncMsg{Iter: iter, F16: ef != nil, Partials: partials})
 				if urgent {
 					eng.urgentFlushes.Add(1)
 				} else {
@@ -801,10 +788,7 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 		q.iters = append(q.iters, x)
 		im := t.getMerge()
 		for _, u := range users {
-			if !im.expect.has(u) {
-				im.expect.set(u)
-				im.expectN++
-			}
+			im.expect.set(u)
 		}
 		q.byIter[x] = im
 	}
@@ -972,57 +956,52 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 		eng.losses[x] = lossVec[0]
 	}
 
-	// 7. Route per-example gradient contributions: owned rows merge
-	// locally (ids used only here are the LRPP fast path — no mesh traffic
-	// at all); remote-owned rows queue for the delayed-sync flusher.
-	owned := make(map[uint64][]contribEntry)
-	urgent := make(map[int]map[uint64][]contribEntry)
-	lazy := make(map[int]map[uint64][]contribEntry)
-	nEntries := 0
-	for k, i := range ls.mine {
-		var row []float32
-		if dEmb != nil {
-			row = dEmb.Data[k*dEmb.Cols : (k+1)*dEmb.Cols]
+	// 7. Pre-aggregate this trainer's gradients into one partial per row
+	// (arena buffers, sub-batch order) and route them: partials for owned
+	// rows merge locally (ids used only here are the LRPP fast path — no
+	// mesh traffic at all); remote-owned ones queue for the delayed-sync
+	// flusher, which ships one vector per (owner, row, iteration). The
+	// partials own their memory — models reuse the dEmb buffer across
+	// iterations, and a deferred merge or delayed flush outlives this
+	// backward pass — and whoever folds them recycles them.
+	partials := t.partials
+	rankPartials(partials, d.Batch, ls.mine, dEmb, eng.dim, t.arena.Get)
+	eng.syncEntries.Add(int64(len(partials)))
+	urgent := make(map[int]map[uint64][]float32)
+	lazy := make(map[int]map[uint64][]float32)
+	for id, g := range partials {
+		owner, remote := pl.Remote[id]
+		if !remote {
+			continue
 		}
-		// Entries must own their gradient memory: models reuse the dEmb
-		// buffer across iterations, and a deferred merge (or delayed flush)
-		// outlives this backward pass.
-		grads := append([]float32(nil), row...)
-		for c, id := range d.Batch.Examples[i].Cat {
-			e := contribEntry{Example: i, Grad: grads[c*eng.dim : (c+1)*eng.dim]}
-			nEntries++
-			if owner, remote := pl.Remote[id]; remote {
-				bucket := lazy
-				if d.NeededNext[id] {
-					bucket = urgent
-				}
-				if bucket[owner] == nil {
-					bucket[owner] = make(map[uint64][]contribEntry)
-				}
-				bucket[owner][id] = append(bucket[owner][id], e)
-			} else {
-				owned[id] = append(owned[id], e)
-			}
+		bucket := lazy
+		if d.NeededNext[id] {
+			bucket = urgent
 		}
+		if bucket[owner] == nil {
+			bucket[owner] = transport.GetRowMap()
+		}
+		bucket[owner][id] = g
+		delete(partials, id)
 	}
-	eng.syncEntries.Add(int64(nEntries))
 	if eng.prog != nil {
 		eng.prog.noteExamples(len(ls.mine))
 	}
 	t.mu.Lock()
-	for id, es := range owned {
-		t.depositLocked(id, x, t.p, es)
+	for id, g := range partials {
+		t.depositLocked(id, x, t.p, g)
 	}
 	t.computeDone[x] = true
 	t.maybeEmitLocked(x)
 	t.mu.Unlock()
 	t.cond.Broadcast()
+	clear(partials)
 	t.flushQ <- flushItem{iter: x, urgent: urgent, lazy: lazy}
 }
 
-// depositLocked adds one contributor's entries for (id, iter) and applies
-// every merge that became ready. Caller holds t.mu.
-func (t *lrppTrainer) depositLocked(id uint64, iter, from int, entries []contribEntry) {
+// depositLocked takes ownership of trainer from's partial for (id, iter) and
+// applies every merge that became ready. Caller holds t.mu.
+func (t *lrppTrainer) depositLocked(id uint64, iter, from int, g []float32) {
 	q := t.merges[id]
 	if q == nil {
 		panic(fmt.Sprintf("train: trainer %d: contribution for unregistered id %d iter %d", t.p, id, iter))
@@ -1031,16 +1010,16 @@ func (t *lrppTrainer) depositLocked(id uint64, iter, from int, entries []contrib
 	if im == nil {
 		panic(fmt.Sprintf("train: trainer %d: contribution for unregistered iter %d of id %d", t.p, iter, id))
 	}
-	im.entries = append(im.entries, entries...)
-	if im.expect.clearBit(from) {
-		im.expectN--
+	if !im.expect.clearBit(from) {
+		panic(fmt.Sprintf("train: trainer %d: unexpected or repeated partial from trainer %d for id %d iter %d", t.p, from, id, iter))
 	}
+	im.parts[from] = g
 	t.applyReadyLocked(id)
 }
 
 // applyReadyLocked applies id's head-of-queue merges while they are
-// complete: fold the contributions in batch-example order, update the row
-// once, and evict + queue the write-back when the iteration was the row's
+// complete: fold the per-rank partials in rank order from zero, update the
+// row once, and evict + queue the write-back when the iteration was the row's
 // last use. Caller holds t.mu.
 func (t *lrppTrainer) applyReadyLocked(id uint64) {
 	eng := t.eng
@@ -1061,27 +1040,13 @@ func (t *lrppTrainer) applyReadyLocked(id uint64) {
 	for len(q.iters) > 0 {
 		iter := q.iters[0]
 		im := q.byIter[iter]
-		if im == nil || im.expectN > 0 {
+		if im == nil || im.expect != 0 {
 			return
 		}
 		applied = true
-		// Stable insertion sort by example index: contributions per
-		// (id, iteration) are few, and sort.SliceStable would allocate its
-		// closure on every merge.
-		es := im.entries
-		for i := 1; i < len(es); i++ {
-			for j := i; j > 0 && es[j].Example < es[j-1].Example; j-- {
-				es[j], es[j-1] = es[j-1], es[j]
-			}
-		}
-		// Fold into the trainer's persistent buffer (mu is held): zeroing
-		// then adding keeps the per-element summation order — and therefore
-		// the bits — of a fresh accumulator.
+		// Fold into the trainer's persistent buffer (mu is held).
 		g := t.foldBuf
-		clear(g)
-		for _, en := range es {
-			collective.AddF32(g, en.Grad)
-		}
+		foldParts(g, im.parts, t.arena)
 		e, ok := t.cache.Peek(id)
 		if !ok {
 			panic(fmt.Sprintf("train: trainer %d iter %d: sync for id %d landed after eviction", t.p, iter, id))
@@ -1114,6 +1079,22 @@ func (t *lrppTrainer) applyReadyLocked(id uint64) {
 			t.evictedRows++
 			t.expiring[iter]--
 			t.maybeEmitLocked(iter)
+		}
+	}
+}
+
+// foldParts sums one (id, iteration)'s per-rank partials into g in rank
+// order from zero — zeroing then adding keeps the per-element summation
+// order, and therefore the bits, of foldRankGrads' fresh accumulator. The
+// fold is each partial's last use: it returns to the arena and its slot
+// empties, leaving parts ready for reuse.
+func foldParts(g []float32, parts [][]float32, arena *transport.RowArena) {
+	clear(g)
+	for r, part := range parts {
+		if part != nil {
+			collective.AddF32(g, part)
+			arena.Put(part)
+			parts[r] = nil
 		}
 	}
 }

@@ -3,20 +3,22 @@ package train
 import (
 	"testing"
 
-	"bagpipe/internal/collective"
 	"bagpipe/internal/core"
+	"bagpipe/internal/data"
 	"bagpipe/internal/embed"
 	"bagpipe/internal/optim"
+	"bagpipe/internal/tensor"
 	"bagpipe/internal/transport"
 )
 
 // The steady-state harness drives exactly the hot-path primitives one LRPP
 // iteration composes — pooled tier fetch, cache insert, replica snapshot +
-// f16 quantization, vectorized gradient fold, row update, eviction, acked
-// write-back, buffer recycling — across P persistent trainer goroutines
-// over an S-way sharded in-process tier, with none of the oracle/batch
-// bookkeeping that allocates per run by design (plans, per-example
-// gradients). This is the surface the PR's 0 allocs/op acceptance bar is
+// f16 quantization, sender-side gradient pre-aggregation into arena-backed
+// partials (rankPartials), the owner's rank-ordered fold over per-rank slots
+// (foldParts), row update, eviction, acked write-back, buffer recycling —
+// across P persistent trainer goroutines over an S-way sharded in-process
+// tier, with none of the oracle bookkeeping that allocates per run by
+// design (plans). This is the surface the 0 allocs/op acceptance bar is
 // measured on: after warmup, every buffer the loop touches comes from and
 // returns to the transport pools and the per-worker scratch.
 
@@ -31,12 +33,20 @@ type steadyWorker struct {
 		optim.Optimizer
 		optim.RowOptimizer
 	}
-	ids    []uint64
-	fold   []float32
-	evIDs  []uint64
-	evRows [][]float32
-	work   chan int
-	done   chan struct{}
+	ids  []uint64
+	fold []float32
+	// Gradient merge fixture: a sub-batch whose examples read w.ids, the
+	// backward pass's dEmb for it, one partial map per simulated sender
+	// rank, and the owner's per-rank slots.
+	batch    *data.Batch
+	mine     []int
+	dEmb     *tensor.Matrix
+	partials []map[uint64][]float32
+	parts    [][]float32
+	evIDs    []uint64
+	evRows   [][]float32
+	work     chan int
+	done     chan struct{}
 }
 
 func (w *steadyWorker) loop() {
@@ -54,9 +64,16 @@ func (w *steadyWorker) step(iter int) {
 		w.cache.Insert(id, rows[i], iter)
 	}
 	transport.PutRowSlice(rows)
-	// Replica push + merge simulation per row: snapshot into a pooled
-	// buffer, quantize like a -sync-compress sender, fold like a receiving
-	// owner, apply one optimizer update.
+	// Every sender rank pre-aggregates its sub-batch's gradients into one
+	// arena-backed partial per row, exactly as iterate's step 7 does.
+	dim := w.arena.Dim()
+	for _, partial := range w.partials {
+		rankPartials(partial, w.batch, w.mine, w.dEmb, dim, w.arena.Get)
+	}
+	// Replica push + merge per row: snapshot into a pooled buffer and
+	// quantize like a -sync-compress sender; deposit the ranks' partials in
+	// the owner's slots, fold them in rank order (which recycles them), and
+	// apply one optimizer update.
 	for _, id := range w.ids {
 		e, ok := w.cache.Peek(id)
 		if !ok {
@@ -65,11 +82,16 @@ func (w *steadyWorker) step(iter int) {
 		snap := w.arena.Get()
 		copy(snap, e.Row)
 		transport.QuantizeF16(snap)
-		clear(w.fold)
-		collective.AddF32(w.fold, snap)
 		w.arena.Put(snap)
+		for r, partial := range w.partials {
+			w.parts[r] = partial[id]
+		}
+		foldParts(w.fold, w.parts, w.arena)
 		w.opt.UpdateRow(id, e.Row, w.fold)
 		e.Dirty = true
+	}
+	for _, partial := range w.partials {
+		clear(partial)
 	}
 	// Evict, write back, recycle — the row's single return point.
 	w.evIDs, w.evRows = w.evIDs[:0], w.evRows[:0]
@@ -119,6 +141,24 @@ func newSteadyHarness(tb testing.TB, P, S, dim, rowsPer int) *steadyHarness {
 		}
 		for i := 0; i < rowsPer; i++ {
 			w.ids = append(w.ids, uint64(p*rowsPer+i))
+		}
+		// Two examples per four-row slice of ids, so every partial sums two
+		// contributions; two sender ranks, so every fold sums two partials.
+		const numCat, senders = 4, 2
+		w.batch = &data.Batch{}
+		for i := 0; i+numCat <= rowsPer; i += numCat {
+			for dup := 0; dup < 2; dup++ {
+				w.mine = append(w.mine, len(w.batch.Examples))
+				w.batch.Examples = append(w.batch.Examples, data.Example{Cat: w.ids[i : i+numCat]})
+			}
+		}
+		w.dEmb = tensor.NewMatrix(len(w.mine), numCat*dim)
+		for k := range w.dEmb.Data {
+			w.dEmb.Data[k] = 1e-3 * float32(k%7)
+		}
+		w.parts = make([][]float32, senders)
+		for r := 0; r < senders; r++ {
+			w.partials = append(w.partials, make(map[uint64][]float32, rowsPer))
 		}
 		h.workers = append(h.workers, w)
 		go w.loop()

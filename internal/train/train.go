@@ -31,12 +31,15 @@
 // model replicas whose dense gradients and loss are combined in one fused
 // collective round per iteration, folded in rank order from zero
 // (collective.Group in-process; meshColl across processes, with rooted /
-// fused / ring strategies — meshcoll.go), and per-row gradient
-// contributions folded in batch-example order with one optimizer update
-// per (row, iteration). Over the same Config, every engine × fabric ×
-// collective-strategy combination therefore produces bit-identical
-// embedding-server state — the end-to-end property the differential tests
-// and the fuzz harness (lrpp_fuzz_test.go) enforce under -race.
+// fused / ring strategies — meshcoll.go), and per-row embedding gradients
+// reduced by the same rule: each rank sums its own examples' gradients for
+// a row in sub-batch order, and the per-rank partials are folded in rank
+// order from zero, with one optimizer update per (row, iteration)
+// (rankPartials / foldRankGrads). Over the same Config, every engine ×
+// fabric × collective-strategy combination therefore produces
+// bit-identical embedding-server state — the end-to-end property the
+// differential tests and the fuzz harness (lrpp_fuzz_test.go) enforce
+// under -race.
 package train
 
 import (
@@ -200,7 +203,7 @@ type Result struct {
 
 	// LRPP engine only: cross-trainer traffic over the mesh.
 	ReplicaRows    int64 // owner→user row snapshots for remote reads
-	SyncEntries    int64 // per-example gradient contributions routed to owners
+	SyncEntries    int64 // per-(rank, row, iteration) gradient partials routed to owners
 	UrgentFlushes  int64 // sync batches flushed on the critical path (needed next iter)
 	DelayedFlushes int64 // sync batches flushed off the critical path
 	Mesh           transport.MeshStats
@@ -482,8 +485,8 @@ func stableBCE(z, y float32) float32 {
 }
 
 // step runs one synchronized iteration across all ranks and returns the
-// full-batch loss plus the per-ID embedding gradients, accumulated in
-// batch-example order so the result is independent of rank scheduling.
+// full-batch loss plus the per-ID embedding gradients in the canonical
+// order (foldRankGrads), so the result is independent of rank scheduling.
 func (r *ranks) step(b *data.Batch, assign []int, rows map[uint64][]float32) (float32, map[uint64][]float32) {
 	for i := 0; i < r.n; i++ {
 		r.in[i] <- rankWork{batch: b, assign: assign, rows: rows}
@@ -494,27 +497,54 @@ func (r *ranks) step(b *data.Batch, assign []int, rows map[uint64][]float32) (fl
 		results[i] = <-r.out[i]
 		loss += results[i].loss
 	}
-	// pos[i] = position of example i inside its rank's sub-batch.
-	pos := make([]int, len(b.Examples))
-	counts := make([]int, r.n)
-	for i, t := range assign {
-		pos[i] = counts[t]
-		counts[t]++
-	}
-	grads := make(map[uint64][]float32, len(rows))
-	for i, ex := range b.Examples {
-		res := results[assign[i]]
-		row := res.dEmb.Data[pos[i]*res.dEmb.Cols : (pos[i]+1)*res.dEmb.Cols]
-		for c, id := range ex.Cat {
-			g, ok := grads[id]
+	return float32(loss), foldRankGrads(b, results, r.dim)
+}
+
+// rankPartials accumulates one rank's embedding-gradient partials into dst:
+// for every id the rank's examples touch, the sum — from zero — of those
+// examples' gradient slices for the row, walking mine (the rank's sub-batch,
+// ascending batch index) and each example's categorical slots in order.
+// dEmb holds one row per entry of mine. Buffers come from get (contents
+// undefined) on an id's first touch. This walk is the first half of the
+// canonical embedding-gradient order every engine shares; folding the
+// ranks' partials in rank order from zero is the second.
+func rankPartials(dst map[uint64][]float32, b *data.Batch, mine []int, dEmb *tensor.Matrix, dim int, get func() []float32) {
+	for k, i := range mine {
+		row := dEmb.Data[k*dEmb.Cols : (k+1)*dEmb.Cols]
+		for c, id := range b.Examples[i].Cat {
+			g, ok := dst[id]
 			if !ok {
-				g = make([]float32, r.dim)
-				grads[id] = g
+				g = get()
+				clear(g)
+				dst[id] = g
 			}
-			collective.AddF32(g, row[c*r.dim:(c+1)*r.dim])
+			collective.AddF32(g, row[c*dim:(c+1)*dim])
 		}
 	}
-	return float32(loss), grads
+}
+
+// foldRankGrads is the reference embedding-gradient reduction: per-rank
+// partials in sub-batch order (rankPartials), folded in rank order from
+// zero — the same rule as dense gradients, and the order the LRPP owners
+// reproduce from the partials their peers flush.
+func foldRankGrads(b *data.Batch, results []rankResult, dim int) map[uint64][]float32 {
+	grads := make(map[uint64][]float32)
+	part := make(map[uint64][]float32)
+	fresh := func() []float32 { return make([]float32, dim) }
+	for _, res := range results {
+		clear(part)
+		rankPartials(part, b, res.mine, res.dEmb, dim, fresh)
+		for id, p := range part {
+			if g, ok := grads[id]; ok {
+				collective.AddF32(g, p)
+			} else {
+				// A partial summed from +0 is never −0, so adopting the first
+				// contributing rank's buffer is bit-identical to 0 + p.
+				grads[id] = p
+			}
+		}
+	}
+	return grads
 }
 
 // close shuts the rank goroutines down.

@@ -41,24 +41,22 @@ type (
 		Rows map[uint64][]float32
 	}
 
-	// Contrib is one example's gradient for one embedding row, tagged with
-	// the example's index in the full batch so owners can re-fold
-	// contributions in exact batch order regardless of arrival order.
-	Contrib struct {
-		Example int
-		Grad    []float32
-	}
-
-	// SyncMsg is one batched delayed-sync flush: one sender's gradient
-	// contributions for one iteration, grouped per owned id. With F16 set
-	// (-sync-compress-grad) the gradients cross the wire as binary16; as
-	// with quantized replicas, the sender must have rounded the values
+	// SyncMsg is one delayed-sync flush: one sender's gradient partials for
+	// one iteration — per owned id, the sum of the sender's own examples'
+	// gradients for that row, accumulated in its sub-batch order. The sender
+	// is MeshMsg.From; the owner folds an (id, iteration)'s partials in rank
+	// order from zero, the rule dense gradients follow. All partials of one
+	// flush share one width. Like replica rows, the map and its vectors are
+	// pooled (GetRowMap / Rows(dim)) and transfer to the receiver, which
+	// recycles them once merged. It only travels inside a SyncBatchMsg. With
+	// F16 set (-sync-compress-grad) the partials cross the wire as binary16;
+	// as with quantized replicas, the sender must have rounded the values
 	// through f16 first — the lossy step happens at the sender (where the
 	// error-feedback residual is kept), never in the encoding.
 	SyncMsg struct {
-		Iter    int
-		F16     bool
-		Entries map[uint64][]Contrib
+		Iter     int
+		F16      bool
+		Partials map[uint64][]float32
 	}
 
 	// SyncBatchMsg coalesces every delayed-sync flush one sender owes one
@@ -75,8 +73,9 @@ type (
 	// a remote trainer consumes travel (Iter, Assign, NeededNext, Batch),
 	// and of the batch only the destination's assigned examples, indexed —
 	// the decoded Batch keeps its full length with empty slots elsewhere,
-	// so batch-order semantics (loss scaling, contribution folding by
-	// absolute example index) are preserved at a fraction of the bytes.
+	// so batch-order semantics (loss scaling by the full size, the rank's
+	// sub-batch order its gradient partials accumulate in) are preserved at
+	// a fraction of the bytes.
 	PlanMsg struct {
 		Plan *core.TrainerPlan
 	}
@@ -113,7 +112,7 @@ type (
 // Payload type tags (first byte of an encoded payload).
 const (
 	tagReplica byte = 1 + iota
-	tagSync
+	_               // 2 was the standalone SyncMsg frame; flushes only travel coalesced
 	tagPlan
 	tagColl
 	tagRaw
@@ -149,9 +148,6 @@ func appendPayload(b []byte, p any) []byte {
 				b = putF32s(b, m.Rows[id])
 			}
 		}
-	case SyncMsg:
-		b = append(b, tagSync)
-		b = putSyncBody(b, m)
 	case SyncBatchMsg:
 		b = append(b, tagSyncBatch)
 		b = putU32(b, uint32(len(m.Flushes)))
@@ -220,23 +216,12 @@ func DecodePayload(b []byte) (any, error) {
 				arena = Rows(ne)
 			}
 			row := arena.Get()
-			reg := r.take(ne, elem)
-			if m.F16 {
-				for k := range row {
-					row[k] = F32FromF16(binary.LittleEndian.Uint16(reg[2*k:]))
-				}
-			} else {
-				for k := range row {
-					row[k] = math.Float32frombits(binary.LittleEndian.Uint32(reg[4*k:]))
-				}
-			}
+			fillRow(row, r.take(ne, elem), m.F16)
 			m.Rows[id] = row
 		}
 		out = m
-	case tagSync:
-		out = r.sync()
 	case tagSyncBatch:
-		n := r.count(12)
+		n := r.count(17)
 		m := SyncBatchMsg{Flushes: make([]SyncMsg, 0, n)}
 		for i := 0; i < n; i++ {
 			m.Flushes = append(m.Flushes, r.sync())
@@ -277,8 +262,10 @@ func DecodePayload(b []byte) (any, error) {
 	return out, nil
 }
 
-// putSyncBody writes one iteration's flush (the SyncMsg body, shared by the
-// single-flush and coalesced encodings).
+// putSyncBody writes one iteration's flush: iteration, f16 flag, the shared
+// partial width, then the id → partial table in sorted id order with the
+// vectors raw (no per-vector count). The size is exactly
+// 17 + n·(8 + elem·dim) bytes — what the engine declares to the mesh.
 func putSyncBody(b []byte, m SyncMsg) []byte {
 	b = putU64(b, uint64(m.Iter))
 	if m.F16 {
@@ -286,44 +273,68 @@ func putSyncBody(b []byte, m SyncMsg) []byte {
 	} else {
 		b = append(b, 0)
 	}
-	b = putU32(b, uint32(len(m.Entries)))
-	for _, id := range sortedIDKeys(m.Entries) {
+	ids := sortedIDKeys(m.Partials)
+	dim := 0
+	if len(ids) > 0 {
+		dim = len(m.Partials[ids[0]])
+	}
+	b = putU32(b, uint32(dim))
+	b = putU32(b, uint32(len(ids)))
+	for _, id := range ids {
+		g := m.Partials[id]
+		if len(g) != dim {
+			panic(fmt.Sprintf("transport: sync partial for id %d has width %d, flush width is %d", id, len(g), dim))
+		}
 		b = putU64(b, id)
-		es := m.Entries[id]
-		b = putU32(b, uint32(len(es)))
-		for _, e := range es {
-			b = putU64(b, uint64(e.Example))
-			if m.F16 {
-				b = putF16s(b, e.Grad)
-			} else {
-				b = putF32s(b, e.Grad)
-			}
+		if m.F16 {
+			b = putF16sRaw(b, g)
+		} else {
+			b = putF32sRaw(b, g)
 		}
 	}
 	return b
 }
 
-// sync reads one iteration's flush (the inverse of putSyncBody).
+// sync reads one iteration's flush (the inverse of putSyncBody) into the
+// pooled map and arena rows the in-process senders draw from.
 func (r *wireReader) sync() SyncMsg {
 	m := SyncMsg{Iter: int(r.u64()), F16: r.u8() == 1}
-	n := r.count(8)
-	m.Entries = make(map[uint64][]Contrib, n)
+	elem := 4
+	if m.F16 {
+		elem = 2
+	}
+	dim := int(r.u32())
+	n := r.count(8 + elem*dim)
+	m.Partials = GetRowMap()
+	if n == 0 {
+		return m
+	}
+	if dim == 0 {
+		r.fail()
+		return m
+	}
+	arena := Rows(dim)
 	for i := 0; i < n; i++ {
 		id := r.u64()
-		ne := r.count(8)
-		es := make([]Contrib, 0, ne)
-		for j := 0; j < ne; j++ {
-			e := Contrib{Example: int(r.u64())}
-			if m.F16 {
-				e.Grad = r.f16s()
-			} else {
-				e.Grad = r.f32s()
-			}
-			es = append(es, e)
-		}
-		m.Entries[id] = es
+		g := arena.Get()
+		fillRow(g, r.take(dim, elem), m.F16)
+		m.Partials[id] = g
 	}
 	return m
+}
+
+// fillRow decodes len(row) elements from reg: binary16 bit patterns when
+// f16, float32 ones otherwise.
+func fillRow(row []float32, reg []byte, f16 bool) {
+	if f16 {
+		for k := range row {
+			row[k] = F32FromF16(binary.LittleEndian.Uint16(reg[2*k:]))
+		}
+		return
+	}
+	for k := range row {
+		row[k] = math.Float32frombits(binary.LittleEndian.Uint32(reg[4*k:]))
+	}
 }
 
 // putPlan writes a TrainerPlan plus the Decision subset remote trainers
@@ -366,8 +377,8 @@ func putPlan(b []byte, pl *core.TrainerPlan) []byte {
 	sort.Slice(needed, func(i, j int) bool { return needed[i] < needed[j] })
 	b = putU64s(b, needed)
 	// Only the destination trainer's assigned examples travel (indexed, so
-	// batch-order semantics — loss scaling by the full size, contribution
-	// folding by absolute example index — are preserved); shipping the
+	// batch-order semantics — loss scaling by the full size, the sub-batch
+	// order gradient partials accumulate in — are preserved); shipping the
 	// whole batch to every peer would make plans P× redundant.
 	b = putU64(b, uint64(d.Batch.Index))
 	b = putU32(b, uint32(len(d.Batch.Examples)))
@@ -482,7 +493,11 @@ func putF32sRaw(b []byte, xs []float32) []byte {
 // replica encoding). Values must already be f16-representable (the sender
 // quantized them), so the round trip is exact.
 func putF16s(b []byte, xs []float32) []byte {
-	b = putU32(b, uint32(len(xs)))
+	return putF16sRaw(putU32(b, uint32(len(xs))), xs)
+}
+
+// putF16sRaw is putF16s without the count prefix.
+func putF16sRaw(b []byte, xs []float32) []byte {
 	b, off := grow(b, 2*len(xs))
 	for i, x := range xs {
 		binary.LittleEndian.PutUint16(b[off+2*i:], F16FromF32(x))
@@ -615,24 +630,8 @@ func (r *wireReader) f32sInto(dst []float32) bool {
 		r.fail()
 		return false
 	}
-	b := r.take(n, 4)
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
+	fillRow(dst, r.take(n, 4), false)
 	return true
-}
-
-func (r *wireReader) f16s() []float32 {
-	n := r.count(2)
-	if n == 0 {
-		return nil
-	}
-	b := r.take(n, 2)
-	xs := make([]float32, n)
-	for i := range xs {
-		xs[i] = F32FromF16(binary.LittleEndian.Uint16(b[2*i:]))
-	}
-	return xs
 }
 
 func (r *wireReader) f64s() []float64 {

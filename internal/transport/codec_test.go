@@ -51,18 +51,18 @@ func TestCodecRoundTrip(t *testing.T) {
 			4: QuantizeF16([]float32{1, -0.5, 3.25}),
 			9: QuantizeF16([]float32{0.1, 6.5e4, -2e-5}),
 		}},
-		SyncMsg{Iter: 3, Entries: map[uint64][]Contrib{
-			5:  {{Example: 2, Grad: []float32{0.1, -0.2}}, {Example: 7, Grad: []float32{1, 2}}},
-			11: {{Example: 0, Grad: []float32{-5, 5}}},
-		}},
+		// Coalesced sync flushes, id → partial: iterations out of order, one
+		// lossless and one f16 table (values f16-representable, as after the
+		// sender's error-feedback rounding), and an empty table.
 		SyncBatchMsg{Flushes: []SyncMsg{
-			{Iter: 4, Entries: map[uint64][]Contrib{
-				2: {{Example: 1, Grad: []float32{0.5, 0.25}}},
+			{Iter: 4, Partials: map[uint64][]float32{
+				2: {0.5, 0.25},
 			}},
-			{Iter: 3, Entries: map[uint64][]Contrib{
-				2: {{Example: 0, Grad: []float32{-1, 2}}, {Example: 5, Grad: []float32{3, -4}}},
-				8: {{Example: 2, Grad: []float32{7, 8}}},
+			{Iter: 3, F16: true, Partials: map[uint64][]float32{
+				2: QuantizeF16([]float32{0.1, -4}),
+				8: QuantizeF16([]float32{7, -2e-5}),
 			}},
+			{Iter: 5, Partials: map[uint64][]float32{}},
 		}},
 		PlanMsg{Plan: plan},
 		CollMsg{Seq: 41, F32: []float32{1.5, -2.25}},
@@ -136,8 +136,8 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 		ReplicaMsg{Iter: 1, Rows: map[uint64][]float32{5: {1, 2, 3}}},
 		ReplicaMsg{Iter: 1, F16: true, Rows: map[uint64][]float32{5: QuantizeF16([]float32{1, 2, 3})}},
 		SyncBatchMsg{Flushes: []SyncMsg{
-			{Iter: 2, Entries: map[uint64][]Contrib{3: {{Example: 1, Grad: []float32{1, 2}}}}},
-			{Iter: 1, Entries: map[uint64][]Contrib{7: {{Example: 0, Grad: []float32{3, 4}}}}},
+			{Iter: 2, Partials: map[uint64][]float32{3: {1, 2}, 9: {5, 6}}},
+			{Iter: 1, F16: true, Partials: map[uint64][]float32{7: {3, 4}}},
 		}},
 		FusedCollMsg{Seq: 9, Origin: 1, Segs: [][]float32{{1, 2}, {3}}, Loss: []float64{0.5}},
 	}
@@ -154,6 +154,27 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := DecodePayload([]byte{0x7F, 1, 2}); err == nil {
 		t.Fatal("unknown tag decoded without error")
+	}
+	// Tag 2 was the standalone SyncMsg frame; flushes only travel coalesced.
+	if _, err := DecodePayload([]byte{2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
+		t.Fatal("retired standalone sync tag decoded without error")
+	}
+	// A sync table that claims rows of width zero, or a width its bytes
+	// cannot hold, is rejected before anything is allocated for it.
+	flush := func(dim, n uint32, tail ...byte) []byte {
+		b := []byte{tagSyncBatch}
+		b = putU32(b, 1)
+		b = putU64(b, 3)
+		b = append(b, 0)
+		b = putU32(b, dim)
+		b = putU32(b, n)
+		return append(b, tail...)
+	}
+	if _, err := DecodePayload(flush(0, 1, make([]byte, 8)...)); err == nil {
+		t.Fatal("zero-width sync partials decoded without error")
+	}
+	if _, err := DecodePayload(flush(1<<31, 1, make([]byte, 64)...)); err == nil {
+		t.Fatal("oversized sync partial width decoded without error")
 	}
 	if _, err := DecodePayload(nil); err == nil {
 		t.Fatal("empty payload decoded without error")
@@ -202,4 +223,23 @@ func abs32(x float32) float32 {
 		return -x
 	}
 	return x
+}
+
+// TestSyncEncodeRefusesRaggedOrBare: one flush carries one partial width,
+// and a SyncMsg has no frame of its own — both are programming errors the
+// encoder reports at the first Send.
+func TestSyncEncodeRefusesRaggedOrBare(t *testing.T) {
+	mustPanic := func(name string, p any) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s encoded without panicking", name)
+			}
+		}()
+		EncodePayload(p)
+	}
+	mustPanic("ragged flush", SyncBatchMsg{Flushes: []SyncMsg{
+		{Iter: 1, Partials: map[uint64][]float32{1: {1, 2}, 2: {3}}},
+	}})
+	mustPanic("bare SyncMsg", SyncMsg{Iter: 1, Partials: map[uint64][]float32{1: {1}}})
 }

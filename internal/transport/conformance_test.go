@@ -282,8 +282,8 @@ func TestMeshConformanceTypedPayloads(t *testing.T) {
 		ReplicaMsg{Iter: 2, Rows: map[uint64][]float32{7: {1, -2, 0.5}}},
 		ReplicaMsg{Iter: 3, F16: true, Rows: map[uint64][]float32{9: QuantizeF16([]float32{0.25, 3.75})}},
 		SyncBatchMsg{Flushes: []SyncMsg{
-			{Iter: 5, Entries: map[uint64][]Contrib{3: {{Example: 1, Grad: []float32{0.5}}}}},
-			{Iter: 4, Entries: map[uint64][]Contrib{8: {{Example: 0, Grad: []float32{-1}}}}},
+			{Iter: 5, Partials: map[uint64][]float32{3: {0.5, 2}, 6: {-3, 1}}},
+			{Iter: 4, F16: true, Partials: map[uint64][]float32{8: QuantizeF16([]float32{-1, 0.1})}},
 		}},
 		FusedCollMsg{Seq: 11, Origin: 1, Segs: [][]float32{{1, 2}, {3, 4, 5}}, Loss: []float64{0.125}},
 	}
