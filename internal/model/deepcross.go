@@ -10,6 +10,7 @@ import (
 // network (NumCross cross layers) and a deep MLP 1024-512-256-64-48 run in
 // parallel over x0; the head MLP 512-256-1 consumes their concatenation.
 type DeepCross struct {
+	whole
 	cfg   Config
 	dim   int
 	cross []*nn.CrossLayer
@@ -19,8 +20,8 @@ type DeepCross struct {
 	x0Cat   nn.Concat2 // dense ++ emb → x0
 	headCat nn.Concat2 // crossOut ++ deepOut → head input
 
-	x0   *tensor.Matrix
-	dEmb *tensor.Matrix
+	dense *tensor.Matrix // ForwardDense → ForwardSparse
+	x0    *tensor.Matrix
 }
 
 // NumCrossLayers is the cross-network depth (the DCN paper's Criteo config).
@@ -31,6 +32,7 @@ func NewDeepCross(cfg Config) *DeepCross {
 	rng := tensor.NewRNG(cfg.Seed ^ 0xDC)
 	dim := cfg.embDim(48)
 	m := &DeepCross{cfg: cfg, dim: dim}
+	m.whole = whole{m}
 	x0Dim := cfg.NumNumeric + cfg.NumCategorical*dim
 	for i := 0; i < NumCrossLayers; i++ {
 		m.cross = append(m.cross, nn.NewCrossLayer(x0Dim, rng))
@@ -46,9 +48,13 @@ func (m *DeepCross) Name() string { return "dc" }
 // EmbDim implements Model.
 func (m *DeepCross) EmbDim() int { return m.dim }
 
-// Forward implements Model.
-func (m *DeepCross) Forward(dense, emb *tensor.Matrix, _ [][]uint64) []float32 {
-	m.x0 = m.x0Cat.Forward2(dense, emb)
+// ForwardDense implements Model. Every layer reads x0, which holds the
+// embeddings, so there is nothing to run ahead of them.
+func (m *DeepCross) ForwardDense(dense *tensor.Matrix) { m.dense = dense }
+
+// ForwardSparse implements Model: the whole network.
+func (m *DeepCross) ForwardSparse(emb *tensor.Matrix, _ [][]uint64) []float32 {
+	m.x0 = m.x0Cat.Forward2(m.dense, emb)
 	x := m.x0
 	for _, c := range m.cross {
 		c.SetX0(m.x0)
@@ -59,8 +65,9 @@ func (m *DeepCross) Forward(dense, emb *tensor.Matrix, _ [][]uint64) []float32 {
 	return logitsOf(m.head.Forward(headIn))
 }
 
-// Backward implements Model.
-func (m *DeepCross) Backward(dlogits []float32) *tensor.Matrix {
+// BackwardSparse implements Model: dEmb is a slice of dx0, the last
+// gradient the network produces, so this is the whole backward pass.
+func (m *DeepCross) BackwardSparse(dlogits []float32) *tensor.Matrix {
 	dHeadIn := m.head.Backward(tensor.FromSlice(len(dlogits), 1, dlogits))
 	dCross, dDeep := m.headCat.Backward2(dHeadIn)
 
@@ -77,9 +84,11 @@ func (m *DeepCross) Backward(dlogits []float32) *tensor.Matrix {
 	dx0.AddScaled(m.deep.Backward(dDeep), 1)
 
 	_, dEmb := m.x0Cat.Backward2(dx0)
-	m.dEmb = dEmb
-	return m.dEmb
+	return dEmb
 }
+
+// BackwardDense implements Model.
+func (m *DeepCross) BackwardDense() {}
 
 // Params implements Model.
 func (m *DeepCross) Params() []nn.Param {

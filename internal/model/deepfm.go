@@ -22,6 +22,7 @@ import (
 // accounting: the weights live in a dense nn.Param synchronized by the
 // trainer's dense all-reduce, indexed sparsely by global embedding ID.
 type DeepFM struct {
+	whole
 	cfg Config
 	dim int
 
@@ -31,10 +32,8 @@ type DeepFM struct {
 	deep     *nn.MLP
 	deepHead *nn.Linear
 
-	cats    [][]uint64
-	dEmbFM  *tensor.Matrix
-	dEmb    *tensor.Matrix
-	dDeepIn *tensor.Matrix
+	cats [][]uint64
+	dEmb *tensor.Matrix
 }
 
 // NewDeepFM builds DeepFM for the given dataset shape. cfg.TotalRows must
@@ -46,6 +45,7 @@ func NewDeepFM(cfg Config) *DeepFM {
 	rng := tensor.NewRNG(cfg.Seed ^ 0xDF)
 	dim := cfg.embDim(48)
 	m := &DeepFM{cfg: cfg, dim: dim}
+	m.whole = whole{m}
 	m.linW = make([]float32, cfg.TotalRows+1)
 	tensor.UniformInit(m.linW, 0.01, rng)
 	m.linGrad = make([]float32, cfg.TotalRows+1)
@@ -62,8 +62,12 @@ func (m *DeepFM) Name() string { return "deepfm" }
 // EmbDim implements Model.
 func (m *DeepFM) EmbDim() int { return m.dim }
 
-// Forward implements Model.
-func (m *DeepFM) Forward(_, emb *tensor.Matrix, cats [][]uint64) []float32 {
+// ForwardDense implements Model. DeepFM has no numeric-feature path.
+func (m *DeepFM) ForwardDense(*tensor.Matrix) {}
+
+// ForwardSparse implements Model: all three paths read the embeddings or
+// their IDs.
+func (m *DeepFM) ForwardSparse(emb *tensor.Matrix, cats [][]uint64) []float32 {
 	if len(cats) != emb.Rows {
 		panic("model: DeepFM needs per-example categorical IDs")
 	}
@@ -82,8 +86,9 @@ func (m *DeepFM) Forward(_, emb *tensor.Matrix, cats [][]uint64) []float32 {
 	return logits
 }
 
-// Backward implements Model.
-func (m *DeepFM) Backward(dlogits []float32) *tensor.Matrix {
+// BackwardSparse implements Model: dEmb sums the FM and deep paths' input
+// gradients, so this is the whole backward pass.
+func (m *DeepFM) BackwardSparse(dlogits []float32) *tensor.Matrix {
 	dl := tensor.FromSlice(len(dlogits), 1, dlogits)
 	dEmbFM := m.fm.Backward(dl)
 	dEmbDeep := m.deep.Backward(m.deepHead.Backward(dl))
@@ -102,6 +107,9 @@ func (m *DeepFM) Backward(dlogits []float32) *tensor.Matrix {
 	}
 	return m.dEmb
 }
+
+// BackwardDense implements Model.
+func (m *DeepFM) BackwardDense() {}
 
 // Params implements Model. The linear-feature block is first, so dense
 // synchronization accounts for its full 33.76M-scalar size.

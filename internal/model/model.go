@@ -11,6 +11,18 @@
 // respect to the gathered embedding rows so the training pipeline can route
 // sparse updates through the cache/servers, while dense gradients accumulate
 // inside the model for the optimizer.
+//
+// Both passes are staged around the one point where embedding rows enter the
+// computation. ForwardDense runs everything that never reads an embedding
+// (W&D's numeric tower, DLRM's bottom MLP); ForwardSparse takes the gathered
+// rows and finishes the logits; BackwardSparse stops as soon as the embedding
+// gradient is final; BackwardDense finishes the dense-parameter gradients.
+// The LRPP trainer schedules its mesh traffic in the gaps — replicas arrive
+// during ForwardDense, gradient partials leave before BackwardDense — and
+// Forward/Backward are those halves back to back (whole), so every caller
+// runs the same layer calls in the same order and computes the same bits.
+// Deep&Cross and DeepFM feed embeddings to their first layer: their dense
+// halves are empty.
 package model
 
 import (
@@ -28,16 +40,37 @@ type Model interface {
 	EmbDim() int
 	// Forward computes per-example logits. dense is B×NumNumeric, emb is
 	// B×(NumCategorical·EmbDim) holding the gathered embedding rows in
-	// feature order, cats[i] are example i's global embedding IDs.
+	// feature order, cats[i] are example i's global embedding IDs. It is
+	// ForwardDense then ForwardSparse.
 	Forward(dense, emb *tensor.Matrix, cats [][]uint64) []float32
 	// Backward consumes dlogits (len B) and returns the gradient w.r.t.
 	// the emb input. Dense parameter gradients are accumulated internally.
+	// It is BackwardSparse then BackwardDense.
 	Backward(dlogits []float32) *tensor.Matrix
+	Staged
 	// Params returns the dense parameters and their gradients.
 	Params() []nn.Param
 	// DenseParamCount returns the number of scalar dense parameters
 	// (the Table 2 column).
 	DenseParamCount() int
+}
+
+// Staged is the two passes cut at the point where embedding rows enter the
+// computation; the calling convention is strictly ForwardDense,
+// ForwardSparse, BackwardSparse, BackwardDense per step.
+type Staged interface {
+	// ForwardDense runs the part of the forward pass that reads no
+	// embedding row. dense must stay untouched until ForwardSparse returns.
+	ForwardDense(dense *tensor.Matrix)
+	// ForwardSparse completes the pass begun by ForwardDense.
+	ForwardSparse(emb *tensor.Matrix, cats [][]uint64) []float32
+	// BackwardSparse backpropagates dlogits exactly as far as the emb
+	// input and returns that gradient, final; the buffer is the model's
+	// and valid until the next pass.
+	BackwardSparse(dlogits []float32) *tensor.Matrix
+	// BackwardDense finishes the backward pass: only after it are the
+	// Params gradients complete.
+	BackwardDense()
 }
 
 // Config carries the dataset-shape inputs a model needs.
@@ -77,7 +110,24 @@ func New(name string, cfg Config) (Model, error) {
 // Names lists the models in the paper's Table 2 order.
 func Names() []string { return []string{"dlrm", "wd", "dc", "deepfm"} }
 
-// lastColumn extracts a column-0 view of a B×1 matrix as a logits slice.
+// whole is embedded by every model and defines the one-call passes as its
+// staged halves back to back, so no model states its layer sequence twice.
+type whole struct{ s Staged }
+
+// Forward implements Model.
+func (w whole) Forward(dense, emb *tensor.Matrix, cats [][]uint64) []float32 {
+	w.s.ForwardDense(dense)
+	return w.s.ForwardSparse(emb, cats)
+}
+
+// Backward implements Model.
+func (w whole) Backward(dlogits []float32) *tensor.Matrix {
+	dEmb := w.s.BackwardSparse(dlogits)
+	w.s.BackwardDense()
+	return dEmb
+}
+
+// logitsOf extracts a column-0 view of a B×1 matrix as a logits slice.
 func logitsOf(m *tensor.Matrix) []float32 {
 	if m.Cols != 1 {
 		panic(fmt.Sprintf("model: head output has %d cols, want 1", m.Cols))
@@ -91,6 +141,7 @@ func logitsOf(m *tensor.Matrix) []float32 {
 // 1024-1024-1024-256-128-1 over the concatenated bottom output and
 // interactions.
 type DLRM struct {
+	whole
 	cfg    Config
 	dim    int
 	bottom *nn.MLP
@@ -100,8 +151,9 @@ type DLRM struct {
 	featCat nn.Concat2 // emb ++ bottomOut → interaction input
 	topCat  nn.Concat2 // bottomOut ++ interOut → top input
 
-	embCols int
-	dEmb    *tensor.Matrix
+	embCols      int
+	bot          *tensor.Matrix // ForwardDense → ForwardSparse
+	dBot1, dBot2 *tensor.Matrix // BackwardSparse → BackwardDense
 }
 
 // NewDLRM builds DLRM for the given dataset shape.
@@ -109,6 +161,7 @@ func NewDLRM(cfg Config) *DLRM {
 	rng := tensor.NewRNG(cfg.Seed ^ 0xD1)
 	dim := cfg.embDim(48)
 	m := &DLRM{cfg: cfg, dim: dim}
+	m.whole = whole{m}
 	m.bottom = nn.NewMLP([]int{cfg.NumNumeric, 512, 256, 64, dim}, true, rng)
 	numFeat := cfg.NumCategorical + 1
 	m.inter = nn.NewDotInteraction(numFeat, dim)
@@ -124,26 +177,33 @@ func (m *DLRM) Name() string { return "dlrm" }
 // EmbDim implements Model.
 func (m *DLRM) EmbDim() int { return m.dim }
 
-// Forward implements Model.
-func (m *DLRM) Forward(dense, emb *tensor.Matrix, _ [][]uint64) []float32 {
-	bot := m.bottom.Forward(dense)
-	feats := m.featCat.Forward2(emb, bot)
+// ForwardDense implements Model: the bottom MLP.
+func (m *DLRM) ForwardDense(dense *tensor.Matrix) { m.bot = m.bottom.Forward(dense) }
+
+// ForwardSparse implements Model: interaction and top MLP.
+func (m *DLRM) ForwardSparse(emb *tensor.Matrix, _ [][]uint64) []float32 {
+	feats := m.featCat.Forward2(emb, m.bot)
 	inter := m.inter.Forward(feats)
-	topIn := m.topCat.Forward2(bot, inter)
+	topIn := m.topCat.Forward2(m.bot, inter)
 	return logitsOf(m.top.Forward(topIn))
 }
 
-// Backward implements Model.
-func (m *DLRM) Backward(dlogits []float32) *tensor.Matrix {
+// BackwardSparse implements Model: top MLP and interaction, down to the
+// split of the interaction input into embeddings and bottom output.
+func (m *DLRM) BackwardSparse(dlogits []float32) *tensor.Matrix {
 	dTopIn := m.top.Backward(tensor.FromSlice(len(dlogits), 1, dlogits))
 	dBot1, dInter := m.topCat.Backward2(dTopIn)
 	dFeats := m.inter.Backward(dInter)
-	dEmbView, dBot2 := m.featCat.Backward2(dFeats)
-	dBot := dBot1.Clone()
-	dBot.AddScaled(dBot2, 1)
+	dEmb, dBot2 := m.featCat.Backward2(dFeats)
+	m.dBot1, m.dBot2 = dBot1, dBot2
+	return dEmb
+}
+
+// BackwardDense implements Model: the bottom MLP, fed by both of its uses.
+func (m *DLRM) BackwardDense() {
+	dBot := m.dBot1.Clone()
+	dBot.AddScaled(m.dBot2, 1)
 	m.bottom.Backward(dBot)
-	m.dEmb = dEmbView
-	return m.dEmb
 }
 
 // Params implements Model.
@@ -160,13 +220,15 @@ func (m *DLRM) DenseParamCount() int { return m.bottom.NumParams() + m.top.NumPa
 // head reproduces Table 2's 136,673 dense parameters for Criteo: 135,168
 // MLP + 256+26·48+1 head).
 type WideDeep struct {
+	whole
 	cfg  Config
 	dim  int
 	deep *nn.MLP
 	head *nn.Linear
 	cat  nn.Concat2
 
-	dEmb *tensor.Matrix
+	deepOut *tensor.Matrix // ForwardDense → ForwardSparse
+	dDeep   *tensor.Matrix // BackwardSparse → BackwardDense
 }
 
 // NewWideDeep builds Wide&Deep for the given dataset shape.
@@ -174,6 +236,7 @@ func NewWideDeep(cfg Config) *WideDeep {
 	rng := tensor.NewRNG(cfg.Seed ^ 0x3D)
 	dim := cfg.embDim(48)
 	m := &WideDeep{cfg: cfg, dim: dim}
+	m.whole = whole{m}
 	m.deep = nn.NewMLP([]int{cfg.NumNumeric, 256, 256, 256}, true, rng)
 	m.head = nn.NewLinear(256+cfg.NumCategorical*dim, 1, rng)
 	return m
@@ -185,21 +248,25 @@ func (m *WideDeep) Name() string { return "wd" }
 // EmbDim implements Model.
 func (m *WideDeep) EmbDim() int { return m.dim }
 
-// Forward implements Model.
-func (m *WideDeep) Forward(dense, emb *tensor.Matrix, _ [][]uint64) []float32 {
-	deep := m.deep.Forward(dense)
-	headIn := m.cat.Forward2(deep, emb)
+// ForwardDense implements Model: the numeric-feature tower.
+func (m *WideDeep) ForwardDense(dense *tensor.Matrix) { m.deepOut = m.deep.Forward(dense) }
+
+// ForwardSparse implements Model: concat and head.
+func (m *WideDeep) ForwardSparse(emb *tensor.Matrix, _ [][]uint64) []float32 {
+	headIn := m.cat.Forward2(m.deepOut, emb)
 	return logitsOf(m.head.Forward(headIn))
 }
 
-// Backward implements Model.
-func (m *WideDeep) Backward(dlogits []float32) *tensor.Matrix {
+// BackwardSparse implements Model: the head alone decides dEmb.
+func (m *WideDeep) BackwardSparse(dlogits []float32) *tensor.Matrix {
 	dHeadIn := m.head.Backward(tensor.FromSlice(len(dlogits), 1, dlogits))
 	dDeep, dEmb := m.cat.Backward2(dHeadIn)
-	m.deep.Backward(dDeep)
-	m.dEmb = dEmb
-	return m.dEmb
+	m.dDeep = dDeep
+	return dEmb
 }
+
+// BackwardDense implements Model: the tower.
+func (m *WideDeep) BackwardDense() { m.deep.Backward(m.dDeep) }
 
 // Params implements Model.
 func (m *WideDeep) Params() []nn.Param {

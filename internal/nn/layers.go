@@ -48,6 +48,10 @@ type Linear struct {
 	x   *tensor.Matrix // cached input
 	out *tensor.Matrix
 	dx  *tensor.Matrix
+	// Backward scratch, reused across calls: this batch's xᵀ·dout and
+	// colsums(dout) before they are added to the accumulators.
+	gw   *tensor.Matrix
+	sums []float32
 }
 
 // NewLinear returns a Linear layer with Xavier-initialized weights drawn
@@ -86,13 +90,16 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward implements Layer.
 func (l *Linear) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	// dW += xᵀ·dout ; db += colsums(dout) ; dx = dout·Wᵀ
-	gw := tensor.NewMatrix(l.In, l.Out)
-	tensor.MatMulAT(gw, l.x, dout)
-	l.GradW.AddScaled(gw, 1)
-	sums := make([]float32, l.Out)
-	tensor.ColSums(sums, dout)
-	tensor.Axpy(1, sums, l.GradB)
+	// dW += xᵀ·dout ; db += colsums(dout) ; dx = dout·Wᵀ. The products are
+	// formed in scratch (both calls overwrite it) and then added, so each
+	// accumulator element takes one addition per call whatever it held.
+	if l.gw == nil {
+		l.gw, l.sums = tensor.NewMatrix(l.In, l.Out), make([]float32, l.Out)
+	}
+	tensor.MatMulAT(l.gw, l.x, dout)
+	l.GradW.AddScaled(l.gw, 1)
+	tensor.ColSums(l.sums, dout)
+	tensor.Axpy(1, l.sums, l.GradB)
 
 	l.dx = ensureShape(l.dx, dout.Rows, l.In)
 	tensor.MatMulBT(l.dx, dout, l.W)

@@ -46,12 +46,14 @@ func CalibrateIterTime(cfg Config, iters int) (time.Duration, error) {
 	gen := data.NewGenerator(cfg.Spec, cfg.Seed)
 	assign := make([]int, cfg.BatchSize) // every example on rank 0
 	var start time.Time
+	ls := new(localSlice)
 	for i := 0; i <= iters; i++ {
 		if i == 1 {
 			start = time.Now()
 		}
 		b := gen.Batch(i, cfg.BatchSize)
-		ls := extractLocal(b, assign, 0, cfg.Spec.NumCategorical, cfg.Spec.NumNumeric, cfg.Spec.EmbDim, nil)
+		ls.extract(b, assign, 0, cfg.Spec.NumNumeric)
+		ls.fillEmb(b, cfg.Spec.NumCategorical, cfg.Spec.EmbDim, nil)
 		computeLocal(m, ls)
 		opt.Step(m.Params())
 	}

@@ -11,7 +11,9 @@ import (
 	"bagpipe/internal/core"
 	"bagpipe/internal/data"
 	"bagpipe/internal/model"
+	"bagpipe/internal/nn"
 	"bagpipe/internal/optim"
+	"bagpipe/internal/tensor"
 	"bagpipe/internal/transport"
 )
 
@@ -169,7 +171,9 @@ type iterMerge struct {
 
 // flushItem hands one iteration's remote partials to the delayed-sync
 // flusher, split by criticality. The inner maps are pooled row maps and the
-// partials arena rows; both transfer to the owner with the flush.
+// partials arena rows; both transfer to the owner with the flush. The item
+// and its outer maps cycle between the trainer loop and the flusher
+// (lrppTrainer.flushFree).
 type flushItem struct {
 	iter   int
 	urgent map[int]map[uint64][]float32 // owner → id → partial; needed next iter
@@ -188,9 +192,13 @@ type lrppTrainer struct {
 	p   int
 	eng *lrppEngine
 
-	model  model.Model
-	opt    optim.Optimizer
-	rowOpt interface {
+	model   model.Model
+	params  []nn.Param  // model.Params(), stable for the run
+	segs    [][]float32 // params' gradients, the fused all-reduce's segments
+	lossVec [1]float64  // this trainer's loss term, reduced with segs
+	ls      localSlice  // this trainer's slice of the current batch
+	opt     optim.Optimizer
+	rowOpt  interface {
 		optim.Optimizer
 		optim.RowOptimizer
 	}
@@ -207,14 +215,14 @@ type lrppTrainer struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	cache       *core.Cache
-	merges      map[uint64]*idMergeQueue
-	expiring    map[int]int                  // iter → owned rows still to evict
-	evbatch     map[int][]core.Eviction      // iter → collected write-backs
-	computeDone map[int]bool                 // iter → trainer loop finished it
-	emitted     map[int]bool                 // iter → eviction batch sent to maintenance
-	repRows     map[int]map[uint64][]float32 // iter → replica rows received (pooled maps/rows, owned here)
-	repFrom     map[int]rankBits             // iter → owners heard from
+	cache    *core.Cache
+	merges   map[uint64]*idMergeQueue
+	expiring map[int]int                  // iter → owned rows still to evict
+	evbatch  map[int][]core.Eviction      // iter → collected write-backs
+	routed   map[int]bool                 // iter → trainer loop deposited and queued its partials
+	emitted  map[int]bool                 // iter → eviction batch sent to maintenance
+	repRows  map[int]map[uint64][]float32 // iter → replica rows received (pooled maps/rows, owned here)
+	repFrom  map[int]rankBits             // iter → owners heard from
 
 	// Hot-path scratch, all guarded by mu (or touched only by the single
 	// trainer-loop goroutine where noted): the arena rows and pooled maps
@@ -231,12 +239,13 @@ type lrppTrainer struct {
 
 	evictedRows int64
 
-	flushQ  chan flushItem
-	maintCh chan maintJob
-	tokens  chan struct{}
-	recvWG  sync.WaitGroup
-	flushWG sync.WaitGroup
-	maintWG sync.WaitGroup
+	flushQ    chan *flushItem
+	flushFree chan *flushItem // flusher → trainer loop: drained items for reuse
+	maintCh   chan maintJob
+	tokens    chan struct{}
+	recvWG    sync.WaitGroup
+	flushWG   sync.WaitGroup
+	maintWG   sync.WaitGroup
 }
 
 // RunLRPP trains with the multi-trainer LRPP engine (§3.3 of the paper):
@@ -249,7 +258,11 @@ type lrppTrainer struct {
 // delayed-sync goroutine — batched per owner, contributions the next
 // iteration depends on flushed first, the rest one iteration later — so no
 // cross-trainer synchronization sits on the forward/backward critical
-// path. Each trainer pre-aggregates its own examples' gradients into one
+// path. The model runs staged (model.Staged, see iterate): its
+// embedding-independent layers go forward before the replicas are awaited
+// and backward after the partials are routed, so the flush → merge →
+// replica-push chain between two iterations travels under dense compute.
+// Each trainer pre-aggregates its own examples' gradients into one
 // partial per (row, iteration) in sub-batch order; each owner folds an
 // (id, iteration)'s partials in rank order from zero — the rule dense
 // gradients follow, and exactly what RunBaseline's ranks.step computes —
@@ -264,6 +277,12 @@ type lrppTrainer struct {
 //
 // mesh may be nil, which wires the trainers over an in-process mesh.
 func RunLRPP(cfg Config, trs []transport.Store, mesh transport.Mesh) (*Result, error) {
+	return runLRPP(cfg, trs, mesh, nil)
+}
+
+// runLRPP is RunLRPP with a seam for the package's ordering test: prep,
+// when non-nil, sees each trainer after construction, before it starts.
+func runLRPP(cfg Config, trs []transport.Store, mesh transport.Mesh, prep func(*lrppTrainer)) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -287,6 +306,9 @@ func RunLRPP(cfg Config, trs []transport.Store, mesh transport.Mesh) (*Result, e
 		t, err := newLRPPTrainer(eng, p, trs[p], mesh.Endpoint(p))
 		if err != nil {
 			return nil, err
+		}
+		if prep != nil {
+			prep(t)
 		}
 		trainers[p] = t
 	}
@@ -381,23 +403,31 @@ func newLRPPTrainer(eng *lrppEngine, p int, tr transport.Store, ep transport.End
 	t := &lrppTrainer{
 		p: p, eng: eng, model: m, opt: opt, rowOpt: rowOpt,
 		tr: tr, ep: ep,
-		cache:       core.NewCache(cfg.Spec.EmbDim),
-		merges:      make(map[uint64]*idMergeQueue),
-		expiring:    make(map[int]int),
-		evbatch:     make(map[int][]core.Eviction),
-		computeDone: make(map[int]bool),
-		emitted:     make(map[int]bool),
-		repRows:     make(map[int]map[uint64][]float32),
-		repFrom:     make(map[int]rankBits),
-		arena:       transport.Rows(cfg.Spec.EmbDim),
-		foldBuf:     make([]float32, cfg.Spec.EmbDim),
-		gathered:    make(map[uint64][]float32),
-		partials:    make(map[uint64][]float32),
-		flushQ:      make(chan flushItem, cfg.NumBatches+1),
-		maintCh:     make(chan maintJob, cfg.NumBatches+1),
-		tokens:      make(chan struct{}, cfg.LookAhead),
+		cache:    core.NewCache(cfg.Spec.EmbDim),
+		merges:   make(map[uint64]*idMergeQueue),
+		expiring: make(map[int]int),
+		evbatch:  make(map[int][]core.Eviction),
+		routed:   make(map[int]bool),
+		emitted:  make(map[int]bool),
+		repRows:  make(map[int]map[uint64][]float32),
+		repFrom:  make(map[int]rankBits),
+		arena:    transport.Rows(cfg.Spec.EmbDim),
+		foldBuf:  make([]float32, cfg.Spec.EmbDim),
+		gathered: make(map[uint64][]float32),
+		partials: make(map[uint64][]float32),
+		flushQ:   make(chan *flushItem, cfg.NumBatches+1),
+		// An item is away from its iteration's routing until its lazy half
+		// ships lag passes later: lag+2 cover the steady state, a longer
+		// flusher backlog allocates and the surplus is dropped.
+		flushFree: make(chan *flushItem, eng.lag+2),
+		maintCh:   make(chan maintJob, cfg.NumBatches+1),
+		tokens:    make(chan struct{}, cfg.LookAhead),
 	}
 	t.cond = sync.NewCond(&t.mu)
+	t.params = m.Params()
+	for _, p := range t.params {
+		t.segs = append(t.segs, p.Grad)
+	}
 	for i := 0; i < cfg.LookAhead; i++ {
 		t.tokens <- struct{}{}
 	}
@@ -687,13 +717,21 @@ func (t *lrppTrainer) startFlusher() {
 				delete(pass, o)
 			}
 		}
-		var backlog []flushItem
+		var backlog []*flushItem
 		for it := range t.flushQ {
 			collect(it.urgent, it.iter, true)
 			backlog = append(backlog, it)
 			for len(backlog) > 0 && backlog[0].iter <= it.iter-eng.lag {
-				collect(backlog[0].lazy, backlog[0].iter, false)
+				done := backlog[0]
+				collect(done.lazy, done.iter, false)
 				backlog = backlog[1:]
+				// Both halves now belong to pass: hand the emptied item back.
+				clear(done.urgent)
+				clear(done.lazy)
+				select {
+				case t.flushFree <- done:
+				default:
+				}
 			}
 			flush()
 		}
@@ -775,9 +813,9 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 	x := d.Iter
 
 	// 1. Register this iteration's merge obligations and eviction counts
-	// before joining any collective: contributions for iteration x can only
-	// be computed after the iteration-x all-reduce, so registration always
-	// precedes the first deposit.
+	// before pushing any replica: a peer computes a partial for one of our
+	// rows only from the iteration-x replica of it (step 4), so registration
+	// always precedes the first deposit.
 	t.mu.Lock()
 	for id, users := range pl.Users {
 		q := t.merges[id]
@@ -871,7 +909,21 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 		eng.replicaRows.Add(o.nrows)
 	}
 
-	// 5. Wait for the replicas we need, then gather this trainer's rows:
+	// 5. Dense forward: the part of the model that reads no embedding row
+	// runs while the replicas the peers pushed in their step 4 are still on
+	// the mesh.
+	spec := eng.cfg.Spec
+	ls := &t.ls
+	ls.extract(d.Batch, d.Assign, t.p, spec.NumNumeric)
+	idle := len(ls.mine) == 0 // a partitioner may leave a trainer idle for a batch
+	nn.ZeroGrads(t.params)
+	if !idle {
+		eng.activeTrain.Add(1)
+		t.model.ForwardDense(ls.dense)
+		eng.activeTrain.Add(-1)
+	}
+
+	// 6. Wait for the replicas we need, then gather this trainer's rows:
 	// owned ids from the partition, remote ids from the replica box.
 	t.mu.Lock()
 	for {
@@ -892,14 +944,11 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 	delete(t.repRows, x)
 	delete(t.repFrom, x)
 	// gathered is the trainer loop's private reusable scratch; its entries
-	// alias cache rows and replica rows only until extractLocal copies them.
+	// alias cache rows and replica rows only until fillEmb copies them.
 	gathered := t.gathered
 	clear(gathered)
-	for i, ex := range d.Batch.Examples {
-		if d.Assign[i] != t.p {
-			continue
-		}
-		for _, id := range ex.Cat {
+	for _, i := range ls.mine {
+		for _, id := range d.Batch.Examples[i].Cat {
 			if _, ok := gathered[id]; ok {
 				continue
 			}
@@ -919,15 +968,8 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 		}
 	}
 	t.mu.Unlock()
-
-	// 6. Forward/backward on this trainer's examples, then ONE fused
-	// collective round: every dense-parameter gradient segment plus the
-	// loss term crosses the trainer group together (a single frame per hop
-	// on mesh fabrics, instead of one per parameter), folded in rank order
-	// from zero — the identical call sequence and summation on every
-	// trainer.
-	ls := extractLocal(d.Batch, d.Assign, t.p, eng.cfg.Spec.NumCategorical, eng.cfg.Spec.NumNumeric, eng.dim, gathered)
-	// extractLocal copied every gathered row into the local slice, so the
+	ls.fillEmb(d.Batch, spec.NumCategorical, eng.dim, gathered)
+	// fillEmb copied every gathered row into the local slice, so the
 	// replica snapshot this trainer adopted from the pushes is dead: return
 	// the rows and the map to the pools the senders drew them from.
 	if replicas != nil {
@@ -938,45 +980,45 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 		}
 		transport.PutRowMap(replicas)
 	}
+
+	// 7. Head forward, loss, and the backward pass as far as the embedding
+	// gradient — final here, before any dense-only layer has run backward.
 	eng.activeTrain.Add(1)
-	loss, dEmb := computeLocal(t.model, ls)
-	params := t.model.Params()
-	segs := make([][]float32, len(params))
-	for i, p := range params {
-		segs[i] = p.Grad
-	}
-	lossVec := []float64{loss}
-	eng.coll.FusedAllReduce(t.p, segs, lossVec)
-	t.opt.Step(params)
-	eng.activeTrain.Add(-1)
-	// All ranks hold the identical reduced loss; in single-process mode the
-	// losses slice is shared so only trainer 0 writes it, in worker mode
-	// every process records its own copy.
-	if t.p == 0 || eng.worker {
-		eng.losses[x] = lossVec[0]
+	t.lossVec[0] = 0
+	var dEmb *tensor.Matrix
+	if !idle {
+		t.lossVec[0] = ls.lossGrad(t.model.ForwardSparse(ls.emb, ls.cats))
+		dEmb = t.model.BackwardSparse(ls.dlogits)
 	}
 
-	// 7. Pre-aggregate this trainer's gradients into one partial per row
-	// (arena buffers, sub-batch order) and route them: partials for owned
-	// rows merge locally (ids used only here are the LRPP fast path — no
-	// mesh traffic at all); remote-owned ones queue for the delayed-sync
-	// flusher, which ships one vector per (owner, row, iteration). The
-	// partials own their memory — models reuse the dEmb buffer across
-	// iterations, and a deferred merge or delayed flush outlives this
-	// backward pass — and whoever folds them recycles them.
+	// 8. Pre-aggregate this trainer's gradients into one partial per row
+	// (arena buffers, sub-batch order) and route them now, so the urgent
+	// flush, the owners' merges and their next replica push travel while
+	// every trainer is still inside step 9: partials for owned rows merge
+	// locally (ids used only here are the LRPP fast path — no mesh traffic
+	// at all); remote-owned ones queue for the delayed-sync flusher, which
+	// ships one vector per (owner, row, iteration). The partials own their
+	// memory — models reuse the dEmb buffer across iterations, and a
+	// deferred merge or delayed flush outlives this backward pass — and
+	// whoever folds them recycles them.
 	partials := t.partials
 	rankPartials(partials, d.Batch, ls.mine, dEmb, eng.dim, t.arena.Get)
 	eng.syncEntries.Add(int64(len(partials)))
-	urgent := make(map[int]map[uint64][]float32)
-	lazy := make(map[int]map[uint64][]float32)
+	var fi *flushItem
+	select {
+	case fi = <-t.flushFree:
+	default:
+		fi = &flushItem{urgent: make(map[int]map[uint64][]float32), lazy: make(map[int]map[uint64][]float32)}
+	}
+	fi.iter = x
 	for id, g := range partials {
 		owner, remote := pl.Remote[id]
 		if !remote {
 			continue
 		}
-		bucket := lazy
+		bucket := fi.lazy
 		if d.NeededNext[id] {
-			bucket = urgent
+			bucket = fi.urgent
 		}
 		if bucket[owner] == nil {
 			bucket[owner] = transport.GetRowMap()
@@ -984,19 +1026,37 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 		bucket[owner][id] = g
 		delete(partials, id)
 	}
-	if eng.prog != nil {
-		eng.prog.noteExamples(len(ls.mine))
-	}
 	t.mu.Lock()
 	for id, g := range partials {
 		t.depositLocked(id, x, t.p, g)
 	}
-	t.computeDone[x] = true
+	t.routed[x] = true
 	t.maybeEmitLocked(x)
 	t.mu.Unlock()
 	t.cond.Broadcast()
 	clear(partials)
-	t.flushQ <- flushItem{iter: x, urgent: urgent, lazy: lazy}
+	t.flushQ <- fi
+
+	// 9. Dense backward, then ONE fused collective round: every
+	// dense-parameter gradient segment plus the loss term crosses the
+	// trainer group together (a single frame per hop on mesh fabrics,
+	// instead of one per parameter), folded in rank order from zero — the
+	// identical call sequence and summation on every trainer.
+	if !idle {
+		t.model.BackwardDense()
+	}
+	eng.coll.FusedAllReduce(t.p, t.segs, t.lossVec[:])
+	t.opt.Step(t.params)
+	eng.activeTrain.Add(-1)
+	// All ranks hold the identical reduced loss; in single-process mode the
+	// losses slice is shared so only trainer 0 writes it, in worker mode
+	// every process records its own copy.
+	if t.p == 0 || eng.worker {
+		eng.losses[x] = t.lossVec[0]
+	}
+	if eng.prog != nil {
+		eng.prog.noteExamples(len(ls.mine))
+	}
 }
 
 // depositLocked takes ownership of trainer from's partial for (id, iter) and
@@ -1100,18 +1160,24 @@ func foldParts(g []float32, parts [][]float32, arena *transport.RowArena) {
 }
 
 // maybeEmitLocked hands iteration iter's eviction batch to maintenance
-// once the trainer loop has passed it and its last merge has evicted.
-// Caller holds t.mu; maintCh is sized for the whole run so the send never
-// blocks.
+// once the trainer loop has routed its partials and the iteration's last
+// merge has evicted. Routing, not the end of the iteration, is the gate:
+// retirement is about embedding write-backs, and after routing the loop
+// touches no embedding state of iter again — the dense backward, collective
+// and optimizer step that may still be running change dense parameters
+// only. The ℒ-window law (prefetch x+ℒ waits for x's write-backs) and the
+// fuzz auditor's four invariants are about those embedding events, so they
+// hold unchanged (FuzzLRPPDifferential is the proof). Caller holds t.mu;
+// maintCh is sized for the whole run so the send never blocks.
 func (t *lrppTrainer) maybeEmitLocked(iter int) {
-	if !t.computeDone[iter] || t.expiring[iter] != 0 || t.emitted[iter] {
+	if !t.routed[iter] || t.expiring[iter] != 0 || t.emitted[iter] {
 		return
 	}
 	t.emitted[iter] = true
 	evs := t.evbatch[iter]
 	delete(t.evbatch, iter)
 	delete(t.expiring, iter)
-	delete(t.computeDone, iter)
+	delete(t.routed, iter)
 	slices.SortFunc(evs, func(a, b core.Eviction) int {
 		switch {
 		case a.ID < b.ID:

@@ -13,7 +13,7 @@ import (
 // with a coordinator growing the tier 2->4 mid-run (dual-write window,
 // export/stream/verify rounds, and per-partition cutovers all riding the
 // same servers the trainers are hammering). Each sub-benchmark reports
-// train ex/s — the pair lands in BENCH_train.json as the
+// train ex/s — the pair lands in the CI bench artifact as the
 // reshard-interference sweep.
 func BenchmarkReshardInterference(b *testing.B) {
 	b.Run("reshard-off", func(b *testing.B) {

@@ -12,7 +12,7 @@ import (
 // same LRPP run over a 2-server tier, first alone, then with closed-loop
 // inference clients hammering the tier through the read path. Each
 // sub-benchmark reports train ex/s (plus served qps for the serving leg) —
-// the pair lands in BENCH_train.json as the serve-interference sweep.
+// the pair lands in the CI bench artifact as the serve-interference sweep.
 func BenchmarkServeInterference(b *testing.B) {
 	b.Run("serving-off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

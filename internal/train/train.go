@@ -391,8 +391,10 @@ func (r *ranks) run(rank int) {
 	defer r.wg.Done()
 	m := r.models[rank]
 	opt := r.opts[rank]
+	ls := new(localSlice)
 	for w := range r.in[rank] {
-		ls := extractLocal(w.batch, w.assign, rank, r.numCat, r.numDense, r.dim, w.rows)
+		ls.extract(w.batch, w.assign, rank, r.numDense)
+		ls.fillEmb(w.batch, r.numCat, r.dim, w.rows)
 		loss, dEmb := computeLocal(m, ls)
 		// Every rank joins every collective (idle ranks contribute zeros)
 		// and steps the summed gradient, keeping all replicas bit-identical.
@@ -406,46 +408,81 @@ func (r *ranks) run(rank int) {
 
 // localSlice is one rank's partition of a batch, extracted in batch order.
 // It is the unit of compute shared by the shared-cache ranks and the LRPP
-// trainer processes, so both engines run bit-identical math.
+// trainer processes, so both engines run bit-identical math. Each rank owns
+// one and refills it every iteration; the buffers are reused.
 type localSlice struct {
-	mine   []int // example indices (batch order) this rank computes
-	dense  *tensor.Matrix
-	emb    *tensor.Matrix
-	cats   [][]uint64
-	labels []float32
-	full   int // full batch size (loss/gradient scaling)
+	mine    []int // example indices (batch order) this rank computes
+	dense   *tensor.Matrix
+	emb     *tensor.Matrix
+	cats    [][]uint64
+	labels  []float32
+	dlogits []float32
+	full    int // full batch size (loss/gradient scaling)
 }
 
-// extractLocal gathers rank's examples of b and their embedding rows. The
-// dense width is a parameter rather than read off b.Examples[0]: a batch
-// that arrived in a worker's PlanMsg is sparse — only this rank's assigned
-// examples are populated — and example 0 may be an empty slot.
-func extractLocal(b *data.Batch, assign []int, rank, numCat, numDense, dim int, rows map[uint64][]float32) *localSlice {
-	var mine []int
+// reshape returns a rows×cols matrix over m's storage when it is large
+// enough, a fresh one otherwise. Contents are undefined.
+func reshape(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
+	if m == nil || cap(m.Data) < rows*cols {
+		return tensor.NewMatrix(rows, cols)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+	return m
+}
+
+// copyPad copies src into dst and zeroes whatever src did not cover, so a
+// reused buffer reads like a freshly zeroed one.
+func copyPad(dst, src []float32) {
+	clear(dst[copy(dst, src):])
+}
+
+// extract selects rank's examples of b and copies everything about them but
+// their embedding rows. The dense width is a parameter rather than read off
+// b.Examples[0]: a batch that arrived in a worker's PlanMsg is sparse — only
+// this rank's assigned examples are populated — and example 0 may be an
+// empty slot.
+func (ls *localSlice) extract(b *data.Batch, assign []int, rank, numDense int) {
+	ls.mine = ls.mine[:0]
 	for i, t := range assign {
 		if t == rank {
-			mine = append(mine, i)
+			ls.mine = append(ls.mine, i)
 		}
 	}
-	nLocal := len(mine)
-	ls := &localSlice{
-		mine:   mine,
-		dense:  tensor.NewMatrix(nLocal, numDense),
-		emb:    tensor.NewMatrix(nLocal, numCat*dim),
-		cats:   make([][]uint64, nLocal),
-		labels: make([]float32, nLocal),
-		full:   len(b.Examples),
-	}
-	for k, i := range mine {
+	ls.full = len(b.Examples)
+	ls.dense = reshape(ls.dense, len(ls.mine), numDense)
+	ls.cats, ls.labels = ls.cats[:0], ls.labels[:0]
+	for k, i := range ls.mine {
 		ex := b.Examples[i]
-		copy(ls.dense.Data[k*ls.dense.Cols:(k+1)*ls.dense.Cols], ex.Dense)
-		for c, id := range ex.Cat {
-			copy(ls.emb.Data[k*ls.emb.Cols+c*dim:k*ls.emb.Cols+(c+1)*dim], rows[id])
-		}
-		ls.cats[k] = ex.Cat
-		ls.labels[k] = ex.Label
+		copyPad(ls.dense.Row(k), ex.Dense)
+		ls.cats = append(ls.cats, ex.Cat)
+		ls.labels = append(ls.labels, ex.Label)
 	}
-	return ls
+}
+
+// fillEmb gathers the extracted examples' embedding rows, feature order.
+func (ls *localSlice) fillEmb(b *data.Batch, numCat, dim int, rows map[uint64][]float32) {
+	ls.emb = reshape(ls.emb, len(ls.mine), numCat*dim)
+	for k, i := range ls.mine {
+		row := ls.emb.Row(k)
+		for c, id := range b.Examples[i].Cat {
+			copyPad(row[c*dim:(c+1)*dim], rows[id])
+		}
+	}
+}
+
+// lossGrad turns the slice's logits into its partial loss and fills
+// ls.dlogits. Both are scaled by the FULL batch size, so the sum of per-rank
+// dense gradients equals the full-batch mean gradient the baseline math
+// defines.
+func (ls *localSlice) lossGrad(logits []float32) float64 {
+	invB := float32(1) / float32(ls.full)
+	ls.dlogits = ls.dlogits[:0]
+	var loss float64
+	for j, z := range logits {
+		loss += float64(stableBCE(z, ls.labels[j])) * float64(invB)
+		ls.dlogits = append(ls.dlogits, (nn.SigmoidScalar(z)-ls.labels[j])*invB)
+	}
+	return loss
 }
 
 // computeLocal runs forward/backward for one rank's slice, accumulating
@@ -456,18 +493,8 @@ func computeLocal(m model.Model, ls *localSlice) (float64, *tensor.Matrix) {
 	if len(ls.mine) == 0 { // a partitioner may leave a rank idle for a batch
 		return 0, nil
 	}
-	logits := m.Forward(ls.dense, ls.emb, ls.cats)
-	// Loss and dlogits are scaled by the FULL batch size, so the
-	// sum of per-rank dense gradients equals the full-batch mean
-	// gradient the baseline math defines.
-	invB := float32(1) / float32(ls.full)
-	dlogits := make([]float32, len(ls.mine))
-	var loss float64
-	for j, z := range logits {
-		loss += float64(stableBCE(z, ls.labels[j])) * float64(invB)
-		dlogits[j] = (nn.SigmoidScalar(z) - ls.labels[j]) * invB
-	}
-	return loss, m.Backward(dlogits)
+	loss := ls.lossGrad(m.Forward(ls.dense, ls.emb, ls.cats))
+	return loss, m.Backward(ls.dlogits)
 }
 
 // stableBCE is the numerically stable per-example binary cross-entropy
