@@ -162,7 +162,7 @@ func NewDLRM(cfg Config) *DLRM {
 	dim := cfg.embDim(48)
 	m := &DLRM{cfg: cfg, dim: dim}
 	m.whole = whole{m}
-	m.bottom = nn.NewMLP([]int{cfg.NumNumeric, 512, 256, 64, dim}, true, rng)
+	m.bottom = nn.NewInputMLP([]int{cfg.NumNumeric, 512, 256, 64, dim}, true, rng)
 	numFeat := cfg.NumCategorical + 1
 	m.inter = nn.NewDotInteraction(numFeat, dim)
 	topIn := dim + m.inter.OutDim()
@@ -201,9 +201,10 @@ func (m *DLRM) BackwardSparse(dlogits []float32) *tensor.Matrix {
 
 // BackwardDense implements Model: the bottom MLP, fed by both of its uses.
 func (m *DLRM) BackwardDense() {
-	dBot := m.dBot1.Clone()
-	dBot.AddScaled(m.dBot2, 1)
-	m.bottom.Backward(dBot)
+	// Summed in place: dBot1 is topCat's own split buffer, rewritten by the
+	// next BackwardSparse and read by nobody else.
+	m.dBot1.AddScaled(m.dBot2, 1)
+	m.bottom.Backward(m.dBot1)
 }
 
 // Params implements Model.
@@ -237,7 +238,7 @@ func NewWideDeep(cfg Config) *WideDeep {
 	dim := cfg.embDim(48)
 	m := &WideDeep{cfg: cfg, dim: dim}
 	m.whole = whole{m}
-	m.deep = nn.NewMLP([]int{cfg.NumNumeric, 256, 256, 256}, true, rng)
+	m.deep = nn.NewInputMLP([]int{cfg.NumNumeric, 256, 256, 256}, true, rng)
 	m.head = nn.NewLinear(256+cfg.NumCategorical*dim, 1, rng)
 	return m
 }

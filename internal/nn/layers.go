@@ -48,10 +48,14 @@ type Linear struct {
 	x   *tensor.Matrix // cached input
 	out *tensor.Matrix
 	dx  *tensor.Matrix
-	// Backward scratch, reused across calls: this batch's xᵀ·dout and
+	// noInputGrad: the input is data, nobody reads dx, Backward returns nil.
+	noInputGrad bool
+	// Backward scratch, reused across calls: xᵀ and Wᵀ, so both gradient
+	// products run through tensor's one kernel, and this batch's xᵀ·dout and
 	// colsums(dout) before they are added to the accumulators.
-	gw   *tensor.Matrix
-	sums []float32
+	xT, wT *tensor.Matrix
+	gw     *tensor.Matrix
+	sums   []float32
 }
 
 // NewLinear returns a Linear layer with Xavier-initialized weights drawn
@@ -96,13 +100,22 @@ func (l *Linear) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	if l.gw == nil {
 		l.gw, l.sums = tensor.NewMatrix(l.In, l.Out), make([]float32, l.Out)
 	}
-	tensor.MatMulAT(l.gw, l.x, dout)
+	l.xT = ensureShape(l.xT, l.In, l.x.Rows)
+	tensor.Transpose(l.xT, l.x)
+	tensor.MatMul(l.gw, l.xT, dout)
 	l.GradW.AddScaled(l.gw, 1)
 	tensor.ColSums(l.sums, dout)
 	tensor.Axpy(1, l.sums, l.GradB)
 
+	if l.noInputGrad {
+		return nil
+	}
+	// Zero entries of dout are multiplied through, not skipped: a non-finite
+	// weight must poison dx even where the upstream gradient is zero.
+	l.wT = ensureShape(l.wT, l.Out, l.In)
+	tensor.Transpose(l.wT, l.W)
 	l.dx = ensureShape(l.dx, dout.Rows, l.In)
-	tensor.MatMulBT(l.dx, dout, l.W)
+	tensor.MatMulNoSkip(l.dx, dout, l.wT)
 	return l.dx
 }
 
@@ -190,6 +203,15 @@ func (s *Sigmoid) Params() []Param { return nil }
 // after the last layer.
 type MLP struct {
 	layers []Layer
+}
+
+// NewInputMLP is NewMLP for a tower fed by data rather than by another
+// layer: its Backward forms no input gradient and returns nil, which saves
+// the first layer's dout·Wᵀ product.
+func NewInputMLP(dims []int, reluOnOutput bool, rng *tensor.RNG) *MLP {
+	m := NewMLP(dims, reluOnOutput, rng)
+	m.layers[0].(*Linear).noInputGrad = true
+	return m
 }
 
 // NewMLP builds an MLP with the given layer widths. dims[0] is the input

@@ -136,6 +136,50 @@ func TestMLPGradients(t *testing.T) {
 	gradCheckParams(t, m, x, 12)
 }
 
+// An input MLP forms no input gradient and, from the same seed and batch,
+// exactly the parameter gradients of the MLP that does.
+func TestInputMLPSkipsOnlyTheInputGradient(t *testing.T) {
+	dims := []int{5, 9, 4}
+	full, lean := NewMLP(dims, true, tensor.NewRNG(3)), NewInputMLP(dims, true, tensor.NewRNG(3))
+	x, dout := randInput(6, 5, 8), randInput(6, 4, 9)
+	full.Forward(x)
+	lean.Forward(x)
+	if dx := full.Backward(dout); dx == nil || dx.Rows != 6 || dx.Cols != 5 {
+		t.Fatalf("MLP.Backward returned %v, want a 6x5 input gradient", dx)
+	}
+	if dx := lean.Backward(dout); dx != nil {
+		t.Fatalf("input MLP returned an input gradient: %v", dx)
+	}
+	fp, lp := full.Params(), lean.Params()
+	for i := range fp {
+		for j, g := range fp[i].Grad {
+			if math.Float32bits(g) != math.Float32bits(lp[i].Grad[j]) {
+				t.Fatalf("%s[%d]: %v with the input gradient, %v without", fp[i].Name, j, g, lp[i].Grad[j])
+			}
+		}
+	}
+}
+
+// The two gradient products differ on zeros, as the loops they replaced did:
+// a zero activation skips its row of dout (0·Inf never reaches dW), a zero
+// upstream gradient is still multiplied through W (0·Inf poisons dx).
+func TestLinearBackwardZeroTimesInf(t *testing.T) {
+	inf := float32(math.Inf(1))
+	l := NewLinear(2, 2, tensor.NewRNG(1))
+	copy(l.W.Data, []float32{1, inf, 3, 4})
+	l.Forward(tensor.FromSlice(1, 2, []float32{0, 1}))
+	dx := l.Backward(tensor.FromSlice(1, 2, []float32{1, 0}))
+	if dx.Data[0] == dx.Data[0] || dx.Data[1] != 3 { // dx[0] = 1·1 + 0·Inf
+		t.Fatalf("dx=%v, want [NaN 3]", dx.Data)
+	}
+	l.Forward(tensor.FromSlice(1, 2, []float32{0, 1}))
+	ZeroGrads(l.Params())
+	l.Backward(tensor.FromSlice(1, 2, []float32{inf, 2}))
+	if want := []float32{0, 0, inf, 2}; !tensor.FromSlice(2, 2, want).Equal(l.GradW) { // row 0 = 0·[Inf 2], skipped
+		t.Fatalf("GradW=%v, want %v", l.GradW.Data, want)
+	}
+}
+
 func TestMLPNumParams(t *testing.T) {
 	m := NewMLP([]int{13, 512, 256, 64, 48}, true, tensor.NewRNG(1))
 	want := 13*512 + 512 + 512*256 + 256 + 256*64 + 64 + 64*48 + 48

@@ -1,12 +1,24 @@
 // Package tensor provides the dense float32 math substrate used by the
-// neural-network layers in this repository: matrices, vectors, matrix
-// multiplication in the layouts backpropagation needs, and deterministic
-// random initialization.
+// neural-network layers in this repository: matrices, vectors, the matrix
+// product, and deterministic random initialization.
 //
 // The package is deliberately small and allocation-conscious rather than
 // feature-complete: every operation used by a layer has an explicit
 // destination argument so steady-state training performs no per-iteration
 // allocations.
+//
+// There is one product kernel (product, behind MatMul and MatMulNoSkip) and
+// its summation order is a contract, because every engine in the repository
+// is certified bit-identical to the no-cache baseline: each output element is
+// the sum of its products in ascending k starting from +0, every multiply
+// and every add rounded to float32 separately — never fused. MatMul skips
+// zero multipliers, MatMulNoSkip does not; the products backpropagation needs
+// in other layouts (xᵀ·dout, dout·Wᵀ) are Transpose followed by one of the
+// two. On amd64 the inner loop is an SSE2 microkernel (axpy_amd64.s); on
+// every other GOARCH, and for the columns and multipliers that do not fill a
+// vector or a group, it is the portable axpyRowsGo, which tensor_test.go
+// holds to the same bits as the three naive loop nests the kernel replaced.
+// NaN payloads are outside the contract: any NaN equals any NaN.
 package tensor
 
 import (
@@ -94,67 +106,104 @@ func (m *Matrix) AlmostEqual(o *Matrix, eps float32) bool {
 }
 
 // MatMul computes dst = a × b. dst must be a.Rows × b.Cols and must not
-// alias a or b.
-func MatMul(dst, a, b *Matrix) {
+// alias a or b. Every dst[i][j] is the sum, formed in ascending k from +0,
+// of the products a[i][k]·b[k][j] whose a[i][k] is not zero. The skip is
+// arithmetic: a ±0 multiplier never meets an Inf or NaN in b (0·Inf is NaN).
+func MatMul(dst, a, b *Matrix) { product(dst, a, b, true) }
+
+// MatMulNoSkip is MatMul with every product added, zero multipliers too, so
+// 0·Inf and 0·NaN reach dst: the input-gradient product dout × Wᵀ.
+func MatMulNoSkip(dst, a, b *Matrix) { product(dst, a, b, false) }
+
+// Transpose writes srcᵀ into dst, which must be src.Cols × src.Rows.
+func Transpose(dst, src *Matrix) {
+	if dst.Rows != src.Cols || dst.Cols != src.Rows {
+		panic(fmt.Sprintf("tensor: Transpose shape mismatch (%dx%d)ᵀ->(%dx%d)",
+			src.Rows, src.Cols, dst.Rows, dst.Cols))
+	}
+	// Tile by tile, so the strided writes of one tile stay within a few
+	// cache lines that the next source row of the tile finds again.
+	const tile = 16
+	for i0 := 0; i0 < src.Rows; i0 += tile {
+		i1 := min(i0+tile, src.Rows)
+		for j0 := 0; j0 < src.Cols; j0 += tile {
+			j1 := min(j0+tile, src.Cols)
+			for i := i0; i < i1; i++ {
+				o := j0*dst.Cols + i
+				for _, v := range src.Data[i*src.Cols+j0 : i*src.Cols+j1] {
+					dst.Data[o] = v
+					o += dst.Cols
+				}
+			}
+		}
+	}
+}
+
+// kPass bounds how many multipliers product compacts before applying them,
+// so its scratch is two fixed-size stack arrays whatever a.Cols is.
+const kPass = 256
+
+// product is the one product kernel. Per output row it compacts the
+// multipliers that will be applied (all of them, or the non-zero ones) in
+// ascending k and hands them to axpyRows. Each output element therefore
+// receives the same products in the same order as the textbook i-k-j loop,
+// each multiply and each add rounded to float32 on its own; compaction keeps
+// rows that are half zeros (anything after a ReLU) on the vector path.
+func product(dst, a, b *Matrix, skipZero bool) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)×(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	dst.Zero()
+	var coef [kPass]float32
+	var at [kPass]int // where each multiplier's row of b starts in b.Data
 	for i := 0; i < a.Rows; i++ {
+		d := dst.Row(i)
+		clear(d)
 		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
+		for k0 := 0; k0 < len(arow); k0 += kPass {
+			m := compact(&coef, &at, arow[k0:min(k0+kPass, len(arow))], k0*b.Cols, b.Cols, skipZero)
+			axpyRows(d, b.Data, at[:m], coef[:m])
 		}
 	}
 }
 
-// MatMulBT computes dst = a × bᵀ. dst must be a.Rows × b.Rows.
-func MatMulBT(dst, a, b *Matrix) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulBT shape mismatch (%dx%d)×(%dx%d)ᵀ->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+// compact copies the multipliers in arow (at most kPass) that will be applied
+// into coef, and the offset of each one's row of b — off for arow[0], stride
+// more for each next — into at, and returns how many there are. Every element
+// is stored and the count then advanced or not, on an integer test (zero but
+// for the sign bit), because post-ReLU zeros fall at random: a branch per
+// element mispredicts on half of them and costs more than the arithmetic.
+func compact(coef *[kPass]float32, at *[kPass]int, arow []float32, off, stride int, skipZero bool) int {
+	var keepAll uint32
+	if !skipZero {
+		keepAll = 1
 	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			var s float32
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			drow[j] = s
+	m := 0
+	for _, av := range arow {
+		coef[m], at[m] = av, off
+		off += stride
+		if math.Float32bits(av)<<1|keepAll != 0 {
+			m++
 		}
 	}
+	return m
 }
 
-// MatMulAT computes dst = aᵀ × b. dst must be a.Cols × b.Cols.
-func MatMulAT(dst, a, b *Matrix) {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulAT shape mismatch (%dx%d)ᵀ×(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	dst.Zero()
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			drow := dst.Row(i)
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
+// axpyRowsGo is the portable row update, and the definition of the vector
+// one: for every j,
+//
+//	d[j] = ((d[j] + coef[0]·b[at[0]+j]) + coef[1]·b[at[1]+j]) + …
+//
+// The float32 conversion is arithmetic, not style: the Go spec lets a target
+// fuse x*y+z into one rounding (arm64, ppc64, s390x do) unless the product
+// is explicitly converted, and a fused sum differs in the last bit.
+func axpyRowsGo(d, b []float32, at []int, coef []float32) {
+	at = at[:len(coef)]
+	for j, s := range d {
+		for g, c := range coef {
+			s += float32(c * b[at[g]+j])
 		}
+		d[j] = s
 	}
 }
 
