@@ -52,9 +52,10 @@ func BenchmarkCacheGet(b *testing.B) {
 	}
 }
 
-// BenchmarkOracleLookahead measures decision throughput of Algorithm 1 at
-// the paper's default window (ℒ=200) on a Criteo-shaped stream — the rate
-// the oracle must sustain to stay ahead of the trainers.
+// BenchmarkOracleLookahead measures decision throughput of Algorithm 1 plus
+// the per-trainer plan split at the paper's default window (ℒ=200) on a
+// Criteo-shaped stream — the rate the oracle goroutine must sustain to stay
+// ahead of the trainers.
 func BenchmarkOracleLookahead(b *testing.B) {
 	spec := benchSpec()
 	gen := data.NewGenerator(spec, 3)
@@ -70,9 +71,11 @@ func BenchmarkOracleLookahead(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		o := NewOracle(&SliceSource{Batches: batches}, 200, 4)
 		for {
-			if _, ok := o.Next(); !ok {
+			d, ok := o.Next()
+			if !ok {
 				break
 			}
+			d.Plans(4)
 		}
 	}
 	b.ReportMetric(float64(nBatches), "decisions/op")

@@ -16,15 +16,40 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"bagpipe/internal/data"
 )
 
+// MaxTrainers bounds the trainer count: a set of trainers is one Ranks
+// word.
+const MaxTrainers = 64
+
+// Ranks is a set of trainer ranks, bit r standing for rank r.
+type Ranks uint64
+
+// Has reports whether rank r is in the set.
+func (r Ranks) Has(rank int) bool { return r&(1<<uint(rank)) != 0 }
+
+// Count returns the number of ranks in the set.
+func (r Ranks) Count() int { return bits.OnesCount64(uint64(r)) }
+
+// List returns the set's ranks in ascending order, nil when it is empty.
+func (r Ranks) List() []int {
+	var out []int
+	for ; r != 0; r &= r - 1 {
+		out = append(out, bits.TrailingZeros64(uint64(r)))
+	}
+	return out
+}
+
 // BatchSource supplies the ordered batch stream the Oracle Cacher inspects.
 type BatchSource interface {
-	// Next returns the next batch, or ok=false when the stream ends.
+	// Next returns the next batch, or ok=false when the stream ends. Batch
+	// indices must strictly increase along the stream.
 	Next() (b *data.Batch, ok bool)
 }
 
@@ -73,45 +98,50 @@ func (s *SliceSource) Next() (*data.Batch, bool) {
 // need. It corresponds to the TTLUpdateRequests and CacheFetchRequests of
 // Algorithm 1, extended with the LRPP single-trainer marks (§3.3) and the
 // delayed-synchronization split (§3.3, "Delayed Synchronization").
+//
+// The per-id facts are parallel slices over IDs, the batch's unique
+// embedding IDs in ascending order, so every list derived from them by one
+// pass (Plans) comes out sorted.
 type Decision struct {
 	Iter  int
 	Batch *data.Batch
 
 	// Prefetch lists the embedding IDs the batch needs that are not in the
-	// (logically replicated) cache; trainers fetch these from the
-	// embedding servers, overlapped with earlier iterations' compute.
+	// (logically replicated) cache, ascending; trainers fetch these from
+	// the embedding servers, overlapped with earlier iterations' compute.
 	Prefetch []uint64
-
-	// TTL maps every unique embedding ID in the batch to the last
-	// iteration within the lookahead window that uses it. An entry whose
-	// TTL equals Iter is used only by this batch and is evicted (with
-	// write-back) right after it.
-	TTL map[uint64]int
 
 	// Assign maps each example index to the trainer that will process it.
 	Assign []int
 
-	// UsedBy maps each unique embedding ID to the sorted list of trainers
-	// whose partition touches it. IDs with a single user are the LRPP
-	// fast path: only that trainer fetches them and no collective
-	// synchronization happens for them.
-	UsedBy map[uint64][]int
+	// IDs lists every unique embedding ID in the batch, ascending.
+	IDs []uint64
 
-	// NeededNext marks IDs (that remain cached after this iteration) that
-	// the very next batch needs; their synchronization is on the critical
-	// path, everything else can be delayed into the next forward pass.
-	NeededNext map[uint64]bool
+	// TTL[k] is the last iteration within the lookahead window that uses
+	// IDs[k]. An entry whose TTL equals Iter is used only by this batch and
+	// is evicted (with write-back) right after it.
+	TTL []int
+
+	// Users[k] is the set of trainers whose partition touches IDs[k]. IDs
+	// with a single user are the LRPP fast path: only that trainer fetches
+	// them and no collective synchronization happens for them.
+	Users []Ranks
+
+	// NeededNext[k] marks IDs[k] as remaining cached after this iteration
+	// and read by the very next batch: its synchronization is on the
+	// critical path, everything else can be delayed into the next forward
+	// pass.
+	NeededNext []bool
 }
 
 // EvictAfter returns the IDs whose TTL expires at this iteration, sorted.
 func (d *Decision) EvictAfter() []uint64 {
 	var ids []uint64
-	for id, ttl := range d.TTL {
-		if ttl == d.Iter {
+	for k, id := range d.IDs {
+		if d.TTL[k] == d.Iter {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
@@ -139,19 +169,21 @@ func (d *Decision) Stats(cacheOccupancy int) IterStats {
 		Iter:           d.Iter,
 		BatchSize:      d.Batch.Size(),
 		TotalAccesses:  d.Batch.TotalAccesses(),
-		UniqueIDs:      len(d.TTL),
+		UniqueIDs:      len(d.IDs),
 		Prefetched:     len(d.Prefetch),
-		Evicted:        len(d.EvictAfter()),
 		CacheOccupancy: cacheOccupancy,
 	}
 	st.CachedHits = st.UniqueIDs - st.Prefetched
-	for id, trainers := range d.UsedBy {
-		if len(trainers) == 1 {
+	for k, users := range d.Users {
+		if d.TTL[k] == d.Iter {
+			st.Evicted++
+		}
+		if users.Count() == 1 {
 			st.SingleUse++
 			continue
 		}
 		st.MultiUse++
-		if d.NeededNext[id] {
+		if d.NeededNext[k] {
 			st.CriticalSync++
 		} else {
 			st.DelayedSync++
@@ -162,6 +194,14 @@ func (d *Decision) Stats(cacheOccupancy int) IterStats {
 
 // Oracle is the Oracle Cacher: a centralized service that inspects batches
 // LookAhead iterations beyond the current one and emits Decisions.
+//
+// Every id is interned once, when the first window batch that uses it
+// enters the window, into a private slot that lives until the id's last
+// window use has been decided; slots recycle through a free list, so their
+// number is bounded by the distinct ids of one window. Everything Next
+// computes per id — last use, residency, the users of the current batch,
+// membership of the next batch — is a field of that slot, so the id → slot
+// table is the only map the walk consults.
 type Oracle struct {
 	// LookAhead is ℒ: the size of the inspection window in batches,
 	// counting the current batch, exactly as in Algorithm 1's
@@ -171,22 +211,44 @@ type Oracle struct {
 	LookAhead int
 	// NumTrainers is the trainer count used for LRPP annotations.
 	NumTrainers int
-	// MaxCacheRows, if positive, bounds the oracle's view of cache
-	// occupancy; the window stops growing while the bound would be
-	// exceeded, dynamically shrinking the effective lookahead (§4,
-	// "Automatically Calculating Lookahead").
-	MaxCacheRows int
 	// Partitioner assigns batch examples to trainers; nil means contiguous
 	// equal chunks (Bagpipe's default).
 	Partitioner Partitioner
 
-	src     BatchSource
-	queue   []*data.Batch
-	uniques map[int][]uint64 // batch index → unique IDs (computed once)
-	latest  map[uint64]int
-	inCache map[uint64]struct{}
-	done    bool
-	peak    int
+	src   BatchSource
+	queue []*window
+	spare []*window // recycled window buffers
+	done  bool
+	last  int // index of the newest batch in the window (-1 before the first)
+
+	slotOf map[uint64]int32
+	slots  []oracleSlot
+	free   []int32
+	epoch  uint32 // stamp generator: every fill and every Next draws a fresh one
+
+	cached int // ids the oracle considers resident (Algorithm 1's InCache)
+	peak   int
+}
+
+// oracleSlot is one interned id's state.
+type oracleSlot struct {
+	id     uint64
+	last   int    // newest window batch using the id: its TTL
+	users  Ranks  // trainers touching it in the batch being decided
+	stamp  uint32 // epoch of the last fill or next-batch mark that saw it
+	cached bool
+}
+
+// window is one queued batch with its accesses resolved to slots.
+type window struct {
+	b    *data.Batch
+	acc  []int32  // slot of every categorical access, example-major
+	uniq []idSlot // the batch's distinct ids, ascending
+}
+
+type idSlot struct {
+	id   uint64
+	slot int32
 }
 
 // NewOracle returns an Oracle over src with lookahead l for numTrainers
@@ -195,38 +257,76 @@ func NewOracle(src BatchSource, l, numTrainers int) *Oracle {
 	if l < 1 {
 		panic(fmt.Sprintf("core: lookahead must be >= 1, got %d", l))
 	}
-	if numTrainers < 1 {
-		panic(fmt.Sprintf("core: need at least one trainer, got %d", numTrainers))
+	if numTrainers < 1 || numTrainers > MaxTrainers {
+		panic(fmt.Sprintf("core: trainer count must be in [1, %d], got %d", MaxTrainers, numTrainers))
 	}
 	return &Oracle{
 		LookAhead:   l,
 		NumTrainers: numTrainers,
 		src:         src,
-		uniques:     make(map[int][]uint64),
-		latest:      make(map[uint64]int),
-		inCache:     make(map[uint64]struct{}),
+		last:        -1,
+		slotOf:      make(map[uint64]int32),
 	}
+}
+
+// intern returns id's slot, allocating one on the id's first window use.
+func (o *Oracle) intern(id uint64) int32 {
+	if s, ok := o.slotOf[id]; ok {
+		return s
+	}
+	var s int32
+	if n := len(o.free); n > 0 {
+		s = o.free[n-1]
+		o.free = o.free[:n-1]
+	} else {
+		s = int32(len(o.slots))
+		o.slots = append(o.slots, oracleSlot{})
+	}
+	o.slots[s] = oracleSlot{id: id}
+	o.slotOf[id] = s
+	return s
+}
+
+// release recycles a slot whose last window use has been decided.
+func (o *Oracle) release(s int32) {
+	delete(o.slotOf, o.slots[s].id)
+	o.free = append(o.free, s)
 }
 
 // fill tops the window up to LookAhead batches beyond the current front.
 func (o *Oracle) fill() {
 	for !o.done && len(o.queue) < o.LookAhead {
-		if o.MaxCacheRows > 0 && len(o.latest) >= o.MaxCacheRows && len(o.queue) > 0 {
-			// Cache budget exhausted: run with a shorter effective window
-			// until occupancy drains.
-			return
-		}
 		b, ok := o.src.Next()
 		if !ok {
 			o.done = true
 			return
 		}
-		ids := b.UniqueIDs()
-		o.uniques[b.Index] = ids
-		for _, id := range ids {
-			o.latest[id] = b.Index
+		if b.Index <= o.last {
+			panic(fmt.Sprintf("core: batch index %d does not follow %d", b.Index, o.last))
 		}
-		o.queue = append(o.queue, b)
+		o.last = b.Index
+		var w *window
+		if n := len(o.spare); n > 0 {
+			w = o.spare[n-1]
+			o.spare = o.spare[:n-1]
+		} else {
+			w = new(window)
+		}
+		w.b, w.acc, w.uniq = b, w.acc[:0], w.uniq[:0]
+		o.epoch++
+		for _, ex := range b.Examples {
+			for _, id := range ex.Cat {
+				s := o.intern(id)
+				w.acc = append(w.acc, s)
+				if sl := &o.slots[s]; sl.stamp != o.epoch {
+					sl.stamp = o.epoch
+					sl.last = b.Index
+					w.uniq = append(w.uniq, idSlot{id, s})
+				}
+			}
+		}
+		slices.SortFunc(w.uniq, func(a, b idSlot) int { return cmp.Compare(a.id, b.id) })
+		o.queue = append(o.queue, w)
 	}
 }
 
@@ -238,91 +338,67 @@ func (o *Oracle) Next() (*Decision, bool) {
 		return nil, false
 	}
 	cur := o.queue[0]
-	o.queue = o.queue[1:]
-	ids := o.uniques[cur.Index]
-	delete(o.uniques, cur.Index)
+	copy(o.queue, o.queue[1:])
+	o.queue[len(o.queue)-1] = nil
+	o.queue = o.queue[:len(o.queue)-1]
 
-	d := &Decision{
-		Iter:  cur.Index,
-		Batch: cur,
-		TTL:   make(map[uint64]int, len(ids)),
-	}
-	for _, id := range ids {
-		ttl := o.latest[id]
-		d.TTL[id] = ttl
-		if _, cached := o.inCache[id]; !cached {
-			d.Prefetch = append(d.Prefetch, id)
-			o.inCache[id] = struct{}{}
-		}
-		if ttl == cur.Index {
-			delete(o.inCache, id)
-			delete(o.latest, id)
-		}
-	}
-	sort.Slice(d.Prefetch, func(i, j int) bool { return d.Prefetch[i] < d.Prefetch[j] })
-	if len(o.inCache) > o.peak {
-		o.peak = len(o.inCache)
-	}
-
-	o.annotate(d)
-	return d, true
-}
-
-// annotate computes the LRPP and delayed-sync metadata for d.
-func (o *Oracle) annotate(d *Decision) {
 	p := o.Partitioner
 	if p == nil {
 		p = Contiguous{}
 	}
-	d.Assign = p.Assign(d.Batch, o.NumTrainers)
-	d.UsedBy = usedBy(d.Batch, d.Assign)
-
-	d.NeededNext = make(map[uint64]bool)
+	n := len(cur.uniq)
+	d := &Decision{
+		Iter:       cur.b.Index,
+		Batch:      cur.b,
+		Assign:     p.Assign(cur.b, o.NumTrainers),
+		IDs:        make([]uint64, n),
+		TTL:        make([]int, n),
+		Users:      make([]Ranks, n),
+		NeededNext: make([]bool, n),
+	}
+	for _, u := range cur.uniq {
+		o.slots[u.slot].users = 0
+	}
+	k := 0
+	for i, ex := range cur.b.Examples {
+		bit := Ranks(1) << uint(d.Assign[i])
+		for range ex.Cat {
+			o.slots[cur.acc[k]].users |= bit
+			k++
+		}
+	}
+	o.epoch++
 	if len(o.queue) > 0 {
-		next := o.uniques[o.queue[0].Index]
-		nextSet := make(map[uint64]struct{}, len(next))
-		for _, id := range next {
-			nextSet[id] = struct{}{}
-		}
-		for id, ttl := range d.TTL {
-			if ttl > d.Iter {
-				if _, ok := nextSet[id]; ok {
-					d.NeededNext[id] = true
-				}
-			}
+		for _, u := range o.queue[0].uniq {
+			o.slots[u.slot].stamp = o.epoch
 		}
 	}
-}
-
-// usedBy returns, for each unique embedding ID in b, the sorted set of
-// trainers whose assigned examples touch it.
-func usedBy(b *data.Batch, assign []int) map[uint64][]int {
-	m := make(map[uint64]map[int]struct{})
-	for i, ex := range b.Examples {
-		t := assign[i]
-		for _, id := range ex.Cat {
-			s, ok := m[id]
-			if !ok {
-				s = make(map[int]struct{}, 2)
-				m[id] = s
-			}
-			s[t] = struct{}{}
+	for j, u := range cur.uniq {
+		sl := &o.slots[u.slot]
+		d.IDs[j], d.TTL[j], d.Users[j] = u.id, sl.last, sl.users
+		if !sl.cached {
+			d.Prefetch = append(d.Prefetch, u.id)
+			sl.cached = true
+			o.cached++
+		}
+		if sl.last == d.Iter {
+			sl.cached = false
+			o.cached--
+			o.release(u.slot)
+		} else if sl.stamp == o.epoch {
+			d.NeededNext[j] = true
 		}
 	}
-	out := make(map[uint64][]int, len(m))
-	for id, s := range m {
-		ts := make([]int, 0, len(s))
-		for t := range s {
-			ts = append(ts, t)
-		}
-		sort.Ints(ts)
-		out[id] = ts
+	if o.cached > o.peak {
+		o.peak = o.cached
 	}
-	return out
+	cur.b = nil
+	o.spare = append(o.spare, cur)
+	return d, true
 }
 
 // CacheOccupancy returns the oracle's current view of cached rows.
-func (o *Oracle) CacheOccupancy() int { return len(o.inCache) }
+func (o *Oracle) CacheOccupancy() int { return o.cached }
 
 // PeakOccupancy returns the maximum cache occupancy seen so far; with the
 // row width this gives the cache size requirement Table 3 reports per ℒ.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"bagpipe/internal/data"
@@ -25,6 +26,25 @@ func collect(o *Oracle) []*Decision {
 		}
 		ds = append(ds, d)
 	}
+}
+
+// ttlOf returns id's TTL in d, or -1 when the batch does not touch id.
+func ttlOf(d *Decision, id uint64) int {
+	k, ok := slices.BinarySearch(d.IDs, id)
+	if !ok {
+		return -1
+	}
+	return d.TTL[k]
+}
+
+// at returns id's position in d.IDs, failing the test when absent.
+func at(t *testing.T, d *Decision, id uint64) int {
+	t.Helper()
+	k, ok := slices.BinarySearch(d.IDs, id)
+	if !ok {
+		t.Fatalf("iter %d does not touch id %d", d.Iter, id)
+	}
+	return k
 }
 
 func hasID(ids []uint64, id uint64) bool {
@@ -57,11 +77,11 @@ func TestFigure6WorkedExample(t *testing.T) {
 	if !hasID(d.Prefetch, 3) || !hasID(d.Prefetch, 9) || len(d.Prefetch) != 2 {
 		t.Fatalf("batch1 prefetch %v want [3 9]", d.Prefetch)
 	}
-	if d.TTL[3] != 2 {
-		t.Fatalf("batch1 TTL[3]=%d want 2", d.TTL[3])
+	if ttlOf(d, 3) != 2 {
+		t.Fatalf("batch1 TTL[3]=%d want 2", ttlOf(d, 3))
 	}
-	if d.TTL[9] != 1 || !hasID(d.EvictAfter(), 9) {
-		t.Fatalf("batch1: 9 must expire at iter 1 (TTL=%d, evict=%v)", d.TTL[9], d.EvictAfter())
+	if ttlOf(d, 9) != 1 || !hasID(d.EvictAfter(), 9) {
+		t.Fatalf("batch1: 9 must expire at iter 1 (TTL=%d, evict=%v)", ttlOf(d, 9), d.EvictAfter())
 	}
 
 	// Batch 2: 3 in cache (no prefetch), TTL updated to 3; prefetch 4.
@@ -72,8 +92,8 @@ func TestFigure6WorkedExample(t *testing.T) {
 	if !hasID(d.Prefetch, 4) || len(d.Prefetch) != 1 {
 		t.Fatalf("batch2 prefetch %v want [4]", d.Prefetch)
 	}
-	if d.TTL[3] != 3 {
-		t.Fatalf("batch2 TTL[3]=%d want 3", d.TTL[3])
+	if ttlOf(d, 3) != 3 {
+		t.Fatalf("batch2 TTL[3]=%d want 3", ttlOf(d, 3))
 	}
 
 	// Batch 3: prefetch 6 cached with TTL 4; 3 evicted after batch 3.
@@ -81,11 +101,11 @@ func TestFigure6WorkedExample(t *testing.T) {
 	if !hasID(d.Prefetch, 6) || len(d.Prefetch) != 1 {
 		t.Fatalf("batch3 prefetch %v want [6]", d.Prefetch)
 	}
-	if d.TTL[6] != 4 {
-		t.Fatalf("batch3 TTL[6]=%d want 4", d.TTL[6])
+	if ttlOf(d, 6) != 4 {
+		t.Fatalf("batch3 TTL[6]=%d want 4", ttlOf(d, 6))
 	}
-	if d.TTL[3] != 3 || !hasID(d.EvictAfter(), 3) {
-		t.Fatalf("batch3 must evict 3 (TTL=%d)", d.TTL[3])
+	if ttlOf(d, 3) != 3 || !hasID(d.EvictAfter(), 3) {
+		t.Fatalf("batch3 must evict 3 (TTL=%d)", ttlOf(d, 3))
 	}
 
 	// Batch 4: prefetch 1; 6 has no future use, evicted after.
@@ -93,8 +113,8 @@ func TestFigure6WorkedExample(t *testing.T) {
 	if !hasID(d.Prefetch, 1) || hasID(d.Prefetch, 6) || len(d.Prefetch) != 1 {
 		t.Fatalf("batch4 prefetch %v want [1]", d.Prefetch)
 	}
-	if d.TTL[6] != 4 || !hasID(d.EvictAfter(), 6) {
-		t.Fatalf("batch4 must evict 6 after use (TTL=%d)", d.TTL[6])
+	if ttlOf(d, 6) != 4 || !hasID(d.EvictAfter(), 6) {
+		t.Fatalf("batch4 must evict 6 after use (TTL=%d)", ttlOf(d, 6))
 	}
 
 	// Batch 5: 9 was evicted long ago, so it must be prefetched again.
@@ -136,7 +156,7 @@ func TestLargeLookaheadCachesRepeats(t *testing.T) {
 	if len(ds[2].Prefetch) != 0 {
 		t.Fatalf("iter2 prefetch %v want none", ds[2].Prefetch)
 	}
-	if ds[0].TTL[1] != 2 || ds[0].TTL[2] != 2 {
+	if ttlOf(ds[0], 1) != 2 || ttlOf(ds[0], 2) != 2 {
 		t.Fatalf("iter0 TTLs wrong: %v", ds[0].TTL)
 	}
 }
@@ -174,8 +194,8 @@ func TestConsistencyInvariantProperty(t *testing.T) {
 		// every unique id is either prefetched now or already cached —
 		// i.e. it must appear in TTL map either way.
 		uniq := d.Batch.UniqueIDs()
-		if len(d.TTL) != len(uniq) {
-			t.Fatalf("iter %d TTL covers %d ids, batch has %d", x, len(d.TTL), len(uniq))
+		if !slices.Equal(d.IDs, uniq) {
+			t.Fatalf("iter %d decides %d ids, batch has %d", x, len(d.IDs), len(uniq))
 		}
 		set := make(map[uint64]struct{}, len(uniq))
 		for _, id := range uniq {
@@ -205,10 +225,10 @@ func TestDecisionsDriveCacheCorrectly(t *testing.T) {
 			break
 		}
 		for _, id := range d.Prefetch {
-			cache.Insert(id, make([]float32, 4), d.TTL[id])
+			cache.Insert(id, make([]float32, 4), ttlOf(d, id))
 		}
-		for id, ttl := range d.TTL {
-			cache.UpdateTTL(id, ttl)
+		for k, id := range d.IDs {
+			cache.UpdateTTL(id, d.TTL[k])
 		}
 		// train step: every unique id must be resident
 		for _, id := range d.Batch.UniqueIDs() {
@@ -251,18 +271,12 @@ func TestLRPPAnnotations(t *testing.T) {
 		10: {0}, 30: {0}, 20: {0, 1}, 40: {1}, 50: {1},
 	}
 	for id, want := range wantUsers {
-		got := d.UsedBy[id]
-		if len(got) != len(want) {
+		if got := d.Users[at(t, d, id)].List(); !slices.Equal(got, want) {
 			t.Fatalf("id %d used by %v want %v", id, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("id %d used by %v want %v", id, got, want)
-			}
 		}
 	}
 	// 20 is needed by batch 1, stays cached → critical sync.
-	if !d.NeededNext[20] {
+	if !d.NeededNext[at(t, d, 20)] {
 		t.Fatal("id 20 should be marked needed-next (critical path sync)")
 	}
 	st := d.Stats(o.CacheOccupancy())
@@ -281,10 +295,10 @@ func TestDelayedSyncSplit(t *testing.T) {
 	src := &SliceSource{Batches: []*data.Batch{b0, mkBatch(1, 10), mkBatch(2, 20)}}
 	o := NewOracle(src, 3, 2)
 	d, _ := o.Next()
-	if !d.NeededNext[10] {
+	if !d.NeededNext[at(t, d, 10)] {
 		t.Fatal("10 must be critical")
 	}
-	if d.NeededNext[20] {
+	if d.NeededNext[at(t, d, 20)] {
 		t.Fatal("20 must be delayed")
 	}
 	st := d.Stats(o.CacheOccupancy())
@@ -314,27 +328,32 @@ func TestIterStatsArithmetic(t *testing.T) {
 	}
 }
 
-func TestPeakOccupancyAndMaxCacheRows(t *testing.T) {
+// TestPeakOccupancy: the peak is the high-water mark of the per-iteration
+// occupancy the oracle reports, and a longer window can only raise it.
+func TestPeakOccupancy(t *testing.T) {
 	spec := &data.Spec{
 		Name: "t", NumExamples: 1 << 20, NumCategorical: 4, NumNumeric: 1,
 		TableSizes: []int64{10000, 10000, 10000, 10000}, EmbDim: 4,
-		Dist: data.Uniform{},
+		Dist: data.NewHotTail(0.01, 0.8, 1.05),
 	}
-	gen := data.NewGenerator(spec, 3)
-	free := NewOracle(NewGeneratorSource(gen, 64, 30), 20, 1)
-	collect(free)
-	unbounded := free.PeakOccupancy()
-
-	gen2 := data.NewGenerator(spec, 3)
-	capped := NewOracle(NewGeneratorSource(gen2, 64, 30), 20, 1)
-	capped.MaxCacheRows = unbounded / 2
-	ds := collect(capped)
-	if len(ds) != 30 {
-		t.Fatalf("capped oracle must still process all batches, got %d", len(ds))
+	peakAt := func(l int) int {
+		o := NewOracle(NewGeneratorSource(data.NewGenerator(spec, 3), 64, 30), l, 1)
+		high := 0
+		for d, ok := o.Next(); ok; d, ok = o.Next() {
+			if occ := d.Stats(o.CacheOccupancy()).CacheOccupancy; occ > high {
+				high = occ
+			}
+		}
+		if o.CacheOccupancy() != 0 {
+			t.Fatalf("L=%d: %d rows still cached after the stream", l, o.CacheOccupancy())
+		}
+		if o.PeakOccupancy() != high {
+			t.Fatalf("L=%d: peak %d, per-iteration high-water mark %d", l, o.PeakOccupancy(), high)
+		}
+		return high
 	}
-	// the cap is enforced on window growth, so occupancy stays near it
-	if capped.PeakOccupancy() > unbounded {
-		t.Fatal("cap did not reduce peak occupancy")
+	if short, long := peakAt(2), peakAt(20); short == 0 || long < short {
+		t.Fatalf("peak occupancy %d at L=2, %d at L=20", short, long)
 	}
 }
 
@@ -359,6 +378,10 @@ func TestOracleValidation(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewOracle(&SliceSource{}, 0, 1) },
 		func() { NewOracle(&SliceSource{}, 1, 0) },
+		func() { NewOracle(&SliceSource{}, 1, MaxTrainers+1) },
+		func() { // batch indices must strictly increase
+			collect(NewOracle(&SliceSource{Batches: []*data.Batch{mkBatch(3, 1), mkBatch(3, 2)}}, 2, 1))
+		},
 	} {
 		func() {
 			defer func() {
@@ -420,8 +443,8 @@ func TestNoDoublePrefetchProperty(t *testing.T) {
 					t.Fatalf("trial %d iter %d: double prefetch of resident id %d", trial, d.Iter, id)
 				}
 			}
-			for id, ttl := range d.TTL {
-				resident[id] = ttl
+			for k, id := range d.IDs {
+				resident[id] = d.TTL[k]
 			}
 			for id, ttl := range resident {
 				if ttl <= d.Iter {

@@ -48,13 +48,13 @@ func TestSplitPlansPartitionDecision(t *testing.T) {
 				if OwnerOf(id, p) != tr {
 					t.Fatalf("iter %d: trainer %d owns foreign ttl id %d", d.Iter, tr, id)
 				}
-				if want := d.TTL[id]; ttl != want {
+				if want := ttlOf(d, id); ttl != want {
 					t.Fatalf("iter %d id %d: plan ttl %d decision ttl %d", d.Iter, id, ttl, want)
 				}
 			}
 			for _, id := range pl.Expiring {
-				if d.TTL[id] != d.Iter {
-					t.Fatalf("iter %d: id %d marked expiring with ttl %d", d.Iter, id, d.TTL[id])
+				if ttlOf(d, id) != d.Iter {
+					t.Fatalf("iter %d: id %d marked expiring with ttl %d", d.Iter, id, ttlOf(d, id))
 				}
 			}
 		}
@@ -67,13 +67,13 @@ func TestSplitPlansPartitionDecision(t *testing.T) {
 				t.Fatalf("iter %d: prefetch mismatch at %d", d.Iter, i)
 			}
 		}
-		// TTL keys partition d.TTL.
+		// TTL keys partition the decision's ids.
 		total := 0
 		for _, pl := range plans {
 			total += len(pl.OwnedTTL)
 		}
-		if total != len(d.TTL) {
-			t.Fatalf("iter %d: plans cover %d ttl ids, decision %d", d.Iter, total, len(d.TTL))
+		if total != len(d.IDs) {
+			t.Fatalf("iter %d: plans cover %d ttl ids, decision %d", d.Iter, total, len(d.IDs))
 		}
 	})
 }
@@ -82,7 +82,8 @@ func TestSplitPlansReplicaAndSyncRouting(t *testing.T) {
 	const p = 2
 	planOracle(t, 11, 10, 10, 3, p, func(d *Decision) {
 		plans := d.SplitPlans(p)
-		for id, users := range d.UsedBy {
+		for k, id := range d.IDs {
+			users := d.Users[k].List()
 			o := OwnerOf(id, p)
 			got := plans[o].Users[id]
 			if len(got) != len(users) {

@@ -134,10 +134,10 @@ func (eng *lrppEngine) countSend(class int, bytes int64) {
 	eng.classBytes[class].Add(bytes)
 }
 
-// rankBits is a trainer-set bitmask. The LRPP engine caps at 64 ranks
-// (newLRPPTrainer enforces it), which lets the per-(id, iteration)
-// contributor bookkeeping and the per-iteration replica-arrival set live in
-// one machine word each instead of a map allocated per merge.
+// rankBits is a trainer-set bitmask. Trainer counts are capped at
+// core.MaxTrainers (Config.validate enforces it), which lets the per-(id,
+// iteration) contributor bookkeeping and the per-iteration replica-arrival
+// set live in one machine word each instead of a map allocated per merge.
 type rankBits uint64
 
 func (b rankBits) has(r int) bool { return b&(1<<uint(r)) != 0 }
@@ -150,23 +150,145 @@ func (b *rankBits) clearBit(r int) bool {
 	return was
 }
 
-// idMergeQueue sequences one owned id's pending per-iteration merges.
-// Iterations are appended in order by the owner's registration and applied
-// strictly in that order, so the row replays the exact update sequence the
-// single-process engines produce. Queues and their iterMerge records are
-// pooled on the trainer: an id's queue returns to the free list when its
-// last merge drains, so the steady state recycles instead of allocating.
-type idMergeQueue struct {
-	iters  []int
-	byIter map[int]*iterMerge
+// slotRec is the owner's one record per row of its partition, from the
+// iteration that first registers the row (before its prefetch lands) until
+// the row's eviction.
+type slotRec struct {
+	id    uint64
+	row   []float32 // nil until the prefetched row is inserted
+	ttl   int
+	dirty bool
+	// merges are the row's pending per-iteration merges. Registration
+	// appends them in iteration order and they apply strictly in that
+	// order, so the row replays the exact update sequence the
+	// single-process engines produce. Entries past len keep their parts
+	// tables for the next registration, and the array stays with the slot
+	// when it is recycled.
+	merges []iterMerge
 }
 
-// iterMerge holds one (id, iteration)'s partials, one slot per rank, until
+// iterMerge holds one (row, iteration)'s partials, one slot per rank, until
 // every expected trainer has reported (expect, the ranks still owing one,
 // is empty).
 type iterMerge struct {
+	iter   int
 	expect rankBits
 	parts  [][]float32 // rank → arena-backed partial; nil until deposited
+}
+
+// partition is an owner's cache partition: a slab of slot records, one per
+// row it is responsible for. Slots are private to the trainer — allocated
+// at a row's registration, recycled at its eviction, so the slab is bounded
+// by the partition's peak occupancy — and the id → slot map is consulted
+// once per row per registration and once per received remote partial;
+// every other step of an iteration indexes the slab through the slots its
+// registration recorded. It is not synchronized (the trainer's mu guards
+// it), and records and their merges are reused in place, so the steady
+// state allocates nothing.
+type partition struct {
+	ranks    int
+	slotOf   map[uint64]int32
+	recs     []slotRec
+	free     []int32
+	pending  int // registered merges not yet applied
+	resident int // rows inserted and not yet evicted
+	peak     int
+}
+
+func newPartition(ranks int) partition {
+	return partition{ranks: ranks, slotOf: make(map[uint64]int32)}
+}
+
+// slot returns id's record, allocating one when the id has none.
+func (pt *partition) slot(id uint64) int32 {
+	if s, ok := pt.slotOf[id]; ok {
+		return s
+	}
+	var s int32
+	if n := len(pt.free); n > 0 {
+		s = pt.free[n-1]
+		pt.free = pt.free[:n-1]
+	} else {
+		s = int32(len(pt.recs))
+		pt.recs = append(pt.recs, slotRec{})
+	}
+	pt.recs[s].id = id
+	pt.slotOf[id] = s
+	return s
+}
+
+// expect registers iteration iter's merge on slot s, awaiting one partial
+// from every rank in users.
+func (pt *partition) expect(s int32, iter int, users rankBits) {
+	rec := &pt.recs[s]
+	n := len(rec.merges)
+	if n < cap(rec.merges) {
+		rec.merges = rec.merges[:n+1]
+	} else {
+		rec.merges = append(rec.merges, iterMerge{})
+	}
+	im := &rec.merges[n]
+	if im.parts == nil {
+		im.parts = make([][]float32, pt.ranks)
+	}
+	im.iter, im.expect = iter, users
+	pt.pending++
+}
+
+// merge returns slot s's pending merge for iteration iter, nil if none.
+// The pointer is valid until the slot's next expect or pop.
+func (pt *partition) merge(s int32, iter int) *iterMerge {
+	m := pt.recs[s].merges
+	for i := range m {
+		if m[i].iter == iter {
+			return &m[i]
+		}
+	}
+	return nil
+}
+
+// ready returns slot s's oldest pending merge once every expected partial
+// has arrived, nil otherwise. The pointer is valid until the slot's next
+// expect or pop.
+func (pt *partition) ready(s int32) *iterMerge {
+	if m := pt.recs[s].merges; len(m) > 0 && m[0].expect == 0 {
+		return &m[0]
+	}
+	return nil
+}
+
+// pop retires slot s's oldest merge, whose partials the fold has already
+// returned to the arena: the others move up, and its emptied parts table
+// moves past the end for the next registration to reuse.
+func (pt *partition) pop(s int32) {
+	rec := &pt.recs[s]
+	m := rec.merges
+	head := m[0].parts
+	copy(m, m[1:])
+	m[len(m)-1] = iterMerge{parts: head}
+	rec.merges = m[:len(m)-1]
+	pt.pending--
+}
+
+// insert adopts row as slot s's resident value.
+func (pt *partition) insert(s int32, row []float32) {
+	rec := &pt.recs[s]
+	rec.row, rec.dirty = row, false
+	pt.resident++
+	if pt.resident > pt.peak {
+		pt.peak = pt.resident
+	}
+}
+
+// evict frees slot s and hands its row over for write-back.
+func (pt *partition) evict(s int32) core.Eviction {
+	rec := &pt.recs[s]
+	ev := core.Eviction{ID: rec.id, Row: rec.row}
+	delete(pt.slotOf, rec.id)
+	rec.row = nil
+	pt.free = append(pt.free, s)
+	pt.resident--
+	return ev
 }
 
 // flushItem hands one iteration's remote partials to the delayed-sync
@@ -182,7 +304,7 @@ type flushItem struct {
 
 // lrppWork is one iteration moving through a trainer's private pipeline.
 type lrppWork struct {
-	plan *core.TrainerPlan
+	plan *core.Plan
 	rows chan [][]float32 // buffered(1); the prefetch goroutine delivers once
 }
 
@@ -215,26 +337,24 @@ type lrppTrainer struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	cache    *core.Cache
-	merges   map[uint64]*idMergeQueue
+	part     partition
 	expiring map[int]int                  // iter → owned rows still to evict
 	evbatch  map[int][]core.Eviction      // iter → collected write-backs
 	routed   map[int]bool                 // iter → trainer loop deposited and queued its partials
-	emitted  map[int]bool                 // iter → eviction batch sent to maintenance
 	repRows  map[int]map[uint64][]float32 // iter → replica rows received (pooled maps/rows, owned here)
 	repFrom  map[int]rankBits             // iter → owners heard from
 
 	// Hot-path scratch, all guarded by mu (or touched only by the single
 	// trainer-loop goroutine where noted): the arena rows and pooled maps
 	// every fetch/replica/partial/write-back recycles through, the shared
-	// gradient fold buffer, the reusable gather and partial maps (trainer
-	// loop only), and the merge-record and eviction-batch free lists.
+	// gradient fold buffer, the reusable gather and partial maps and the
+	// current iteration's owned slots (trainer loop only), and the
+	// eviction-batch free list.
 	arena    *transport.RowArena
 	foldBuf  []float32
 	gathered map[uint64][]float32
 	partials map[uint64][]float32
-	freeIM   []*iterMerge
-	freeQ    []*idMergeQueue
+	slots    []int32 // slot of the current plan's Owned[k]
 	evFree   [][]core.Eviction
 
 	evictedRows int64
@@ -319,9 +439,9 @@ func runLRPP(cfg Config, trs []transport.Store, mesh transport.Mesh, prep func(*
 	oracle := core.NewOracle(core.NewGeneratorSource(gen, cfg.BatchSize, cfg.NumBatches), cfg.LookAhead, P)
 	oracle.Partitioner = cfg.Partitioner
 	stats := make([]core.IterStats, 0, cfg.NumBatches)
-	planChs := make([]chan *core.TrainerPlan, P)
+	planChs := make([]chan *core.Plan, P)
 	for p := range planChs {
-		planChs[p] = make(chan *core.TrainerPlan, cfg.LookAhead)
+		planChs[p] = make(chan *core.Plan, cfg.LookAhead)
 	}
 	go func() {
 		defer func() {
@@ -335,7 +455,7 @@ func runLRPP(cfg Config, trs []transport.Store, mesh transport.Mesh, prep func(*
 				return
 			}
 			stats = append(stats, d.Stats(oracle.CacheOccupancy()))
-			for p, pl := range d.SplitPlans(P) {
+			for p, pl := range d.Plans(P) {
 				planChs[p] <- pl
 			}
 		}
@@ -378,9 +498,6 @@ func newLRPPEngine(cfg *Config, mesh transport.Mesh, coll lrppColl) *lrppEngine 
 // partition, and pipeline plumbing.
 func newLRPPTrainer(eng *lrppEngine, p int, tr transport.Store, ep transport.Endpoint) (*lrppTrainer, error) {
 	cfg := eng.cfg
-	if eng.P > 64 {
-		return nil, fmt.Errorf("train: LRPP engine supports at most 64 trainers (rankBits), got %d", eng.P)
-	}
 	mcfg := model.Config{
 		NumCategorical: cfg.Spec.NumCategorical,
 		NumNumeric:     cfg.Spec.NumNumeric,
@@ -403,25 +520,33 @@ func newLRPPTrainer(eng *lrppEngine, p int, tr transport.Store, ep transport.End
 	t := &lrppTrainer{
 		p: p, eng: eng, model: m, opt: opt, rowOpt: rowOpt,
 		tr: tr, ep: ep,
-		cache:    core.NewCache(cfg.Spec.EmbDim),
-		merges:   make(map[uint64]*idMergeQueue),
+		part:     newPartition(eng.P),
 		expiring: make(map[int]int),
 		evbatch:  make(map[int][]core.Eviction),
 		routed:   make(map[int]bool),
-		emitted:  make(map[int]bool),
 		repRows:  make(map[int]map[uint64][]float32),
 		repFrom:  make(map[int]rankBits),
 		arena:    transport.Rows(cfg.Spec.EmbDim),
 		foldBuf:  make([]float32, cfg.Spec.EmbDim),
 		gathered: make(map[uint64][]float32),
 		partials: make(map[uint64][]float32),
-		flushQ:   make(chan *flushItem, cfg.NumBatches+1),
+		// One window of routed iterations may queue for the flusher. The
+		// only send (iterate, step 8) holds no lock, so a full queue is
+		// backpressure on the trainer loop and nothing else; the flusher
+		// waits on nothing the loop holds, so the queue always drains.
+		flushQ: make(chan *flushItem, cfg.LookAhead),
 		// An item is away from its iteration's routing until its lazy half
 		// ships lag passes later: lag+2 cover the steady state, a longer
 		// flusher backlog allocates and the surplus is dropped.
 		flushFree: make(chan *flushItem, eng.lag+2),
-		maintCh:   make(chan maintJob, cfg.NumBatches+1),
-		tokens:    make(chan struct{}, cfg.LookAhead),
+		// maybeEmitLocked sends under mu, so this send must never block,
+		// and it cannot: a job is sent once per iteration that was admitted
+		// (it holds a lookahead token) and not yet retired (maintenance
+		// returns the token after retiring it), and at most ℒ tokens exist,
+		// so the jobs in the buffer, parked or being written back, plus the
+		// one being sent, number at most ℒ.
+		maintCh: make(chan maintJob, cfg.LookAhead),
+		tokens:  make(chan struct{}, cfg.LookAhead),
 	}
 	t.cond = sync.NewCond(&t.mu)
 	t.params = m.Params()
@@ -432,43 +557,6 @@ func newLRPPTrainer(eng *lrppEngine, p int, tr transport.Store, ep transport.End
 		t.tokens <- struct{}{}
 	}
 	return t, nil
-}
-
-// getMerge pops a reset merge record from the free list. Caller holds t.mu.
-func (t *lrppTrainer) getMerge() *iterMerge {
-	if n := len(t.freeIM); n > 0 {
-		im := t.freeIM[n-1]
-		t.freeIM[n-1] = nil
-		t.freeIM = t.freeIM[:n-1]
-		return im
-	}
-	return &iterMerge{parts: make([][]float32, t.eng.P)}
-}
-
-// putMerge recycles an applied merge record: every expected rank reported
-// and the fold returned the partials to the arena, so it is already empty.
-// Caller holds t.mu.
-func (t *lrppTrainer) putMerge(im *iterMerge) {
-	t.freeIM = append(t.freeIM, im)
-}
-
-// getQueue pops an empty id merge queue from the free list. Caller holds
-// t.mu.
-func (t *lrppTrainer) getQueue() *idMergeQueue {
-	if n := len(t.freeQ); n > 0 {
-		q := t.freeQ[n-1]
-		t.freeQ[n-1] = nil
-		t.freeQ = t.freeQ[:n-1]
-		return q
-	}
-	return &idMergeQueue{byIter: make(map[int]*iterMerge, 2)}
-}
-
-// putQueue recycles a drained id merge queue (its byIter map is already
-// empty — every applied iteration deletes its record). Caller holds t.mu.
-func (t *lrppTrainer) putQueue(q *idMergeQueue) {
-	q.iters = q.iters[:0]
-	t.freeQ = append(t.freeQ, q)
 }
 
 // collectResult assembles the run summary from the trainers this process
@@ -492,11 +580,11 @@ func (eng *lrppEngine) collectResult(trainers []*lrppTrainer, stats []core.IterS
 		res.Prefetched += int64(st.Prefetched)
 	}
 	for _, t := range trainers {
-		if n := t.cache.Len(); n != 0 {
+		if n := t.part.resident; n != 0 {
 			return nil, fmt.Errorf("train: trainer %d still caches %d rows after the final iteration", t.p, n)
 		}
 		res.Evicted += t.evictedRows
-		res.PeakCache += t.cache.PeakRows()
+		res.PeakCache += t.part.peak
 		res.Transport.Add(t.tr.Stats())
 		addTierHealth(res, t.tr)
 		for i, st := range t.tr.ServerStats() {
@@ -526,7 +614,7 @@ func (eng *lrppEngine) collectResult(trainers []*lrppTrainer, stats []core.IterS
 
 // run is one trainer process end to end: start the service goroutines,
 // drive the iteration loop, then drain and tear everything down.
-func (t *lrppTrainer) run(planCh <-chan *core.TrainerPlan) {
+func (t *lrppTrainer) run(planCh <-chan *core.Plan) {
 	workCh := t.startDispatcher(planCh)
 	t.startReceiver()
 	t.startFlusher()
@@ -542,7 +630,7 @@ func (t *lrppTrainer) run(planCh <-chan *core.TrainerPlan) {
 	close(t.flushQ)
 	t.flushWG.Wait()
 	t.mu.Lock()
-	for len(t.merges) > 0 {
+	for t.part.pending > 0 {
 		t.cond.Wait()
 	}
 	t.mu.Unlock()
@@ -556,7 +644,7 @@ func (t *lrppTrainer) run(planCh <-chan *core.TrainerPlan) {
 // iteration per lookahead token (the ℒ-deep consistency window over this
 // partition) and fetches its owned misses concurrently with earlier
 // iterations' compute, delivering rows through a future.
-func (t *lrppTrainer) startDispatcher(planCh <-chan *core.TrainerPlan) <-chan *lrppWork {
+func (t *lrppTrainer) startDispatcher(planCh <-chan *core.Plan) <-chan *lrppWork {
 	eng := t.eng
 	workCh := make(chan *lrppWork, eng.L)
 	go func() {
@@ -565,7 +653,7 @@ func (t *lrppTrainer) startDispatcher(planCh <-chan *core.TrainerPlan) <-chan *l
 			<-t.tokens
 			w := &lrppWork{plan: pl, rows: make(chan [][]float32, 1)}
 			workCh <- w
-			go func(pl *core.TrainerPlan, w *lrppWork) {
+			go func(pl *core.Plan, w *lrppWork) {
 				var rows [][]float32
 				if len(pl.Prefetch) > 0 {
 					if eng.hooks != nil && eng.hooks.OnPrefetch != nil {
@@ -628,7 +716,11 @@ func (t *lrppTrainer) startReceiver() {
 				t.mu.Lock()
 				for _, f := range pl.Flushes {
 					for id, g := range f.Partials {
-						t.depositLocked(id, f.Iter, msg.From, g)
+						s, ok := t.part.slotOf[id]
+						if !ok {
+							panic(fmt.Sprintf("train: trainer %d: contribution for unregistered id %d iter %d", t.p, id, f.Iter))
+						}
+						t.depositLocked(s, f.Iter, msg.From, g)
 					}
 				}
 				t.mu.Unlock()
@@ -779,7 +871,7 @@ func (t *lrppTrainer) startMaintenance() {
 					t.tr.Write(ids, rows)
 					eng.activeMaint.Add(-1)
 					// Every evicted row was fetched through the arena-backed
-					// transports and adopted by the cache; the durable
+					// transports and adopted by the partition; the durable
 					// write-back is its single recycle point.
 					t.arena.PutN(rows)
 					if eng.hooks != nil && eng.hooks.OnWriteBack != nil {
@@ -808,6 +900,7 @@ func (t *lrppTrainer) startMaintenance() {
 // iterate is one iteration of the trainer loop.
 func (t *lrppTrainer) iterate(w *lrppWork) {
 	eng := t.eng
+	pt := &t.part
 	pl := w.plan
 	d := pl.Dec
 	x := d.Iter
@@ -815,48 +908,48 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 	// 1. Register this iteration's merge obligations and eviction counts
 	// before pushing any replica: a peer computes a partial for one of our
 	// rows only from the iteration-x replica of it (step 4), so registration
-	// always precedes the first deposit.
+	// always precedes the first deposit. Registration resolves every owned
+	// row to its slot once; the steps below index the slab through slots.
 	t.mu.Lock()
-	for id, users := range pl.Users {
-		q := t.merges[id]
-		if q == nil {
-			q = t.getQueue()
-			t.merges[id] = q
-		}
-		q.iters = append(q.iters, x)
-		im := t.getMerge()
-		for _, u := range users {
-			im.expect.set(u)
-		}
-		q.byIter[x] = im
+	slots := t.slots[:0]
+	for k, id := range pl.Owned {
+		s := pt.slot(id)
+		pt.expect(s, x, rankBits(pl.OwnedUsers[k]))
+		slots = append(slots, s)
 	}
+	t.slots = slots
 	t.expiring[x] = len(pl.Expiring)
 	t.mu.Unlock()
 
-	// 2. Insert the prefetched owned rows and refresh TTLs. The cache adopts
-	// the row buffers by reference (they return to the arena at write-back);
-	// the fetch's header slice is dead after the loop, so recycle it.
+	// 2. Insert the prefetched owned rows and refresh TTLs. The partition
+	// adopts the row buffers by reference (they return to the arena at
+	// write-back); the fetch's header slice is dead after the loop, so
+	// recycle it.
 	rows := <-w.rows
 	t.mu.Lock()
+	j := 0
 	for i, id := range pl.Prefetch {
+		for pl.Owned[j] != id { // Prefetch ⊆ Owned, both ascending
+			j++
+		}
 		if eng.hooks != nil && eng.hooks.OnInsert != nil {
 			eng.hooks.OnInsert(t.p, x, id)
 		}
-		t.cache.Insert(id, rows[i], pl.OwnedTTL[id])
+		pt.insert(slots[j], rows[i])
 	}
 	if rows != nil {
 		transport.PutRowSlice(rows)
 	}
-	for id, ttl := range pl.OwnedTTL {
-		t.cache.UpdateTTL(id, ttl)
+	for k, s := range slots {
+		pt.recs[s].ttl = pl.OwnedTTL[k]
 	}
 
 	// 3. Wait until every owned row used this iteration has absorbed all
 	// merges from earlier iterations (the per-row sync horizon).
 	for {
 		ready := true
-		for id := range pl.Users {
-			if q := t.merges[id]; len(q.iters) > 0 && q.iters[0] < x {
+		for _, s := range slots {
+			if pt.recs[s].merges[0].iter < x {
 				ready = false
 				break
 			}
@@ -881,19 +974,26 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 	}
 	var outs []out
 	for q, ids := range pl.ReplicaOut {
+		if len(ids) == 0 {
+			continue
+		}
 		// Snapshot into pooled buffers: the map and its rows transfer to the
 		// receiver with the push (in-process meshes deliver by reference),
 		// which recycles them after consuming the iteration — so nothing
 		// here, including the counters below, may touch the message after
 		// Send.
 		snap := transport.GetRowMap()
+		j := 0
 		for _, id := range ids {
-			e, ok := t.cache.Peek(id)
-			if !ok {
+			for pl.Owned[j] != id { // ReplicaOut[q] ⊆ Owned, both ascending
+				j++
+			}
+			src := pt.recs[slots[j]].row
+			if src == nil {
 				panic(fmt.Sprintf("train: trainer %d iter %d: replica id %d missing from partition", t.p, x, id))
 			}
 			row := t.arena.Get()
-			copy(row, e.Row)
+			copy(row, src)
 			if quant {
 				transport.QuantizeF16(row)
 			}
@@ -924,48 +1024,35 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 	}
 
 	// 6. Wait for the replicas we need, then gather this trainer's rows:
-	// owned ids from the partition, remote ids from the replica box.
+	// owned ids it touches from the partition, remote ids from the replica
+	// box.
 	t.mu.Lock()
-	for {
-		got := t.repFrom[x]
-		ready := true
-		for _, o := range pl.ReplicaFrom {
-			if !got.has(o) {
-				ready = false
-				break
-			}
-		}
-		if ready {
-			break
-		}
+	for rankBits(pl.ReplicaFrom)&^t.repFrom[x] != 0 {
 		t.cond.Wait()
 	}
 	replicas := t.repRows[x]
 	delete(t.repRows, x)
 	delete(t.repFrom, x)
 	// gathered is the trainer loop's private reusable scratch; its entries
-	// alias cache rows and replica rows only until fillEmb copies them.
+	// alias partition rows and replica rows only until fillEmb copies them.
 	gathered := t.gathered
 	clear(gathered)
-	for _, i := range ls.mine {
-		for _, id := range d.Batch.Examples[i].Cat {
-			if _, ok := gathered[id]; ok {
-				continue
-			}
-			if _, remote := pl.Remote[id]; remote {
-				row, ok := replicas[id]
-				if !ok {
-					panic(fmt.Sprintf("train: trainer %d iter %d: replica of id %d never arrived", t.p, x, id))
-				}
-				gathered[id] = row
-			} else {
-				e, ok := t.cache.Get(id)
-				if !ok {
-					panic(fmt.Sprintf("train: trainer %d iter %d: owned id %d missing from partition (oracle consistency violated)", t.p, x, id))
-				}
-				gathered[id] = e.Row
-			}
+	for k, s := range slots {
+		if !pl.OwnedUsers[k].Has(t.p) {
+			continue
 		}
+		row := pt.recs[s].row
+		if row == nil {
+			panic(fmt.Sprintf("train: trainer %d iter %d: owned id %d missing from partition (oracle consistency violated)", t.p, x, pl.Owned[k]))
+		}
+		gathered[pl.Owned[k]] = row
+	}
+	for _, id := range pl.Remote {
+		row, ok := replicas[id]
+		if !ok {
+			panic(fmt.Sprintf("train: trainer %d iter %d: replica of id %d never arrived", t.p, x, id))
+		}
+		gathered[id] = row
 	}
 	t.mu.Unlock()
 	ls.fillEmb(d.Batch, spec.NumCategorical, eng.dim, gathered)
@@ -1004,6 +1091,13 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 	partials := t.partials
 	rankPartials(partials, d.Batch, ls.mine, dEmb, eng.dim, t.arena.Get)
 	eng.syncEntries.Add(int64(len(partials)))
+	partial := func(id uint64) []float32 {
+		g, ok := partials[id]
+		if !ok {
+			panic(fmt.Sprintf("train: trainer %d iter %d: no gradient partial for planned id %d (oracle consistency violated)", t.p, x, id))
+		}
+		return g
+	}
 	var fi *flushItem
 	select {
 	case fi = <-t.flushFree:
@@ -1011,24 +1105,27 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 		fi = &flushItem{urgent: make(map[int]map[uint64][]float32), lazy: make(map[int]map[uint64][]float32)}
 	}
 	fi.iter = x
-	for id, g := range partials {
-		owner, remote := pl.Remote[id]
-		if !remote {
-			continue
-		}
+	for k, id := range pl.Remote {
 		bucket := fi.lazy
-		if d.NeededNext[id] {
+		if pl.RemoteNext[k] {
 			bucket = fi.urgent
 		}
+		owner := pl.RemoteOwner[k]
 		if bucket[owner] == nil {
 			bucket[owner] = transport.GetRowMap()
 		}
-		bucket[owner][id] = g
-		delete(partials, id)
+		bucket[owner][id] = partial(id)
 	}
+	routed := len(pl.Remote)
 	t.mu.Lock()
-	for id, g := range partials {
-		t.depositLocked(id, x, t.p, g)
+	for k, s := range slots {
+		if pl.OwnedUsers[k].Has(t.p) {
+			t.depositLocked(s, x, t.p, partial(pl.Owned[k]))
+			routed++
+		}
+	}
+	if routed != len(partials) {
+		panic(fmt.Sprintf("train: trainer %d iter %d: %d gradient partials, plan routes %d (oracle consistency violated)", t.p, x, len(partials), routed))
 	}
 	t.routed[x] = true
 	t.maybeEmitLocked(x)
@@ -1059,87 +1156,71 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 	}
 }
 
-// depositLocked takes ownership of trainer from's partial for (id, iter) and
-// applies every merge that became ready. Caller holds t.mu.
-func (t *lrppTrainer) depositLocked(id uint64, iter, from int, g []float32) {
-	q := t.merges[id]
-	if q == nil {
-		panic(fmt.Sprintf("train: trainer %d: contribution for unregistered id %d iter %d", t.p, id, iter))
-	}
-	im := q.byIter[iter]
+// depositLocked takes ownership of trainer from's partial for (slot s,
+// iter) and applies every merge that became ready. Caller holds t.mu.
+func (t *lrppTrainer) depositLocked(s int32, iter, from int, g []float32) {
+	im := t.part.merge(s, iter)
 	if im == nil {
-		panic(fmt.Sprintf("train: trainer %d: contribution for unregistered iter %d of id %d", t.p, iter, id))
+		panic(fmt.Sprintf("train: trainer %d: contribution for unregistered iter %d of id %d", t.p, iter, t.part.recs[s].id))
 	}
 	if !im.expect.clearBit(from) {
-		panic(fmt.Sprintf("train: trainer %d: unexpected or repeated partial from trainer %d for id %d iter %d", t.p, from, id, iter))
+		panic(fmt.Sprintf("train: trainer %d: unexpected or repeated partial from trainer %d for id %d iter %d", t.p, from, t.part.recs[s].id, iter))
 	}
 	im.parts[from] = g
-	t.applyReadyLocked(id)
+	t.applyReadyLocked(s)
 }
 
-// applyReadyLocked applies id's head-of-queue merges while they are
+// applyReadyLocked applies slot s's head-of-queue merges while they are
 // complete: fold the per-rank partials in rank order from zero, update the
 // row once, and evict + queue the write-back when the iteration was the row's
 // last use. Caller holds t.mu.
-func (t *lrppTrainer) applyReadyLocked(id uint64) {
+func (t *lrppTrainer) applyReadyLocked(s int32) {
 	eng := t.eng
-	q := t.merges[id]
+	pt := &t.part
 	applied := false
-	defer func() {
-		if len(q.iters) == 0 {
-			delete(t.merges, id)
-			t.putQueue(q)
-			applied = true
-		}
-		if applied {
-			// The merge head moved (or the id fully drained): wake the
-			// trainer loop's merge wait and the teardown drain.
-			t.cond.Broadcast()
-		}
-	}()
-	for len(q.iters) > 0 {
-		iter := q.iters[0]
-		im := q.byIter[iter]
-		if im == nil || im.expect != 0 {
-			return
-		}
+	for im := pt.ready(s); im != nil; im = pt.ready(s) {
 		applied = true
+		iter := im.iter
+		rec := &pt.recs[s]
+		if rec.row == nil {
+			panic(fmt.Sprintf("train: trainer %d iter %d: sync for id %d landed after eviction", t.p, iter, rec.id))
+		}
 		// Fold into the trainer's persistent buffer (mu is held).
 		g := t.foldBuf
 		foldParts(g, im.parts, t.arena)
-		e, ok := t.cache.Peek(id)
-		if !ok {
-			panic(fmt.Sprintf("train: trainer %d iter %d: sync for id %d landed after eviction", t.p, iter, id))
-		}
-		t.rowOpt.UpdateRow(id, e.Row, g)
-		e.Dirty = true
+		t.rowOpt.UpdateRow(rec.id, rec.row, g)
+		rec.dirty = true
 		if eng.hooks != nil && eng.hooks.OnSyncApply != nil {
-			eng.hooks.OnSyncApply(t.p, iter, id)
+			eng.hooks.OnSyncApply(t.p, iter, rec.id)
 		}
-		q.iters = q.iters[1:]
-		delete(q.byIter, iter)
-		t.putMerge(im)
-		if e.TTL == iter {
-			ev, dirty := t.cache.Remove(id)
-			if !dirty {
-				panic(fmt.Sprintf("train: trainer %d iter %d: expiring id %d not dirty after update", t.p, iter, id))
-			}
-			if eng.hooks != nil && eng.hooks.OnEvict != nil {
-				eng.hooks.OnEvict(t.p, iter, id)
-			}
-			evs := t.evbatch[iter]
-			if evs == nil {
-				if n := len(t.evFree); n > 0 {
-					evs = t.evFree[n-1][:0]
-					t.evFree[n-1] = nil
-					t.evFree = t.evFree[:n-1]
-				}
-			}
-			t.evbatch[iter] = append(evs, ev)
-			t.evictedRows++
-			t.expiring[iter]--
-			t.maybeEmitLocked(iter)
+		pt.pop(s)
+		if rec.ttl != iter {
+			continue
 		}
+		if len(rec.merges) > 0 {
+			panic(fmt.Sprintf("train: trainer %d iter %d: sync for id %d landed after eviction", t.p, rec.merges[0].iter, rec.id))
+		}
+		if eng.hooks != nil && eng.hooks.OnEvict != nil {
+			eng.hooks.OnEvict(t.p, iter, rec.id)
+		}
+		evs := t.evbatch[iter]
+		if evs == nil {
+			if n := len(t.evFree); n > 0 {
+				evs = t.evFree[n-1][:0]
+				t.evFree[n-1] = nil
+				t.evFree = t.evFree[:n-1]
+			}
+		}
+		t.evbatch[iter] = append(evs, pt.evict(s))
+		t.evictedRows++
+		t.expiring[iter]--
+		t.maybeEmitLocked(iter)
+		break
+	}
+	if applied {
+		// The merge head moved (or the row left the partition): wake the
+		// trainer loop's merge wait and the teardown drain.
+		t.cond.Broadcast()
 	}
 }
 
@@ -1168,12 +1249,12 @@ func foldParts(g []float32, parts [][]float32, arena *transport.RowArena) {
 // only. The ℒ-window law (prefetch x+ℒ waits for x's write-backs) and the
 // fuzz auditor's four invariants are about those embedding events, so they
 // hold unchanged (FuzzLRPPDifferential is the proof). Caller holds t.mu;
-// maintCh is sized for the whole run so the send never blocks.
+// the send never blocks (see maintCh's capacity in newLRPPTrainer).
+// Emission deletes routed[iter], so an iteration emits once.
 func (t *lrppTrainer) maybeEmitLocked(iter int) {
-	if !t.routed[iter] || t.expiring[iter] != 0 || t.emitted[iter] {
+	if !t.routed[iter] || t.expiring[iter] != 0 {
 		return
 	}
-	t.emitted[iter] = true
 	evs := t.evbatch[iter]
 	delete(t.evbatch, iter)
 	delete(t.expiring, iter)

@@ -129,8 +129,8 @@ func TestLRPPStagedOrder(t *testing.T) {
 			gen := data.NewGenerator(cfg.Spec, cfg.Seed)
 			oracle := core.NewOracle(core.NewGeneratorSource(gen, cfg.BatchSize, n), cfg.LookAhead, cfg.NumTrainers)
 			for d, ok := oracle.Next(); ok; d, ok = oracle.Next() {
-				for id := range d.SplitPlans(cfg.NumTrainers)[0].Remote {
-					if d.NeededNext[id] {
+				for _, next := range d.Plans(cfg.NumTrainers)[0].RemoteNext {
+					if next {
 						probe.urgent[d.Iter] = true
 					}
 				}

@@ -52,13 +52,17 @@ func newTier(spec *data.Spec, S, shards int) []*embed.Server {
 // servers bit-identical to the no-cache fetch-per-batch baseline, and
 // reports bit-identical losses. Under -race this exercises every engine
 // goroutine: per-trainer prefetch, replica pushes, the delayed-sync
-// flusher, merge receivers, and background write-back.
+// flusher, merge receivers, and background write-back. The run is twenty
+// windows long because the flusher and maintenance queues hold one window
+// (ℒ) each: a run that fits in a few windows would not notice a bound that
+// is too tight.
 func TestLRPPMatchesBaselineAcrossTrainersAndPartitioners(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		for _, partName := range []string{"hash", "comm-aware"} {
 			t.Run(fmt.Sprintf("P%d_%s", p, partName), func(t *testing.T) {
 				cfg := tinyConfig()
 				cfg.NumTrainers = p
+				cfg.NumBatches = 20 * cfg.LookAhead
 				if partName == "comm-aware" {
 					cfg.Partitioner = &core.CommAware{Own: core.Ownership{}}
 				}

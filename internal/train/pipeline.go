@@ -174,17 +174,21 @@ func RunPipelined(cfg Config, tr transport.Store) (*Result, error) {
 			maintCh <- maintJob{iter: d.Iter}
 			continue
 		}
+		k := 0
 		for i, id := range d.Prefetch {
-			cache.Insert(id, rows[i], d.TTL[id])
+			for d.IDs[k] != id { // Prefetch ⊆ IDs, both ascending
+				k++
+			}
+			cache.Insert(id, rows[i], d.TTL[k])
 		}
-		gathered := make(map[uint64][]float32, len(d.TTL))
-		for id, ttl := range d.TTL {
+		gathered := make(map[uint64][]float32, len(d.IDs))
+		for k, id := range d.IDs {
 			e, ok := cache.Get(id)
 			if !ok {
 				runErr = fmt.Errorf("train: iter %d: id %d missing from cache (oracle consistency violated)", d.Iter, id)
 				break
 			}
-			e.TTL = ttl // TTLUpdateRequest for cached hits; no-op for fresh inserts
+			e.TTL = d.TTL[k] // TTLUpdateRequest for cached hits; no-op for fresh inserts
 			gathered[id] = e.Row
 		}
 		if runErr != nil {

@@ -3,7 +3,6 @@ package train
 import (
 	"testing"
 
-	"bagpipe/internal/core"
 	"bagpipe/internal/data"
 	"bagpipe/internal/embed"
 	"bagpipe/internal/optim"
@@ -12,10 +11,12 @@ import (
 )
 
 // The steady-state harness drives exactly the hot-path primitives one LRPP
-// iteration composes — pooled tier fetch, cache insert, replica snapshot +
-// f16 quantization, sender-side gradient pre-aggregation into arena-backed
-// partials (rankPartials), the owner's rank-ordered fold over per-rank slots
-// (foldParts), row update, eviction, acked write-back, buffer recycling —
+// iteration composes — slot registration with its merge record, pooled tier
+// fetch, partition insert, replica snapshot + f16 quantization, sender-side
+// gradient pre-aggregation into arena-backed partials (rankPartials),
+// deposits into the merge's per-rank slots, the owner's rank-ordered fold
+// (foldParts), row update, merge retirement, eviction, acked write-back,
+// buffer recycling —
 // across P persistent trainer goroutines over an S-way sharded in-process
 // tier, with none of the oracle bookkeeping that allocates per run by
 // design (plans). This is the surface the 0 allocs/op acceptance bar is
@@ -27,7 +28,8 @@ import (
 // allocate) and are signaled through int channels.
 type steadyWorker struct {
 	store transport.Store
-	cache *core.Cache
+	part  partition
+	slots []int32
 	arena *transport.RowArena
 	opt   interface {
 		optim.Optimizer
@@ -36,13 +38,12 @@ type steadyWorker struct {
 	ids  []uint64
 	fold []float32
 	// Gradient merge fixture: a sub-batch whose examples read w.ids, the
-	// backward pass's dEmb for it, one partial map per simulated sender
-	// rank, and the owner's per-rank slots.
+	// backward pass's dEmb for it, and one partial map per simulated sender
+	// rank.
 	batch    *data.Batch
 	mine     []int
 	dEmb     *tensor.Matrix
 	partials []map[uint64][]float32
-	parts    [][]float32
 	evIDs    []uint64
 	evRows   [][]float32
 	work     chan int
@@ -58,48 +59,61 @@ func (w *steadyWorker) loop() {
 
 // step is one trainer's iteration over the hot-path primitives.
 func (w *steadyWorker) step(iter int) {
-	// Prefetch: pooled header + arena rows, adopted by the cache.
-	rows := w.store.Fetch(w.ids)
+	// Registration: every row gets its slot and this iteration's merge,
+	// awaiting one partial per sender rank, exactly as iterate's step 1.
+	senders := rankBits(1)<<uint(len(w.partials)) - 1
 	for i, id := range w.ids {
-		w.cache.Insert(id, rows[i], iter)
+		s := w.part.slot(id)
+		w.part.expect(s, iter, senders)
+		w.slots[i] = s
+	}
+	// Prefetch: pooled header + arena rows, adopted by the partition.
+	rows := w.store.Fetch(w.ids)
+	for i, s := range w.slots {
+		w.part.insert(s, rows[i])
+		w.part.recs[s].ttl = iter
 	}
 	transport.PutRowSlice(rows)
 	// Every sender rank pre-aggregates its sub-batch's gradients into one
-	// arena-backed partial per row, exactly as iterate's step 7 does.
+	// arena-backed partial per row, exactly as iterate's step 8 does.
 	dim := w.arena.Dim()
 	for _, partial := range w.partials {
 		rankPartials(partial, w.batch, w.mine, w.dEmb, dim, w.arena.Get)
 	}
 	// Replica push + merge per row: snapshot into a pooled buffer and
 	// quantize like a -sync-compress sender; deposit the ranks' partials in
-	// the owner's slots, fold them in rank order (which recycles them), and
-	// apply one optimizer update.
-	for _, id := range w.ids {
-		e, ok := w.cache.Peek(id)
-		if !ok {
-			panic("steady: cached row vanished")
-		}
+	// the merge's slots, fold them in rank order (which recycles them),
+	// apply one optimizer update and retire the merge.
+	for i, id := range w.ids {
+		s := w.slots[i]
+		rec := &w.part.recs[s]
 		snap := w.arena.Get()
-		copy(snap, e.Row)
+		copy(snap, rec.row)
 		transport.QuantizeF16(snap)
 		w.arena.Put(snap)
 		for r, partial := range w.partials {
-			w.parts[r] = partial[id]
+			im := w.part.merge(s, iter)
+			if !im.expect.clearBit(r) {
+				panic("steady: partial not expected")
+			}
+			im.parts[r] = partial[id]
 		}
-		foldParts(w.fold, w.parts, w.arena)
-		w.opt.UpdateRow(id, e.Row, w.fold)
-		e.Dirty = true
+		im := w.part.ready(s)
+		if im == nil {
+			panic("steady: merge incomplete after every deposit")
+		}
+		foldParts(w.fold, im.parts, w.arena)
+		w.opt.UpdateRow(id, rec.row, w.fold)
+		rec.dirty = true
+		w.part.pop(s)
 	}
 	for _, partial := range w.partials {
 		clear(partial)
 	}
 	// Evict, write back, recycle — the row's single return point.
 	w.evIDs, w.evRows = w.evIDs[:0], w.evRows[:0]
-	for _, id := range w.ids {
-		ev, dirty := w.cache.Remove(id)
-		if !dirty {
-			panic("steady: updated row not dirty")
-		}
+	for _, s := range w.slots {
+		ev := w.part.evict(s)
 		w.evIDs = append(w.evIDs, ev.ID)
 		w.evRows = append(w.evRows, ev.Row)
 	}
@@ -120,6 +134,9 @@ func newSteadyHarness(tb testing.TB, P, S, dim, rowsPer int) *steadyHarness {
 	for s := range tier {
 		tier[s] = embed.NewServer(1, dim, 7, 0.05)
 	}
+	// Two examples per four-row slice of ids, so every partial sums two
+	// contributions; two sender ranks, so every fold sums two partials.
+	const numCat, senders = 4, 2
 	h := &steadyHarness{}
 	for p := 0; p < P; p++ {
 		children := make([]transport.Store, S)
@@ -132,7 +149,8 @@ func newSteadyHarness(tb testing.TB, P, S, dim, rowsPer int) *steadyHarness {
 		}
 		w := &steadyWorker{
 			store: transport.NewShardedStore(children),
-			cache: core.NewCache(dim),
+			part:  newPartition(senders),
+			slots: make([]int32, rowsPer),
 			arena: transport.Rows(dim),
 			opt:   opt,
 			fold:  make([]float32, dim),
@@ -142,9 +160,6 @@ func newSteadyHarness(tb testing.TB, P, S, dim, rowsPer int) *steadyHarness {
 		for i := 0; i < rowsPer; i++ {
 			w.ids = append(w.ids, uint64(p*rowsPer+i))
 		}
-		// Two examples per four-row slice of ids, so every partial sums two
-		// contributions; two sender ranks, so every fold sums two partials.
-		const numCat, senders = 4, 2
 		w.batch = &data.Batch{}
 		for i := 0; i+numCat <= rowsPer; i += numCat {
 			for dup := 0; dup < 2; dup++ {
@@ -156,7 +171,6 @@ func newSteadyHarness(tb testing.TB, P, S, dim, rowsPer int) *steadyHarness {
 		for k := range w.dEmb.Data {
 			w.dEmb.Data[k] = 1e-3 * float32(k%7)
 		}
-		w.parts = make([][]float32, senders)
 		for r := 0; r < senders; r++ {
 			w.partials = append(w.partials, make(map[uint64][]float32, rowsPer))
 		}

@@ -127,8 +127,8 @@ func (c *Config) validate() error {
 	if c.BatchSize <= 0 || c.NumBatches <= 0 {
 		return fmt.Errorf("train: need positive batch size and count, got %d/%d", c.BatchSize, c.NumBatches)
 	}
-	if c.NumTrainers <= 0 {
-		return fmt.Errorf("train: need at least one trainer, got %d", c.NumTrainers)
+	if c.NumTrainers <= 0 || c.NumTrainers > core.MaxTrainers {
+		return fmt.Errorf("train: trainer count must be in [1, %d], got %d", core.MaxTrainers, c.NumTrainers)
 	}
 	switch c.Collective {
 	case "", CollRooted, CollFused, CollRing, CollTree:

@@ -228,4 +228,12 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := RunPipelined(bad, tr); err == nil {
 		t.Fatal("zero trainers accepted")
 	}
+	// One trainer set is one core.Ranks word, for every engine.
+	bad.NumTrainers = core.MaxTrainers + 1
+	if _, err := RunPipelined(bad, tr); err == nil {
+		t.Fatal("65 trainers accepted by the pipelined engine")
+	}
+	if _, err := RunBaseline(bad, tr); err == nil {
+		t.Fatal("65 trainers accepted by the baseline")
+	}
 }

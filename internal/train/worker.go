@@ -21,7 +21,7 @@ import (
 // mesh here, each as a codec wire type:
 //
 //   - oracle plans (transport.PlanMsg): the rank-0 process hosts the Oracle
-//     Cacher and streams every peer its per-iteration TrainerPlan. Plans may
+//     Cacher and streams every peer its per-iteration core.Plan. Plans may
 //     arrive reordered (the mesh contract permits it), so a resequencer
 //     (planSeq) feeds the trainer in iteration order.
 //   - dense-gradient and loss collectives: meshColl (meshcoll.go) reduces
@@ -38,17 +38,17 @@ import (
 type planSeq struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
-	plans map[int]*core.TrainerPlan
+	plans map[int]*core.Plan
 }
 
 func newPlanSeq() *planSeq {
-	b := &planSeq{plans: make(map[int]*core.TrainerPlan)}
+	b := &planSeq{plans: make(map[int]*core.Plan)}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
 // put deposits one arrived plan (called from the mesh receiver goroutine).
-func (b *planSeq) put(pl *core.TrainerPlan) {
+func (b *planSeq) put(pl *core.Plan) {
 	b.mu.Lock()
 	b.plans[pl.Dec.Iter] = pl
 	b.cond.Broadcast()
@@ -56,7 +56,7 @@ func (b *planSeq) put(pl *core.TrainerPlan) {
 }
 
 // stream emits plans for iterations [0, n) in order to out, then closes it.
-func (b *planSeq) stream(n int, out chan<- *core.TrainerPlan) {
+func (b *planSeq) stream(n int, out chan<- *core.Plan) {
 	defer close(out)
 	for iter := 0; iter < n; iter++ {
 		b.mu.Lock()
@@ -72,23 +72,34 @@ func (b *planSeq) stream(n int, out chan<- *core.TrainerPlan) {
 
 // planMsgBytes models the wire size of one plan: the Decision's batch
 // payload (dense features, categorical ids, label per example) plus the
-// per-trainer plan maps — the same role syncMsgBytes/replicaMsgBytes play
-// for the data-path messages.
-func planMsgBytes(pl *core.TrainerPlan) int64 {
+// per-trainer plan — the same role syncBatchBytes/replicaMsgBytes play for
+// the data-path messages. The model prices the plan as id-keyed tables (16
+// bytes per owned TTL and per remote id, 12 + 4 per user for each owned
+// id's user list, 12 + 8 per id for each non-empty replica list) and counts
+// the decision's needed-next ids, whatever the codec's layout.
+func planMsgBytes(pl *core.Plan) int64 {
 	b := int64(16)
 	b += 8 * int64(len(pl.Prefetch))
-	b += 16 * int64(len(pl.OwnedTTL))
+	b += 16 * int64(len(pl.Owned))
 	b += 8 * int64(len(pl.Expiring))
-	for _, us := range pl.Users {
-		b += 12 + 4*int64(len(us))
+	for _, us := range pl.OwnedUsers {
+		b += 12 + 4*int64(us.Count())
 	}
 	for _, ids := range pl.ReplicaOut {
-		b += 12 + 8*int64(len(ids))
+		if len(ids) > 0 {
+			b += 12 + 8*int64(len(ids))
+		}
 	}
 	b += 16 * int64(len(pl.Remote))
-	b += 4 + 4*int64(len(pl.ReplicaFrom))
+	b += 4 + 4*int64(pl.ReplicaFrom.Count())
 	d := pl.Dec
-	b += 8 + 4*int64(len(d.Assign)) + 8*int64(len(d.NeededNext))
+	needed := 0
+	for _, n := range d.NeededNext {
+		if n {
+			needed++
+		}
+	}
+	b += 8 + 4*int64(len(d.Assign)) + 8*int64(needed)
 	// Only the destination's assigned examples travel.
 	for i, ex := range d.Batch.Examples {
 		if d.Assign[i] != pl.Trainer {
@@ -142,7 +153,7 @@ func RunLRPPWorker(cfg Config, rank int, tr transport.Store, mesh transport.Mesh
 	}
 	t.mcoll = mcoll
 
-	planCh := make(chan *core.TrainerPlan, cfg.LookAhead)
+	planCh := make(chan *core.Plan, cfg.LookAhead)
 	var stats []core.IterStats
 	if rank == 0 {
 		// Host the oracle: walk the stream, keep our plan, ship the rest.
@@ -161,7 +172,7 @@ func RunLRPPWorker(cfg Config, rank int, tr transport.Store, mesh transport.Mesh
 					return
 				}
 				stats = append(stats, d.Stats(oracle.CacheOccupancy()))
-				plans := d.SplitPlans(P)
+				plans := d.Plans(P)
 				for p := 1; p < P; p++ {
 					pb := planMsgBytes(plans[p])
 					ep.Send(p, pb, transport.PlanMsg{Plan: plans[p]})

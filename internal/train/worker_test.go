@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"bagpipe/internal/core"
+	"bagpipe/internal/data"
 	"bagpipe/internal/embed"
 	"bagpipe/internal/transport"
 )
@@ -177,4 +179,66 @@ func TestLRPPWorkerValidation(t *testing.T) {
 	if _, err := RunLRPPWorker(bad, 0, tr, transport.NewInprocMesh(2)); err == nil {
 		t.Fatal("lookahead 0 accepted")
 	}
+}
+
+// mapPlanMsgBytes is planMsgBytes as it was written against the map-typed
+// plan, whose per-id tables the wire model prices.
+func mapPlanMsgBytes(pl *core.TrainerPlan, neededNext int) int64 {
+	b := int64(16)
+	b += 8 * int64(len(pl.Prefetch))
+	b += 16 * int64(len(pl.OwnedTTL))
+	b += 8 * int64(len(pl.Expiring))
+	for _, us := range pl.Users {
+		b += 12 + 4*int64(len(us))
+	}
+	for _, ids := range pl.ReplicaOut {
+		b += 12 + 8*int64(len(ids))
+	}
+	b += 16 * int64(len(pl.Remote))
+	b += 4 + 4*int64(len(pl.ReplicaFrom))
+	d := pl.Dec
+	b += 8 + 4*int64(len(d.Assign)) + 8*int64(neededNext)
+	for i, ex := range d.Batch.Examples {
+		if d.Assign[i] != pl.Trainer {
+			continue
+		}
+		b += 8 + 4*int64(len(ex.Dense)) + 8*int64(len(ex.Cat)) + 4
+	}
+	return b
+}
+
+// TestPlanMsgBytesMatchesMapFormula: the plan bytes the engine declares
+// (mesh_bytes_per_ex's plan share) are what the map-typed formula gives on
+// the same plan, on small streams at every trainer count and partitioner
+// and on the benchmark's hot-tail and uniform Criteo streams at its batch
+// size and window. core's equivalence tests pin the map plan to the
+// reference oracle, so the declared bytes are exact by construction.
+func TestPlanMsgBytesMatchesMapFormula(t *testing.T) {
+	check := func(spec *data.Spec, batch, batches, l, p int, part core.Partitioner) {
+		t.Helper()
+		o := core.NewOracle(core.NewGeneratorSource(data.NewGenerator(spec, 42), batch, batches), l, p)
+		o.Partitioner = part
+		for d, ok := o.Next(); ok; d, ok = o.Next() {
+			needed := 0
+			for _, n := range d.NeededNext {
+				if n {
+					needed++
+				}
+			}
+			maps := d.SplitPlans(p)
+			for tr, pl := range d.Plans(p) {
+				if got, want := planMsgBytes(pl), mapPlanMsgBytes(maps[tr], needed); got != want {
+					t.Fatalf("%s P=%d iter %d trainer %d: plan declares %d bytes, map formula %d", spec.Name, p, d.Iter, tr, got, want)
+				}
+			}
+		}
+	}
+	for p := 1; p <= 4; p++ {
+		for _, part := range []core.Partitioner{nil, core.RoundRobin{}, &core.CommAware{Own: core.Ownership{}}} {
+			check(tinySpec(), 16, 24, 5, p, part)
+		}
+	}
+	criteo := data.CriteoKaggle().Scaled(100).WithEmbDim(16)
+	check(criteo, 256, 40, 32, 2, nil)
+	check(criteo.WithDist(data.Uniform{}), 256, 40, 32, 2, nil)
 }

@@ -69,15 +69,16 @@ type (
 	}
 
 	// PlanMsg distributes one trainer's oracle plan from the rank-0 process
-	// (which hosts the Oracle Cacher) to its peer. Only the Decision fields
-	// a remote trainer consumes travel (Iter, Assign, NeededNext, Batch),
-	// and of the batch only the destination's assigned examples, indexed —
-	// the decoded Batch keeps its full length with empty slots elsewhere,
-	// so batch-order semantics (loss scaling by the full size, the rank's
-	// sub-batch order its gradient partials accumulate in) are preserved at
-	// a fraction of the bytes.
+	// (which hosts the Oracle Cacher) to its peer. The plan's sorted slices
+	// travel as they are; of its Decision only what a remote trainer
+	// consumes travels (Iter, Assign, Batch — the plan itself carries the
+	// needed-next flags of the rows it routes), and of the batch only the
+	// destination's assigned examples, indexed — the decoded Batch keeps its
+	// full length with empty slots elsewhere, so batch-order semantics (loss
+	// scaling by the full size, the rank's sub-batch order its gradient
+	// partials accumulate in) are preserved at a fraction of the bytes.
 	PlanMsg struct {
-		Plan *core.TrainerPlan
+		Plan *core.Plan
 	}
 
 	// CollMsg is one collective-communication step: a rank's contribution
@@ -205,8 +206,13 @@ func DecodePayload(b []byte) (any, error) {
 			elem = 2
 		}
 		var arena *RowArena
+		var prev uint64
 		for i := 0; i < n; i++ {
 			id := r.u64()
+			if i > 0 && id <= prev {
+				r.invalid("replica row ids not strictly ascending")
+			}
+			prev = id
 			ne := r.count(elem)
 			if ne == 0 || r.err != nil {
 				m.Rows[id] = nil
@@ -216,7 +222,7 @@ func DecodePayload(b []byte) (any, error) {
 				arena = Rows(ne)
 			}
 			row := arena.Get()
-			fillRow(row, r.take(ne, elem), m.F16)
+			r.fillRow(row, r.take(ne, elem), m.F16)
 			m.Rows[id] = row
 		}
 		out = m
@@ -231,8 +237,12 @@ func DecodePayload(b []byte) (any, error) {
 		out = PlanMsg{Plan: r.plan()}
 	case tagColl:
 		m := CollMsg{Seq: r.u64()}
-		if r.u8() == 1 {
-			m.F64 = r.f64s()
+		if r.flag() {
+			// Non-nil even when empty: F64 != nil is what selects the
+			// float64 encoding.
+			if m.F64 = r.f64s(); m.F64 == nil {
+				m.F64 = []float64{}
+			}
 		} else {
 			m.F32 = r.f32s()
 		}
@@ -298,7 +308,7 @@ func putSyncBody(b []byte, m SyncMsg) []byte {
 // sync reads one iteration's flush (the inverse of putSyncBody) into the
 // pooled map and arena rows the in-process senders draw from.
 func (r *wireReader) sync() SyncMsg {
-	m := SyncMsg{Iter: int(r.u64()), F16: r.u8() == 1}
+	m := SyncMsg{Iter: int(r.u64()), F16: r.flag()}
 	elem := 4
 	if m.F16 {
 		elem = 2
@@ -306,29 +316,38 @@ func (r *wireReader) sync() SyncMsg {
 	dim := int(r.u32())
 	n := r.count(8 + elem*dim)
 	m.Partials = GetRowMap()
-	if n == 0 {
-		return m
-	}
-	if dim == 0 {
+	if (n == 0) != (dim == 0) { // the encoder writes width 0 exactly for an empty table
 		r.fail()
+	}
+	if n == 0 || r.err != nil {
 		return m
 	}
 	arena := Rows(dim)
+	var prev uint64
 	for i := 0; i < n; i++ {
 		id := r.u64()
+		if i > 0 && id <= prev {
+			r.invalid("sync partial ids not strictly ascending")
+		}
+		prev = id
 		g := arena.Get()
-		fillRow(g, r.take(dim, elem), m.F16)
+		r.fillRow(g, r.take(dim, elem), m.F16)
 		m.Partials[id] = g
 	}
 	return m
 }
 
 // fillRow decodes len(row) elements from reg: binary16 bit patterns when
-// f16, float32 ones otherwise.
-func fillRow(row []float32, reg []byte, f16 bool) {
+// f16, float32 ones otherwise. A binary16 NaN other than the one F16FromF32
+// writes fails the reader: it would not re-encode to the same bytes.
+func (r *wireReader) fillRow(row []float32, reg []byte, f16 bool) {
 	if f16 {
 		for k := range row {
-			row[k] = F32FromF16(binary.LittleEndian.Uint16(reg[2*k:]))
+			h := binary.LittleEndian.Uint16(reg[2*k:])
+			if h&0x7C00 == 0x7C00 && h&0x3FF != 0 && h&0x7FFF != 0x7E00 {
+				r.invalid("non-canonical binary16 NaN")
+			}
+			row[k] = F32FromF16(h)
 		}
 		return
 	}
@@ -337,45 +356,38 @@ func fillRow(row []float32, reg []byte, f16 bool) {
 	}
 }
 
-// putPlan writes a TrainerPlan plus the Decision subset remote trainers
-// consume (Iter, Batch, Assign, NeededNext).
-func putPlan(b []byte, pl *core.TrainerPlan) []byte {
-	b = putU64(b, uint64(pl.Trainer))
-	b = putU64s(b, pl.Prefetch)
-	b = putU32(b, uint32(len(pl.OwnedTTL)))
-	for _, id := range sortedIDKeys(pl.OwnedTTL) {
-		b = putU64(b, id)
-		b = putU64(b, uint64(pl.OwnedTTL[id]))
-	}
-	b = putU64s(b, pl.Expiring)
-	b = putU32(b, uint32(len(pl.Users)))
-	for _, id := range sortedIDKeys(pl.Users) {
-		b = putU64(b, id)
-		b = putInts(b, pl.Users[id])
-	}
+// putPlan writes a plan: its header (trainer, trainer count), its sorted
+// and parallel slices each behind its own count, then the Decision subset
+// remote trainers consume (Iter, Assign, Batch).
+func putPlan(b []byte, pl *core.Plan) []byte {
+	b = putU32(b, uint32(pl.Trainer))
 	b = putU32(b, uint32(len(pl.ReplicaOut)))
-	for _, t := range sortedIntKeys(pl.ReplicaOut) {
-		b = putU64(b, uint64(t))
-		b = putU64s(b, pl.ReplicaOut[t])
+	b = putU64s(b, pl.Owned)
+	b = putInts(b, pl.OwnedTTL)
+	b = putU32(b, uint32(len(pl.OwnedUsers)))
+	for _, u := range pl.OwnedUsers {
+		b = putU64(b, uint64(u))
 	}
-	b = putU32(b, uint32(len(pl.Remote)))
-	for _, id := range sortedIDKeys(pl.Remote) {
-		b = putU64(b, id)
-		b = putU64(b, uint64(pl.Remote[id]))
+	b = putU64s(b, pl.Prefetch)
+	b = putU64s(b, pl.Expiring)
+	for _, ids := range pl.ReplicaOut {
+		b = putU64s(b, ids)
 	}
-	b = putInts(b, pl.ReplicaFrom)
+	b = putU64s(b, pl.Remote)
+	b = putInts(b, pl.RemoteOwner)
+	b = putU32(b, uint32(len(pl.RemoteNext)))
+	for _, next := range pl.RemoteNext {
+		if next {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	b = putU64(b, uint64(pl.ReplicaFrom))
 
 	d := pl.Dec
 	b = putU64(b, uint64(d.Iter))
 	b = putInts(b, d.Assign)
-	needed := make([]uint64, 0, len(d.NeededNext))
-	for id, v := range d.NeededNext {
-		if v {
-			needed = append(needed, id)
-		}
-	}
-	sort.Slice(needed, func(i, j int) bool { return needed[i] < needed[j] })
-	b = putU64s(b, needed)
 	// Only the destination trainer's assigned examples travel (indexed, so
 	// batch-order semantics — loss scaling by the full size, the sub-batch
 	// order gradient partials accumulate in — are preserved); shipping the
@@ -401,62 +413,140 @@ func putPlan(b []byte, pl *core.TrainerPlan) []byte {
 	return b
 }
 
-func (r *wireReader) plan() *core.TrainerPlan {
-	pl := &core.TrainerPlan{Trainer: int(r.u64())}
-	pl.Prefetch = r.u64s()
-	n := r.count(16)
-	pl.OwnedTTL = make(map[uint64]int, n)
-	for i := 0; i < n; i++ {
-		id := r.u64()
-		pl.OwnedTTL[id] = int(r.u64())
+// plan decodes putPlan's layout. Everything the engine indexes by is
+// validated here, so a hostile frame is an error, never a panic or a hang
+// in the trainer: id lists strictly ascending, parallel slices of equal
+// length, every list the owner walks against Owned a subset of it, ranks
+// and rank sets below the trainer count, ReplicaFrom exactly the owners of
+// Remote, and the examples exactly the destination's assigned ones, in
+// batch order.
+func (r *wireReader) plan() *core.Plan {
+	pl := &core.Plan{Trainer: int(r.u32())}
+	p := int(r.u32())
+	if r.err != nil || p < 1 || p > core.MaxTrainers || pl.Trainer >= p {
+		r.invalid("plan trainer %d of %d", pl.Trainer, p)
+		return pl
 	}
-	pl.Expiring = r.u64s()
-	n = r.count(12)
-	pl.Users = make(map[uint64][]int, n)
-	for i := 0; i < n; i++ {
-		id := r.u64()
-		pl.Users[id] = r.ints()
+	all := core.Ranks(1)<<uint(p) - 1
+	if p == core.MaxTrainers {
+		all = ^core.Ranks(0)
 	}
-	n = r.count(12)
-	pl.ReplicaOut = make(map[int][]uint64, n)
-	for i := 0; i < n; i++ {
-		t := int(r.u64())
-		pl.ReplicaOut[t] = r.u64s()
+	pl.Owned = r.ascending()
+	pl.OwnedTTL = r.ints()
+	n := r.count(8)
+	pl.OwnedUsers = make([]core.Ranks, n)
+	for i := range pl.OwnedUsers {
+		u := core.Ranks(r.u64())
+		if u == 0 || u&^all != 0 {
+			r.invalid("plan user set %#x outside %d trainers", uint64(u), p)
+		}
+		pl.OwnedUsers[i] = u
 	}
-	n = r.count(16)
-	pl.Remote = make(map[uint64]int, n)
-	for i := 0; i < n; i++ {
-		id := r.u64()
-		pl.Remote[id] = int(r.u64())
+	if len(pl.OwnedTTL) != len(pl.Owned) || len(pl.OwnedUsers) != len(pl.Owned) {
+		r.invalid("plan owns %d ids with %d TTLs and %d user sets", len(pl.Owned), len(pl.OwnedTTL), len(pl.OwnedUsers))
 	}
-	pl.ReplicaFrom = r.ints()
+	pl.Prefetch = r.subset(pl.Owned)
+	pl.Expiring = r.subset(pl.Owned)
+	pl.ReplicaOut = make([][]uint64, p)
+	for u := range pl.ReplicaOut {
+		pl.ReplicaOut[u] = r.subset(pl.Owned)
+	}
+	if len(pl.ReplicaOut[pl.Trainer]) != 0 {
+		r.invalid("plan pushes replicas to its own trainer")
+	}
+	pl.Remote = r.ascending()
+	pl.RemoteOwner = r.ints()
+	var owners core.Ranks
+	for _, o := range pl.RemoteOwner {
+		if o >= p || o == pl.Trainer {
+			r.invalid("plan routes a remote id to trainer %d", o)
+		}
+		owners |= 1 << uint(o)
+	}
+	n = r.count(1)
+	if n > 0 {
+		pl.RemoteNext = make([]bool, n)
+		for i, c := range r.take(n, 1) {
+			if c > 1 {
+				r.invalid("plan needed-next flag %d", c)
+			}
+			pl.RemoteNext[i] = c == 1
+		}
+	}
+	if len(pl.RemoteOwner) != len(pl.Remote) || len(pl.RemoteNext) != len(pl.Remote) {
+		r.invalid("plan has %d remote ids with %d owners and %d flags", len(pl.Remote), len(pl.RemoteOwner), len(pl.RemoteNext))
+	}
+	if pl.ReplicaFrom = core.Ranks(r.u64()); r.err == nil && pl.ReplicaFrom != owners {
+		r.invalid("plan expects replicas from %#x, its remote ids are owned by %#x", uint64(pl.ReplicaFrom), uint64(owners))
+	}
 
 	d := &core.Decision{Iter: int(r.u64())}
 	d.Assign = r.ints()
-	d.NeededNext = make(map[uint64]bool)
-	for _, id := range r.u64s() {
-		d.NeededNext[id] = true
+	mine := 0
+	for _, t := range d.Assign {
+		if t >= p {
+			r.invalid("example assigned to trainer %d of %d", t, p)
+		}
+		if t == pl.Trainer {
+			mine++
+		}
 	}
 	d.Batch = &data.Batch{Index: int(r.u64())}
-	full := r.count(0)
-	if full > 1<<24 { // sparse slots carry no bytes; bound absurd sizes explicitly
-		r.fail()
+	// Sparse slots carry no bytes of their own; the assignment, 4 bytes per
+	// slot, bounds the allocation.
+	if full := int(r.u32()); r.err != nil || full != len(d.Assign) {
+		r.invalid("batch of %d examples with %d assignments", full, len(d.Assign))
 		return pl
 	}
-	d.Batch.Examples = make([]data.Example, full)
-	n = r.count(4)
-	for i := 0; i < n; i++ {
+	d.Batch.Examples = make([]data.Example, len(d.Assign))
+	if n = r.count(4); n != mine {
+		r.invalid("%d examples for a trainer assigned %d", n, mine)
+		return pl
+	}
+	prev := -1
+	for i := 0; i < n && r.err == nil; i++ {
 		idx := int(r.u32())
-		if idx >= full {
-			r.fail()
+		if idx <= prev || idx >= len(d.Assign) || d.Assign[idx] != pl.Trainer {
+			r.invalid("example %d out of order or not assigned to trainer %d", idx, pl.Trainer)
 			return pl
 		}
+		prev = idx
 		ex := data.Example{Dense: r.f32s(), Cat: r.u64s()}
 		ex.Label = r.f32()
 		d.Batch.Examples[idx] = ex
 	}
 	pl.Dec = d
 	return pl
+}
+
+// ascending reads a count-prefixed id list and fails the reader unless it
+// is strictly ascending.
+func (r *wireReader) ascending() []uint64 {
+	ids := r.u64s()
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			r.invalid("ids not strictly ascending")
+			break
+		}
+	}
+	return ids
+}
+
+// subset reads a strictly ascending id list and fails the reader unless
+// every id is in of (itself ascending).
+func (r *wireReader) subset(of []uint64) []uint64 {
+	ids := r.ascending()
+	j := 0
+	for _, id := range ids {
+		for j < len(of) && of[j] < id {
+			j++
+		}
+		if j == len(of) || of[j] != id {
+			r.invalid("id %d outside the plan's owned ids", id)
+			break
+		}
+	}
+	return ids
 }
 
 // --- primitive writers (append-style, little-endian) ---
@@ -552,6 +642,22 @@ func (r *wireReader) fail() {
 	}
 }
 
+// invalid fails the reader on a well-framed value the encoder never writes.
+func (r *wireReader) invalid(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("transport: invalid payload: "+format, args...)
+	}
+}
+
+// flag reads a boolean byte, failing the reader on anything but 0 or 1.
+func (r *wireReader) flag() bool {
+	c := r.u8()
+	if c > 1 {
+		r.invalid("flag byte %d", c)
+	}
+	return c == 1
+}
+
 func (r *wireReader) u8() byte {
 	if r.err != nil || len(r.b) < 1 {
 		r.fail()
@@ -630,7 +736,7 @@ func (r *wireReader) f32sInto(dst []float32) bool {
 		r.fail()
 		return false
 	}
-	fillRow(dst, r.take(n, 4), false)
+	r.fillRow(dst, r.take(n, 4), false)
 	return true
 }
 
@@ -681,14 +787,5 @@ func sortedIDKeys[V any](m map[uint64]V) []uint64 {
 		ks = append(ks, k)
 	}
 	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
-
-func sortedIntKeys[V any](m map[int]V) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
 	return ks
 }
