@@ -34,7 +34,10 @@ type LRPPHooks struct {
 	// OnEvict fires as the row leaves the owner's partition (TTL expiry).
 	OnEvict func(owner, iter int, id uint64)
 	// OnWriteBack fires after the owner wrote iteration iter's dirty
-	// evictions to the embedding servers.
+	// evictions to the embedding servers, once per evicting iteration in
+	// iteration order. One write may carry several iterations (see
+	// startMaintenance); ids is iter's part of it, ascending, and is valid
+	// only for the duration of the call — copy it to keep it.
 	OnWriteBack func(owner, iter int, ids []uint64)
 	// OnRetire fires when iteration iter is fully retired on the owner
 	// (write-backs done, lookahead token released). Strictly in iteration
@@ -107,8 +110,6 @@ type lrppEngine struct {
 	urgentFlushes  atomic.Int64
 	delayedFlushes atomic.Int64
 	activeTrain    atomic.Int64
-	activePrefetch atomic.Int64
-	activeMaint    atomic.Int64
 	overlapPT      atomic.Int64
 	overlapMT      atomic.Int64
 
@@ -292,10 +293,15 @@ type flushItem struct {
 	lazy   map[int]map[uint64][]float32 // deferrable off the critical path
 }
 
-// lrppWork is one iteration moving through a trainer's private pipeline.
+// lrppWork is one iteration moving through a trainer's private pipeline:
+// admitted by the dispatcher, staged by the stager, computed by the loop.
 type lrppWork struct {
 	plan *core.Plan
 	rows chan [][]float32 // buffered(1); the prefetch goroutine delivers once
+	// slots[k] is the slot of plan.Owned[k] (in one of lrppTrainer.slotBuf),
+	// written by stage and read by compute once staged is set.
+	slots  []int32
+	staged bool // guarded by the trainer's mu: stage has snapshotted the replicas
 }
 
 // lrppTrainer is one trainer process: a model replica, the owned LRPP
@@ -334,21 +340,26 @@ type lrppTrainer struct {
 	repRows  map[int]map[uint64][]float32 // iter → replica rows received (pooled maps/rows, owned here)
 	repFrom  map[int]rankBits             // iter → owners heard from
 
-	// Hot-path scratch, all guarded by mu (or touched only by the single
-	// trainer-loop goroutine where noted): the arena rows and pooled maps
-	// every fetch/replica/partial/write-back recycles through, the shared
-	// gradient fold buffer, the reusable gather and partial maps and the
-	// current iteration's owned slots (trainer loop only), and the
-	// eviction-batch free list.
+	// Hot-path scratch, all guarded by mu (or touched only by the one
+	// goroutine noted): the arena rows and pooled maps every
+	// fetch/replica/partial/write-back recycles through, the shared
+	// gradient fold buffer, the reusable gather and partial maps (trainer
+	// loop only), the slot lists of the staged iterations (stager only;
+	// iteration x uses slotBuf[x%2], free again once x's compute ended,
+	// which precedes stage(x+2)), and the eviction-batch free list.
 	arena    *transport.RowArena
 	foldBuf  []float32
 	gathered map[uint64][]float32
 	partials map[uint64][]float32
-	slots    []int32 // slot of the current plan's Owned[k]
+	slotBuf  [2][]int32
 	evFree   [][]core.Eviction
 
 	evictedRows int64
 
+	// routedCh carries one permit per routed iteration from the loop to the
+	// stager (capacity 1, one permit preloaded for iteration 0): stage(x+1)
+	// starts only after compute(x) routed its partials.
+	routedCh  chan struct{}
 	flushQ    chan *flushItem
 	flushFree chan *flushItem // flusher → trainer loop: drained items for reuse
 	maintCh   chan maintJob
@@ -368,10 +379,15 @@ type lrppTrainer struct {
 // delayed-sync goroutine — batched per owner, contributions the next
 // iteration depends on flushed first, the rest one iteration later — so no
 // cross-trainer synchronization sits on the forward/backward critical
-// path. The model runs staged (model.Staged, see iterate): its
-// embedding-independent layers go forward before the replicas are awaited
-// and backward after the partials are routed, so the flush → merge →
-// replica-push chain between two iterations travels under dense compute.
+// path. Each iteration runs in two halves on two goroutines: stage (register,
+// insert the prefetched rows, wait for earlier merges, push replicas) and
+// compute (the model, staged by model.Staged, and the gradient routing).
+// The stager begins stage(x+1) the moment compute(x) has routed its
+// partials, and compute runs the embedding-independent layers forward
+// before it waits for the staged half and the peers' replicas, and backward
+// after the routing — so the flush → merge → replica-push chain between two
+// iterations travels under BackwardDense(x), the collective and the
+// optimizer step on the owner, and under ForwardDense(x+1) on the reader.
 // Each trainer pre-aggregates its own examples' gradients into one
 // partial per (row, iteration) in sub-batch order; each owner folds an
 // (id, iteration)'s partials in rank order from zero — the rule dense
@@ -520,8 +536,9 @@ func newLRPPTrainer(eng *lrppEngine, p int, tr transport.Store, ep transport.End
 		foldBuf:  make([]float32, cfg.Spec.EmbDim),
 		gathered: make(map[uint64][]float32),
 		partials: make(map[uint64][]float32),
+		routedCh: make(chan struct{}, 1),
 		// One window of routed iterations may queue for the flusher. The
-		// only send (iterate, step 8) holds no lock, so a full queue is
+		// only send (compute, step 8) holds no lock, so a full queue is
 		// backpressure on the trainer loop and nothing else; the flusher
 		// waits on nothing the loop holds, so the queue always drains.
 		flushQ: make(chan *flushItem, cfg.LookAhead),
@@ -546,6 +563,7 @@ func newLRPPTrainer(eng *lrppEngine, p int, tr transport.Store, ep transport.End
 	for i := 0; i < cfg.LookAhead; i++ {
 		t.tokens <- struct{}{}
 	}
+	t.routedCh <- struct{}{}
 	return t, nil
 }
 
@@ -610,8 +628,8 @@ func (t *lrppTrainer) run(planCh <-chan *core.Plan) {
 	t.startFlusher()
 	t.startMaintenance()
 
-	for w := range workCh {
-		t.iterate(w)
+	for w := range t.startStager(workCh) {
+		t.compute(w)
 	}
 
 	// Teardown: flush the delayed-sync backlog, wait for every merge and
@@ -649,18 +667,34 @@ func (t *lrppTrainer) startDispatcher(planCh <-chan *core.Plan) <-chan *lrppWork
 					if eng.hooks != nil && eng.hooks.OnPrefetch != nil {
 						eng.hooks.OnPrefetch(t.p, pl.Dec.Iter, pl.Prefetch)
 					}
-					eng.activePrefetch.Add(1)
 					if eng.activeTrain.Load() > 0 {
 						eng.overlapPT.Add(1)
 					}
 					rows = t.tr.Fetch(pl.Prefetch)
-					eng.activePrefetch.Add(-1)
 				}
 				w.rows <- rows
 			}(pl, w)
 		}
 	}()
 	return workCh
+}
+
+// startStager runs stage for every admitted iteration, each as soon as the
+// loop has routed the previous iteration's partials (routedCh), and hands
+// the iteration to the loop before staging it, so compute's dense forward
+// does not wait for the stage. The hand-off never blocks: by the time the
+// permit arrives the loop has taken every earlier iteration.
+func (t *lrppTrainer) startStager(workCh <-chan *lrppWork) <-chan *lrppWork {
+	out := make(chan *lrppWork, 1)
+	go func() {
+		defer close(out)
+		for w := range workCh {
+			<-t.routedCh
+			out <- w
+			t.stage(w)
+		}
+	}()
+	return out
 }
 
 // startReceiver drains the mesh endpoint: replica pushes feed the per-
@@ -681,7 +715,7 @@ func (t *lrppTrainer) startReceiver() {
 				// buffers (pooled at the sender in-process, decoded into the
 				// same pools by the TCP codec): adopt the first sender's map
 				// wholesale, merge later senders' rows into it and recycle
-				// their emptied maps. iterate's step 5 returns everything
+				// their emptied maps. compute's step 6 returns everything
 				// once the rows are consumed.
 				t.mu.Lock()
 				if have := t.repRows[pl.Iter]; have == nil {
@@ -808,49 +842,83 @@ func (t *lrppTrainer) startFlusher() {
 // newer iteration's last merge first); retirement is re-sequenced so
 // lookahead tokens release strictly in order — the ℒ-window bookkeeping
 // stays exact.
+//
+// Write-backs coalesce: after a job arrives, every job already queued is
+// taken without blocking, and every iteration that is then ready, in order,
+// is written with ONE Store.Write over the concatenation of their id lists,
+// so a tier slower than one iteration per write falls behind by whole
+// batches instead of serializing one round trip per iteration. Only then
+// does each of those iterations, in order, fire OnWriteBack with its own
+// ids, recycle its eviction batch, and retire (OnRetire, Progress, token):
+// visibility moves only at the batch boundary, as in Obladi's epochs. The
+// ids of one batch are distinct — an id evicted at x is next prefetched
+// for some y ≥ x+ℒ, and that prefetch waits for x's retirement, so it
+// cannot be evicted again before x's batch is written — and at most one
+// write is in flight.
 func (t *lrppTrainer) startMaintenance() {
 	eng := t.eng
 	t.maintWG.Add(1)
 	go func() {
 		defer t.maintWG.Done()
-		parked := make(map[int][]core.Eviction)
-		done := make(map[int]bool)
+		parked := make(map[int][]core.Eviction) // iter → its batch, until retired
 		next := 0
 		// Write-back scratch reused across batches: callees treat the id and
 		// row slices as call-scoped (transports copy or encode, the hook only
-		// iterates), so one pair serves the whole run.
+		// iterates), so one set serves the whole run. ends[i] is where
+		// iteration next+i's ids end in ids.
 		var (
 			ids  []uint64
 			rows [][]float32
+			ends []int
 		)
 		for job := range t.maintCh {
 			parked[job.iter] = job.evictions
-			done[job.iter] = true
-			for done[next] {
+		drain:
+			for {
+				select {
+				case j, ok := <-t.maintCh:
+					if !ok {
+						break drain
+					}
+					parked[j.iter] = j.evictions
+				default:
+					break drain
+				}
+			}
+			ids, rows, ends = ids[:0], rows[:0], ends[:0]
+			for it := next; ; it++ {
+				evs, ok := parked[it]
+				if !ok {
+					break
+				}
+				for _, ev := range evs {
+					ids = append(ids, ev.ID)
+					rows = append(rows, ev.Row)
+				}
+				ends = append(ends, len(ids))
+			}
+			if len(ids) > 0 {
+				if eng.activeTrain.Load() > 0 {
+					eng.overlapMT.Add(1)
+				}
+				t.tr.Write(ids, rows)
+				// Every evicted row was fetched through the arena-backed
+				// transports and adopted by the partition; the durable
+				// write-back is its single recycle point.
+				t.arena.PutN(rows)
+			}
+			start := 0
+			for _, end := range ends {
 				if evs := parked[next]; len(evs) > 0 {
-					eng.activeMaint.Add(1)
-					if eng.activeTrain.Load() > 0 {
-						eng.overlapMT.Add(1)
-					}
-					ids, rows = ids[:0], rows[:0]
-					for _, ev := range evs {
-						ids = append(ids, ev.ID)
-						rows = append(rows, ev.Row)
-					}
-					t.tr.Write(ids, rows)
-					eng.activeMaint.Add(-1)
-					// Every evicted row was fetched through the arena-backed
-					// transports and adopted by the partition; the durable
-					// write-back is its single recycle point.
-					t.arena.PutN(rows)
 					if eng.hooks != nil && eng.hooks.OnWriteBack != nil {
-						eng.hooks.OnWriteBack(t.p, next, ids)
+						eng.hooks.OnWriteBack(t.p, next, ids[start:end:end])
 					}
 					t.mu.Lock()
 					clear(evs)
 					t.evFree = append(t.evFree, evs[:0])
 					t.mu.Unlock()
 				}
+				start = end
 				if eng.hooks != nil && eng.hooks.OnRetire != nil {
 					eng.hooks.OnRetire(t.p, next)
 				}
@@ -859,34 +927,42 @@ func (t *lrppTrainer) startMaintenance() {
 				}
 				t.tokens <- struct{}{}
 				delete(parked, next)
-				delete(done, next)
 				next++
 			}
 		}
 	}()
 }
 
-// iterate is one iteration of the trainer loop.
-func (t *lrppTrainer) iterate(w *lrppWork) {
+// stage is the embedding half of iteration x, steps 1–4: register its
+// merges, insert its prefetched rows, wait for earlier merges on the rows
+// it uses, and push its replicas. The stager runs it while the loop is
+// still in compute(x−1)'s dense backward, collective and optimizer step,
+// which touch dense state only. That is safe because compute(x−1) has
+// routed — after routing it touches no embedding state of x−1 again (see
+// maybeEmitLocked) — and because no merge of x can land before the
+// snapshot in step 4: a peer computes its x partial from that replica, and
+// our own is deposited in compute(x), after the stage.
+func (t *lrppTrainer) stage(w *lrppWork) {
 	eng := t.eng
 	pt := &t.part
 	pl := w.plan
-	d := pl.Dec
-	x := d.Iter
+	x := pl.Dec.Iter
 
 	// 1. Register this iteration's merge obligations and eviction counts
 	// before pushing any replica: a peer computes a partial for one of our
 	// rows only from the iteration-x replica of it (step 4), so registration
 	// always precedes the first deposit. Registration resolves every owned
-	// row to its slot once; the steps below index the slab through slots.
+	// row to its slot once; the steps below and compute index the slab
+	// through slots.
 	t.mu.Lock()
-	slots := t.slots[:0]
+	slots := t.slotBuf[x%2][:0]
 	for k, id := range pl.Owned {
 		s := pt.slot(id)
 		pt.expect(s, x, rankBits(pl.OwnedUsers[k]))
 		slots = append(slots, s)
 	}
-	t.slots = slots
+	t.slotBuf[x%2] = slots
+	w.slots = slots
 	t.expiring[x] = len(pl.Expiring)
 	t.mu.Unlock()
 
@@ -963,16 +1039,32 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 		outs = append(outs, out{to: q, bytes: replicaMsgBytes(snap, eng.dim), nrows: int64(len(snap)),
 			msg: transport.ReplicaMsg{Iter: x, Rows: snap}})
 	}
+	// The snapshots are taken: compute may gather and deposit from here on.
+	w.staged = true
 	t.mu.Unlock()
+	t.cond.Broadcast()
 	for _, o := range outs {
 		t.ep.Send(o.to, o.bytes, o.msg)
 		eng.countSend(classReplica, o.bytes)
 		eng.replicaRows.Add(o.nrows)
 	}
+}
+
+// compute is the model half of iteration x, steps 5–9, on the trainer
+// loop. It starts while stage(x) may still be running and waits for it only
+// before the gather; once it has routed x's partials (step 8) it permits
+// stage(x+1), whose replica push then travels under this iteration's dense
+// backward, collective and optimizer step.
+func (t *lrppTrainer) compute(w *lrppWork) {
+	eng := t.eng
+	pt := &t.part
+	pl := w.plan
+	d := pl.Dec
+	x := d.Iter
 
 	// 5. Dense forward: the part of the model that reads no embedding row
-	// runs while the replicas the peers pushed in their step 4 are still on
-	// the mesh.
+	// runs while stage(x) and the peers' stages push this iteration's
+	// replicas.
 	spec := eng.cfg.Spec
 	ls := &t.ls
 	ls.extract(d.Batch, d.Assign, t.p, spec.NumNumeric)
@@ -984,13 +1076,14 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 		eng.activeTrain.Add(-1)
 	}
 
-	// 6. Wait for the replicas we need, then gather this trainer's rows:
-	// owned ids it touches from the partition, remote ids from the replica
-	// box.
+	// 6. Wait for stage(x) and the replicas we need, then gather this
+	// trainer's rows: owned ids it touches from the partition, remote ids
+	// from the replica box.
 	t.mu.Lock()
-	for rankBits(pl.ReplicaFrom)&^t.repFrom[x] != 0 {
+	for !w.staged || rankBits(pl.ReplicaFrom)&^t.repFrom[x] != 0 {
 		t.cond.Wait()
 	}
+	slots := w.slots
 	replicas := t.repRows[x]
 	delete(t.repRows, x)
 	delete(t.repFrom, x)
@@ -1041,8 +1134,9 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 
 	// 8. Pre-aggregate this trainer's gradients into one partial per row
 	// (arena buffers, sub-batch order) and route them now, so the urgent
-	// flush, the owners' merges and their next replica push travel while
-	// every trainer is still inside step 9: partials for owned rows merge
+	// flush, the owners' merges and their next replica push (stage(x+1),
+	// permitted at the end of this step) travel while every trainer is still
+	// inside step 9: partials for owned rows merge
 	// locally (ids used only here are the LRPP fast path — no mesh traffic
 	// at all); remote-owned ones queue for the delayed-sync flusher, which
 	// ships one vector per (owner, row, iteration). The partials own their
@@ -1094,6 +1188,7 @@ func (t *lrppTrainer) iterate(w *lrppWork) {
 	t.cond.Broadcast()
 	clear(partials)
 	t.flushQ <- fi
+	t.routedCh <- struct{}{}
 
 	// 9. Dense backward, then ONE fused collective round: every
 	// dense-parameter gradient segment plus the loss term crosses the

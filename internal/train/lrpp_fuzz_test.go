@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"bagpipe/internal/core"
 	"bagpipe/internal/data"
@@ -162,18 +163,23 @@ func fuzzSpec() *data.Spec {
 }
 
 // FuzzLRPPDifferential drives the LRPP engine over fuzzer-chosen trainer
-// counts, lookahead depths, batch shapes, partitioners, and sync modes; on
+// counts, lookahead depths, batch shapes, partitioners, sync modes and
+// fabrics — in-process, or simulated server links plus a simulated,
+// reordering trainer mesh with sub-millisecond latencies, where write-backs
+// coalesce and replica pushes race the previous iteration's compute; on
 // every input it (a) audits the consistency invariants through the hook
 // ledger and (b) differentially checks the final embedding state is
 // bit-identical to RunBaseline. The seeded corpus runs in regular `go
 // test` mode, so CI exercises the harness even without -fuzz.
 func FuzzLRPPDifferential(f *testing.F) {
-	f.Add(uint64(42), uint8(1), uint8(4), uint8(6), uint8(8), uint8(0), false)
-	f.Add(uint64(7), uint8(2), uint8(0), uint8(3), uint8(6), uint8(1), false) // L=1: lag collapses to 0
-	f.Add(uint64(9), uint8(3), uint8(2), uint8(7), uint8(10), uint8(2), true) // comm-aware, eager
-	f.Add(uint64(1), uint8(0), uint8(5), uint8(2), uint8(4), uint8(2), false) // P=1 degenerate
-	f.Add(uint64(1234), uint8(3), uint8(1), uint8(5), uint8(9), uint8(1), false)
-	f.Fuzz(func(t *testing.T, seed uint64, pSel, lSel, bSel, nSel, partSel uint8, eager bool) {
+	f.Add(uint64(42), uint8(1), uint8(4), uint8(6), uint8(8), uint8(0), false, false)
+	f.Add(uint64(7), uint8(2), uint8(0), uint8(3), uint8(6), uint8(1), false, false) // L=1: lag collapses to 0
+	f.Add(uint64(9), uint8(3), uint8(2), uint8(7), uint8(10), uint8(2), true, false) // comm-aware, eager
+	f.Add(uint64(1), uint8(0), uint8(5), uint8(2), uint8(4), uint8(2), false, false) // P=1 degenerate
+	f.Add(uint64(1234), uint8(3), uint8(1), uint8(5), uint8(9), uint8(1), false, false)
+	f.Add(uint64(42), uint8(1), uint8(4), uint8(6), uint8(9), uint8(0), false, true) // simulated fabric
+	f.Add(uint64(5), uint8(2), uint8(3), uint8(4), uint8(9), uint8(1), true, true)
+	f.Fuzz(func(t *testing.T, seed uint64, pSel, lSel, bSel, nSel, partSel uint8, eager, sim bool) {
 		p := 1 + int(pSel)%4
 		cfg := Config{
 			Spec:        fuzzSpec(),
@@ -202,7 +208,19 @@ func FuzzLRPPDifferential(f *testing.F) {
 		aud := newAuditor(p, cfg.LookAhead)
 		cfg.Hooks = aud.hooks()
 		srvLRPP := embed.NewServer(2, cfg.Spec.EmbDim, seed^0xBEEF, 0.05)
-		res, err := RunLRPP(cfg, newStores(srvLRPP, p), nil)
+		trs := newStores(srvLRPP, p)
+		var mesh transport.Mesh
+		if sim {
+			// 50–400 µs links, drawn from the seed so an input replays.
+			lat := func(salt uint64) time.Duration {
+				return time.Duration(50+50*((seed>>salt)%8)) * time.Microsecond
+			}
+			for i := range trs {
+				trs[i] = transport.NewSimNet(srvLRPP, lat(0), 200e6)
+			}
+			mesh = transport.NewSimMesh(p, lat(3), 50e6)
+		}
+		res, err := RunLRPP(cfg, trs, mesh)
 		if err != nil {
 			t.Fatalf("lrpp: %v", err)
 		}
@@ -210,8 +228,8 @@ func FuzzLRPPDifferential(f *testing.F) {
 
 		if srvBase.Fingerprint() != srvLRPP.Fingerprint() {
 			d := embed.Diff(srvBase, srvLRPP)
-			t.Fatalf("state diverged from baseline at %d ids (first %v) [P=%d L=%d B=%d N=%d part=%d eager=%v]",
-				len(d), d[:1], p, cfg.LookAhead, cfg.BatchSize, cfg.NumBatches, partSel%3, eager)
+			t.Fatalf("state diverged from baseline at %d ids (first %v) [P=%d L=%d B=%d N=%d part=%d eager=%v sim=%v]",
+				len(d), d[:1], p, cfg.LookAhead, cfg.BatchSize, cfg.NumBatches, partSel%3, eager, sim)
 		}
 		if res.Evicted != res.Prefetched {
 			t.Fatalf("evicted %d != prefetched %d", res.Evicted, res.Prefetched)

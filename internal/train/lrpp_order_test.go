@@ -14,16 +14,20 @@ import (
 	"bagpipe/internal/transport"
 )
 
-// orderProbe turns the two scheduling claims of lrppTrainer.iterate into
-// dependencies that only the staged order can satisfy, so a regression is a
-// deadlock (reported after orderWait) instead of a slower run on some host:
+// orderProbe turns the three scheduling claims of the trainer's
+// stage/compute split into dependencies that only the staged order can
+// satisfy, so a regression is a deadlock (reported after orderWait) instead
+// of a slower run on some host:
 //
 //   - trainer 0's BackwardDense of iteration x does not return until
 //     trainer 1 has received trainer 0's urgent sync flush of x — possible
 //     only if the partials are routed before the dense backward;
 //   - trainer 1's replica push for iteration x is held back until trainer
 //     0's ForwardDense of x has begun — possible only if the dense forward
-//     runs before the replicas are awaited.
+//     runs before the replicas are awaited;
+//   - trainer 0's BackwardDense of iteration x does not return until
+//     trainer 1 has received trainer 0's replica push for x+1 — possible
+//     only if stage(x+1) runs beside compute(x)'s dense backward.
 //
 // It wraps trainer 0's model; spyEndpoint supplies the mesh side.
 type orderProbe struct {
@@ -31,14 +35,17 @@ type orderProbe struct {
 	t *testing.T
 
 	urgent   []bool          // iter → trainer 0 owes trainer 1 an urgent partial (from the oracle)
+	pushes   []bool          // iter → trainer 0 pushes trainer 1 a replica (from the oracle)
 	fwdBegun []chan struct{} // iter → closed as trainer 0's ForwardDense begins
 	syncSeen []chan struct{} // iter → closed as trainer 1 receives trainer 0's flush of iter
+	repSeen  []chan struct{} // iter → closed as trainer 1 receives trainer 0's replica push of iter
 
 	failed       atomic.Bool  // a wait timed out: stop waiting, let the run end
 	nFwd, nBwd   int          // trainer-0 loop only
 	seen         []bool       // trainer 1's receiver only
 	heldReplicas atomic.Int64 // replica pushes that waited on fwdBegun
 	awaitedSyncs int          // trainer-0 loop only
+	awaitedPush  int          // trainer-0 loop only
 }
 
 const orderWait = 10 * time.Second
@@ -51,7 +58,7 @@ func (p *orderProbe) await(ch chan struct{}, what string, iter int) {
 	case <-ch:
 	case <-time.After(orderWait):
 		p.failed.Store(true)
-		p.t.Errorf("iteration %d: %s never happened: iterate's stages ran in the wrong order", iter, what)
+		p.t.Errorf("iteration %d: %s never happened: the trainer's stages ran in the wrong order", iter, what)
 	}
 }
 
@@ -67,6 +74,10 @@ func (p *orderProbe) BackwardDense() {
 	if p.urgent[x] {
 		p.await(p.syncSeen[x], "the peer receiving this iteration's urgent flush before BackwardDense returned", x)
 		p.awaitedSyncs++
+	}
+	if x+1 < len(p.pushes) && p.pushes[x+1] {
+		p.await(p.repSeen[x+1], "the peer receiving the next iteration's replica push before BackwardDense returned", x)
+		p.awaitedPush++
 	}
 	p.Model.BackwardDense()
 }
@@ -95,6 +106,9 @@ func (e spyEndpoint) Send(to int, bytes int64, payload any) bool {
 
 func (e spyEndpoint) Recv() (transport.MeshMsg, bool) {
 	msg, ok := e.Endpoint.Recv()
+	if rep, isRep := msg.Payload.(transport.ReplicaMsg); ok && isRep && e.Rank() == 1 && msg.From == 0 {
+		close(e.probe.repSeen[rep.Iter]) // one push per (owner, reader, iteration)
+	}
 	if sb, isSync := msg.Payload.(transport.SyncBatchMsg); ok && isSync && e.Rank() == 1 && msg.From == 0 {
 		// The first table for iteration x is the urgent one whenever
 		// urgent[x]: the lazy half ships a pass later, and trainer 0 cannot
@@ -110,10 +124,12 @@ func (e spyEndpoint) Recv() (transport.MeshMsg, bool) {
 }
 
 // TestLRPPStagedOrder certifies the schedule itself, independent of host
-// speed: partials flush before the dense backward, and the dense forward
-// runs before the replicas are awaited (see orderProbe). At the one-call
-// order (Forward after the replica wait, routing after Backward) both
-// dependencies are cycles and the test fails by timeout.
+// speed: partials flush before the dense backward, the dense forward runs
+// before the replicas are awaited, and the next iteration's replicas are
+// pushed before the dense backward ends (see orderProbe). At the one-call
+// order (Forward after the replica wait, routing after Backward) the first
+// two dependencies are cycles, with the next iteration's stage run after
+// the collective the third is, and the test fails by timeout.
 func TestLRPPStagedOrder(t *testing.T) {
 	for _, fabric := range []string{"inproc", "sim"} {
 		t.Run(fabric, func(t *testing.T) {
@@ -121,19 +137,22 @@ func TestLRPPStagedOrder(t *testing.T) {
 			cfg.NumBatches = 24
 			n := cfg.NumBatches
 
-			probe := &orderProbe{t: t, urgent: make([]bool, n), seen: make([]bool, n)}
+			probe := &orderProbe{t: t, urgent: make([]bool, n), pushes: make([]bool, n), seen: make([]bool, n)}
 			for i := 0; i < n; i++ {
 				probe.fwdBegun = append(probe.fwdBegun, make(chan struct{}))
 				probe.syncSeen = append(probe.syncSeen, make(chan struct{}))
+				probe.repSeen = append(probe.repSeen, make(chan struct{}))
 			}
 			gen := data.NewGenerator(cfg.Spec, cfg.Seed)
 			oracle := core.NewOracle(core.NewGeneratorSource(gen, cfg.BatchSize, n), cfg.LookAhead, cfg.NumTrainers)
 			for d, ok := oracle.Next(); ok; d, ok = oracle.Next() {
-				for _, next := range d.Plans(cfg.NumTrainers)[0].RemoteNext {
+				pl := d.Plans(cfg.NumTrainers)[0]
+				for _, next := range pl.RemoteNext {
 					if next {
 						probe.urgent[d.Iter] = true
 					}
 				}
+				probe.pushes[d.Iter] = len(pl.ReplicaOut[1]) > 0
 			}
 
 			var mesh transport.Mesh = transport.NewInprocMesh(cfg.NumTrainers)
@@ -153,8 +172,9 @@ func TestLRPPStagedOrder(t *testing.T) {
 			if probe.nFwd != n || probe.nBwd != n {
 				t.Fatalf("probe saw %d dense forwards and %d dense backwards over %d iterations", probe.nFwd, probe.nBwd, n)
 			}
-			if probe.awaitedSyncs == 0 || probe.heldReplicas.Load() == 0 {
-				t.Fatalf("vacuous run: %d urgent flushes awaited, %d replica pushes held", probe.awaitedSyncs, probe.heldReplicas.Load())
+			if probe.awaitedSyncs == 0 || probe.heldReplicas.Load() == 0 || probe.awaitedPush == 0 {
+				t.Fatalf("vacuous run: %d urgent flushes awaited, %d replica pushes held, %d next-iteration pushes awaited",
+					probe.awaitedSyncs, probe.heldReplicas.Load(), probe.awaitedPush)
 			}
 
 			srvBase := newServer(cfg.Spec, 2)

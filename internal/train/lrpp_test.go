@@ -2,6 +2,8 @@ package train
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -194,6 +196,118 @@ func TestLRPPOverSimulatedFabric(t *testing.T) {
 	}
 	if res.Mesh.Dropped != 0 {
 		t.Fatalf("%d mesh messages dropped", res.Mesh.Dropped)
+	}
+}
+
+// gateStore holds the first write-back of one trainer until at least
+// queued iterations wait in its maintenance queue (or orderWait passes),
+// and counts the write calls. Only the trainer's maintenance goroutine
+// writes. Emission into the queue fires no hook, so the gate polls the
+// queue's length.
+type gateStore struct {
+	transport.Store
+	t      *lrppTrainer
+	queued int
+	writes int
+}
+
+func (g *gateStore) Write(ids []uint64, rows [][]float32) {
+	if g.writes == 0 {
+		for deadline := time.Now().Add(orderWait); len(g.t.maintCh) < g.queued && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	g.writes++
+	g.Store.Write(ids, rows)
+}
+
+// TestWriteBackCoalescesInOrder holds trainer 0's first write-back until
+// several later iterations have queued for maintenance, then checks that
+// they were written together and still surfaced one by one: one
+// OnWriteBack per evicting iteration in increasing order carrying exactly
+// that plan's expiring ids, retirement 0…N−1 on every trainer, and a tier
+// bit-identical to the baseline.
+func TestWriteBackCoalescesInOrder(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.NumBatches = 24
+	n := cfg.NumBatches
+	expiring := make([][]uint64, n) // trainer 0's plan, per iteration
+	gen := data.NewGenerator(cfg.Spec, cfg.Seed)
+	oracle := core.NewOracle(core.NewGeneratorSource(gen, cfg.BatchSize, n), cfg.LookAhead, cfg.NumTrainers)
+	evicting := 0
+	for d, ok := oracle.Next(); ok; d, ok = oracle.Next() {
+		expiring[d.Iter] = d.Plans(cfg.NumTrainers)[0].Expiring
+		if len(expiring[d.Iter]) > 0 {
+			evicting++
+		}
+	}
+
+	var (
+		mu        sync.Mutex
+		wbIters   []int
+		wbIDs     [][]uint64
+		retired   = make([]int, cfg.NumTrainers)
+		outOfTurn []string
+	)
+	cfg.Hooks = &LRPPHooks{
+		OnWriteBack: func(owner, iter int, ids []uint64) {
+			if owner != 0 {
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			wbIters = append(wbIters, iter)
+			wbIDs = append(wbIDs, slices.Clone(ids)) // ids is call-scoped
+		},
+		OnRetire: func(owner, iter int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if iter != retired[owner] {
+				outOfTurn = append(outOfTurn, fmt.Sprintf("trainer %d retired %d, expected %d", owner, iter, retired[owner]))
+			}
+			retired[owner]++
+		},
+	}
+
+	srvBase := newServer(cfg.Spec, 2)
+	if _, err := RunBaseline(cfg, transport.NewInProcess(srvBase)); err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(cfg.Spec, 2)
+	gate := &gateStore{queued: 2}
+	if _, err := runLRPP(cfg, newStores(srv, cfg.NumTrainers), nil, func(tr *lrppTrainer) {
+		if tr.p == 0 {
+			gate.Store, gate.t = tr.tr, tr
+			tr.tr = gate
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	if gate.writes == 0 || gate.writes >= evicting {
+		t.Fatalf("trainer 0 made %d write calls for %d evicting iterations: nothing coalesced", gate.writes, evicting)
+	}
+	for _, s := range outOfTurn {
+		t.Error(s)
+	}
+	for p, r := range retired {
+		if r != n {
+			t.Errorf("trainer %d retired %d of %d iterations", p, r, n)
+		}
+	}
+	if len(wbIters) != evicting {
+		t.Fatalf("%d write-back events for %d evicting iterations", len(wbIters), evicting)
+	}
+	for i, x := range wbIters {
+		if i > 0 && x <= wbIters[i-1] {
+			t.Fatalf("write-back of iteration %d after iteration %d", x, wbIters[i-1])
+		}
+		if !slices.Equal(wbIDs[i], expiring[x]) {
+			t.Fatalf("iteration %d wrote back %v, its plan expires %v", x, wbIDs[i], expiring[x])
+		}
+	}
+	if d := embed.Diff(srvBase, srv); len(d) != 0 {
+		t.Fatalf("coalesced write-back diverged from baseline at %d ids (first: %v)", len(d), d[0])
 	}
 }
 

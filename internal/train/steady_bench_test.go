@@ -60,7 +60,7 @@ func (w *steadyWorker) loop() {
 // step is one trainer's iteration over the hot-path primitives.
 func (w *steadyWorker) step(iter int) {
 	// Registration: every row gets its slot and this iteration's merge,
-	// awaiting one partial per sender rank, exactly as iterate's step 1.
+	// awaiting one partial per sender rank, exactly as stage's step 1.
 	senders := rankBits(1)<<uint(len(w.partials)) - 1
 	for i, id := range w.ids {
 		s := w.part.slot(id)
@@ -75,7 +75,7 @@ func (w *steadyWorker) step(iter int) {
 	}
 	transport.PutRowSlice(rows)
 	// Every sender rank pre-aggregates its sub-batch's gradients into one
-	// arena-backed partial per row, exactly as iterate's step 8 does.
+	// arena-backed partial per row, exactly as compute's step 8 does.
 	dim := w.arena.Dim()
 	for _, partial := range w.partials {
 		rankPartials(partial, w.batch, w.mine, w.dEmb, dim, w.arena.Get)
