@@ -1,7 +1,7 @@
 // Command bagpipe runs an end-to-end Bagpipe training experiment: the
 // Oracle Cacher, per-trainer prefetch, LRPP partitioned caches with
-// delayed cross-trainer sync (or the PR-1 shared-cache pipeline), and
-// background write-back maintenance, all against a sharded embedding
+// delayed cross-trainer sync, and background write-back maintenance (or,
+// with -baseline, the no-cache reference), all against a sharded embedding
 // server reached through in-process, simulated-network, or real TCP
 // transports.
 //
@@ -60,13 +60,11 @@ var (
 	batches   = flag.Int("batches", 50, "number of iterations to train")
 	lookahd   = flag.Int("lookahead", 32, "oracle lookahead window in batches (paper default 200)")
 	trainers  = flag.Int("trainers", 2, "trainer processes (LRPP cache partitions / data-parallel ranks)")
-	engineFl  = flag.String("engine", "lrpp", "training engine: lrpp, pipelined, baseline")
 	partFl    = flag.String("partitioner", "hash", "batch partitioner: hash (contiguous split over hash-partitioned caches), roundrobin, comm-aware")
 	eager     = flag.Bool("eager-sync", false, "lrpp: flush all cross-trainer sync on the critical path instead of delaying it")
 	autoLook  = flag.Bool("auto-lookahead", false, "pick ℒ at startup from measured iteration time, link RTT, and -cache-rows (overrides -lookahead)")
 	cacheRws  = flag.Int("cache-rows", 0, "auto-lookahead: trainer cache budget in rows (0 = 1/4 of the scaled table rows)")
 	statsFl   = flag.Bool("stats", false, "print per-phase mesh traffic (frames + bytes split by replica/sync/collective/plan)")
-	workers   = flag.Int("prefetch-workers", 2, "prefetch worker pool size (pipelined engine)")
 	servers   = flag.Int("servers", 1, "embedding servers in the tier (rows sharded across them by id, one process each in TCP mode)")
 	replicate = flag.Int("replicate", 1, "replication factor R: write each row to its owner server plus the next R-1 servers on the ownership ring; reads fail over along the ring when servers die")
 	shards    = flag.Int("shards", 4, "shard count within each embedding server")
@@ -105,14 +103,11 @@ var (
 	inferP99     = flag.Duration("infer-p99-bound", 250*time.Millisecond, "chaos: the serving-under-chaos PASS requires the lookup p99 within this bound")
 
 	verify   = flag.Bool("verify", false, "also run the no-cache baseline and compare final embedding state bit-for-bit")
-	baseline = flag.Bool("baseline", false, "shorthand for -engine baseline")
+	baseline = flag.Bool("baseline", false, "train with the no-cache fetch-per-batch baseline instead of the lrpp engine")
 )
 
 func main() {
 	flag.Parse()
-	if *baseline {
-		*engineFl = "baseline"
-	}
 	spec, err := specByName(*dataset)
 	if err != nil {
 		fatal(err)
@@ -150,7 +145,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bagpipe: -kill-server implies the tcp driver; defaulting -net tcp")
 			netName = "tcp"
 		}
-		if netName != "tcp" || *serveFl || *rank >= 0 || *engineFl != "lrpp" {
+		if netName != "tcp" || *serveFl || *rank >= 0 || *baseline {
 			fatal(fmt.Errorf("-kill-server is a chaos flag for the lrpp tcp driver (-net tcp -spawn)"))
 		}
 		// A survived kill is only meaningful if the surviving tier is
@@ -187,8 +182,8 @@ func main() {
 	// Worker and server processes receive -reshard-to as plumbing (it sizes
 	// their tier's spare capacity); the driver validates the migration once.
 	if *reshardTo > 0 && *rank < 0 && !*serveFl {
-		if *engineFl != "lrpp" {
-			fatal(fmt.Errorf("-reshard-to migrates the tier under live lrpp traffic; -engine %s has no reshard form", *engineFl))
+		if *baseline {
+			fatal(fmt.Errorf("-reshard-to migrates the tier under live lrpp traffic; -baseline has no reshard form"))
 		}
 		if *reshardTo == *servers {
 			fatal(fmt.Errorf("-reshard-to %d: the tier already has -servers %d", *reshardTo, *servers))
@@ -208,8 +203,8 @@ func main() {
 	}
 
 	if *serveInfer {
-		if *engineFl != "lrpp" {
-			fatal(fmt.Errorf("-serve-infer serves over the live lrpp training tier; -engine %s has no serving form", *engineFl))
+		if *baseline {
+			fatal(fmt.Errorf("-serve-infer serves over the live lrpp training tier; -baseline has no serving form"))
 		}
 		if *serveFl || *rank >= 0 {
 			fatal(fmt.Errorf("-serve-infer is a driver-side flag; the -serve/-rank worker processes do not host the front end"))
@@ -223,18 +218,17 @@ func main() {
 	}
 
 	cfg := train.Config{
-		Spec:            spec,
-		Seed:            *seed,
-		Model:           *modelFl,
-		Optimizer:       *optFl,
-		LR:              float32(*lr),
-		BatchSize:       *batchSz,
-		NumBatches:      *batches,
-		LookAhead:       *lookahd,
-		NumTrainers:     *trainers,
-		PrefetchWorkers: *workers,
-		Partitioner:     part,
-		SyncEager:       *eager,
+		Spec:        spec,
+		Seed:        *seed,
+		Model:       *modelFl,
+		Optimizer:   *optFl,
+		LR:          float32(*lr),
+		BatchSize:   *batchSz,
+		NumBatches:  *batches,
+		LookAhead:   *lookahd,
+		NumTrainers: *trainers,
+		Partitioner: part,
+		SyncEager:   *eager,
 	}
 
 	switch {
@@ -487,7 +481,7 @@ func (d *memDelta) report(iters int) {
 		float64(allocs)/float64(iters), float64(alloced)/1e3/float64(iters), gcs, pause.Round(10*time.Microsecond))
 }
 
-// runLocal is the single-process driver: every engine and the inproc/sim
+// runLocal is the single-process driver: either engine and the inproc/sim
 // fabrics against an in-process -servers S tier, plus in-process -verify
 // (the merged tier state against an unsharded no-cache baseline).
 func runLocal(cfg train.Config, spec *data.Spec, netName string) {
@@ -500,28 +494,23 @@ func runLocal(cfg train.Config, spec *data.Spec, netName string) {
 	}
 	banner(spec, netName)
 	runEngine := func(srvs []*embed.Server) (*train.Result, error) {
-		switch *engineFl {
-		case "baseline":
+		if *baseline {
 			return train.RunBaseline(cfg, storeOver(srvs, netName))
-		case "pipelined":
-			return train.RunPipelined(cfg, storeOver(srvs, netName))
-		case "lrpp":
-			// One store per trainer: private traffic counters, its own links
-			// to the shared tier.
-			trs := make([]transport.Store, *trainers)
-			for i := range trs {
-				trs[i] = storeOver(srvs, netName)
-			}
-			var mesh transport.Mesh
-			if netName == "sim" {
-				mesh = transport.NewSimMesh(*trainers, *meshLat, *meshBW)
-			}
-			if *serveInfer {
-				return runLRPPServing(cfg, spec, srvs, trs, mesh, netName)
-			}
-			return train.RunLRPP(cfg, trs, mesh)
 		}
-		return nil, fmt.Errorf("unknown engine %q", *engineFl)
+		// One store per trainer: private traffic counters, its own links to
+		// the shared tier.
+		trs := make([]transport.Store, *trainers)
+		for i := range trs {
+			trs[i] = storeOver(srvs, netName)
+		}
+		var mesh transport.Mesh
+		if netName == "sim" {
+			mesh = transport.NewSimMesh(*trainers, *meshLat, *meshBW)
+		}
+		if *serveInfer {
+			return runLRPPServing(cfg, spec, srvs, trs, mesh, netName)
+		}
+		return train.RunLRPP(cfg, trs, mesh)
 	}
 
 	srvs := newServers(spec)
@@ -590,14 +579,14 @@ func runLocal(cfg train.Config, spec *data.Spec, netName string) {
 	report(res)
 	if *statsFl {
 		md.report(res.Iters)
-		if *engineFl == "lrpp" && *serveInfer {
+		if *serveInfer {
 			reportInterference(cfg, spec, netName, res)
 		}
 	}
 
 	if *verify {
-		if *engineFl == "baseline" {
-			fatal(fmt.Errorf("-verify compares against the baseline; pick -engine lrpp or pipelined"))
+		if *baseline {
+			fatal(fmt.Errorf("-verify compares the lrpp engine against the baseline; drop -baseline"))
 		}
 		fmt.Println("\n--- verify: rerunning with the no-cache fetch-per-batch baseline (one-server reference tier) ---")
 		srvBase := newServer(spec)
@@ -618,11 +607,10 @@ func runLocal(cfg train.Config, spec *data.Spec, netName string) {
 		if len(diff) != 0 {
 			fatal(fmt.Errorf("FAIL: embedding state differs at %d ids (first %v)", len(diff), diff[0]))
 		}
-		fmt.Printf("\nPASS: %s over %d server(s) and baseline embedding state bit-identical across %d materialized rows\n",
-			*engineFl, finalS, len(merged.MaterializedIDs()))
+		fmt.Printf("\nPASS: lrpp over %d server(s) and baseline embedding state bit-identical across %d materialized rows\n",
+			finalS, len(merged.MaterializedIDs()))
 		if res.Elapsed < baseRes.Elapsed {
-			fmt.Printf("%s speedup over baseline: %.2fx\n",
-				*engineFl, baseRes.Elapsed.Seconds()/res.Elapsed.Seconds())
+			fmt.Printf("lrpp speedup over baseline: %.2fx\n", baseRes.Elapsed.Seconds()/res.Elapsed.Seconds())
 		}
 		if *reshardTo > 0 {
 			fmt.Printf("\nPASS: tier resharded %d -> %d: migrated tier certified bit-identical to the no-cache baseline across %d materialized rows\n",
@@ -779,8 +767,8 @@ func runServer(spec *data.Spec) {
 // with its peers and reaches the embedding tier through one TCPLink per
 // server, sharded by a ShardedStore when the tier is multi-server.
 func runWorker(cfg train.Config) {
-	if *engineFl != "lrpp" {
-		fatal(fmt.Errorf("-rank runs the lrpp engine; -engine %s has no multi-trainer-process form (drop -rank, or use the tcp driver which runs it against a remote tier)", *engineFl))
+	if *baseline {
+		fatal(fmt.Errorf("-rank runs the lrpp engine; -baseline has no multi-trainer-process form (drop -rank, or use the tcp driver which runs it against a remote tier)"))
 	}
 	if *peersFl == "" {
 		fatal(fmt.Errorf("-rank requires -peers"))
@@ -1049,7 +1037,7 @@ func runTCPDriver(cfg train.Config, spec *data.Spec) {
 		reshardDone  chan struct{}
 		reshardLinks []*transport.TCPLink
 	)
-	if *engineFl == "lrpp" {
+	if !*baseline {
 		fmt.Printf("spawned %d embedding server(s) at %s; spawning %d trainer processes\n\n",
 			*servers, strings.Join(srvAddrs[:*servers], ","), *trainers)
 		for p := 0; p < *trainers; p++ {
@@ -1220,21 +1208,13 @@ func runTCPDriver(cfg train.Config, spec *data.Spec) {
 			die(fmt.Errorf("trainer process failed"))
 		}
 	} else {
-		// baseline/pipelined are single-trainer-process engines: run the
-		// engine here, against the remote embedding tier.
+		// The baseline is a single-trainer-process engine: run it here,
+		// against the remote embedding tier.
 		tr, links, err := dialStores(srvAddrs, 30*time.Second, nil, nil, 0)
 		if err != nil {
 			die(err)
 		}
-		var res *train.Result
-		switch *engineFl {
-		case "baseline":
-			res, err = train.RunBaseline(cfg, tr)
-		case "pipelined":
-			res, err = train.RunPipelined(cfg, tr)
-		default:
-			err = fmt.Errorf("unknown engine %q", *engineFl)
-		}
+		res, err := train.RunBaseline(cfg, tr)
 		if err != nil {
 			die(err)
 		}
@@ -1336,8 +1316,8 @@ func runTCPDriver(cfg train.Config, spec *data.Spec) {
 		}
 	}
 	if *verify {
-		if *engineFl == "baseline" {
-			die(fmt.Errorf("-verify compares against the baseline; pick -engine lrpp or pipelined"))
+		if *baseline {
+			die(fmt.Errorf("-verify compares the lrpp engine against the baseline; drop -baseline"))
 		}
 		fmt.Println("\n--- verify: fetching remote tier checkpoints, rerunning the no-cache baseline locally ---")
 		// The restore's dead-set must match the membership the checkpoint was
@@ -1397,11 +1377,11 @@ func runTCPDriver(cfg train.Config, spec *data.Spec) {
 				*killServer, *replicate)
 		}
 		if *killServer >= 0 {
-			fmt.Printf("\nPASS: distributed %s over loopback TCP survived killing embedding server %d: surviving tier bit-identical to the baseline across %d materialized rows\n",
-				*engineFl, *killServer, len(remote.MaterializedIDs()))
+			fmt.Printf("\nPASS: distributed lrpp over loopback TCP survived killing embedding server %d: surviving tier bit-identical to the baseline across %d materialized rows\n",
+				*killServer, len(remote.MaterializedIDs()))
 		} else {
-			fmt.Printf("\nPASS: distributed %s over loopback TCP left the %d-server embedding tier bit-identical to the baseline across %d materialized rows\n",
-				*engineFl, finalS, len(remote.MaterializedIDs()))
+			fmt.Printf("\nPASS: distributed lrpp over loopback TCP left the %d-server embedding tier bit-identical to the baseline across %d materialized rows\n",
+				finalS, len(remote.MaterializedIDs()))
 		}
 		if *reshardTo > 0 {
 			fmt.Printf("\nPASS: tier resharded %d -> %d: migrated tier certified bit-identical to the no-cache baseline across %d materialized rows\n",
@@ -1559,8 +1539,12 @@ func (lw *lineWatch) Write(b []byte) (int, error) {
 func banner(spec *data.Spec, netName string) {
 	fmt.Printf("dataset %s  (%d categorical / %d numeric, %d rows, dim %d)\n",
 		spec.Name, spec.NumCategorical, spec.NumNumeric, spec.TotalRows(), spec.EmbDim)
+	engine := "lrpp"
+	if *baseline {
+		engine = "baseline"
+	}
 	fmt.Printf("engine %s  model %s  opt %s  lr %g  batch %d x %d iters  lookahead %d  trainers %d  partitioner %s  servers %d x %d shards  replicate %d  net %s\n",
-		*engineFl, *modelFl, *optFl, *lr, *batchSz, *batches, *lookahd, *trainers, *partFl, *servers, *shards, *replicate, netName)
+		engine, *modelFl, *optFl, *lr, *batchSz, *batches, *lookahd, *trainers, *partFl, *servers, *shards, *replicate, netName)
 	if *serveInfer {
 		qps := "unpaced"
 		if *inferQPS > 0 {

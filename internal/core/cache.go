@@ -20,13 +20,16 @@ type Eviction struct {
 	Row []float32
 }
 
-// Cache is the trainer-side embedding cache. Insertion and eviction are
-// driven entirely by Oracle Cacher decisions — there is no reactive policy —
-// which is what makes it a Belady-style perfect cache. The oracle
-// guarantees the training path and the maintenance path touch disjoint IDs
-// in any window, so no per-entry locking is needed (§4 of the paper,
-// "Overlapping cache management with training"); Cache is therefore *not*
-// internally synchronized.
+// Cache is the reference oracle-driven TTL cache: insertion and eviction
+// are driven entirely by Oracle Cacher decisions — there is no reactive
+// policy — which is what makes it a Belady-style perfect cache. No engine
+// uses it (the LRPP trainers keep their partitions as slot records, in
+// package train); it is the cache the benchmark harness's per-operation
+// replay and the oracle tests drive. The oracle guarantees the training
+// path and the maintenance path touch disjoint IDs in any window, so no
+// per-entry locking is needed (§4 of the paper, "Overlapping cache
+// management with training"); Cache is therefore *not* internally
+// synchronized.
 type Cache struct {
 	Dim int
 

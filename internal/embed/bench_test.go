@@ -18,7 +18,7 @@ func benchIDs(n int) []uint64 {
 
 // BenchmarkServerFetch compares the shard-grouped parallel fetch against the
 // seed's row-at-a-time loop at prefetch-sized requests on a multi-shard
-// server (the configuration the pipelined trainer drives).
+// server (the configuration the LRPP trainers' prefetch drives).
 func BenchmarkServerFetch(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		for _, n := range []int{256, 4096} {

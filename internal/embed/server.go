@@ -581,8 +581,8 @@ func RestoreTierReplicated(r io.Reader, numServers, numShards, replicate int, de
 // untouched rows are deterministic functions of (seed, id) and therefore
 // already known equal when seeds match. Shard counts may differ (state is
 // sharding-independent). Used by the differential tests and cmd/bagpipe's
-// -verify mode to certify that the pipelined trainer and the baseline
-// trainer left the embedding tier in identical states.
+// -verify mode to certify that the LRPP trainers and the baseline trainer
+// left the embedding tier in identical states.
 func Diff(a, b *Server) []uint64 {
 	if a.Dim != b.Dim {
 		panic(fmt.Sprintf("embed: Diff dim mismatch %d vs %d", a.Dim, b.Dim))

@@ -160,16 +160,15 @@ func confSpec() *data.Spec {
 
 func confTrainCfg(spec *data.Spec, P int) train.Config {
 	return train.Config{
-		Spec:            spec,
-		Seed:            42,
-		Model:           "wd",
-		Optimizer:       "sgd",
-		LR:              0.05,
-		BatchSize:       16,
-		NumBatches:      24,
-		LookAhead:       4,
-		NumTrainers:     P,
-		PrefetchWorkers: 2,
+		Spec:        spec,
+		Seed:        42,
+		Model:       "wd",
+		Optimizer:   "sgd",
+		LR:          0.05,
+		BatchSize:   16,
+		NumBatches:  24,
+		LookAhead:   4,
+		NumTrainers: P,
 	}
 }
 

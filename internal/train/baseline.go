@@ -11,9 +11,9 @@ import (
 // of the paper starts from: no cache, no lookahead, no overlap. Each
 // iteration synchronously fetches the batch's unique embedding rows from
 // the servers, runs the data-parallel ranks, applies the sparse updates,
-// and writes every row straight back. It is the reference the pipelined
-// engine is differentially tested against: over the same Config the two
-// must leave the embedding tier in bit-identical state — whatever the tier
+// and writes every row straight back. It is the reference the LRPP engine
+// is differentially tested against: over the same Config the two must
+// leave the embedding tier in bit-identical state — whatever the tier
 // width: tr is the Store abstraction, so the same loop runs against one
 // server or an S-way ShardedStore unchanged.
 func RunBaseline(cfg Config, tr transport.Store) (*Result, error) {
@@ -47,8 +47,8 @@ func RunBaseline(cfg Config, tr transport.Store) (*Result, error) {
 		assign := part.Assign(b, cfg.NumTrainers)
 		loss, grads := rk.step(b, assign, rows)
 
-		// Apply sparse updates in sorted-ID order (the same order the
-		// pipelined engine uses) and write everything straight back.
+		// Apply sparse updates in sorted-ID order and write everything
+		// straight back.
 		for i, id := range ids {
 			rowOpt.UpdateRow(id, fetched[i], grads[id])
 		}

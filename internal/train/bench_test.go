@@ -29,25 +29,24 @@ func benchSpec() *data.Spec {
 
 func benchConfig(trainers int) Config {
 	return Config{
-		Spec:            benchSpec(),
-		Seed:            42,
-		Model:           "wd",
-		Optimizer:       "sgd",
-		LR:              0.05,
-		BatchSize:       128,
-		NumBatches:      16,
-		LookAhead:       8,
-		NumTrainers:     trainers,
-		PrefetchWorkers: 2,
+		Spec:        benchSpec(),
+		Seed:        42,
+		Model:       "wd",
+		Optimizer:   "sgd",
+		LR:          0.05,
+		BatchSize:   128,
+		NumBatches:  16,
+		LookAhead:   8,
+		NumTrainers: trainers,
 	}
 }
 
 // The reference fabric: 5ms per server call plus 256 KB/s of per-link
 // serialization bandwidth — a congested disaggregated deployment where
 // embedding traffic, not compute, is the bottleneck (the regime Bagpipe's
-// cache-maintenance offloading targets). The single-cache pipelined engine
-// pushes all write-backs through one maintenance stream on one link; the
-// LRPP engine splits the same traffic across one link per trainer.
+// cache-maintenance offloading targets). The baseline pushes every fetch
+// and write-back through one link; the LRPP engine caches and splits the
+// remaining traffic across one link per trainer.
 const (
 	benchLatency   = 5 * time.Millisecond
 	benchBandwidth = 256e3
@@ -62,24 +61,16 @@ func reportRun(b *testing.B, res *Result, err error) {
 	b.ReportMetric(float64(res.Elapsed.Milliseconds()), "ms/run")
 }
 
-// BenchmarkEnginesSimnet5ms compares the three engines over the identical
+// BenchmarkEnginesSimnet5ms compares the two engines over the identical
 // workload and simulated 5ms link; the LRPP rows are the multi-trainer
-// partitioned caches this PR adds (one simnet transport per trainer — its
-// own NIC in the disaggregated deployment — plus a simulated trainer mesh).
+// partitioned caches (one simnet transport per trainer — its own NIC in
+// the disaggregated deployment — plus a simulated trainer mesh).
 func BenchmarkEnginesSimnet5ms(b *testing.B) {
 	b.Run("baseline", func(b *testing.B) {
 		cfg := benchConfig(4)
 		for i := 0; i < b.N; i++ {
 			srv := embed.NewServer(4, cfg.Spec.EmbDim, 7, 0.05)
 			res, err := RunBaseline(cfg, transport.NewSimNet(srv, benchLatency, benchBandwidth))
-			reportRun(b, res, err)
-		}
-	})
-	b.Run("pipelined-shared-cache", func(b *testing.B) {
-		cfg := benchConfig(4)
-		for i := 0; i < b.N; i++ {
-			srv := embed.NewServer(4, cfg.Spec.EmbDim, 7, 0.05)
-			res, err := RunPipelined(cfg, transport.NewSimNet(srv, benchLatency, benchBandwidth))
 			reportRun(b, res, err)
 		}
 	})

@@ -151,10 +151,9 @@ type slotRec struct {
 	dirty bool
 	// merges are the row's pending per-iteration merges. Registration
 	// appends them in iteration order and they apply strictly in that
-	// order, so the row replays the exact update sequence the
-	// single-process engines produce. Entries past len keep their parts
-	// tables for the next registration, and the array stays with the slot
-	// when it is recycled.
+	// order, so the row replays the exact update sequence the baseline
+	// produces. Entries past len keep their parts tables for the next
+	// registration, and the array stays with the slot when it is recycled.
 	merges []iterMerge
 }
 
@@ -291,6 +290,12 @@ type flushItem struct {
 	iter   int
 	urgent map[int]map[uint64][]float32 // owner → id → partial; needed next iter
 	lazy   map[int]map[uint64][]float32 // deferrable off the critical path
+}
+
+// maintJob is one iteration's dirty evictions bound for write-back.
+type maintJob struct {
+	iter      int
+	evictions []core.Eviction
 }
 
 // lrppWork is one iteration moving through a trainer's private pipeline:

@@ -49,8 +49,8 @@ func newTier(spec *data.Spec, S, shards int) []*embed.Server {
 }
 
 // TestLRPPMatchesBaselineAcrossTrainersAndPartitioners is the PR's central
-// differential property: for every trainer count and both partitioners,
-// the multi-trainer LRPP engine with delayed sync leaves the embedding
+// differential property: for every trainer count and partitioner, the
+// multi-trainer LRPP engine with delayed sync leaves the embedding
 // servers bit-identical to the no-cache fetch-per-batch baseline, and
 // reports bit-identical losses. Under -race this exercises every engine
 // goroutine: per-trainer prefetch, replica pushes, the delayed-sync
@@ -60,12 +60,15 @@ func newTier(spec *data.Spec, S, shards int) []*embed.Server {
 // is too tight.
 func TestLRPPMatchesBaselineAcrossTrainersAndPartitioners(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
-		for _, partName := range []string{"hash", "comm-aware"} {
+		for _, partName := range []string{"hash", "roundrobin", "comm-aware"} {
 			t.Run(fmt.Sprintf("P%d_%s", p, partName), func(t *testing.T) {
 				cfg := tinyConfig()
 				cfg.NumTrainers = p
 				cfg.NumBatches = 20 * cfg.LookAhead
-				if partName == "comm-aware" {
+				switch partName {
+				case "roundrobin":
+					cfg.Partitioner = core.RoundRobin{}
+				case "comm-aware":
 					cfg.Partitioner = &core.CommAware{Own: core.Ownership{}}
 				}
 

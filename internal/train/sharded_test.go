@@ -71,10 +71,9 @@ func TestLRPPShardedTierMatchesBaseline(t *testing.T) {
 	}
 }
 
-// TestEnginesShardedTierAcrossFabrics runs the single-trainer-process
-// engines (baseline, pipelined) against a 2-server tier over the inproc
-// and sim fabrics — the carrier-not-semantic-layer property at the engine
-// level.
+// TestEnginesShardedTierAcrossFabrics runs both engines (the baseline, and
+// LRPP at two trainers) against a 2-server tier over the inproc and sim
+// fabrics — the carrier-not-semantic-layer property at the engine level.
 func TestEnginesShardedTierAcrossFabrics(t *testing.T) {
 	const S = 2
 	cfg := tinyConfig()
@@ -96,16 +95,16 @@ func TestEnginesShardedTierAcrossFabrics(t *testing.T) {
 		}
 		return transport.NewShardedStore(children)
 	}
-	for _, engine := range []string{"baseline", "pipelined"} {
+	for _, engine := range []string{"baseline", "lrpp"} {
 		for _, fabric := range []string{"inproc", "sim"} {
 			t.Run(engine+"_"+fabric, func(t *testing.T) {
 				tier := newTier(cfg.Spec, S, 3)
-				store := shardedStore(tier, fabric == "sim")
+				sim := fabric == "sim"
 				var err error
 				if engine == "baseline" {
-					_, err = RunBaseline(cfg, store)
+					_, err = RunBaseline(cfg, shardedStore(tier, sim))
 				} else {
-					_, err = RunPipelined(cfg, store)
+					_, err = RunLRPP(cfg, []transport.Store{shardedStore(tier, sim), shardedStore(tier, sim)}, nil)
 				}
 				if err != nil {
 					t.Fatal(err)

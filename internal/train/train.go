@@ -1,33 +1,32 @@
 // Package train is Bagpipe's execution engine: it wires the Oracle Cacher,
-// the trainer-side caches, the sharded embedding servers (behind a
-// transport), the recommendation models, and the collective layer into
-// concurrent training pipelines, plus a baseline fetch-per-batch trainer
-// every engine is differentially tested against. Four drivers share one
+// the partitioned trainer-side caches, the sharded embedding servers
+// (behind a transport), the recommendation models, and the collective layer
+// into one concurrent training pipeline, plus a baseline fetch-per-batch
+// trainer it is differentially tested against. Three drivers share one
 // deterministic compute core:
 //
 //   - RunBaseline — no cache, no lookahead, no overlap (§2.3 of the
 //     paper); the differential ground truth.
-//   - RunPipelined — one shared cache, staged oracle → prefetch pool →
-//     trainer ranks → maintenance pipeline (§4).
 //   - RunLRPP — P trainers with partitioned LRPP caches, replica pushes
 //     and delayed gradient sync over a trainer mesh (§3.3), all in one
-//     process.
+//     process. At P = 1 it is the single-cache pipeline of §4: oracle,
+//     prefetch, TTL cache, background write-back.
 //   - RunLRPPWorker — exactly one LRPP trainer per process: plans,
 //     collectives, replicas, and sync flushes all cross a transport.Mesh
 //     (TCP in production, in-process/simulated in tests); rank 0 hosts the
 //     oracle (worker.go).
 //
 // The oracle walks the batch stream ℒ iterations ahead of training and its
-// decisions drive everything: what the prefetch workers fetch, how long the
-// cache keeps each row (TTL), and what maintenance writes back after
-// eviction. A token scheme bounds each pipeline so a prefetch for
-// iteration x is issued only after the write-backs of iteration x−ℒ have
-// completed — exactly the window for which the oracle's consistency
-// argument (§3.2) guarantees the servers cannot serve a stale row. The
-// LRPP engines enforce the window per partition; ownership disjointness
+// decisions drive everything: what each trainer prefetches, how long its
+// cache partition keeps each row (TTL), and what maintenance writes back
+// after eviction. A token scheme bounds each trainer's pipeline so a
+// prefetch for iteration x is issued only after the write-backs of
+// iteration x−ℒ have completed — exactly the window for which the oracle's
+// consistency argument (§3.2) guarantees the servers cannot serve a stale
+// row. The window is enforced per partition; ownership disjointness
 // composes the per-trainer windows into the global guarantee.
 //
-// Every engine drives the same deterministic rank machinery: data-parallel
+// Both engines drive the same deterministic rank machinery: data-parallel
 // model replicas whose dense gradients and loss are combined in one fused
 // collective round per iteration, folded in rank order from zero
 // (collective.Group in-process; meshColl across processes — meshcoll.go),
@@ -70,12 +69,11 @@ type Config struct {
 	BatchSize  int
 	NumBatches int
 
-	// LookAhead is ℒ, the oracle window in batches (pipelined engine only).
+	// LookAhead is ℒ, the oracle window in batches (LRPP engines; the
+	// baseline has no lookahead).
 	LookAhead int
 	// NumTrainers is the data-parallel rank count.
 	NumTrainers int
-	// PrefetchWorkers sizes the prefetch pool; 0 means 2.
-	PrefetchWorkers int
 	// Partitioner assigns examples to ranks; nil means core.Contiguous.
 	Partitioner core.Partitioner
 
@@ -121,13 +119,6 @@ func (c *Config) partitioner() core.Partitioner {
 		return c.Partitioner
 	}
 	return core.Contiguous{}
-}
-
-func (c *Config) prefetchWorkers() int {
-	if c.PrefetchWorkers > 0 {
-		return c.PrefetchWorkers
-	}
-	return 2
 }
 
 // newOptimizers builds the dense optimizer for one rank and the shared
@@ -288,8 +279,8 @@ func (r *Result) Throughput() float64 {
 	return float64(r.Examples) / r.Elapsed.Seconds()
 }
 
-// ranks is the deterministic data-parallel compute core shared by both
-// engines: NumTrainers model replicas, each stepped by its own dense
+// ranks is the baseline's deterministic data-parallel compute core:
+// NumTrainers model replicas, each stepped by its own dense
 // optimizer, synchronized with a rank-ordered all-reduce so every replica
 // stays bit-identical regardless of goroutine scheduling.
 type ranks struct {
@@ -378,8 +369,8 @@ func (r *ranks) run(rank int) {
 }
 
 // localSlice is one rank's partition of a batch, extracted in batch order.
-// It is the unit of compute shared by the shared-cache ranks and the LRPP
-// trainer processes, so both engines run bit-identical math. Each rank owns
+// It is the unit of compute shared by the baseline's ranks and the LRPP
+// trainers, so both engines run bit-identical math. Each rank owns
 // one and refills it every iteration; the buffers are reused.
 type localSlice struct {
 	mine    []int // example indices (batch order) this rank computes
@@ -551,14 +542,4 @@ func (r *ranks) close() {
 		close(r.in[i])
 	}
 	r.wg.Wait()
-}
-
-// sortedIDs returns the keys of m in ascending order.
-func sortedIDs(m map[uint64][]float32) []uint64 {
-	ids := make([]uint64, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

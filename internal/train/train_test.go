@@ -1,6 +1,7 @@
 package train
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -26,16 +27,15 @@ func tinySpec() *data.Spec {
 
 func tinyConfig() Config {
 	return Config{
-		Spec:            tinySpec(),
-		Seed:            42,
-		Model:           "wd",
-		Optimizer:       "sgd",
-		LR:              0.05,
-		BatchSize:       16,
-		NumBatches:      40, // two full passes over tinySpec's 320 examples
-		LookAhead:       5,
-		NumTrainers:     2,
-		PrefetchWorkers: 2,
+		Spec:        tinySpec(),
+		Seed:        42,
+		Model:       "wd",
+		Optimizer:   "sgd",
+		LR:          0.05,
+		BatchSize:   16,
+		NumBatches:  40, // two full passes over tinySpec's 320 examples
+		LookAhead:   5,
+		NumTrainers: 2,
 	}
 }
 
@@ -43,115 +43,96 @@ func newServer(spec *data.Spec, shards int) *embed.Server {
 	return embed.NewServer(shards, spec.EmbDim, 7, 0.05)
 }
 
-// TestPipelinedMatchesBaselineMultiEpoch is the end-to-end consistency
-// property: the pipelined cached engine and the no-cache fetch-per-batch
-// baseline must leave the embedding servers in bit-identical state (and
-// report bit-identical losses) over a run covering the dataset twice.
-// Run under -race this also exercises every concurrent stage.
-func TestPipelinedMatchesBaselineMultiEpoch(t *testing.T) {
-	for _, opt := range []string{"sgd", "adagrad", "adam"} {
-		cfg := tinyConfig()
-		cfg.Optimizer = opt
-		if opt != "sgd" {
-			cfg.NumBatches = 20 // keep the stateful-optimizer runs cheap
+// TestLRPPMatchesBaselineEveryOptimizer is the end-to-end consistency
+// property for every row optimizer, stateful ones included: the LRPP engine
+// and the no-cache fetch-per-batch baseline must leave the embedding servers
+// in bit-identical state (and report bit-identical losses) over a run
+// covering the dataset twice, at one trainer and at two, and once more
+// through the worker entry point over an in-process mesh. Run under -race
+// this also exercises every concurrent stage.
+func TestLRPPMatchesBaselineEveryOptimizer(t *testing.T) {
+	type leg struct {
+		opt    string
+		p      int
+		worker bool
+	}
+	var legs []leg
+	for _, opt := range []string{"sgd", "momentum", "adagrad", "adam"} {
+		for _, p := range []int{1, 2} {
+			legs = append(legs, leg{opt: opt, p: p})
 		}
+	}
+	legs = append(legs, leg{opt: "adam", p: 2, worker: true})
 
-		srvBase := newServer(cfg.Spec, 3)
-		base, err := RunBaseline(cfg, transport.NewInProcess(srvBase))
-		if err != nil {
-			t.Fatalf("%s baseline: %v", opt, err)
+	for _, l := range legs {
+		name := fmt.Sprintf("%s_P%d", l.opt, l.p)
+		if l.worker {
+			name += "_worker"
 		}
-		srvPipe := newServer(cfg.Spec, 3)
-		pipe, err := RunPipelined(cfg, transport.NewInProcess(srvPipe))
-		if err != nil {
-			t.Fatalf("%s pipelined: %v", opt, err)
-		}
+		t.Run(name, func(t *testing.T) {
+			cfg := tinyConfig()
+			cfg.Optimizer = l.opt
+			cfg.NumTrainers = l.p
+			if l.opt != "sgd" {
+				cfg.NumBatches = 20 // keep the stateful-optimizer runs cheap
+			}
 
-		if d := embed.Diff(srvBase, srvPipe); len(d) != 0 {
-			t.Fatalf("%s: embedding state diverged at %d ids (first: %v)", opt, len(d), d[0])
-		}
-		if base.FirstLoss != pipe.FirstLoss || base.LastLoss != pipe.LastLoss {
-			t.Fatalf("%s: losses diverged: baseline %v/%v pipelined %v/%v",
-				opt, base.FirstLoss, base.LastLoss, pipe.FirstLoss, pipe.LastLoss)
-		}
-		if pipe.LastLoss >= pipe.FirstLoss {
-			t.Fatalf("%s: model did not learn: first %v last %v", opt, pipe.FirstLoss, pipe.LastLoss)
-		}
-		if pipe.CachedHits == 0 {
-			t.Fatalf("%s: cache never hit — the oracle is not doing its job", opt)
-		}
-		if pipe.Prefetched >= base.Prefetched {
-			t.Fatalf("%s: pipelined fetched %d rows, baseline %d — caching saved nothing",
-				opt, pipe.Prefetched, base.Prefetched)
-		}
+			srvBase := newServer(cfg.Spec, 3)
+			base, err := RunBaseline(cfg, transport.NewInProcess(srvBase))
+			if err != nil {
+				t.Fatalf("baseline: %v", err)
+			}
+			srv := newServer(cfg.Spec, 3)
+			var res *Result
+			if l.worker {
+				res = runWorkers(t, cfg, newStores(srv, l.p), transport.NewInprocMesh(l.p))[0]
+			} else if res, err = RunLRPP(cfg, newStores(srv, l.p), nil); err != nil {
+				t.Fatalf("lrpp: %v", err)
+			}
+
+			if d := embed.Diff(srvBase, srv); len(d) != 0 {
+				t.Fatalf("embedding state diverged at %d ids (first: %v)", len(d), d[0])
+			}
+			if base.FirstLoss != res.FirstLoss || base.LastLoss != res.LastLoss {
+				t.Fatalf("losses diverged: baseline %v/%v lrpp %v/%v",
+					base.FirstLoss, base.LastLoss, res.FirstLoss, res.LastLoss)
+			}
+			if res.LastLoss >= res.FirstLoss {
+				t.Fatalf("model did not learn: first %v last %v", res.FirstLoss, res.LastLoss)
+			}
+			if res.CachedHits == 0 {
+				t.Fatal("cache never hit — the oracle is not doing its job")
+			}
+			if res.Prefetched >= base.Prefetched {
+				t.Fatalf("lrpp fetched %d rows, baseline %d — caching saved nothing", res.Prefetched, base.Prefetched)
+			}
+		})
 	}
 }
 
-// TestLookaheadInvariance: the lookahead depth changes the schedule, not
-// the math — any ℒ must land in the same final embedding state.
-func TestLookaheadInvariance(t *testing.T) {
-	var ref *embed.Server
-	for _, L := range []int{1, 3, 16} {
-		cfg := tinyConfig()
-		cfg.NumBatches = 20
-		cfg.LookAhead = L
-		srv := newServer(cfg.Spec, 2)
-		if _, err := RunPipelined(cfg, transport.NewInProcess(srv)); err != nil {
-			t.Fatalf("L=%d: %v", L, err)
-		}
-		if ref == nil {
-			ref = srv
-			continue
-		}
-		if d := embed.Diff(ref, srv); len(d) != 0 {
-			t.Fatalf("L=%d: state differs from L=1 at ids %v", L, d)
-		}
-	}
-}
-
-// TestPartitionerInvariance: round-robin partitioning re-routes examples
-// across ranks; with rank-ordered reduction the result must not change.
-func TestRoundRobinPartitioner(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.NumBatches = 12
-	cfg.Partitioner = core.RoundRobin{}
-	srvBase := newServer(cfg.Spec, 2)
-	if _, err := RunBaseline(cfg, transport.NewInProcess(srvBase)); err != nil {
-		t.Fatal(err)
-	}
-	srvPipe := newServer(cfg.Spec, 2)
-	if _, err := RunPipelined(cfg, transport.NewInProcess(srvPipe)); err != nil {
-		t.Fatal(err)
-	}
-	if d := embed.Diff(srvBase, srvPipe); len(d) != 0 {
-		t.Fatalf("round-robin: states diverged at %v", d)
-	}
-}
-
-// TestPipelineOverlapsStages runs the pipelined engine over a simulated
-// network slow enough that, if the stages actually run on separate
-// goroutines, prefetch and write-back must be observed in flight while the
-// trainer computes — and the final state must still match a baseline run
-// on a plain in-process transport (the link is a timing model only).
+// TestPipelineOverlapsStages runs one LRPP trainer over a simulated network
+// slow enough that, if the stages actually run on separate goroutines,
+// prefetch and write-back must be observed in flight while the trainer
+// computes — and the final state must still match a baseline run on a
+// plain in-process transport (the link is a timing model only).
 func TestPipelineOverlapsStages(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.NumBatches = 30
 	cfg.NumTrainers = 1
 	cfg.LookAhead = 6
-	cfg.PrefetchWorkers = 3
 
-	srvPipe := newServer(cfg.Spec, 2)
-	pipe, err := RunPipelined(cfg, transport.NewSimNet(srvPipe, 3*time.Millisecond, 0))
+	srv := newServer(cfg.Spec, 2)
+	res, err := RunLRPP(cfg, []transport.Store{transport.NewSimNet(srv, 3*time.Millisecond, 0)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pipe.OverlapPrefetchTrain == 0 {
+	if res.OverlapPrefetchTrain == 0 {
 		t.Fatal("prefetch was never observed overlapping training")
 	}
-	if pipe.OverlapMaintTrain == 0 {
+	if res.OverlapMaintTrain == 0 {
 		t.Fatal("write-back was never observed overlapping training")
 	}
-	if pipe.Transport.SimulatedDelay == 0 {
+	if res.Transport.SimulatedDelay == 0 {
 		t.Fatal("simnet transport recorded no delay")
 	}
 
@@ -159,19 +140,20 @@ func TestPipelineOverlapsStages(t *testing.T) {
 	if _, err := RunBaseline(cfg, transport.NewInProcess(srvBase)); err != nil {
 		t.Fatal(err)
 	}
-	if d := embed.Diff(srvBase, srvPipe); len(d) != 0 {
+	if d := embed.Diff(srvBase, srv); len(d) != 0 {
 		t.Fatalf("simnet run diverged from baseline at %v", d)
 	}
 }
 
-// TestPipelineAccounting checks the conservation laws of the cache:
-// every unique id is either a hit or a prefetch, and every prefetched row
-// is eventually evicted and written back exactly once.
+// TestPipelineAccounting checks the conservation laws of the partitioned
+// cache: every unique id is either a hit or a prefetch, the trainers'
+// stores fetched exactly the prefetched rows, and every prefetched row is
+// evicted and written back exactly once — through coalesced write-backs
+// that carry several iterations per store write.
 func TestPipelineAccounting(t *testing.T) {
 	cfg := tinyConfig()
 	srv := newServer(cfg.Spec, 2)
-	tr := transport.NewInProcess(srv)
-	res, err := RunPipelined(cfg, tr)
+	res, err := RunLRPP(cfg, newStores(srv, cfg.NumTrainers), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +186,6 @@ func TestConfigValidation(t *testing.T) {
 	tr := transport.NewInProcess(srv)
 
 	bad := good
-	bad.LookAhead = 0
-	if _, err := RunPipelined(bad, tr); err == nil {
-		t.Fatal("lookahead 0 accepted")
-	}
-	bad = good
 	bad.Spec = nil
 	if _, err := RunBaseline(bad, tr); err == nil {
 		t.Fatal("nil spec accepted")
@@ -225,13 +202,13 @@ func TestConfigValidation(t *testing.T) {
 	}
 	bad = good
 	bad.NumTrainers = 0
-	if _, err := RunPipelined(bad, tr); err == nil {
+	if _, err := RunLRPP(bad, nil, nil); err == nil {
 		t.Fatal("zero trainers accepted")
 	}
 	// One trainer set is one core.Ranks word, for every engine.
 	bad.NumTrainers = core.MaxTrainers + 1
-	if _, err := RunPipelined(bad, tr); err == nil {
-		t.Fatal("65 trainers accepted by the pipelined engine")
+	if _, err := RunLRPP(bad, newStores(srv, bad.NumTrainers), nil); err == nil {
+		t.Fatal("65 trainers accepted by the lrpp engine")
 	}
 	if _, err := RunBaseline(bad, tr); err == nil {
 		t.Fatal("65 trainers accepted by the baseline")

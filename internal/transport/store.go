@@ -12,17 +12,30 @@ import (
 	"bagpipe/internal/core"
 )
 
-// Store is the trainer's client API to the embedding tier. It extends the
-// point-to-point Transport data path (Fetch/Write/Dim/Stats/Name) with the
-// tier operations every engine and the verification drivers need — state
-// fingerprinting, checkpointing, and remote shutdown — so callers program
-// against *the tier*, never against an individual server. The single-server
-// transports (InProcess, SimNet, TCPLink) are degenerate one-server tiers;
-// ShardedStore composes S of them into a real one. Engines take a Store and
-// cannot tell the difference: sharding is a property of the tier client,
-// not of the training logic.
+// Store is the trainer's client API to the embedding tier: the data path
+// (Fetch/Write/Dim/Stats/Name) plus the tier operations every engine and
+// the verification drivers need — state fingerprinting, checkpointing, and
+// remote shutdown — so callers program against *the tier*, never against
+// an individual server. The single-server transports (InProcess, SimNet,
+// TCPLink) are degenerate one-server tiers; ShardedStore composes S of
+// them into a real one. Engines take a Store and cannot tell the
+// difference: sharding is a property of the tier client, not of the
+// training logic.
 type Store interface {
-	Transport
+	// Fetch returns rows for ids, in order. The caller owns the returned
+	// header and every row; implementations draw both from the pooled
+	// allocator (pool.go), so a caller that is done with them may release
+	// them via PutRowSlice / Rows(dim).Put — returning is optional, never
+	// required, but a released buffer must have no other live reference.
+	Fetch(ids []uint64) [][]float32
+	// Write writes rows back to the servers.
+	Write(ids []uint64, rows [][]float32)
+	// Dim returns the embedding row width served.
+	Dim() int
+	// Stats returns a snapshot of the traffic counters.
+	Stats() Stats
+	// Name identifies the transport in experiment output.
+	Name() string
 
 	// Fingerprint returns the tier's state certificate: the wrapping sum of
 	// every backend server's embed.Server.Fingerprint (per-partition

@@ -16,7 +16,7 @@ import (
 )
 
 // This file is the trainer↔embedding-server wire: TCPLink, a pipelined RPC
-// client implementing Transport over one TCP connection, and ServeEmbed,
+// client implementing Store over one TCP connection, and ServeEmbed,
 // the accept loop that exposes an embed.Server to it. Framing and number
 // encoding come from codec.go; requests are tagged with a sequence number
 // so many calls can be in flight at once (the LRPP dispatcher overlaps up
@@ -88,7 +88,7 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return body, nil
 }
 
-// TCPLink is a Transport over one TCP connection to an embedding-server
+// TCPLink is a Store over one TCP connection to an embedding-server
 // process. Calls are pipelined: each request carries a sequence number, a
 // writer goroutine coalesces queued requests into single buffered flushes,
 // and a reader goroutine demultiplexes responses to their callers — so
@@ -96,7 +96,7 @@ func readFrame(r io.Reader) ([]byte, error) {
 // overlap on the wire exactly as they do on the in-process transport.
 //
 // TCPLink is the one Store that can genuinely fail, so it carries both
-// faces of the tier contract: the errorless Transport/Store methods panic
+// faces of the tier contract: the errorless Store methods panic
 // on a broken connection (a worker with an unreplicated tier cannot make
 // progress, so dying loudly is the correct degradation), while the
 // FallibleStore methods (TryFetch, TryWrite, …) return the link error
@@ -361,13 +361,13 @@ func decodeLinkErr(pay []byte) error {
 	}
 }
 
-// Name implements Transport.
+// Name implements Store.
 func (t *TCPLink) Name() string { return "tcp" }
 
-// Dim implements Transport (the width the server declared at handshake).
+// Dim implements Store (the width the server declared at handshake).
 func (t *TCPLink) Dim() int { return t.dim }
 
-// Fetch implements Transport. The response matrix is decoded straight into
+// Fetch implements Store. The response matrix is decoded straight into
 // pooled arena rows, so the decode allocates nothing once the pool is warm.
 func (t *TCPLink) Fetch(ids []uint64) [][]float32 {
 	rows, err := t.TryFetch(ids)
@@ -405,7 +405,7 @@ func (t *TCPLink) TryFetch(ids []uint64) ([][]float32, error) {
 	return rows, nil
 }
 
-// Write implements Transport. It returns only after the server applied the
+// Write implements Store. It returns only after the server applied the
 // rows: the LRPP consistency window needs iteration x−ℒ's write-backs
 // durably on the servers before iteration x's prefetch is issued, so the
 // ack round trip is part of the contract, not overhead. (Under replication
@@ -630,7 +630,7 @@ func (t *TCPLink) Close() {
 	t.wg.Wait()
 }
 
-// Stats implements Transport.
+// Stats implements Store.
 func (t *TCPLink) Stats() Stats {
 	return Stats{
 		Fetches:      t.fetches.Load(),

@@ -1,7 +1,7 @@
 // Package transport is the system's wire layer: the trainer↔embedding-tier
-// client (Store, extending the point-to-point Transport data path with tier
-// operations, and fanning out over S servers via ShardedStore) and the
-// trainer↔trainer fabric (Mesh), each with three interchangeable
+// client (Store, the fetch/write data path plus tier operations, fanning
+// out over S servers via ShardedStore) and the trainer↔trainer fabric
+// (Mesh), each with three interchangeable
 // implementations —
 //
 //   - in-process (InProcess, InprocMesh): direct calls, zero cost; the
@@ -73,31 +73,8 @@ func (s *Stats) Add(o Stats) {
 	s.SimulatedDelay += o.SimulatedDelay
 }
 
-// Transport is the embedding data path: fetches and write-backs between a
-// trainer and one embedding server. It is the carrier half of the tier
-// contract — engines consume the full Store interface (store.go), which
-// extends Transport with the tier operations (fingerprint, checkpoint,
-// shutdown, per-server stats) that make S-server tiers interchangeable
-// with a single server.
-type Transport interface {
-	// Fetch returns rows for ids, in order. The caller owns the returned
-	// header and every row; implementations draw both from the pooled
-	// allocator (pool.go), so a caller that is done with them may release
-	// them via PutRowSlice / Rows(dim).Put — returning is optional, never
-	// required, but a released buffer must have no other live reference.
-	Fetch(ids []uint64) [][]float32
-	// Write writes rows back to the servers.
-	Write(ids []uint64, rows [][]float32)
-	// Dim returns the embedding row width served.
-	Dim() int
-	// Stats returns a snapshot of the traffic counters.
-	Stats() Stats
-	// Name identifies the transport in experiment output.
-	Name() string
-}
-
-// FallibleStore is the error-returning face of a Store. The Transport/Store
-// methods are errorless by design — the in-process implementations cannot
+// FallibleStore is the error-returning face of a Store. The Store methods
+// are errorless by design — the in-process implementations cannot
 // fail, and a worker with no embedding tier left cannot make progress — but
 // replication needs a middle ground: a ShardedStore with replicate ≥ 2 can
 // survive losing a server, so the per-server RPC must be able to *report*
@@ -141,10 +118,10 @@ func NewInProcess(srv *embed.Server) *InProcess {
 	return &InProcess{Server: srv, arena: Rows(srv.Dim)}
 }
 
-// Name implements Transport.
+// Name implements Store.
 func (t *InProcess) Name() string { return "inproc" }
 
-// Dim implements Transport.
+// Dim implements Store.
 func (t *InProcess) Dim() int { return t.Server.Dim }
 
 // instant marks this transport as completing without blocking on I/O;
@@ -160,7 +137,7 @@ func (t *InProcess) rowArena() *RowArena {
 	return Rows(t.Server.Dim)
 }
 
-// Fetch implements Transport, serving the rows out of the shared arena.
+// Fetch implements Store, serving the rows out of the shared arena.
 // The errorless face cannot surface a routing fence; only tier clients
 // (which use TryFetch) ever install routing, so a fence here is a
 // programming error and dies loudly.
@@ -172,14 +149,14 @@ func (t *InProcess) Fetch(ids []uint64) [][]float32 {
 	return rows
 }
 
-// Write implements Transport (see Fetch for the fence contract).
+// Write implements Store (see Fetch for the fence contract).
 func (t *InProcess) Write(ids []uint64, rows [][]float32) {
 	if err := t.TryWrite(ids, rows); err != nil {
 		panic(err)
 	}
 }
 
-// Stats implements Transport.
+// Stats implements Store.
 func (t *InProcess) Stats() Stats {
 	return Stats{
 		Fetches:      t.fetches.Load(),
@@ -358,10 +335,10 @@ func NewSimNet(srv *embed.Server, latency time.Duration, bandwidth float64) *Sim
 	return &SimNet{Server: srv, Latency: latency, Bandwidth: bandwidth, arena: Rows(srv.Dim)}
 }
 
-// Name implements Transport.
+// Name implements Store.
 func (t *SimNet) Name() string { return "simnet" }
 
-// Dim implements Transport.
+// Dim implements Store.
 func (t *SimNet) Dim() int { return t.Server.Dim }
 
 // delay sleeps for the cost of moving bytes over the link and records it.
@@ -384,7 +361,7 @@ func (t *SimNet) rowArena() *RowArena {
 	return Rows(t.Server.Dim)
 }
 
-// Fetch implements Transport (see InProcess.Fetch for the fence contract).
+// Fetch implements Store (see InProcess.Fetch for the fence contract).
 func (t *SimNet) Fetch(ids []uint64) [][]float32 {
 	rows, err := t.TryFetch(ids)
 	if err != nil {
@@ -393,14 +370,14 @@ func (t *SimNet) Fetch(ids []uint64) [][]float32 {
 	return rows
 }
 
-// Write implements Transport.
+// Write implements Store.
 func (t *SimNet) Write(ids []uint64, rows [][]float32) {
 	if err := t.TryWrite(ids, rows); err != nil {
 		panic(err)
 	}
 }
 
-// Stats implements Transport.
+// Stats implements Store.
 func (t *SimNet) Stats() Stats {
 	return Stats{
 		Fetches:        t.fetches.Load(),
