@@ -45,35 +45,71 @@ func rowInit(seed, id uint64, col int, dim int, scale float32) float32 {
 
 // Table is one embedding table shard: a lazily materialized map from global
 // embedding ID to its float32 row. Safe for concurrent use.
+//
+// Rows live in a slab: fixed-size chunks of slabChunkRows rows each, found
+// through a pointer-free id → slot index, so a materialized row costs no
+// heap object of its own and the GC never scans the index. Removed slots go
+// on a free list and are reused before the slab grows.
 type Table struct {
 	Dim       int
 	Seed      uint64
 	InitScale float32
 
-	mu   sync.RWMutex
-	rows map[uint64][]float32
+	mu     sync.RWMutex
+	index  map[uint64]int32 // id → slot
+	chunks [][]float32      // slot s is chunks[s/slabChunkRows], row s%slabChunkRows
+	free   []int32          // removed slots
+	slots  int32            // slots ever handed out
 }
+
+// slabChunkRows is the row count of one slab chunk: one allocation per
+// 1024 materialized rows (64 KiB at dim 16), at most one partly used chunk
+// per table.
+const slabChunkRows = 1024
 
 // NewTable returns an empty lazily-initialized table.
 func NewTable(dim int, seed uint64, initScale float32) *Table {
 	if dim <= 0 {
 		panic(fmt.Sprintf("embed: non-positive dim %d", dim))
 	}
-	return &Table{Dim: dim, Seed: seed, InitScale: initScale, rows: make(map[uint64][]float32)}
+	return &Table{Dim: dim, Seed: seed, InitScale: initScale, index: make(map[uint64]int32)}
 }
 
-// materialize returns the live row for id, creating it deterministically if
-// it has never been touched. Caller must hold mu for writing.
-func (t *Table) materialize(id uint64) []float32 {
-	row, ok := t.rows[id]
-	if !ok {
-		row = make([]float32, t.Dim)
-		for c := range row {
-			row[c] = rowInit(t.Seed, id, c, t.Dim, t.InitScale)
-		}
-		t.rows[id] = row
+// row returns slot s's storage.
+func (t *Table) row(s int32) []float32 {
+	off := int(s%slabChunkRows) * t.Dim
+	return t.chunks[s/slabChunkRows][off : off+t.Dim : off+t.Dim]
+}
+
+// lookup returns id's row, or nil when it is not materialized. Caller must
+// hold mu.
+func (t *Table) lookup(id uint64) []float32 {
+	if s, ok := t.index[id]; ok {
+		return t.row(s)
 	}
-	return row
+	return nil
+}
+
+// materialize returns the storage of row id, giving it a slot if it has
+// never been touched. A fresh slot's contents are undefined: every caller
+// overwrites the whole row. Caller must hold mu for writing.
+func (t *Table) materialize(id uint64) []float32 {
+	if s, ok := t.index[id]; ok {
+		return t.row(s)
+	}
+	var s int32
+	if n := len(t.free); n > 0 {
+		s = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		if t.slots%slabChunkRows == 0 {
+			t.chunks = append(t.chunks, make([]float32, slabChunkRows*t.Dim))
+		}
+		s = t.slots
+		t.slots++
+	}
+	t.index[id] = s
+	return t.row(s)
 }
 
 // initInto fills dst with row id's deterministic initial value without
@@ -99,8 +135,7 @@ func (t *Table) Get(id uint64, dst []float32) {
 	// to be the row's owning trainer (which serializes its own fetches and
 	// write-backs) — copying after unlock would tear the row.
 	t.mu.RLock()
-	row, ok := t.rows[id]
-	if ok {
+	if row := t.lookup(id); row != nil {
 		copy(dst, row)
 		t.mu.RUnlock()
 		return
@@ -143,7 +178,7 @@ func (t *Table) GetMany(ids []uint64, idxs []int, dsts [][]float32) {
 			t.mu.RUnlock()
 			panic(fmt.Sprintf("embed: GetMany dst len %d != dim %d", len(dsts[i]), t.Dim))
 		}
-		if row, ok := t.rows[ids[i]]; ok {
+		if row := t.lookup(ids[i]); row != nil {
 			copy(dsts[i], row)
 		} else {
 			missing = append(missing, i)
@@ -206,15 +241,13 @@ func (t *Table) peek(id uint64, dst []float32) {
 		panic(fmt.Sprintf("embed: peek dst len %d != dim %d", len(dst), t.Dim))
 	}
 	t.mu.RLock()
-	row, ok := t.rows[id]
-	if ok {
+	row := t.lookup(id)
+	if row != nil {
 		copy(dst, row)
 	}
 	t.mu.RUnlock()
-	if !ok {
-		for c := range dst {
-			dst[c] = rowInit(t.Seed, id, c, t.Dim, t.InitScale)
-		}
+	if row == nil {
+		t.initInto(id, dst)
 	}
 }
 
@@ -224,9 +257,10 @@ func (t *Table) peek(id uint64, dst []float32) {
 // away, not a way to zero a row.
 func (t *Table) Remove(id uint64) bool {
 	t.mu.Lock()
-	_, ok := t.rows[id]
+	s, ok := t.index[id]
 	if ok {
-		delete(t.rows, id)
+		delete(t.index, id)
+		t.free = append(t.free, s)
 	}
 	t.mu.Unlock()
 	return ok
@@ -235,8 +269,8 @@ func (t *Table) Remove(id uint64) bool {
 // IDs returns the sorted ids of every materialized row.
 func (t *Table) IDs() []uint64 {
 	t.mu.RLock()
-	ids := make([]uint64, 0, len(t.rows))
-	for id := range t.rows {
+	ids := make([]uint64, 0, len(t.index))
+	for id := range t.index {
 		ids = append(ids, id)
 	}
 	t.mu.RUnlock()
@@ -248,7 +282,7 @@ func (t *Table) IDs() []uint64 {
 func (t *Table) NumMaterialized() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.rows)
+	return len(t.index)
 }
 
 // tableState is the gob wire form of a table checkpoint.
@@ -260,23 +294,38 @@ type tableState struct {
 }
 
 // Checkpoint serializes the materialized rows to w (Check-N-Run-style
-// periodic embedding-server checkpointing, §3.4).
+// periodic embedding-server checkpointing, §3.4). The gob form is the
+// id → row map it always was; the slab is an in-memory layout only.
 func (t *Table) Checkpoint(w io.Writer) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	rows := make(map[uint64][]float32, len(t.index))
+	for id, s := range t.index {
+		rows[id] = t.row(s)
+	}
 	return gob.NewEncoder(w).Encode(tableState{
-		Dim: t.Dim, Seed: t.Seed, InitScale: t.InitScale, Rows: t.rows,
+		Dim: t.Dim, Seed: t.Seed, InitScale: t.InitScale, Rows: rows,
 	})
 }
 
-// RestoreTable reads a checkpoint written by Checkpoint.
+// RestoreTable reads a checkpoint written by Checkpoint. The bytes may have
+// crossed a socket (the -verify pull), so they are checked, not trusted: a
+// non-positive width, or any row whose length is not the width, is an
+// error rather than a table that reads back a caller's stale tail.
 func RestoreTable(r io.Reader) (*Table, error) {
 	var st tableState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("embed: restore: %w", err)
 	}
-	if st.Rows == nil {
-		st.Rows = make(map[uint64][]float32)
+	if st.Dim <= 0 {
+		return nil, fmt.Errorf("embed: restore: checkpoint declares dim %d", st.Dim)
 	}
-	return &Table{Dim: st.Dim, Seed: st.Seed, InitScale: st.InitScale, rows: st.Rows}, nil
+	t := NewTable(st.Dim, st.Seed, st.InitScale)
+	for id, row := range st.Rows {
+		if len(row) != st.Dim {
+			return nil, fmt.Errorf("embed: restore: row %d has %d elements, checkpoint dim is %d", id, len(row), st.Dim)
+		}
+		copy(t.materialize(id), row)
+	}
+	return t, nil
 }

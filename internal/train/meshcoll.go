@@ -112,13 +112,18 @@ func (c *meshColl) nextSeq() uint64 {
 }
 
 // snapshotFused copies segs and loss into a frame: the caller's buffers are
-// live (reused across iterations, mutated by the fold), and in-process
-// meshes deliver payloads by reference.
+// live (reused across iterations, mutated by the fold), and Send hands the
+// frame to its one receiver. Segments come from the per-length arenas;
+// whoever consumes the frame returns them (transport.ReleasePayload), over
+// TCP the sending endpoint once it has encoded them.
 func snapshotFused(seq uint64, origin int, segs [][]float32, loss []float64) transport.FusedCollMsg {
 	m := transport.FusedCollMsg{Seq: seq, Origin: origin,
 		Segs: make([][]float32, len(segs)), Loss: append([]float64(nil), loss...)}
 	for i, s := range segs {
-		m.Segs[i] = append([]float32(nil), s...)
+		if len(s) > 0 {
+			m.Segs[i] = transport.Rows(len(s)).Get()
+			copy(m.Segs[i], s)
+		}
 	}
 	return m
 }
@@ -165,10 +170,11 @@ func (c *meshColl) FusedAllReduce(rank int, segs [][]float32, loss []float64) {
 				collective.AddF32(x, m.Segs[i])
 			}
 			collective.AddF64(loss, m.Loss)
+			transport.ReleasePayload(m)
 		}
-		out := snapshotFused(seq, 0, segs, loss)
+		// One snapshot per destination: Send transfers ownership.
 		for r := 1; r < c.n; r++ {
-			c.send(r, bytes, out)
+			c.send(r, bytes, snapshotFused(seq, 0, segs, loss))
 		}
 		return
 	}
@@ -179,6 +185,7 @@ func (c *meshColl) FusedAllReduce(rank int, segs [][]float32, loss []float64) {
 		copy(segs[i], m.Segs[i])
 	}
 	copy(loss, m.Loss)
+	transport.ReleasePayload(m)
 }
 
 // fusedCollBytes is the declared wire size of one fused collective frame:

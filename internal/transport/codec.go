@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"bagpipe/internal/core"
 	"bagpipe/internal/data"
@@ -111,7 +111,42 @@ const (
 // Unknown payload types panic: only codec-known messages may be handed to a
 // networked mesh, and catching that at the first Send beats a silent drop.
 func EncodePayload(p any) []byte {
-	return appendPayload(make([]byte, 0, 64), p)
+	return appendPayload(make([]byte, 0, payloadSize(p)), p)
+}
+
+// payloadSize is the exact length appendPayload writes for p, so a frame
+// can be taken from the pool at its final size. The declared byte counts
+// the engine charges are a model of the wire, not this: replicaMsgBytes,
+// for one, omits each row's count and the header's tag and row count.
+func payloadSize(p any) int {
+	switch m := p.(type) {
+	case ReplicaMsg:
+		n := 1 + 8 + 4
+		for _, row := range m.Rows {
+			n += 8 + 4 + 4*len(row)
+		}
+		return n
+	case SyncBatchMsg:
+		n := 1 + 4
+		for _, f := range m.Flushes {
+			n += 8 + 1 + 4 + 4
+			for _, g := range f.Partials {
+				n += 8 + 4*len(g)
+			}
+		}
+		return n
+	case PlanMsg:
+		return 1 + planSize(m.Plan)
+	case FusedCollMsg:
+		n := 1 + 8 + 4 + 4 + 4 + 8*len(m.Loss)
+		for _, seg := range m.Segs {
+			n += 4 + 4*len(seg)
+		}
+		return n
+	case RawMsg:
+		return 1 + len(m)
+	}
+	return 0 // appendPayload rejects it
 }
 
 // appendPayload is EncodePayload into a caller-supplied buffer, so framing
@@ -199,11 +234,16 @@ func DecodePayload(b []byte) (any, error) {
 	case tagPlan:
 		out = PlanMsg{Plan: r.plan()}
 	case tagFusedColl:
+		// Segments come from the per-length arenas the senders snapshot
+		// into; the collective returns them once folded or copied out.
 		m := FusedCollMsg{Seq: r.u64(), Origin: int(r.u32())}
 		n := r.count(4)
-		m.Segs = make([][]float32, 0, n)
-		for i := 0; i < n; i++ {
-			m.Segs = append(m.Segs, r.f32s())
+		m.Segs = make([][]float32, n)
+		for i := range m.Segs {
+			if k := r.count(4); k > 0 {
+				m.Segs[i] = Rows(k).Get()
+				fillRow(m.Segs[i], r.take(k, 4))
+			}
 		}
 		m.Loss = r.f64s()
 		out = m
@@ -342,6 +382,25 @@ func putPlan(b []byte, pl *core.Plan) []byte {
 		b = putF32(b, ex.Label)
 	}
 	return b
+}
+
+// planSize is the exact length putPlan writes for pl.
+func planSize(pl *core.Plan) int {
+	n := 4 + 4 +
+		4 + 8*len(pl.Owned) + 4 + 4*len(pl.OwnedTTL) + 4 + 8*len(pl.OwnedUsers) +
+		4 + 8*len(pl.Prefetch) + 4 + 8*len(pl.Expiring) +
+		4 + 8*len(pl.Remote) + 4 + 4*len(pl.RemoteOwner) + 4 + len(pl.RemoteNext) + 8
+	for _, ids := range pl.ReplicaOut {
+		n += 4 + 8*len(ids)
+	}
+	d := pl.Dec
+	n += 8 + 4 + 4*len(d.Assign) + 8 + 4 + 4
+	for i, ex := range d.Batch.Examples {
+		if d.Assign[i] == pl.Trainer {
+			n += 4 + 4 + 4*len(ex.Dense) + 4 + 8*len(ex.Cat) + 4
+		}
+	}
+	return n
 }
 
 // plan decodes putPlan's layout. Everything the engine indexes by is
@@ -488,11 +547,12 @@ func putF32(b []byte, v float32) []byte {
 	return binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
 }
 
-// grow appends n zero bytes and returns the buffer plus the write offset —
-// the bulk writers fill the region directly, skipping per-element appends.
+// grow extends b by n bytes and returns it plus the write offset — the
+// bulk writers fill the region directly, skipping per-element appends. The
+// region's old contents are left in place: every caller overwrites it.
 func grow(b []byte, n int) ([]byte, int) {
 	off := len(b)
-	return append(b, make([]byte, n)...), off
+	return slices.Grow(b, n)[:off+n], off
 }
 
 func putF32s(b []byte, xs []float32) []byte {
@@ -692,6 +752,6 @@ func sortedIDKeys[V any](m map[uint64]V) []uint64 {
 	for k := range m {
 		ks = append(ks, k)
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	slices.Sort(ks)
 	return ks
 }

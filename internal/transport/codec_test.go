@@ -70,6 +70,9 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	for _, in := range cases {
 		enc := EncodePayload(in)
+		if n := payloadSize(in); n != len(enc) {
+			t.Fatalf("%T: payloadSize %d, encoding is %d bytes", in, n, len(enc))
+		}
 		out, err := DecodePayload(enc)
 		if err != nil {
 			t.Fatalf("%T: decode: %v", in, err)
@@ -198,7 +201,8 @@ func retiredFrames() []struct {
 // seeded with one valid frame of every type EncodePayload writes and one
 // of each retired encoding: decode must never panic or over-allocate, and
 // every frame it accepts must be canonical — re-encoding the payload
-// reproduces it byte for byte.
+// reproduces it byte for byte, and payloadSize (what the TCP endpoint sizes
+// its pooled frame by) predicts its length.
 func FuzzDecodePayload(f *testing.F) {
 	for _, p := range []any{
 		ReplicaMsg{Iter: 7, Rows: map[uint64][]float32{12: {1, 2.5, -3}, 99: {0, -0.125, 42}}},
@@ -223,6 +227,9 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 		if again := EncodePayload(p); !bytes.Equal(again, frame) {
 			t.Fatalf("accepted %T frame re-encodes differently:\n in  %x\n out %x", p, frame, again)
+		}
+		if n := payloadSize(p); n != len(frame) {
+			t.Fatalf("accepted %T frame of %d bytes, payloadSize says %d", p, len(frame), n)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -274,36 +275,42 @@ func TestMeshConformanceCloseWhileSending(t *testing.T) {
 
 // TestMeshConformanceTypedPayloads: every engine wire type — including the
 // segmented fused-collective frame and the coalesced sync batch — crosses
-// every fabric intact. The in-memory
-// meshes deliver by reference and the TCP mesh through the codec; the
-// engine depends on both paths carrying equal values.
+// every fabric intact. The in-memory meshes deliver by reference and the
+// TCP mesh through the codec; the engine depends on both paths carrying
+// equal values. Send transfers ownership on every fabric (the TCP endpoint
+// recycles what it encoded), so what arrives is compared against a deep
+// copy taken before Send, never against the sent value.
 func TestMeshConformanceTypedPayloads(t *testing.T) {
-	payloads := []any{
-		ReplicaMsg{Iter: 2, Rows: map[uint64][]float32{7: {1, -2, 0.5}}},
-		SyncBatchMsg{Flushes: []SyncMsg{
-			{Iter: 5, Partials: map[uint64][]float32{3: {0.5, 2}, 6: {-3, 1}}},
-			{Iter: 4, Partials: map[uint64][]float32{8: {-1, 0.1}}},
-		}},
-		FusedCollMsg{Seq: 11, Origin: 1, Segs: [][]float32{{1, 2}, {3, 4, 5}}, Loss: []float64{0.125}},
+	payloads := func() []any {
+		return []any{
+			ReplicaMsg{Iter: 2, Rows: map[uint64][]float32{7: {1, -2, 0.5}}},
+			SyncBatchMsg{Flushes: []SyncMsg{
+				{Iter: 5, Partials: map[uint64][]float32{3: {0.5, 2}, 6: {-3, 1}}},
+				{Iter: 4, Partials: map[uint64][]float32{8: {-1, 0.1}}},
+			}},
+			FusedCollMsg{Seq: 11, Origin: 1, Segs: [][]float32{{1, 2}, {3, 4, 5}}, Loss: []float64{0.125}},
+		}
 	}
 	for _, tc := range meshCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			m, cleanup := tc.build(t, 2)
 			defer cleanup()
 			a, b := m.Endpoint(0), m.Endpoint(1)
-			for _, p := range payloads {
+			var sent []any
+			for _, p := range payloads() {
+				sent = append(sent, clonePayload(p))
 				if !a.Send(1, int64(len(EncodePayload(p))), p) {
 					t.Fatalf("send of %T refused", p)
 				}
 			}
-			for range payloads {
+			for range sent {
 				msg, ok := b.Recv()
 				if !ok {
 					t.Fatal("stream ended early")
 				}
 				// Fabrics may reorder; match by type.
 				var want any
-				for _, p := range payloads {
+				for _, p := range sent {
 					if reflect.TypeOf(p) == reflect.TypeOf(msg.Payload) {
 						want = p
 					}
@@ -314,6 +321,35 @@ func TestMeshConformanceTypedPayloads(t *testing.T) {
 			}
 		})
 	}
+}
+
+// clonePayload deep-copies the mesh payload types the engine sends, sharing
+// no map, row or segment with p.
+func clonePayload(p any) any {
+	rows := func(m map[uint64][]float32) map[uint64][]float32 {
+		c := make(map[uint64][]float32, len(m))
+		for id, row := range m {
+			c[id] = slices.Clone(row)
+		}
+		return c
+	}
+	switch m := p.(type) {
+	case ReplicaMsg:
+		return ReplicaMsg{Iter: m.Iter, Rows: rows(m.Rows)}
+	case SyncBatchMsg:
+		c := SyncBatchMsg{Flushes: make([]SyncMsg, len(m.Flushes))}
+		for i, f := range m.Flushes {
+			c.Flushes[i] = SyncMsg{Iter: f.Iter, Partials: rows(f.Partials)}
+		}
+		return c
+	case FusedCollMsg:
+		c := FusedCollMsg{Seq: m.Seq, Origin: m.Origin, Segs: make([][]float32, len(m.Segs)), Loss: slices.Clone(m.Loss)}
+		for i, s := range m.Segs {
+			c.Segs[i] = slices.Clone(s)
+		}
+		return c
+	}
+	panic(fmt.Sprintf("clonePayload: %T", p))
 }
 
 // TestMeshConformanceSelfSend: a rank may address itself (the engines don't

@@ -35,6 +35,13 @@ type Endpoint interface {
 	// Send queues payload for delivery to trainer `to`. It reports whether
 	// the message was accepted; sends to a closed endpoint are dropped.
 	// Send never blocks on the receiver.
+	//
+	// Send transfers ownership on every fabric: a payload goes to exactly
+	// one peer, and the caller never touches it — its maps, rows or
+	// segments — afterwards, accepted or not. In-process meshes hand the
+	// value itself to the receiver, which recycles it; the TCP endpoint
+	// recycles it into the pools as soon as it is encoded. A payload bound
+	// for several peers is built once per peer.
 	Send(to int, bytes int64, payload any) bool
 	// Recv blocks for the next message. ok=false once the endpoint has
 	// been closed and its queue drained. Messages may arrive in a
@@ -98,7 +105,8 @@ func (p *pendingCount) wait() {
 type inbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []MeshMsg
+	queue  []MeshMsg // queue[head:] is pending; rewound to empty when drained
+	head   int
 	closed bool
 }
 
@@ -114,6 +122,12 @@ func (b *inbox) put(m MeshMsg) bool {
 	if b.closed {
 		return false
 	}
+	if b.head > 0 && len(b.queue) == cap(b.queue) {
+		// Full behind a consumed prefix: compact before append grows.
+		n := copy(b.queue, b.queue[b.head:])
+		clear(b.queue[n:])
+		b.queue, b.head = b.queue[:n], 0
+	}
 	b.queue = append(b.queue, m)
 	b.cond.Signal()
 	return true
@@ -122,14 +136,20 @@ func (b *inbox) put(m MeshMsg) bool {
 func (b *inbox) get() (MeshMsg, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for len(b.queue) == 0 && !b.closed {
+	for b.head == len(b.queue) && !b.closed {
 		b.cond.Wait()
 	}
-	if len(b.queue) == 0 {
+	if b.head == len(b.queue) {
 		return MeshMsg{}, false
 	}
-	m := b.queue[0]
-	b.queue = b.queue[1:]
+	m := b.queue[b.head]
+	b.queue[b.head] = MeshMsg{}
+	b.head++
+	if b.head == len(b.queue) {
+		// Drained: reuse the backing array from its start instead of
+		// letting append reallocate behind a sliding window.
+		b.queue, b.head = b.queue[:0], 0
+	}
 	return m, true
 }
 

@@ -2,20 +2,23 @@ package transport
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
 // Hot-path buffer pooling. The steady-state LRPP iteration moves the same
-// three shapes of memory every batch — fixed-width embedding rows
-// ([]float32 of the tier's dim), row-slice headers ([][]float32 holding a
-// fetch result), and id→row maps (replica payloads) — and before this file
-// existed each one was a fresh allocation, making GC the dominant avoidable
-// cost on the P=4 TCP profile. The pools here are deliberately *not*
-// sync.Pool: putting a slice header into a sync.Pool boxes it into an
-// interface (one allocation per Put), which would defeat the 0 allocs/op
-// goal outright. A mutex-guarded free list is allocation-free on both Get
-// and Put, and the mutex gives the happens-before edge the race detector
-// needs when rows migrate between trainer goroutines.
+// few shapes of memory every batch — fixed-width embedding rows
+// ([]float32 of the tier's dim, and the dense collective's segments),
+// row-slice headers ([][]float32 holding a fetch result), id→row maps
+// (replica and sync payloads) and, over sockets, encoded frames — and
+// before this file existed each one was a fresh allocation, making GC the
+// dominant avoidable cost on the P=4 TCP profile. The pools here are
+// deliberately *not* sync.Pool: putting a slice header into a sync.Pool
+// boxes it into an interface (one allocation per Put), which would defeat
+// the 0 allocs/op goal outright. A mutex-guarded free list is
+// allocation-free on both Get and Put, and the mutex gives the
+// happens-before edge the race detector needs when rows migrate between
+// trainer goroutines.
 //
 // Ownership discipline (see ARCHITECTURE.md "Memory discipline"):
 //
@@ -24,17 +27,43 @@ import (
 //   - Put transfers ownership back. Returning is always optional — a row
 //     that simply goes out of scope is collected normally — but a row must
 //     never be Put while any other reference to it is live.
+//   - A mesh payload belongs to whoever holds it: Endpoint.Send hands it to
+//     exactly one receiver on every fabric. In-process meshes deliver the
+//     value itself and the receiver recycles it; the TCP endpoint encodes
+//     it and recycles it at once (ReleasePayload), and the receiver
+//     recycles the decoded copy, which the codec drew from the same pools.
 //   - Row-slice headers are zeroed on Put so a recycled header can never
 //     resurrect rows the previous owner released.
+//
+// Every free list is bounded, so a burst (a checkpoint, a reshard stream,
+// the end of a run returning every resident row) cannot pin its peak in the
+// pool for the rest of the process: a Put beyond the bound drops the buffer
+// to the GC.
+const (
+	// maxArenaBytes bounds one RowArena's free list: at most
+	// maxArenaBytes / (4·dim) rows (4 M rows at the benchmark's dim 16).
+	maxArenaBytes = 256 << 20
+	// maxPooledHeaders bounds the row-slice header and row-map free lists.
+	maxPooledHeaders = 1024
+	// Frame buffers are pooled in power-of-two capacity classes from
+	// minPooledBuf to maxPooledBuf bytes, holding at most bufPoolBytes of
+	// capacity in all. A buffer above maxPooledBuf (a checkpoint or export
+	// response) is never retained.
+	minPooledBuf  = 1 << 10
+	numBufClasses = 13
+	maxPooledBuf  = minPooledBuf << (numBufClasses - 1) // 4 MiB
+	bufPoolBytes  = 32 << 20
+)
 
 // RowArena recycles fixed-width row buffers. All rows in one arena have the
 // same length; Get/Put of mismatched widths panic, which catches ownership
 // bugs (a sub-slice of a larger buffer, say) at the pool boundary instead
 // of as silent aliasing.
 type RowArena struct {
-	dim  int
-	mu   sync.Mutex
-	free [][]float32
+	dim   int
+	limit int // free-list bound, maxArenaBytes / (4·dim)
+	mu    sync.Mutex
+	free  [][]float32
 }
 
 // NewRowArena returns an empty arena for rows of width dim.
@@ -42,7 +71,7 @@ func NewRowArena(dim int) *RowArena {
 	if dim <= 0 {
 		panic(fmt.Sprintf("transport: row arena dim %d", dim))
 	}
-	return &RowArena{dim: dim}
+	return &RowArena{dim: dim, limit: max(1, maxArenaBytes/(4*dim))}
 }
 
 // rowArenas is the per-width registry behind Rows. Transports and trainers
@@ -103,7 +132,9 @@ func (a *RowArena) Put(row []float32) {
 		panic(fmt.Sprintf("transport: put row len %d into dim-%d arena", len(row), a.dim))
 	}
 	a.mu.Lock()
-	a.free = append(a.free, row)
+	if len(a.free) < a.limit {
+		a.free = append(a.free, row)
+	}
 	a.mu.Unlock()
 }
 
@@ -120,9 +151,51 @@ func (a *RowArena) PutN(rows [][]float32) {
 			a.mu.Unlock()
 			panic(fmt.Sprintf("transport: put row len %d into dim-%d arena", len(row), a.dim))
 		}
-		a.free = append(a.free, row)
+		if len(a.free) < a.limit {
+			a.free = append(a.free, row)
+		}
 	}
 	a.mu.Unlock()
+}
+
+// putRowMapRows returns every row of m to the arena of its width (rows of
+// one payload share a width, so the registry is consulted once per width
+// change). The map itself is left to the caller.
+func putRowMapRows(m map[uint64][]float32) {
+	var arena *RowArena
+	for _, row := range m {
+		if len(row) == 0 {
+			continue
+		}
+		if arena == nil || arena.dim != len(row) {
+			arena = Rows(len(row))
+		}
+		arena.Put(row)
+	}
+}
+
+// ReleasePayload returns what a mesh payload owns — arena rows, pooled
+// maps, collective segments — to the pools. The last holder of a payload
+// calls it once done (see Endpoint.Send): the TCP endpoint right after
+// encoding, a receiver once it has consumed what it received. Payload types
+// that own nothing pooled are left to the GC.
+func ReleasePayload(p any) {
+	switch m := p.(type) {
+	case ReplicaMsg:
+		putRowMapRows(m.Rows)
+		PutRowMap(m.Rows)
+	case SyncBatchMsg:
+		for _, f := range m.Flushes {
+			putRowMapRows(f.Partials)
+			PutRowMap(f.Partials)
+		}
+	case FusedCollMsg:
+		for _, s := range m.Segs {
+			if len(s) > 0 {
+				Rows(len(s)).Put(s)
+			}
+		}
+	}
 }
 
 // rowSlicePool recycles [][]float32 headers (fetch results, scatter/gather
@@ -161,13 +234,16 @@ func PutRowSlice(h [][]float32) {
 	}
 	clear(h[:cap(h)])
 	rowSlicePool.mu.Lock()
-	rowSlicePool.free = append(rowSlicePool.free, h)
+	if len(rowSlicePool.free) < maxPooledHeaders {
+		rowSlicePool.free = append(rowSlicePool.free, h)
+	}
 	rowSlicePool.mu.Unlock()
 }
 
-// rowMapPool recycles id→row maps — the payload shape of replica pushes.
-// A sender builds its snapshot in a pooled map, the mesh moves it (by
-// reference in process, re-materialized by the codec over TCP), and the
+// rowMapPool recycles id→row maps — the payload shape of replica pushes
+// and sync flushes. A sender builds its snapshot in a pooled map, the mesh
+// moves it (by reference in process; over TCP the sender's endpoint
+// recycles it once encoded and the codec decodes into another), and the
 // receiver returns it once the rows have been claimed.
 var rowMapPool struct {
 	mu   sync.Mutex
@@ -196,6 +272,89 @@ func PutRowMap(m map[uint64][]float32) {
 	}
 	clear(m)
 	rowMapPool.mu.Lock()
-	rowMapPool.free = append(rowMapPool.free, m)
+	if len(rowMapPool.free) < maxPooledHeaders {
+		rowMapPool.free = append(rowMapPool.free, m)
+	}
 	rowMapPool.mu.Unlock()
+}
+
+// bufPool recycles encoded frames: class c holds buffers whose capacity is
+// at least minPooledBuf<<c, so any buffer in class bufClass(n) fits n bytes.
+var bufPool struct {
+	mu    sync.Mutex
+	free  [numBufClasses][][]byte
+	bytes int // summed capacity of the free buffers, ≤ bufPoolBytes
+}
+
+// bufClass is the smallest class whose buffers hold n bytes.
+func bufClass(n int) int {
+	if n <= minPooledBuf {
+		return 0
+	}
+	return bits.Len(uint((n - 1) / minPooledBuf))
+}
+
+// pooledBuf returns an empty pooled buffer that holds n bytes, or nil when
+// its class has none free (or n exceeds maxPooledBuf).
+func pooledBuf(n int) []byte {
+	if n > maxPooledBuf {
+		return nil
+	}
+	c := bufClass(n)
+	bufPool.mu.Lock()
+	defer bufPool.mu.Unlock()
+	l := len(bufPool.free[c])
+	if l == 0 {
+		return nil
+	}
+	b := bufPool.free[c][l-1]
+	bufPool.free[c][l-1] = nil
+	bufPool.free[c] = bufPool.free[c][:l-1]
+	bufPool.bytes -= cap(b)
+	return b
+}
+
+// classCap is the capacity a fresh buffer for n bytes gets: its class's
+// size, so it pools on return, or exactly n beyond maxPooledBuf.
+func classCap(n int) int {
+	if n > maxPooledBuf {
+		return n
+	}
+	return minPooledBuf << bufClass(n)
+}
+
+// getBuf returns an empty buffer with room for n bytes: pooled when one is
+// free, else freshly allocated at classCap(n).
+func getBuf(n int) []byte {
+	if b := pooledBuf(n); b != nil {
+		return b
+	}
+	return make([]byte, 0, classCap(n))
+}
+
+// putBuf returns a buffer to the pool. The caller must hold the only live
+// reference. Buffers outside [minPooledBuf, maxPooledBuf], and any that
+// would take the pool past bufPoolBytes, are dropped.
+func putBuf(b []byte) {
+	c := cap(b)
+	if c < minPooledBuf || c > maxPooledBuf {
+		return
+	}
+	k := bits.Len(uint(c/minPooledBuf)) - 1 // largest class whose size ≤ c
+	bufPool.mu.Lock()
+	if bufPool.bytes+c <= bufPoolBytes {
+		bufPool.free[k] = append(bufPool.free[k], b[:0])
+		bufPool.bytes += c
+	}
+	bufPool.mu.Unlock()
+}
+
+// reusable returns b emptied for another frame, or nil once it has grown
+// past maxPooledBuf: a one-off giant frame is not kept for the life of a
+// connection.
+func reusable(b []byte) []byte {
+	if cap(b) > maxPooledBuf {
+		return nil
+	}
+	return b[:0]
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,30 +61,77 @@ const (
 // treated as a corrupt stream rather than an allocation request.
 const maxFrame = 1 << 30
 
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, body []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
+// frameWriter buffers length-prefixed frames onto one connection. The
+// header scratch lives with it: a stack header handed to the writer
+// interface would escape, one allocation per frame.
+type frameWriter struct {
+	*bufio.Writer
+	hdr [4]byte
+}
+
+func newFrameWriter(w io.Writer) *frameWriter {
+	return &frameWriter{Writer: bufio.NewWriterSize(w, 1<<16)}
+}
+
+// writeFrame writes one length-prefixed frame. body is free for reuse once
+// it returns: bufio has copied it or written it through.
+func (fw *frameWriter) writeFrame(body []byte) error {
+	binary.LittleEndian.PutUint32(fw.hdr[:], uint32(len(body)))
+	if _, err := fw.Write(fw.hdr[:]); err != nil {
 		return err
 	}
-	_, err := w.Write(body)
+	_, err := fw.Write(body)
 	return err
 }
 
-// readFrame reads one length-prefixed frame.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameChunk is how far a frame body's allocation may run ahead of the
+// bytes that have arrived for it.
+const frameChunk = 64 << 10
+
+// readFrame reads one length-prefixed frame into buf's storage, which the
+// caller reuses across frames (see readBody).
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	n, err := readFrameLen(r)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	return readBody(r, n, buf)
+}
+
+// readFrameLen reads a frame's length prefix. It peeks into the reader's
+// own buffer: a header array handed to an io.Reader would escape, one
+// allocation per frame.
+func readFrameLen(r *bufio.Reader) (int, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		return 0, err
+	}
+	n := binary.LittleEndian.Uint32(hdr)
+	r.Discard(4)
 	if n > maxFrame {
-		return nil, fmt.Errorf("transport: frame length %d exceeds limit", n)
+		return 0, fmt.Errorf("transport: frame length %d exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+	return int(n), nil
+}
+
+// readBody reads an n-byte frame body into buf when it fits. Otherwise the
+// body grows as its bytes arrive — doubling from frameChunk up to the pool
+// class that holds n — so a length prefix alone never buys more than
+// frameChunk of memory from a peer (maxFrame stays the hard limit), and a
+// grown buffer still pools by its class.
+func readBody(r *bufio.Reader, n int, buf []byte) ([]byte, error) {
+	body := buf[:0]
+	for len(body) < n {
+		if len(body) == cap(body) {
+			grown := make([]byte, len(body), min(classCap(n), max(frameChunk, 2*cap(body))))
+			copy(grown, body)
+			body = grown
+		}
+		k, err := io.ReadFull(r, body[len(body):min(n, cap(body))])
+		body = body[:len(body)+k]
+		if err != nil {
+			return nil, err
+		}
 	}
 	return body, nil
 }
@@ -193,9 +241,15 @@ func (t *TCPLink) writeLoop() {
 		for range t.reqCh {
 		}
 	}
-	bw := bufio.NewWriterSize(t.conn, 1<<16)
+	bw := newFrameWriter(t.conn)
+	// write hands the request's pooled buffer back once it is written.
+	write := func(req linkReq) error {
+		err := bw.writeFrame(req.body)
+		putBuf(req.body)
+		return err
+	}
 	for req := range t.reqCh {
-		if err := writeFrame(bw, req.body); err != nil {
+		if err := write(req); err != nil {
 			fail(err)
 			return
 		}
@@ -206,7 +260,7 @@ func (t *TCPLink) writeLoop() {
 					bw.Flush()
 					return
 				}
-				if err := writeFrame(bw, req.body); err != nil {
+				if err := write(req); err != nil {
 					fail(err)
 					return
 				}
@@ -223,12 +277,18 @@ func (t *TCPLink) writeLoop() {
 	bw.Flush()
 }
 
-// readLoop demultiplexes responses to the callers waiting on them.
+// readLoop demultiplexes responses to the callers waiting on them. Each
+// response lands in a pooled frame buffer the caller owns from then on (the
+// hot ops return it once decoded; see roundTrip).
 func (t *TCPLink) readLoop() {
 	defer t.wg.Done()
 	br := bufio.NewReaderSize(t.conn, 1<<16)
 	for {
-		body, err := readFrame(br)
+		n, err := readFrameLen(br)
+		var body []byte
+		if err == nil {
+			body, err = readBody(br, n, pooledBuf(n))
+		}
 		if err != nil {
 			t.failPending(err)
 			return
@@ -287,6 +347,19 @@ func (t *TCPLink) call(op byte, body func(b []byte) []byte) []byte {
 
 // callErr sends one request (op + body after the seq field) and blocks for
 // the response body, returning an error once the link is broken.
+func (t *TCPLink) callErr(op byte, body func(b []byte) []byte) ([]byte, error) {
+	frame, err := t.roundTrip(op, 0, body)
+	if err != nil {
+		return nil, err
+	}
+	return frame[9:], nil
+}
+
+// roundTrip is callErr returning the whole response frame (op, seq, then
+// the result at frame[9:]). The request is encoded into a pooled buffer
+// presized for size body bytes, which the writer returns once written;
+// the response is a pooled buffer the caller may hand back with putBuf
+// once it has decoded everything it keeps.
 //
 // The pending registration and the enqueue race the reader's failPending:
 // a request registered before the failure is woken by it (its channel is
@@ -298,7 +371,7 @@ func (t *TCPLink) call(op byte, body func(b []byte) []byte) []byte {
 // is still safe: failPending has already closed this caller's pending
 // channel (registered above), so the receive below returns immediately,
 // and the writer's drain loop consumes the stale frame.
-func (t *TCPLink) callErr(op byte, body func(b []byte) []byte) ([]byte, error) {
+func (t *TCPLink) roundTrip(op byte, size int, body func(b []byte) []byte) ([]byte, error) {
 	t.mu.Lock()
 	if err := t.broken; err != nil {
 		t.mu.Unlock()
@@ -310,7 +383,7 @@ func (t *TCPLink) callErr(op byte, body func(b []byte) []byte) ([]byte, error) {
 	t.pending[seq] = ch
 	t.mu.Unlock()
 
-	b := make([]byte, 0, 64)
+	b := getBuf(9 + size)
 	b = append(b, op)
 	b = putU64(b, seq)
 	if body != nil {
@@ -320,6 +393,7 @@ func (t *TCPLink) callErr(op byte, body func(b []byte) []byte) ([]byte, error) {
 	if err := t.broken; err != nil {
 		delete(t.pending, seq) // failPending may already have closed+removed it
 		t.mu.Unlock()
+		putBuf(b)
 		return nil, t.linkErr(err)
 	}
 	t.mu.Unlock()
@@ -334,7 +408,7 @@ func (t *TCPLink) callErr(op byte, body func(b []byte) []byte) ([]byte, error) {
 	if resp[0] == opRespErr {
 		return nil, decodeLinkErr(resp[9:])
 	}
-	return resp[9:], nil
+	return resp, nil
 }
 
 // decodeLinkErr parses an opRespErr payload: a per-request failure the
@@ -381,11 +455,12 @@ func (t *TCPLink) Fetch(ids []uint64) [][]float32 {
 // instead of panicking. A *malformed* response still panics — protocol
 // corruption is a bug, not a failure to route around.
 func (t *TCPLink) TryFetch(ids []uint64) ([][]float32, error) {
-	resp, err := t.callErr(opFetch, func(b []byte) []byte { return putU64s(b, ids) })
+	frame, err := t.roundTrip(opFetch, 4+8*len(ids), func(b []byte) []byte { return putU64s(b, ids) })
 	if err != nil {
 		return nil, err
 	}
-	r := &wireReader{b: resp}
+	defer putBuf(frame)
+	r := &wireReader{b: frame[9:]}
 	n := r.count(4)
 	if r.err != nil || n != len(ids)*t.dim {
 		panic(fmt.Sprintf("transport: fetch response for %d ids carried %d floats", len(ids), n))
@@ -422,7 +497,7 @@ func (t *TCPLink) TryWrite(ids []uint64, rows [][]float32) error {
 	if len(ids) != len(rows) {
 		panic("transport: Write ids/rows length mismatch")
 	}
-	_, err := t.callErr(opWrite, func(b []byte) []byte {
+	frame, err := t.roundTrip(opWrite, 4+len(ids)*(8+4+4*t.dim), func(b []byte) []byte {
 		b = putU64s(b, ids)
 		for _, row := range rows {
 			b = putF32s(b, row)
@@ -432,6 +507,7 @@ func (t *TCPLink) TryWrite(ids []uint64, rows [][]float32) error {
 	if err != nil {
 		return err
 	}
+	putBuf(frame)
 	t.writes.Add(1)
 	t.rowsWritten.Add(int64(len(ids)))
 	t.bytesWritten.Add(payloadBytes(len(ids), t.dim))
@@ -724,7 +800,7 @@ func serveEmbedConn(conn net.Conn, srv *embed.Server, shutdown func()) {
 	if binary.LittleEndian.Uint32(hello[:]) != linkMagic {
 		return
 	}
-	bw := bufio.NewWriterSize(conn, 1<<16)
+	bw := newFrameWriter(conn)
 	var ack [8]byte
 	binary.LittleEndian.PutUint32(ack[:4], linkMagic)
 	binary.LittleEndian.PutUint32(ack[4:], uint32(srv.Dim))
@@ -742,11 +818,16 @@ func serveEmbedConn(conn net.Conn, srv *embed.Server, shutdown func()) {
 	// connection moves it. Per-connection, not per-server — each tier
 	// client adopts a new table at its own pace.
 	var announced uint64
+	// One request buffer and one response buffer serve the connection's
+	// whole life: every op copies what it keeps out of the request, and
+	// the response is on the wire before the next request is read.
+	var req, out []byte
 	for {
-		body, err := readFrame(br)
+		body, err := readFrame(br, req)
 		if err != nil {
 			return
 		}
+		req = reusable(body)
 		if len(body) < 9 {
 			return
 		}
@@ -754,8 +835,7 @@ func serveEmbedConn(conn net.Conn, srv *embed.Server, shutdown func()) {
 		seq := binary.LittleEndian.Uint64(body[1:9])
 		r := &wireReader{b: body[9:]}
 
-		resp := make([]byte, 0, 64)
-		resp = append(resp, opResp)
+		resp := append(out, opResp)
 		resp = putU64(resp, seq)
 		switch op {
 		case opFetch:
@@ -775,6 +855,7 @@ func serveEmbedConn(conn net.Conn, srv *embed.Server, shutdown func()) {
 				resp = linkStaleResp(seq, se)
 				break
 			}
+			resp = slices.Grow(resp, 4+4*len(ids)*srv.Dim)
 			resp = putU32(resp, uint32(len(ids)*srv.Dim))
 			for _, row := range rows {
 				resp = putF32sRaw(resp, row)
@@ -902,18 +983,19 @@ func serveEmbedConn(conn net.Conn, srv *embed.Server, shutdown func()) {
 			}
 			resp = putU64(resp, uint64(srv.RetainOwned(int(self), int(of), int(rep))))
 		case opShutdown:
-			writeFrame(bw, resp)
+			bw.writeFrame(resp)
 			bw.Flush()
 			shutdown()
 			return
 		default:
 			return
 		}
-		if writeFrame(bw, resp) != nil {
+		if bw.writeFrame(resp) != nil {
 			return
 		}
 		if bw.Flush() != nil {
 			return
 		}
+		out = reusable(resp)
 	}
 }

@@ -227,7 +227,13 @@ func meshAccept(conn net.Conn, selfRank int) (int, error) {
 // flushed to the socket.
 func (m *TCPMesh) writeLoop(p *tcpPeer) {
 	defer m.ioWG.Done()
-	bw := bufio.NewWriterSize(p.conn, 1<<16)
+	bw := newFrameWriter(p.conn)
+	// write returns the frame's pooled buffer (taken by Send) once written.
+	write := func(frame []byte) error {
+		err := bw.writeFrame(frame)
+		putBuf(frame)
+		return err
+	}
 	unflushed := 0
 	settle := func(delivered bool) {
 		if delivered {
@@ -277,7 +283,7 @@ func (m *TCPMesh) writeLoop(p *tcpPeer) {
 			return
 		}
 		unflushed++
-		if err := writeFrame(bw, frame); err != nil {
+		if err := write(frame); err != nil {
 			fail()
 			return
 		}
@@ -285,7 +291,7 @@ func (m *TCPMesh) writeLoop(p *tcpPeer) {
 			select {
 			case frame = <-p.out:
 				unflushed++
-				if err := writeFrame(bw, frame); err != nil {
+				if err := write(frame); err != nil {
 					fail()
 					return
 				}
@@ -315,8 +321,11 @@ func (m *TCPMesh) writeLoop(p *tcpPeer) {
 func (m *TCPMesh) readLoop(p *tcpPeer) {
 	defer m.ioWG.Done()
 	br := bufio.NewReaderSize(p.conn, 1<<16)
+	// One body buffer serves every frame: DecodePayload copies everything
+	// it returns out of the frame.
+	var buf []byte
 	for {
-		body, err := readFrame(br)
+		body, err := readFrame(br, buf)
 		if err != nil {
 			select {
 			case <-m.done:
@@ -328,6 +337,7 @@ func (m *TCPMesh) readLoop(p *tcpPeer) {
 			}
 			panic(fmt.Sprintf("transport: mesh peer %d disconnected unexpectedly: %v", p.rank, err))
 		}
+		buf = reusable(body)
 		m.recvFrames.Add(1)
 		if len(body) == 1 && body[0] == goodbyeByte {
 			p.departed.Store(true)
@@ -431,21 +441,20 @@ func (e *tcpEndpoint) Send(to int, bytes int64, payload any) bool {
 		m.dropped.Add(1)
 		return false
 	}
-	// The declared byte count is a good capacity hint; encode straight
-	// into the frame after the header rather than copying a second buffer.
-	hint := bytes + 16
-	if hint < 64 || hint > maxFrame {
-		hint = 64
-	}
-	frame := make([]byte, 0, hint)
+	// Encode straight into a pooled frame of the exact encoded size, after
+	// the header (the writer returns it), and recycle the payload itself:
+	// the encoding is the only copy this process keeps.
+	frame := getBuf(8 + payloadSize(payload))
 	frame = putU64(frame, uint64(bytes))
 	frame = appendPayload(frame, payload)
+	ReleasePayload(payload)
 	m.sendWG.add(1)
 	select {
 	case p.out <- frame:
 	case <-m.done:
 		m.sendWG.add(-1)
 		m.dropped.Add(1)
+		putBuf(frame)
 		return false
 	}
 	m.msgs.Add(1)
