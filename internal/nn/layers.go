@@ -1,8 +1,9 @@
 // Package nn implements the neural-network layers used by the
-// recommendation models in this repository: fully connected layers,
-// activations, multi-layer perceptrons, the DLRM pairwise dot-product
-// interaction, a factorization-machine second-order term (DeepFM), and the
-// explicit cross layer (Deep&Cross), with hand-written backpropagation.
+// recommendation models in this repository: fully connected layers (with an
+// optional fused ReLU), the sigmoid, multi-layer perceptrons, the DLRM
+// pairwise dot-product interaction, a factorization-machine second-order
+// term (DeepFM), and the explicit cross layer (Deep&Cross), with hand-written
+// backpropagation.
 //
 // All layers operate on batch-major matrices (rows are examples) and cache
 // whatever they need from the forward pass, so the calling convention is
@@ -37,7 +38,9 @@ type Layer interface {
 	Params() []Param
 }
 
-// Linear is a fully connected layer: out = x·W + b with W of shape in×out.
+// Linear is a fully connected layer: out = x·W + b with W of shape in×out,
+// or, built by NewMLP where a ReLU follows, out = relu(x·W + b) with the
+// clamp fused into the product (tensor.MatMulBias).
 type Linear struct {
 	In, Out int
 	W       *tensor.Matrix // In×Out
@@ -45,14 +48,17 @@ type Linear struct {
 	GradW   *tensor.Matrix
 	GradB   []float32
 
-	x   *tensor.Matrix // cached input
-	out *tensor.Matrix
-	dx  *tensor.Matrix
+	relu bool
+	x    *tensor.Matrix // cached input
+	out  *tensor.Matrix
+	dx   *tensor.Matrix
 	// noInputGrad: the input is data, nobody reads dx, Backward returns nil.
 	noInputGrad bool
-	// Backward scratch, reused across calls: xᵀ and Wᵀ, so both gradient
-	// products run through tensor's one kernel, and this batch's xᵀ·dout and
-	// colsums(dout) before they are added to the accumulators.
+	// Backward scratch, reused across calls: dout masked by the ReLU, xᵀ and
+	// Wᵀ, so both gradient products run through tensor's one kernel, and this
+	// batch's xᵀ·dout and colsums(dout) before they are added to the
+	// accumulators.
+	dpre   *tensor.Matrix
 	xT, wT *tensor.Matrix
 	gw     *tensor.Matrix
 	sums   []float32
@@ -87,8 +93,7 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	}
 	l.x = x
 	l.out = ensureShape(l.out, x.Rows, l.Out)
-	tensor.MatMul(l.out, x, l.W)
-	tensor.AddRowVector(l.out, l.B)
+	tensor.MatMulBias(l.out, x, l.W, l.B, l.relu)
 	return l.out
 }
 
@@ -100,6 +105,13 @@ func (l *Linear) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	if l.gw == nil {
 		l.gw, l.sums = tensor.NewMatrix(l.In, l.Out), make([]float32, l.Out)
 	}
+	if l.relu {
+		// The output's bits are non-zero exactly where the pre-activation
+		// was > 0, so it is the ReLU's mask and no pre-activation is kept.
+		l.dpre = ensureShape(l.dpre, dout.Rows, dout.Cols)
+		tensor.ReLUGrad(l.dpre, dout, l.out)
+		dout = l.dpre
+	}
 	l.xT = ensureShape(l.xT, l.In, l.x.Rows)
 	tensor.Transpose(l.xT, l.x)
 	tensor.MatMul(l.gw, l.xT, dout)
@@ -110,12 +122,16 @@ func (l *Linear) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	if l.noInputGrad {
 		return nil
 	}
-	// Zero entries of dout are multiplied through, not skipped: a non-finite
-	// weight must poison dx even where the upstream gradient is zero.
+	// Zero entries of dout are skipped only while every weight is finite,
+	// where 0·w adds ±0 and changes no bit: a non-finite weight must poison
+	// dx even where the upstream gradient is zero (0·Inf is NaN).
 	l.wT = ensureShape(l.wT, l.Out, l.In)
-	tensor.Transpose(l.wT, l.W)
 	l.dx = ensureShape(l.dx, dout.Rows, l.In)
-	tensor.MatMulNoSkip(l.dx, dout, l.wT)
+	if tensor.Transpose(l.wT, l.W) {
+		tensor.MatMul(l.dx, dout, l.wT)
+	} else {
+		tensor.MatMulNoSkip(l.dx, dout, l.wT)
+	}
 	return l.dx
 }
 
@@ -129,43 +145,6 @@ func (l *Linear) Params() []Param {
 
 // NumParams returns the number of scalar parameters in the layer.
 func (l *Linear) NumParams() int { return l.In*l.Out + l.Out }
-
-// ReLU is the rectified linear activation.
-type ReLU struct {
-	x   *tensor.Matrix
-	out *tensor.Matrix
-	dx  *tensor.Matrix
-}
-
-// Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
-	r.x = x
-	r.out = ensureShape(r.out, x.Rows, x.Cols)
-	for i, v := range x.Data {
-		if v > 0 {
-			r.out.Data[i] = v
-		} else {
-			r.out.Data[i] = 0
-		}
-	}
-	return r.out
-}
-
-// Backward implements Layer.
-func (r *ReLU) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	r.dx = ensureShape(r.dx, dout.Rows, dout.Cols)
-	for i, v := range r.x.Data {
-		if v > 0 {
-			r.dx.Data[i] = dout.Data[i]
-		} else {
-			r.dx.Data[i] = 0
-		}
-	}
-	return r.dx
-}
-
-// Params implements Layer.
-func (r *ReLU) Params() []Param { return nil }
 
 // Sigmoid is the logistic activation.
 type Sigmoid struct {
@@ -200,9 +179,9 @@ func (s *Sigmoid) Backward(dout *tensor.Matrix) *tensor.Matrix {
 func (s *Sigmoid) Params() []Param { return nil }
 
 // MLP is a stack of Linear layers with ReLU between them and, optionally,
-// after the last layer.
+// after the last layer, each ReLU fused into the Linear before it.
 type MLP struct {
-	layers []Layer
+	layers []*Linear
 }
 
 // NewInputMLP is NewMLP for a tower fed by data rather than by another
@@ -210,7 +189,7 @@ type MLP struct {
 // the first layer's dout·Wᵀ product.
 func NewInputMLP(dims []int, reluOnOutput bool, rng *tensor.RNG) *MLP {
 	m := NewMLP(dims, reluOnOutput, rng)
-	m.layers[0].(*Linear).noInputGrad = true
+	m.layers[0].noInputGrad = true
 	return m
 }
 
@@ -223,10 +202,9 @@ func NewMLP(dims []int, reluOnOutput bool, rng *tensor.RNG) *MLP {
 	}
 	m := &MLP{}
 	for i := 0; i+1 < len(dims); i++ {
-		m.layers = append(m.layers, NewLinear(dims[i], dims[i+1], rng))
-		if i+2 < len(dims) || reluOnOutput {
-			m.layers = append(m.layers, &ReLU{})
-		}
+		l := NewLinear(dims[i], dims[i+1], rng)
+		l.relu = i+2 < len(dims) || reluOnOutput
+		m.layers = append(m.layers, l)
 	}
 	return m
 }
@@ -260,9 +238,7 @@ func (m *MLP) Params() []Param {
 func (m *MLP) NumParams() int {
 	n := 0
 	for _, l := range m.layers {
-		if lin, ok := l.(*Linear); ok {
-			n += lin.NumParams()
-		}
+		n += l.NumParams()
 	}
 	return n
 }

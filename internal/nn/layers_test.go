@@ -111,16 +111,98 @@ func TestLinearGradients(t *testing.T) {
 	gradCheckParams(t, l, x, 5*3)
 }
 
+// The fused ReLU's gradients, through an identity Linear so that every
+// pre-activation is an input kept away from the kink at 0: a perturbation of
+// h·|x| ≤ 1e-2 in either x or W never crosses it.
 func TestReLUGradients(t *testing.T) {
-	r := &ReLU{}
-	// keep inputs away from the kink at 0
+	m := NewMLP([]int{6, 6}, true, tensor.NewRNG(5))
+	l := m.layers[0]
+	l.W.Zero()
+	for i := 0; i < 6; i++ {
+		l.W.Set(i, i, 1)
+	}
 	x := randInput(4, 6, 5)
 	for i := range x.Data {
 		if x.Data[i] > -0.05 && x.Data[i] < 0.05 {
 			x.Data[i] = 0.3
 		}
 	}
-	gradCheckInput(t, r, x, 24)
+	gradCheckInput(t, m, x, 24)
+	gradCheckParams(t, m, x, 24)
+}
+
+// fusedSpecials are the values a clamp or a mask computed on bits could get
+// wrong: both zeros, both smallest denormals, both infinities, NaN of either
+// sign, the largest finite magnitudes, and two ordinary values.
+var fusedSpecials = []float32{
+	0, float32(math.Copysign(0, -1)),
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+	float32(math.Inf(1)), float32(math.Inf(-1)),
+	float32(math.NaN()), float32(math.Copysign(math.NaN(), -1)),
+	math.MaxFloat32, -math.MaxFloat32,
+	1.5, -0.75,
+}
+
+func sameBits(x, y float32) bool {
+	return math.Float32bits(x) == math.Float32bits(y) || (x != x && y != y)
+}
+
+// The fused forward and the masked backward of a ReLU Linear against the
+// branchy passes they replaced (product, bias add, if v > 0), on every
+// pairing of special weight and special bias at x = 1, −1 and 0, with
+// special upstream gradients. The input gradient is held to the unskipped
+// dot product both with every special in W (the fallback) and with only the
+// finite ones (the skip path).
+func TestFusedReLUSpecialValues(t *testing.T) {
+	var finite []float32
+	for _, v := range fusedSpecials {
+		if !math.IsInf(float64(v), 0) && v == v {
+			finite = append(finite, v)
+		}
+	}
+	xs := []float32{1, -1, 0}
+	for _, ws := range [][]float32{fusedSpecials, finite} {
+		n := len(ws) * len(fusedSpecials)
+		l := NewLinear(1, n, tensor.NewRNG(1))
+		l.relu = true
+		for j := 0; j < n; j++ {
+			l.W.Data[j], l.B[j] = ws[j/len(fusedSpecials)], fusedSpecials[j%len(fusedSpecials)]
+		}
+		x := tensor.FromSlice(len(xs), 1, append([]float32(nil), xs...))
+		out := l.Forward(x)
+		dout := tensor.NewMatrix(len(xs), n)
+		for i := range dout.Data {
+			dout.Data[i] = fusedSpecials[(i*7)%len(fusedSpecials)]
+		}
+		l.Backward(dout)
+		for i, xv := range xs {
+			var dx float32
+			for j := 0; j < n; j++ {
+				var pre float32
+				if xv != 0 {
+					pre += float32(xv * l.W.Data[j])
+				}
+				pre += l.B[j]
+				want, g := float32(0), float32(0)
+				if pre > 0 {
+					want, g = pre, dout.At(i, j)
+				}
+				if got := out.At(i, j); !sameBits(got, want) {
+					t.Fatalf("x=%v w=%v b=%v: forward %v (%#08x), reference %v (%#08x)",
+						xv, l.W.Data[j], l.B[j], got, math.Float32bits(got), want, math.Float32bits(want))
+				}
+				if got := l.dpre.At(i, j); !sameBits(got, g) {
+					t.Fatalf("x=%v w=%v b=%v dout=%v: masked gradient %v (%#08x), reference %v (%#08x)",
+						xv, l.W.Data[j], l.B[j], dout.At(i, j), got, math.Float32bits(got), g, math.Float32bits(g))
+				}
+				dx += float32(g * l.W.Data[j])
+			}
+			if got := l.dx.At(i, 0); !sameBits(got, dx) {
+				t.Fatalf("x=%v: dx %v (%#08x), unskipped reference %v (%#08x)",
+					xv, got, math.Float32bits(got), dx, math.Float32bits(dx))
+			}
+		}
+	}
 }
 
 func TestSigmoidGradients(t *testing.T) {
@@ -162,16 +244,28 @@ func TestInputMLPSkipsOnlyTheInputGradient(t *testing.T) {
 
 // The two gradient products differ on zeros, as the loops they replaced did:
 // a zero activation skips its row of dout (0·Inf never reaches dW), a zero
-// upstream gradient is still multiplied through W (0·Inf poisons dx).
+// upstream gradient is still multiplied through a non-finite W (0·Inf and
+// 0·NaN poison dx) and skipped through a finite one, where it adds ±0 to a
+// sum that started at +0 and leaves the same bits.
 func TestLinearBackwardZeroTimesInf(t *testing.T) {
-	inf := float32(math.Inf(1))
+	inf, nan, negZero := float32(math.Inf(1)), float32(math.NaN()), float32(math.Copysign(0, -1))
 	l := NewLinear(2, 2, tensor.NewRNG(1))
-	copy(l.W.Data, []float32{1, inf, 3, 4})
-	l.Forward(tensor.FromSlice(1, 2, []float32{0, 1}))
-	dx := l.Backward(tensor.FromSlice(1, 2, []float32{1, 0}))
-	if dx.Data[0] == dx.Data[0] || dx.Data[1] != 3 { // dx[0] = 1·1 + 0·Inf
-		t.Fatalf("dx=%v, want [NaN 3]", dx.Data)
+	for _, c := range []struct{ w, dout, want []float32 }{
+		{[]float32{1, inf, 3, 4}, []float32{1, 0}, []float32{nan, 3}}, // dx[0] = 1·1 + 0·Inf
+		{[]float32{1, 2, 3, nan}, []float32{1, 0}, []float32{1, nan}}, // dx[1] = 1·3 + 0·NaN
+		{[]float32{1, 2, 3, 4}, []float32{negZero, 2}, []float32{4, 8}},
+		{[]float32{1, 2, 3, 4}, []float32{negZero, 0}, []float32{0, 0}}, // +0, not −0
+	} {
+		copy(l.W.Data, c.w)
+		l.Forward(tensor.FromSlice(1, 2, []float32{0, 1}))
+		dx := l.Backward(tensor.FromSlice(1, 2, c.dout))
+		for i, w := range c.want {
+			if !sameBits(dx.Data[i], w) {
+				t.Fatalf("W=%v dout=%v: dx=%v, want %v", c.w, c.dout, dx.Data, c.want)
+			}
+		}
 	}
+	copy(l.W.Data, []float32{1, inf, 3, 4})
 	l.Forward(tensor.FromSlice(1, 2, []float32{0, 1}))
 	ZeroGrads(l.Params())
 	l.Backward(tensor.FromSlice(1, 2, []float32{inf, 2}))

@@ -7,18 +7,20 @@
 // destination argument so steady-state training performs no per-iteration
 // allocations.
 //
-// There is one product kernel (product, behind MatMul and MatMulNoSkip) and
-// its summation order is a contract, because every engine in the repository
-// is certified bit-identical to the no-cache baseline: each output element is
-// the sum of its products in ascending k starting from +0, every multiply
-// and every add rounded to float32 separately — never fused. MatMul skips
-// zero multipliers, MatMulNoSkip does not; the products backpropagation needs
-// in other layouts (xᵀ·dout, dout·Wᵀ) are Transpose followed by one of the
-// two. On amd64 the inner loop is an SSE2 microkernel (axpy_amd64.s); on
-// every other GOARCH, and for the columns and multipliers that do not fill a
-// vector or a group, it is the portable axpyRowsGo, which tensor_test.go
-// holds to the same bits as the three naive loop nests the kernel replaced.
-// NaN payloads are outside the contract: any NaN equals any NaN.
+// There is one product kernel (product, behind MatMul, MatMulBias and
+// MatMulNoSkip) and its summation order is a contract, because every engine
+// in the repository is certified bit-identical to the no-cache baseline: each
+// output element is the sum of its products in ascending k starting from +0,
+// every multiply and every add rounded to float32 separately — never fused.
+// MatMul skips zero multipliers, MatMulNoSkip does not; MatMulBias is MatMul
+// with the bias add and the ReLU clamp applied to each row as it completes.
+// The products backpropagation needs in other layouts (xᵀ·dout, dout·Wᵀ) are
+// Transpose followed by MatMul, or by MatMulNoSkip when Transpose reports a
+// non-finite weight. On amd64 the inner loop is an SSE2 microkernel
+// (axpy_amd64.s); on every other GOARCH, and for the columns that do not fill
+// a vector, it is the portable axpyRowsGo, which tensor_test.go holds to the
+// same bits as the three naive loop nests the kernel replaced. NaN payloads
+// are outside the contract: any NaN equals any NaN.
 package tensor
 
 import (
@@ -109,18 +111,55 @@ func (m *Matrix) AlmostEqual(o *Matrix, eps float32) bool {
 // alias a or b. Every dst[i][j] is the sum, formed in ascending k from +0,
 // of the products a[i][k]·b[k][j] whose a[i][k] is not zero. The skip is
 // arithmetic: a ±0 multiplier never meets an Inf or NaN in b (0·Inf is NaN).
-func MatMul(dst, a, b *Matrix) { product(dst, a, b, true) }
+func MatMul(dst, a, b *Matrix) { product(dst, a, b, true, nil, false) }
 
 // MatMulNoSkip is MatMul with every product added, zero multipliers too, so
-// 0·Inf and 0·NaN reach dst: the input-gradient product dout × Wᵀ.
-func MatMulNoSkip(dst, a, b *Matrix) { product(dst, a, b, false) }
+// 0·Inf and 0·NaN reach dst: the input-gradient product dout × Wᵀ when W
+// holds an Inf or a NaN. When every element of b is finite the two agree to
+// the bit: a skipped 0·b is ±0, and a sum that starts at +0 never holds −0,
+// so adding ±0 leaves it as it was.
+func MatMulNoSkip(dst, a, b *Matrix) { product(dst, a, b, false, nil, false) }
 
-// Transpose writes srcᵀ into dst, which must be src.Cols × src.Rows.
-func Transpose(dst, src *Matrix) {
+// MatMulBias is MatMul followed, on each row of dst as soon as its sums are
+// complete, by d[j] += bias[j] and then, if relu, by d[j] = d[j] > 0 ? d[j] :
+// +0: a bias pass and a ReLU pass fused into the product's epilogue, with
+// the same roundings in the same order. The clamp sends NaN and −0 to +0, so
+// a clamped element's bits are non-zero exactly when the sum was > 0, which
+// is the mask ReLUGrad reads back.
+func MatMulBias(dst, a, b *Matrix, bias []float32, relu bool) {
+	if len(bias) != b.Cols {
+		panic(fmt.Sprintf("tensor: MatMulBias bias len %d != cols %d", len(bias), b.Cols))
+	}
+	product(dst, a, b, true, bias, relu)
+}
+
+// ReLUGrad writes into dst the gradient through the clamp of MatMulBias
+// whose output was out: dout where out is non-zero, +0 where it is +0. The
+// mask is arithmetic, because post-ReLU zeros fall at random and a branch
+// per element mispredicts on half of them.
+func ReLUGrad(dst, dout, out *Matrix) {
+	if dst.Rows != out.Rows || dst.Cols != out.Cols || dout.Rows != out.Rows || dout.Cols != out.Cols {
+		panic(fmt.Sprintf("tensor: ReLUGrad shape mismatch %dx%d, %dx%d, %dx%d",
+			dst.Rows, dst.Cols, dout.Rows, dout.Cols, out.Rows, out.Cols))
+	}
+	g := dout.Data[:len(out.Data)]
+	for i, o := range out.Data {
+		// All ones when o's bits are non-zero, else zero.
+		mask := -uint32((uint64(math.Float32bits(o)) + 1<<32 - 1) >> 32)
+		dst.Data[i] = math.Float32frombits(math.Float32bits(g[i]) & mask)
+	}
+}
+
+// Transpose writes srcᵀ into dst, which must be src.Cols × src.Rows, and
+// reports whether every element it copied is finite: the test that lets the
+// input gradient skip zero multipliers (see MatMulNoSkip).
+func Transpose(dst, src *Matrix) (finite bool) {
 	if dst.Rows != src.Cols || dst.Cols != src.Rows {
 		panic(fmt.Sprintf("tensor: Transpose shape mismatch (%dx%d)ᵀ->(%dx%d)",
 			src.Rows, src.Cols, dst.Rows, dst.Cols))
 	}
+	// Bit 31 of exponent+1 is set only for an all-ones exponent (Inf, NaN).
+	var nonFinite uint32
 	// Tile by tile, so the strided writes of one tile stay within a few
 	// cache lines that the next source row of the tile finds again.
 	const tile = 16
@@ -132,11 +171,13 @@ func Transpose(dst, src *Matrix) {
 				o := j0*dst.Cols + i
 				for _, v := range src.Data[i*src.Cols+j0 : i*src.Cols+j1] {
 					dst.Data[o] = v
+					nonFinite |= math.Float32bits(v)&0x7f800000 + 0x00800000
 					o += dst.Cols
 				}
 			}
 		}
 	}
+	return nonFinite>>31 == 0
 }
 
 // kPass bounds how many multipliers product compacts before applying them,
@@ -148,8 +189,9 @@ const kPass = 256
 // ascending k and hands them to axpyRows. Each output element therefore
 // receives the same products in the same order as the textbook i-k-j loop,
 // each multiply and each add rounded to float32 on its own; compaction keeps
-// rows that are half zeros (anything after a ReLU) on the vector path.
-func product(dst, a, b *Matrix, skipZero bool) {
+// rows that are half zeros (anything after a ReLU) on the vector path. A
+// non-nil bias is MatMulBias's epilogue, applied to a row once it is summed.
+func product(dst, a, b *Matrix, skipZero bool, bias []float32, relu bool) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)×(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
@@ -164,6 +206,28 @@ func product(dst, a, b *Matrix, skipZero bool) {
 			m := compact(&coef, &at, arow[k0:min(k0+kPass, len(arow))], k0*b.Cols, b.Cols, skipZero)
 			axpyRows(d, b.Data, at[:m], coef[:m])
 		}
+		if bias != nil {
+			addBias(d, bias, relu)
+		}
+	}
+}
+
+// addBias is the epilogue: d[j] += bias[j], then, if relu, the clamp
+// d[j] > 0 ? d[j] : +0 computed on the bits. Unsigned, bits−1 is below the
+// bits of +Inf exactly for the values > 0 (not ±0, not negative, not NaN),
+// so the borrow out of (bits−1) − bits(+Inf) is the keep mask.
+func addBias(d, bias []float32, relu bool) {
+	bias = bias[:len(d)]
+	if !relu {
+		for j := range d {
+			d[j] += bias[j]
+		}
+		return
+	}
+	for j, v := range d {
+		u := math.Float32bits(v + bias[j])
+		keep := -uint32((uint64(u-1) - 0x7f800000) >> 63)
+		d[j] = math.Float32frombits(u & keep)
 	}
 }
 
@@ -204,19 +268,6 @@ func axpyRowsGo(d, b []float32, at []int, coef []float32) {
 			s += float32(c * b[at[g]+j])
 		}
 		d[j] = s
-	}
-}
-
-// AddRowVector adds vector v to every row of m in place.
-func AddRowVector(m *Matrix, v []float32) {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("tensor: AddRowVector vector len %d != cols %d", len(v), m.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] += v[j]
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -150,10 +151,36 @@ func requireSameBits(t *testing.T, what string, got, want *Matrix) {
 	}
 }
 
-// checkProductForms runs a × b through each form nn uses — MatMul, MatMul on
+// refBiasReLU is the bias pass and the branchy ReLU pass MatMulBias fuses.
+func refBiasReLU(m *Matrix, bias []float32, relu bool) {
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		for j := range row {
+			row[j] += bias[j]
+			if relu {
+				if row[j] > 0 {
+					continue
+				}
+				row[j] = 0
+			}
+		}
+	}
+}
+
+func allFinite(m *Matrix) bool {
+	for _, v := range m.Data {
+		if math.IsInf(float64(v), 0) || v != v {
+			return false
+		}
+	}
+	return true
+}
+
+// checkProductForms runs a × b through each form nn uses — MatMul, MatMulBias
+// with and without the clamp (the forward, biased by b's last row), MatMul on
 // a transposed left operand (the weight gradient), MatMulNoSkip on a
-// transposed right operand (the input gradient) — against the loop nest that
-// form replaced.
+// transposed right operand (the input gradient) and, when that operand is
+// finite, MatMul on it — against the loop nest that form replaced.
 func checkProductForms(t *testing.T, a, b *Matrix) {
 	t.Helper()
 	got, want := NewMatrix(a.Rows, b.Cols), NewMatrix(a.Rows, b.Cols)
@@ -166,6 +193,14 @@ func checkProductForms(t *testing.T, a, b *Matrix) {
 	MatMul(got, a, b)
 	requireSameBits(t, "MatMul", got, want)
 
+	bias := b.Row(b.Rows - 1)
+	for _, relu := range []bool{false, true} {
+		refMatMul(want, a, b)
+		refBiasReLU(want, bias, relu)
+		MatMulBias(got, a, b, bias, relu)
+		requireSameBits(t, fmt.Sprintf("MatMulBias(relu=%v)", relu), got, want)
+	}
+
 	x := transpose(a) // what the layer holds; the kernel sees xᵀ
 	refMatMulAT(want, x, b)
 	MatMul(got, transpose(x), b)
@@ -175,6 +210,16 @@ func checkProductForms(t *testing.T, a, b *Matrix) {
 	refMatMulBT(want, a, w)
 	MatMulNoSkip(got, a, transpose(w))
 	requireSameBits(t, "MatMulNoSkip(·, wᵀ) vs MatMulBT", got, want)
+
+	// The input gradient's skip rule: Transpose reports b finite exactly when
+	// it is, and then MatMul gives MatMulNoSkip's bits.
+	bT := NewMatrix(w.Cols, w.Rows)
+	if finite := Transpose(bT, w); finite != allFinite(w) {
+		t.Fatalf("Transpose reported finite=%v for an operand that is %v", finite, allFinite(w))
+	} else if finite {
+		MatMul(got, a, bT)
+		requireSameBits(t, "MatMul(·, finite wᵀ) vs MatMulBT", got, want)
+	}
 }
 
 // specials are the operands on which a reordered, fused or padded sum shows:
@@ -238,9 +283,16 @@ func TestProductMatchesReferenceBits(t *testing.T) {
 
 // The amd64 microkernel against the portable one on the same inputs (on
 // other targets axpyRows is the portable one and this holds trivially).
+// Widths past zeroRow's take the padded tail a chunk at a time, and m mod 4
+// of 1–3 pads it; the accumulators start from seeded values, ±0, ±Inf and
+// NaN among them.
 func TestAxpyRowsMatchesPortable(t *testing.T) {
 	rng := NewRNG(4)
+	widths := []int{1023, 1024, 1025, 1028, 2053}
 	for n := 0; n <= 41; n++ {
+		widths = append(widths, n)
+	}
+	for _, n := range widths {
 		for m := 0; m <= 9; m++ {
 			b := seededMatrix(rng, m+1, n, -1)
 			got, want := NewMatrix(1, n), NewMatrix(1, n)
@@ -282,6 +334,13 @@ func FuzzMatMulRef(f *testing.F) {
 	f.Add(uint8(1), uint16(7), uint8(8), []byte{1, 200, 0, 77})       // alternating zero multipliers
 	f.Add(uint8(3), uint16(257), uint8(12), []byte{9, 99, 4, 8})      // k past kPass, NaN and ±MaxFloat32 in both operands
 	f.Add(uint8(2), uint16(4), uint8(2), []byte{5, 6, 7, 10, 8, 200}) // denormals × MaxFloat32, n mod 4 tail
+	// One, two and three multipliers past a group of four at widths ≥ 4, the
+	// padded tail's inputs: sums of ±MaxFloat32 products, which overflow to
+	// +Inf, or mix +Inf with −Inf into NaN, the last with a −0 multiplier
+	// that only MatMulNoSkip applies.
+	f.Add(uint8(0), uint16(4), uint8(7), []byte{8})
+	f.Add(uint8(1), uint16(5), uint8(4), []byte{8, 9, 8})
+	f.Add(uint8(0), uint16(6), uint8(11), []byte{9, 9, 1, 200, 8})
 	f.Fuzz(func(t *testing.T, rows uint8, k uint16, n uint8, raw []byte) {
 		if len(raw) == 0 {
 			return
@@ -328,15 +387,8 @@ func TestTransposeShapePanic(t *testing.T) {
 	Transpose(NewMatrix(2, 2), NewMatrix(2, 3))
 }
 
-func TestAddRowVectorAndColSums(t *testing.T) {
-	m := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
-	AddRowVector(m, []float32{10, 20, 30})
-	want := []float32{11, 22, 33, 14, 25, 36}
-	for i, w := range want {
-		if m.Data[i] != w {
-			t.Fatalf("AddRowVector[%d]=%v want %v", i, m.Data[i], w)
-		}
-	}
+func TestColSums(t *testing.T) {
+	m := FromSlice(2, 3, []float32{11, 22, 33, 14, 25, 36})
 	sums := make([]float32, 3)
 	ColSums(sums, m)
 	if sums[0] != 25 || sums[1] != 47 || sums[2] != 69 {
