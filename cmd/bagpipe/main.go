@@ -1365,7 +1365,7 @@ func runTCPDriver(cfg train.Config, spec *data.Spec) {
 			}
 			for k := 0; k < *replicate; k++ {
 				p := ((*killServer-k)%*servers + *servers) % *servers
-				got, err := link.TryFingerprintPart(p, *servers)
+				got, err := link.TryFingerprintPartIn(p, *servers, 0, 1)
 				if err != nil {
 					die(fmt.Errorf("fingerprint partition %d on rejoined server %d: %w", p, *killServer, err))
 				}

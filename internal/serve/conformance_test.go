@@ -81,17 +81,12 @@ func (h *tierHist) check(id uint64, row []float32) {
 // historyStore wraps one client's transport to one server, recording writes
 // into and checking fetches against the shared history.
 type historyStore struct {
-	transport.Store
-	f transport.FallibleStore
+	transport.Link
 	h *tierHist
 }
 
-func newHistoryStore(child transport.Store, h *tierHist) *historyStore {
-	f, ok := child.(transport.FallibleStore)
-	if !ok {
-		panic("conformance: child store has no fallible face")
-	}
-	return &historyStore{Store: child, f: f, h: h}
+func newHistoryStore(child transport.Link, h *tierHist) *historyStore {
+	return &historyStore{Link: child, h: h}
 }
 
 func (s *historyStore) recordAll(ids []uint64, rows [][]float32) {
@@ -107,18 +102,18 @@ func (s *historyStore) checkAll(ids []uint64, rows [][]float32) {
 }
 
 func (s *historyStore) Fetch(ids []uint64) [][]float32 {
-	rows := s.Store.Fetch(ids)
+	rows := s.Link.Fetch(ids)
 	s.checkAll(ids, rows)
 	return rows
 }
 
 func (s *historyStore) Write(ids []uint64, rows [][]float32) {
 	s.recordAll(ids, rows)
-	s.Store.Write(ids, rows)
+	s.Link.Write(ids, rows)
 }
 
 func (s *historyStore) TryFetch(ids []uint64) ([][]float32, error) {
-	rows, err := s.f.TryFetch(ids)
+	rows, err := s.Link.TryFetch(ids)
 	if err == nil {
 		s.checkAll(ids, rows)
 	}
@@ -127,15 +122,7 @@ func (s *historyStore) TryFetch(ids []uint64) ([][]float32, error) {
 
 func (s *historyStore) TryWrite(ids []uint64, rows [][]float32) error {
 	s.recordAll(ids, rows)
-	return s.f.TryWrite(ids, rows)
-}
-
-func (s *historyStore) TryFingerprintPart(part, of int) (uint64, error) {
-	return s.f.TryFingerprintPart(part, of)
-}
-
-func (s *historyStore) TryCheckpoint() ([]byte, error) {
-	return s.f.TryCheckpoint()
+	return s.Link.TryWrite(ids, rows)
 }
 
 // Conformance-run shape: small enough for the full matrix under -race,

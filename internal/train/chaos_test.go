@@ -22,7 +22,7 @@ import (
 // real kill produces (no trainer can reach the server after the cut, so no
 // replica can silently diverge).
 type chaosStore struct {
-	*transport.InProcess
+	*transport.SimNet
 	ops    *atomic.Int64
 	doomed bool
 	after  int64
@@ -40,28 +40,28 @@ func (c *chaosStore) TryFetch(ids []uint64) ([][]float32, error) {
 	if c.dead() {
 		return nil, c.errDead()
 	}
-	return c.InProcess.TryFetch(ids)
+	return c.SimNet.TryFetch(ids)
 }
 
 func (c *chaosStore) TryWrite(ids []uint64, rows [][]float32) error {
 	if c.dead() {
 		return c.errDead()
 	}
-	return c.InProcess.TryWrite(ids, rows)
+	return c.SimNet.TryWrite(ids, rows)
 }
 
-func (c *chaosStore) TryFingerprintPart(part, of int) (uint64, error) {
+func (c *chaosStore) TryFingerprintPartIn(part, of, within, withinOf int) (uint64, error) {
 	if c.dead() {
 		return 0, c.errDead()
 	}
-	return c.InProcess.TryFingerprintPart(part, of)
+	return c.SimNet.TryFingerprintPartIn(part, of, within, withinOf)
 }
 
 func (c *chaosStore) TryCheckpoint() ([]byte, error) {
 	if c.dead() {
 		return nil, c.errDead()
 	}
-	return c.InProcess.TryCheckpoint()
+	return c.SimNet.TryCheckpoint()
 }
 
 func TestLRPPReplicatedTierSurvivesServerDeath(t *testing.T) {
@@ -84,10 +84,10 @@ func TestLRPPReplicatedTierSurvivesServerDeath(t *testing.T) {
 		children := make([]transport.Store, S)
 		for s, srv := range tier {
 			children[s] = &chaosStore{
-				InProcess: transport.NewInProcess(srv),
-				ops:       &ops,
-				doomed:    s == 1,
-				after:     killAfterOps,
+				SimNet: transport.NewInProcess(srv),
+				ops:    &ops,
+				doomed: s == 1,
+				after:  killAfterOps,
 			}
 		}
 		trs[i] = transport.NewTier(children, transport.TierOptions{
@@ -169,10 +169,10 @@ func TestLRPPServerRejoinMidTraining(t *testing.T) {
 		children := make([]transport.Store, S)
 		for s, srv := range tier {
 			children[s] = &chaosStore{
-				InProcess: transport.NewInProcess(srv),
-				ops:       &ops,
-				doomed:    s == 1,
-				after:     killAfterOps,
+				SimNet: transport.NewInProcess(srv),
+				ops:    &ops,
+				doomed: s == 1,
+				after:  killAfterOps,
 			}
 		}
 		tiers[i] = transport.NewTier(children, transport.TierOptions{

@@ -6,29 +6,29 @@ import (
 	"time"
 )
 
-// FaultStore wraps any child Store with a switchable fallible face — the
-// unit-level stand-in for a killed or crawling remote server. The PR-7
+// FaultStore wraps any child Link with a switchable failure — the
+// unit-level stand-in for a killed or crawling remote server. The
 // tier-failover suite uses it to condemn servers mid-run without real
 // sockets; the serving conformance suite reuses it to drive the read path's
 // breaker and shed logic. Production tiers never construct one; it lives in
 // the main build so test suites in other packages (train, serve) can inject
 // faults through the same wrapper.
 //
-// Semantics: while down, every fallible op fails with an error naming the
-// server; SetSlow injects a fixed latency before each fallible op (a slow
-// shard rather than a dead one). The errorless Store methods pass straight
-// through — the tier only routes fallible children through the
-// retry/failover machinery, so a FaultStore is always condemnable.
+// Semantics: while down, every Try op fails with an error naming the
+// server; SetSlow injects a fixed latency before each Try op (a slow shard
+// rather than a dead one). The errorless Store methods pass straight
+// through — the tier drives its children only through the Try ops, so a
+// FaultStore is always condemnable.
 type FaultStore struct {
-	Store
+	Link
 	server int
 	down   atomic.Bool
 	slowNs atomic.Int64
 }
 
 // NewFaultStore wraps child as tier server index server.
-func NewFaultStore(child Store, server int) *FaultStore {
-	return &FaultStore{Store: child, server: server}
+func NewFaultStore(child Link, server int) *FaultStore {
+	return &FaultStore{Link: child, server: server}
 }
 
 // SetDown switches the injected hard failure on or off.
@@ -37,17 +37,15 @@ func (f *FaultStore) SetDown(down bool) { f.down.Store(down) }
 // Down reports whether the store is currently failing.
 func (f *FaultStore) Down() bool { return f.down.Load() }
 
-// SetSlow injects d of latency before every fallible op (0 disables).
+// SetSlow injects d of latency before every Try op (0 disables).
 func (f *FaultStore) SetSlow(d time.Duration) { f.slowNs.Store(int64(d)) }
 
 // instant preserves the child's scatter-path classification: wrapping an
 // in-process server must not silently switch the tier to the concurrent
 // scatter the serial tests pin.
 func (f *FaultStore) instant() bool {
-	if is, ok := f.Store.(instantStore); ok {
-		return is.instant()
-	}
-	return false
+	is, ok := f.Link.(instantStore)
+	return ok && is.instant()
 }
 
 // gate injects the configured latency and reports the down error, if any.
@@ -61,173 +59,83 @@ func (f *FaultStore) gate() error {
 	return nil
 }
 
-// fallibleChild returns the child's fallible face, if it has one.
-func (f *FaultStore) fallibleChild() FallibleStore {
-	fs, _ := f.Store.(FallibleStore)
-	return fs
-}
-
-// TryFetch implements FallibleStore.
+// The Try ops implement Link: gate, then forward to the child. Every op is
+// gated, so tests can kill a data-path server, an anti-entropy source or
+// rejoiner mid-transfer, or a migration source, target or the
+// coordinator's control plane mid-reshard.
 func (f *FaultStore) TryFetch(ids []uint64) ([][]float32, error) {
 	if err := f.gate(); err != nil {
 		return nil, err
 	}
-	if fs := f.fallibleChild(); fs != nil {
-		return fs.TryFetch(ids)
-	}
-	return f.Store.Fetch(ids), nil
+	return f.Link.TryFetch(ids)
 }
 
-// TryWrite implements FallibleStore.
 func (f *FaultStore) TryWrite(ids []uint64, rows [][]float32) error {
 	if err := f.gate(); err != nil {
 		return err
 	}
-	if fs := f.fallibleChild(); fs != nil {
-		return fs.TryWrite(ids, rows)
-	}
-	f.Store.Write(ids, rows)
-	return nil
+	return f.Link.TryWrite(ids, rows)
 }
 
-// TryFingerprintPart implements FallibleStore.
-func (f *FaultStore) TryFingerprintPart(part, of int) (uint64, error) {
-	if err := f.gate(); err != nil {
-		return 0, err
-	}
-	if fs := f.fallibleChild(); fs != nil {
-		return fs.TryFingerprintPart(part, of)
-	}
-	pf, ok := f.Store.(partFingerprinter)
-	if !ok {
-		return 0, fmt.Errorf("transport: fault-injected server %d (%T) cannot serve partition fingerprints", f.server, f.Store)
-	}
-	return pf.FingerprintPart(part, of), nil
-}
-
-// TryCheckpoint implements FallibleStore.
 func (f *FaultStore) TryCheckpoint() ([]byte, error) {
 	if err := f.gate(); err != nil {
 		return nil, err
 	}
-	if fs := f.fallibleChild(); fs != nil {
-		return fs.TryCheckpoint()
-	}
-	return f.Store.Checkpoint(), nil
-}
-
-// TryExportPart implements PartExporter, gated like every fallible op so
-// tests can kill an anti-entropy *source* mid-resync.
-func (f *FaultStore) TryExportPart(part, of int) ([]uint64, [][]float32, error) {
-	if err := f.gate(); err != nil {
-		return nil, nil, err
-	}
-	exp, ok := f.Store.(PartExporter)
-	if !ok {
-		return nil, nil, fmt.Errorf("transport: fault-injected server %d (%T) cannot export partitions", f.server, f.Store)
-	}
-	return exp.TryExportPart(part, of)
-}
-
-// TryWriteRecovery / TryEndRecovery implement RecoveryStore, gated so tests
-// can kill a *rejoiner* mid-transfer.
-func (f *FaultStore) TryWriteRecovery(ids []uint64, rows [][]float32) error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	rec, ok := f.Store.(RecoveryStore)
-	if !ok {
-		return fmt.Errorf("transport: fault-injected server %d (%T) cannot accept recovery writes", f.server, f.Store)
-	}
-	return rec.TryWriteRecovery(ids, rows)
-}
-
-func (f *FaultStore) TryEndRecovery() error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	rec, ok := f.Store.(RecoveryStore)
-	if !ok {
-		return fmt.Errorf("transport: fault-injected server %d (%T) has no recovery face", f.server, f.Store)
-	}
-	return rec.TryEndRecovery()
-}
-
-// reshardChild returns the child's reshard face or an attributed error.
-func (f *FaultStore) reshardChild() (ReshardStore, error) {
-	rs, ok := f.Store.(ReshardStore)
-	if !ok {
-		return nil, fmt.Errorf("transport: fault-injected server %d (%T) has no reshard face", f.server, f.Store)
-	}
-	return rs, nil
-}
-
-// TryInstallRouting, TryAnnounceEpoch, TryBeginRecovery, TryExportPartIn,
-// TryFingerprintPartIn, TryRetainOwned implement ReshardStore, gated like
-// every fallible op so tests can kill a migration source, target, or the
-// coordinator's control plane mid-reshard.
-func (f *FaultStore) TryInstallRouting(rt *RoutingTable) error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	rs, err := f.reshardChild()
-	if err != nil {
-		return err
-	}
-	return rs.TryInstallRouting(rt)
-}
-
-func (f *FaultStore) TryAnnounceEpoch(epoch uint64) error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	rs, err := f.reshardChild()
-	if err != nil {
-		return err
-	}
-	return rs.TryAnnounceEpoch(epoch)
+	return f.Link.TryCheckpoint()
 }
 
 func (f *FaultStore) TryBeginRecovery() error {
 	if err := f.gate(); err != nil {
 		return err
 	}
-	rs, err := f.reshardChild()
-	if err != nil {
+	return f.Link.TryBeginRecovery()
+}
+
+func (f *FaultStore) TryWriteRecovery(ids []uint64, rows [][]float32) error {
+	if err := f.gate(); err != nil {
 		return err
 	}
-	return rs.TryBeginRecovery()
+	return f.Link.TryWriteRecovery(ids, rows)
+}
+
+func (f *FaultStore) TryEndRecovery() error {
+	if err := f.gate(); err != nil {
+		return err
+	}
+	return f.Link.TryEndRecovery()
+}
+
+func (f *FaultStore) TryInstallRouting(rt *RoutingTable) error {
+	if err := f.gate(); err != nil {
+		return err
+	}
+	return f.Link.TryInstallRouting(rt)
+}
+
+func (f *FaultStore) TryAnnounceEpoch(epoch uint64) error {
+	if err := f.gate(); err != nil {
+		return err
+	}
+	return f.Link.TryAnnounceEpoch(epoch)
 }
 
 func (f *FaultStore) TryExportPartIn(part, of, within, withinOf int) ([]uint64, [][]float32, error) {
 	if err := f.gate(); err != nil {
 		return nil, nil, err
 	}
-	rs, err := f.reshardChild()
-	if err != nil {
-		return nil, nil, err
-	}
-	return rs.TryExportPartIn(part, of, within, withinOf)
+	return f.Link.TryExportPartIn(part, of, within, withinOf)
 }
 
 func (f *FaultStore) TryFingerprintPartIn(part, of, within, withinOf int) (uint64, error) {
 	if err := f.gate(); err != nil {
 		return 0, err
 	}
-	rs, err := f.reshardChild()
-	if err != nil {
-		return 0, err
-	}
-	return rs.TryFingerprintPartIn(part, of, within, withinOf)
+	return f.Link.TryFingerprintPartIn(part, of, within, withinOf)
 }
 
 func (f *FaultStore) TryRetainOwned(self, of, replicate int) (int, error) {
 	if err := f.gate(); err != nil {
 		return 0, err
 	}
-	rs, err := f.reshardChild()
-	if err != nil {
-		return 0, err
-	}
-	return rs.TryRetainOwned(self, of, replicate)
+	return f.Link.TryRetainOwned(self, of, replicate)
 }

@@ -230,16 +230,14 @@ func (t *ShardedStore) readRingSub(base, width int, sub []uint64, pol ReadPolicy
 	return nil, nil, &TierError{Op: "read", Partition: base, Server: lastSrv, Replicate: t.replicate, Cause: lastErr}
 }
 
-// readOnce is one timed, observed attempt against server s. Children
-// without a fallible face cannot fail, so they take the errorless call.
-// A stale-routing fence short-circuits *before* the policy observes it:
-// the fence carries no latency or health signal about the server.
+// readOnce is one timed, observed attempt against server s. A
+// stale-routing fence short-circuits *before* the policy observes it: the
+// fence carries no latency or health signal about the server.
 func (t *ShardedStore) readOnce(s int, sub []uint64, pol ReadPolicy) (rows [][]float32, err error) {
 	start := time.Now()
-	if f := t.fall(s); f != nil {
-		rows, err = f.TryFetch(sub)
-	} else {
-		rows = t.child(s).Fetch(sub)
+	l, _, err := t.link(s)
+	if err == nil {
+		rows, err = l.TryFetch(sub)
 	}
 	if asStaleRouting(err) != nil {
 		return nil, err
@@ -253,46 +251,35 @@ func (t *ShardedStore) readOnce(s int, sub []uint64, pol ReadPolicy) (rows [][]f
 	return rows, nil
 }
 
-// singleReadStore adapts a one-server Store to the ReadStore face: server
-// index 0, one attempt, the store's fallible face when it has one.
-type singleReadStore struct {
-	st  Store
-	f   FallibleStore
-	dim int
-}
+// singleReadStore adapts a one-server Link to the ReadStore face: server
+// index 0, one attempt.
+type singleReadStore struct{ Link }
 
 // AsReadStore returns the read-mostly face of any tier client: a
-// *ShardedStore serves it natively (replica routing, policy hooks), any
-// other Store becomes a one-server read path on server index 0 whose
-// failures (for fallible stores: a broken TCP link) surface as a *TierError
-// with partition 0 — the same attribution contract at every tier width.
+// *ShardedStore serves it natively (replica routing, policy hooks), a
+// single Link becomes a one-server read path on server index 0 whose
+// failures (a broken TCP link) surface as a *TierError with partition 0 —
+// the same attribution contract at every tier width. Any other Store is a
+// programming error and panics.
 func AsReadStore(st Store) ReadStore {
 	if rs, ok := st.(ReadStore); ok {
 		return rs
 	}
-	f, _ := st.(FallibleStore)
-	return &singleReadStore{st: st, f: f, dim: st.Dim()}
+	l, err := asLink(0, st)
+	if err != nil {
+		panic(err.Error())
+	}
+	return singleReadStore{l}
 }
 
-// Dim implements ReadStore.
-func (s *singleReadStore) Dim() int { return s.dim }
-
 // ReadFetch implements ReadStore.
-func (s *singleReadStore) ReadFetch(ids []uint64, pol ReadPolicy) ([][]float32, error) {
+func (s singleReadStore) ReadFetch(ids []uint64, pol ReadPolicy) ([][]float32, error) {
 	if pol != nil && !pol.AllowRead(0) {
 		return nil, &TierError{Op: "read", Partition: 0, Server: 0, Replicate: 1,
 			Cause: fmt.Errorf("transport: every live replica vetoed by the read policy (breaker open)")}
 	}
 	start := time.Now()
-	var (
-		rows [][]float32
-		err  error
-	)
-	if s.f != nil {
-		rows, err = s.f.TryFetch(ids)
-	} else {
-		rows = s.st.Fetch(ids)
-	}
+	rows, err := s.TryFetch(ids)
 	if pol != nil {
 		pol.ObserveRead(0, time.Since(start), err)
 	}

@@ -91,10 +91,14 @@ func (t *ShardedStore) admit(s int) error {
 		if st == nil {
 			return fmt.Errorf("transport: dialer returned no store for spare server %d", s)
 		}
+		l, err := asLink(s, st)
+		if err != nil {
+			return err
+		}
 		if st.Dim() != t.dim {
 			return fmt.Errorf("transport: spare server %d serves dim %d, tier serves %d", s, st.Dim(), t.dim)
 		}
-		t.slots[s].Store(newServerSlot(st))
+		t.slots[s].Store(&serverSlot{link: l})
 	}
 	t.stateMu.Lock()
 	t.gen[s].Add(1)
@@ -160,21 +164,19 @@ func (t *ShardedStore) adoptRouting(se *StaleRoutingError) {
 		return
 	}
 	cur := t.routing.Load()
-	rs := ReshardStore(nil)
-	if se.Server >= 0 && se.Server < t.capacity {
-		rs = t.reshardFace(se.Server)
-	}
-	switch {
-	case se.Epoch < cur.Epoch:
-		if rs != nil {
-			_ = rs.TryInstallRouting(cur)
-		}
-	case se.Epoch == cur.Epoch:
-		if rs != nil {
-			_ = rs.TryAnnounceEpoch(cur.Epoch)
-		}
-	default:
+	if se.Epoch > cur.Epoch {
 		time.Sleep(time.Millisecond)
+		return
+	}
+	l, _, err := t.link(se.Server)
+	switch {
+	case err != nil:
+		// No connection to teach (an unattributed fence); the reissue routes
+		// afresh.
+	case se.Epoch < cur.Epoch:
+		_ = l.TryInstallRouting(cur)
+	default:
+		_ = l.TryAnnounceEpoch(cur.Epoch)
 	}
 }
 
@@ -217,6 +219,10 @@ func (t *ShardedStore) ConnectServer(s int, st Store) error {
 	if st == nil {
 		return fmt.Errorf("transport: connect of server %d with no store", s)
 	}
+	l, err := asLink(s, st)
+	if err != nil {
+		return err
+	}
 	if st.Dim() != t.dim {
 		return fmt.Errorf("transport: connecting server %d serves dim %d, tier serves %d", s, st.Dim(), t.dim)
 	}
@@ -225,7 +231,7 @@ func (t *ShardedStore) ConnectServer(s int, st Store) error {
 	if t.state[s].Load() != srvAbsent {
 		return fmt.Errorf("transport: connect of server %d which is not absent", s)
 	}
-	t.slots[s].Store(newServerSlot(st))
+	t.slots[s].Store(&serverSlot{link: l})
 	return t.admit(s)
 }
 
@@ -234,8 +240,7 @@ func (t *ShardedStore) ConnectServer(s int, st Store) error {
 // before this client routes by it, or the table's dual-write guarantees
 // hold only probabilistically. A server whose push fails is condemned
 // (fenced by generation) and the migration proceeds on the survivors — the
-// per-partition verify decides whether that loss is fatal. Servers without
-// the reshard face are skipped; they run at epoch 0 and accept everything.
+// per-partition verify decides whether that loss is fatal.
 func (t *ShardedStore) PushRouting(rt *RoutingTable) error {
 	if err := rt.validate(); err != nil {
 		return err
@@ -255,14 +260,12 @@ func (t *ShardedStore) PushRouting(rt *RoutingTable) error {
 		if st := t.state[s].Load(); st == srvDead || st == srvAbsent {
 			continue
 		}
-		rs := t.reshardFace(s)
-		if rs == nil {
-			continue
-		}
-		g := t.gen[s].Load()
-		if err := rs.TryInstallRouting(rt); err != nil {
-			t.markDeadIfGen(s, g, fmt.Errorf("transport: routing push to server %d: %w", s, err))
-		}
+		t.attempt(s, 1, func(l Link) error {
+			if err := l.TryInstallRouting(rt); err != nil {
+				return fmt.Errorf("transport: routing push to server %d: %w", s, err)
+			}
+			return nil
+		})
 	}
 	t.InstallRouting(rt)
 	return nil
@@ -272,32 +275,23 @@ func (t *ShardedStore) PushRouting(rt *RoutingTable) error {
 // that lets migration streams interleave with live dual writes; see
 // embed.Server.BeginRecovery).
 func (t *ShardedStore) BeginRecoveryOn(s int) error {
-	if s < 0 || s >= t.capacity {
-		return fmt.Errorf("transport: server %d outside tier capacity %d", s, t.capacity)
+	l, _, err := t.link(s)
+	if err != nil {
+		return err
 	}
-	rs := t.reshardFace(s)
-	if rs == nil {
-		return fmt.Errorf("transport: server %d (%T) has no reshard face", s, t.child(s))
-	}
-	return rs.TryBeginRecovery()
+	return l.TryBeginRecovery()
 }
 
 // ExportPartInFrom snapshots the (part-of-of ∩ within-of-withinOf)
 // intersection from server src: the migration's per-round source read. One
 // attempt — a failed source is condemned (fenced) and the round retries
 // from the next live holder.
-func (t *ShardedStore) ExportPartInFrom(src, part, of, within, withinOf int) ([]uint64, [][]float32, error) {
-	if src < 0 || src >= t.capacity {
-		return nil, nil, fmt.Errorf("transport: server %d outside tier capacity %d", src, t.capacity)
-	}
-	rs := t.reshardFace(src)
-	if rs == nil {
-		return nil, nil, fmt.Errorf("transport: server %d (%T) has no reshard face", src, t.child(src))
-	}
-	g := t.gen[src].Load()
-	ids, rows, err := rs.TryExportPartIn(part, of, within, withinOf)
+func (t *ShardedStore) ExportPartInFrom(src, part, of, within, withinOf int) (ids []uint64, rows [][]float32, err error) {
+	err = t.attempt(src, 1, func(l Link) (err error) {
+		ids, rows, err = l.TryExportPartIn(part, of, within, withinOf)
+		return err
+	})
 	if err != nil {
-		t.markDeadIfGen(src, g, err)
 		return nil, nil, err
 	}
 	return ids, rows, nil
@@ -309,73 +303,45 @@ func (t *ShardedStore) ExportPartInFrom(src, part, of, within, withinOf int) ([]
 // tier's ReshardRows/ReshardBytes counters. A mid-stream failure condemns
 // dst (fenced) and returns what landed.
 func (t *ShardedStore) RecoveryWriteTo(dst int, ids []uint64, rows [][]float32, batch int) (int, int64, error) {
-	if dst < 0 || dst >= t.capacity {
-		return 0, 0, fmt.Errorf("transport: server %d outside tier capacity %d", dst, t.capacity)
-	}
 	if batch <= 0 {
 		batch = 512
 	}
-	rec, ok := t.child(dst).(RecoveryStore)
-	if !ok {
-		return 0, 0, fmt.Errorf("transport: server %d (%T) cannot accept recovery writes", dst, t.child(dst))
-	}
-	g := t.gen[dst].Load()
 	sent, bytes := 0, int64(0)
-	flush := func() {
-		t.reshardRows.Add(int64(sent))
-		t.reshardBytes.Add(bytes)
-	}
-	for off := 0; off < len(ids); off += batch {
-		end := min(off+batch, len(ids))
-		if err := rec.TryWriteRecovery(ids[off:end], rows[off:end]); err != nil {
-			t.markDeadIfGen(dst, g, err)
-			flush()
-			return sent, bytes, err
+	err := t.attempt(dst, 1, func(l Link) error {
+		for off := 0; off < len(ids); off += batch {
+			end := min(off+batch, len(ids))
+			if err := l.TryWriteRecovery(ids[off:end], rows[off:end]); err != nil {
+				return err
+			}
+			sent += end - off
+			bytes += payloadBytes(end-off, t.dim)
 		}
-		sent += end - off
-		bytes += payloadBytes(end-off, t.dim)
-	}
-	flush()
-	return sent, bytes, nil
+		return nil
+	})
+	t.reshardRows.Add(int64(sent))
+	t.reshardBytes.Add(bytes)
+	return sent, bytes, err
 }
 
 // FingerprintPartInOn digests the (part ∩ within) intersection on server
 // s: the migration's per-round verify probe. One attempt, unfenced by
 // routing (the epochs are the coordinator's own).
-func (t *ShardedStore) FingerprintPartInOn(s, part, of, within, withinOf int) (uint64, error) {
-	if s < 0 || s >= t.capacity {
-		return 0, fmt.Errorf("transport: server %d outside tier capacity %d", s, t.capacity)
-	}
-	rs := t.reshardFace(s)
-	if rs == nil {
-		return 0, fmt.Errorf("transport: server %d (%T) has no reshard face", s, t.child(s))
-	}
-	g := t.gen[s].Load()
-	fp, err := rs.TryFingerprintPartIn(part, of, within, withinOf)
-	if err != nil {
-		t.markDeadIfGen(s, g, err)
-		return 0, err
-	}
-	return fp, nil
+func (t *ShardedStore) FingerprintPartInOn(s, part, of, within, withinOf int) (fp uint64, err error) {
+	err = t.attempt(s, 1, func(l Link) (err error) {
+		fp, err = l.TryFingerprintPartIn(part, of, within, withinOf)
+		return err
+	})
+	return fp, err
 }
 
 // RetainOwnedOn asks server s to shed every row outside its
 // replicate-deep replica set of an of-way split — the settle-time cleanup
 // that restores the invariant that a server materializes only rows it can
 // be asked for.
-func (t *ShardedStore) RetainOwnedOn(s, self, of, replicate int) (int, error) {
-	if s < 0 || s >= t.capacity {
-		return 0, fmt.Errorf("transport: server %d outside tier capacity %d", s, t.capacity)
-	}
-	rs := t.reshardFace(s)
-	if rs == nil {
-		return 0, fmt.Errorf("transport: server %d (%T) has no reshard face", s, t.child(s))
-	}
-	g := t.gen[s].Load()
-	n, err := rs.TryRetainOwned(self, of, replicate)
-	if err != nil {
-		t.markDeadIfGen(s, g, err)
-		return 0, err
-	}
-	return n, nil
+func (t *ShardedStore) RetainOwnedOn(s, self, of, replicate int) (n int, err error) {
+	err = t.attempt(s, 1, func(l Link) (err error) {
+		n, err = l.TryRetainOwned(self, of, replicate)
+		return err
+	})
+	return n, err
 }

@@ -25,21 +25,6 @@ import (
 // re-marks the rejoiner dead under its generation — there is no half-live
 // state, and a resyncing server never serves a read.
 
-// PartExporter is the optional store face the anti-entropy source needs: a
-// snapshot of one partition's materialized rows.
-type PartExporter interface {
-	TryExportPart(part, of int) ([]uint64, [][]float32, error)
-}
-
-// RecoveryStore is the optional store face a rejoining server's connection
-// needs: bulk recovery writes (skipping rows the live stream already
-// refreshed — see embed.Server.WriteRecovery) and the explicit end of the
-// recovery window once the tier has certified the rejoin.
-type RecoveryStore interface {
-	TryWriteRecovery(ids []uint64, rows [][]float32) error
-	TryEndRecovery() error
-}
-
 // RejoinOptions tunes an anti-entropy rejoin. The zero value is sensible.
 type RejoinOptions struct {
 	// BatchRows is the number of rows per recovery-write RPC (default 512).
@@ -74,7 +59,8 @@ func (o *RejoinOptions) defaults() {
 // BeginRejoin installs st as the new connection to dead server s and flips
 // it to the resync state under a new generation. From return onward the
 // write fan-out forwards s's partitions' writes to st; reads still avoid s
-// until CompleteRejoin certifies it. st must serve the tier's row width.
+// until CompleteRejoin certifies it. st must be a Link serving the tier's
+// row width.
 //
 // A rejoin that races a reshard is refused: mid-reshard the partition map
 // is in motion, and re-admitting a server under ownership about to change
@@ -94,12 +80,15 @@ func (t *ShardedStore) BeginRejoin(s int, st Store) error {
 	if st == nil {
 		return fmt.Errorf("transport: rejoin of server %d with no store", s)
 	}
+	l, err := asLink(s, st)
+	if err != nil {
+		return err
+	}
 	if st.Dim() != t.dim {
 		return fmt.Errorf("transport: rejoining server %d serves dim %d, tier serves %d", s, st.Dim(), t.dim)
 	}
-	sl := newServerSlot(st)
-	if rt.Epoch > 0 && sl.reshard != nil {
-		if err := sl.reshard.TryInstallRouting(rt); err != nil {
+	if rt.Epoch > 0 {
+		if err := l.TryInstallRouting(rt); err != nil {
 			return fmt.Errorf("transport: rejoining server %d refused the routing table: %w", s, err)
 		}
 	}
@@ -111,7 +100,7 @@ func (t *ShardedStore) BeginRejoin(s int, st Store) error {
 	// Publication order matters for the incarnation fence: readers load gen
 	// before slot, so slot must be new by the time gen is, and both must be
 	// new by the time the resync state is visible.
-	t.slots[s].Store(sl)
+	t.slots[s].Store(&serverSlot{link: l})
 	t.gen[s].Add(1)
 	t.state[s].Store(srvResync)
 	return nil
@@ -214,57 +203,40 @@ func (t *ShardedStore) resyncRound(s, p, W int, opts *RejoinOptions) (bool, erro
 		// (and the tier at large is about to discover the same loss).
 		return false, fmt.Errorf("transport: no live replica of partition %d to resync from", p)
 	}
-	srcGen := t.gen[src].Load()
-	srcStore := t.child(src)
+	srcLink, srcGen, err := t.link(src)
+	if err != nil {
+		return false, err
+	}
+	dst, _, err := t.link(s)
+	if err != nil {
+		return false, err
+	}
 	if !opts.VerifyOnly {
-		exp, ok := srcStore.(PartExporter)
-		if !ok {
-			return false, fmt.Errorf("transport: tier server %d (%T) cannot export partitions", src, srcStore)
-		}
-		ids, rows, err := exp.TryExportPart(p, W)
+		ids, rows, err := srcLink.TryExportPartIn(p, W, 0, 1)
 		if err != nil {
 			// Source failure: condemn it (fenced) and retry the round — the
 			// ring routes to the next live holder.
 			t.markDeadIfGen(src, srcGen, err)
 			return false, nil
 		}
-		rec, ok := t.child(s).(RecoveryStore)
-		if !ok {
-			return false, fmt.Errorf("transport: rejoining server %d (%T) cannot accept recovery writes", s, t.child(s))
-		}
 		for off := 0; off < len(ids); off += opts.BatchRows {
 			end := min(off+opts.BatchRows, len(ids))
-			if err := rec.TryWriteRecovery(ids[off:end], rows[off:end]); err != nil {
+			if err := dst.TryWriteRecovery(ids[off:end], rows[off:end]); err != nil {
 				return false, err
 			}
 			t.resyncRows.Add(int64(end - off))
 		}
 	}
-	want, err := t.fingerprintOnce(src, p, W)
+	want, err := srcLink.TryFingerprintPartIn(p, W, 0, 1)
 	if err != nil {
 		t.markDeadIfGen(src, srcGen, err)
 		return false, nil
 	}
-	got, err := t.fingerprintOnce(s, p, W)
+	got, err := dst.TryFingerprintPartIn(p, W, 0, 1)
 	if err != nil {
 		return false, err
 	}
 	return want == got, nil
-}
-
-// fingerprintOnce is a single (unretried) partition-fingerprint probe of
-// server idx in an of-way partition space — the resync rounds own the
-// retry policy.
-func (t *ShardedStore) fingerprintOnce(idx, part, of int) (uint64, error) {
-	if f := t.fall(idx); f != nil {
-		return f.TryFingerprintPart(part, of)
-	}
-	c := t.child(idx)
-	pf, ok := c.(partFingerprinter)
-	if !ok {
-		return 0, fmt.Errorf("transport: tier server %d (%T) cannot serve partition fingerprints", idx, c)
-	}
-	return pf.FingerprintPart(part, of), nil
 }
 
 // EndRecovery closes server s's server-side recovery window (the freshness
@@ -273,14 +245,11 @@ func (t *ShardedStore) fingerprintOnce(idx, part, of int) (uint64, error) {
 // re-admitted it may call this — ending recovery while another client is
 // still transferring would let a stale snapshot overwrite live rows.
 func (t *ShardedStore) EndRecovery(s int) error {
-	if s < 0 || s >= t.capacity {
-		return fmt.Errorf("transport: end recovery of server %d outside tier capacity [0, %d)", s, t.capacity)
+	l, _, err := t.link(s)
+	if err != nil {
+		return err
 	}
-	rec, ok := t.child(s).(RecoveryStore)
-	if !ok {
-		return fmt.Errorf("transport: server %d (%T) has no recovery face", s, t.child(s))
-	}
-	return rec.TryEndRecovery()
+	return l.TryEndRecovery()
 }
 
 // Reviver watches the tier for dead servers and brings them back: it

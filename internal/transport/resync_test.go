@@ -608,7 +608,7 @@ func TestRejoinTCP(t *testing.T) {
 
 	// Per-partition certificates straight off the rejoiner's link.
 	for _, p := range rejoinerParts(1, S, R) {
-		got, err := link2.TryFingerprintPart(p, S)
+		got, err := link2.TryFingerprintPartIn(p, S, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -147,16 +147,17 @@ func decodeRouting(b []byte) (*RoutingTable, error) {
 	rt := &RoutingTable{Epoch: r.u64(), OldS: int(r.u32()), NewS: int(r.u32())}
 	settled := r.u8()
 	if r.err == nil && settled == 0 {
-		if rt.NewS >= 1 && rt.NewS <= maxFrame {
-			st := r.take(rt.NewS, 1)
-			if r.err == nil {
-				rt.State = make([]PartState, rt.NewS)
-				for i, v := range st {
-					rt.State[i] = PartState(v)
-				}
-			}
-		} else {
+		if rt.NewS < 1 || rt.NewS > maxFrame {
 			return nil, fmt.Errorf("transport: routing table target width %d", rt.NewS)
+		}
+		// take trusts its length: the states must all be present.
+		if rt.NewS > len(r.b) {
+			r.fail()
+		} else {
+			rt.State = make([]PartState, rt.NewS)
+			for i, v := range r.take(rt.NewS, 1) {
+				rt.State[i] = PartState(v)
+			}
 		}
 	}
 	if r.err != nil {
@@ -199,29 +200,4 @@ func asStaleRouting(err error) *StaleRoutingError {
 		return se
 	}
 	return nil
-}
-
-// ReshardStore is the optional store face live resharding needs on each
-// tier child: routing-table distribution plus the partition-intersection
-// transfer primitives. All production transports (InProcess, SimNet,
-// TCPLink) and the fault-injection wrapper implement it.
-type ReshardStore interface {
-	// TryInstallRouting installs rt on the server (monotonic by epoch) and
-	// marks this link's announced epoch rt.Epoch.
-	TryInstallRouting(rt *RoutingTable) error
-	// TryAnnounceEpoch declares the epoch this link's future data ops are
-	// routed by.
-	TryAnnounceEpoch(epoch uint64) error
-	// TryBeginRecovery opens the server's recovery window (freshness
-	// filter), so migration streams and live dual writes can interleave.
-	TryBeginRecovery() error
-	// TryExportPartIn snapshots the rows in partition part of an of-way
-	// split that also fall in partition within of a withinOf-way split
-	// (withinOf <= 1 disables the second filter).
-	TryExportPartIn(part, of, within, withinOf int) ([]uint64, [][]float32, error)
-	// TryFingerprintPartIn is the digest of the same intersection.
-	TryFingerprintPartIn(part, of, within, withinOf int) (uint64, error)
-	// TryRetainOwned drops every row outside server self's replicate-deep
-	// replica set of an of-way split, returning how many went.
-	TryRetainOwned(self, of, replicate int) (int, error)
 }

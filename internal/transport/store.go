@@ -16,11 +16,10 @@ import (
 // (Fetch/Write/Dim/Stats/Name) plus the tier operations every engine and
 // the verification drivers need — state fingerprinting, checkpointing, and
 // remote shutdown — so callers program against *the tier*, never against
-// an individual server. The single-server transports (InProcess, SimNet,
-// TCPLink) are degenerate one-server tiers; ShardedStore composes S of
-// them into a real one. Engines take a Store and cannot tell the
-// difference: sharding is a property of the tier client, not of the
-// training logic.
+// an individual server. The single-server links (SimNet, TCPLink) are
+// degenerate one-server tiers; ShardedStore composes S of them into a real
+// one. Engines take a Store and cannot tell the difference: sharding is a
+// property of the tier client, not of the training logic.
 type Store interface {
 	// Fetch returns rows for ids, in order. The caller owns the returned
 	// header and every row; implementations draw both from the pooled
@@ -167,8 +166,7 @@ type TierOptions struct {
 	// in ring order (the owner, until it dies).
 	Replicate int
 	// Retries is the number of attempts per failed server RPC before the
-	// server is declared dead (default 3). Only children implementing
-	// FallibleStore participate; errorless children keep panicking.
+	// server is declared dead (default 3).
 	Retries int
 	// Backoff is the sleep before the first retry, doubling per attempt
 	// (default 10ms).
@@ -253,12 +251,10 @@ const (
 // reroutes — replicated runs remain certifiable against the baseline even
 // after a mid-run kill, because the surviving replicas hold every write.
 type ShardedStore struct {
-	// slots holds each server's connection state — the Store plus its
-	// cached FallibleStore face, asserted once so the hot path never
-	// type-switches. One atomic pointer per server so a rejoin can swap in
-	// a freshly dialed connection (a new incarnation) without locking the
-	// data path. A slot's store is nil only for a server dead since
-	// construction.
+	// slots holds each server's connection, one atomic pointer per server
+	// so a rejoin can swap in a freshly dialed link (a new incarnation)
+	// without locking the data path. A slot is nil only for a server dead
+	// since construction or a spare not yet dialed.
 	slots     []atomic.Pointer[serverSlot]
 	capacity  int // backend slot count: the maximum width a reshard can grow to
 	dim       int
@@ -350,23 +346,16 @@ type ShardedStore struct {
 
 // serverSlot is one server's immutable connection record; rejoins replace
 // the whole slot rather than mutating it.
-type serverSlot struct {
-	store    Store
-	fallible FallibleStore // nil for errorless stores
-	reshard  ReshardStore  // nil for stores without the reshard face
-}
+type serverSlot struct{ link Link }
 
-// newServerSlot builds a slot, asserting the optional faces once so the hot
-// paths never type-switch.
-func newServerSlot(c Store) *serverSlot {
-	sl := &serverSlot{store: c}
-	if f, ok := c.(FallibleStore); ok {
-		sl.fallible = f
+// asLink admits c as server s's connection: every tier child must carry
+// the error-returning Link face, checked once where it enters the tier.
+func asLink(s int, c Store) (Link, error) {
+	l, ok := c.(Link)
+	if !ok {
+		return nil, fmt.Errorf("transport: tier server %d (%T) does not implement transport.Link", s, c)
 	}
-	if r, ok := c.(ReshardStore); ok {
-		sl.reshard = r
-	}
-	return sl
+	return l, nil
 }
 
 // Per-server revival states. A resyncing server receives forwarded writes
@@ -382,31 +371,52 @@ const (
 	srvAbsent
 )
 
-// child returns server s's current store (nil only for a
-// dead-at-construction server).
-func (t *ShardedStore) child(s int) Store {
+// child returns server s's current link (nil for a slot with no
+// connection).
+func (t *ShardedStore) child(s int) Link {
 	if sl := t.slots[s].Load(); sl != nil {
-		return sl.store
+		return sl.link
 	}
 	return nil
 }
 
-// fall returns server s's current FallibleStore face, nil for errorless
-// children.
-func (t *ShardedStore) fall(s int) FallibleStore {
-	if sl := t.slots[s].Load(); sl != nil {
-		return sl.fallible
+// link returns server s's current link and the generation it runs,
+// captured *before* the slot: if the server rejoins mid-call, a failure on
+// this link is fenced off by markDeadIfGen rather than condemning the new
+// incarnation. A slot outside the tier or with no connection (a server dead
+// since construction) answers with an attributed error.
+func (t *ShardedStore) link(s int) (Link, uint64, error) {
+	if s < 0 || s >= t.capacity {
+		return nil, 0, fmt.Errorf("transport: server %d outside tier capacity %d", s, t.capacity)
 	}
-	return nil
+	g := t.gen[s].Load()
+	if l := t.child(s); l != nil {
+		return l, g, nil
+	}
+	return nil, g, fmt.Errorf("transport: tier server %d has no connection", s)
 }
 
-// reshardFace returns server s's ReshardStore face, nil when the child
-// doesn't implement it.
-func (t *ShardedStore) reshardFace(s int) ReshardStore {
-	if sl := t.slots[s].Load(); sl != nil {
-		return sl.reshard
+// attempt runs op on server s's link up to tries times, sleeping the
+// backoff between attempts; on exhaustion the server is declared dead
+// (fenced by generation) and the last error returned. A stale-routing
+// rejection short-circuits: no retries, no condemnation — the routing
+// layer heals it.
+func (t *ShardedStore) attempt(s, tries int, op func(Link) error) error {
+	l, g, err := t.link(s)
+	if err != nil {
+		return err
 	}
-	return nil
+	for a := 0; ; a++ {
+		err := op(l)
+		if err == nil || asStaleRouting(err) != nil {
+			return err
+		}
+		if a+1 >= tries {
+			t.markDeadIfGen(s, g, err)
+			return err
+		}
+		t.sleepBackoff(a)
+	}
 }
 
 // down reports whether server s is not live (dead, resyncing, or absent) —
@@ -456,8 +466,8 @@ func (t *ShardedStore) putScratch(sc *shardScratch) {
 	t.scratchMu.Unlock()
 }
 
-// instantStore is implemented by transports whose calls complete inline
-// without waiting on a network (InProcess, and tiers composed of them).
+// instantStore is implemented by links whose calls may complete inline
+// without waiting on a network: a free SimNet, and a FaultStore over one.
 type instantStore interface{ instant() bool }
 
 // NewShardedStore builds the classic unreplicated tier client over children,
@@ -474,7 +484,8 @@ func NewShardedStore(children []Store) *ShardedStore {
 // and panic, matching NewShardedStore. Children beyond
 // opts.InitialServers are spare reshard capacity and start absent (a spare
 // child may be nil when opts.Dial can connect it later); within the initial
-// width a nil child requires opts.Dead to mark it.
+// width a nil child requires opts.Dead to mark it. Every non-nil child must
+// be a Link.
 func NewTier(children []Store, opts TierOptions) *ShardedStore {
 	nslots := len(children)
 	if err := ValidateTierOptions(nslots, opts); err != nil {
@@ -506,6 +517,9 @@ func NewTier(children []Store, opts TierOptions) *ShardedStore {
 				panic(fmt.Sprintf("transport: spare tier server %d has no store and no dialer", i))
 			}
 			continue
+		}
+		if _, err := asLink(i, c); err != nil {
+			panic(err.Error())
 		}
 		if !anyLive {
 			dim, anyLive = c.Dim(), true
@@ -543,7 +557,7 @@ func NewTier(children []Store, opts TierOptions) *ShardedStore {
 	t.routing.Store(settledRouting(0, width))
 	for i, c := range children {
 		if c != nil {
-			t.slots[i].Store(newServerSlot(c))
+			t.slots[i].Store(&serverSlot{link: c.(Link)})
 		}
 		switch {
 		case i >= width:
@@ -573,10 +587,6 @@ func (t *ShardedStore) sleepBackoff(a int) {
 	t.retried.Add(1)
 	time.Sleep(t.jitter(t.backoff << a))
 }
-
-// instant implements instantStore: a tier of instant children is itself
-// instant, so nested sharded stores keep the serial fast path.
-func (t *ShardedStore) instant() bool { return t.instantChildren }
 
 // Name implements Store.
 func (t *ShardedStore) Name() string {
@@ -1000,37 +1010,14 @@ func (t *ShardedStore) fetchPartition(sc *shardScratch, part, width int, ids []u
 	}
 }
 
-// tryFetch issues one sub-batch fetch to server s with bounded retry; on
-// exhaustion the server is declared dead and the last error returned.
-// Errorless children cannot report failure, so they bypass the retry loop
-// (their failures stay panics). The generation is captured *before* the
-// slot: if the server rejoins mid-call, the exhausted condemnation is
-// fenced off by markDeadIfGen rather than killing the new incarnation.
-// A stale-routing rejection short-circuits: no retries, no condemnation —
-// the routing layer heals it.
-func (t *ShardedStore) tryFetch(s int, sub []uint64) ([][]float32, error) {
-	g := t.gen[s].Load()
-	f := t.fall(s)
-	if f == nil {
-		return t.child(s).Fetch(sub), nil
-	}
-	var lastErr error
-	for a := 0; ; a++ {
-		rows, err := f.TryFetch(sub)
-		if err == nil {
-			return rows, nil
-		}
-		if asStaleRouting(err) != nil {
-			return nil, err
-		}
-		lastErr = err
-		if a+1 >= t.retries {
-			break
-		}
-		t.sleepBackoff(a)
-	}
-	t.markDeadIfGen(s, g, lastErr)
-	return nil, lastErr
+// tryFetch issues one sub-batch fetch to server s with bounded retry (see
+// attempt).
+func (t *ShardedStore) tryFetch(s int, sub []uint64) (rows [][]float32, err error) {
+	err = t.attempt(s, t.retries, func(l Link) (err error) {
+		rows, err = l.TryFetch(sub)
+		return err
+	})
+	return rows, err
 }
 
 // Write implements Store: the scatter half of Fetch, one concurrent
@@ -1272,32 +1259,9 @@ func (t *ShardedStore) writePartition(sc *shardScratch, part, width int, ids []u
 	return nil
 }
 
-// tryWrite is tryFetch's write-side twin (stale routing short-circuits the
-// retry loop the same way).
+// tryWrite is tryFetch's write-side twin.
 func (t *ShardedStore) tryWrite(s int, sub []uint64, subRows [][]float32) error {
-	g := t.gen[s].Load()
-	f := t.fall(s)
-	if f == nil {
-		t.child(s).Write(sub, subRows)
-		return nil
-	}
-	var lastErr error
-	for a := 0; ; a++ {
-		err := f.TryWrite(sub, subRows)
-		if err == nil {
-			return nil
-		}
-		if asStaleRouting(err) != nil {
-			return err
-		}
-		lastErr = err
-		if a+1 >= t.retries {
-			break
-		}
-		t.sleepBackoff(a)
-	}
-	t.markDeadIfGen(s, g, lastErr)
-	return lastErr
+	return t.attempt(s, t.retries, func(l Link) error { return l.TryWrite(sub, subRows) })
 }
 
 // tryWriteOnce is the single-attempt write: a hard failure condemns the
@@ -1306,17 +1270,7 @@ func (t *ShardedStore) tryWrite(s int, sub []uint64, subRows [][]float32) error 
 // — both are best-effort lanes repaired by verify rounds, so burning the
 // retry budget on them would only stall the authoritative leg.
 func (t *ShardedStore) tryWriteOnce(s int, sub []uint64, subRows [][]float32) error {
-	g := t.gen[s].Load()
-	f := t.fall(s)
-	if f == nil {
-		t.child(s).Write(sub, subRows)
-		return nil
-	}
-	err := f.TryWrite(sub, subRows)
-	if err != nil && asStaleRouting(err) == nil {
-		t.markDeadIfGen(s, g, err)
-	}
-	return err
+	return t.attempt(s, 1, func(l Link) error { return l.TryWrite(sub, subRows) })
 }
 
 // forwardWrite applies one write sub-batch to a resyncing server — the
@@ -1352,9 +1306,8 @@ func (t *ShardedStore) Stats() Stats {
 	return sum
 }
 
-// ServerStats implements Store: per-server snapshots, flattened in server
-// order (a nested sharded child contributes its own per-server entries; a
-// construction-dead child contributes one zero entry).
+// ServerStats implements Store: per-server snapshots in server order (a
+// slot with no connection contributes one zero entry).
 func (t *ShardedStore) ServerStats() []Stats {
 	out := make([]Stats, 0, t.capacity)
 	for s := 0; s < t.capacity; s++ {
@@ -1366,12 +1319,6 @@ func (t *ShardedStore) ServerStats() []Stats {
 		out = append(out, c.ServerStats()...)
 	}
 	return out
-}
-
-// partFingerprinter is the errorless partition-scoped certificate — every
-// real transport implements it alongside FallibleStore.
-type partFingerprinter interface {
-	FingerprintPart(part, of int) uint64
 }
 
 // Fingerprint implements Store: the order-independent combine of the
@@ -1439,40 +1386,15 @@ func (t *ShardedStore) fingerprintPartition(part, W int) uint64 {
 		if s < 0 {
 			t.lost(&TierError{Op: "fingerprint", Partition: part, Server: (part + t.replicate - 1) % W, Replicate: t.replicate})
 		}
-		if t.fall(s) != nil {
-			fp, err := t.tryFingerprintPart(s, part, W)
-			if err != nil {
-				continue
-			}
+		var fp uint64
+		err := t.attempt(s, t.retries, func(l Link) (err error) {
+			fp, err = l.TryFingerprintPartIn(part, W, 0, 1)
+			return err
+		})
+		if err == nil {
 			return fp
 		}
-		c := t.child(s)
-		pf, ok := c.(partFingerprinter)
-		if !ok {
-			panic(fmt.Sprintf("transport: tier server %d (%T) cannot serve partition fingerprints", s, c))
-		}
-		return pf.FingerprintPart(part, W)
 	}
-}
-
-// tryFingerprintPart is tryFetch's certificate-side twin.
-func (t *ShardedStore) tryFingerprintPart(s, part, of int) (uint64, error) {
-	g := t.gen[s].Load()
-	f := t.fall(s)
-	var lastErr error
-	for a := 0; ; a++ {
-		fp, err := f.TryFingerprintPart(part, of)
-		if err == nil {
-			return fp, nil
-		}
-		lastErr = err
-		if a+1 >= t.retries {
-			break
-		}
-		t.sleepBackoff(a)
-	}
-	t.markDeadIfGen(s, g, lastErr)
-	return 0, lastErr
 }
 
 // Checkpoint implements Store: every live server's checkpoint concatenated
@@ -1544,26 +1466,12 @@ func (t *ShardedStore) Checkpoint() []byte {
 
 // checkpointServer pulls one server's checkpoint with bounded retry; on
 // exhaustion the server is declared dead and nil returned.
-func (t *ShardedStore) checkpointServer(s int) []byte {
-	g := t.gen[s].Load()
-	f := t.fall(s)
-	if f == nil {
-		return t.child(s).Checkpoint()
-	}
-	var lastErr error
-	for a := 0; ; a++ {
-		b, err := f.TryCheckpoint()
-		if err == nil {
-			return b
-		}
-		lastErr = err
-		if a+1 >= t.retries {
-			break
-		}
-		t.sleepBackoff(a)
-	}
-	t.markDeadIfGen(s, g, lastErr)
-	return nil
+func (t *ShardedStore) checkpointServer(s int) (b []byte) {
+	t.attempt(s, t.retries, func(l Link) (err error) {
+		b, err = l.TryCheckpoint()
+		return err
+	})
+	return b
 }
 
 // Shutdown implements Store, skipping dead and absent servers (there is no

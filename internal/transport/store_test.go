@@ -197,18 +197,18 @@ func TestStoreConformance(t *testing.T) {
 // laggyStore delays every data-path call by a fixed amount — a slow server
 // in an otherwise fast tier.
 type laggyStore struct {
-	Store
+	Link
 	delay time.Duration
 }
 
-func (l *laggyStore) Fetch(ids []uint64) [][]float32 {
+func (l *laggyStore) TryFetch(ids []uint64) ([][]float32, error) {
 	time.Sleep(l.delay)
-	return l.Store.Fetch(ids)
+	return l.Link.TryFetch(ids)
 }
 
-func (l *laggyStore) Write(ids []uint64, rows [][]float32) {
+func (l *laggyStore) TryWrite(ids []uint64, rows [][]float32) error {
 	time.Sleep(l.delay)
-	l.Store.Write(ids, rows)
+	return l.Link.TryWrite(ids, rows)
 }
 
 // TestShardedStoreGatherOrder pins the gather half of the contract under
@@ -221,7 +221,7 @@ func TestShardedStoreGatherOrder(t *testing.T) {
 	children := make([]Store, S)
 	for i, srv := range tier {
 		// Server 0 is slowest, server S-1 fastest: completions reverse.
-		children[i] = &laggyStore{Store: NewInProcess(srv), delay: time.Duration(S-i) * 10 * time.Millisecond}
+		children[i] = &laggyStore{Link: NewInProcess(srv), delay: time.Duration(S-i) * 10 * time.Millisecond}
 	}
 	store := NewShardedStore(children)
 
@@ -265,6 +265,15 @@ func TestShardedStoreValidation(t *testing.T) {
 	mustPanic("write length mismatch", func() {
 		NewShardedStore([]Store{a}).Write([]uint64{1}, nil)
 	})
+	func() {
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, "server 1") || !strings.Contains(msg, "storeOnly") {
+				t.Fatalf("Store-only child: panic %q does not name the server and its type", msg)
+			}
+		}()
+		NewTier([]Store{a, storeOnly{a}}, TierOptions{})
+	}()
 }
 
 // TestShardedStoreOverServeEmbed is the fully remote tier in one test: S
@@ -311,11 +320,11 @@ func TestShardedStoreOverServeEmbed(t *testing.T) {
 // tier sees it as an in-process (serial scatter) or remote (goroutine
 // fan-out) child, so both forEachServer paths get exercised.
 type panicStore struct {
-	Store
+	Link
 	inst bool
 }
 
-func (p *panicStore) Fetch(ids []uint64) [][]float32 { panic("transport test: shard down") }
+func (p *panicStore) TryFetch(ids []uint64) ([][]float32, error) { panic("transport test: shard down") }
 
 func (p *panicStore) instant() bool { return p.inst }
 
@@ -333,11 +342,11 @@ func TestShardedStoreScratchReturnedOnChildPanic(t *testing.T) {
 		tier := testTier(2)
 		children := []Store{
 			NewInProcess(tier[0]),
-			&panicStore{Store: NewInProcess(tier[1]), inst: inst},
+			&panicStore{Link: NewInProcess(tier[1]), inst: inst},
 		}
 		st := NewShardedStore(children)
-		if st.instant() != inst {
-			t.Fatalf("inst=%v: tier instant()=%v", inst, st.instant())
+		if st.instantChildren != inst {
+			t.Fatalf("inst=%v: tier instantChildren=%v", inst, st.instantChildren)
 		}
 
 		// Warm the pools with a fetch that avoids the dead shard (even ids

@@ -29,15 +29,16 @@ const linkMagic uint32 = 'B'<<24 | 'G'<<16 | 'L'<<8 | 1
 
 // Link protocol ops (first body byte of a link frame). New ops append at
 // the end: existing op values are wire constants shared across process
-// generations.
+// generations. A retired op keeps its slot as a reserved `_` entry and is
+// never reused; a server closes a connection that sends one.
 const (
 	opFetch byte = 0x10 + iota
 	opWrite
-	opFingerprint
+	_ // reserved: the retired whole-partition fingerprint (now opFingerprintPartIn)
 	opCheckpoint
 	opShutdown
 	opResp // server → client: u64 seq, then the op-specific result
-	opExportPart
+	_      // reserved: the retired whole-partition export (now opExportPartIn)
 	opWriteRecovery
 	opEndRecovery
 	opRespErr // server → client: u64 seq, kind byte, then the error payload
@@ -143,12 +144,12 @@ func readBody(r *bufio.Reader, n int, buf []byte) ([]byte, error) {
 // concurrent Fetch (prefetch) and Write (write-back maintenance) calls
 // overlap on the wire exactly as they do on the in-process transport.
 //
-// TCPLink is the one Store that can genuinely fail, so it carries both
-// faces of the tier contract: the errorless Store methods panic
-// on a broken connection (a worker with an unreplicated tier cannot make
-// progress, so dying loudly is the correct degradation), while the
-// FallibleStore methods (TryFetch, TryWrite, …) return the link error
-// instead — the path a replicated ShardedStore uses to retry, declare the
+// TCPLink is the one Link that can genuinely fail, so both faces of the
+// contract matter here: the errorless Store methods panic on a broken
+// connection (a worker with an unreplicated tier cannot make progress, so
+// dying loudly is the correct degradation), while the Try methods return
+// the link error — or a malformed response, attributed to the peer —
+// instead: the path a replicated ShardedStore uses to retry, declare the
 // server dead, and fail over to a ring replica.
 type TCPLink struct {
 	conn  net.Conn
@@ -335,6 +336,13 @@ func (t *TCPLink) linkErr(err error) error {
 	return fmt.Errorf("transport: tcp link to %s broken: %w", t.conn.RemoteAddr(), err)
 }
 
+// badResp attributes a malformed response to the peer that sent it. The
+// link survives (framing is intact), but the op fails: the tier retries and
+// condemns a server that keeps answering garbage.
+func (t *TCPLink) badResp(format string, args ...any) error {
+	return fmt.Errorf("transport: tcp link to %s: malformed %s", t.conn.RemoteAddr(), fmt.Sprintf(format, args...))
+}
+
 // call is the errorless form of callErr: a broken link panics, the contract
 // of the errorless Store face.
 func (t *TCPLink) call(op byte, body func(b []byte) []byte) []byte {
@@ -451,9 +459,8 @@ func (t *TCPLink) Fetch(ids []uint64) [][]float32 {
 	return rows
 }
 
-// TryFetch implements FallibleStore: Fetch that reports a broken link
-// instead of panicking. A *malformed* response still panics — protocol
-// corruption is a bug, not a failure to route around.
+// TryFetch implements Link: Fetch that reports a broken link or a
+// malformed response instead of panicking.
 func (t *TCPLink) TryFetch(ids []uint64) ([][]float32, error) {
 	frame, err := t.roundTrip(opFetch, 4+8*len(ids), func(b []byte) []byte { return putU64s(b, ids) })
 	if err != nil {
@@ -463,7 +470,7 @@ func (t *TCPLink) TryFetch(ids []uint64) ([][]float32, error) {
 	r := &wireReader{b: frame[9:]}
 	n := r.count(4)
 	if r.err != nil || n != len(ids)*t.dim {
-		panic(fmt.Sprintf("transport: fetch response for %d ids carried %d floats", len(ids), n))
+		return nil, t.badResp("fetch response: %d ids, %d floats", len(ids), n)
 	}
 	reg := r.take(n, 4)
 	rows := GetRowSlice(len(ids))
@@ -492,7 +499,7 @@ func (t *TCPLink) Write(ids []uint64, rows [][]float32) {
 	}
 }
 
-// TryWrite implements FallibleStore: Write that reports a broken link.
+// TryWrite implements Link: Write that reports a broken link.
 func (t *TCPLink) TryWrite(ids []uint64, rows [][]float32) error {
 	if len(ids) != len(rows) {
 		panic("transport: Write ids/rows length mismatch")
@@ -516,30 +523,12 @@ func (t *TCPLink) TryWrite(ids []uint64, rows [][]float32) error {
 
 // Fingerprint asks the server for embed.Server.Fingerprint — the cheap
 // remote state certificate used by distributed verification.
-func (t *TCPLink) Fingerprint() uint64 { return t.FingerprintPart(0, 1) }
-
-// FingerprintPart asks the server for the partition-scoped certificate
-// embed.Server.FingerprintPart(part, of) — what a replicated tier sums so
-// replicated rows are counted once.
-func (t *TCPLink) FingerprintPart(part, of int) uint64 {
-	fp, err := t.TryFingerprintPart(part, of)
+func (t *TCPLink) Fingerprint() uint64 {
+	fp, err := t.TryFingerprintPartIn(0, 1, 0, 1)
 	if err != nil {
 		panic(err.Error())
 	}
 	return fp
-}
-
-// TryFingerprintPart implements FallibleStore.
-func (t *TCPLink) TryFingerprintPart(part, of int) (uint64, error) {
-	resp, err := t.callErr(opFingerprint, func(b []byte) []byte {
-		b = putU32(b, uint32(part))
-		return putU32(b, uint32(of))
-	})
-	if err != nil {
-		return 0, err
-	}
-	r := &wireReader{b: resp}
-	return r.u64(), nil
 }
 
 // Checkpoint streams the server's checkpoint (every shard, in order) and
@@ -553,33 +542,19 @@ func (t *TCPLink) Checkpoint() []byte {
 	return b
 }
 
-// TryCheckpoint implements FallibleStore.
+// TryCheckpoint implements Link.
 func (t *TCPLink) TryCheckpoint() ([]byte, error) {
 	return t.callErr(opCheckpoint, nil)
 }
 
-// TryExportPart implements PartExporter: pull one partition's materialized
-// snapshot from the server (the anti-entropy source read of a rejoin).
-// Off the hot path, so rows are plainly allocated, not pooled.
-func (t *TCPLink) TryExportPart(part, of int) ([]uint64, [][]float32, error) {
-	resp, err := t.callErr(opExportPart, func(b []byte) []byte {
-		b = putU32(b, uint32(part))
-		return putU32(b, uint32(of))
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	ids, rows := t.decodeExport(resp)
-	return ids, rows, nil
-}
-
 // decodeExport parses an export response: ids, then a flat float matrix.
-func (t *TCPLink) decodeExport(resp []byte) ([]uint64, [][]float32) {
+// Off the hot path, so rows are plainly allocated, not pooled.
+func (t *TCPLink) decodeExport(resp []byte) ([]uint64, [][]float32, error) {
 	r := &wireReader{b: resp}
 	ids := r.u64s()
 	n := r.count(4)
 	if r.err != nil || n != len(ids)*t.dim {
-		panic(fmt.Sprintf("transport: export response for %d ids carried %d floats", len(ids), n))
+		return nil, nil, t.badResp("export response: %d ids, %d floats", len(ids), n)
 	}
 	reg := r.take(n, 4)
 	flat := make([]float32, n)
@@ -591,11 +566,11 @@ func (t *TCPLink) decodeExport(resp []byte) ([]uint64, [][]float32) {
 			rows[i][k] = math.Float32frombits(binary.LittleEndian.Uint32(reg[off+4*k:]))
 		}
 	}
-	return ids, rows
+	return ids, rows, nil
 }
 
-// TryWriteRecovery implements RecoveryStore: a bulk recovery write the
-// server filters through its freshness set (embed.Server.WriteRecovery).
+// TryWriteRecovery implements Link: a bulk recovery write the server
+// filters through its freshness set (embed.Server.WriteRecovery).
 func (t *TCPLink) TryWriteRecovery(ids []uint64, rows [][]float32) error {
 	if len(ids) != len(rows) {
 		panic("transport: WriteRecovery ids/rows length mismatch")
@@ -610,14 +585,14 @@ func (t *TCPLink) TryWriteRecovery(ids []uint64, rows [][]float32) error {
 	return err
 }
 
-// TryEndRecovery implements RecoveryStore: close the server's recovery
+// TryEndRecovery implements Link: close the server's recovery
 // window once the whole tier has certified the rejoin.
 func (t *TCPLink) TryEndRecovery() error {
 	_, err := t.callErr(opEndRecovery, nil)
 	return err
 }
 
-// TryInstallRouting implements ReshardStore: ship rt to the server (which
+// TryInstallRouting implements Link: ship rt to the server (which
 // installs it monotonically and keeps the encoded bytes to hand back in
 // fence rejections) and mark this connection announced at rt.Epoch.
 func (t *TCPLink) TryInstallRouting(rt *RoutingTable) error {
@@ -627,7 +602,7 @@ func (t *TCPLink) TryInstallRouting(rt *RoutingTable) error {
 	return err
 }
 
-// TryAnnounceEpoch implements ReshardStore: declare the epoch this
+// TryAnnounceEpoch implements Link: declare the epoch this
 // connection's future data ops are routed by.
 func (t *TCPLink) TryAnnounceEpoch(epoch uint64) error {
 	_, err := t.callErr(opAnnounceEpoch, func(b []byte) []byte {
@@ -636,14 +611,14 @@ func (t *TCPLink) TryAnnounceEpoch(epoch uint64) error {
 	return err
 }
 
-// TryBeginRecovery implements ReshardStore: open the server's recovery
+// TryBeginRecovery implements Link: open the server's recovery
 // window ahead of a migration stream.
 func (t *TCPLink) TryBeginRecovery() error {
 	_, err := t.callErr(opBeginRecovery, nil)
 	return err
 }
 
-// TryExportPartIn implements ReshardStore: the partition-intersection
+// TryExportPartIn implements Link: the partition-intersection
 // export (embed.Server.ExportPartIn).
 func (t *TCPLink) TryExportPartIn(part, of, within, withinOf int) ([]uint64, [][]float32, error) {
 	resp, err := t.callErr(opExportPartIn, func(b []byte) []byte {
@@ -655,11 +630,10 @@ func (t *TCPLink) TryExportPartIn(part, of, within, withinOf int) ([]uint64, [][
 	if err != nil {
 		return nil, nil, err
 	}
-	ids, rows := t.decodeExport(resp)
-	return ids, rows, nil
+	return t.decodeExport(resp)
 }
 
-// TryFingerprintPartIn implements ReshardStore: the intersection digest.
+// TryFingerprintPartIn implements Link: the intersection digest.
 func (t *TCPLink) TryFingerprintPartIn(part, of, within, withinOf int) (uint64, error) {
 	resp, err := t.callErr(opFingerprintPartIn, func(b []byte) []byte {
 		b = putU32(b, uint32(part))
@@ -671,10 +645,13 @@ func (t *TCPLink) TryFingerprintPartIn(part, of, within, withinOf int) (uint64, 
 		return 0, err
 	}
 	r := &wireReader{b: resp}
-	return r.u64(), nil
+	if fp := r.u64(); r.err == nil {
+		return fp, nil
+	}
+	return 0, t.badResp("fingerprint response (%d bytes)", len(resp))
 }
 
-// TryRetainOwned implements ReshardStore: settle-time cleanup of rows the
+// TryRetainOwned implements Link: settle-time cleanup of rows the
 // new routing moved away.
 func (t *TCPLink) TryRetainOwned(self, of, replicate int) (int, error) {
 	resp, err := t.callErr(opRetainOwned, func(b []byte) []byte {
@@ -686,7 +663,10 @@ func (t *TCPLink) TryRetainOwned(self, of, replicate int) (int, error) {
 		return 0, err
 	}
 	r := &wireReader{b: resp}
-	return int(r.u64()), nil
+	if n := r.u64(); r.err == nil {
+		return int(n), nil
+	}
+	return 0, t.badResp("retain response (%d bytes)", len(resp))
 }
 
 // Shutdown implements Store: ask the serving process to stop accepting and
@@ -888,34 +868,12 @@ func serveEmbedConn(conn net.Conn, srv *embed.Server, shutdown func()) {
 			if se != nil {
 				resp = linkStaleResp(seq, se)
 			}
-		case opFingerprint:
-			// Body: two u32s (partition, split width); an empty body — older
-			// clients — means the whole server (partition 0 of 1).
-			part, of := uint32(0), uint32(1)
-			if len(r.b) > 0 {
-				part, of = r.u32(), r.u32()
-				if r.err != nil || of == 0 || part >= of {
-					return
-				}
-			}
-			resp = putU64(resp, srv.FingerprintPart(int(part), int(of)))
 		case opCheckpoint:
 			var buf bytes.Buffer
 			if err := srv.Checkpoint(&buf); err != nil {
 				return
 			}
 			resp = append(resp, buf.Bytes()...)
-		case opExportPart:
-			part, of := r.u32(), r.u32()
-			if r.err != nil || of == 0 || part >= of {
-				return
-			}
-			ids, rows := srv.ExportPart(int(part), int(of))
-			resp = putU64s(resp, ids)
-			resp = putU32(resp, uint32(len(ids)*srv.Dim))
-			for _, row := range rows {
-				resp = putF32sRaw(resp, row)
-			}
 		case opWriteRecovery:
 			ids := r.u64s()
 			if r.err != nil {

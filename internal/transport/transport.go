@@ -4,8 +4,9 @@
 // (Mesh), each with three interchangeable
 // implementations —
 //
-//   - in-process (InProcess, InprocMesh): direct calls, zero cost; the
-//     fabric the functional tests run on;
+//   - in-process (NewInProcess, InprocMesh): direct calls, zero cost; the
+//     fabric the functional tests run on (NewInProcess is a SimNet that
+//     charges nothing);
 //   - simulated (SimNet, SimMesh): a timing model charging per-call latency
 //     and per-link serialization bandwidth, so experiments can sweep the
 //     paper's EC2 topology (trainers on p3 GPU nodes, embedding servers on
@@ -13,6 +14,10 @@
 //   - TCP (TCPLink/ServeEmbed, TCPMesh): real sockets speaking the
 //     length-prefixed little-endian protocol in codec.go, for genuinely
 //     distributed multi-process runs.
+//
+// Every server connection (SimNet, TCPLink, and the FaultStore test
+// wrapper) is a Link: the Store face plus the error-returning ops the tier
+// client retries, fails over, rejoins and reshards with.
 //
 // Two invariants hold across all implementations, and the conformance
 // suite (conformance_test.go) pins them:
@@ -73,202 +78,59 @@ func (s *Stats) Add(o Stats) {
 	s.SimulatedDelay += o.SimulatedDelay
 }
 
-// FallibleStore is the error-returning face of a Store. The Store methods
-// are errorless by design — the in-process implementations cannot
-// fail, and a worker with no embedding tier left cannot make progress — but
-// replication needs a middle ground: a ShardedStore with replicate ≥ 2 can
-// survive losing a server, so the per-server RPC must be able to *report*
-// failure instead of dying. Children that implement FallibleStore get the
-// retry/failover path; children that don't (they cannot fail, or a test stub
-// that panics) keep the errorless path. The Try forms mirror their errorless
-// counterparts exactly — same ownership rules, same accounting.
+// Link is one embedding server's connection as the tier client drives it:
+// the Store face plus the error-returning ops behind retry, failover,
+// rejoin and reshard. Every tier child implements it — SimNet (the
+// in-process fabric is a free SimNet), TCPLink, and the fault-injection
+// wrapper — and a ShardedStore checks for it once, wherever a connection
+// enters the tier. The Try forms mirror their Store counterparts exactly
+// (same ownership rules, same accounting) but report failure instead of
+// dying, so a replicated tier can retry, condemn the server, and fail over.
 //
-// TryFingerprintPart is the partition-scoped certificate
-// (embed.Server.FingerprintPart): a replicated tier sums one partition
-// fingerprint per partition, taken from the first live holder, so replicated
-// rows are counted once.
-type FallibleStore interface {
+// Export and partition fingerprints take the intersection form only: the
+// plain partition p of an of-way split is (p, of, 0, 1), exactly as
+// embed.Server defines ExportPart and FingerprintPart.
+type Link interface {
+	Store
 	TryFetch(ids []uint64) ([][]float32, error)
 	TryWrite(ids []uint64, rows [][]float32) error
-	TryFingerprintPart(part, of int) (uint64, error)
 	TryCheckpoint() ([]byte, error)
+	// TryBeginRecovery opens the server's recovery window (freshness
+	// filter), so migration streams and live dual writes can interleave.
+	TryBeginRecovery() error
+	// TryWriteRecovery is a bulk recovery write that skips rows the live
+	// stream already refreshed (see embed.Server.WriteRecovery).
+	TryWriteRecovery(ids []uint64, rows [][]float32) error
+	// TryEndRecovery closes the recovery window once the tier has
+	// certified the rejoin.
+	TryEndRecovery() error
+	// TryInstallRouting installs rt on the server (monotonic by epoch) and
+	// marks this link's announced epoch rt.Epoch.
+	TryInstallRouting(rt *RoutingTable) error
+	// TryAnnounceEpoch declares the epoch this link's future data ops are
+	// routed by.
+	TryAnnounceEpoch(epoch uint64) error
+	// TryExportPartIn snapshots the rows in partition part of an of-way
+	// split that also fall in partition within of a withinOf-way split
+	// (withinOf <= 1 disables the second filter).
+	TryExportPartIn(part, of, within, withinOf int) ([]uint64, [][]float32, error)
+	// TryFingerprintPartIn is the digest of the same intersection.
+	TryFingerprintPartIn(part, of, within, withinOf int) (uint64, error)
+	// TryRetainOwned drops every row outside server self's replicate-deep
+	// replica set of an of-way split, returning how many went.
+	TryRetainOwned(self, of, replicate int) (int, error)
 }
 
-// InProcess is the zero-cost transport: trainers and embedding servers
-// share an address space and calls go straight to the server (which is
-// itself shard-parallel).
-type InProcess struct {
-	Server *embed.Server
+var (
+	_ Link = (*SimNet)(nil)
+	_ Link = (*TCPLink)(nil)
+	_ Link = (*FaultStore)(nil)
+)
 
-	arena *RowArena
-
-	// announced is the routing epoch this link's data ops are declared
-	// under (see embed.Server.RoutedFetchInto). 0 until a reshard touches
-	// the tier — and the server accepts everything at epoch 0, so the
-	// pre-reshard path is unchanged.
-	announced atomic.Uint64
-
-	fetches, writes            atomic.Int64
-	rowsFetched, rowsWritten   atomic.Int64
-	bytesFetched, bytesWritten atomic.Int64
-}
-
-// NewInProcess returns a direct-call transport to srv.
-func NewInProcess(srv *embed.Server) *InProcess {
-	return &InProcess{Server: srv, arena: Rows(srv.Dim)}
-}
-
-// Name implements Store.
-func (t *InProcess) Name() string { return "inproc" }
-
-// Dim implements Store.
-func (t *InProcess) Dim() int { return t.Server.Dim }
-
-// instant marks this transport as completing without blocking on I/O;
-// ShardedStore fans out serially over instant children.
-func (t *InProcess) instant() bool { return true }
-
-// rowArena tolerates literal-constructed transports that skipped
-// NewInProcess.
-func (t *InProcess) rowArena() *RowArena {
-	if t.arena != nil {
-		return t.arena
-	}
-	return Rows(t.Server.Dim)
-}
-
-// Fetch implements Store, serving the rows out of the shared arena.
-// The errorless face cannot surface a routing fence; only tier clients
-// (which use TryFetch) ever install routing, so a fence here is a
-// programming error and dies loudly.
-func (t *InProcess) Fetch(ids []uint64) [][]float32 {
-	rows, err := t.TryFetch(ids)
-	if err != nil {
-		panic(err)
-	}
-	return rows
-}
-
-// Write implements Store (see Fetch for the fence contract).
-func (t *InProcess) Write(ids []uint64, rows [][]float32) {
-	if err := t.TryWrite(ids, rows); err != nil {
-		panic(err)
-	}
-}
-
-// Stats implements Store.
-func (t *InProcess) Stats() Stats {
-	return Stats{
-		Fetches:      t.fetches.Load(),
-		Writes:       t.writes.Load(),
-		RowsFetched:  t.rowsFetched.Load(),
-		RowsWritten:  t.rowsWritten.Load(),
-		BytesFetched: t.bytesFetched.Load(),
-		BytesWritten: t.bytesWritten.Load(),
-	}
-}
-
-// Fingerprint implements Store (a one-server tier: the server's own
-// certificate).
-func (t *InProcess) Fingerprint() uint64 { return t.Server.Fingerprint() }
-
-// FingerprintPart is the partition-scoped certificate (see FallibleStore).
-func (t *InProcess) FingerprintPart(part, of int) uint64 { return t.Server.FingerprintPart(part, of) }
-
-// Checkpoint implements Store.
-func (t *InProcess) Checkpoint() []byte { return checkpointBytes(t.Server) }
-
-// Shutdown implements Store: the in-process server's lifetime belongs to
-// whoever built it.
-func (t *InProcess) Shutdown() {}
-
-// ServerStats implements Store.
-func (t *InProcess) ServerStats() []Stats { return []Stats{t.Stats()} }
-
-// TryFetch, TryWrite, TryFingerprintPart, TryCheckpoint implement
-// FallibleStore. A shared address space cannot fail, so the only error they
-// can return is the routing fence — implementing the interface keeps the
-// replicated tier's routing uniform across fabrics (and lets tests inject
-// faults by wrapping).
-func (t *InProcess) TryFetch(ids []uint64) ([][]float32, error) {
-	rows := GetRowSlice(len(ids))
-	t.rowArena().GetN(rows)
-	if se := t.Server.RoutedFetchInto(t.announced.Load(), ids, rows); se != nil {
-		t.rowArena().PutN(rows)
-		PutRowSlice(rows)
-		return nil, staleFromEmbed(se)
-	}
-	t.fetches.Add(1)
-	t.rowsFetched.Add(int64(len(ids)))
-	t.bytesFetched.Add(payloadBytes(len(ids), t.Server.Dim))
-	return rows, nil
-}
-
-func (t *InProcess) TryWrite(ids []uint64, rows [][]float32) error {
-	if se := t.Server.RoutedWrite(t.announced.Load(), ids, rows); se != nil {
-		return staleFromEmbed(se)
-	}
-	t.writes.Add(1)
-	t.rowsWritten.Add(int64(len(ids)))
-	t.bytesWritten.Add(payloadBytes(len(ids), t.Server.Dim))
-	return nil
-}
-
-func (t *InProcess) TryFingerprintPart(part, of int) (uint64, error) {
-	return t.Server.FingerprintPart(part, of), nil
-}
-
-func (t *InProcess) TryCheckpoint() ([]byte, error) { return checkpointBytes(t.Server), nil }
-
-// TryExportPart implements PartExporter (the anti-entropy source read);
-// TryWriteRecovery and TryEndRecovery implement RecoveryStore (the rejoin
-// transfer sink). Errorless in-process, like the other Try faces.
-func (t *InProcess) TryExportPart(part, of int) ([]uint64, [][]float32, error) {
-	ids, rows := t.Server.ExportPart(part, of)
-	return ids, rows, nil
-}
-
-func (t *InProcess) TryWriteRecovery(ids []uint64, rows [][]float32) error {
-	t.Server.WriteRecovery(ids, rows)
-	return nil
-}
-
-func (t *InProcess) TryEndRecovery() error {
-	t.Server.EndRecovery()
-	return nil
-}
-
-// TryInstallRouting, TryAnnounceEpoch, TryBeginRecovery, TryExportPartIn,
-// TryFingerprintPartIn, TryRetainOwned implement ReshardStore. The server
-// holds the table by reference — no wire, no encoding.
-func (t *InProcess) TryInstallRouting(rt *RoutingTable) error {
-	t.Server.InstallRouting(rt.Epoch, rt)
-	t.announced.Store(rt.Epoch)
-	return nil
-}
-
-func (t *InProcess) TryAnnounceEpoch(epoch uint64) error {
-	t.announced.Store(epoch)
-	return nil
-}
-
-func (t *InProcess) TryBeginRecovery() error {
-	t.Server.BeginRecovery()
-	return nil
-}
-
-func (t *InProcess) TryExportPartIn(part, of, within, withinOf int) ([]uint64, [][]float32, error) {
-	ids, rows := t.Server.ExportPartIn(part, of, within, withinOf)
-	return ids, rows, nil
-}
-
-func (t *InProcess) TryFingerprintPartIn(part, of, within, withinOf int) (uint64, error) {
-	return t.Server.FingerprintPartIn(part, of, within, withinOf), nil
-}
-
-func (t *InProcess) TryRetainOwned(self, of, replicate int) (int, error) {
-	return t.Server.RetainOwned(self, of, replicate), nil
-}
+// NewInProcess returns the zero-cost link to srv: a SimNet that charges
+// nothing, so trainers and the embedding server share an address space and
+// calls go straight to the server (which is itself shard-parallel).
+func NewInProcess(srv *embed.Server) *SimNet { return NewSimNet(srv, 0, 0) }
 
 // staleFromEmbed converts the embed layer's fence rejection to the
 // transport's attributed form, decoding the carried table when the server
@@ -307,7 +169,9 @@ func payloadBytes(n, dim int) int64 {
 // fixed per-call latency (one round trip) plus payload-bytes/bandwidth of
 // serialization delay. It makes the overlap the pipeline buys visible in
 // wall-clock terms and lets experiments sweep link speeds without a
-// cluster.
+// cluster. A free link (zero latency, infinite bandwidth) is the in-process
+// fabric: it charges nothing and reports itself instant, so a tier of free
+// links scatters serially on the calling goroutine.
 type SimNet struct {
 	Server *embed.Server
 	// Latency is the per-call round-trip time.
@@ -318,7 +182,9 @@ type SimNet struct {
 	arena *RowArena
 
 	// announced is the routing epoch this link's data ops are declared
-	// under (see InProcess.announced).
+	// under (see embed.Server.RoutedFetchInto). 0 until a reshard touches
+	// the tier — and the server accepts everything at epoch 0, so the
+	// pre-reshard path is unchanged.
 	announced atomic.Uint64
 
 	fetches, writes            atomic.Int64
@@ -335,8 +201,17 @@ func NewSimNet(srv *embed.Server, latency time.Duration, bandwidth float64) *Sim
 	return &SimNet{Server: srv, Latency: latency, Bandwidth: bandwidth, arena: Rows(srv.Dim)}
 }
 
+// instant implements instantStore: a free link completes inline without
+// blocking, so ShardedStore fans out over it serially.
+func (t *SimNet) instant() bool { return t.Latency == 0 && t.Bandwidth == 0 }
+
 // Name implements Store.
-func (t *SimNet) Name() string { return "simnet" }
+func (t *SimNet) Name() string {
+	if t.instant() {
+		return "inproc"
+	}
+	return "simnet"
+}
 
 // Dim implements Store.
 func (t *SimNet) Dim() int { return t.Server.Dim }
@@ -347,9 +222,10 @@ func (t *SimNet) delay(bytes int64) {
 	if t.Bandwidth > 0 {
 		d += time.Duration(float64(bytes) / t.Bandwidth * float64(time.Second))
 	}
-	if d > 0 {
-		time.Sleep(d)
+	if d <= 0 {
+		return
 	}
+	time.Sleep(d)
 	t.delayNs.Add(int64(d))
 }
 
@@ -361,7 +237,10 @@ func (t *SimNet) rowArena() *RowArena {
 	return Rows(t.Server.Dim)
 }
 
-// Fetch implements Store (see InProcess.Fetch for the fence contract).
+// Fetch implements Store, serving the rows out of the shared arena. The
+// errorless face cannot surface a routing fence; only tier clients (which
+// use TryFetch) ever install routing, so a fence here is a programming
+// error and dies loudly.
 func (t *SimNet) Fetch(ids []uint64) [][]float32 {
 	rows, err := t.TryFetch(ids)
 	if err != nil {
@@ -370,7 +249,7 @@ func (t *SimNet) Fetch(ids []uint64) [][]float32 {
 	return rows
 }
 
-// Write implements Store.
+// Write implements Store (see Fetch for the fence contract).
 func (t *SimNet) Write(ids []uint64, rows [][]float32) {
 	if err := t.TryWrite(ids, rows); err != nil {
 		panic(err)
@@ -394,23 +273,22 @@ func (t *SimNet) Stats() Stats {
 // off the measured data path, so the simulated link charges them nothing.
 func (t *SimNet) Fingerprint() uint64 { return t.Server.Fingerprint() }
 
-// FingerprintPart is the partition-scoped certificate (see FallibleStore).
-func (t *SimNet) FingerprintPart(part, of int) uint64 { return t.Server.FingerprintPart(part, of) }
-
 // Checkpoint implements Store.
 func (t *SimNet) Checkpoint() []byte { return checkpointBytes(t.Server) }
 
-// Shutdown implements Store (no remote process behind a simulated link).
+// Shutdown implements Store: the server's lifetime belongs to whoever built
+// it (no remote process behind a simulated link).
 func (t *SimNet) Shutdown() {}
 
 // ServerStats implements Store.
 func (t *SimNet) ServerStats() []Stats { return []Stats{t.Stats()} }
 
-// TryFetch, TryWrite, TryFingerprintPart, TryCheckpoint implement
-// FallibleStore; a simulated link models delay, not loss, so the only
-// error they can return is the routing fence (the fault-injection tests
-// wrap these to model loss). A fenced op still pays the link charge — the
-// bytes moved and were refused, exactly like a real network.
+// The Try ops implement Link. A simulated link models delay, not loss, so
+// the only error they can return is the routing fence (the fault-injection
+// wrapper models loss). A fenced op still pays the link charge — the bytes
+// moved and were refused, exactly like a real network. Recovery and
+// migration transfers move real payload and are charged like the data
+// path; control ops are free like the other tier plumbing.
 func (t *SimNet) TryFetch(ids []uint64) ([][]float32, error) {
 	bytes := payloadBytes(len(ids), t.Server.Dim)
 	t.delay(bytes)
@@ -439,19 +317,11 @@ func (t *SimNet) TryWrite(ids []uint64, rows [][]float32) error {
 	return nil
 }
 
-func (t *SimNet) TryFingerprintPart(part, of int) (uint64, error) {
-	return t.Server.FingerprintPart(part, of), nil
-}
-
 func (t *SimNet) TryCheckpoint() ([]byte, error) { return checkpointBytes(t.Server), nil }
 
-// TryExportPart implements PartExporter; TryWriteRecovery/TryEndRecovery
-// implement RecoveryStore. Recovery transfers move real payload, so the
-// simulated link charges them like the data path (control probes stay free).
-func (t *SimNet) TryExportPart(part, of int) ([]uint64, [][]float32, error) {
-	ids, rows := t.Server.ExportPart(part, of)
-	t.delay(payloadBytes(len(ids), t.Server.Dim))
-	return ids, rows, nil
+func (t *SimNet) TryBeginRecovery() error {
+	t.Server.BeginRecovery()
+	return nil
 }
 
 func (t *SimNet) TryWriteRecovery(ids []uint64, rows [][]float32) error {
@@ -465,10 +335,8 @@ func (t *SimNet) TryEndRecovery() error {
 	return nil
 }
 
-// TryInstallRouting, TryAnnounceEpoch, TryBeginRecovery, TryExportPartIn,
-// TryFingerprintPartIn, TryRetainOwned implement ReshardStore. Control ops
-// are free like the other tier plumbing; the export moves real payload and
-// is charged like the recovery stream.
+// TryInstallRouting hands the server the table by reference — no wire, no
+// encoding.
 func (t *SimNet) TryInstallRouting(rt *RoutingTable) error {
 	t.Server.InstallRouting(rt.Epoch, rt)
 	t.announced.Store(rt.Epoch)
@@ -477,11 +345,6 @@ func (t *SimNet) TryInstallRouting(rt *RoutingTable) error {
 
 func (t *SimNet) TryAnnounceEpoch(epoch uint64) error {
 	t.announced.Store(epoch)
-	return nil
-}
-
-func (t *SimNet) TryBeginRecovery() error {
-	t.Server.BeginRecovery()
 	return nil
 }
 
