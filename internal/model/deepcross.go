@@ -22,6 +22,8 @@ type DeepCross struct {
 
 	dense *tensor.Matrix // ForwardDense → ForwardSparse
 	x0    *tensor.Matrix
+	dl    column
+	dx0   *tensor.Matrix // BackwardSparse scratch
 }
 
 // NumCrossLayers is the cross-network depth (the DCN paper's Criteo config).
@@ -68,13 +70,16 @@ func (m *DeepCross) ForwardSparse(emb *tensor.Matrix, _ [][]uint64) []float32 {
 // BackwardSparse implements Model: dEmb is a slice of dx0, the last
 // gradient the network produces, so this is the whole backward pass.
 func (m *DeepCross) BackwardSparse(dlogits []float32) *tensor.Matrix {
-	dHeadIn := m.head.Backward(tensor.FromSlice(len(dlogits), 1, dlogits))
+	dHeadIn := m.head.Backward(m.dl.of(dlogits))
 	dCross, dDeep := m.headCat.Backward2(dHeadIn)
 
 	// cross-network backprop: walk layers in reverse, accumulating each
-	// layer's gradient with respect to the shared x0.
-	dx := dCross.Clone()
-	dx0 := tensor.NewMatrix(dx.Rows, dx.Cols)
+	// layer's gradient with respect to the shared x0. A cross layer only
+	// reads its dout, so headCat's split buffer feeds the last one as is.
+	dx := dCross
+	m.dx0 = scratch(m.dx0, dx.Rows, dx.Cols)
+	dx0 := m.dx0
+	dx0.Zero()
 	for i := len(m.cross) - 1; i >= 0; i-- {
 		dx = m.cross[i].Backward(dx)
 		dx0.AddScaled(m.cross[i].GradX0(), 1)

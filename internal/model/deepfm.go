@@ -32,8 +32,10 @@ type DeepFM struct {
 	deep     *nn.MLP
 	deepHead *nn.Linear
 
-	cats [][]uint64
-	dEmb *tensor.Matrix
+	cats   [][]uint64
+	logits []float32
+	dl     column
+	dEmb   *tensor.Matrix
 }
 
 // NewDeepFM builds DeepFM for the given dataset shape. cfg.TotalRows must
@@ -74,7 +76,10 @@ func (m *DeepFM) ForwardSparse(emb *tensor.Matrix, cats [][]uint64) []float32 {
 	m.cats = cats
 	fmOut := m.fm.Forward(emb)
 	deepOut := m.deepHead.Forward(m.deep.Forward(emb))
-	logits := make([]float32, emb.Rows)
+	if cap(m.logits) < emb.Rows {
+		m.logits = make([]float32, emb.Rows)
+	}
+	logits := m.logits[:emb.Rows]
 	bias := m.linW[len(m.linW)-1]
 	for i := range logits {
 		first := bias
@@ -89,12 +94,10 @@ func (m *DeepFM) ForwardSparse(emb *tensor.Matrix, cats [][]uint64) []float32 {
 // BackwardSparse implements Model: dEmb sums the FM and deep paths' input
 // gradients, so this is the whole backward pass.
 func (m *DeepFM) BackwardSparse(dlogits []float32) *tensor.Matrix {
-	dl := tensor.FromSlice(len(dlogits), 1, dlogits)
+	dl := m.dl.of(dlogits)
 	dEmbFM := m.fm.Backward(dl)
 	dEmbDeep := m.deep.Backward(m.deepHead.Backward(dl))
-	if m.dEmb == nil || m.dEmb.Rows != dEmbFM.Rows || m.dEmb.Cols != dEmbFM.Cols {
-		m.dEmb = tensor.NewMatrix(dEmbFM.Rows, dEmbFM.Cols)
-	}
+	m.dEmb = scratch(m.dEmb, dEmbFM.Rows, dEmbFM.Cols)
 	copy(m.dEmb.Data, dEmbFM.Data)
 	m.dEmb.AddScaled(dEmbDeep, 1)
 

@@ -37,8 +37,9 @@ func digestF32(h hash.Hash64, xs []float32) {
 // benchShapeDigest pins the same digest for wd at the shape the benchmark
 // freezes (bench/workload.go: 128 examples per trainer, 13→256→256→256 tower,
 // head 256+26·16→1), which tinyCfg never reaches: 256-wide rows, a 128-row
-// transpose, post-ReLU rows that are about half zeros. It was computed with
-// the three naive loop nests that tensor_test.go now keeps as references.
+// weight gradient read in place, a 672→1 head on the one-column vector path,
+// post-ReLU rows that are about half zeros. It was computed with the three
+// naive loop nests that tensor_test.go now keeps as references.
 const benchShapeDigest uint64 = 0x9801b72504daf536
 
 func benchShapeCfg() Config {

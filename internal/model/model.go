@@ -40,7 +40,8 @@ type Model interface {
 	EmbDim() int
 	// Forward computes per-example logits. dense is B×NumNumeric, emb is
 	// B×(NumCategorical·EmbDim) holding the gathered embedding rows in
-	// feature order, cats[i] are example i's global embedding IDs. It is
+	// feature order, cats[i] are example i's global embedding IDs. The
+	// logits are the model's buffer, valid until the next pass. It is
 	// ForwardDense then ForwardSparse.
 	Forward(dense, emb *tensor.Matrix, cats [][]uint64) []float32
 	// Backward consumes dlogits (len B) and returns the gradient w.r.t.
@@ -127,6 +128,23 @@ func (w whole) Backward(dlogits []float32) *tensor.Matrix {
 	return dEmb
 }
 
+// column is a model-owned B×1 header over the dlogits a backward pass
+// starts from, so wrapping them allocates nothing.
+type column struct{ m tensor.Matrix }
+
+func (c *column) of(v []float32) *tensor.Matrix {
+	c.m = tensor.Matrix{Rows: len(v), Cols: 1, Data: v}
+	return &c.m
+}
+
+// scratch returns m if it is rows×cols, else a new zeroed rows×cols matrix.
+func scratch(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
+	if m == nil || m.Rows != rows || m.Cols != cols {
+		return tensor.NewMatrix(rows, cols)
+	}
+	return m
+}
+
 // logitsOf extracts a column-0 view of a B×1 matrix as a logits slice.
 func logitsOf(m *tensor.Matrix) []float32 {
 	if m.Cols != 1 {
@@ -154,6 +172,7 @@ type DLRM struct {
 	embCols      int
 	bot          *tensor.Matrix // ForwardDense → ForwardSparse
 	dBot1, dBot2 *tensor.Matrix // BackwardSparse → BackwardDense
+	dl           column
 }
 
 // NewDLRM builds DLRM for the given dataset shape.
@@ -191,7 +210,7 @@ func (m *DLRM) ForwardSparse(emb *tensor.Matrix, _ [][]uint64) []float32 {
 // BackwardSparse implements Model: top MLP and interaction, down to the
 // split of the interaction input into embeddings and bottom output.
 func (m *DLRM) BackwardSparse(dlogits []float32) *tensor.Matrix {
-	dTopIn := m.top.Backward(tensor.FromSlice(len(dlogits), 1, dlogits))
+	dTopIn := m.top.Backward(m.dl.of(dlogits))
 	dBot1, dInter := m.topCat.Backward2(dTopIn)
 	dFeats := m.inter.Backward(dInter)
 	dEmb, dBot2 := m.featCat.Backward2(dFeats)
@@ -230,6 +249,7 @@ type WideDeep struct {
 
 	deepOut *tensor.Matrix // ForwardDense → ForwardSparse
 	dDeep   *tensor.Matrix // BackwardSparse → BackwardDense
+	dl      column
 }
 
 // NewWideDeep builds Wide&Deep for the given dataset shape.
@@ -260,7 +280,7 @@ func (m *WideDeep) ForwardSparse(emb *tensor.Matrix, _ [][]uint64) []float32 {
 
 // BackwardSparse implements Model: the head alone decides dEmb.
 func (m *WideDeep) BackwardSparse(dlogits []float32) *tensor.Matrix {
-	dHeadIn := m.head.Backward(tensor.FromSlice(len(dlogits), 1, dlogits))
+	dHeadIn := m.head.Backward(m.dl.of(dlogits))
 	dDeep, dEmb := m.cat.Backward2(dHeadIn)
 	m.dDeep = dDeep
 	return dEmb

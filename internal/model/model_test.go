@@ -221,7 +221,7 @@ func TestDeepFMFirstOrderPath(t *testing.T) {
 	cfg := tinyCfg()
 	m := NewDeepFM(cfg)
 	dense, emb, cats, _ := tinyBatch(2, m.EmbDim())
-	base := m.Forward(dense, emb, cats)
+	base := append([]float32(nil), m.Forward(dense, emb, cats)...) // the next pass reuses the buffer
 	// bump a first-order weight used by example 0 only
 	id := cats[0][0]
 	m.linW[id] += 1

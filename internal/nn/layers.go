@@ -54,14 +54,14 @@ type Linear struct {
 	dx   *tensor.Matrix
 	// noInputGrad: the input is data, nobody reads dx, Backward returns nil.
 	noInputGrad bool
-	// Backward scratch, reused across calls: dout masked by the ReLU, xᵀ and
-	// Wᵀ, so both gradient products run through tensor's one kernel, and this
-	// batch's xᵀ·dout and colsums(dout) before they are added to the
-	// accumulators.
-	dpre   *tensor.Matrix
-	xT, wT *tensor.Matrix
-	gw     *tensor.Matrix
-	sums   []float32
+	// Backward scratch, reused across calls: dout masked by the ReLU, Wᵀ, so
+	// the input gradient runs through tensor's one kernel (the weight
+	// gradient reads x in place, tensor.MatMulTransA), and this batch's
+	// xᵀ·dout and colsums(dout) before they are added to the accumulators.
+	dpre *tensor.Matrix
+	wT   *tensor.Matrix
+	gw   *tensor.Matrix
+	sums []float32
 }
 
 // NewLinear returns a Linear layer with Xavier-initialized weights drawn
@@ -112,9 +112,7 @@ func (l *Linear) Backward(dout *tensor.Matrix) *tensor.Matrix {
 		tensor.ReLUGrad(l.dpre, dout, l.out)
 		dout = l.dpre
 	}
-	l.xT = ensureShape(l.xT, l.In, l.x.Rows)
-	tensor.Transpose(l.xT, l.x)
-	tensor.MatMul(l.gw, l.xT, dout)
+	tensor.MatMulTransA(l.gw, l.x, dout)
 	l.GradW.AddScaled(l.gw, 1)
 	tensor.ColSums(l.sums, dout)
 	tensor.Axpy(1, l.sums, l.GradB)

@@ -272,6 +272,27 @@ func TestLinearBackwardZeroTimesInf(t *testing.T) {
 	if want := []float32{0, 0, inf, 2}; !tensor.FromSlice(2, 2, want).Equal(l.GradW) { // row 0 = 0·[Inf 2], skipped
 		t.Fatalf("GradW=%v, want %v", l.GradW.Data, want)
 	}
+
+	// A logit layer (one output column) takes the kernel's vector path only
+	// while the one-column operand is finite, so the same zeros still skip.
+	head := NewLinear(2, 1, tensor.NewRNG(1))
+	copy(head.W.Data, []float32{inf, 2})
+	x := tensor.FromSlice(2, 2, []float32{0, 1, 3, 0})
+	out := head.Forward(x)
+	for i, w := range []float32{2, inf} { // 0·Inf + 1·2, then 3·Inf + 0·2
+		if !sameBits(out.Data[i], w) {
+			t.Fatalf("one-column forward with W=[Inf 2]: out=%v, want [2 +Inf]", out.Data)
+		}
+	}
+	copy(head.W.Data, []float32{1, 2})
+	head.Forward(x)
+	ZeroGrads(head.Params())
+	head.Backward(tensor.FromSlice(2, 1, []float32{inf, 0}))
+	for i, w := range []float32{0, inf} { // 0·Inf (skipped) + 3·0, then 1·Inf + 0·0 (skipped)
+		if !sameBits(head.GradW.Data[i], w) {
+			t.Fatalf("one-column GradW=%v, want [+0 +Inf]", head.GradW.Data)
+		}
+	}
 }
 
 func TestMLPNumParams(t *testing.T) {

@@ -7,20 +7,24 @@
 // destination argument so steady-state training performs no per-iteration
 // allocations.
 //
-// There is one product kernel (product, behind MatMul, MatMulBias and
-// MatMulNoSkip) and its summation order is a contract, because every engine
-// in the repository is certified bit-identical to the no-cache baseline: each
-// output element is the sum of its products in ascending k starting from +0,
-// every multiply and every add rounded to float32 separately — never fused.
-// MatMul skips zero multipliers, MatMulNoSkip does not; MatMulBias is MatMul
-// with the bias add and the ReLU clamp applied to each row as it completes.
-// The products backpropagation needs in other layouts (xᵀ·dout, dout·Wᵀ) are
+// There is one product kernel (product, behind MatMul, MatMulBias,
+// MatMulNoSkip and MatMulTransA) and its summation order is a contract,
+// because every engine in the repository is certified bit-identical to the
+// no-cache baseline: each output element is the sum of its products in
+// ascending k starting from +0, every multiply and every add rounded to
+// float32 separately — never fused. MatMul skips zero multipliers,
+// MatMulNoSkip does not; MatMulBias is MatMul with the bias add and the ReLU
+// clamp applied to each row as it completes. The weight gradient xᵀ·dout is
+// MatMulTransA, which reads x in place; the input gradient dout·Wᵀ is
 // Transpose followed by MatMul, or by MatMulNoSkip when Transpose reports a
-// non-finite weight. On amd64 the inner loop is an SSE2 microkernel
-// (axpy_amd64.s); on every other GOARCH, and for the columns that do not fill
-// a vector, it is the portable axpyRowsGo, which tensor_test.go holds to the
-// same bits as the three naive loop nests the kernel replaced. NaN payloads
-// are outside the contract: any NaN equals any NaN.
+// non-finite weight. A finite one-column right operand (every model's logit
+// layer) takes a vector path with the same bits: plain dot products, or for
+// MatMulTransA the one-row product bᵀ·a. On amd64 the inner loop is an SSE2
+// microkernel (axpy_amd64.s); on every other GOARCH, and for the columns
+// that do not fill a vector, it is the portable axpyRowsGo, which
+// tensor_test.go holds to the same bits as the three naive loop nests the
+// kernel replaced. NaN payloads are outside the contract: any NaN equals any
+// NaN.
 package tensor
 
 import (
@@ -111,14 +115,21 @@ func (m *Matrix) AlmostEqual(o *Matrix, eps float32) bool {
 // alias a or b. Every dst[i][j] is the sum, formed in ascending k from +0,
 // of the products a[i][k]·b[k][j] whose a[i][k] is not zero. The skip is
 // arithmetic: a ±0 multiplier never meets an Inf or NaN in b (0·Inf is NaN).
-func MatMul(dst, a, b *Matrix) { product(dst, a, b, true, nil, false) }
+func MatMul(dst, a, b *Matrix) { product(dst, rowsOf(a), b, true, nil, false) }
+
+// MatMulTransA computes dst = aᵀ × b without transposing a: dst must be
+// a.Cols × b.Cols and must not alias a or b. The kernel reads column i of a
+// in place, so every dst[i][j] receives the products a[k][i]·b[k][j] whose
+// a[k][i] is not zero, in ascending k from +0: the bits of MatMul on
+// Transpose(a).
+func MatMulTransA(dst, a, b *Matrix) { product(dst, colsOf(a), b, true, nil, false) }
 
 // MatMulNoSkip is MatMul with every product added, zero multipliers too, so
 // 0·Inf and 0·NaN reach dst: the input-gradient product dout × Wᵀ when W
 // holds an Inf or a NaN. When every element of b is finite the two agree to
 // the bit: a skipped 0·b is ±0, and a sum that starts at +0 never holds −0,
 // so adding ±0 leaves it as it was.
-func MatMulNoSkip(dst, a, b *Matrix) { product(dst, a, b, false, nil, false) }
+func MatMulNoSkip(dst, a, b *Matrix) { product(dst, rowsOf(a), b, false, nil, false) }
 
 // MatMulBias is MatMul followed, on each row of dst as soon as its sums are
 // complete, by d[j] += bias[j] and then, if relu, by d[j] = d[j] > 0 ? d[j] :
@@ -130,7 +141,7 @@ func MatMulBias(dst, a, b *Matrix, bias []float32, relu bool) {
 	if len(bias) != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulBias bias len %d != cols %d", len(bias), b.Cols))
 	}
-	product(dst, a, b, true, bias, relu)
+	product(dst, rowsOf(a), b, true, bias, relu)
 }
 
 // ReLUGrad writes into dst the gradient through the clamp of MatMulBias
@@ -181,8 +192,28 @@ func Transpose(dst, src *Matrix) (finite bool) {
 }
 
 // kPass bounds how many multipliers product compacts before applying them,
-// so its scratch is two fixed-size stack arrays whatever a.Cols is.
+// so its scratch is two fixed-size stack arrays whatever the inner
+// dimension is.
 const kPass = 256
+
+// operand is product's left operand read in place: element (i, k) is
+// data[i*rs+k*cs]. A matrix is read by rows (cs 1), its transpose by
+// columns (rs 1, cs the matrix's width), so no layout is ever copied.
+type operand struct {
+	data       []float32
+	rows, cols int
+	rs, cs     int
+}
+
+func rowsOf(m *Matrix) operand { return operand{m.Data, m.Rows, m.Cols, m.Cols, 1} }
+func colsOf(m *Matrix) operand { return operand{m.Data, m.Cols, m.Rows, 1, m.Cols} }
+
+// span returns the n elements of row i from column k on, cs apart: the
+// slice from the first to the last of them.
+func (a operand) span(i, k, n int) []float32 {
+	s := i*a.rs + k*a.cs
+	return a.data[s : s+(n-1)*a.cs+1]
+}
 
 // product is the one product kernel. Per output row it compacts the
 // multipliers that will be applied (all of them, or the non-zero ones) in
@@ -191,25 +222,90 @@ const kPass = 256
 // each multiply and each add rounded to float32 on its own; compaction keeps
 // rows that are half zeros (anything after a ReLU) on the vector path. A
 // non-nil bias is MatMulBias's epilogue, applied to a row once it is summed.
-func product(dst, a, b *Matrix, skipZero bool, bias []float32, relu bool) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
+//
+// A one-column b would put every row through compaction to feed a one-wide
+// scalar update, so when b is finite — where a skipped 0·b is ±0 and taking
+// every term changes no bit (see MatMulNoSkip) — it takes a vector path: a
+// row-read a gives plain dot products, a column-read a the one-row product
+// bᵀ·a, whose multipliers are all of b and whose rows of a are the
+// microkernel's vectors. A b holding an Inf or a NaN keeps the general path,
+// where a zero multiplier facing it is still skipped.
+func product(dst *Matrix, a operand, b *Matrix, skipZero bool, bias []float32, relu bool) {
+	if a.cols != b.Rows || dst.Rows != a.rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)×(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+			a.rows, a.cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
+	switch {
+	case b.Cols != 1 || !finite(b.Data):
+		rowProducts(dst.Data, a, b.Data, b.Cols, skipZero, bias, relu)
+	case a.cs == 1:
+		dotRows(dst.Data, a, b.Data)
+		if bias != nil {
+			for i := range dst.Data {
+				addBias(dst.Data[i:i+1], bias, relu)
+			}
+		}
+	default:
+		bT := operand{b.Data, 1, b.Rows, b.Rows, 1}
+		rowProducts(dst.Data, bT, a.data, a.rows, false, nil, false)
+	}
+}
+
+// rowProducts is product's loop: d (a.rows × n) = a × b (a.cols × n), both
+// row-major.
+func rowProducts(d []float32, a operand, b []float32, n int, skipZero bool, bias []float32, relu bool) {
 	var coef [kPass]float32
-	var at [kPass]int // where each multiplier's row of b starts in b.Data
-	for i := 0; i < a.Rows; i++ {
-		d := dst.Row(i)
-		clear(d)
-		arow := a.Row(i)
-		for k0 := 0; k0 < len(arow); k0 += kPass {
-			m := compact(&coef, &at, arow[k0:min(k0+kPass, len(arow))], k0*b.Cols, b.Cols, skipZero)
-			axpyRows(d, b.Data, at[:m], coef[:m])
+	var at [kPass]int // where each multiplier's row of b starts in b
+	for i := 0; i < a.rows; i++ {
+		row := d[i*n : (i+1)*n]
+		clear(row)
+		for k0 := 0; k0 < a.cols; k0 += kPass {
+			m := compact(&coef, &at, a.span(i, k0, min(kPass, a.cols-k0)), a.cs, k0*n, n, skipZero)
+			axpyRows(row, b, at[:m], coef[:m])
 		}
 		if bias != nil {
-			addBias(d, bias, relu)
+			addBias(row, bias, relu)
 		}
 	}
+}
+
+// dotRows writes into d[i] the dot product of row i of a, which must be
+// contiguous (cs 1), with b: every term, in ascending k from +0, each product
+// converted to float32 before it is added so that no target fuses the two.
+// Four rows at a time, so four independent sums hide the add latency.
+func dotRows(d []float32, a operand, b []float32) {
+	n := len(b)
+	i := 0
+	for ; i+4 <= a.rows; i += 4 {
+		r0, r1 := a.data[i*a.rs:][:n], a.data[(i+1)*a.rs:][:n]
+		r2, r3 := a.data[(i+2)*a.rs:][:n], a.data[(i+3)*a.rs:][:n]
+		var s0, s1, s2, s3 float32
+		for k, bv := range b {
+			s0 += float32(r0[k] * bv)
+			s1 += float32(r1[k] * bv)
+			s2 += float32(r2[k] * bv)
+			s3 += float32(r3[k] * bv)
+		}
+		d[i], d[i+1], d[i+2], d[i+3] = s0, s1, s2, s3
+	}
+	for ; i < a.rows; i++ {
+		r := a.data[i*a.rs:][:n]
+		var s float32
+		for k, bv := range b {
+			s += float32(r[k] * bv)
+		}
+		d[i] = s
+	}
+}
+
+// finite reports whether every element of v is finite. Bit 31 of
+// exponent+1 is set only for an all-ones exponent (Inf, NaN).
+func finite(v []float32) bool {
+	var nonFinite uint32
+	for _, x := range v {
+		nonFinite |= math.Float32bits(x)&0x7f800000 + 0x00800000
+	}
+	return nonFinite>>31 == 0
 }
 
 // addBias is the epilogue: d[j] += bias[j], then, if relu, the clamp
@@ -231,21 +327,23 @@ func addBias(d, bias []float32, relu bool) {
 	}
 }
 
-// compact copies the multipliers in arow (at most kPass) that will be applied
-// into coef, and the offset of each one's row of b — off for arow[0], stride
-// more for each next — into at, and returns how many there are. Every element
-// is stored and the count then advanced or not, on an integer test (zero but
-// for the sign bit), because post-ReLU zeros fall at random: a branch per
-// element mispredicts on half of them and costs more than the arithmetic.
-func compact(coef *[kPass]float32, at *[kPass]int, arow []float32, off, stride int, skipZero bool) int {
+// compact copies the multipliers in src that will be applied — src[0],
+// src[stride], … to its end, at most kPass of them — into coef, and the
+// offset of each one's row of b — off for the first, bstride more for each
+// next — into at, and returns how many there are. Every element is stored
+// and the count then advanced or not, on an integer test (zero but for the
+// sign bit), because post-ReLU zeros fall at random: a branch per element
+// mispredicts on half of them and costs more than the arithmetic.
+func compact(coef *[kPass]float32, at *[kPass]int, src []float32, stride, off, bstride int, skipZero bool) int {
 	var keepAll uint32
 	if !skipZero {
 		keepAll = 1
 	}
 	m := 0
-	for _, av := range arow {
+	for p := 0; p < len(src); p += stride {
+		av := src[p]
 		coef[m], at[m] = av, off
-		off += stride
+		off += bstride
 		if math.Float32bits(av)<<1|keepAll != 0 {
 			m++
 		}

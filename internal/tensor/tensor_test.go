@@ -58,12 +58,19 @@ func TestMatMulKnown(t *testing.T) {
 }
 
 func TestMatMulShapePanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on shape mismatch")
-		}
-	}()
-	MatMul(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 2))
+	for name, f := range map[string]func(){
+		"MatMul":       func() { MatMul(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(2, 2)) },
+		"MatMulTransA": func() { MatMulTransA(NewMatrix(3, 2), NewMatrix(2, 3), NewMatrix(3, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic on shape mismatch", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 // The three loop nests product replaced, kept as the references it must
@@ -177,10 +184,12 @@ func allFinite(m *Matrix) bool {
 }
 
 // checkProductForms runs a × b through each form nn uses — MatMul, MatMulBias
-// with and without the clamp (the forward, biased by b's last row), MatMul on
-// a transposed left operand (the weight gradient), MatMulNoSkip on a
-// transposed right operand (the input gradient) and, when that operand is
-// finite, MatMul on it — against the loop nest that form replaced.
+// with and without the clamp (the forward, biased by b's last row),
+// MatMulTransA and MatMul on a transposed left operand (the weight gradient),
+// MatMulNoSkip on a transposed right operand (the input gradient) and, when
+// that operand is finite, MatMul on it — against the loop nest that form
+// replaced. A one-column b puts MatMul, MatMulBias and MatMulTransA on their
+// vector path when it is finite, and keeps them off it when it is not.
 func checkProductForms(t *testing.T, a, b *Matrix) {
 	t.Helper()
 	got, want := NewMatrix(a.Rows, b.Cols), NewMatrix(a.Rows, b.Cols)
@@ -205,6 +214,11 @@ func checkProductForms(t *testing.T, a, b *Matrix) {
 	refMatMulAT(want, x, b)
 	MatMul(got, transpose(x), b)
 	requireSameBits(t, "MatMul(xᵀ, ·) vs MatMulAT", got, want)
+	for i := range got.Data {
+		got.Data[i] = float32(math.NaN())
+	}
+	MatMulTransA(got, x, b)
+	requireSameBits(t, "MatMulTransA vs MatMulAT", got, want)
 
 	w := transpose(b)
 	refMatMulBT(want, a, w)
@@ -281,6 +295,70 @@ func TestProductMatchesReferenceBits(t *testing.T) {
 	}
 }
 
+// tame replaces m's Inf, NaN and ±MaxFloat32 by full-mantissa values.
+// seededMatrix puts about one special in eight, so past a few dozen terms
+// nearly every sum is already Inf or NaN and would hide a wrong term; a tamed
+// operand keeps its sums finite.
+func tame(rng *RNG, m *Matrix) *Matrix {
+	for i, v := range m.Data {
+		if math.IsInf(float64(v), 0) || v != v || math.Abs(float64(v)) == math.MaxFloat32 {
+			m.Data[i] = fullMantissa(rng.Uint64())
+		}
+	}
+	return m
+}
+
+// plant puts one special at a random element of a tamed m, so one row or
+// column of the product meets it and the others stay finite.
+func plant(rng *RNG, m *Matrix) *Matrix {
+	m.Data[rng.Intn(len(m.Data))] = specials[rng.Intn(len(specials))]
+	return m
+}
+
+// One-column b on both sides of its finiteness test, at row counts that
+// leave every tail of the four-row dot-product blocks, each zero pattern in
+// each position of a block, and inner sizes either side of kPass and of the
+// wd head (672). A finite b takes the dot products and the one-row product
+// bᵀ·a; a single Inf or NaN sends the same operands back to the general path.
+func TestOneColumnProductsMatchReference(t *testing.T) {
+	rng := NewRNG(43)
+	for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 128, 257} {
+		for _, k := range []int{1, 3, 4, 255, 256, 257, 672} {
+			for p := 0; p < 4; p++ {
+				a := plant(rng, tame(rng, seededMatrix(rng, rows, k, p)))
+				b := tame(rng, seededMatrix(rng, k, 1, -1))
+				checkProductForms(t, a, b)
+				for _, bad := range specials[2:5] {
+					nb := b.Clone()
+					nb.Data[rng.Intn(k)] = bad
+					checkProductForms(t, a, nb)
+				}
+				// An Inf multiplier facing a zero of a finite b is NaN on every
+				// path: the vector paths take b's zeros as multipliers too.
+				z := rng.Intn(k)
+				b.Data[z] = 0
+				a.Set(rng.Intn(rows), z, float32(math.Inf(1)))
+				checkProductForms(t, a, b)
+			}
+		}
+	}
+}
+
+// Every form past kPass multipliers, so that each output row is compacted in
+// two or three passes (strided ones for MatMulTransA, whose a has more than
+// kPass rows), at output row counts that leave each rows mod 4 tail.
+func TestProductFormsPastKPass(t *testing.T) {
+	rng := NewRNG(44)
+	for _, k := range []int{257, 300, 513} {
+		for _, m := range []int{4, 5, 6, 7, 13} {
+			for _, n := range []int{1, 3, 8, 13} {
+				a := plant(rng, tame(rng, seededMatrix(rng, m, k, m%4)))
+				checkProductForms(t, a, plant(rng, tame(rng, seededMatrix(rng, k, n, -1))))
+			}
+		}
+	}
+}
+
 // The amd64 microkernel against the portable one on the same inputs (on
 // other targets axpyRows is the portable one and this holds trivially).
 // Widths past zeroRow's take the padded tail a chunk at a time, and m mod 4
@@ -341,11 +419,17 @@ func FuzzMatMulRef(f *testing.F) {
 	f.Add(uint8(0), uint16(4), uint8(7), []byte{8})
 	f.Add(uint8(1), uint16(5), uint8(4), []byte{8, 9, 8})
 	f.Add(uint8(0), uint16(6), uint8(11), []byte{9, 9, 1, 200, 8})
+	// One-column b, finite and not, under five to seven rows: a full block
+	// of four dot products and a tail, a zero multiplier facing +Inf, and
+	// the one-row product over a zero activation.
+	f.Add(uint8(4), uint16(3), uint8(0), []byte{0, 200, 12, 77, 1})
+	f.Add(uint8(5), uint16(9), uint8(0), []byte{0, 2, 200, 0})
+	f.Add(uint8(6), uint16(257), uint8(0), []byte{4, 99, 0, 8, 150})
 	f.Fuzz(func(t *testing.T, rows uint8, k uint16, n uint8, raw []byte) {
 		if len(raw) == 0 {
 			return
 		}
-		r, kk, nn := 1+int(rows%4), 1+int(k%300), 1+int(n%40)
+		r, kk, nn := 1+int(rows%8), 1+int(k%300), 1+int(n%40)
 		checkProductForms(t, fuzzMatrix(r, kk, raw, 0), fuzzMatrix(kk, nn, raw, r*kk))
 	})
 }
