@@ -53,7 +53,8 @@ func CalibrateIterTime(cfg Config, iters int) (time.Duration, error) {
 		}
 		b := gen.Batch(i, cfg.BatchSize)
 		ls.extract(b, assign, 0, cfg.Spec.NumNumeric)
-		ls.fillEmb(b, cfg.Spec.NumCategorical, cfg.Spec.EmbDim, nil)
+		ls.emb = reshape(ls.emb, len(ls.mine), cfg.Spec.NumCategorical*cfg.Spec.EmbDim)
+		clear(ls.emb.Data) // every row zero
 		computeLocal(m, ls)
 		opt.Step(m.Params())
 	}

@@ -35,22 +35,23 @@ func RunBaseline(cfg Config, tr transport.Store) (*Result, error) {
 	res := &Result{Engine: "baseline"}
 	start := time.Now()
 	var lossSum float64
+	idx := make(map[uint64]int32)
 	for iter := 0; iter < cfg.NumBatches; iter++ {
 		b := gen.Batch(iter, cfg.BatchSize)
 		ids := b.UniqueIDs()
 		fetched := tr.Fetch(ids)
-		rows := make(map[uint64][]float32, len(ids))
+		clear(idx)
 		for i, id := range ids {
-			rows[id] = fetched[i]
+			idx[id] = int32(i)
 		}
 
 		assign := part.Assign(b, cfg.NumTrainers)
-		loss, grads := rk.step(b, assign, rows)
+		loss, grads := rk.step(b, assign, idx, fetched)
 
 		// Apply sparse updates in sorted-ID order and write everything
 		// straight back.
 		for i, id := range ids {
-			rowOpt.UpdateRow(id, fetched[i], grads[id])
+			rowOpt.UpdateRow(id, fetched[i], grads[i])
 		}
 		tr.Write(ids, fetched)
 

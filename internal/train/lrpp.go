@@ -62,14 +62,14 @@ type LRPPHooks struct {
 func syncBatchBytes(flushes []transport.SyncMsg, dim int) int64 {
 	b := int64(1 + 4)
 	for _, f := range flushes {
-		b += 8 + 1 + 4 + 4 + int64(len(f.Partials))*(8+4*int64(dim))
+		b += 8 + 1 + 4 + 4 + int64(len(f.IDs))*(8+4*int64(dim))
 	}
 	return b
 }
 
-// replicaMsgBytes models the wire size of one replica push.
-func replicaMsgBytes(rows map[uint64][]float32, dim int) int64 {
-	return 8 + int64(len(rows))*(8+4*int64(dim))
+// replicaMsgBytes models the wire size of one replica push of n rows.
+func replicaMsgBytes(n, dim int) int64 {
+	return 8 + int64(n)*(8+4*int64(dim))
 }
 
 // lrppColl is the collective layer a trainer steps its dense gradients and
@@ -282,14 +282,14 @@ func (pt *partition) evict(s int32) core.Eviction {
 }
 
 // flushItem hands one iteration's remote partials to the delayed-sync
-// flusher, split by criticality. The inner maps are pooled row maps and the
-// partials arena rows; both transfer to the owner with the flush. The item
-// and its outer maps cycle between the trainer loop and the flusher
-// (lrppTrainer.flushFree).
+// flusher, split by criticality, one ascending id/partial run per owner.
+// The runs are pooled and the partials arena rows; both transfer to the
+// owner with the flush. The item and its owner-indexed slices cycle
+// between the trainer loop and the flusher (lrppTrainer.flushFree).
 type flushItem struct {
 	iter   int
-	urgent map[int]map[uint64][]float32 // owner → id → partial; needed next iter
-	lazy   map[int]map[uint64][]float32 // deferrable off the critical path
+	urgent []transport.SyncMsg // owner → partials needed next iteration
+	lazy   []transport.SyncMsg // owner → partials deferrable off the critical path
 }
 
 // maintJob is one iteration's dirty evictions bound for write-back.
@@ -342,20 +342,22 @@ type lrppTrainer struct {
 	expiring map[int]int                  // iter → owned rows still to evict
 	evbatch  map[int][]core.Eviction      // iter → collected write-backs
 	routed   map[int]bool                 // iter → trainer loop deposited and queued its partials
-	repRows  map[int]map[uint64][]float32 // iter → replica rows received (pooled maps/rows, owned here)
+	repRows  map[int]transport.ReplicaMsg // iter·P + owner → replica push received (owned here)
 	repFrom  map[int]rankBits             // iter → owners heard from
 
 	// Hot-path scratch, all guarded by mu (or touched only by the one
-	// goroutine noted): the arena rows and pooled maps every
-	// fetch/replica/partial/write-back recycles through, the shared
-	// gradient fold buffer, the reusable gather and partial maps (trainer
+	// goroutine noted): the arena every fetch/replica/partial/write-back
+	// recycles through, the shared fold buffer and the partials it spent,
+	// the row table, its id index and the partials by table row (trainer
 	// loop only), the slot lists of the staged iterations (stager only;
 	// iteration x uses slotBuf[x%2], free again once x's compute ended,
 	// which precedes stage(x+2)), and the eviction-batch free list.
 	arena    *transport.RowArena
 	foldBuf  []float32
-	gathered map[uint64][]float32
-	partials map[uint64][]float32
+	spent    [][]float32
+	tab      [][]float32
+	idx      map[uint64]int32
+	partials [][]float32
 	slotBuf  [2][]int32
 	evFree   [][]core.Eviction
 
@@ -535,12 +537,11 @@ func newLRPPTrainer(eng *lrppEngine, p int, tr transport.Store, ep transport.End
 		expiring: make(map[int]int),
 		evbatch:  make(map[int][]core.Eviction),
 		routed:   make(map[int]bool),
-		repRows:  make(map[int]map[uint64][]float32),
+		repRows:  make(map[int]transport.ReplicaMsg),
 		repFrom:  make(map[int]rankBits),
 		arena:    transport.Rows(cfg.Spec.EmbDim),
 		foldBuf:  make([]float32, cfg.Spec.EmbDim),
-		gathered: make(map[uint64][]float32),
-		partials: make(map[uint64][]float32),
+		idx:      make(map[uint64]int32),
 		routedCh: make(chan struct{}, 1),
 		// One window of routed iterations may queue for the flusher. The
 		// only send (compute, step 8) holds no lock, so a full queue is
@@ -716,21 +717,12 @@ func (t *lrppTrainer) startReceiver() {
 			}
 			switch pl := msg.Payload.(type) {
 			case transport.ReplicaMsg:
-				// The push transfers ownership of the rows map and its row
-				// buffers (pooled at the sender in-process, decoded into the
-				// same pools by the TCP codec): adopt the first sender's map
-				// wholesale, merge later senders' rows into it and recycle
-				// their emptied maps. compute's step 6 returns everything
-				// once the rows are consumed.
+				// The push transfers ownership of its id run, header and
+				// rows (pooled at the sender in-process, decoded into the
+				// same pools by the TCP codec): file it under its owner.
+				// compute's step 6 releases it once the rows are consumed.
 				t.mu.Lock()
-				if have := t.repRows[pl.Iter]; have == nil {
-					t.repRows[pl.Iter] = pl.Rows
-				} else {
-					for id, row := range pl.Rows {
-						have[id] = row
-					}
-					transport.PutRowMap(pl.Rows)
-				}
+				t.repRows[pl.Iter*t.eng.P+msg.From] = pl
 				rb := t.repFrom[pl.Iter]
 				rb.set(msg.From)
 				t.repFrom[pl.Iter] = rb
@@ -740,22 +732,25 @@ func (t *lrppTrainer) startReceiver() {
 				// One coalesced frame, several iterations' flushes: deposits
 				// are keyed by (id, iteration, sender), so table order is
 				// irrelevant. As with replica pushes the flush transfers
-				// ownership of its pooled maps and partials: the merges
-				// recycle the partials, the emptied maps go back here.
+				// ownership of its pooled runs and partials: the merges
+				// adopt the partials, the emptied runs go back here.
 				t.mu.Lock()
 				for _, f := range pl.Flushes {
-					for id, g := range f.Partials {
+					for i, id := range f.IDs {
 						s, ok := t.part.slotOf[id]
 						if !ok {
 							panic(fmt.Sprintf("train: trainer %d: contribution for unregistered id %d iter %d", t.p, id, f.Iter))
 						}
-						t.depositLocked(s, f.Iter, msg.From, g)
+						t.depositLocked(s, f.Iter, msg.From, f.Partials[i])
 					}
 				}
+				t.arena.PutN(t.spent)
+				t.spent = t.spent[:0]
 				t.mu.Unlock()
 				t.cond.Broadcast()
 				for _, f := range pl.Flushes {
-					transport.PutRowMap(f.Partials)
+					transport.PutRowSlice(f.Partials)
+					transport.PutIDs(f.IDs)
 				}
 			case transport.PlanMsg:
 				// Worker mode only: the rank-0 process streams oracle plans.
@@ -792,10 +787,15 @@ func (t *lrppTrainer) startFlusher() {
 		// pass accumulates one flush pass's per-owner iteration tables; the
 		// urgent/delayed counters keep their historical granularity (one
 		// per non-empty per-owner table) even though the frames coalesce.
-		pass := make(map[int][]transport.SyncMsg)
-		collect := func(buckets map[int]map[uint64][]float32, iter int, urgent bool) {
-			for o, partials := range buckets {
-				pass[o] = append(pass[o], transport.SyncMsg{Iter: iter, Partials: partials})
+		pass := make([][]transport.SyncMsg, eng.P)
+		collect := func(runs []transport.SyncMsg, iter int, urgent bool) {
+			for o := range runs {
+				if len(runs[o].IDs) == 0 {
+					continue
+				}
+				runs[o].Iter = iter
+				pass[o] = append(pass[o], runs[o])
+				runs[o] = transport.SyncMsg{}
 				if urgent {
 					eng.urgentFlushes.Add(1)
 				} else {
@@ -804,17 +804,14 @@ func (t *lrppTrainer) startFlusher() {
 			}
 		}
 		flush := func() {
-			owners := make([]int, 0, len(pass))
-			for o := range pass {
-				owners = append(owners, o)
-			}
-			slices.Sort(owners)
-			for _, o := range owners {
-				flushes := pass[o]
+			for o, flushes := range pass {
+				if len(flushes) == 0 {
+					continue
+				}
 				b := syncBatchBytes(flushes, eng.dim)
 				t.ep.Send(o, b, transport.SyncBatchMsg{Flushes: flushes})
 				eng.countSend(classSync, b)
-				delete(pass, o)
+				pass[o] = nil
 			}
 		}
 		var backlog []*flushItem
@@ -826,8 +823,6 @@ func (t *lrppTrainer) startFlusher() {
 				collect(done.lazy, done.iter, false)
 				backlog = backlog[1:]
 				// Both halves now belong to pass: hand the emptied item back.
-				clear(done.urgent)
-				clear(done.lazy)
 				select {
 				case t.flushFree <- done:
 				default:
@@ -1011,25 +1006,22 @@ func (t *lrppTrainer) stage(w *lrppWork) {
 	}
 
 	// 4. Snapshot and push replicas to the non-owners reading our rows.
-	type out struct {
-		to    int
-		bytes int64
-		nrows int64
-		msg   transport.ReplicaMsg
-	}
-	var outs []out
+	outs := make([]transport.ReplicaMsg, len(pl.ReplicaOut))
 	for q, ids := range pl.ReplicaOut {
 		if len(ids) == 0 {
 			continue
 		}
-		// Snapshot into pooled buffers: the map and its rows transfer to the
-		// receiver with the push (in-process meshes deliver by reference),
-		// which recycles them after consuming the iteration — so nothing
-		// here, including the counters below, may touch the message after
-		// Send.
-		snap := transport.GetRowMap()
+		// Snapshot into pooled buffers: the id run, header and rows transfer
+		// to the receiver with the push (in-process meshes deliver by
+		// reference), which recycles them after consuming the iteration —
+		// so nothing here, including the counters below, may touch the
+		// message after Send.
+		snap := &outs[q]
+		*snap = transport.ReplicaMsg{Iter: x, IDs: transport.GetIDs(len(ids)), Rows: transport.GetRowSlice(len(ids))}
+		copy(snap.IDs, ids)
+		t.arena.GetN(snap.Rows)
 		j := 0
-		for _, id := range ids {
+		for i, id := range ids {
 			for pl.Owned[j] != id { // ReplicaOut[q] ⊆ Owned, both ascending
 				j++
 			}
@@ -1037,21 +1029,21 @@ func (t *lrppTrainer) stage(w *lrppWork) {
 			if src == nil {
 				panic(fmt.Sprintf("train: trainer %d iter %d: replica id %d missing from partition", t.p, x, id))
 			}
-			row := t.arena.Get()
-			copy(row, src)
-			snap[id] = row
+			copy(snap.Rows[i], src)
 		}
-		outs = append(outs, out{to: q, bytes: replicaMsgBytes(snap, eng.dim), nrows: int64(len(snap)),
-			msg: transport.ReplicaMsg{Iter: x, Rows: snap}})
 	}
 	// The snapshots are taken: compute may gather and deposit from here on.
 	w.staged = true
 	t.mu.Unlock()
 	t.cond.Broadcast()
-	for _, o := range outs {
-		t.ep.Send(o.to, o.bytes, o.msg)
-		eng.countSend(classReplica, o.bytes)
-		eng.replicaRows.Add(o.nrows)
+	for q, ids := range pl.ReplicaOut {
+		if len(ids) == 0 {
+			continue
+		}
+		b := replicaMsgBytes(len(ids), eng.dim)
+		t.ep.Send(q, b, outs[q])
+		eng.countSend(classReplica, b)
+		eng.replicaRows.Add(int64(len(ids)))
 	}
 }
 
@@ -1082,20 +1074,28 @@ func (t *lrppTrainer) compute(w *lrppWork) {
 	}
 
 	// 6. Wait for stage(x) and the replicas we need, then gather this
-	// trainer's rows: owned ids it touches from the partition, remote ids
-	// from the replica box.
+	// trainer's rows into the iteration's row table: its owned rows in
+	// Owned order, then its remote ones in Remote order, zipped per owner
+	// with the replica run that owner pushed (exactly these ids, ascending).
+	// idx maps each id to its table position; the table aliases partition
+	// and replica rows only until fillEmb copies them.
 	t.mu.Lock()
 	for !w.staged || rankBits(pl.ReplicaFrom)&^t.repFrom[x] != 0 {
 		t.cond.Wait()
 	}
 	slots := w.slots
-	replicas := t.repRows[x]
-	delete(t.repRows, x)
+	var reps [core.MaxTrainers]transport.ReplicaMsg
+	var cur [core.MaxTrainers]int
+	for o := range eng.P {
+		if rankBits(pl.ReplicaFrom).has(o) {
+			key := x*eng.P + o
+			reps[o] = t.repRows[key]
+			delete(t.repRows, key)
+		}
+	}
 	delete(t.repFrom, x)
-	// gathered is the trainer loop's private reusable scratch; its entries
-	// alias partition rows and replica rows only until fillEmb copies them.
-	gathered := t.gathered
-	clear(gathered)
+	tab, idx := t.tab[:0], t.idx
+	clear(idx)
 	for k, s := range slots {
 		if !pl.OwnedUsers[k].Has(t.p) {
 			continue
@@ -1104,27 +1104,33 @@ func (t *lrppTrainer) compute(w *lrppWork) {
 		if row == nil {
 			panic(fmt.Sprintf("train: trainer %d iter %d: owned id %d missing from partition (oracle consistency violated)", t.p, x, pl.Owned[k]))
 		}
-		gathered[pl.Owned[k]] = row
-	}
-	for _, id := range pl.Remote {
-		row, ok := replicas[id]
-		if !ok {
-			panic(fmt.Sprintf("train: trainer %d iter %d: replica of id %d never arrived", t.p, x, id))
-		}
-		gathered[id] = row
+		idx[pl.Owned[k]] = int32(len(tab))
+		tab = append(tab, row)
 	}
 	t.mu.Unlock()
-	ls.fillEmb(d.Batch, spec.NumCategorical, eng.dim, gathered)
-	// fillEmb copied every gathered row into the local slice, so the
-	// replica snapshot this trainer adopted from the pushes is dead: return
-	// the rows and the map to the pools the senders drew them from.
-	if replicas != nil {
-		for _, row := range replicas {
-			if row != nil {
-				t.arena.Put(row)
-			}
+	nOwn := len(tab)
+	for k, id := range pl.Remote {
+		o := pl.RemoteOwner[k]
+		rep, i := &reps[o], cur[o]
+		if i == len(rep.IDs) || rep.IDs[i] != id || len(rep.Rows[i]) != eng.dim {
+			panic(fmt.Sprintf("train: trainer %d iter %d: no dim-%d replica of id %d from trainer %d (oracle consistency violated)", t.p, x, eng.dim, id, o))
 		}
-		transport.PutRowMap(replicas)
+		cur[o] = i + 1
+		idx[id] = int32(len(tab))
+		tab = append(tab, rep.Rows[i])
+	}
+	t.tab = tab
+	if used := ls.index(d.Batch, spec.NumCategorical, idx, len(tab)); used != len(tab) {
+		panic(fmt.Sprintf("train: trainer %d iter %d: plan gathers %d rows, the examples read %d (oracle consistency violated)", t.p, x, len(tab), used))
+	}
+	ls.fillEmb(tab, spec.NumCategorical, eng.dim)
+	// fillEmb copied every row, so the replica pushes this trainer adopted
+	// are dead: return each to the pools its sender drew it from.
+	for o, rep := range reps[:eng.P] {
+		if cur[o] != len(rep.IDs) {
+			panic(fmt.Sprintf("train: trainer %d iter %d: trainer %d pushed %d replica rows, the plan reads %d (oracle consistency violated)", t.p, x, o, len(rep.IDs), cur[o]))
+		}
+		transport.ReleasePayload(rep)
 	}
 
 	// 7. Head forward, loss, and the backward pass as far as the embedding
@@ -1137,61 +1143,53 @@ func (t *lrppTrainer) compute(w *lrppWork) {
 		dEmb = t.model.BackwardSparse(ls.dlogits)
 	}
 
-	// 8. Pre-aggregate this trainer's gradients into one partial per row
-	// (arena buffers, sub-batch order) and route them now, so the urgent
+	// 8. Pre-aggregate this trainer's gradients into one partial per table
+	// row (arena rows, sub-batch order) and route them now, so the urgent
 	// flush, the owners' merges and their next replica push (stage(x+1),
-	// permitted at the end of this step) travel while every trainer is still
-	// inside step 9: partials for owned rows merge
-	// locally (ids used only here are the LRPP fast path — no mesh traffic
-	// at all); remote-owned ones queue for the delayed-sync flusher, which
-	// ships one vector per (owner, row, iteration). The partials own their
-	// memory — models reuse the dEmb buffer across iterations, and a
-	// deferred merge or delayed flush outlives this backward pass — and
-	// whoever folds them recycles them.
-	partials := t.partials
-	rankPartials(partials, d.Batch, ls.mine, dEmb, eng.dim, t.arena.Get)
-	eng.syncEntries.Add(int64(len(partials)))
-	partial := func(id uint64) []float32 {
-		g, ok := partials[id]
-		if !ok {
-			panic(fmt.Sprintf("train: trainer %d iter %d: no gradient partial for planned id %d (oracle consistency violated)", t.p, x, id))
-		}
-		return g
-	}
+	// permitted at the end of this step) travel while every trainer is
+	// still inside step 9: partials for owned rows merge locally (ids used
+	// only here are the LRPP fast path — no mesh traffic at all);
+	// remote-owned ones join their owner's urgent or lazy run for the
+	// delayed-sync flusher. The partials own their memory — models reuse the
+	// dEmb buffer across iterations, and a deferred merge or delayed flush
+	// outlives this backward pass — and whoever folds them recycles them.
+	parts := slices.Grow(t.partials[:0], len(tab))[:len(tab)]
+	t.partials = parts
+	t.arena.GetN(parts)
+	rankPartials(parts, ls.pos, dEmb, eng.dim)
+	eng.syncEntries.Add(int64(len(parts)))
 	var fi *flushItem
 	select {
 	case fi = <-t.flushFree:
 	default:
-		fi = &flushItem{urgent: make(map[int]map[uint64][]float32), lazy: make(map[int]map[uint64][]float32)}
+		fi = &flushItem{urgent: make([]transport.SyncMsg, eng.P), lazy: make([]transport.SyncMsg, eng.P)}
 	}
 	fi.iter = x
 	for k, id := range pl.Remote {
-		bucket := fi.lazy
+		run := &fi.lazy[pl.RemoteOwner[k]]
 		if pl.RemoteNext[k] {
-			bucket = fi.urgent
+			run = &fi.urgent[pl.RemoteOwner[k]]
 		}
-		owner := pl.RemoteOwner[k]
-		if bucket[owner] == nil {
-			bucket[owner] = transport.GetRowMap()
+		if run.IDs == nil {
+			run.IDs, run.Partials = transport.GetIDs(0), transport.GetRowSlice(0)
 		}
-		bucket[owner][id] = partial(id)
+		run.IDs = append(run.IDs, id)
+		run.Partials = append(run.Partials, parts[nOwn+k])
 	}
-	routed := len(pl.Remote)
 	t.mu.Lock()
+	j := 0
 	for k, s := range slots {
 		if pl.OwnedUsers[k].Has(t.p) {
-			t.depositLocked(s, x, t.p, partial(pl.Owned[k]))
-			routed++
+			t.depositLocked(s, x, t.p, parts[j])
+			j++
 		}
 	}
-	if routed != len(partials) {
-		panic(fmt.Sprintf("train: trainer %d iter %d: %d gradient partials, plan routes %d (oracle consistency violated)", t.p, x, len(partials), routed))
-	}
+	t.arena.PutN(t.spent)
+	t.spent = t.spent[:0]
 	t.routed[x] = true
 	t.maybeEmitLocked(x)
 	t.mu.Unlock()
 	t.cond.Broadcast()
-	clear(partials)
 	t.flushQ <- fi
 	t.routedCh <- struct{}{}
 
@@ -1248,7 +1246,7 @@ func (t *lrppTrainer) applyReadyLocked(s int32) {
 		}
 		// Fold into the trainer's persistent buffer (mu is held).
 		g := t.foldBuf
-		foldParts(g, im.parts, t.arena)
+		t.spent = foldParts(g, im.parts, t.spent)
 		t.rowOpt.UpdateRow(rec.id, rec.row, g)
 		rec.dirty = true
 		if eng.hooks != nil && eng.hooks.OnSyncApply != nil {
@@ -1288,17 +1286,19 @@ func (t *lrppTrainer) applyReadyLocked(s int32) {
 // foldParts sums one (id, iteration)'s per-rank partials into g in rank
 // order from zero — zeroing then adding keeps the per-element summation
 // order, and therefore the bits, of foldRankGrads' fresh accumulator. The
-// fold is each partial's last use: it returns to the arena and its slot
-// empties, leaving parts ready for reuse.
-func foldParts(g []float32, parts [][]float32, arena *transport.RowArena) {
+// fold is each partial's last use: it is appended to spent, which the
+// caller returns to the arena with one PutN per message or route step, and
+// its slot empties, leaving parts ready for reuse.
+func foldParts(g []float32, parts, spent [][]float32) [][]float32 {
 	clear(g)
 	for r, part := range parts {
 		if part != nil {
 			collective.AddF32(g, part)
-			arena.Put(part)
+			spent = append(spent, part)
 			parts[r] = nil
 		}
 	}
+	return spent
 }
 
 // maybeEmitLocked hands iteration iter's eviction batch to maintenance

@@ -62,7 +62,15 @@ func TestEmbeddingGradientOrderIsPerRankPartialThenRankOrder(t *testing.T) {
 			for i, r := range assign {
 				results[r].mine = append(results[r].mine, i)
 			}
+			ids := b.UniqueIDs()
+			idx := make(map[uint64]int32)
+			for i, id := range ids {
+				idx[id] = int32(i)
+			}
 			for r := range results {
+				ls := &localSlice{mine: results[r].mine}
+				ls.index(b, numCat, idx, len(ids))
+				results[r].pos = ls.pos
 				dEmb := tensor.NewMatrix(len(results[r].mine), numCat*dim)
 				for k, i := range results[r].mine {
 					row := dEmb.Data[k*dEmb.Cols : (k+1)*dEmb.Cols]
@@ -74,7 +82,10 @@ func TestEmbeddingGradientOrderIsPerRankPartialThenRankOrder(t *testing.T) {
 				results[r].dEmb = dEmb
 			}
 
-			grads := foldRankGrads(b, results, dim)
+			grads := make(map[uint64][]float32)
+			for i, g := range foldRankGrads(results, len(ids), dim) {
+				grads[ids[i]] = g
+			}
 
 			if got := grads[hot]; got[0] != tc.want || got[1] != 2 {
 				t.Fatalf("hot row gradient %v, want [%v 2] (batch-example order would give [1 2])", got, tc.want)
@@ -117,12 +128,13 @@ func TestEmbeddingGradientOrderIsPerRankPartialThenRankOrder(t *testing.T) {
 			arena := transport.Rows(dim)
 			parts := make([][]float32, P)
 			for _, r := range []int{1, 0} {
-				partial := make(map[uint64][]float32)
-				rankPartials(partial, b, results[r].mine, results[r].dEmb, dim, arena.Get)
-				parts[r] = partial[hot]
+				partial := make([][]float32, len(ids))
+				arena.GetN(partial)
+				rankPartials(partial, results[r].pos, results[r].dEmb, dim)
+				parts[r] = partial[idx[hot]]
 			}
 			g := make([]float32, dim)
-			foldParts(g, parts, arena)
+			arena.PutN(foldParts(g, parts, nil))
 			if !reflect.DeepEqual(g, grads[hot]) {
 				t.Fatalf("owner-side fold %v, reference %v", g, grads[hot])
 			}
@@ -140,22 +152,23 @@ func TestEmbeddingGradientOrderIsPerRankPartialThenRankOrder(t *testing.T) {
 // reports) is exactly what the codec writes.
 func TestSyncBatchBytesMatchesCodec(t *testing.T) {
 	const dim = 6
-	table := func(n int) map[uint64][]float32 {
-		m := make(map[uint64][]float32, n)
+	table := func(iter, n int) transport.SyncMsg {
+		m := transport.SyncMsg{Iter: iter}
 		for i := 0; i < n; i++ {
 			g := make([]float32, dim)
 			for k := range g {
 				g[k] = float32(i) + 0.25*float32(k)
 			}
-			m[uint64(7*i+3)] = g
+			m.IDs = append(m.IDs, uint64(7*i+3))
+			m.Partials = append(m.Partials, g)
 		}
 		return m
 	}
 	cases := [][]transport.SyncMsg{
 		nil,
-		{{Iter: 9, Partials: table(1)}},
-		{{Iter: 4, Partials: table(5)}, {Iter: 3, Partials: table(17)}},
-		{{Iter: 1, Partials: table(0)}, {Iter: 2, Partials: table(3)}},
+		{table(9, 1)},
+		{table(4, 5), table(3, 17)},
+		{table(1, 0), table(2, 3)},
 	}
 	for i, flushes := range cases {
 		declared := syncBatchBytes(flushes, dim)

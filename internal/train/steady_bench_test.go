@@ -38,12 +38,15 @@ type steadyWorker struct {
 	ids  []uint64
 	fold []float32
 	// Gradient merge fixture: a sub-batch whose examples read w.ids, the
-	// backward pass's dEmb for it, and one partial map per simulated sender
-	// rank.
+	// backward pass's dEmb for it, the row-table position of each of their
+	// fields (w.ids[p] is at p), one partial table per simulated sender
+	// rank, and the partials the folds spent.
 	batch    *data.Batch
 	mine     []int
 	dEmb     *tensor.Matrix
-	partials []map[uint64][]float32
+	pos      []int32
+	partials [][][]float32
+	spent    [][]float32
 	evIDs    []uint64
 	evRows   [][]float32
 	work     chan int
@@ -78,7 +81,8 @@ func (w *steadyWorker) step(iter int) {
 	// arena-backed partial per row, exactly as compute's step 8 does.
 	dim := w.arena.Dim()
 	for _, partial := range w.partials {
-		rankPartials(partial, w.batch, w.mine, w.dEmb, dim, w.arena.Get)
+		w.arena.GetN(partial)
+		rankPartials(partial, w.pos, w.dEmb, dim)
 	}
 	// Replica push + merge per row: snapshot into a pooled buffer; deposit
 	// the ranks' partials in
@@ -95,20 +99,19 @@ func (w *steadyWorker) step(iter int) {
 			if !im.expect.clearBit(r) {
 				panic("steady: partial not expected")
 			}
-			im.parts[r] = partial[id]
+			im.parts[r] = partial[i]
 		}
 		im := w.part.ready(s)
 		if im == nil {
 			panic("steady: merge incomplete after every deposit")
 		}
-		foldParts(w.fold, im.parts, w.arena)
+		w.spent = foldParts(w.fold, im.parts, w.spent)
 		w.opt.UpdateRow(id, rec.row, w.fold)
 		rec.dirty = true
 		w.part.pop(s)
 	}
-	for _, partial := range w.partials {
-		clear(partial)
-	}
+	w.arena.PutN(w.spent)
+	w.spent = w.spent[:0]
 	// Evict, write back, recycle — the row's single return point.
 	w.evIDs, w.evRows = w.evIDs[:0], w.evRows[:0]
 	for _, s := range w.slots {
@@ -164,6 +167,9 @@ func newSteadyHarness(tb testing.TB, P, S, dim, rowsPer int) *steadyHarness {
 			for dup := 0; dup < 2; dup++ {
 				w.mine = append(w.mine, len(w.batch.Examples))
 				w.batch.Examples = append(w.batch.Examples, data.Example{Cat: w.ids[i : i+numCat]})
+				for c := 0; c < numCat; c++ {
+					w.pos = append(w.pos, int32(i+c))
+				}
 			}
 		}
 		w.dEmb = tensor.NewMatrix(len(w.mine), numCat*dim)
@@ -171,7 +177,7 @@ func newSteadyHarness(tb testing.TB, P, S, dim, rowsPer int) *steadyHarness {
 			w.dEmb.Data[k] = 1e-3 * float32(k%7)
 		}
 		for r := 0; r < senders; r++ {
-			w.partials = append(w.partials, make(map[uint64][]float32, rowsPer))
+			w.partials = append(w.partials, make([][]float32, rowsPer))
 		}
 		h.workers = append(h.workers, w)
 		go w.loop()

@@ -43,6 +43,7 @@ package train
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -299,13 +300,15 @@ type ranks struct {
 type rankWork struct {
 	batch  *data.Batch
 	assign []int
-	rows   map[uint64][]float32 // id → current row (read-only for ranks)
+	idx    map[uint64]int32 // id → position in tab (read-only for ranks)
+	tab    [][]float32      // the batch's current rows (read-only for ranks)
 }
 
 type rankResult struct {
 	loss float64        // partial loss, already scaled by 1/B
 	dEmb *tensor.Matrix // gradient w.r.t. this rank's gathered rows
 	mine []int          // example indices (batch order) this rank computed
+	pos  []int32        // row-table position per (example, field) of mine
 }
 
 // newRanks builds the replicas. All replicas share the model seed, so they
@@ -356,7 +359,8 @@ func (r *ranks) run(rank int) {
 	ls := new(localSlice)
 	for w := range r.in[rank] {
 		ls.extract(w.batch, w.assign, rank, r.numDense)
-		ls.fillEmb(w.batch, r.numCat, r.dim, w.rows)
+		ls.index(w.batch, r.numCat, w.idx, len(w.tab))
+		ls.fillEmb(w.tab, r.numCat, r.dim)
 		loss, dEmb := computeLocal(m, ls)
 		// Every rank joins every collective (idle ranks contribute zeros)
 		// and steps the summed gradient, keeping all replicas bit-identical.
@@ -364,7 +368,7 @@ func (r *ranks) run(rank int) {
 			r.group.AllReduceSum(rank, p.Grad)
 		}
 		opt.Step(m.Params())
-		r.out[rank] <- rankResult{loss: loss, dEmb: dEmb, mine: ls.mine}
+		r.out[rank] <- rankResult{loss: loss, dEmb: dEmb, mine: ls.mine, pos: ls.pos}
 	}
 }
 
@@ -373,7 +377,9 @@ func (r *ranks) run(rank int) {
 // trainers, so both engines run bit-identical math. Each rank owns
 // one and refills it every iteration; the buffers are reused.
 type localSlice struct {
-	mine    []int // example indices (batch order) this rank computes
+	mine    []int   // example indices (batch order) this rank computes
+	pos     []int32 // row-table position of field c of mine[k] at k·numCat+c
+	hit     []bool  // index's scratch: which positions the slice uses
 	dense   *tensor.Matrix
 	emb     *tensor.Matrix
 	cats    [][]uint64
@@ -421,14 +427,42 @@ func (ls *localSlice) extract(b *data.Batch, assign []int, rank, numDense int) {
 	}
 }
 
-// fillEmb gathers the extracted examples' embedding rows, feature order.
-func (ls *localSlice) fillEmb(b *data.Batch, numCat, dim int, rows map[uint64][]float32) {
-	ls.emb = reshape(ls.emb, len(ls.mine), numCat*dim)
-	for k, i := range ls.mine {
-		row := ls.emb.Row(k)
-		for c, id := range b.Examples[i].Cat {
-			copyPad(row[c*dim:(c+1)*dim], rows[id])
+// index resolves every (example, field) of the slice to its row's position
+// in the iteration's row table through idx (id → position), the one
+// id-keyed lookup per (example, field) an iteration makes, and returns how
+// many of the table's n positions the slice uses. A field whose id idx
+// lacks is an oracle bug and panics.
+func (ls *localSlice) index(b *data.Batch, numCat int, idx map[uint64]int32, n int) int {
+	ls.pos = ls.pos[:0]
+	ls.hit = slices.Grow(ls.hit[:0], n)[:n]
+	clear(ls.hit)
+	used := 0
+	for _, i := range ls.mine {
+		cat := b.Examples[i].Cat
+		if len(cat) != numCat {
+			panic(fmt.Sprintf("train: example %d has %d categorical fields, want %d", i, len(cat), numCat))
 		}
+		for _, id := range cat {
+			p, ok := idx[id]
+			if !ok {
+				panic(fmt.Sprintf("train: id %d of example %d has no row in the iteration's table (oracle consistency violated)", id, i))
+			}
+			if !ls.hit[p] {
+				ls.hit[p] = true
+				used++
+			}
+			ls.pos = append(ls.pos, p)
+		}
+	}
+	return used
+}
+
+// fillEmb gathers the extracted examples' embedding rows, feature order,
+// from the row table index resolved them into.
+func (ls *localSlice) fillEmb(tab [][]float32, numCat, dim int) {
+	ls.emb = reshape(ls.emb, len(ls.mine), numCat*dim)
+	for j, p := range ls.pos {
+		copy(ls.emb.Data[j*dim:(j+1)*dim], tab[p])
 	}
 }
 
@@ -473,12 +507,14 @@ func stableBCE(z, y float32) float32 {
 	return t - z*y + float32(math.Log1p(math.Exp(float64(-abs))))
 }
 
-// step runs one synchronized iteration across all ranks and returns the
-// full-batch loss plus the per-ID embedding gradients in the canonical
-// order (foldRankGrads), so the result is independent of rank scheduling.
-func (r *ranks) step(b *data.Batch, assign []int, rows map[uint64][]float32) (float32, map[uint64][]float32) {
+// step runs one synchronized iteration across all ranks over the batch's
+// row table tab (idx maps each id to its position) and returns the
+// full-batch loss plus the embedding gradient of every table row in the
+// canonical order (foldRankGrads), so the result is independent of rank
+// scheduling.
+func (r *ranks) step(b *data.Batch, assign []int, idx map[uint64]int32, tab [][]float32) (float32, [][]float32) {
 	for i := 0; i < r.n; i++ {
-		r.in[i] <- rankWork{batch: b, assign: assign, rows: rows}
+		r.in[i] <- rankWork{batch: b, assign: assign, idx: idx, tab: tab}
 	}
 	results := make([]rankResult, r.n)
 	var loss float64
@@ -486,51 +522,43 @@ func (r *ranks) step(b *data.Batch, assign []int, rows map[uint64][]float32) (fl
 		results[i] = <-r.out[i]
 		loss += results[i].loss
 	}
-	return float32(loss), foldRankGrads(b, results, r.dim)
+	return float32(loss), foldRankGrads(results, len(tab), r.dim)
 }
 
-// rankPartials accumulates one rank's embedding-gradient partials into dst:
-// for every id the rank's examples touch, the sum — from zero — of those
-// examples' gradient slices for the row, walking mine (the rank's sub-batch,
-// ascending batch index) and each example's categorical slots in order.
-// dEmb holds one row per entry of mine. Buffers come from get (contents
-// undefined) on an id's first touch. This walk is the first half of the
-// canonical embedding-gradient order every engine shares; folding the
-// ranks' partials in rank order from zero is the second.
-func rankPartials(dst map[uint64][]float32, b *data.Batch, mine []int, dEmb *tensor.Matrix, dim int, get func() []float32) {
-	for k, i := range mine {
-		row := dEmb.Data[k*dEmb.Cols : (k+1)*dEmb.Cols]
-		for c, id := range b.Examples[i].Cat {
-			g, ok := dst[id]
-			if !ok {
-				g = get()
-				clear(g)
-				dst[id] = g
-			}
-			collective.AddF32(g, row[c*dim:(c+1)*dim])
-		}
+// rankPartials accumulates one rank's embedding-gradient partials by
+// row-table position: parts[p] becomes the sum — from zero — of the
+// gradient slices of every (example, field) pos maps to p, walking the
+// rank's sub-batch (ascending batch index) and each example's fields in
+// order. dEmb holds one row of numCat·dim gradients per example, so field j
+// of the walk is dEmb's j-th dim-wide slice. parts' contents are undefined
+// on entry (arena rows). This walk is the first half of the canonical
+// embedding-gradient order every engine shares; folding the ranks'
+// partials in rank order from zero is the second.
+func rankPartials(parts [][]float32, pos []int32, dEmb *tensor.Matrix, dim int) {
+	for _, g := range parts {
+		clear(g)
+	}
+	for j, p := range pos {
+		collective.AddF32(parts[p], dEmb.Data[j*dim:(j+1)*dim])
 	}
 }
 
-// foldRankGrads is the reference embedding-gradient reduction: per-rank
-// partials in sub-batch order (rankPartials), folded in rank order from
-// zero — the same rule as dense gradients, and the order the LRPP owners
-// reproduce from the partials their peers flush.
-func foldRankGrads(b *data.Batch, results []rankResult, dim int) map[uint64][]float32 {
-	grads := make(map[uint64][]float32)
-	part := make(map[uint64][]float32)
-	fresh := func() []float32 { return make([]float32, dim) }
+// foldRankGrads is the reference embedding-gradient reduction over a row
+// table of n positions: per-rank partials in sub-batch order
+// (rankPartials), folded in rank order from zero — the same rule as dense
+// gradients, and the order the LRPP owners reproduce from the partials
+// their peers flush. A rank that reads no example of a row adds a zero
+// partial, which leaves the sum's bits alone: a partial summed from +0 is
+// never −0, so neither is any fold of them.
+func foldRankGrads(results []rankResult, n, dim int) [][]float32 {
+	grads, part := make([][]float32, n), make([][]float32, n)
+	for i := range grads {
+		grads[i], part[i] = make([]float32, dim), make([]float32, dim)
+	}
 	for _, res := range results {
-		clear(part)
-		rankPartials(part, b, res.mine, res.dEmb, dim, fresh)
-		for id, p := range part {
-			if g, ok := grads[id]; ok {
-				collective.AddF32(g, p)
-			} else {
-				// A partial summed from +0 is never −0, so adopting the first
-				// contributing rank's buffer is bit-identical to 0 + p.
-				grads[id] = p
-			}
+		rankPartials(part, res.pos, res.dEmb, dim)
+		for i, g := range grads {
+			collective.AddF32(g, part[i])
 		}
 	}
 	return grads

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"bagpipe/internal/core"
 	"bagpipe/internal/data"
@@ -14,9 +15,11 @@ import (
 // the trainer-mesh payloads (replica pushes, delayed-sync flushes, oracle
 // plans, collective contributions) and the framing shared with the
 // trainer↔embedding-server link. Encoding is explicit little-endian — no
-// gob/json/reflection on the hot path — and deterministic: map-typed fields
-// are written in sorted key order, so the same payload always produces the
-// same bytes (the codec round-trip tests rely on it).
+// gob/json/reflection on the hot path — and deterministic: id runs travel
+// strictly ascending, as their senders build them, so the same payload
+// always produces the same bytes (the codec round-trip tests rely on it).
+// A run of fixed-width values moves with one copy through a byte view of
+// its slice (bytesOf); a big-endian host adds a swap pass.
 //
 // Frame layout, shared by the mesh and the link:
 //
@@ -31,23 +34,30 @@ import (
 // values (TCP additionally through EncodePayload/DecodePayload).
 type (
 	// ReplicaMsg carries an owner's per-iteration row snapshots to a
-	// non-owner whose examples read them (LRPP logical replication).
+	// non-owner whose examples read them (LRPP logical replication):
+	// Rows[i] is row IDs[i], the ids strictly ascending, every row of one
+	// width greater than zero. The id run, the row-slice header and the
+	// rows are pooled (GetIDs, GetRowSlice, Rows(dim)) and transfer to the
+	// receiver, which recycles them once consumed (ReleasePayload).
 	ReplicaMsg struct {
 		Iter int
-		Rows map[uint64][]float32
+		IDs  []uint64
+		Rows [][]float32
 	}
 
 	// SyncMsg is one delayed-sync flush: one sender's gradient partials for
-	// one iteration — per owned id, the sum of the sender's own examples'
-	// gradients for that row, accumulated in its sub-batch order. The sender
-	// is MeshMsg.From; the owner folds an (id, iteration)'s partials in rank
-	// order from zero, the rule dense gradients follow. All partials of one
-	// flush share one width. Like replica rows, the map and its vectors are
-	// pooled (GetRowMap / Rows(dim)) and transfer to the receiver, which
-	// recycles them once merged. It only travels inside a SyncBatchMsg.
+	// one iteration — Partials[i] is, for owned row IDs[i], the sum of the
+	// sender's own examples' gradients for that row, accumulated in its
+	// sub-batch order. The sender is MeshMsg.From; the owner folds an (id,
+	// iteration)'s partials in rank order from zero, the rule dense
+	// gradients follow. The ids are strictly ascending and all partials of
+	// one flush share one width. Like replica rows, the run and its vectors
+	// are pooled and transfer to the receiver, which recycles them once
+	// merged. It only travels inside a SyncBatchMsg.
 	SyncMsg struct {
 		Iter     int
-		Partials map[uint64][]float32
+		IDs      []uint64
+		Partials [][]float32
 	}
 
 	// SyncBatchMsg coalesces every delayed-sync flush one sender owes one
@@ -121,18 +131,11 @@ func EncodePayload(p any) []byte {
 func payloadSize(p any) int {
 	switch m := p.(type) {
 	case ReplicaMsg:
-		n := 1 + 8 + 4
-		for _, row := range m.Rows {
-			n += 8 + 4 + 4*len(row)
-		}
-		return n
+		return 1 + 8 + 4 + len(m.IDs)*(8+4+4*runWidth(m.Rows))
 	case SyncBatchMsg:
 		n := 1 + 4
 		for _, f := range m.Flushes {
-			n += 8 + 1 + 4 + 4
-			for _, g := range f.Partials {
-				n += 8 + 4*len(g)
-			}
+			n += 8 + 1 + 4 + 4 + len(f.IDs)*(8+4*runWidth(f.Partials))
 		}
 		return n
 	case PlanMsg:
@@ -154,12 +157,16 @@ func payloadSize(p any) int {
 func appendPayload(b []byte, p any) []byte {
 	switch m := p.(type) {
 	case ReplicaMsg:
+		dim := checkRun("replica", m.IDs, m.Rows)
+		if len(m.IDs) > 0 && dim == 0 {
+			panic("transport: replica rows of width 0")
+		}
 		b = append(b, tagReplica)
 		b = putU64(b, uint64(m.Iter))
-		b = putU32(b, uint32(len(m.Rows)))
-		for _, id := range sortedIDKeys(m.Rows) {
+		b = putU32(b, uint32(len(m.IDs)))
+		for i, id := range m.IDs {
 			b = putU64(b, id)
-			b = putF32s(b, m.Rows[id])
+			b = putF32s(b, m.Rows[i])
 		}
 	case SyncBatchMsg:
 		b = append(b, tagSyncBatch)
@@ -197,33 +204,7 @@ func DecodePayload(b []byte) (any, error) {
 	var out any
 	switch b[0] {
 	case tagReplica:
-		m := ReplicaMsg{Iter: int(r.u64())}
-		n := r.count(8)
-		// The map and rows come from the pooled allocator, mirroring the
-		// in-process path where the sender builds them there; the LRPP
-		// receiver releases both once the rows are consumed.
-		m.Rows = GetRowMap()
-		var arena *RowArena
-		var prev uint64
-		for i := 0; i < n; i++ {
-			id := r.u64()
-			if i > 0 && id <= prev {
-				r.invalid("replica row ids not strictly ascending")
-			}
-			prev = id
-			ne := r.count(4)
-			if ne == 0 || r.err != nil {
-				m.Rows[id] = nil
-				continue
-			}
-			if arena == nil || arena.dim != ne {
-				arena = Rows(ne)
-			}
-			row := arena.Get()
-			fillRow(row, r.take(ne, 4))
-			m.Rows[id] = row
-		}
-		out = m
+		out = r.replica()
 	case tagSyncBatch:
 		n := r.count(17)
 		m := SyncBatchMsg{Flushes: make([]SyncMsg, 0, n)}
@@ -263,68 +244,115 @@ func DecodePayload(b []byte) (any, error) {
 	return out, nil
 }
 
+// runWidth is the width of a run's rows: that of its first, 0 for none.
+func runWidth(rows [][]float32) int {
+	if len(rows) == 0 {
+		return 0
+	}
+	return len(rows[0])
+}
+
+// checkRun returns the shared width of an id/row run, panicking — a
+// programming error the encoder reports at the first Send — unless the ids
+// are strictly ascending, parallel to the rows, and the rows of one width.
+func checkRun(kind string, ids []uint64, rows [][]float32) int {
+	if len(ids) != len(rows) {
+		panic(fmt.Sprintf("transport: %s run of %d ids and %d rows", kind, len(ids), len(rows)))
+	}
+	dim := runWidth(rows)
+	for i, row := range rows {
+		if len(row) != dim {
+			panic(fmt.Sprintf("transport: %s row for id %d has width %d, run width is %d", kind, ids[i], len(row), dim))
+		}
+		if i > 0 && ids[i] <= ids[i-1] {
+			panic(fmt.Sprintf("transport: %s ids not strictly ascending at %d", kind, ids[i]))
+		}
+	}
+	return dim
+}
+
+// replica reads a replica push: iteration, row count, then per row its id
+// and its count-prefixed floats. Every row has the first row's width, and
+// that width is not 0 — the encoder writes nothing else. The id run, the
+// header and the rows (one GetN) come from the pools the in-process
+// senders draw from; the receiver releases them once consumed.
+func (r *wireReader) replica() ReplicaMsg {
+	m := ReplicaMsg{Iter: int(r.u64())}
+	n := r.count(8 + 4 + 4)
+	if n == 0 || r.err != nil {
+		return m
+	}
+	m.IDs, m.Rows = GetIDs(n), GetRowSlice(n)
+	for i := 0; i < n && r.err == nil; i++ {
+		m.IDs[i] = r.u64()
+		if i > 0 && m.IDs[i] <= m.IDs[i-1] {
+			r.invalid("replica row ids not strictly ascending")
+		}
+		ne := r.count(4)
+		if i == 0 && ne > 0 {
+			Rows(ne).GetN(m.Rows)
+		}
+		if ne == 0 || ne != len(m.Rows[0]) {
+			r.invalid("replica row of width %d in a run of width %d", ne, len(m.Rows[0]))
+			break
+		}
+		fillRow(m.Rows[i], r.take(ne, 4))
+	}
+	return m
+}
+
 // putSyncBody writes one iteration's flush: iteration, a reserved byte
 // (always 0; it was the float16 flag), the shared partial width, then the
-// id → partial table in sorted id order with the vectors raw (no
+// id → partial table in ascending id order with the vectors raw (no
 // per-vector count). The size is exactly 17 + n·(8 + 4·dim) bytes — what
 // the engine declares to the mesh.
 func putSyncBody(b []byte, m SyncMsg) []byte {
+	dim := checkRun("sync", m.IDs, m.Partials)
 	b = putU64(b, uint64(m.Iter))
 	b = append(b, 0)
-	ids := sortedIDKeys(m.Partials)
-	dim := 0
-	if len(ids) > 0 {
-		dim = len(m.Partials[ids[0]])
-	}
 	b = putU32(b, uint32(dim))
-	b = putU32(b, uint32(len(ids)))
-	for _, id := range ids {
-		g := m.Partials[id]
-		if len(g) != dim {
-			panic(fmt.Sprintf("transport: sync partial for id %d has width %d, flush width is %d", id, len(g), dim))
-		}
+	b = putU32(b, uint32(len(m.IDs)))
+	for i, id := range m.IDs {
 		b = putU64(b, id)
-		b = putF32sRaw(b, g)
+		b = putF32sRaw(b, m.Partials[i])
 	}
 	return b
 }
 
 // sync reads one iteration's flush (the inverse of putSyncBody) into the
-// pooled map and arena rows the in-process senders draw from.
+// pooled id run, header and arena rows (one GetN) the in-process senders
+// draw from.
 func (r *wireReader) sync() SyncMsg {
 	m := SyncMsg{Iter: int(r.u64())}
 	if c := r.u8(); c != 0 {
 		r.invalid("sync reserved byte %d", c)
 	}
 	dim := int(r.u32())
+	if dim < 0 || dim > len(r.b)/4 { // no partial that wide fits; on a 32-bit host it may not even fit an int
+		r.fail()
+	}
 	n := r.count(8 + 4*dim)
-	m.Partials = GetRowMap()
 	if (n == 0) != (dim == 0) { // the encoder writes width 0 exactly for an empty table
 		r.fail()
 	}
 	if n == 0 || r.err != nil {
 		return m
 	}
-	arena := Rows(dim)
-	var prev uint64
-	for i := 0; i < n; i++ {
-		id := r.u64()
-		if i > 0 && id <= prev {
+	m.IDs, m.Partials = GetIDs(n), GetRowSlice(n)
+	Rows(dim).GetN(m.Partials)
+	for i := range m.IDs {
+		m.IDs[i] = r.u64()
+		if i > 0 && m.IDs[i] <= m.IDs[i-1] {
 			r.invalid("sync partial ids not strictly ascending")
 		}
-		prev = id
-		g := arena.Get()
-		fillRow(g, r.take(dim, 4))
-		m.Partials[id] = g
+		fillRow(m.Partials[i], r.take(dim, 4))
 	}
 	return m
 }
 
 // fillRow decodes len(row) float32 bit patterns from reg.
 func fillRow(row []float32, reg []byte) {
-	for k := range row {
-		row[k] = math.Float32frombits(binary.LittleEndian.Uint32(reg[4*k:]))
-	}
+	copyLE(bytesOf(row), reg, 4)
 }
 
 // putPlan writes a plan: its header (trainer, trainer count), its sorted
@@ -564,27 +592,21 @@ func putF32s(b []byte, xs []float32) []byte {
 // frame a whole matrix of known shape behind a single count.
 func putF32sRaw(b []byte, xs []float32) []byte {
 	b, off := grow(b, 4*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(b[off+4*i:], math.Float32bits(x))
-	}
+	copyLE(b[off:], bytesOf(xs), 4)
 	return b
 }
 
 func putF64s(b []byte, xs []float64) []byte {
 	b = putU32(b, uint32(len(xs)))
 	b, off := grow(b, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(b[off+8*i:], math.Float64bits(x))
-	}
+	copyLE(b[off:], bytesOf(xs), 8)
 	return b
 }
 
 func putU64s(b []byte, xs []uint64) []byte {
 	b = putU32(b, uint32(len(xs)))
 	b, off := grow(b, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(b[off+8*i:], x)
-	}
+	copyLE(b[off:], bytesOf(xs), 8)
 	return b
 }
 
@@ -665,12 +687,12 @@ func (r *wireReader) f32() float32 { return math.Float32frombits(r.u32()) }
 // handling — the codec is the distributed hot path, and per-element checks
 // were measurable in profiles.
 func (r *wireReader) count(minElem int) int {
-	n := int(r.u32())
-	if r.err == nil && minElem > 0 && n > len(r.b)/minElem {
+	n := r.u32()
+	if r.err == nil && uint64(n)*uint64(minElem) > uint64(len(r.b)) {
 		r.fail()
 		return 0
 	}
-	return n
+	return int(n)
 }
 
 // take returns the next n*elem bytes as one region (count(elem) has already
@@ -686,11 +708,8 @@ func (r *wireReader) f32s() []float32 {
 	if n == 0 {
 		return nil
 	}
-	b := r.take(n, 4)
 	xs := make([]float32, n)
-	for i := range xs {
-		xs[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
+	copyLE(bytesOf(xs), r.take(n, 4), 4)
 	return xs
 }
 
@@ -711,11 +730,8 @@ func (r *wireReader) f64s() []float64 {
 	if n == 0 {
 		return nil
 	}
-	b := r.take(n, 8)
 	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
+	copyLE(bytesOf(xs), r.take(n, 8), 8)
 	return xs
 }
 
@@ -724,11 +740,8 @@ func (r *wireReader) u64s() []uint64 {
 	if n == 0 {
 		return nil
 	}
-	b := r.take(n, 8)
 	xs := make([]uint64, n)
-	for i := range xs {
-		xs[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
+	copyLE(bytesOf(xs), r.take(n, 8), 8)
 	return xs
 }
 
@@ -745,13 +758,40 @@ func (r *wireReader) ints() []int {
 	return xs
 }
 
-// --- sorted-key helpers (deterministic map encoding) ---
+// --- fixed-width runs: one copy through a byte view ---
 
-func sortedIDKeys[V any](m map[uint64]V) []uint64 {
-	ks := make([]uint64, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
+// bytesOf views the memory of a run of fixed-width values as bytes, so a
+// run crosses the wire with one copy instead of a loop per element. It is
+// the codec's one use of unsafe.
+func bytesOf[T float32 | float64 | uint64](xs []T) []byte {
+	if len(xs) == 0 {
+		return nil
 	}
-	slices.Sort(ks)
-	return ks
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)*int(unsafe.Sizeof(xs[0])))
+}
+
+// bigEndian reports a host whose memory order is not the wire's.
+var bigEndian = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
+
+// copyLE copies size-byte words from src to dst, one side a native-order
+// view (bytesOf) and the other little-endian wire bytes: a plain copy, then
+// on a big-endian host a pass that reverses each word.
+func copyLE(dst, src []byte, size int) {
+	n := copy(dst, src)
+	if bigEndian {
+		swapWords(dst[:n], size)
+	}
+}
+
+// swapWords reverses the byte order of every size-byte word (4 or 8) of b.
+func swapWords(b []byte, size int) {
+	if size == 4 {
+		for i := 0; i+4 <= len(b); i += 4 {
+			binary.LittleEndian.PutUint32(b[i:], binary.BigEndian.Uint32(b[i:]))
+		}
+		return
+	}
+	for i := 0; i+8 <= len(b); i += 8 {
+		binary.LittleEndian.PutUint64(b[i:], binary.BigEndian.Uint64(b[i:]))
+	}
 }

@@ -3,6 +3,8 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"reflect"
 	"testing"
 
@@ -41,26 +43,21 @@ func testPlan() *core.Plan {
 }
 
 // TestCodecRoundTrip pins the little-endian codec: every wire payload type
-// decodes back to a deep-equal value, including map fields and the nested
+// decodes back to a deep-equal value, including id/row runs and the nested
 // plan/decision/batch structure.
 func TestCodecRoundTrip(t *testing.T) {
 	plan := testPlan()
 	cases := []any{
-		ReplicaMsg{Iter: 7, Rows: map[uint64][]float32{
-			12: {1, 2.5, -3},
-			99: {0, -0.125, 42},
+		ReplicaMsg{Iter: 7, IDs: []uint64{12, 99}, Rows: [][]float32{
+			{1, 2.5, -3},
+			{0, -0.125, 42},
 		}},
 		// Coalesced sync flushes, id → partial: iterations out of order, and
 		// an empty table.
 		SyncBatchMsg{Flushes: []SyncMsg{
-			{Iter: 4, Partials: map[uint64][]float32{
-				2: {0.5, 0.25},
-			}},
-			{Iter: 3, Partials: map[uint64][]float32{
-				2: {0.1, -4},
-				8: {7, -2e-5},
-			}},
-			{Iter: 5, Partials: map[uint64][]float32{}},
+			{Iter: 4, IDs: []uint64{2}, Partials: [][]float32{{0.5, 0.25}}},
+			{Iter: 3, IDs: []uint64{2, 8}, Partials: [][]float32{{0.1, -4}, {7, -2e-5}}},
+			{Iter: 5},
 		}},
 		PlanMsg{Plan: plan},
 		FusedCollMsg{Seq: 43, Origin: 2,
@@ -205,11 +202,11 @@ func retiredFrames() []struct {
 // its pooled frame by) predicts its length.
 func FuzzDecodePayload(f *testing.F) {
 	for _, p := range []any{
-		ReplicaMsg{Iter: 7, Rows: map[uint64][]float32{12: {1, 2.5, -3}, 99: {0, -0.125, 42}}},
+		ReplicaMsg{Iter: 7, IDs: []uint64{12, 99}, Rows: [][]float32{{1, 2.5, -3}, {0, -0.125, 42}}},
 		SyncBatchMsg{Flushes: []SyncMsg{
-			{Iter: 4, Partials: map[uint64][]float32{2: {0.5, 0.25}, 6: {1, 2}}},
-			{Iter: 3, Partials: map[uint64][]float32{8: {7, -2e-5}}},
-			{Iter: 5, Partials: map[uint64][]float32{}},
+			{Iter: 4, IDs: []uint64{2, 6}, Partials: [][]float32{{0.5, 0.25}, {1, 2}}},
+			{Iter: 3, IDs: []uint64{8}, Partials: [][]float32{{7, -2e-5}}},
+			{Iter: 5},
 		}},
 		PlanMsg{Plan: testPlan()},
 		FusedCollMsg{Seq: 43, Origin: 2, Segs: [][]float32{{1, 2, 3}, {-0.5}}, Loss: []float64{0.693147}},
@@ -220,6 +217,9 @@ func FuzzDecodePayload(f *testing.F) {
 	for _, r := range retiredFrames() {
 		f.Add(r.frame)
 	}
+	// The replica runs the decoder refuses: a zero-width row, ragged rows.
+	f.Add(putU32(putU64(putU32(putU64([]byte{tagReplica}, 1), 1), 5), 0))
+	f.Add(putF32s(putU64(putF32s(putU64(putU32(putU64([]byte{tagReplica}, 1), 2), 5), []float32{1, 2}), 6), []float32{3}))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		p, err := DecodePayload(frame)
 		if err != nil {
@@ -234,12 +234,12 @@ func FuzzDecodePayload(f *testing.F) {
 	})
 }
 
-// TestCodecDeterministic: map-typed fields encode in sorted key order, so
-// the same payload always produces identical bytes.
+// TestCodecDeterministic: the same payload always produces identical bytes.
 func TestCodecDeterministic(t *testing.T) {
-	msg := ReplicaMsg{Iter: 1, Rows: map[uint64][]float32{}}
+	msg := ReplicaMsg{Iter: 1}
 	for id := uint64(0); id < 64; id++ {
-		msg.Rows[id*7919%257] = []float32{float32(id)}
+		msg.IDs = append(msg.IDs, id*7)
+		msg.Rows = append(msg.Rows, []float32{float32(id)})
 	}
 	ref := EncodePayload(msg)
 	for i := 0; i < 16; i++ {
@@ -254,10 +254,10 @@ func TestCodecDeterministic(t *testing.T) {
 // including the segmented fused-collective and coalesced-sync encodings.
 func TestCodecRejectsCorrupt(t *testing.T) {
 	payloads := []any{
-		ReplicaMsg{Iter: 1, Rows: map[uint64][]float32{5: {1, 2, 3}}},
+		ReplicaMsg{Iter: 1, IDs: []uint64{5}, Rows: [][]float32{{1, 2, 3}}},
 		SyncBatchMsg{Flushes: []SyncMsg{
-			{Iter: 2, Partials: map[uint64][]float32{3: {1, 2}, 9: {5, 6}}},
-			{Iter: 1, Partials: map[uint64][]float32{7: {3, 4}}},
+			{Iter: 2, IDs: []uint64{3, 9}, Partials: [][]float32{{1, 2}, {5, 6}}},
+			{Iter: 1, IDs: []uint64{7}, Partials: [][]float32{{3, 4}}},
 		}},
 		FusedCollMsg{Seq: 9, Origin: 1, Segs: [][]float32{{1, 2}, {3}}, Loss: []float64{0.5}},
 		PlanMsg{Plan: testPlan()},
@@ -323,7 +323,20 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 		}
 		return b
 	}
+	// One replica frame carries one row width, greater than 0: a zero-width
+	// or ragged run re-encodes to itself but would reach the trainer's
+	// gather short of floats.
+	replicaWidths := func(widths ...int) []byte {
+		b := putU32(putU64([]byte{tagReplica}, 1), uint32(len(widths)))
+		for i, w := range widths {
+			b = putU64(b, uint64(i+1))
+			b = putF32s(b, make([]float32, w))
+		}
+		return b
+	}
 	hostile := map[string][]byte{
+		"replica zero-width row":      replicaWidths(0),
+		"replica ragged rows":         replicaWidths(2, 1),
 		"sync flag byte 1":            syncRows(1, 1, 4),
 		"sync flag byte 2":            syncRows(2, 1, 4),
 		"sync ids descending":         syncRows(0, 1, 9, 4),
@@ -342,8 +355,9 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 }
 
 // TestSyncEncodeRefusesRaggedOrBare: one flush carries one partial width,
-// and neither a SyncMsg nor the retired CollMsg has a frame of its own —
-// all are programming errors the encoder reports at the first Send.
+// one replica push one row width greater than 0, and neither a SyncMsg nor
+// the retired CollMsg has a frame of its own — all are programming errors
+// the encoder reports at the first Send.
 func TestSyncEncodeRefusesRaggedOrBare(t *testing.T) {
 	mustPanic := func(name string, p any) {
 		t.Helper()
@@ -355,8 +369,104 @@ func TestSyncEncodeRefusesRaggedOrBare(t *testing.T) {
 		EncodePayload(p)
 	}
 	mustPanic("ragged flush", SyncBatchMsg{Flushes: []SyncMsg{
-		{Iter: 1, Partials: map[uint64][]float32{1: {1, 2}, 2: {3}}},
+		{Iter: 1, IDs: []uint64{1, 2}, Partials: [][]float32{{1, 2}, {3}}},
 	}})
-	mustPanic("bare SyncMsg", SyncMsg{Iter: 1, Partials: map[uint64][]float32{1: {1}}})
+	mustPanic("bare SyncMsg", SyncMsg{Iter: 1, IDs: []uint64{1}, Partials: [][]float32{{1}}})
+	mustPanic("ragged replica", ReplicaMsg{Iter: 1, IDs: []uint64{1, 2}, Rows: [][]float32{{1, 2}, {3}}})
+	mustPanic("zero-width replica", ReplicaMsg{Iter: 1, IDs: []uint64{1}, Rows: [][]float32{{}}})
 	mustPanic("retired CollMsg", CollMsg{})
+}
+
+// TestPayloadWireBytes pins the wire format byte for byte — it is a
+// contract with peers running other builds: one frame each of a replica
+// push, a sync batch, a fused collective and a plan, against fixed hex. The
+// floats include −Inf, a NaN with a payload and an empty segment.
+func TestPayloadWireBytes(t *testing.T) {
+	nan := math.Float32frombits(0x7fc00001)
+	cases := []struct {
+		name string
+		p    any
+		hex  string
+	}{
+		{"replica", ReplicaMsg{Iter: 7, IDs: []uint64{12, 99}, Rows: [][]float32{{1, 2.5, float32(math.Inf(-1))}, {0, -0.125, 42}}},
+			"010700000000000000020000000c00000000000000030000000000803f00002040000080ff63000000000000000300000000000000000000be00002842"},
+		{"sync", SyncBatchMsg{Flushes: []SyncMsg{
+			{Iter: 4, IDs: []uint64{2, 6}, Partials: [][]float32{{0.5, nan}, {1, 2}}},
+			{Iter: 3, IDs: []uint64{8}, Partials: [][]float32{{7, -2e-5}}},
+			{Iter: 5},
+		}}, "0703000000040000000000000000020000000200000002000000000000000000003f0100c07f06000000000000000000803f00000040030000000000000000020000000100000008000000000000000000e040acc5a7b70500000000000000000000000000000000"},
+		{"fused", FusedCollMsg{Seq: 43, Origin: 2, Segs: [][]float32{{1, 2, 3}, {-0.5}, nil}, Loss: []float64{0.693147}},
+			"082b000000000000000200000003000000030000000000803f000000400000404001000000000000bf0000000001000000a2410a9e422ee63f"},
+		{"plan", PlanMsg{Plan: testPlan()},
+			"03010000000300000003000000030000000000000009000000000000001b0000000000000003000000050000000400000004000000030000000300000000000000060000000000000002000000000000000200000003000000000000001b000000000000000200000009000000000000001b0000000000000001000000030000000000000000000000010000000900000000000000020000000400000000000000080000000000000002000000000000000200000002000000010005000000000000000400000000000000040000000000000001000000010000000200000004000000000000000400000002000000010000000200000000000040000040400200000009000000000000000800000000000000000000000200000002000000000080be0000000002000000030000000000000008000000000000000000803f"},
+	}
+	for _, c := range cases {
+		if got := hex.EncodeToString(EncodePayload(c.p)); got != c.hex {
+			t.Errorf("%s frame changed:\n got  %s\n want %s", c.name, got, c.hex)
+		}
+	}
+}
+
+// TestByteViewMatchesLittleEndianLoop: a fixed-width run crosses the wire
+// with one copy through its byte view, and on a big-endian host a swap
+// pass. Both must reproduce the per-element binary.LittleEndian loop they
+// replaced, bit for bit, on signed zeros, infinities, NaN payloads and
+// subnormals. The swap pass is run here on a big-endian host's memory
+// image of the same values, so it is tested on any host.
+func TestByteViewMatchesLittleEndianLoop(t *testing.T) {
+	f32 := []uint32{0, 0x80000000, 0x7f800000, 0xff800000, 0x7fc00001, 0xffa12345, 0x00000001, 0x807fffff, 0x3fc00000, 0xaf5be6ff}
+	u64 := []uint64{0, 1 << 63, 0x7ff0000000000000, 0xfff0000000000000, 0x7ff8000000000001, 0x0000000000000001, 0x800fffffffffffff, 0x0123456789abcdef}
+	xs := make([]float32, len(f32))
+	wire32, big32 := make([]byte, 4*len(f32)), make([]byte, 4*len(f32))
+	for i, v := range f32 {
+		xs[i] = math.Float32frombits(v)
+		binary.LittleEndian.PutUint32(wire32[4*i:], v)
+		binary.BigEndian.PutUint32(big32[4*i:], v)
+	}
+	fs := make([]float64, len(u64))
+	wire64, big64 := make([]byte, 8*len(u64)), make([]byte, 8*len(u64))
+	for i, v := range u64 {
+		fs[i] = math.Float64frombits(v)
+		binary.LittleEndian.PutUint64(wire64[8*i:], v)
+		binary.BigEndian.PutUint64(big64[8*i:], v)
+	}
+
+	// This host's path, both directions.
+	if got := putF32sRaw(nil, xs); !bytes.Equal(got, wire32) {
+		t.Fatalf("putF32sRaw wrote %x, want %x", got, wire32)
+	}
+	row := make([]float32, len(f32))
+	fillRow(row, wire32)
+	for i, x := range row {
+		if math.Float32bits(x) != f32[i] {
+			t.Fatalf("fillRow element %d decoded %#x, want %#x", i, math.Float32bits(x), f32[i])
+		}
+	}
+	if got := putU64s(nil, u64)[4:]; !bytes.Equal(got, wire64) {
+		t.Fatalf("putU64s wrote %x, want %x", got, wire64)
+	}
+	if got := putF64s(nil, fs)[4:]; !bytes.Equal(got, wire64) {
+		t.Fatalf("putF64s wrote %x, want %x", got, wire64)
+	}
+	r := &wireReader{b: putU64s(nil, u64)}
+	if got := r.u64s(); !reflect.DeepEqual(got, u64) || r.err != nil {
+		t.Fatalf("u64s decoded %x (%v), want %x", got, r.err, u64)
+	}
+
+	// A big-endian host: its memory image swaps to the wire, and the wire
+	// swaps back to its memory image.
+	for _, c := range []struct {
+		size      int
+		big, wire []byte
+	}{{4, big32, wire32}, {8, big64, wire64}} {
+		out := bytes.Clone(c.big)
+		swapWords(out, c.size)
+		if !bytes.Equal(out, c.wire) {
+			t.Fatalf("%d-byte swap of the memory image gave %x, want %x", c.size, out, c.wire)
+		}
+		swapWords(out, c.size)
+		if !bytes.Equal(out, c.big) {
+			t.Fatalf("%d-byte swap of the wire gave %x, want %x", c.size, out, c.big)
+		}
+	}
 }

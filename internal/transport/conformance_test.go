@@ -283,10 +283,10 @@ func TestMeshConformanceCloseWhileSending(t *testing.T) {
 func TestMeshConformanceTypedPayloads(t *testing.T) {
 	payloads := func() []any {
 		return []any{
-			ReplicaMsg{Iter: 2, Rows: map[uint64][]float32{7: {1, -2, 0.5}}},
+			ReplicaMsg{Iter: 2, IDs: []uint64{7}, Rows: [][]float32{{1, -2, 0.5}}},
 			SyncBatchMsg{Flushes: []SyncMsg{
-				{Iter: 5, Partials: map[uint64][]float32{3: {0.5, 2}, 6: {-3, 1}}},
-				{Iter: 4, Partials: map[uint64][]float32{8: {-1, 0.1}}},
+				{Iter: 5, IDs: []uint64{3, 6}, Partials: [][]float32{{0.5, 2}, {-3, 1}}},
+				{Iter: 4, IDs: []uint64{8}, Partials: [][]float32{{-1, 0.1}}},
 			}},
 			FusedCollMsg{Seq: 11, Origin: 1, Segs: [][]float32{{1, 2}, {3, 4, 5}}, Loss: []float64{0.125}},
 		}
@@ -324,22 +324,22 @@ func TestMeshConformanceTypedPayloads(t *testing.T) {
 }
 
 // clonePayload deep-copies the mesh payload types the engine sends, sharing
-// no map, row or segment with p.
+// no id run, row or segment with p.
 func clonePayload(p any) any {
-	rows := func(m map[uint64][]float32) map[uint64][]float32 {
-		c := make(map[uint64][]float32, len(m))
-		for id, row := range m {
-			c[id] = slices.Clone(row)
+	rows := func(rs [][]float32) [][]float32 {
+		c := make([][]float32, len(rs))
+		for i, row := range rs {
+			c[i] = slices.Clone(row)
 		}
 		return c
 	}
 	switch m := p.(type) {
 	case ReplicaMsg:
-		return ReplicaMsg{Iter: m.Iter, Rows: rows(m.Rows)}
+		return ReplicaMsg{Iter: m.Iter, IDs: slices.Clone(m.IDs), Rows: rows(m.Rows)}
 	case SyncBatchMsg:
 		c := SyncBatchMsg{Flushes: make([]SyncMsg, len(m.Flushes))}
 		for i, f := range m.Flushes {
-			c.Flushes[i] = SyncMsg{Iter: f.Iter, Partials: rows(f.Partials)}
+			c.Flushes[i] = SyncMsg{Iter: f.Iter, IDs: slices.Clone(f.IDs), Partials: rows(f.Partials)}
 		}
 		return c
 	case FusedCollMsg:

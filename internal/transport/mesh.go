@@ -37,7 +37,7 @@ type Endpoint interface {
 	// Send never blocks on the receiver.
 	//
 	// Send transfers ownership on every fabric: a payload goes to exactly
-	// one peer, and the caller never touches it — its maps, rows or
+	// one peer, and the caller never touches it — its id runs, rows or
 	// segments — afterwards, accepted or not. In-process meshes hand the
 	// value itself to the receiver, which recycles it; the TCP endpoint
 	// recycles it into the pools as soon as it is encoded. A payload bound

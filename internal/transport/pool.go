@@ -9,8 +9,9 @@ import (
 // Hot-path buffer pooling. The steady-state LRPP iteration moves the same
 // few shapes of memory every batch — fixed-width embedding rows
 // ([]float32 of the tier's dim, and the dense collective's segments),
-// row-slice headers ([][]float32 holding a fetch result), id→row maps
-// (replica and sync payloads) and, over sockets, encoded frames — and
+// row-slice headers ([][]float32 holding a fetch result or a payload's
+// rows), id runs ([]uint64, the ids a replica push or sync flush carries
+// in parallel with its rows) and, over sockets, encoded frames — and
 // before this file existed each one was a fresh allocation, making GC the
 // dominant avoidable cost on the P=4 TCP profile. The pools here are
 // deliberately *not* sync.Pool: putting a slice header into a sync.Pool
@@ -27,11 +28,15 @@ import (
 //   - Put transfers ownership back. Returning is always optional — a row
 //     that simply goes out of scope is collected normally — but a row must
 //     never be Put while any other reference to it is live.
+//   - Rows move in batches: whoever takes or returns the rows of one
+//     message or one step does it with one GetN or PutN, so the arena's
+//     lock is taken once per message, not once per row.
 //   - A mesh payload belongs to whoever holds it: Endpoint.Send hands it to
-//     exactly one receiver on every fabric. In-process meshes deliver the
-//     value itself and the receiver recycles it; the TCP endpoint encodes
-//     it and recycles it at once (ReleasePayload), and the receiver
-//     recycles the decoded copy, which the codec drew from the same pools.
+//     exactly one receiver on every fabric, with its id run, its row-slice
+//     header and its rows. In-process meshes deliver the value itself and
+//     the receiver recycles it; the TCP endpoint encodes it and recycles it
+//     at once (ReleasePayload), and the receiver recycles the decoded copy,
+//     which the codec drew from the same pools.
 //   - Row-slice headers are zeroed on Put so a recycled header can never
 //     resurrect rows the previous owner released.
 //
@@ -43,7 +48,7 @@ const (
 	// maxArenaBytes bounds one RowArena's free list: at most
 	// maxArenaBytes / (4·dim) rows (4 M rows at the benchmark's dim 16).
 	maxArenaBytes = 256 << 20
-	// maxPooledHeaders bounds the row-slice header and row-map free lists.
+	// maxPooledHeaders bounds the row-slice header and id-run free lists.
 	maxPooledHeaders = 1024
 	// Frame buffers are pooled in power-of-two capacity classes from
 	// minPooledBuf to maxPooledBuf bytes, holding at most bufPoolBytes of
@@ -158,36 +163,18 @@ func (a *RowArena) PutN(rows [][]float32) {
 	a.mu.Unlock()
 }
 
-// putRowMapRows returns every row of m to the arena of its width (rows of
-// one payload share a width, so the registry is consulted once per width
-// change). The map itself is left to the caller.
-func putRowMapRows(m map[uint64][]float32) {
-	var arena *RowArena
-	for _, row := range m {
-		if len(row) == 0 {
-			continue
-		}
-		if arena == nil || arena.dim != len(row) {
-			arena = Rows(len(row))
-		}
-		arena.Put(row)
-	}
-}
-
-// ReleasePayload returns what a mesh payload owns — arena rows, pooled
-// maps, collective segments — to the pools. The last holder of a payload
-// calls it once done (see Endpoint.Send): the TCP endpoint right after
-// encoding, a receiver once it has consumed what it received. Payload types
-// that own nothing pooled are left to the GC.
+// ReleasePayload returns what a mesh payload owns — arena rows, pooled id
+// and row-slice headers, collective segments — to the pools. The last
+// holder of a payload calls it once done (see Endpoint.Send): the TCP
+// endpoint right after encoding, a receiver once it has consumed what it
+// received. Payload types that own nothing pooled are left to the GC.
 func ReleasePayload(p any) {
 	switch m := p.(type) {
 	case ReplicaMsg:
-		putRowMapRows(m.Rows)
-		PutRowMap(m.Rows)
+		releaseRun(m.IDs, m.Rows)
 	case SyncBatchMsg:
 		for _, f := range m.Flushes {
-			putRowMapRows(f.Partials)
-			PutRowMap(f.Partials)
+			releaseRun(f.IDs, f.Partials)
 		}
 	case FusedCollMsg:
 		for _, s := range m.Segs {
@@ -198,85 +185,75 @@ func ReleasePayload(p any) {
 	}
 }
 
-// rowSlicePool recycles [][]float32 headers (fetch results, scatter/gather
-// assembly). Headers are zeroed on Put so a recycled header cannot leak the
-// previous batch's rows.
-var rowSlicePool struct {
-	mu   sync.Mutex
-	free [][][]float32
+// releaseRun returns one id/row run — its rows share a width — with one
+// PutN, then its two headers.
+func releaseRun(ids []uint64, rows [][]float32) {
+	if len(rows) > 0 && len(rows[0]) > 0 {
+		Rows(len(rows[0])).PutN(rows)
+	}
+	PutRowSlice(rows)
+	PutIDs(ids)
 }
 
-// GetRowSlice returns a [][]float32 of length n with all-nil slots. The
-// caller must assign every slot before reading.
-func GetRowSlice(n int) [][]float32 {
-	rowSlicePool.mu.Lock()
-	if l := len(rowSlicePool.free); l > 0 {
-		h := rowSlicePool.free[l-1]
-		rowSlicePool.free[l-1] = nil
-		rowSlicePool.free = rowSlicePool.free[:l-1]
+// slicePool is a bounded free list of slice headers: row-slice headers
+// ([][]float32 holding a fetch result or a payload's rows) and id runs
+// ([]uint64 of a payload). Headers are zeroed on put so a recycled
+// row-slice header can never resurrect rows the previous owner released.
+type slicePool[T any] struct {
+	mu   sync.Mutex
+	free [][]T
+}
+
+// get returns a slice of length n with zeroed slots.
+func (p *slicePool[T]) get(n int) []T {
+	p.mu.Lock()
+	if l := len(p.free); l > 0 {
+		h := p.free[l-1]
+		p.free[l-1] = nil
+		p.free = p.free[:l-1]
 		if cap(h) >= n {
-			rowSlicePool.mu.Unlock()
+			p.mu.Unlock()
 			return h[:n]
 		}
-		// Too small for this batch: drop it and allocate at the new high
-		// water mark. Steady-state batch sizes converge, so this settles.
+		// Too small for this request: drop it and allocate at the new high
+		// water mark. Steady-state sizes converge, so this settles.
 	}
-	rowSlicePool.mu.Unlock()
-	return make([][]float32, n)
+	p.mu.Unlock()
+	return make([]T, n)
 }
 
-// PutRowSlice returns a header to the pool, clearing its slots. The rows it
-// referenced are unaffected — releasing those is a separate decision made
-// by whoever owns them.
-func PutRowSlice(h [][]float32) {
+func (p *slicePool[T]) put(h []T) {
 	if h == nil {
 		return
 	}
 	clear(h[:cap(h)])
-	rowSlicePool.mu.Lock()
-	if len(rowSlicePool.free) < maxPooledHeaders {
-		rowSlicePool.free = append(rowSlicePool.free, h)
+	p.mu.Lock()
+	if len(p.free) < maxPooledHeaders {
+		p.free = append(p.free, h)
 	}
-	rowSlicePool.mu.Unlock()
+	p.mu.Unlock()
 }
 
-// rowMapPool recycles id→row maps — the payload shape of replica pushes
-// and sync flushes. A sender builds its snapshot in a pooled map, the mesh
-// moves it (by reference in process; over TCP the sender's endpoint
-// recycles it once encoded and the codec decodes into another), and the
-// receiver returns it once the rows have been claimed.
-var rowMapPool struct {
-	mu   sync.Mutex
-	free []map[uint64][]float32
-}
+var (
+	rowSlicePool slicePool[[]float32]
+	idSlicePool  slicePool[uint64]
+)
 
-// GetRowMap returns an empty id→row map.
-func GetRowMap() map[uint64][]float32 {
-	rowMapPool.mu.Lock()
-	if l := len(rowMapPool.free); l > 0 {
-		m := rowMapPool.free[l-1]
-		rowMapPool.free[l-1] = nil
-		rowMapPool.free = rowMapPool.free[:l-1]
-		rowMapPool.mu.Unlock()
-		return m
-	}
-	rowMapPool.mu.Unlock()
-	return make(map[uint64][]float32)
-}
+// GetRowSlice returns a [][]float32 of length n with all-nil slots. The
+// caller must assign every slot before reading.
+func GetRowSlice(n int) [][]float32 { return rowSlicePool.get(n) }
 
-// PutRowMap clears m and returns it to the pool. As with PutRowSlice, the
-// rows it referenced stay owned by whoever took them out.
-func PutRowMap(m map[uint64][]float32) {
-	if m == nil {
-		return
-	}
-	clear(m)
-	rowMapPool.mu.Lock()
-	if len(rowMapPool.free) < maxPooledHeaders {
-		rowMapPool.free = append(rowMapPool.free, m)
-	}
-	rowMapPool.mu.Unlock()
-}
+// PutRowSlice returns a header to the pool, clearing its slots. The rows it
+// referenced are unaffected — releasing those is a separate decision made
+// by whoever owns them.
+func PutRowSlice(h [][]float32) { rowSlicePool.put(h) }
+
+// GetIDs returns an id slice of length n (zeroed) — the id run of a replica
+// push or a sync flush.
+func GetIDs(n int) []uint64 { return idSlicePool.get(n) }
+
+// PutIDs returns an id slice to the pool.
+func PutIDs(ids []uint64) { idSlicePool.put(ids) }
 
 // bufPool recycles encoded frames: class c holds buffers whose capacity is
 // at least minPooledBuf<<c, so any buffer in class bufClass(n) fits n bytes.

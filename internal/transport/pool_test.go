@@ -114,13 +114,13 @@ func TestRowSlicePool(t *testing.T) {
 	PutRowSlice(nil) // must be a no-op
 }
 
-// TestRowMapPool: recycled maps come back empty.
-func TestRowMapPool(t *testing.T) {
-	m := GetRowMap()
-	m[7] = []float32{1, 2}
-	PutRowMap(m)
-	if m2 := GetRowMap(); len(m2) != 0 {
-		t.Fatalf("recycled row map still holds %d entries", len(m2))
+// TestIDPool: recycled id runs come back zeroed at the requested length.
+func TestIDPool(t *testing.T) {
+	ids := GetIDs(4)
+	copy(ids, []uint64{7, 8, 9, 10})
+	PutIDs(ids)
+	if got := GetIDs(3); len(got) != 3 || got[0]|got[1]|got[2] != 0 {
+		t.Fatalf("recycled id run %v, want three zeros", got)
 	}
-	PutRowMap(nil) // must be a no-op
+	PutIDs(nil) // must be a no-op
 }

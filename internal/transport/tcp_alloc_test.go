@@ -151,11 +151,9 @@ func TestFrameReadsAllocateWithData(t *testing.T) {
 //   - boxing the payload into Send's `any`: 3 (one per message);
 //   - boxing the decoded payload into DecodePayload's `any`: 3;
 //   - the slice headers a sender builds and the decoder rebuilds — the
-//     sync batch's Flushes, the collective's Segs and Loss: 3 + 3;
-//   - the sorted key list the encoder ranges each id → row map in: 3 (the
-//     replica rows and the two flushes' partials).
+//     sync batch's Flushes, the collective's Segs and Loss: 3 + 3.
 //
-// 15 per round; the gate allows one more for an arena that is briefly dry
+// 12 per round; the gate allows one more for an arena that is briefly dry
 // while the receiver still holds the previous round's rows. Before the TCP
 // endpoint recycled what it encoded, every decoded row and segment was a
 // fresh allocation.
@@ -163,7 +161,7 @@ func TestTCPMeshSteadyStateAllocs(t *testing.T) {
 	const (
 		dim      = 16
 		rows     = 32
-		maxAlloc = 16
+		maxAlloc = 13
 	)
 	segLens := []int{257, 16, 64, 1}
 	lb, err := NewLoopbackTCPMesh(2)
@@ -173,23 +171,23 @@ func TestTCPMeshSteadyStateAllocs(t *testing.T) {
 	defer lb.Shutdown()
 	a, b := lb.Endpoint(0), lb.Endpoint(1)
 	arena := Rows(dim)
-	fill := func(m map[uint64][]float32, n int, base uint64) {
-		for i := 0; i < n; i++ {
-			row := arena.Get()
+	fill := func(n int, base uint64) ([]uint64, [][]float32) {
+		ids, rs := GetIDs(n), GetRowSlice(n)
+		arena.GetN(rs)
+		for i, row := range rs {
+			ids[i] = base + uint64(i)
 			for k := range row {
 				row[k] = float32(i + k)
 			}
-			m[base+uint64(i)] = row
 		}
+		return ids, rs
 	}
 	round := func() {
-		rep := GetRowMap()
-		fill(rep, rows, 100)
-		a.Send(1, 1, ReplicaMsg{Iter: 3, Rows: rep})
-		urgent, lazy := GetRowMap(), GetRowMap()
-		fill(urgent, 4, 200)
-		fill(lazy, 6, 300)
-		a.Send(1, 1, SyncBatchMsg{Flushes: []SyncMsg{{Iter: 3, Partials: urgent}, {Iter: 1, Partials: lazy}}})
+		ids, rs := fill(rows, 100)
+		a.Send(1, 1, ReplicaMsg{Iter: 3, IDs: ids, Rows: rs})
+		uIDs, urgent := fill(4, 200)
+		lIDs, lazy := fill(6, 300)
+		a.Send(1, 1, SyncBatchMsg{Flushes: []SyncMsg{{Iter: 3, IDs: uIDs, Partials: urgent}, {Iter: 1, IDs: lIDs, Partials: lazy}}})
 		coll := FusedCollMsg{Seq: 3, Origin: 0, Segs: make([][]float32, len(segLens)), Loss: []float64{0.5}}
 		for i, n := range segLens {
 			coll.Segs[i] = Rows(n).Get()
