@@ -290,6 +290,13 @@ func (r *wireReader) replica() ReplicaMsg {
 		}
 		ne := r.count(4)
 		if i == 0 && ne > 0 {
+			// Every row is as wide as the first: prove the frame holds
+			// all n of them before one GetN allocates n×ne floats, so a
+			// corrupt frame cannot drive an allocation past its own size.
+			if uint64(n-1)*uint64(8+4+4*ne)+uint64(4*ne) > uint64(len(r.b)) {
+				r.fail()
+				break
+			}
 			Rows(ne).GetN(m.Rows)
 		}
 		if ne == 0 || ne != len(m.Rows[0]) {

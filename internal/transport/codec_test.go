@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"bagpipe/internal/core"
@@ -217,8 +218,10 @@ func FuzzDecodePayload(f *testing.F) {
 	for _, r := range retiredFrames() {
 		f.Add(r.frame)
 	}
-	// The replica runs the decoder refuses: a zero-width row, ragged rows.
+	// The replica runs the decoder refuses: a zero-width row, ragged rows,
+	// and more rows as wide as the first than the frame can hold.
 	f.Add(putU32(putU64(putU32(putU64([]byte{tagReplica}, 1), 1), 5), 0))
+	f.Add(putF32s(putU64(putU32(putU64([]byte{tagReplica}, 1), 3), 5), make([]float32, 12)))
 	f.Add(putF32s(putU64(putF32s(putU64(putU32(putU64([]byte{tagReplica}, 1), 2), 5), []float32{1, 2}), 6), []float32{3}))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		p, err := DecodePayload(frame)
@@ -334,15 +337,36 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 		}
 		return b
 	}
+	// A replica frame that claims one 16-byte row per 16 bytes it holds,
+	// the first as wide as the whole frame: every row is as wide as the
+	// first, so a decoder that allocated the run before counting its
+	// bytes would ask for about len²/16 bytes.
+	replicaWide := func(body int) []byte {
+		ne := (body - 8 - 4) / 4
+		b := putU32(putU64([]byte{tagReplica}, 1), uint32(body/16))
+		b = putU64(b, 1)
+		return putF32s(b, make([]float32, ne))
+	}
+	wide := replicaWide(32 << 10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := DecodePayload(wide); err == nil {
+		t.Fatal("replica rows wider than the frame decoded without error")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(16*len(wide)) {
+		t.Fatalf("a %d-byte replica frame allocated %d bytes before it was rejected", len(wide), got)
+	}
 	hostile := map[string][]byte{
-		"replica zero-width row":      replicaWidths(0),
-		"replica ragged rows":         replicaWidths(2, 1),
-		"sync flag byte 1":            syncRows(1, 1, 4),
-		"sync flag byte 2":            syncRows(2, 1, 4),
-		"sync ids descending":         syncRows(0, 1, 9, 4),
-		"sync ids repeated":           syncRows(0, 1, 4, 4),
-		"sync empty table of width 2": syncRows(0, 2),
-		"replica ids descending":      replicaRows(9, 4),
+		"replica rows wider than the frame": replicaWide(1 << 10),
+		"replica zero-width row":            replicaWidths(0),
+		"replica ragged rows":               replicaWidths(2, 1),
+		"sync flag byte 1":                  syncRows(1, 1, 4),
+		"sync flag byte 2":                  syncRows(2, 1, 4),
+		"sync ids descending":               syncRows(0, 1, 9, 4),
+		"sync ids repeated":                 syncRows(0, 1, 4, 4),
+		"sync empty table of width 2":       syncRows(0, 2),
+		"replica ids descending":            replicaRows(9, 4),
 	}
 	for _, r := range retiredFrames() {
 		hostile[r.name] = r.frame
