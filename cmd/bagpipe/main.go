@@ -11,8 +11,8 @@
 // and P trainer processes (-rank, meshed over -peers, each reaching the
 // tier through a sharded store over -server-addrs) speak the
 // length-prefixed little-endian protocol of internal/transport; the
-// default driver mode forks all of them locally over loopback (-spawn) so
-// one command line still runs — and verifies — the whole system.
+// driver mode forks all of them locally over loopback so one command line
+// still runs — and verifies — the whole system.
 //
 // Examples:
 //
@@ -82,7 +82,6 @@ var (
 	rank        = flag.Int("rank", -1, "run as trainer process `rank` (tcp); requires -peers and -server-addrs")
 	peersFl     = flag.String("peers", "", "comma-separated, rank-ordered trainer mesh addresses (tcp workers)")
 	serverAddrs = flag.String("server-addrs", "", "comma-separated, server-ordered embedding-tier addresses (tcp workers); must list -servers addresses")
-	spawn       = flag.Bool("spawn", true, "tcp driver mode: fork the server and trainer processes locally over loopback")
 	killServer  = flag.Int("kill-server", -1, "chaos (tcp driver, lrpp): kill embedding server `K` mid-run; with -replicate >= 2 the run completes and certifies against the baseline")
 	killDelay   = flag.Duration("kill-delay", 500*time.Millisecond, "chaos: how long after spawning the trainers to kill the -kill-server target")
 	restartFl   = flag.Bool("restart-server", false, "chaos: respawn the -kill-server victim on its old address after -restart-delay and require its anti-entropy rejoin to certify (prints PASS: server K rejoined)")
@@ -132,6 +131,15 @@ func main() {
 	if *servers < 1 {
 		fatal(fmt.Errorf("-servers must be at least 1, got %d", *servers))
 	}
+	if *shards < 1 {
+		fatal(fmt.Errorf("-shards must be at least 1, got %d", *shards))
+	}
+	if *embDim < 0 {
+		fatal(fmt.Errorf("-emb-dim must not be negative (0 = dataset default), got %d", *embDim))
+	}
+	if *scale < 1 {
+		fatal(fmt.Errorf("-scale must be at least 1, got %d", *scale))
+	}
 	if *replicate < 1 || *replicate > *servers {
 		fatal(fmt.Errorf("-replicate %d outside [1, %d] (the tier has -servers %d)", *replicate, *servers, *servers))
 	}
@@ -146,7 +154,7 @@ func main() {
 			netName = "tcp"
 		}
 		if netName != "tcp" || *serveFl || *rank >= 0 || *baseline {
-			fatal(fmt.Errorf("-kill-server is a chaos flag for the lrpp tcp driver (-net tcp -spawn)"))
+			fatal(fmt.Errorf("-kill-server is a chaos flag for the lrpp tcp driver (-net tcp)"))
 		}
 		// A survived kill is only meaningful if the surviving tier is
 		// certified, so chaos implies -verify.
@@ -240,10 +248,6 @@ func main() {
 		}
 		runWorker(cfg)
 	case netName == "tcp":
-		if !*spawn {
-			fatal(fmt.Errorf("-net tcp driver mode forks worker processes (-spawn); " +
-				"for a manual deployment start one process with -serve -listen and one per trainer with -rank/-peers/-server-addrs (recipes in README.md)"))
-		}
 		runTCPDriver(cfg, spec)
 	default:
 		runLocal(cfg, spec, netName)
@@ -711,8 +715,8 @@ func runLRPPServing(cfg train.Config, spec *data.Spec, srvs []*embed.Server, trs
 }
 
 // reportInterference reruns the identical training config with serving off
-// and prints the throughput the serving load cost — the CLI view of
-// BenchmarkServeInterference, behind -stats because it doubles the run.
+// and prints the throughput the serving load cost, behind -stats because
+// it doubles the run.
 func reportInterference(cfg train.Config, spec *data.Spec, netName string, res *train.Result) {
 	solo := cfg
 	solo.Progress = nil

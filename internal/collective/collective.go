@@ -232,9 +232,8 @@ func (g *Group) FusedAllReduce(rank int, segs [][]float32, loss []float64) {
 	g.depart()
 }
 
-// AllReduceSum64 is the float64 all-reduce. The LRPP trainers use it for
-// the full-batch loss: per-rank partial losses are float64, and summing
-// them in rank order from zero reproduces bit-for-bit the fold the
-// single-process engines compute, so every trainer reports the identical
-// loss the baseline would.
+// AllReduceSum64 is the float64 all-reduce: per-rank values summed in rank
+// order from zero. No engine calls it; it is the bit reference the tests
+// hold FusedAllReduce's loss fold to, so every trainer reports the
+// identical full-batch loss the baseline would.
 func (g *Group) AllReduceSum64(rank int, x []float64) { allReduceSum(g, rank, x) }

@@ -178,56 +178,3 @@ func (c *Cache) IDs() []uint64 {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
-
-// FIFOCache is the reactive baseline cache used in the eviction-policy
-// ablation (§3.3 notes the parallel between LRPP and concurrent work on
-// FIFO caches that admit only items reused within a window). It admits
-// every fetched row and evicts in FIFO order at capacity. It has no
-// consistency machinery — it exists to quantify how far a reactive policy
-// falls short of the oracle's perfect cache on the same trace.
-type FIFOCache struct {
-	Cap int
-
-	order   []uint64
-	present map[uint64]struct{}
-	hits    int64
-	misses  int64
-}
-
-// NewFIFOCache returns a FIFO cache holding at most capacity rows.
-func NewFIFOCache(capacity int) *FIFOCache {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("core: FIFO capacity %d", capacity))
-	}
-	return &FIFOCache{Cap: capacity, present: make(map[uint64]struct{})}
-}
-
-// Access records a reference to id, returning whether it hit. Misses admit
-// the id, evicting the oldest entry at capacity.
-func (f *FIFOCache) Access(id uint64) bool {
-	if _, ok := f.present[id]; ok {
-		f.hits++
-		return true
-	}
-	f.misses++
-	if len(f.order) >= f.Cap {
-		old := f.order[0]
-		f.order = f.order[1:]
-		delete(f.present, old)
-	}
-	f.order = append(f.order, id)
-	f.present[id] = struct{}{}
-	return false
-}
-
-// HitRate returns hits/(hits+misses).
-func (f *FIFOCache) HitRate() float64 {
-	total := f.hits + f.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(f.hits) / float64(total)
-}
-
-// Len returns the number of resident ids.
-func (f *FIFOCache) Len() int { return len(f.order) }

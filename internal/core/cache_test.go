@@ -1,9 +1,6 @@
 package core
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestCacheInsertGetEvict(t *testing.T) {
 	c := NewCache(2)
@@ -105,44 +102,4 @@ func TestCacheInsertWrongDimPanics(t *testing.T) {
 		}
 	}()
 	NewCache(4).Insert(1, []float32{1}, 0)
-}
-
-func TestFIFOCacheBasics(t *testing.T) {
-	f := NewFIFOCache(2)
-	if f.Access(1) {
-		t.Fatal("cold access must miss")
-	}
-	if !f.Access(1) {
-		t.Fatal("repeat access must hit")
-	}
-	f.Access(2)
-	f.Access(3) // evicts 1
-	if f.Access(1) {
-		t.Fatal("evicted id must miss")
-	}
-	if f.Len() != 2 {
-		t.Fatalf("len=%d", f.Len())
-	}
-	if f.HitRate() <= 0 || f.HitRate() >= 1 {
-		t.Fatalf("hit rate %v", f.HitRate())
-	}
-}
-
-func TestFIFONeverExceedsCapacity(t *testing.T) {
-	f := NewFIFOCache(8)
-	if err := quick.Check(func(id uint8) bool {
-		f.Access(uint64(id))
-		return f.Len() <= 8
-	}, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFIFOCapacityValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewFIFOCache(0)
 }

@@ -282,23 +282,6 @@ func TestScaledSpec(t *testing.T) {
 	}
 }
 
-func TestStreamProducesOrderedBatches(t *testing.T) {
-	g := NewGenerator(smallSpec(), 23)
-	i := 3
-	for b := range g.Stream(3, 5, 16) {
-		if b.Index != i {
-			t.Fatalf("got batch %d want %d", b.Index, i)
-		}
-		if b.Size() != 16 {
-			t.Fatalf("batch size %d", b.Size())
-		}
-		i++
-	}
-	if i != 8 {
-		t.Fatalf("stream produced %d batches, want 5", i-3)
-	}
-}
-
 func TestLabelsAreLearnableSignal(t *testing.T) {
 	// the hidden model must produce a non-degenerate label distribution
 	g := NewGenerator(smallSpec(), 29)

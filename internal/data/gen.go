@@ -133,21 +133,6 @@ func expNeg(x float32) float32 {
 	return float32(math.Exp(-float64(x)))
 }
 
-// Stream returns a channel producing batches [start, start+count) of the
-// given size, for pipeline-style consumption. The channel is closed when
-// the range is exhausted. Generation happens in a dedicated goroutine,
-// playing the role of the paper's Data Processors.
-func (g *Generator) Stream(start, count, batchSize int) <-chan *Batch {
-	ch := make(chan *Batch, 4)
-	go func() {
-		defer close(ch)
-		for i := start; i < start+count; i++ {
-			ch <- g.Batch(i, batchSize)
-		}
-	}()
-	return ch
-}
-
 // NumBatches returns how many full batches of size batchSize the dataset
 // holds.
 func (g *Generator) NumBatches(batchSize int) int64 {

@@ -113,10 +113,18 @@ func (s *Server) FingerprintPartIn(part, of, within, withinOf int) uint64 {
 	return sum
 }
 
-// ExportPartIn is ExportPart intersected with a second partition space (see
-// FingerprintPartIn): the anti-entropy source read resharding streams from,
-// scoped to one (old-partition ∩ new-partition) slice so a migration never
-// moves rows the destination doesn't own in the new space.
+// ExportPartIn snapshots the materialized rows of partition part of an
+// of-way split (core.OwnerOf(id, of) == part) intersected with partition
+// within of a second, withinOf-way space (see FingerprintPartIn), returning
+// parallel id/row slices. This is the anti-entropy source read: a surviving
+// replica exports a partition (within 0 of 1) so a rejoining server can
+// restore it, and resharding streams one (old-partition ∩ new-partition)
+// slice so a migration never moves rows the destination doesn't own in the
+// new space. Rows are copied (peek, not Get), so the export neither
+// materializes rows nor aliases live storage; concurrent writes
+// interleaving with the copy are repaired by the freshness protocol on the
+// receiving side plus the fingerprint retry loop in the tier's resync
+// driver.
 func (s *Server) ExportPartIn(part, of, within, withinOf int) ([]uint64, [][]float32) {
 	if of <= 0 || part < 0 || part >= of {
 		panic(fmt.Sprintf("embed: export partition %d of %d", part, of))

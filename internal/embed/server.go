@@ -310,14 +310,6 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// ResetStats zeroes the traffic counters.
-func (s *Server) ResetStats() {
-	s.rowsFetched.Store(0)
-	s.rowsWritten.Store(0)
-	s.fetches.Store(0)
-	s.writes.Store(0)
-}
-
 // NumMaterialized returns the total number of touched rows across shards.
 func (s *Server) NumMaterialized() int {
 	n := 0
@@ -397,18 +389,6 @@ func (s *Server) Fingerprint() uint64 { return s.FingerprintPart(0, 1) }
 // state's certificate.
 func (s *Server) FingerprintPart(part, of int) uint64 {
 	return s.FingerprintPartIn(part, of, 0, 1)
-}
-
-// ExportPart snapshots the materialized rows of partition part of an of-way
-// split (core.OwnerOf(id, of) == part), returning parallel id/row slices.
-// This is the anti-entropy source read: a surviving replica exports a
-// partition so a rejoining server can restore it. Rows are copied (peek, not
-// Get), so the export neither materializes rows nor aliases live storage;
-// concurrent writes interleaving with the copy are repaired by the
-// freshness protocol on the receiving side plus the fingerprint retry loop
-// in the tier's resync driver.
-func (s *Server) ExportPart(part, of int) ([]uint64, [][]float32) {
-	return s.ExportPartIn(part, of, 0, 1)
 }
 
 // rowDigest is the FNV-1a hash of one (id, row) pair, the unit Fingerprint

@@ -155,25 +155,14 @@ func (t *Table) Set(id uint64, src []float32) {
 	t.mu.Unlock()
 }
 
-// GetBatch copies the current values of rows ids[i] into dsts[i], taking
-// the table lock once for the whole batch instead of once per row. This is
-// the shard-side half of the Server's shard-grouped fetch path.
-func (t *Table) GetBatch(ids []uint64, dsts [][]float32) {
-	if len(ids) != len(dsts) {
-		panic(fmt.Sprintf("embed: GetBatch %d ids, %d dsts", len(ids), len(dsts)))
-	}
-	t.GetMany(ids, nil, dsts)
-}
-
-// GetMany copies rows ids[i] into dsts[i] for every i in idxs (or for every
-// index when idxs is nil), under a single lock acquisition. The index-list
-// form lets the Server hand each shard its slice of a fetch without
-// building per-shard copies of the request arrays — this is the hot path
-// behind every oracle-driven prefetch.
+// GetMany copies rows ids[i] into dsts[i] for every i in idxs under a
+// single lock acquisition. The index-list form lets the Server hand each
+// shard its slice of a fetch without building per-shard copies of the
+// request arrays — this is the hot path behind every oracle-driven prefetch.
 func (t *Table) GetMany(ids []uint64, idxs []int, dsts [][]float32) {
 	var missing []int
 	t.mu.RLock()
-	get := func(i int) {
+	for _, i := range idxs {
 		if len(dsts[i]) != t.Dim {
 			t.mu.RUnlock()
 			panic(fmt.Sprintf("embed: GetMany dst len %d != dim %d", len(dsts[i]), t.Dim))
@@ -184,15 +173,6 @@ func (t *Table) GetMany(ids []uint64, idxs []int, dsts [][]float32) {
 			missing = append(missing, i)
 		}
 	}
-	if idxs == nil {
-		for i := range ids {
-			get(i)
-		}
-	} else {
-		for _, i := range idxs {
-			get(i)
-		}
-	}
 	t.mu.RUnlock()
 	// Misses are computed lock-free from the init derivation rather than
 	// materialized: fetches stay read-only on the table (see Get).
@@ -201,35 +181,17 @@ func (t *Table) GetMany(ids []uint64, idxs []int, dsts [][]float32) {
 	}
 }
 
-// SetBatch overwrites rows ids[i] with srcs[i] under a single lock
-// acquisition (the shard-side half of the Server's batched write-back).
-func (t *Table) SetBatch(ids []uint64, srcs [][]float32) {
-	if len(ids) != len(srcs) {
-		panic(fmt.Sprintf("embed: SetBatch %d ids, %d srcs", len(ids), len(srcs)))
-	}
-	t.SetMany(ids, nil, srcs)
-}
-
-// SetMany overwrites rows ids[i] with srcs[i] for every i in idxs (or for
-// every index when idxs is nil) under a single lock acquisition; the
-// index-list counterpart of GetMany for batched write-backs.
+// SetMany overwrites rows ids[i] with srcs[i] for every i in idxs under a
+// single lock acquisition; the index-list counterpart of GetMany for
+// batched write-backs.
 func (t *Table) SetMany(ids []uint64, idxs []int, srcs [][]float32) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	set := func(i int) {
+	for _, i := range idxs {
 		if len(srcs[i]) != t.Dim {
 			panic(fmt.Sprintf("embed: SetMany src len %d != dim %d", len(srcs[i]), t.Dim))
 		}
 		copy(t.materialize(ids[i]), srcs[i])
-	}
-	if idxs == nil {
-		for i := range ids {
-			set(i)
-		}
-	} else {
-		for _, i := range idxs {
-			set(i)
-		}
 	}
 }
 

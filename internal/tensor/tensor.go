@@ -77,9 +77,6 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// NumElements returns Rows*Cols.
-func (m *Matrix) NumElements() int { return m.Rows * m.Cols }
-
 // Equal reports whether m and o have identical shape and elements.
 func (m *Matrix) Equal(o *Matrix) bool {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
@@ -385,13 +382,6 @@ func ColSums(dst []float32, m *Matrix) {
 	}
 }
 
-// Scale multiplies every element of m by s in place.
-func (m *Matrix) Scale(s float32) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
 // AddScaled computes m += s*o elementwise. Shapes must match.
 func (m *Matrix) AddScaled(o *Matrix, s float32) {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
@@ -422,15 +412,6 @@ func Axpy(a float32, x, y []float32) {
 	for i, v := range x {
 		y[i] += a * v
 	}
-}
-
-// L2Norm returns the Euclidean norm of v.
-func L2Norm(v []float32) float32 {
-	var s float64
-	for _, x := range v {
-		s += float64(x) * float64(x)
-	}
-	return float32(math.Sqrt(s))
 }
 
 // RNG is a splitmix64-based deterministic random number generator. It is
@@ -464,14 +445,6 @@ func (r *RNG) Intn(n int) int {
 		panic("tensor: Intn non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// NormFloat64 returns a standard normal variate (Box-Muller).
-func (r *RNG) NormFloat64() float64 {
-	// Box-Muller transform; u1 in (0,1] to avoid log(0).
-	u1 := 1.0 - r.Float64()
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
 // XavierInit fills m with Xavier/Glorot-uniform values for a layer with the

@@ -493,9 +493,9 @@ func TestScaleAddScaledCloneEqual(t *testing.T) {
 	if !m.Equal(c) {
 		t.Fatal("clone not equal")
 	}
-	c.Scale(2)
+	c.AddScaled(m, 1) // c = 2m
 	if m.Equal(c) {
-		t.Fatal("scale mutated original or Equal broken")
+		t.Fatal("AddScaled mutated its operand or Equal broken")
 	}
 	m.AddScaled(c, 0.5) // m += 0.5*(2m) = 2m
 	want := []float32{2, 4, 6}
@@ -516,9 +516,6 @@ func TestDotAxpyNorm(t *testing.T) {
 	Axpy(2, a, y)
 	if y[0] != 3 || y[1] != 5 || y[2] != 7 {
 		t.Fatalf("Axpy=%v", y)
-	}
-	if math.Abs(float64(L2Norm([]float32{3, 4}))-5) > 1e-6 {
-		t.Fatalf("L2Norm=%v want 5", L2Norm([]float32{3, 4}))
 	}
 }
 
@@ -549,25 +546,6 @@ func TestRNGFloat64Range(t *testing.T) {
 		return f >= 0 && f < 1
 	}, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRNGNormalMoments(t *testing.T) {
-	rng := NewRNG(99)
-	const n = 20000
-	var sum, sumsq float64
-	for i := 0; i < n; i++ {
-		v := rng.NormFloat64()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.05 {
-		t.Fatalf("normal mean %v too far from 0", mean)
-	}
-	if math.Abs(variance-1) > 0.1 {
-		t.Fatalf("normal variance %v too far from 1", variance)
 	}
 }
 

@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // FaultStore wraps any child Link with a switchable failure — the
@@ -15,15 +14,13 @@ import (
 // faults through the same wrapper.
 //
 // Semantics: while down, every Try op fails with an error naming the
-// server; SetSlow injects a fixed latency before each Try op (a slow shard
-// rather than a dead one). The errorless Store methods pass straight
-// through — the tier drives its children only through the Try ops, so a
-// FaultStore is always condemnable.
+// server. The errorless Store methods pass straight through — the tier
+// drives its children only through the Try ops, so a FaultStore is always
+// condemnable.
 type FaultStore struct {
 	Link
 	server int
 	down   atomic.Bool
-	slowNs atomic.Int64
 }
 
 // NewFaultStore wraps child as tier server index server.
@@ -34,12 +31,6 @@ func NewFaultStore(child Link, server int) *FaultStore {
 // SetDown switches the injected hard failure on or off.
 func (f *FaultStore) SetDown(down bool) { f.down.Store(down) }
 
-// Down reports whether the store is currently failing.
-func (f *FaultStore) Down() bool { return f.down.Load() }
-
-// SetSlow injects d of latency before every Try op (0 disables).
-func (f *FaultStore) SetSlow(d time.Duration) { f.slowNs.Store(int64(d)) }
-
 // instant preserves the child's scatter-path classification: wrapping an
 // in-process server must not silently switch the tier to the concurrent
 // scatter the serial tests pin.
@@ -48,11 +39,8 @@ func (f *FaultStore) instant() bool {
 	return ok && is.instant()
 }
 
-// gate injects the configured latency and reports the down error, if any.
+// gate reports the down error, if any.
 func (f *FaultStore) gate() error {
-	if d := time.Duration(f.slowNs.Load()); d > 0 {
-		time.Sleep(d)
-	}
 	if f.down.Load() {
 		return fmt.Errorf("transport: fault injection: server %d down", f.server)
 	}

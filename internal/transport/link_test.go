@@ -19,17 +19,20 @@ import (
 // connection enters it.
 type storeOnly struct{ Store }
 
-// TestTierRefusesStoreOnlyChild: a rejoin or a spare connection without
-// the Link face is an error, not a child the tier would have to special-case.
+// TestTierRefusesStoreOnlyChild: a rejoin or a dialed spare without the
+// Link face is an error, not a child the tier would have to special-case.
 func TestTierRefusesStoreOnlyChild(t *testing.T) {
 	tier := testTier(3)
-	st := NewTier([]Store{NewInProcess(tier[0]), nil, NewInProcess(tier[2])},
-		TierOptions{Dead: []bool{false, true, false}, InitialServers: 2})
+	st := NewTier([]Store{NewInProcess(tier[0]), nil, nil}, TierOptions{
+		Dead:           []bool{false, true, false},
+		InitialServers: 2,
+		Dial:           func(int) (Store, error) { return storeOnly{NewInProcess(tier[2])}, nil },
+	})
 	if err := st.BeginRejoin(1, storeOnly{NewInProcess(freshServer())}); err == nil || !strings.Contains(err.Error(), "Link") {
 		t.Fatalf("BeginRejoin with a Store-only child: err = %v, want a missing-Link error", err)
 	}
-	if err := st.ConnectServer(2, storeOnly{NewInProcess(tier[2])}); err == nil || !strings.Contains(err.Error(), "Link") {
-		t.Fatalf("ConnectServer with a Store-only child: err = %v, want a missing-Link error", err)
+	if err := st.EnsureServer(2); err == nil || !strings.Contains(err.Error(), "Link") {
+		t.Fatalf("grow onto a dialed Store-only spare: err = %v, want a missing-Link error", err)
 	}
 }
 

@@ -77,8 +77,8 @@ func (t *ShardedStore) InstallRouting(rt *RoutingTable) bool {
 }
 
 // admit brings absent server s live: its slot's store if one was pre-set
-// (a spare child supplied at construction, or ConnectServer), else a fresh
-// connection through the dialer. The caller owns publishing any failure.
+// (a spare child supplied at construction), else a fresh connection through
+// the dialer. The caller owns publishing any failure.
 func (t *ShardedStore) admit(s int) error {
 	if t.child(s) == nil {
 		if t.dialFn == nil {
@@ -206,32 +206,6 @@ func (t *ShardedStore) EnsureServer(s int) error {
 	case srvDead:
 		return fmt.Errorf("transport: reshard target server %d is dead: %w", s, t.deadCause(s))
 	}
-	return t.admit(s)
-}
-
-// ConnectServer attaches a pre-dialed connection to absent spare slot s
-// and brings it live — the grow path for callers that dial their own
-// links instead of supplying TierOptions.Dial.
-func (t *ShardedStore) ConnectServer(s int, st Store) error {
-	if s < 0 || s >= t.capacity {
-		return fmt.Errorf("transport: server %d outside tier capacity %d", s, t.capacity)
-	}
-	if st == nil {
-		return fmt.Errorf("transport: connect of server %d with no store", s)
-	}
-	l, err := asLink(s, st)
-	if err != nil {
-		return err
-	}
-	if st.Dim() != t.dim {
-		return fmt.Errorf("transport: connecting server %d serves dim %d, tier serves %d", s, st.Dim(), t.dim)
-	}
-	t.installMu.Lock()
-	defer t.installMu.Unlock()
-	if t.state[s].Load() != srvAbsent {
-		return fmt.Errorf("transport: connect of server %d which is not absent", s)
-	}
-	t.slots[s].Store(&serverSlot{link: l})
 	return t.admit(s)
 }
 

@@ -431,7 +431,7 @@ func TestMarkDeadConcurrentExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st.markDead(1, fmt.Errorf("cause %d", i))
+			st.markDeadIfGen(1, st.gen[1].Load(), fmt.Errorf("cause %d", i))
 		}(i)
 	}
 	wg.Wait()

@@ -291,10 +291,10 @@ type ShardedStore struct {
 	// Per-server revival state machine: state is srvLive/srvDead/srvResync,
 	// gen is the incarnation number fencing late RPC outcomes from an old
 	// connection (bumped on every rejoin). Hot paths read both with plain
-	// atomic loads; every *transition* (markDead, markLive, rejoin install)
-	// is serialized by stateMu — transitions are rare, and the mutex is
-	// what makes "OnFailover fires exactly once with the first cause" hold
-	// under racing condemnations.
+	// atomic loads; every *transition* (markDeadIfGen, markLive, rejoin
+	// install) is serialized by stateMu — transitions are rare, and the
+	// mutex is what makes "OnFailover fires exactly once with the first
+	// cause" hold under racing condemnations.
 	state   []atomic.Int32
 	gen     []atomic.Uint64
 	stateMu sync.Mutex
@@ -679,28 +679,14 @@ func (t *ShardedStore) routeIn(base, width int) int {
 	return -1
 }
 
-// markDead declares server s dead with the given cause. Idempotent under
-// arbitrary contention: stateMu serializes the transition, so exactly one
-// caller wins, records the first cause, and fires OnFailover (after
-// releasing the lock — the callback may call back into the store).
-func (t *ShardedStore) markDead(s int, cause error) {
-	t.stateMu.Lock()
-	if t.state[s].Load() == srvDead {
-		t.stateMu.Unlock()
-		return
-	}
-	t.state[s].Store(srvDead)
-	t.causes[s] = cause
-	t.stateMu.Unlock()
-	if t.onFailover != nil {
-		t.onFailover(s, cause)
-	}
-}
-
-// markDeadIfGen is markDead fenced by incarnation: it condemns server s only
-// if s still runs generation g. A slow RPC that started against the old
-// incarnation and failed after the server rejoined must not kill the new
-// incarnation — the failure belongs to a connection that no longer exists.
+// markDeadIfGen declares server s dead with the given cause, fenced by
+// incarnation: it condemns s only if s still runs generation g. Idempotent
+// under arbitrary contention: stateMu serializes the transition, so exactly
+// one caller wins, records the first cause, and fires OnFailover (after
+// releasing the lock — the callback may call back into the store). A slow
+// RPC that started against the old incarnation and failed after the server
+// rejoined must not kill the new incarnation — the failure belongs to a
+// connection that no longer exists.
 func (t *ShardedStore) markDeadIfGen(s int, g uint64, cause error) {
 	t.stateMu.Lock()
 	if t.gen[s].Load() != g || t.state[s].Load() == srvDead {
@@ -716,10 +702,10 @@ func (t *ShardedStore) markDeadIfGen(s int, g uint64, cause error) {
 }
 
 // markLive re-admits server s (generation g) to the live set after its
-// resync verified: the inverse of markDead. Only the resyncing incarnation
-// itself can come live — a concurrent markDeadIfGen wins by flipping the
-// state back to dead first, and a newer generation means this rejoin was
-// superseded. Revival subscribers fire outside stateMu.
+// resync verified: the inverse of markDeadIfGen. Only the resyncing
+// incarnation itself can come live — a concurrent markDeadIfGen wins by
+// flipping the state back to dead first, and a newer generation means this
+// rejoin was superseded. Revival subscribers fire outside stateMu.
 func (t *ShardedStore) markLive(s int, g uint64) bool {
 	t.stateMu.Lock()
 	if t.gen[s].Load() != g || t.state[s].Load() != srvResync {

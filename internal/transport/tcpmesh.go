@@ -171,11 +171,6 @@ func NewTCPMesh(rank int, addrs []string, lis net.Listener) (*TCPMesh, error) {
 	return m, nil
 }
 
-// DialTCPMesh is NewTCPMesh binding its own listener on addrs[rank].
-func DialTCPMesh(rank int, addrs []string) (*TCPMesh, error) {
-	return NewTCPMesh(rank, addrs, nil)
-}
-
 // meshDial connects to a lower-ranked peer and exchanges ranks.
 func meshDial(addr string, selfRank int) (net.Conn, error) {
 	conn, err := dialRetry(addr, meshDialTimeout)

@@ -89,7 +89,7 @@ func (s *Stats) Add(o Stats) {
 //
 // Export and partition fingerprints take the intersection form only: the
 // plain partition p of an of-way split is (p, of, 0, 1), exactly as
-// embed.Server defines ExportPart and FingerprintPart.
+// embed.Server defines FingerprintPart.
 type Link interface {
 	Store
 	TryFetch(ids []uint64) ([][]float32, error)
