@@ -1625,6 +1625,7 @@ func report(r *train.Result) {
 			row("sync", c.SyncMsgs, c.SyncBytes)
 			row("collective", c.CollMsgs, c.CollBytes)
 			row("plan", c.PlanMsgs, c.PlanBytes)
+			reportStages(r)
 		}
 	}
 	if r.Tier != nil {
@@ -1654,6 +1655,34 @@ func report(r *train.Result) {
 	}
 	if st.SimulatedDelay > 0 {
 		fmt.Printf("  simulated network delay injected: %v\n", st.SimulatedDelay.Round(time.Millisecond))
+	}
+}
+
+// reportStages prints the engine stage clock: per trainer, each stage's
+// mean time per iteration and its share of the trainer loop (the loop
+// stages' shares sum to 1; the stages beside the loop are overlapped and
+// their shares are only a scale), then the cores the process kept busy.
+func reportStages(r *train.Result) {
+	st := r.Stages
+	if len(st.Trainers) == 0 {
+		return
+	}
+	iters := float64(r.Iters)
+	fmt.Printf("  stages (ms/iter, share of the trainer loop):\n    %-15s", "")
+	for _, ts := range st.Trainers {
+		fmt.Printf("  %17s", fmt.Sprintf("trainer %d", ts.Trainer))
+	}
+	fmt.Println()
+	for s := train.Stage(0); s < train.NumStages; s++ {
+		fmt.Printf("    %-15s", s)
+		for _, ts := range st.Trainers {
+			fmt.Printf("  %8.3f (%5.1f%%)", float64(ts.Time[s])/1e6/iters, 100*ts.Share(s))
+		}
+		fmt.Println()
+	}
+	if st.CPU > 0 && r.Elapsed > 0 {
+		fmt.Printf("  cpu: %.2f s over %.2f s wall = %.2f cores\n",
+			st.CPU.Seconds(), r.Elapsed.Seconds(), st.CPU.Seconds()/r.Elapsed.Seconds())
 	}
 }
 

@@ -117,6 +117,12 @@ type lrppEngine struct {
 	// bytes), indexed by class.
 	classMsgs  [numClasses]atomic.Int64
 	classBytes [numClasses]atomic.Int64
+
+	// collArrive[x%2][p] is when trainer p arrived at iteration x's
+	// in-process collective, in nanoseconds since epoch; the latest arrival
+	// splits each rank's collective time into wait and fold (collWait).
+	epoch      time.Time
+	collArrive [2][core.MaxTrainers]atomic.Int64
 }
 
 // countSend charges one sent mesh frame to its traffic class.
@@ -328,6 +334,8 @@ type lrppTrainer struct {
 	tr transport.Store
 	ep transport.Endpoint
 
+	clock stageClock
+
 	// Worker mode only (nil otherwise): the mesh-based collective reducer
 	// and the plan resequencer fed by the receiver goroutine.
 	mcoll   *meshColl
@@ -474,7 +482,7 @@ func runLRPP(cfg Config, trs []transport.Store, mesh transport.Mesh, prep func(*
 		}
 	}()
 
-	start := time.Now()
+	start, cpu0 := time.Now(), processCPU()
 	var wg sync.WaitGroup
 	for p := 0; p < P; p++ {
 		wg.Add(1)
@@ -485,7 +493,7 @@ func runLRPP(cfg Config, trs []transport.Store, mesh transport.Mesh, prep func(*
 	}
 	wg.Wait()
 	mesh.Quiesce()
-	return eng.collectResult(trainers, stats, start)
+	return eng.collectResult(trainers, stats, start, cpu0)
 }
 
 // newLRPPEngine builds the per-process engine state.
@@ -500,6 +508,7 @@ func newLRPPEngine(cfg *Config, mesh transport.Mesh, coll lrppColl) *lrppEngine 
 		hooks:  cfg.Hooks,
 		prog:   cfg.Progress,
 		losses: make([]float64, cfg.NumBatches),
+		epoch:  time.Now(),
 	}
 	if !cfg.SyncEager && cfg.LookAhead > 1 {
 		eng.lag = 1
@@ -576,7 +585,7 @@ func newLRPPTrainer(eng *lrppEngine, p int, tr transport.Store, ep transport.End
 // collectResult assembles the run summary from the trainers this process
 // hosted (all of them in single-process mode, exactly one in worker mode)
 // plus the oracle stats if the oracle ran here.
-func (eng *lrppEngine) collectResult(trainers []*lrppTrainer, stats []core.IterStats, start time.Time) (*Result, error) {
+func (eng *lrppEngine) collectResult(trainers []*lrppTrainer, stats []core.IterStats, start time.Time, cpu0 time.Duration) (*Result, error) {
 	cfg := eng.cfg
 	res := &Result{Engine: "lrpp", Iters: cfg.NumBatches}
 	var lossSum float64
@@ -598,6 +607,7 @@ func (eng *lrppEngine) collectResult(trainers []*lrppTrainer, stats []core.IterS
 			return nil, fmt.Errorf("train: trainer %d still caches %d rows after the final iteration", t.p, n)
 		}
 		res.Evicted += t.evictedRows
+		res.Stages.Trainers = append(res.Stages.Trainers, t.clock.snapshot(t.p))
 		res.PeakCache += t.part.peak
 		res.Transport.Add(t.tr.Stats())
 		addTierHealth(res, t.tr)
@@ -610,6 +620,7 @@ func (eng *lrppEngine) collectResult(trainers []*lrppTrainer, stats []core.IterS
 	}
 	res.Examples = int64(cfg.NumBatches) * int64(cfg.BatchSize)
 	res.Elapsed = time.Since(start)
+	res.Stages.CPU = processCPU() - cpu0
 	res.ReplicaRows = eng.replicaRows.Load()
 	res.SyncEntries = eng.syncEntries.Load()
 	res.UrgentFlushes = eng.urgentFlushes.Load()
@@ -634,8 +645,9 @@ func (t *lrppTrainer) run(planCh <-chan *core.Plan) {
 	t.startFlusher()
 	t.startMaintenance()
 
+	mark := time.Now()
 	for w := range t.startStager(workCh) {
-		t.compute(w)
+		mark = t.compute(w, t.clock.lap(StageHandoff, mark))
 	}
 
 	// Teardown: flush the delayed-sync backlog, wait for every merge and
@@ -663,8 +675,15 @@ func (t *lrppTrainer) startDispatcher(planCh <-chan *core.Plan) <-chan *lrppWork
 	workCh := make(chan *lrppWork, eng.L)
 	go func() {
 		defer close(workCh)
-		for pl := range planCh {
+		for {
+			mark := time.Now()
+			pl, ok := <-planCh
+			if !ok {
+				return
+			}
+			mark = t.clock.lap(StageWaitPlan, mark)
 			<-t.tokens
+			t.clock.lap(StageWaitToken, mark)
 			w := &lrppWork{plan: pl, rows: make(chan [][]float32, 1)}
 			workCh <- w
 			go func(pl *core.Plan, w *lrppWork) {
@@ -676,7 +695,9 @@ func (t *lrppTrainer) startDispatcher(planCh <-chan *core.Plan) <-chan *lrppWork
 					if eng.activeTrain.Load() > 0 {
 						eng.overlapPT.Add(1)
 					}
+					start := time.Now()
 					rows = t.tr.Fetch(pl.Prefetch)
+					t.clock.lap(StageBusyDispatch, start)
 				}
 				w.rows <- rows
 			}(pl, w)
@@ -715,6 +736,7 @@ func (t *lrppTrainer) startReceiver() {
 			if !ok {
 				return
 			}
+			start := time.Now()
 			switch pl := msg.Payload.(type) {
 			case transport.ReplicaMsg:
 				// The push transfers ownership of its id run, header and
@@ -767,6 +789,7 @@ func (t *lrppTrainer) startReceiver() {
 			default:
 				panic(fmt.Sprintf("train: trainer %d received unknown mesh payload %T", t.p, msg.Payload))
 			}
+			t.clock.lap(StageBusyReceiver, start)
 		}
 	}()
 }
@@ -816,6 +839,7 @@ func (t *lrppTrainer) startFlusher() {
 		}
 		var backlog []*flushItem
 		for it := range t.flushQ {
+			start := time.Now()
 			collect(it.urgent, it.iter, true)
 			backlog = append(backlog, it)
 			for len(backlog) > 0 && backlog[0].iter <= it.iter-eng.lag {
@@ -829,6 +853,7 @@ func (t *lrppTrainer) startFlusher() {
 				}
 			}
 			flush()
+			t.clock.lap(StageBusyFlusher, start)
 		}
 		for _, it := range backlog {
 			collect(it.lazy, it.iter, false)
@@ -872,6 +897,7 @@ func (t *lrppTrainer) startMaintenance() {
 			ends []int
 		)
 		for job := range t.maintCh {
+			began := time.Now()
 			parked[job.iter] = job.evictions
 		drain:
 			for {
@@ -929,6 +955,7 @@ func (t *lrppTrainer) startMaintenance() {
 				delete(parked, next)
 				next++
 			}
+			t.clock.lap(StageBusyMaint, began)
 		}
 	}()
 }
@@ -947,6 +974,7 @@ func (t *lrppTrainer) stage(w *lrppWork) {
 	pt := &t.part
 	pl := w.plan
 	x := pl.Dec.Iter
+	start := time.Now()
 
 	// 1. Register this iteration's merge obligations and eviction counts
 	// before pushing any replica: a peer computes a partial for one of our
@@ -970,7 +998,9 @@ func (t *lrppTrainer) stage(w *lrppWork) {
 	// adopts the row buffers by reference (they return to the arena at
 	// write-back); the fetch's header slice is dead after the loop, so
 	// recycle it.
+	mark := time.Now()
 	rows := <-w.rows
+	waitRows := time.Since(mark)
 	t.mu.Lock()
 	j := 0
 	for i, id := range pl.Prefetch {
@@ -991,6 +1021,7 @@ func (t *lrppTrainer) stage(w *lrppWork) {
 
 	// 3. Wait until every owned row used this iteration has absorbed all
 	// merges from earlier iterations (the per-row sync horizon).
+	mark = time.Now()
 	for {
 		ready := true
 		for _, s := range slots {
@@ -1004,6 +1035,7 @@ func (t *lrppTrainer) stage(w *lrppWork) {
 		}
 		t.cond.Wait()
 	}
+	waitMerges := time.Since(mark)
 
 	// 4. Snapshot and push replicas to the non-owners reading our rows.
 	outs := make([]transport.ReplicaMsg, len(pl.ReplicaOut))
@@ -1045,14 +1077,18 @@ func (t *lrppTrainer) stage(w *lrppWork) {
 		eng.countSend(classReplica, b)
 		eng.replicaRows.Add(int64(len(ids)))
 	}
+	t.clock.add(StageWaitRows, waitRows)
+	t.clock.add(StageWaitMerges, waitMerges)
+	t.clock.add(StageBusyStager, time.Since(start)-waitRows-waitMerges)
 }
 
 // compute is the model half of iteration x, steps 5–9, on the trainer
 // loop. It starts while stage(x) may still be running and waits for it only
 // before the gather; once it has routed x's partials (step 8) it permits
 // stage(x+1), whose replica push then travels under this iteration's dense
-// backward, collective and optimizer step.
-func (t *lrppTrainer) compute(w *lrppWork) {
+// backward, collective and optimizer step. It charges its time from mark
+// on to the loop stages, one lap each, and returns where the last ended.
+func (t *lrppTrainer) compute(w *lrppWork, mark time.Time) time.Time {
 	eng := t.eng
 	pt := &t.part
 	pl := w.plan
@@ -1072,6 +1108,7 @@ func (t *lrppTrainer) compute(w *lrppWork) {
 		t.model.ForwardDense(ls.dense)
 		eng.activeTrain.Add(-1)
 	}
+	mark = t.clock.lap(StageForwardDense, mark)
 
 	// 6. Wait for stage(x) and the replicas we need, then gather this
 	// trainer's rows into the iteration's row table: its owned rows in
@@ -1080,9 +1117,14 @@ func (t *lrppTrainer) compute(w *lrppWork) {
 	// idx maps each id to its table position; the table aliases partition
 	// and replica rows only until fillEmb copies them.
 	t.mu.Lock()
-	for !w.staged || rankBits(pl.ReplicaFrom)&^t.repFrom[x] != 0 {
+	for !w.staged {
 		t.cond.Wait()
 	}
+	mark = t.clock.lap(StageWaitStage, mark)
+	for rankBits(pl.ReplicaFrom)&^t.repFrom[x] != 0 {
+		t.cond.Wait()
+	}
+	mark = t.clock.lap(StageWaitReplicas, mark)
 	slots := w.slots
 	var reps [core.MaxTrainers]transport.ReplicaMsg
 	var cur [core.MaxTrainers]int
@@ -1142,6 +1184,7 @@ func (t *lrppTrainer) compute(w *lrppWork) {
 		t.lossVec[0] = ls.lossGrad(t.model.ForwardSparse(ls.emb, ls.cats))
 		dEmb = t.model.BackwardSparse(ls.dlogits)
 	}
+	mark = t.clock.lap(StageSparse, mark)
 
 	// 8. Pre-aggregate this trainer's gradients into one partial per table
 	// row (arena rows, sub-batch order) and route them now, so the urgent
@@ -1192,6 +1235,7 @@ func (t *lrppTrainer) compute(w *lrppWork) {
 	t.cond.Broadcast()
 	t.flushQ <- fi
 	t.routedCh <- struct{}{}
+	mark = t.clock.lap(StageRoute, mark)
 
 	// 9. Dense backward, then ONE fused collective round: every
 	// dense-parameter gradient segment plus the loss term crosses the
@@ -1201,7 +1245,14 @@ func (t *lrppTrainer) compute(w *lrppWork) {
 	if !idle {
 		t.model.BackwardDense()
 	}
+	mark = t.clock.lap(StageBackwardDense, mark)
+	eng.collArrive[x%2][t.p].Store(int64(mark.Sub(eng.epoch)))
 	eng.coll.FusedAllReduce(t.p, t.segs, t.lossVec[:])
+	coll := time.Since(mark)
+	wait := t.collWait(x, mark, coll)
+	t.clock.add(StageCollWait, wait)
+	t.clock.add(StageCollFold, coll-wait)
+	mark = mark.Add(coll)
 	t.opt.Step(t.params)
 	eng.activeTrain.Add(-1)
 	// All ranks hold the identical reduced loss; in single-process mode the
@@ -1213,6 +1264,24 @@ func (t *lrppTrainer) compute(w *lrppWork) {
 	if eng.prog != nil {
 		eng.prog.noteExamples(len(ls.mine))
 	}
+	return t.clock.lap(StageStep, mark)
+}
+
+// collWait returns how much of collective round x, which this trainer
+// entered at arr and left coll later, it spent waiting for the other ranks.
+// In-process that is the gap to the last rank's arrival, which no rank can
+// overwrite before this one reads it: round x+2 needs this rank's arrival
+// at x+1. Across processes the mesh reducer times its own wait.
+func (t *lrppTrainer) collWait(x int, arr time.Time, coll time.Duration) time.Duration {
+	if t.mcoll != nil {
+		return min(t.mcoll.waited, coll)
+	}
+	eng := t.eng
+	var last int64
+	for p := range eng.P {
+		last = max(last, eng.collArrive[x%2][p].Load())
+	}
+	return min(max(time.Duration(last)-arr.Sub(eng.epoch), 0), coll)
 }
 
 // depositLocked takes ownership of trainer from's partial for (slot s,

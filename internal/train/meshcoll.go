@@ -3,6 +3,7 @@ package train
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"bagpipe/internal/collective"
 	"bagpipe/internal/transport"
@@ -36,6 +37,11 @@ type meshColl struct {
 	seq     uint64
 	fused   map[uint64]map[int]transport.FusedCollMsg // root: seq → origin → contribution
 	fresult map[uint64]transport.FusedCollMsg         // non-root: seq → root's result
+
+	// waited is how long the last FusedAllReduce blocked on other ranks:
+	// for their frames at the root, for the result elsewhere. Only the
+	// calling trainer loop reads and writes it.
+	waited time.Duration
 }
 
 func newMeshColl(rank, n int, ep transport.Endpoint, eng *lrppEngine) *meshColl {
@@ -156,7 +162,9 @@ func (c *meshColl) FusedAllReduce(rank int, segs [][]float32, loss []float64) {
 	seq := c.nextSeq()
 	bytes := fusedCollBytes(segs, len(loss))
 	if c.rank == 0 {
+		start := time.Now()
 		byOrigin := c.gatherFused(seq)
+		c.waited = time.Since(start)
 		// Fold in rank order from zero: segs/loss already hold rank 0's
 		// terms. Whole segments at a time through the vector kernels — the
 		// same left-to-right per-element summation as the scalar loop.
@@ -179,7 +187,9 @@ func (c *meshColl) FusedAllReduce(rank int, segs [][]float32, loss []float64) {
 		return
 	}
 	c.send(0, bytes, snapshotFused(seq, c.rank, segs, loss))
+	start := time.Now()
 	m := c.awaitFused(seq)
+	c.waited = time.Since(start)
 	c.checkFused(m, segs, loss)
 	for i := range segs {
 		copy(segs[i], m.Segs[i])

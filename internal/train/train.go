@@ -177,6 +177,11 @@ type Result struct {
 	// multi-trainer LRPP run.
 	MeshClasses MeshTraffic
 
+	// Stages is the LRPP engine's stage clock (stages.go): where each
+	// trainer's time went, and the process CPU over the run. Empty for the
+	// baseline engine.
+	Stages Stages
+
 	Transport transport.Stats
 	// StoreServers splits the embedding-tier traffic by backend server:
 	// fetch/write frames (per-server sub-batch RPCs) and payload bytes,

@@ -185,8 +185,8 @@ func RunLRPPWorker(cfg Config, rank int, tr transport.Store, mesh transport.Mesh
 		go t.planBox.stream(cfg.NumBatches, planCh)
 	}
 
-	start := time.Now()
+	start, cpu0 := time.Now(), processCPU()
 	t.run(planCh)
 	mesh.Quiesce()
-	return eng.collectResult([]*lrppTrainer{t}, stats, start)
+	return eng.collectResult([]*lrppTrainer{t}, stats, start, cpu0)
 }
