@@ -64,7 +64,7 @@ var (
 	eager     = flag.Bool("eager-sync", false, "lrpp: flush all cross-trainer sync on the critical path instead of delaying it")
 	autoLook  = flag.Bool("auto-lookahead", false, "pick ℒ at startup from measured iteration time, link RTT, and -cache-rows (overrides -lookahead)")
 	cacheRws  = flag.Int("cache-rows", 0, "auto-lookahead: trainer cache budget in rows (0 = 1/4 of the scaled table rows)")
-	statsFl   = flag.Bool("stats", false, "print per-phase mesh traffic (frames + bytes split by replica/sync/collective/plan)")
+	statsFl   = flag.Bool("stats", false, "print per-phase mesh traffic (frames + bytes split by replica/sync/collective/plan) and the engine stage clock")
 	servers   = flag.Int("servers", 1, "embedding servers in the tier (rows sharded across them by id, one process each in TCP mode)")
 	replicate = flag.Int("replicate", 1, "replication factor R: write each row to its owner server plus the next R-1 servers on the ownership ring; reads fail over along the ring when servers die")
 	shards    = flag.Int("shards", 4, "shard count within each embedding server")

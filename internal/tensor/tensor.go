@@ -19,12 +19,13 @@
 // Transpose followed by MatMul, or by MatMulNoSkip when Transpose reports a
 // non-finite weight. A finite one-column right operand (every model's logit
 // layer) takes a vector path with the same bits: plain dot products, or for
-// MatMulTransA the one-row product bᵀ·a. On amd64 the inner loop is an SSE2
-// microkernel (axpy_amd64.s); on every other GOARCH, and for the columns
-// that do not fill a vector, it is the portable axpyRowsGo, which
-// tensor_test.go holds to the same bits as the three naive loop nests the
-// kernel replaced. NaN payloads are outside the contract: any NaN equals any
-// NaN.
+// MatMulTransA the one-row product bᵀ·a. On an amd64 whose CPU and OS
+// support AVX2, which init checks once, the inner loop is an AVX2
+// microkernel (axpy_amd64.s); on any other amd64 and every other GOARCH,
+// and for the columns that do not fill a vector, it is the portable
+// axpyRowsGo, which tensor_test.go holds to the same bits as the three
+// naive loop nests the kernel replaced. NaN payloads are outside the
+// contract: any NaN equals any NaN.
 package tensor
 
 import (

@@ -279,27 +279,29 @@ func seededMatrix(rng *RNG, rows, cols, zeroPattern int) *Matrix {
 }
 
 // Shapes straddle every boundary in the kernel: the 4-lane vector and its
-// 8-lane unrolling (n), the group of four multipliers and the kPass
+// 8- and 16-lane widths (n), the group of four multipliers and the kPass
 // compaction buffer (k), and one, two and a bench batch of output rows.
 // From k = 255 on both operands are tamed with one special planted each:
 // at one special in eight, nearly every sum that long is already Inf or NaN
-// and would hide a wrong term.
+// and would hide a wrong term. It runs once per selectable row kernel.
 func TestProductMatchesReferenceBits(t *testing.T) {
-	rng := NewRNG(29)
-	for _, rows := range []int{1, 2, 128} {
-		for _, k := range []int{1, 4, 5, 255, 256, 257} {
-			for _, n := range []int{1, 3, 4, 5, 8, 13, 256, 257} {
-				// With fewer rows than zero patterns, start at each in turn.
-				for p := 0; p < 4 && (p == 0 || rows < 4); p++ {
-					a, b := seededMatrix(rng, rows, k, p), seededMatrix(rng, k, n, -1)
-					if k >= 255 {
-						a, b = plant(rng, tame(rng, a)), plant(rng, tame(rng, b))
+	forEachKernel(t, func(t *testing.T) {
+		rng := NewRNG(29)
+		for _, rows := range []int{1, 2, 128} {
+			for _, k := range []int{1, 4, 5, 255, 256, 257} {
+				for _, n := range []int{1, 3, 4, 5, 8, 13, 256, 257} {
+					// With fewer rows than zero patterns, start at each in turn.
+					for p := 0; p < 4 && (p == 0 || rows < 4); p++ {
+						a, b := seededMatrix(rng, rows, k, p), seededMatrix(rng, k, n, -1)
+						if k >= 255 {
+							a, b = plant(rng, tame(rng, a)), plant(rng, tame(rng, b))
+						}
+						checkProductForms(t, a, b)
 					}
-					checkProductForms(t, a, b)
 				}
 			}
 		}
-	}
+	})
 }
 
 // tame replaces m's Inf, NaN and ±MaxFloat32 by full-mantissa values.
@@ -366,32 +368,34 @@ func TestProductFormsPastKPass(t *testing.T) {
 	}
 }
 
-// The amd64 microkernel against the portable one on the same inputs (on
-// other targets axpyRows is the portable one and this holds trivially).
-// Widths past zeroRow's take the padded tail a chunk at a time, and m mod 4
-// of 1–3 pads it; the accumulators start from seeded values, ±0, ±Inf and
-// NaN among them.
+// The selected row kernel against the portable one on the same inputs,
+// once per kernel the host can select (the portable run holds trivially).
+// Widths 0–41 leave every 16-, 8- and 4-lane tail; widths past zeroRow's
+// take the padded tail a chunk at a time, and m mod 4 of 1–3 pads it; the
+// accumulators start from seeded values, ±0, ±Inf and NaN among them.
 func TestAxpyRowsMatchesPortable(t *testing.T) {
-	rng := NewRNG(4)
-	widths := []int{1023, 1024, 1025, 1028, 2053}
-	for n := 0; n <= 41; n++ {
-		widths = append(widths, n)
-	}
-	for _, n := range widths {
-		for m := 0; m <= 9; m++ {
-			b := seededMatrix(rng, m+1, n, -1)
-			got, want := NewMatrix(1, n), NewMatrix(1, n)
-			copy(got.Data, b.Row(m))
-			copy(want.Data, b.Row(m))
-			at, coef := make([]int, m), seededMatrix(rng, 1, m, -1).Data
-			for g := range at {
-				at[g] = rng.Intn(m) * n // any order, repeats allowed
-			}
-			axpyRows(got.Data, b.Data, at, coef)
-			axpyRowsGo(want.Data, b.Data, at, coef)
-			requireSameBits(t, "axpyRows", got, want)
+	forEachKernel(t, func(t *testing.T) {
+		rng := NewRNG(4)
+		widths := []int{1023, 1024, 1025, 1028, 2053}
+		for n := 0; n <= 41; n++ {
+			widths = append(widths, n)
 		}
-	}
+		for _, n := range widths {
+			for m := 0; m <= 9; m++ {
+				b := seededMatrix(rng, m+1, n, -1)
+				got, want := NewMatrix(1, n), NewMatrix(1, n)
+				copy(got.Data, b.Row(m))
+				copy(want.Data, b.Row(m))
+				at, coef := make([]int, m), seededMatrix(rng, 1, m, -1).Data
+				for g := range at {
+					at[g] = rng.Intn(m) * n // any order, repeats allowed
+				}
+				axpyRows(got.Data, b.Data, at, coef)
+				axpyRowsGo(want.Data, b.Data, at, coef)
+				requireSameBits(t, "axpyRows", got, want)
+			}
+		}
+	})
 }
 
 // fuzzMatrix decodes one byte per element, cycling through raw: values below
