@@ -1248,11 +1248,12 @@ func (t *lrppTrainer) compute(w *lrppWork, mark time.Time) time.Time {
 	mark = t.clock.lap(StageBackwardDense, mark)
 	eng.collArrive[x%2][t.p].Store(int64(mark.Sub(eng.epoch)))
 	eng.coll.FusedAllReduce(t.p, t.segs, t.lossVec[:])
-	coll := time.Since(mark)
+	now := time.Now()
+	coll := now.Sub(mark)
 	wait := t.collWait(x, mark, coll)
 	t.clock.add(StageCollWait, wait)
 	t.clock.add(StageCollFold, coll-wait)
-	mark = mark.Add(coll)
+	mark = now
 	t.opt.Step(t.params)
 	eng.activeTrain.Add(-1)
 	// All ranks hold the identical reduced loss; in single-process mode the

@@ -50,9 +50,6 @@ var stageNames = [NumStages]string{
 
 func (s Stage) String() string { return stageNames[s] }
 
-// Loop reports whether s is one of the stages that partition the loop.
-func (s Stage) Loop() bool { return s < numLoopStages }
-
 // Stages is the engine stage clock of a run: monotonic per-stage totals for
 // every trainer this process hosted, and the process's CPU time over the
 // run. On a host with fewer cores than goroutines, stage wall time includes
