@@ -1,6 +1,7 @@
 package train
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -131,162 +132,6 @@ func (eng *lrppEngine) countSend(class int, bytes int64) {
 	eng.classBytes[class].Add(bytes)
 }
 
-// rankBits is a trainer-set bitmask. Trainer counts are capped at
-// core.MaxTrainers (Config.validate enforces it), which lets the per-(id,
-// iteration) contributor bookkeeping and the per-iteration replica-arrival
-// set live in one machine word each instead of a map allocated per merge.
-type rankBits uint64
-
-func (b rankBits) has(r int) bool { return b&(1<<uint(r)) != 0 }
-func (b *rankBits) set(r int)     { *b |= 1 << uint(r) }
-
-// clearBit drops rank r's bit and reports whether it was set.
-func (b *rankBits) clearBit(r int) bool {
-	was := b.has(r)
-	*b &^= 1 << uint(r)
-	return was
-}
-
-// slotRec is the owner's one record per row of its partition, from the
-// iteration that first registers the row (before its prefetch lands) until
-// the row's eviction.
-type slotRec struct {
-	id    uint64
-	row   []float32 // nil until the prefetched row is inserted
-	ttl   int
-	dirty bool
-	// merges are the row's pending per-iteration merges. Registration
-	// appends them in iteration order and they apply strictly in that
-	// order, so the row replays the exact update sequence the baseline
-	// produces. Entries past len keep their parts tables for the next
-	// registration, and the array stays with the slot when it is recycled.
-	merges []iterMerge
-}
-
-// iterMerge holds one (row, iteration)'s partials, one slot per rank, until
-// every expected trainer has reported (expect, the ranks still owing one,
-// is empty).
-type iterMerge struct {
-	iter   int
-	expect rankBits
-	parts  [][]float32 // rank → arena-backed partial; nil until deposited
-}
-
-// partition is an owner's cache partition: a slab of slot records, one per
-// row it is responsible for. Slots are private to the trainer — allocated
-// at a row's registration, recycled at its eviction, so the slab is bounded
-// by the partition's peak occupancy — and the id → slot map is consulted
-// once per row per registration and once per received remote partial;
-// every other step of an iteration indexes the slab through the slots its
-// registration recorded. It is not synchronized (the trainer's mu guards
-// it), and records and their merges are reused in place, so the steady
-// state allocates nothing.
-type partition struct {
-	ranks    int
-	slotOf   map[uint64]int32
-	recs     []slotRec
-	free     []int32
-	pending  int // registered merges not yet applied
-	resident int // rows inserted and not yet evicted
-	peak     int
-}
-
-func newPartition(ranks int) partition {
-	return partition{ranks: ranks, slotOf: make(map[uint64]int32)}
-}
-
-// slot returns id's record, allocating one when the id has none.
-func (pt *partition) slot(id uint64) int32 {
-	if s, ok := pt.slotOf[id]; ok {
-		return s
-	}
-	var s int32
-	if n := len(pt.free); n > 0 {
-		s = pt.free[n-1]
-		pt.free = pt.free[:n-1]
-	} else {
-		s = int32(len(pt.recs))
-		pt.recs = append(pt.recs, slotRec{})
-	}
-	pt.recs[s].id = id
-	pt.slotOf[id] = s
-	return s
-}
-
-// expect registers iteration iter's merge on slot s, awaiting one partial
-// from every rank in users.
-func (pt *partition) expect(s int32, iter int, users rankBits) {
-	rec := &pt.recs[s]
-	n := len(rec.merges)
-	if n < cap(rec.merges) {
-		rec.merges = rec.merges[:n+1]
-	} else {
-		rec.merges = append(rec.merges, iterMerge{})
-	}
-	im := &rec.merges[n]
-	if im.parts == nil {
-		im.parts = make([][]float32, pt.ranks)
-	}
-	im.iter, im.expect = iter, users
-	pt.pending++
-}
-
-// merge returns slot s's pending merge for iteration iter, nil if none.
-// The pointer is valid until the slot's next expect or pop.
-func (pt *partition) merge(s int32, iter int) *iterMerge {
-	m := pt.recs[s].merges
-	for i := range m {
-		if m[i].iter == iter {
-			return &m[i]
-		}
-	}
-	return nil
-}
-
-// ready returns slot s's oldest pending merge once every expected partial
-// has arrived, nil otherwise. The pointer is valid until the slot's next
-// expect or pop.
-func (pt *partition) ready(s int32) *iterMerge {
-	if m := pt.recs[s].merges; len(m) > 0 && m[0].expect == 0 {
-		return &m[0]
-	}
-	return nil
-}
-
-// pop retires slot s's oldest merge, whose partials the fold has already
-// returned to the arena: the others move up, and its emptied parts table
-// moves past the end for the next registration to reuse.
-func (pt *partition) pop(s int32) {
-	rec := &pt.recs[s]
-	m := rec.merges
-	head := m[0].parts
-	copy(m, m[1:])
-	m[len(m)-1] = iterMerge{parts: head}
-	rec.merges = m[:len(m)-1]
-	pt.pending--
-}
-
-// insert adopts row as slot s's resident value.
-func (pt *partition) insert(s int32, row []float32) {
-	rec := &pt.recs[s]
-	rec.row, rec.dirty = row, false
-	pt.resident++
-	if pt.resident > pt.peak {
-		pt.peak = pt.resident
-	}
-}
-
-// evict frees slot s and hands its row over for write-back.
-func (pt *partition) evict(s int32) core.Eviction {
-	rec := &pt.recs[s]
-	ev := core.Eviction{ID: rec.id, Row: rec.row}
-	delete(pt.slotOf, rec.id)
-	rec.row = nil
-	pt.free = append(pt.free, s)
-	pt.resident--
-	return ev
-}
-
 // flushItem hands one iteration's remote partials to the delayed-sync
 // flusher, split by criticality, one ascending id/partial run per owner.
 // The runs are pooled and the partials arena rows; both transfer to the
@@ -296,23 +141,6 @@ type flushItem struct {
 	iter   int
 	urgent []transport.SyncMsg // owner → partials needed next iteration
 	lazy   []transport.SyncMsg // owner → partials deferrable off the critical path
-}
-
-// maintJob is one iteration's dirty evictions bound for write-back.
-type maintJob struct {
-	iter      int
-	evictions []core.Eviction
-}
-
-// lrppWork is one iteration moving through a trainer's private pipeline:
-// admitted by the dispatcher, staged by the stager, computed by the loop.
-type lrppWork struct {
-	plan *core.Plan
-	rows chan [][]float32 // buffered(1); the prefetch goroutine delivers once
-	// slots[k] is the slot of plan.Owned[k] (in one of lrppTrainer.slotBuf),
-	// written by stage and read by compute once staged is set.
-	slots  []int32
-	staged bool // guarded by the trainer's mu: stage has snapshotted the replicas
 }
 
 // lrppTrainer is one trainer process: a model replica, the owned LRPP
@@ -342,32 +170,28 @@ type lrppTrainer struct {
 	planBox *planSeq
 
 	// mu guards everything below: the cache partition is touched by the
-	// trainer loop (insert/read) and the sync receiver (update/evict).
-	mu   sync.Mutex
-	cond *sync.Cond
+	// trainer loop (insert/read) and the sync receiver (update/evict). Each
+	// waiter has its own condition: merged wakes the stager's merge wait as
+	// merges apply, gathered wakes compute's gather as its stage ends and as
+	// replicas arrive.
+	mu       sync.Mutex
+	merged   sync.Cond
+	gathered sync.Cond
 
-	part     partition
-	expiring map[int]int                  // iter → owned rows still to evict
-	evbatch  map[int][]core.Eviction      // iter → collected write-backs
-	routed   map[int]bool                 // iter → trainer loop deposited and queued its partials
-	repRows  map[int]transport.ReplicaMsg // iter·P + owner → replica push received (owned here)
-	repFrom  map[int]rankBits             // iter → owners heard from
+	ring iterRing
+	part partition
 
 	// Hot-path scratch, all guarded by mu (or touched only by the one
 	// goroutine noted): the arena every fetch/replica/partial/write-back
 	// recycles through, the shared fold buffer and the partials it spent,
-	// the row table, its id index and the partials by table row (trainer
-	// loop only), the slot lists of the staged iterations (stager only;
-	// iteration x uses slotBuf[x%2], free again once x's compute ended,
-	// which precedes stage(x+2)), and the eviction-batch free list.
+	// and the row table, its id index and the partials by table row
+	// (trainer loop only).
 	arena    *transport.RowArena
 	foldBuf  []float32
 	spent    [][]float32
 	tab      [][]float32
 	idx      map[uint64]int32
 	partials [][]float32
-	slotBuf  [2][]int32
-	evFree   [][]core.Eviction
 
 	evictedRows int64
 
@@ -377,7 +201,8 @@ type lrppTrainer struct {
 	routedCh  chan struct{}
 	flushQ    chan *flushItem
 	flushFree chan *flushItem // flusher → trainer loop: drained items for reuse
-	maintCh   chan maintJob
+	// maintPoke (capacity 1) wakes maintenance when an iteration emits.
+	maintPoke chan struct{}
 	tokens    chan struct{}
 	recvWG    sync.WaitGroup
 	flushWG   sync.WaitGroup
@@ -542,12 +367,8 @@ func newLRPPTrainer(eng *lrppEngine, p int, tr transport.Store, ep transport.End
 	t := &lrppTrainer{
 		p: p, eng: eng, model: m, opt: opt, rowOpt: rowOpt,
 		tr: tr, ep: ep,
+		ring:     newIterRing(cfg.LookAhead, eng.P),
 		part:     newPartition(eng.P),
-		expiring: make(map[int]int),
-		evbatch:  make(map[int][]core.Eviction),
-		routed:   make(map[int]bool),
-		repRows:  make(map[int]transport.ReplicaMsg),
-		repFrom:  make(map[int]rankBits),
 		arena:    transport.Rows(cfg.Spec.EmbDim),
 		foldBuf:  make([]float32, cfg.Spec.EmbDim),
 		idx:      make(map[uint64]int32),
@@ -561,16 +382,10 @@ func newLRPPTrainer(eng *lrppEngine, p int, tr transport.Store, ep transport.End
 		// ships lag passes later: lag+2 cover the steady state, a longer
 		// flusher backlog allocates and the surplus is dropped.
 		flushFree: make(chan *flushItem, eng.lag+2),
-		// maybeEmitLocked sends under mu, so this send must never block,
-		// and it cannot: a job is sent once per iteration that was admitted
-		// (it holds a lookahead token) and not yet retired (maintenance
-		// returns the token after retiring it), and at most ℒ tokens exist,
-		// so the jobs in the buffer, parked or being written back, plus the
-		// one being sent, number at most ℒ.
-		maintCh: make(chan maintJob, cfg.LookAhead),
-		tokens:  make(chan struct{}, cfg.LookAhead),
+		maintPoke: make(chan struct{}, 1),
+		tokens:    make(chan struct{}, cfg.LookAhead),
 	}
-	t.cond = sync.NewCond(&t.mu)
+	t.merged.L, t.gathered.L = &t.mu, &t.mu
 	t.params = m.Params()
 	for _, p := range t.params {
 		t.segs = append(t.segs, p.Grad)
@@ -646,21 +461,17 @@ func (t *lrppTrainer) run(planCh <-chan *core.Plan) {
 	t.startMaintenance()
 
 	mark := time.Now()
-	for w := range t.startStager(workCh) {
-		mark = t.compute(w, t.clock.lap(StageHandoff, mark))
+	for rec := range t.startStager(workCh) {
+		mark = t.compute(rec, t.clock.lap(StageHandoff, mark))
 	}
 
-	// Teardown: flush the delayed-sync backlog, wait for every merge and
-	// eviction this partition owes (fed by the other trainers' final
-	// flushes), retire the remaining iterations, then close the endpoint.
+	// Teardown: flush the delayed-sync backlog, wait until maintenance has
+	// retired every iteration, then close the endpoint. Retiring the last
+	// iteration takes every merge and eviction this partition owes (fed by
+	// the other trainers' final flushes): every registered row expires by
+	// the last iteration, and its eviction follows all of its merges.
 	close(t.flushQ)
 	t.flushWG.Wait()
-	t.mu.Lock()
-	for t.part.pending > 0 {
-		t.cond.Wait()
-	}
-	t.mu.Unlock()
-	close(t.maintCh)
 	t.maintWG.Wait()
 	t.ep.Close()
 	t.recvWG.Wait()
@@ -668,11 +479,12 @@ func (t *lrppTrainer) run(planCh <-chan *core.Plan) {
 
 // startDispatcher runs the per-trainer prefetch front end: it admits one
 // iteration per lookahead token (the ℒ-deep consistency window over this
-// partition) and fetches its owned misses concurrently with earlier
-// iterations' compute, delivering rows through a future.
-func (t *lrppTrainer) startDispatcher(planCh <-chan *core.Plan) <-chan *lrppWork {
+// partition), files its plan in the iteration's record, and fetches its
+// owned misses concurrently with earlier iterations' compute, delivering
+// rows through the record's future.
+func (t *lrppTrainer) startDispatcher(planCh <-chan *core.Plan) <-chan *iterRec {
 	eng := t.eng
-	workCh := make(chan *lrppWork, eng.L)
+	workCh := make(chan *iterRec, eng.L)
 	go func() {
 		defer close(workCh)
 		for {
@@ -684,10 +496,13 @@ func (t *lrppTrainer) startDispatcher(planCh <-chan *core.Plan) <-chan *lrppWork
 			mark = t.clock.lap(StageWaitPlan, mark)
 			<-t.tokens
 			t.clock.lap(StageWaitToken, mark)
-			w := &lrppWork{plan: pl, rows: make(chan [][]float32, 1)}
-			workCh <- w
-			go func(pl *core.Plan, w *lrppWork) {
-				var rows [][]float32
+			t.mu.Lock()
+			rec := t.ring.at(pl.Dec.Iter)
+			rec.plan = pl
+			t.mu.Unlock()
+			workCh <- rec
+			go func(pl *core.Plan, rows chan<- [][]float32) {
+				var fetched [][]float32
 				if len(pl.Prefetch) > 0 {
 					if eng.hooks != nil && eng.hooks.OnPrefetch != nil {
 						eng.hooks.OnPrefetch(t.p, pl.Dec.Iter, pl.Prefetch)
@@ -696,11 +511,11 @@ func (t *lrppTrainer) startDispatcher(planCh <-chan *core.Plan) <-chan *lrppWork
 						eng.overlapPT.Add(1)
 					}
 					start := time.Now()
-					rows = t.tr.Fetch(pl.Prefetch)
+					fetched = t.tr.Fetch(pl.Prefetch)
 					t.clock.lap(StageBusyDispatch, start)
 				}
-				w.rows <- rows
-			}(pl, w)
+				rows <- fetched
+			}(pl, rec.rows)
 		}
 	}()
 	return workCh
@@ -711,22 +526,22 @@ func (t *lrppTrainer) startDispatcher(planCh <-chan *core.Plan) <-chan *lrppWork
 // the iteration to the loop before staging it, so compute's dense forward
 // does not wait for the stage. The hand-off never blocks: by the time the
 // permit arrives the loop has taken every earlier iteration.
-func (t *lrppTrainer) startStager(workCh <-chan *lrppWork) <-chan *lrppWork {
-	out := make(chan *lrppWork, 1)
+func (t *lrppTrainer) startStager(workCh <-chan *iterRec) <-chan *iterRec {
+	out := make(chan *iterRec, 1)
 	go func() {
 		defer close(out)
-		for w := range workCh {
+		for rec := range workCh {
 			<-t.routedCh
-			out <- w
-			t.stage(w)
+			out <- rec
+			t.stage(rec)
 		}
 	}()
 	return out
 }
 
-// startReceiver drains the mesh endpoint: replica pushes feed the per-
-// iteration replica box, sync flushes feed the gradient merges. Both are
-// keyed by (id, iteration), so arbitrary mesh reordering is harmless.
+// startReceiver drains the mesh endpoint: replica pushes are filed in their
+// iteration's record, sync flushes feed the gradient merges. Both are keyed
+// by iteration, so arbitrary mesh reordering is harmless.
 func (t *lrppTrainer) startReceiver() {
 	t.recvWG.Add(1)
 	go func() {
@@ -744,12 +559,11 @@ func (t *lrppTrainer) startReceiver() {
 				// same pools by the TCP codec): file it under its owner.
 				// compute's step 6 releases it once the rows are consumed.
 				t.mu.Lock()
-				t.repRows[pl.Iter*t.eng.P+msg.From] = pl
-				rb := t.repFrom[pl.Iter]
-				rb.set(msg.From)
-				t.repFrom[pl.Iter] = rb
+				rec := t.ring.at(pl.Iter)
+				rec.reps[msg.From] = pl
+				rec.repFrom.set(msg.From)
 				t.mu.Unlock()
-				t.cond.Broadcast()
+				t.gathered.Signal()
 			case transport.SyncBatchMsg:
 				// One coalesced frame, several iterations' flushes: deposits
 				// are keyed by (id, iteration, sender), so table order is
@@ -769,7 +583,6 @@ func (t *lrppTrainer) startReceiver() {
 				t.arena.PutN(t.spent)
 				t.spent = t.spent[:0]
 				t.mu.Unlock()
-				t.cond.Broadcast()
 				for _, f := range pl.Flushes {
 					transport.PutRowSlice(f.Partials)
 					transport.PutIDs(f.IDs)
@@ -862,31 +675,24 @@ func (t *lrppTrainer) startFlusher() {
 	}()
 }
 
-// startMaintenance runs the background write-back stage. Eviction batches
-// may complete out of iteration order (a delayed contribution can finish a
-// newer iteration's last merge first); retirement is re-sequenced so
-// lookahead tokens release strictly in order — the ℒ-window bookkeeping
-// stays exact.
-//
-// Write-backs coalesce: after a job arrives, every job already queued is
-// taken without blocking, and every iteration that is then ready, in order,
-// is written with ONE Store.Write over the concatenation of their id lists,
-// so a tier slower than one iteration per write falls behind by whole
-// batches instead of serializing one round trip per iteration. Only then
-// does each of those iterations, in order, fire OnWriteBack with its own
-// ids, recycle its eviction batch, and retire (OnRetire, Progress, token):
+// startMaintenance runs the background write-back stage. Iterations may
+// emit out of order (a delayed contribution can finish a newer iteration's
+// last merge first), so on each wake-up maintenance walks the ring from the
+// oldest unretired iteration and takes the emitted run it finds there:
+// tokens release strictly in order. The run is written with ONE
+// Store.Write over the concatenation of its id lists, so a slow tier falls
+// behind by whole batches instead of one round trip per iteration. Only
+// then does each iteration of the run, in order, fire OnWriteBack with its
+// own ids and retire (OnRetire, Progress, record cleared, token):
 // visibility moves only at the batch boundary, as in Obladi's epochs. The
-// ids of one batch are distinct — an id evicted at x is next prefetched
-// for some y ≥ x+ℒ, and that prefetch waits for x's retirement, so it
-// cannot be evicted again before x's batch is written — and at most one
-// write is in flight.
+// ids of one batch are distinct — an id evicted at x is next prefetched for
+// some y ≥ x+ℒ, and that prefetch waits for x's retirement — and at most
+// one write is in flight.
 func (t *lrppTrainer) startMaintenance() {
 	eng := t.eng
 	t.maintWG.Add(1)
 	go func() {
 		defer t.maintWG.Done()
-		parked := make(map[int][]core.Eviction) // iter → its batch, until retired
-		next := 0
 		// Write-back scratch reused across batches: callees treat the id and
 		// row slices as call-scoped (transports copy or encode, the hook only
 		// iterates), so one set serves the whole run. ends[i] is where
@@ -896,33 +702,19 @@ func (t *lrppTrainer) startMaintenance() {
 			rows [][]float32
 			ends []int
 		)
-		for job := range t.maintCh {
+		for next := 0; next < eng.cfg.NumBatches; {
+			<-t.maintPoke
 			began := time.Now()
-			parked[job.iter] = job.evictions
-		drain:
-			for {
-				select {
-				case j, ok := <-t.maintCh:
-					if !ok {
-						break drain
-					}
-					parked[j.iter] = j.evictions
-				default:
-					break drain
-				}
-			}
 			ids, rows, ends = ids[:0], rows[:0], ends[:0]
-			for it := next; ; it++ {
-				evs, ok := parked[it]
-				if !ok {
-					break
-				}
-				for _, ev := range evs {
+			t.mu.Lock()
+			for it := next; t.ring.emitted(it); it++ {
+				for _, ev := range t.ring.at(it).evs {
 					ids = append(ids, ev.ID)
 					rows = append(rows, ev.Row)
 				}
 				ends = append(ends, len(ids))
 			}
+			t.mu.Unlock()
 			if len(ids) > 0 {
 				if eng.activeTrain.Load() > 0 {
 					eng.overlapMT.Add(1)
@@ -935,14 +727,8 @@ func (t *lrppTrainer) startMaintenance() {
 			}
 			start := 0
 			for _, end := range ends {
-				if evs := parked[next]; len(evs) > 0 {
-					if eng.hooks != nil && eng.hooks.OnWriteBack != nil {
-						eng.hooks.OnWriteBack(t.p, next, ids[start:end:end])
-					}
-					t.mu.Lock()
-					clear(evs)
-					t.evFree = append(t.evFree, evs[:0])
-					t.mu.Unlock()
+				if end > start && eng.hooks != nil && eng.hooks.OnWriteBack != nil {
+					eng.hooks.OnWriteBack(t.p, next, ids[start:end:end])
 				}
 				start = end
 				if eng.hooks != nil && eng.hooks.OnRetire != nil {
@@ -951,8 +737,10 @@ func (t *lrppTrainer) startMaintenance() {
 				if eng.prog != nil {
 					eng.prog.noteRetire(t.p, next)
 				}
+				t.mu.Lock()
+				t.ring.retire(next)
+				t.mu.Unlock()
 				t.tokens <- struct{}{}
-				delete(parked, next)
 				next++
 			}
 			t.clock.lap(StageBusyMaint, began)
@@ -969,10 +757,10 @@ func (t *lrppTrainer) startMaintenance() {
 // maybeEmitLocked) — and because no merge of x can land before the
 // snapshot in step 4: a peer computes its x partial from that replica, and
 // our own is deposited in compute(x), after the stage.
-func (t *lrppTrainer) stage(w *lrppWork) {
+func (t *lrppTrainer) stage(rec *iterRec) {
 	eng := t.eng
 	pt := &t.part
-	pl := w.plan
+	pl := rec.plan
 	x := pl.Dec.Iter
 	start := time.Now()
 
@@ -980,65 +768,48 @@ func (t *lrppTrainer) stage(w *lrppWork) {
 	// before pushing any replica: a peer computes a partial for one of our
 	// rows only from the iteration-x replica of it (step 4), so registration
 	// always precedes the first deposit. Registration resolves every owned
-	// row to its slot once; the steps below and compute index the slab
-	// through slots.
+	// row to its slot once and refreshes its TTL; the steps below and
+	// compute index the slab through slots. A slot still live here already
+	// had a TTL ≥ x (its row stayed cached for x), so no earlier merge
+	// landing before step 2 evicts it.
 	t.mu.Lock()
-	slots := t.slotBuf[x%2][:0]
+	slots := rec.slots[:0]
 	for k, id := range pl.Owned {
 		s := pt.slot(id)
 		pt.expect(s, x, rankBits(pl.OwnedUsers[k]))
+		pt.recs[s].ttl = pl.OwnedTTL[k]
 		slots = append(slots, s)
 	}
-	t.slotBuf[x%2] = slots
-	w.slots = slots
-	t.expiring[x] = len(pl.Expiring)
+	rec.slots = slots
+	rec.expiring = len(pl.Expiring)
 	t.mu.Unlock()
 
-	// 2. Insert the prefetched owned rows and refresh TTLs. The partition
-	// adopts the row buffers by reference (they return to the arena at
-	// write-back); the fetch's header slice is dead after the loop, so
-	// recycle it.
+	// 2. Insert the prefetched owned rows. The partition adopts the row
+	// buffers by reference (they return to the arena at write-back); the
+	// fetch's header slice is dead after the loop, so recycle it.
 	mark := time.Now()
-	rows := <-w.rows
+	rows := <-rec.rows
 	waitRows := time.Since(mark)
 	t.mu.Lock()
-	j := 0
+	k := 0
 	for i, id := range pl.Prefetch {
-		for pl.Owned[j] != id { // Prefetch ⊆ Owned, both ascending
-			j++
-		}
+		k = rec.ownedFrom(k, id)
 		if eng.hooks != nil && eng.hooks.OnInsert != nil {
 			eng.hooks.OnInsert(t.p, x, id)
 		}
-		pt.insert(slots[j], rows[i])
+		pt.insert(slots[k], rows[i])
 	}
-	if rows != nil {
-		transport.PutRowSlice(rows)
-	}
-	for k, s := range slots {
-		pt.recs[s].ttl = pl.OwnedTTL[k]
-	}
+	transport.PutRowSlice(rows)
 
 	// 3. Wait until every owned row used this iteration has absorbed all
 	// merges from earlier iterations (the per-row sync horizon).
 	mark = time.Now()
-	for {
-		ready := true
-		for _, s := range slots {
-			if pt.recs[s].merges[0].iter < x {
-				ready = false
-				break
-			}
-		}
-		if ready {
-			break
-		}
-		t.cond.Wait()
+	for slices.ContainsFunc(slots, func(s int32) bool { return pt.recs[s].merges[0].iter < x }) {
+		t.merged.Wait()
 	}
 	waitMerges := time.Since(mark)
 
 	// 4. Snapshot and push replicas to the non-owners reading our rows.
-	outs := make([]transport.ReplicaMsg, len(pl.ReplicaOut))
 	for q, ids := range pl.ReplicaOut {
 		if len(ids) == 0 {
 			continue
@@ -1048,16 +819,14 @@ func (t *lrppTrainer) stage(w *lrppWork) {
 		// reference), which recycles them after consuming the iteration —
 		// so nothing here, including the counters below, may touch the
 		// message after Send.
-		snap := &outs[q]
+		snap := &rec.outs[q]
 		*snap = transport.ReplicaMsg{Iter: x, IDs: transport.GetIDs(len(ids)), Rows: transport.GetRowSlice(len(ids))}
 		copy(snap.IDs, ids)
 		t.arena.GetN(snap.Rows)
-		j := 0
+		k := 0
 		for i, id := range ids {
-			for pl.Owned[j] != id { // ReplicaOut[q] ⊆ Owned, both ascending
-				j++
-			}
-			src := pt.recs[slots[j]].row
+			k = rec.ownedFrom(k, id)
+			src := pt.recs[slots[k]].row
 			if src == nil {
 				panic(fmt.Sprintf("train: trainer %d iter %d: replica id %d missing from partition", t.p, x, id))
 			}
@@ -1065,15 +834,16 @@ func (t *lrppTrainer) stage(w *lrppWork) {
 		}
 	}
 	// The snapshots are taken: compute may gather and deposit from here on.
-	w.staged = true
+	rec.staged = true
 	t.mu.Unlock()
-	t.cond.Broadcast()
+	t.gathered.Signal()
 	for q, ids := range pl.ReplicaOut {
 		if len(ids) == 0 {
 			continue
 		}
 		b := replicaMsgBytes(len(ids), eng.dim)
-		t.ep.Send(q, b, outs[q])
+		t.ep.Send(q, b, rec.outs[q])
+		rec.outs[q] = transport.ReplicaMsg{}
 		eng.countSend(classReplica, b)
 		eng.replicaRows.Add(int64(len(ids)))
 	}
@@ -1088,10 +858,10 @@ func (t *lrppTrainer) stage(w *lrppWork) {
 // stage(x+1), whose replica push then travels under this iteration's dense
 // backward, collective and optimizer step. It charges its time from mark
 // on to the loop stages, one lap each, and returns where the last ended.
-func (t *lrppTrainer) compute(w *lrppWork, mark time.Time) time.Time {
+func (t *lrppTrainer) compute(rec *iterRec, mark time.Time) time.Time {
 	eng := t.eng
 	pt := &t.part
-	pl := w.plan
+	pl := rec.plan
 	d := pl.Dec
 	x := d.Iter
 
@@ -1117,25 +887,18 @@ func (t *lrppTrainer) compute(w *lrppWork, mark time.Time) time.Time {
 	// idx maps each id to its table position; the table aliases partition
 	// and replica rows only until fillEmb copies them.
 	t.mu.Lock()
-	for !w.staged {
-		t.cond.Wait()
+	for !rec.staged {
+		t.gathered.Wait()
 	}
 	mark = t.clock.lap(StageWaitStage, mark)
-	for rankBits(pl.ReplicaFrom)&^t.repFrom[x] != 0 {
-		t.cond.Wait()
+	for rankBits(pl.ReplicaFrom)&^rec.repFrom != 0 {
+		t.gathered.Wait()
 	}
 	mark = t.clock.lap(StageWaitReplicas, mark)
-	slots := w.slots
-	var reps [core.MaxTrainers]transport.ReplicaMsg
+	// Every push this iteration reads has arrived and no other will, so the
+	// record's reps are read below without mu until retirement clears them.
+	slots, reps := rec.slots, rec.reps
 	var cur [core.MaxTrainers]int
-	for o := range eng.P {
-		if rankBits(pl.ReplicaFrom).has(o) {
-			key := x*eng.P + o
-			reps[o] = t.repRows[key]
-			delete(t.repRows, key)
-		}
-	}
-	delete(t.repFrom, x)
 	tab, idx := t.tab[:0], t.idx
 	clear(idx)
 	for k, s := range slots {
@@ -1168,7 +931,7 @@ func (t *lrppTrainer) compute(w *lrppWork, mark time.Time) time.Time {
 	ls.fillEmb(tab, spec.NumCategorical, eng.dim)
 	// fillEmb copied every row, so the replica pushes this trainer adopted
 	// are dead: return each to the pools its sender drew it from.
-	for o, rep := range reps[:eng.P] {
+	for o, rep := range reps {
 		if cur[o] != len(rep.IDs) {
 			panic(fmt.Sprintf("train: trainer %d iter %d: trainer %d pushed %d replica rows, the plan reads %d (oracle consistency violated)", t.p, x, o, len(rep.IDs), cur[o]))
 		}
@@ -1229,10 +992,9 @@ func (t *lrppTrainer) compute(w *lrppWork, mark time.Time) time.Time {
 	}
 	t.arena.PutN(t.spent)
 	t.spent = t.spent[:0]
-	t.routed[x] = true
-	t.maybeEmitLocked(x)
+	rec.routed = true
+	t.maybeEmitLocked(rec)
 	t.mu.Unlock()
-	t.cond.Broadcast()
 	t.flushQ <- fi
 	t.routedCh <- struct{}{}
 	mark = t.clock.lap(StageRoute, mark)
@@ -1318,7 +1080,6 @@ func (t *lrppTrainer) applyReadyLocked(s int32) {
 		g := t.foldBuf
 		t.spent = foldParts(g, im.parts, t.spent)
 		t.rowOpt.UpdateRow(rec.id, rec.row, g)
-		rec.dirty = true
 		if eng.hooks != nil && eng.hooks.OnSyncApply != nil {
 			eng.hooks.OnSyncApply(t.p, iter, rec.id)
 		}
@@ -1332,24 +1093,15 @@ func (t *lrppTrainer) applyReadyLocked(s int32) {
 		if eng.hooks != nil && eng.hooks.OnEvict != nil {
 			eng.hooks.OnEvict(t.p, iter, rec.id)
 		}
-		evs := t.evbatch[iter]
-		if evs == nil {
-			if n := len(t.evFree); n > 0 {
-				evs = t.evFree[n-1][:0]
-				t.evFree[n-1] = nil
-				t.evFree = t.evFree[:n-1]
-			}
-		}
-		t.evbatch[iter] = append(evs, pt.evict(s))
+		it := t.ring.at(iter)
+		it.evs = append(it.evs, pt.evict(s))
+		it.expiring--
 		t.evictedRows++
-		t.expiring[iter]--
-		t.maybeEmitLocked(iter)
+		t.maybeEmitLocked(it)
 		break
 	}
 	if applied {
-		// The merge head moved (or the row left the partition): wake the
-		// trainer loop's merge wait and the teardown drain.
-		t.cond.Broadcast()
+		t.merged.Signal() // the merge head moved: wake the stager's merge wait
 	}
 }
 
@@ -1371,33 +1123,25 @@ func foldParts(g []float32, parts, spent [][]float32) [][]float32 {
 	return spent
 }
 
-// maybeEmitLocked hands iteration iter's eviction batch to maintenance
-// once the trainer loop has routed its partials and the iteration's last
-// merge has evicted. Routing, not the end of the iteration, is the gate:
-// retirement is about embedding write-backs, and after routing the loop
-// touches no embedding state of iter again — the dense backward, collective
-// and optimizer step that may still be running change dense parameters
-// only. The ℒ-window law (prefetch x+ℒ waits for x's write-backs) and the
-// fuzz auditor's four invariants are about those embedding events, so they
-// hold unchanged (FuzzLRPPDifferential is the proof). Caller holds t.mu;
-// the send never blocks (see maintCh's capacity in newLRPPTrainer).
-// Emission deletes routed[iter], so an iteration emits once.
-func (t *lrppTrainer) maybeEmitLocked(iter int) {
-	if !t.routed[iter] || t.expiring[iter] != 0 {
+// maybeEmitLocked marks an iteration emitted, its eviction batch sorted for
+// maintenance, once the trainer loop has routed its partials and its last
+// expiring row has evicted, and wakes maintenance without blocking.
+// Routing, not the end of the iteration, is the gate: retirement is about
+// embedding write-backs, and after routing the loop touches no embedding
+// state of the iteration again — the dense backward, collective and
+// optimizer step that may still be running change dense parameters only.
+// The ℒ-window law (prefetch x+ℒ waits for x's write-backs) and the fuzz
+// auditor's four invariants are about those embedding events, so they hold
+// unchanged (FuzzLRPPDifferential is the proof). Each iteration routes once
+// and its count reaches zero once, so it emits once. Caller holds t.mu.
+func (t *lrppTrainer) maybeEmitLocked(rec *iterRec) {
+	if !rec.routed || rec.expiring != 0 {
 		return
 	}
-	evs := t.evbatch[iter]
-	delete(t.evbatch, iter)
-	delete(t.expiring, iter)
-	delete(t.routed, iter)
-	slices.SortFunc(evs, func(a, b core.Eviction) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
-	t.maintCh <- maintJob{iter: iter, evictions: evs}
+	rec.emitted = true
+	slices.SortFunc(rec.evs, func(a, b core.Eviction) int { return cmp.Compare(a.ID, b.ID) })
+	select {
+	case t.maintPoke <- struct{}{}:
+	default: // a wake-up is already pending, and the walk takes every emitted iteration
+	}
 }

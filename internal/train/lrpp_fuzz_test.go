@@ -162,24 +162,40 @@ func fuzzSpec() *data.Spec {
 	}
 }
 
+// skewStore delays every write-back by d, so the trainer it serves retires
+// late while its peers run a full window ahead.
+type skewStore struct {
+	transport.Store
+	d time.Duration
+}
+
+func (s skewStore) Write(ids []uint64, rows [][]float32) {
+	time.Sleep(s.d)
+	s.Store.Write(ids, rows)
+}
+
 // FuzzLRPPDifferential drives the LRPP engine over fuzzer-chosen trainer
 // counts, lookahead depths, batch shapes, partitioners, sync modes and
 // fabrics — in-process, or simulated server links plus a simulated,
 // reordering trainer mesh with sub-millisecond latencies, where write-backs
-// coalesce and replica pushes race the previous iteration's compute; on
-// every input it (a) audits the consistency invariants through the hook
-// ledger and (b) differentially checks the final embedding state is
-// bit-identical to RunBaseline. The seeded corpus runs in regular `go
-// test` mode, so CI exercises the harness even without -fuzz.
+// coalesce and replica pushes race the previous iteration's compute — and,
+// under skew, trainer 0's write-backs each 1–3 ms late, so the peers' pushes
+// reach it as far ahead of its retirement as the window allows; on every
+// input it (a) audits the consistency invariants through the hook ledger
+// and (b) differentially checks the final embedding state is bit-identical
+// to RunBaseline. The seeded corpus runs in regular `go test` mode, so CI
+// exercises the harness even without -fuzz.
 func FuzzLRPPDifferential(f *testing.F) {
-	f.Add(uint64(42), uint8(1), uint8(4), uint8(6), uint8(8), uint8(0), false, false)
-	f.Add(uint64(7), uint8(2), uint8(0), uint8(3), uint8(6), uint8(1), false, false) // L=1: lag collapses to 0
-	f.Add(uint64(9), uint8(3), uint8(2), uint8(7), uint8(10), uint8(2), true, false) // comm-aware, eager
-	f.Add(uint64(1), uint8(0), uint8(5), uint8(2), uint8(4), uint8(2), false, false) // P=1 degenerate
-	f.Add(uint64(1234), uint8(3), uint8(1), uint8(5), uint8(9), uint8(1), false, false)
-	f.Add(uint64(42), uint8(1), uint8(4), uint8(6), uint8(9), uint8(0), false, true) // simulated fabric
-	f.Add(uint64(5), uint8(2), uint8(3), uint8(4), uint8(9), uint8(1), true, true)
-	f.Fuzz(func(t *testing.T, seed uint64, pSel, lSel, bSel, nSel, partSel uint8, eager, sim bool) {
+	f.Add(uint64(42), uint8(1), uint8(4), uint8(6), uint8(8), uint8(0), false, false, false)
+	f.Add(uint64(7), uint8(2), uint8(0), uint8(3), uint8(6), uint8(1), false, false, false) // L=1: lag collapses to 0
+	f.Add(uint64(9), uint8(3), uint8(2), uint8(7), uint8(10), uint8(2), true, false, false) // comm-aware, eager
+	f.Add(uint64(1), uint8(0), uint8(5), uint8(2), uint8(4), uint8(2), false, false, false) // P=1 degenerate
+	f.Add(uint64(1234), uint8(3), uint8(1), uint8(5), uint8(9), uint8(1), false, false, false)
+	f.Add(uint64(42), uint8(1), uint8(4), uint8(6), uint8(9), uint8(0), false, true, false) // simulated fabric
+	f.Add(uint64(5), uint8(2), uint8(3), uint8(4), uint8(9), uint8(1), true, true, false)
+	f.Add(uint64(3), uint8(1), uint8(0), uint8(4), uint8(9), uint8(0), false, false, true) // skew, P=2 L=1
+	f.Add(uint64(8), uint8(1), uint8(1), uint8(4), uint8(9), uint8(0), true, false, true)  // skew, P=2 L=2, eager
+	f.Fuzz(func(t *testing.T, seed uint64, pSel, lSel, bSel, nSel, partSel uint8, eager, sim, skew bool) {
 		p := 1 + int(pSel)%4
 		cfg := Config{
 			Spec:        fuzzSpec(),
@@ -220,6 +236,9 @@ func FuzzLRPPDifferential(f *testing.F) {
 			}
 			mesh = transport.NewSimMesh(p, lat(3), 50e6)
 		}
+		if skew {
+			trs[0] = skewStore{trs[0], time.Duration(1+seed%3) * time.Millisecond}
+		}
 		res, err := RunLRPP(cfg, trs, mesh)
 		if err != nil {
 			t.Fatalf("lrpp: %v", err)
@@ -228,8 +247,8 @@ func FuzzLRPPDifferential(f *testing.F) {
 
 		if srvBase.Fingerprint() != srvLRPP.Fingerprint() {
 			d := embed.Diff(srvBase, srvLRPP)
-			t.Fatalf("state diverged from baseline at %d ids (first %v) [P=%d L=%d B=%d N=%d part=%d eager=%v sim=%v]",
-				len(d), d[:1], p, cfg.LookAhead, cfg.BatchSize, cfg.NumBatches, partSel%3, eager, sim)
+			t.Fatalf("state diverged from baseline at %d ids (first %v) [P=%d L=%d B=%d N=%d part=%d eager=%v sim=%v skew=%v]",
+				len(d), d[:1], p, cfg.LookAhead, cfg.BatchSize, cfg.NumBatches, partSel%3, eager, sim, skew)
 		}
 		if res.Evicted != res.Prefetched {
 			t.Fatalf("evicted %d != prefetched %d", res.Evicted, res.Prefetched)

@@ -203,10 +203,10 @@ func TestLRPPOverSimulatedFabric(t *testing.T) {
 }
 
 // gateStore holds the first write-back of one trainer until at least
-// queued iterations wait in its maintenance queue (or orderWait passes),
-// and counts the write calls. Only the trainer's maintenance goroutine
-// writes. Emission into the queue fires no hook, so the gate polls the
-// queue's length.
+// queued more iterations have emitted for maintenance (or orderWait
+// passes), and counts the write calls. Only the trainer's maintenance
+// goroutine writes. Emission fires no hook, so the gate polls the ring's
+// emitted records, which include the batch being written until it retires.
 type gateStore struct {
 	transport.Store
 	t      *lrppTrainer
@@ -214,9 +214,23 @@ type gateStore struct {
 	writes int
 }
 
+// emitted counts t's records that have emitted and not yet retired.
+func emitted(t *lrppTrainer) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := 0
+	for i := range t.ring {
+		if t.ring[i].emitted {
+			n++
+		}
+	}
+	return n
+}
+
 func (g *gateStore) Write(ids []uint64, rows [][]float32) {
 	if g.writes == 0 {
-		for deadline := time.Now().Add(orderWait); len(g.t.maintCh) < g.queued && time.Now().Before(deadline); {
+		want := emitted(g.t) + g.queued
+		for deadline := time.Now().Add(orderWait); emitted(g.t) < want && time.Now().Before(deadline); {
 			time.Sleep(time.Millisecond)
 		}
 	}

@@ -1,0 +1,255 @@
+package train
+
+import (
+	"fmt"
+
+	"bagpipe/internal/core"
+	"bagpipe/internal/transport"
+)
+
+// iterRec is one live iteration's state on a trainer, from the first event
+// that names the iteration (its admission, or a peer's replica push that
+// arrives earlier) until its retirement clears it. Its buffers stay with
+// it, so a steady run allocates none of them per iteration.
+type iterRec struct {
+	iter  int // the iteration it holds, or unclaimed
+	plan  *core.Plan
+	rows  chan [][]float32 // the prefetch future, capacity 1
+	slots []int32          // slots[k] is the slot of plan.Owned[k], set by stage
+	// outs[q] is the replica snapshot stage pushes to reader q; the stager
+	// alone touches it, emptying each entry as it sends it.
+	outs    []transport.ReplicaMsg
+	reps    []transport.ReplicaMsg // owner → the replica push received from it
+	repFrom rankBits               // the owners heard from
+	staged  bool                   // stage has snapshotted the replicas: compute may gather
+	routed  bool                   // compute deposited and queued its partials
+	emitted bool                   // routed and every expiring row evicted: maintenance's to write
+	// expiring counts the owned rows still to evict, evs their write-backs.
+	expiring int
+	evs      []core.Eviction
+}
+
+// unclaimed tags a record no live iteration holds.
+const unclaimed = -1
+
+// iterRing holds a trainer's live iterations, iteration x at x mod N, with
+// N = ℒ+2. Records clear at retirement, before the iteration's lookahead
+// token returns, so with r the oldest unretired iteration:
+//
+//   - the dispatcher admits at most x = r+ℒ−1 (it holds one of ℒ tokens);
+//   - a peer pushes a replica for y only from its stage(y), which needs its
+//     collective round y−2, which needs this trainer's compute(y−2), so
+//     y−2 was admitted and y ≤ r+ℒ+1.
+//
+// Live iterations lie in [r, r+ℒ+1], ℒ+2 apart at most, so no two share a
+// record. With trainer 0's write-backs delayed, pushes were measured
+// arriving ℒ ahead of r: ℒ+1 records is the observed floor, ℒ+2 the bound.
+// Sync flushes are not filed here: a peer's deferred partial for x may land
+// after x retired (x waits only for its expiring rows' merges), so the
+// receiver resolves them through partition.slotOf.
+type iterRing []iterRec
+
+func newIterRing(L, P int) iterRing {
+	r := make(iterRing, L+2)
+	for i := range r {
+		r[i] = iterRec{iter: unclaimed, rows: make(chan [][]float32, 1), outs: make([]transport.ReplicaMsg, P), reps: make([]transport.ReplicaMsg, P)}
+	}
+	return r
+}
+
+// at returns iteration x's record, claiming it when unclaimed. A record still
+// holding another iteration is a broken window bound, never overwritten.
+func (r iterRing) at(x int) *iterRec {
+	rec := &r[x%len(r)]
+	switch rec.iter {
+	case x:
+	case unclaimed:
+		rec.iter = x
+	default:
+		panic(fmt.Sprintf("train: iteration %d needs ring record %d, still held by live iteration %d (%d records)", x, x%len(r), rec.iter, len(r)))
+	}
+	return rec
+}
+
+// emitted reports whether iteration x is live and emitted.
+func (r iterRing) emitted(x int) bool {
+	rec := &r[x%len(r)]
+	return rec.iter == x && rec.emitted
+}
+
+// retire clears iteration x's record for reuse, keeping its buffers. The
+// fields are reset one by one: the stager may still be sending x's outs.
+func (r iterRing) retire(x int) {
+	rec := r.at(x)
+	clear(rec.reps)
+	clear(rec.evs)
+	rec.iter, rec.plan = unclaimed, nil
+	rec.slots, rec.evs = rec.slots[:0], rec.evs[:0]
+	rec.repFrom, rec.expiring = 0, 0
+	rec.staged, rec.routed, rec.emitted = false, false, false
+}
+
+// ownedFrom returns the index of id in the record's plan.Owned, searching
+// from k. The Prefetch and ReplicaOut lists are ascending subsequences of
+// Owned, so passing the previous result resolves a whole list in one pass.
+func (rec *iterRec) ownedFrom(k int, id uint64) int {
+	owned := rec.plan.Owned
+	for k < len(owned) && owned[k] < id {
+		k++
+	}
+	if k == len(owned) || owned[k] != id {
+		panic(fmt.Sprintf("train: iteration %d: id %d is not among its owned ids", rec.iter, id))
+	}
+	return k
+}
+
+// rankBits is a trainer-set bitmask. Trainer counts are capped at
+// core.MaxTrainers (Config.validate enforces it), which lets the per-(id,
+// iteration) contributor bookkeeping and the per-iteration replica-arrival
+// set live in one machine word each instead of a map allocated per merge.
+type rankBits uint64
+
+func (b *rankBits) set(r int) { *b |= 1 << uint(r) }
+
+// clearBit drops rank r's bit and reports whether it was set.
+func (b *rankBits) clearBit(r int) bool {
+	was := *b&(1<<uint(r)) != 0
+	*b &^= 1 << uint(r)
+	return was
+}
+
+// slotRec is the owner's one record per row of its partition, from the
+// iteration that first registers the row (before its prefetch lands) until
+// the row's eviction.
+type slotRec struct {
+	id  uint64
+	row []float32 // nil until the prefetched row is inserted
+	ttl int
+	// merges are the row's pending per-iteration merges. Registration
+	// appends them in iteration order and they apply strictly in that
+	// order, so the row replays the exact update sequence the baseline
+	// produces. Entries past len keep their parts tables for the next
+	// registration, and the array stays with the slot when it is recycled.
+	merges []iterMerge
+}
+
+// iterMerge holds one (row, iteration)'s partials, one slot per rank, until
+// every expected trainer has reported (expect, the ranks still owing one,
+// is empty).
+type iterMerge struct {
+	iter   int
+	expect rankBits
+	parts  [][]float32 // rank → arena-backed partial; nil until deposited
+}
+
+// partition is an owner's cache partition: a slab of slot records, one per
+// row it is responsible for. Slots are private to the trainer — allocated
+// at a row's registration, recycled at its eviction, so the slab is bounded
+// by the partition's peak occupancy — and the id → slot map is consulted
+// once per row per registration and once per received remote partial;
+// every other step of an iteration indexes the slab through the slots its
+// registration recorded. It is not synchronized (the trainer's mu guards
+// it), and records and their merges are reused in place, so the steady
+// state allocates nothing.
+type partition struct {
+	ranks    int
+	slotOf   map[uint64]int32
+	recs     []slotRec
+	free     []int32
+	resident int // rows inserted and not yet evicted
+	peak     int
+}
+
+func newPartition(ranks int) partition {
+	return partition{ranks: ranks, slotOf: make(map[uint64]int32)}
+}
+
+// slot returns id's record, allocating one when the id has none.
+func (pt *partition) slot(id uint64) int32 {
+	if s, ok := pt.slotOf[id]; ok {
+		return s
+	}
+	var s int32
+	if n := len(pt.free); n > 0 {
+		s = pt.free[n-1]
+		pt.free = pt.free[:n-1]
+	} else {
+		s = int32(len(pt.recs))
+		pt.recs = append(pt.recs, slotRec{})
+	}
+	pt.recs[s].id = id
+	pt.slotOf[id] = s
+	return s
+}
+
+// expect registers iteration iter's merge on slot s, awaiting one partial
+// from every rank in users.
+func (pt *partition) expect(s int32, iter int, users rankBits) {
+	rec := &pt.recs[s]
+	n := len(rec.merges)
+	if n < cap(rec.merges) {
+		rec.merges = rec.merges[:n+1]
+	} else {
+		rec.merges = append(rec.merges, iterMerge{})
+	}
+	im := &rec.merges[n]
+	if im.parts == nil {
+		im.parts = make([][]float32, pt.ranks)
+	}
+	im.iter, im.expect = iter, users
+}
+
+// merge returns slot s's pending merge for iteration iter, nil if none.
+// The pointer is valid until the slot's next expect or pop.
+func (pt *partition) merge(s int32, iter int) *iterMerge {
+	m := pt.recs[s].merges
+	for i := range m {
+		if m[i].iter == iter {
+			return &m[i]
+		}
+	}
+	return nil
+}
+
+// ready returns slot s's oldest pending merge once every expected partial
+// has arrived, nil otherwise. The pointer is valid until the slot's next
+// expect or pop.
+func (pt *partition) ready(s int32) *iterMerge {
+	if m := pt.recs[s].merges; len(m) > 0 && m[0].expect == 0 {
+		return &m[0]
+	}
+	return nil
+}
+
+// pop retires slot s's oldest merge, whose partials the fold has already
+// returned to the arena: the others move up, and its emptied parts table
+// moves past the end for the next registration to reuse.
+func (pt *partition) pop(s int32) {
+	rec := &pt.recs[s]
+	m := rec.merges
+	head := m[0].parts
+	copy(m, m[1:])
+	m[len(m)-1] = iterMerge{parts: head}
+	rec.merges = m[:len(m)-1]
+}
+
+// insert adopts row as slot s's resident value.
+func (pt *partition) insert(s int32, row []float32) {
+	rec := &pt.recs[s]
+	rec.row = row
+	pt.resident++
+	if pt.resident > pt.peak {
+		pt.peak = pt.resident
+	}
+}
+
+// evict frees slot s and hands its row over for write-back.
+func (pt *partition) evict(s int32) core.Eviction {
+	rec := &pt.recs[s]
+	ev := core.Eviction{ID: rec.id, Row: rec.row}
+	delete(pt.slotOf, rec.id)
+	rec.row = nil
+	pt.free = append(pt.free, s)
+	pt.resident--
+	return ev
+}

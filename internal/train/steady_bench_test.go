@@ -107,7 +107,6 @@ func (w *steadyWorker) step(iter int) {
 		}
 		w.spent = foldParts(w.fold, im.parts, w.spent)
 		w.opt.UpdateRow(id, rec.row, w.fold)
-		rec.dirty = true
 		w.part.pop(s)
 	}
 	w.arena.PutN(w.spent)
