@@ -97,8 +97,15 @@ type GroupScratch struct {
 // GroupByOwner is the scratch-reusing form of the package-level
 // GroupByOwner; see that function for the grouping contract.
 func (g *GroupScratch) GroupByOwner(ids []uint64, n int) (pos []int, bounds []int) {
+	return g.GroupByKey(ids, n, func(id uint64) int { return int(id % uint64(n)) })
+}
+
+// GroupByKey is GroupByOwner with each id's partition named by key, which
+// must map into [0, n): the sharded tier groups a pass by its routing
+// table's read rings and write pairs this way.
+func (g *GroupScratch) GroupByKey(ids []uint64, n int, key func(uint64) int) (pos []int, bounds []int) {
 	if n <= 0 {
-		panic(fmt.Sprintf("core: GroupByOwner with %d partitions", n))
+		panic(fmt.Sprintf("core: grouping into %d partitions", n))
 	}
 	if cap(g.owner) < len(ids) {
 		g.owner = make([]int32, len(ids))
@@ -113,7 +120,7 @@ func (g *GroupScratch) GroupByOwner(ids []uint64, n int) (pos []int, bounds []in
 		counts[o] = 0
 	}
 	for i, id := range ids {
-		o := int32(id % uint64(n))
+		o := int32(key(id))
 		owner[i] = o
 		counts[o+1]++
 	}

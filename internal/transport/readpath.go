@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -82,91 +81,28 @@ func (t *ShardedStore) ReadFetch(ids []uint64, pol ReadPolicy) ([][]float32, err
 	return out, nil
 }
 
-// readFetchOnce runs one read pass under the routing install barrier. A
-// stale-routing fence outranks a replica failure: the failure may be an
-// artifact of routing by the wrong table, so the caller adopts and
-// reissues before believing it.
+// readFetchOnce runs one read pass under the routing install barrier,
+// reporting the stale-routing fence that aborted it or else the first
+// partition failure (see scatter for which outranks which).
 func (t *ShardedStore) readFetchOnce(sc *shardScratch, ids []uint64, out [][]float32, pol ReadPolicy) (*StaleRoutingError, error) {
 	t.installMu.RLock()
 	defer t.installMu.RUnlock()
 	rt := t.routing.Load()
-	if !rt.Settled() {
-		return t.readResharding(rt, ids, out, pol)
-	}
-	S := rt.NewS
-	pos, bounds := sc.group.GroupByOwner(ids, S)
-	var (
-		stale    *StaleRoutingError
-		firstErr error
-	)
-	record := func(se *StaleRoutingError, err error) {
-		if se != nil && stale == nil {
-			stale = se
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if t.serialScatter(bounds, S) {
-		for part := 0; part < S; part++ {
-			if bounds[part] != bounds[part+1] {
-				record(t.readPartition(sc, part, S, ids, pos, bounds, out, pol))
-			}
-		}
-	} else {
-		var mu sync.Mutex
-		t.forEachPartition(bounds, S, func(part int) {
-			se, err := t.readPartition(sc, part, S, ids, pos, bounds, out, pol)
-			mu.Lock()
-			record(se, err)
-			mu.Unlock()
-		})
-	}
-	if stale != nil {
-		return stale, nil
-	}
-	return nil, firstErr
+	sc.begin(rt, ids, rt.readKeys(), rt.readKey)
+	sc.out, sc.pol = out, pol
+	return t.scatter(sc, (*ShardedStore).readBucket)
 }
 
-// readResharding serves a read while a reshard is in flight: ids group by
-// their current read ring (old-space until a partition's reads cut over),
-// exactly like fetchResharding. Serial and allocating; the settled path is
-// untouched.
-func (t *ShardedStore) readResharding(rt *RoutingTable, ids []uint64, out [][]float32, pol ReadPolicy) (*StaleRoutingError, error) {
-	for rg, idxs := range groupByRing(rt, ids) {
-		sub := make([]uint64, len(idxs))
-		for j, i := range idxs {
-			sub[j] = ids[i]
-		}
-		rows, se, err := t.readRingSub(rg.base, rg.width, sub, pol)
-		if se != nil || err != nil {
-			return se, err
-		}
-		for j, i := range idxs {
-			out[i] = rows[j]
-		}
-		PutRowSlice(rows)
-	}
-	return nil, nil
-}
-
-// readPartition issues one partition's read sub-batch down its replica
-// ring and gathers the rows into the request-order result.
-func (t *ShardedStore) readPartition(sc *shardScratch, part, S int, ids []uint64, pos, bounds []int, out [][]float32, pol ReadPolicy) (*StaleRoutingError, error) {
-	run := pos[bounds[part]:bounds[part+1]]
-	sub := sc.sub[part][:0]
-	for _, p := range run {
-		sub = append(sub, ids[p])
-	}
-	sc.sub[part] = sub
-	rows, se, err := t.readRingSub(part, S, sub, pol)
+// readBucket reads bucket k's sub-batch down its replica ring and gathers
+// the rows into the request-order result.
+func (t *ShardedStore) readBucket(sc *shardScratch, k int) (*StaleRoutingError, error) {
+	run, sub := sc.subBatch(k)
+	base, width := sc.rt.readRing(k)
+	rows, se, err := t.readRingSub(base, width, sub, sc.pol)
 	if se != nil || err != nil {
 		return se, err
 	}
-	for i, p := range run {
-		out[p] = rows[i]
-	}
-	PutRowSlice(rows)
+	sc.gather(run, rows)
 	return nil, nil
 }
 

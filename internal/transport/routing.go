@@ -85,17 +85,46 @@ func (rt *RoutingTable) MaxServer() int {
 	return rt.NewS
 }
 
-// readRing returns the replica ring (base, width) currently serving reads
-// for id: the new-space ring once id's new partition cut over, the
-// old-space ring otherwise.
-func (rt *RoutingTable) readRing(id uint64) (base, width int) {
-	if rt.Settled() {
-		return int(id % uint64(rt.NewS)), rt.NewS
+// A data op's pass groups its ids into buckets by the installed table once
+// (see ShardedStore.scatter). A read bucket names the ring serving the id's
+// reads: its old-space base q in [0, OldS), or OldS+p′ once its new-space
+// partition p′ cut over — plain id % S when settled. A write bucket is the
+// (old partition q, new partition p′) pair, numbered q·NewS+p′: the write
+// lands on q's ring, and on p′'s ring too while p′ dual-writes.
+
+// readKeys is the number of read buckets.
+func (rt *RoutingTable) readKeys() int { return rt.OldS + rt.NewS }
+
+// readKey returns id's read bucket.
+func (rt *RoutingTable) readKey(id uint64) int {
+	if rt.State != nil {
+		if pn := int(id % uint64(rt.NewS)); rt.State[pn] == PartMoved {
+			return rt.OldS + pn
+		}
 	}
-	if pn := int(id % uint64(rt.NewS)); rt.State[pn] == PartMoved {
-		return pn, rt.NewS
+	return int(id % uint64(rt.OldS))
+}
+
+// readRing returns read bucket k's replica ring (base, width).
+func (rt *RoutingTable) readRing(k int) (base, width int) {
+	if k < rt.OldS {
+		return k, rt.OldS
 	}
-	return int(id % uint64(rt.OldS)), rt.OldS
+	return k - rt.OldS, rt.NewS
+}
+
+// writeKeys is the number of write buckets.
+func (rt *RoutingTable) writeKeys() int { return rt.OldS * rt.NewS }
+
+// writeKey returns id's write bucket.
+func (rt *RoutingTable) writeKey(id uint64) int {
+	return int(id%uint64(rt.OldS))*rt.NewS + int(id%uint64(rt.NewS))
+}
+
+// dualWrite reports whether writes to new-space partition pn also fan to
+// its new ring: a reshard is in flight and pn's dual window is open.
+func (rt *RoutingTable) dualWrite(pn int) bool {
+	return rt.State != nil && rt.State[pn] != PartPending
 }
 
 // validate rejects structurally corrupt tables (a wire decode gone wrong).

@@ -222,3 +222,64 @@ func checkRead(t *testing.T, op string, c routingCase, ids []uint64, want, got [
 		}
 	}
 }
+
+// TestTierScatterAllocFree pins the tier client's scatter allocation-free
+// in both routing states: a warmed Fetch, Write or ReadFetch over instant
+// children touches no allocator, settled or mid-reshard with new
+// partitions in each of Moved, Dual and Pending.
+func TestTierScatterAllocFree(t *testing.T) {
+	tables := []struct {
+		name string
+		rt   *RoutingTable
+	}{
+		{"settled", nil},
+		{"resharding", &RoutingTable{Epoch: 1, OldS: 2, NewS: 3, State: []PartState{PartMoved, PartDual, PartPending}}},
+	}
+	for _, tc := range tables {
+		t.Run(tc.name, func(t *testing.T) {
+			children := make([]Store, 4)
+			for s, srv := range testTier(4) {
+				children[s] = NewSimNet(srv, 0, 0)
+			}
+			st := NewTier(children, TierOptions{Replicate: 2, InitialServers: 2})
+			if tc.rt != nil {
+				if err := st.PushRouting(tc.rt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ids := make([]uint64, 64)
+			rows := make([][]float32, len(ids))
+			for i := range ids {
+				ids[i] = uint64(i * 5)
+				rows[i] = []float32{float32(i), 1, 2, 3}
+			}
+			ops := []struct {
+				name string
+				run  func()
+			}{
+				{"Fetch", func() {
+					out := st.Fetch(ids)
+					Rows(st.Dim()).PutN(out)
+					PutRowSlice(out)
+				}},
+				{"Write", func() { st.Write(ids, rows) }},
+				{"ReadFetch", func() {
+					out, err := st.ReadFetch(ids, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					Rows(st.Dim()).PutN(out)
+					PutRowSlice(out)
+				}},
+			}
+			for _, op := range ops {
+				for i := 0; i < 10; i++ {
+					op.run()
+				}
+				if avg := testing.AllocsPerRun(100, op.run); avg != 0 {
+					t.Errorf("%s: %.1f allocs/op, want 0", op.name, avg)
+				}
+			}
+		})
+	}
+}

@@ -37,12 +37,12 @@ type Store interface {
 	Name() string
 
 	// Fingerprint returns the tier's state certificate: the wrapping sum of
-	// every backend server's embed.Server.Fingerprint (per-partition
-	// fingerprints from the first live holder when the tier replicates, so
-	// replicated rows are counted once). The combine is order-independent
-	// and the partitions are disjoint, so an S-server tier fingerprints
-	// identically to the equivalent S=1 server — distributed verification
-	// needs S cheap RPCs, not checkpoints.
+	// per-partition fingerprints, each from the partition's first live
+	// holder, so replicated rows are counted once (a single server is its
+	// own one partition). The combine is order-independent and the
+	// partitions are disjoint, so an S-server tier fingerprints identically
+	// to the equivalent S=1 server — distributed verification needs S cheap
+	// RPCs, not checkpoints.
 	Fingerprint() uint64
 	// Checkpoint returns the serialized state of every *live* backend
 	// server, in server order; embed.RestoreTier (or, for a tier that lost
@@ -301,8 +301,8 @@ type ShardedStore struct {
 	causes  []error // guarded by stateMu
 
 	// partLocks serializes anti-entropy transfer rounds against the write
-	// fan-out, per partition: writePartition holds the read side, a resync
-	// round holds the write side around its export→transfer→verify
+	// fan-out, per (old-space) partition: writeBucket holds the read side, a
+	// resync round holds the write side around its export→transfer→verify
 	// sequence, so a snapshot can never be overwritten by a write that
 	// raced between export and apply.
 	partLocks []sync.RWMutex
@@ -423,24 +423,75 @@ func (t *ShardedStore) attempt(s, tries int, op func(Link) error) error {
 // the read-path and quorum visibility predicate.
 func (t *ShardedStore) down(s int) bool { return t.state[s].Load() != srvLive }
 
-// allLiveIn reports whether every server of the width-w routed set is live.
-func (t *ShardedStore) allLiveIn(w int) bool {
-	for s := 0; s < w; s++ {
-		if t.state[s].Load() != srvLive {
-			return false
-		}
-	}
-	return true
-}
-
-// shardScratch is one concurrent caller's reusable scatter state.
+// shardScratch is one concurrent caller's reusable scatter state: the
+// grouping arrays, the pass in flight, and the sub-batch buffers laid out
+// in bucket order — bucket k's sub-batch is the window [bounds[k],
+// bounds[k+1]) of sub (and, for a write, of subRows).
 type shardScratch struct {
 	group   core.GroupScratch
-	sub     [][]uint64
-	subRows [][][]float32
+	sub     []uint64
+	subRows [][]float32
+	pass
 }
 
-// getScratch pops (or creates) a scatter scratch sized for this tier.
+// pass is one data op's scatter under one routing table: its ids grouped
+// into the table's buckets (bucket k's request positions are
+// pos[bounds[k]:bounds[k+1]]), and the inputs and result its per-bucket
+// function reads and fills. It lives in the pooled scratch, not on the
+// stack, because the concurrent scatter shares it with its goroutines.
+type pass struct {
+	rt          *RoutingTable
+	write       bool
+	ids         []uint64
+	rows        [][]float32 // Write's rows
+	out         [][]float32 // Fetch's and ReadFetch's request-order result
+	pol         ReadPolicy
+	pos, bounds []int
+}
+
+// begin opens a pass over ids under rt, bucketed by key into n buckets.
+// key is a method value of rt that GroupByKey only calls, so it stays on
+// the stack.
+func (sc *shardScratch) begin(rt *RoutingTable, ids []uint64, n int, key func(uint64) int) {
+	sc.rt, sc.ids = rt, ids
+	sc.pos, sc.bounds = sc.group.GroupByKey(ids, n, key)
+	if len(sc.sub) < len(ids) {
+		sc.sub = make([]uint64, len(ids))
+		sc.subRows = make([][]float32, len(ids))
+	}
+}
+
+// subBatch copies bucket k's ids into its sub-batch window, returning the
+// request positions and the sub-batch.
+func (sc *shardScratch) subBatch(k int) (run []int, sub []uint64) {
+	lo, hi := sc.bounds[k], sc.bounds[k+1]
+	run, sub = sc.pos[lo:hi], sc.sub[lo:hi:hi]
+	for i, p := range run {
+		sub[i] = sc.ids[p]
+	}
+	return run, sub
+}
+
+// gather moves a bucket's fetched rows into the request-order result and
+// recycles the child's result header.
+func (sc *shardScratch) gather(run []int, rows [][]float32) {
+	for i, p := range run {
+		sc.out[p] = rows[i]
+	}
+	PutRowSlice(rows)
+}
+
+// partOf names bucket k's partition, the attribution a ShardPanic carries:
+// a read bucket's ring base, a write bucket's old partition.
+func (sc *shardScratch) partOf(k int) int {
+	if sc.write {
+		return k / sc.rt.NewS
+	}
+	base, _ := sc.rt.readRing(k)
+	return base
+}
+
+// getScratch pops (or creates) a scatter scratch.
 func (t *ShardedStore) getScratch() *shardScratch {
 	t.scratchMu.Lock()
 	defer t.scratchMu.Unlock()
@@ -450,17 +501,16 @@ func (t *ShardedStore) getScratch() *shardScratch {
 		t.scratch = t.scratch[:n-1]
 		return sc
 	}
-	return &shardScratch{
-		sub:     make([][]uint64, t.capacity),
-		subRows: make([][][]float32, t.capacity),
-	}
+	return &shardScratch{}
 }
 
-// putScratch returns a scratch to the pool. Fetch/Write call it via defer,
-// so the sub-batch buffers come back even when a child's RPC panics
-// mid-gather (forEachPartition re-raises child panics on the calling
-// goroutine) — a failed shard call must not leak the pooled buffers.
+// putScratch returns a scratch to the pool, dropping the finished pass's
+// references to the caller's buffers. Fetch/Write/ReadFetch call it via
+// defer, so the scratch comes back even when a child's RPC panics
+// mid-gather (scatter re-raises child panics on the calling goroutine) — a
+// failed shard call must not leak the pooled buffers.
 func (t *ShardedStore) putScratch(sc *shardScratch) {
+	sc.pass = pass{}
 	t.scratchMu.Lock()
 	t.scratch = append(t.scratch, sc)
 	t.scratchMu.Unlock()
@@ -755,84 +805,113 @@ func (t *ShardedStore) lost(e *TierError) {
 	panic(e)
 }
 
-// serialScatter reports whether a scatter over bounds should run inline on
-// the calling goroutine: instant (in-process) children never block on a
-// link, so there is nothing to overlap, and a single active partition has no
-// fan-out to do. Fetch/Write check this *before* building the per-partition
-// closure forEachPartition needs — the closure escapes into goroutines and
-// would heap-allocate once per call, the exact per-batch cost the pooled
-// scatter exists to avoid on the hot in-process path.
-func (t *ShardedStore) serialScatter(bounds []int, width int) bool {
-	if t.instantChildren {
-		return true
-	}
+// bucketFunc serves bucket k of the pass in sc, reporting a stale-routing
+// fence or (ReadFetch only) an attributed failure. The scatter takes it as a
+// method expression, never a closure: the inline scatter must not allocate.
+type bucketFunc func(t *ShardedStore, sc *shardScratch, k int) (*StaleRoutingError, error)
+
+// scatter runs bucket for every non-empty bucket of the pass in sc and
+// reports the first stale-routing fence — which outranks a failure, since
+// the failure may be an artifact of routing by the wrong table — or else
+// the first error. Instant (in-process) children never block on a link, so
+// there is nothing to overlap, and a single active bucket has no fan-out to
+// do: both run inline on the calling goroutine. Otherwise each bucket gets
+// a goroutine — sub-batches wait on their server's link, not on CPU, so
+// overlapping them is what makes an S-server tier S links wide instead of
+// one link S times as long (each backend is its own NIC in the paper's
+// trainer-node/server-node topology).
+func (t *ShardedStore) scatter(sc *shardScratch, bucket bucketFunc) (*StaleRoutingError, error) {
+	bounds := sc.bounds
 	active := 0
-	for s := 0; s < width; s++ {
-		if bounds[s] != bounds[s+1] {
+	for k := 0; k+1 < len(bounds); k++ {
+		if bounds[k] != bounds[k+1] {
 			active++
 		}
 	}
-	return active <= 1
+	if !t.instantChildren && active > 1 {
+		return t.scatterConcurrent(sc, bucket)
+	}
+	var firstErr error
+	for k := 0; k+1 < len(bounds); k++ {
+		if bounds[k] == bounds[k+1] {
+			continue
+		}
+		se, err := bucket(t, sc, k)
+		if se != nil {
+			return se, nil
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	return nil, firstErr
 }
 
-// forEachPartition runs fn for every partition with a non-empty run in
-// bounds, concurrently. Sub-batches wait on their server's link, not on
-// CPU, so overlapping them is what makes an S-server tier S links wide
-// instead of one link S times as long (each backend is its own NIC in the
-// paper's trainer-node/server-node topology); serial scatters take the
-// inline loops in Fetch/Write instead (see serialScatter). A panic in a
+// scatterConcurrent is scatter's goroutine fan-out, kept apart so that the
+// variables its goroutines share escape only when it runs. A panic in a
 // child RPC is wrapped in a ShardPanic — originating partition plus the
 // goroutine's stack, captured at recover time — and re-raised on the
 // calling goroutine once every in-flight sub-batch finishes, so the
 // caller's defers (scratch return, result-buffer recycling) still run and
 // the crash stays attributable to a server.
-func (t *ShardedStore) forEachPartition(bounds []int, width int, fn func(part int)) {
+func (t *ShardedStore) scatterConcurrent(sc *shardScratch, bucket bucketFunc) (*StaleRoutingError, error) {
 	var (
 		wg       sync.WaitGroup
-		panicMu  sync.Mutex
+		mu       sync.Mutex
+		stale    *StaleRoutingError
+		firstErr error
 		panicked *ShardPanic
 	)
-	for part := 0; part < width; part++ {
-		if bounds[part] == bounds[part+1] {
+	for k := 0; k+1 < len(sc.bounds); k++ {
+		if sc.bounds[k] == sc.bounds[k+1] {
 			continue
 		}
 		wg.Add(1)
-		go func(part int) {
+		go func(k int) {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
 					sp, ok := p.(*ShardPanic)
 					if !ok {
-						sp = &ShardPanic{Server: part, Value: p, Stack: debug.Stack()}
+						sp = &ShardPanic{Server: sc.partOf(k), Value: p, Stack: debug.Stack()}
 					}
-					panicMu.Lock()
+					mu.Lock()
 					if panicked == nil {
 						panicked = sp
 					}
-					panicMu.Unlock()
+					mu.Unlock()
 				}
 			}()
-			fn(part)
-		}(part)
+			se, err := bucket(t, sc, k)
+			mu.Lock()
+			if stale == nil {
+				stale = se
+			}
+			if firstErr == nil {
+				firstErr = err
+			}
+			mu.Unlock()
+		}(k)
 	}
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)
 	}
+	return stale, firstErr
 }
 
-// Fetch implements Store: one sub-batch per owning partition, issued
-// concurrently, rows delivered in request order no matter which order the
-// servers reply in. The scatter buffers are pooled and returned via defer —
-// including when a shard's RPC panics mid-gather, in which case the result
-// header and every row already gathered into it go back to their pools too
-// (each failover exercise would otherwise leak pool capacity).
+// Fetch implements Store: one sub-batch per read ring, issued concurrently,
+// rows delivered in request order no matter which order the servers reply
+// in. The scatter buffers are pooled and returned via defer — including
+// when a shard's RPC panics mid-gather, in which case the result header and
+// every row already gathered into it go back to their pools too (each
+// failover exercise would otherwise leak pool capacity).
 //
 // The whole op runs under the routing install barrier (installMu read
 // side); a server rejecting a sub-batch as stale-routed aborts the op,
 // which adopts the newer table outside the barrier and reissues — rows
 // gathered by the aborted pass are recycled first (PutN skips the nils of
-// partitions that never delivered).
+// buckets that never delivered).
 func (t *ShardedStore) Fetch(ids []uint64) [][]float32 {
 	sc := t.getScratch()
 	defer t.putScratch(sc)
@@ -868,131 +947,38 @@ func (t *ShardedStore) fetchOnce(sc *shardScratch, ids []uint64, out [][]float32
 	t.installMu.RLock()
 	defer t.installMu.RUnlock()
 	rt := t.routing.Load()
-	if rt.Settled() {
-		return t.fetchSettled(sc, rt.NewS, ids, out)
-	}
-	return t.fetchResharding(rt, ids, out)
-}
-
-// fetchSettled is the scatter over a settled width-S routing — the
-// allocation-free hot path every pre-reshard (and post-reshard) batch
-// takes.
-func (t *ShardedStore) fetchSettled(sc *shardScratch, width int, ids []uint64, out [][]float32) *StaleRoutingError {
-	pos, bounds := sc.group.GroupByOwner(ids, width)
-	if t.serialScatter(bounds, width) {
-		for part := 0; part < width; part++ {
-			if bounds[part] != bounds[part+1] {
-				if se := t.fetchPartition(sc, part, width, ids, pos, bounds, out); se != nil {
-					return se
-				}
-			}
-		}
-		return nil
-	}
-	var (
-		staleMu sync.Mutex
-		stale   *StaleRoutingError
-	)
-	t.forEachPartition(bounds, width, func(part int) {
-		if se := t.fetchPartition(sc, part, width, ids, pos, bounds, out); se != nil {
-			staleMu.Lock()
-			if stale == nil {
-				stale = se
-			}
-			staleMu.Unlock()
-		}
-	})
+	sc.begin(rt, ids, rt.readKeys(), rt.readKey)
+	sc.out = out
+	stale, _ := t.scatter(sc, (*ShardedStore).fetchBucket)
 	return stale
 }
 
-// fetchResharding serves a fetch while a reshard is in flight: ids group by
-// their *current read ring* — old-space for pending/dual partitions,
-// new-space once a partition's reads cut over — instead of by a single
-// width. Runs serially and allocates; mid-reshard batches are the rare
-// case, and the settled path is untouched.
-func (t *ShardedStore) fetchResharding(rt *RoutingTable, ids []uint64, out [][]float32) *StaleRoutingError {
-	for rg, idxs := range groupByRing(rt, ids) {
-		sub := make([]uint64, len(idxs))
-		for j, i := range idxs {
-			sub[j] = ids[i]
-		}
-		for {
-			s := t.routeIn(rg.base, rg.width)
-			if s < 0 {
-				t.lost(&TierError{Op: "fetch", Partition: rg.base, Server: (rg.base + t.replicate - 1) % rg.width, Replicate: t.replicate})
-			}
-			rows, err := t.tryFetch(s, sub)
-			if se := asStaleRouting(err); se != nil {
-				se.Server = s
-				return se
-			}
-			if err != nil {
-				continue // s is dead now; route to the next live replica
-			}
-			if s != rg.base {
-				t.failovers.Add(1)
-			}
-			for j, i := range idxs {
-				out[i] = rows[j]
-			}
-			PutRowSlice(rows)
-			break
-		}
-	}
-	return nil
-}
-
-// ring identifies one replica ring: a base server in a width-wide partition
-// space.
-type ring struct{ base, width int }
-
-// groupByRing buckets ids by the replica ring their reads currently route
-// to under rt.
-func groupByRing(rt *RoutingTable, ids []uint64) map[ring][]int {
-	groups := make(map[ring][]int)
-	for i, id := range ids {
-		base, width := rt.readRing(id)
-		key := ring{base, width}
-		groups[key] = append(groups[key], i)
-	}
-	return groups
-}
-
-// fetchPartition issues one partition's fetch sub-batch — to its primary
-// server, failing over along the replica ring as servers die — and gathers
-// the rows into the request-order result. A stale-routing rejection aborts
-// the sub-batch for the caller to re-route; it is a fence, not a failure,
-// so it never counts against the server.
-func (t *ShardedStore) fetchPartition(sc *shardScratch, part, width int, ids []uint64, pos, bounds []int, out [][]float32) *StaleRoutingError {
-	run := pos[bounds[part]:bounds[part+1]]
-	sub := sc.sub[part][:0]
-	for _, p := range run {
-		sub = append(sub, ids[p])
-	}
-	sc.sub[part] = sub
+// fetchBucket issues read bucket k's sub-batch — to the first live server
+// of its ring, failing over along the ring as servers die — and gathers the
+// rows into the request-order result. A stale-routing rejection aborts the
+// sub-batch for the caller to re-route; it is a fence, not a failure, so it
+// never counts against the server.
+func (t *ShardedStore) fetchBucket(sc *shardScratch, k int) (*StaleRoutingError, error) {
+	run, sub := sc.subBatch(k)
+	base, width := sc.rt.readRing(k)
 	for {
-		s := t.routeIn(part, width)
+		s := t.routeIn(base, width)
 		if s < 0 {
-			t.lost(&TierError{Op: "fetch", Partition: part, Server: (part + t.replicate - 1) % width, Replicate: t.replicate})
+			t.lost(&TierError{Op: "fetch", Partition: base, Server: (base + t.replicate - 1) % width, Replicate: t.replicate})
 		}
 		rows, err := t.tryFetch(s, sub)
 		if se := asStaleRouting(err); se != nil {
 			se.Server = s
-			return se
+			return se, nil
 		}
 		if err != nil {
 			continue // s is dead now; route to the next live replica
 		}
-		if s != part {
+		if s != base {
 			t.failovers.Add(1)
 		}
-		for i, p := range run {
-			out[p] = rows[i]
-		}
-		// The child's result header is dead now that its rows moved into
-		// out; recycle it.
-		PutRowSlice(rows)
-		return nil
+		sc.gather(run, rows)
+		return nil, nil
 	}
 }
 
@@ -1007,35 +993,24 @@ func (t *ShardedStore) tryFetch(s int, sub []uint64) (rows [][]float32, err erro
 }
 
 // Write implements Store: the scatter half of Fetch, one concurrent
-// sub-batch of (id, row) pairs per owning partition, written to every live
-// server of the partition's replica set. It returns once every live replica
-// acked its sub-batch — the write-durability contract the ℒ-window
-// retirement depends on becomes "acked by all live replicas", which is what
-// keeps a post-failover read (served by a replica) bit-identical to the
-// read the dead primary would have served.
+// sub-batch of (id, row) pairs per (old partition, new partition) bucket,
+// written to every live server of the old partition's replica set — and,
+// mid-reshard, to the new partition's ring while its dual window is open.
+// It returns once every live replica acked its sub-batch — the
+// write-durability contract the ℒ-window retirement depends on becomes
+// "acked by all live replicas", which is what keeps a post-failover read
+// (served by a replica) bit-identical to the read the dead primary would
+// have served.
 func (t *ShardedStore) Write(ids []uint64, rows [][]float32) {
 	if len(ids) != len(rows) {
 		panic("transport: Write ids/rows length mismatch")
 	}
 	sc := t.getScratch()
 	defer t.putScratch(sc)
-	completed := false
-	defer func() {
-		if completed {
-			return
-		}
-		// A replica write panicked mid-scatter: drop the caller's row
-		// references parked in the pooled sub-batch buffers, or the scratch
-		// pins them until its next use.
-		for i := range sc.subRows {
-			s := sc.subRows[i]
-			clear(s[:cap(s)])
-		}
-	}()
 	for attempt := 0; ; attempt++ {
 		stale := t.writeOnce(sc, ids, rows)
 		if stale == nil {
-			break
+			return
 		}
 		// A reissue after adopting rewrites sub-batches that already
 		// landed; writes are idempotent (Set overwrites with the same
@@ -1045,7 +1020,6 @@ func (t *ShardedStore) Write(ids []uint64, rows [][]float32) {
 		}
 		t.adoptRouting(stale)
 	}
-	completed = true
 }
 
 // writeOnce runs one write pass under the routing install barrier (see
@@ -1054,104 +1028,60 @@ func (t *ShardedStore) writeOnce(sc *shardScratch, ids []uint64, rows [][]float3
 	t.installMu.RLock()
 	defer t.installMu.RUnlock()
 	rt := t.routing.Load()
-	if rt.Settled() {
-		return t.writeSettled(sc, rt.NewS, ids, rows)
-	}
-	return t.writeResharding(rt, ids, rows)
-}
-
-// writeSettled is the scatter over a settled width-S routing — the
-// allocation-free write hot path.
-func (t *ShardedStore) writeSettled(sc *shardScratch, width int, ids []uint64, rows [][]float32) *StaleRoutingError {
-	pos, bounds := sc.group.GroupByOwner(ids, width)
-	if t.serialScatter(bounds, width) {
-		for part := 0; part < width; part++ {
-			if bounds[part] != bounds[part+1] {
-				if se := t.writePartition(sc, part, width, ids, pos, bounds, rows); se != nil {
-					return se
-				}
-			}
-		}
-		return nil
-	}
-	var (
-		staleMu sync.Mutex
-		stale   *StaleRoutingError
-	)
-	t.forEachPartition(bounds, width, func(part int) {
-		if se := t.writePartition(sc, part, width, ids, pos, bounds, rows); se != nil {
-			staleMu.Lock()
-			if stale == nil {
-				stale = se
-			}
-			staleMu.Unlock()
-		}
-	})
+	sc.begin(rt, ids, rt.writeKeys(), rt.writeKey)
+	sc.write, sc.rows = true, rows
+	stale, _ := t.scatter(sc, (*ShardedStore).writeBucket)
 	return stale
 }
 
-// writeResharding fans a write out while a reshard is in flight. Ids group
-// by (old partition, new partition) pair: every group's old-space owner
-// ring takes the write exactly as a settled write would (it remains the
-// authoritative copy until the tier settles), and once the new partition's
-// dual-write window is open the group is also written to the new-space
-// ring members that aren't already covered by the old ring. Serial and
-// allocating, like fetchResharding.
-func (t *ShardedStore) writeResharding(rt *RoutingTable, ids []uint64, rows [][]float32) *StaleRoutingError {
-	groups := make(map[int][]int)
-	for i, id := range ids {
-		q := int(id % uint64(rt.OldS))
-		pn := int(id % uint64(rt.NewS))
-		groups[q*rt.NewS+pn] = append(groups[q*rt.NewS+pn], i)
-	}
-	for key, idxs := range groups {
-		q, pn := key/rt.NewS, key%rt.NewS
-		sub := make([]uint64, len(idxs))
-		subRows := make([][]float32, len(idxs))
-		for j, i := range idxs {
-			sub[j], subRows[j] = ids[i], rows[i]
-		}
-		if se := t.writeGroupResharding(rt, q, pn, sub, subRows); se != nil {
-			return se
-		}
-	}
-	return nil
-}
-
-// writeGroupResharding writes one (old partition q, new partition pn) group:
-// the old ring under q's resync lock with full ack accounting, then — when
-// pn's dual-write window is open — a best-effort single-attempt write to
-// each new-ring member not already in the old ring. Best-effort is enough
+// writeBucket writes bucket k, the ids of old partition q and new partition
+// pn, to every live server of q's replica ring: the authoritative copy until
+// the tier settles. Dead replicas are skipped (their state is recovered
+// from the survivors at merge time); a resyncing replica gets the write
+// *forwarded* — applied so no update is lost during the anti-entropy
+// window, but not counted toward the ack quorum; a failing live replica is
+// declared dead and does not fail the write as long as at least one live
+// replica acked. q's resync lock is held shared for the whole fan-out (and
+// released via defer, so the lost() panic path cannot leak it): a transfer
+// round's export→apply→verify cannot interleave with a half-applied write.
+//
+// While pn's dual window is open the bucket also goes, single-attempt, to
+// each live member of pn's new ring outside q's ring. Best-effort is enough
 // for the dual leg: a member that misses the write (marked dead here) is
 // either re-streamed or abandoned by the coordinator, and the migration
 // verify rounds compare digests before any read ever routes to it.
-func (t *ShardedStore) writeGroupResharding(rt *RoutingTable, q, pn int, sub []uint64, subRows [][]float32) *StaleRoutingError {
-	oldDepth, newDepth := t.replicate, t.replicate
-	if oldDepth > rt.OldS {
-		oldDepth = rt.OldS
+func (t *ShardedStore) writeBucket(sc *shardScratch, k int) (*StaleRoutingError, error) {
+	rt := sc.rt
+	q, pn := k/rt.NewS, k%rt.NewS
+	run, sub := sc.subBatch(k)
+	subRows := sc.subRows[sc.bounds[k]:sc.bounds[k+1]]
+	for i, p := range run {
+		subRows[i] = sc.rows[p]
 	}
-	if newDepth > rt.NewS {
-		newDepth = rt.NewS
-	}
+	// Drop the row references so the pooled scratch doesn't pin the
+	// caller's buffers until the next write; deferred so the stale-abort
+	// and lost-panic exits clear too.
+	defer clear(subRows)
 	lk := &t.partLocks[q]
 	lk.RLock()
 	defer lk.RUnlock()
+	depth := min(t.replicate, rt.OldS)
 	acked, lastSrv := 0, q
 	var lastErr error
-	for k := 0; k < oldDepth; k++ {
-		s := (q + k) % rt.OldS
+	for j := 0; j < depth; j++ {
+		s := (q + j) % rt.OldS
 		switch t.state[s].Load() {
 		case srvDead:
 			lastSrv = s
 		case srvResync:
 			if se := t.forwardWrite(s, sub, subRows); se != nil {
-				return se
+				return se, nil
 			}
 		default: // srvLive
 			if err := t.tryWrite(s, sub, subRows); err != nil {
 				if se := asStaleRouting(err); se != nil {
 					se.Server = s
-					return se
+					return se, nil
 				}
 				lastSrv, lastErr = s, err
 				continue
@@ -1162,87 +1092,21 @@ func (t *ShardedStore) writeGroupResharding(rt *RoutingTable, q, pn int, sub []u
 	if acked == 0 {
 		t.lost(&TierError{Op: "write", Partition: q, Server: lastSrv, Replicate: t.replicate, Cause: lastErr})
 	}
-	if rt.State[pn] == PartPending {
-		return nil
+	if !rt.dualWrite(pn) {
+		return nil, nil
 	}
-	for k := 0; k < newDepth; k++ {
-		s := (pn + k) % rt.NewS
-		inOld := false
-		for j := 0; j < oldDepth; j++ {
-			if s == (q+j)%rt.OldS {
-				inOld = true
-				break
-			}
-		}
+	for j := 0; j < min(t.replicate, rt.NewS); j++ {
+		s := (pn + j) % rt.NewS
+		inOld := s < rt.OldS && (s-q+rt.OldS)%rt.OldS < depth
 		if inOld || t.state[s].Load() != srvLive {
 			continue
 		}
-		if err := t.tryWriteOnce(s, sub, subRows); err != nil {
-			if se := asStaleRouting(err); se != nil {
-				se.Server = s
-				return se
-			}
+		if se := asStaleRouting(t.tryWriteOnce(s, sub, subRows)); se != nil {
+			se.Server = s
+			return se, nil
 		}
 	}
-	return nil
-}
-
-// writePartition issues one partition's write sub-batch to every live
-// server of its replica set. Dead replicas are skipped (their state is
-// recovered from the survivors at merge time); a resyncing replica gets the
-// write *forwarded* — applied so no update is lost during the anti-entropy
-// window, but not counted toward the ack quorum; a failing live replica is
-// declared dead and does not fail the write as long as at least one live
-// replica acked. The partition's resync lock is held shared for the whole
-// fan-out (and released via defer, so the lost() panic path cannot leak
-// it): a transfer round's export→apply→verify cannot interleave with a
-// half-applied write.
-func (t *ShardedStore) writePartition(sc *shardScratch, part, width int, ids []uint64, pos, bounds []int, rows [][]float32) *StaleRoutingError {
-	run := pos[bounds[part]:bounds[part+1]]
-	sub, subRows := sc.sub[part][:0], sc.subRows[part][:0]
-	for _, p := range run {
-		sub = append(sub, ids[p])
-		subRows = append(subRows, rows[p])
-	}
-	sc.sub[part], sc.subRows[part] = sub, subRows
-	lk := &t.partLocks[part]
-	lk.RLock()
-	defer lk.RUnlock()
-	// Drop the row references so the pooled scratch doesn't pin the
-	// caller's buffers until the next write; deferred so the stale-abort
-	// returns clear too.
-	defer clear(subRows)
-	depth := t.replicate
-	if depth > width {
-		depth = width
-	}
-	acked, lastSrv := 0, part
-	var lastErr error
-	for k := 0; k < depth; k++ {
-		s := (part + k) % width
-		switch t.state[s].Load() {
-		case srvDead:
-			lastSrv = s
-		case srvResync:
-			if se := t.forwardWrite(s, sub, subRows); se != nil {
-				return se
-			}
-		default: // srvLive
-			if err := t.tryWrite(s, sub, subRows); err != nil {
-				if se := asStaleRouting(err); se != nil {
-					se.Server = s
-					return se
-				}
-				lastSrv, lastErr = s, err
-				continue
-			}
-			acked++
-		}
-	}
-	if acked == 0 {
-		t.lost(&TierError{Op: "write", Partition: part, Server: lastSrv, Replicate: t.replicate, Cause: lastErr})
-	}
-	return nil
+	return nil, nil
 }
 
 // tryWrite is tryFetch's write-side twin.
@@ -1307,45 +1171,22 @@ func (t *ShardedStore) ServerStats() []Stats {
 	return out
 }
 
-// Fingerprint implements Store: the order-independent combine of the
-// per-server certificates (see Store.Fingerprint for why a wrapping sum of
-// disjoint partitions equals the merged state's fingerprint). The
-// per-server RPCs fan out concurrently — the call completes when the
-// slowest server answers, which keeps it an honest one-round-trip probe
-// (the driver's -auto-lookahead pings time it to size the ℒ window). A
-// replicated (or bereaved) tier sums partition-scoped fingerprints from
-// each partition's first live holder instead, so replicated rows are
-// counted exactly once and dead servers not at all.
+// Fingerprint implements Store: the wrapping sum of per-partition
+// certificates, each taken from the partition's first live holder, so
+// replicated rows are counted exactly once, dead servers not at all, and
+// rows a server holds outside its partitions (the streamed-in copies a
+// migration parks on its targets, or a shed the settle cleanup skipped)
+// never — FingerprintPart(p, W) filters to exactly p's id set. The
+// per-partition RPCs fan out concurrently: the call completes when the
+// slowest holder answers, which keeps it an honest one-round-trip probe
+// (the driver's -auto-lookahead pings time it to size the ℒ window).
 // Mid-reshard the certificate is taken in the *old* partition space
 // (RoutingTable.Width): dual writes keep it complete there until the
-// settle, and the per-partition path is immune to the streamed-in alien
-// rows a migration parks on its targets (FingerprintPart(p, W) filters to
-// exactly p's id set). The whole-server fast path is gated on a settled
-// table for the same reason: mid-shrink an old server holds rows of
-// partitions it doesn't own in the old space, and summing whole servers
-// would count them twice.
+// settle.
 func (t *ShardedStore) Fingerprint() uint64 {
 	t.installMu.RLock()
 	defer t.installMu.RUnlock()
-	rt := t.routing.Load()
-	W := rt.Width()
-	if rt.Settled() && t.replicate == 1 && t.allLiveIn(W) {
-		fps := make([]uint64, W)
-		var wg sync.WaitGroup
-		for s := 0; s < W; s++ {
-			wg.Add(1)
-			go func(s int, c Store) {
-				defer wg.Done()
-				fps[s] = c.Fingerprint()
-			}(s, t.child(s))
-		}
-		wg.Wait()
-		var sum uint64
-		for _, fp := range fps {
-			sum += fp
-		}
-		return sum
-	}
+	W := t.routing.Load().Width()
 	fps := make([]uint64, W)
 	var wg sync.WaitGroup
 	for p := 0; p < W; p++ {

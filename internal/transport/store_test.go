@@ -318,7 +318,7 @@ func TestShardedStoreOverServeEmbed(t *testing.T) {
 
 // panicStore is a shard whose data path is down; inst selects whether the
 // tier sees it as an in-process (serial scatter) or remote (goroutine
-// fan-out) child, so both forEachServer paths get exercised.
+// fan-out) child, so both scatter paths get exercised.
 type panicStore struct {
 	Link
 	inst bool
@@ -586,5 +586,30 @@ func TestStoreFailoverUnreplicatedFailsLoudly(t *testing.T) {
 		if rows := st.Fetch([]uint64{0, 2, 4}); len(rows) != 3 {
 			t.Fatalf("inst=%v: healthy-partition fetch returned %d rows", inst, len(rows))
 		}
+	}
+}
+
+// TestFingerprintIgnoresUnownedRows pins the tier certificate to the rows
+// each partition's holders own: a stale copy of id 1 left on server 0 (a
+// shed the settle cleanup skipped) must not move the fingerprint, at R=1
+// — where server 0 is outside id 1's ring — as at R=2.
+func TestFingerprintIgnoresUnownedRows(t *testing.T) {
+	for _, R := range []int{1, 2} {
+		t.Run(fmt.Sprintf("R%d", R), func(t *testing.T) {
+			tier := testTier(2)
+			st := NewTier([]Store{NewInProcess(tier[0]), NewInProcess(tier[1])}, TierOptions{Replicate: R})
+			ref := NewInProcess(embed.NewServer(3, 4, 11, 0.1))
+			ids := []uint64{0, 1, 2, 3, 4, 5}
+			rows := make([][]float32, len(ids))
+			for i := range rows {
+				rows[i] = []float32{float32(i), 1, 2, 3}
+			}
+			st.Write(ids, rows)
+			ref.Write(ids, rows)
+			tier[0].Write([]uint64{1}, [][]float32{{9, 9, 9, 9}})
+			if got, want := st.Fingerprint(), ref.Fingerprint(); got != want {
+				t.Fatalf("fingerprint %016x counts server 0's unowned copy of id 1; reference %016x", got, want)
+			}
+		})
 	}
 }
