@@ -337,7 +337,7 @@ type ShardedStore struct {
 	reviveSubs []func(server int)
 
 	// scratchMu guards a pool of scatter scratches (grouping arrays plus
-	// per-partition sub-batch buffers). Pooled rather than per-store because
+	// sub-batch buffers, see shardScratch). Pooled rather than per-store because
 	// several trainer goroutines issue concurrent fetches through one tier
 	// client.
 	scratchMu sync.Mutex
