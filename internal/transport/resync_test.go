@@ -222,6 +222,95 @@ func TestRejoinUnderConcurrentWriters(t *testing.T) {
 	}
 }
 
+// gatedLink holds its next TryWrite, once armed, until the test releases
+// it: a write the tier has routed but the server has not yet applied.
+type gatedLink struct {
+	Link
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (g *gatedLink) TryWrite(ids []uint64, rows [][]float32) error {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.release
+	}
+	return g.Link.TryWrite(ids, rows)
+}
+
+// TestRejoinWaitsOutInFlightWrite pins the rejoin's flip barrier: a write
+// that skipped the dead server and is still in flight to its replica peer
+// when the rejoin starts must land before any transfer round snapshots the
+// peer — otherwise the rejoiner certifies without it and never receives
+// it.
+func TestRejoinWaitsOutInFlightWrite(t *testing.T) {
+	const S, R = 3, 2
+	tier := testTier(S)
+	faults := make([]*FaultStore, S)
+	children := make([]Store, S)
+	for i, srv := range tier {
+		faults[i] = NewFaultStore(NewInProcess(srv), i)
+		children[i] = faults[i]
+	}
+	gate := &gatedLink{Link: faults[2], entered: make(chan struct{}), release: make(chan struct{})}
+	children[2] = gate
+	st := NewTier(children, TierOptions{Replicate: R, Retries: 1, Backoff: time.Millisecond, Jitter: zeroJitter})
+	ref := embed.NewServer(3, 4, 11, 0.1)
+	refStore := NewInProcess(ref)
+
+	stamp := float32(0)
+	step := func(ids []uint64) {
+		stamp++
+		rows, refRows := st.Fetch(ids), refStore.Fetch(ids)
+		for i := range rows {
+			rows[i][0], refRows[i][0] = stamp, stamp
+		}
+		st.Write(ids, rows)
+		refStore.Write(ids, refRows)
+	}
+	ids := make([]uint64, 30)
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	step(ids)
+	faults[1].SetDown(true)
+	step(ids) // condemns server 1
+	if dead := st.DeadServers(); len(dead) != 1 || dead[0] != 1 {
+		t.Fatalf("DeadServers() = %v, want [1]", dead)
+	}
+
+	// id 4 is in partition 1 (ring 1, 2): the write skips dead server 1 and
+	// blocks on server 2.
+	gate.armed.Store(true)
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		step([]uint64{4})
+	}()
+	<-gate.entered
+
+	fresh := freshServer()
+	rejoined := make(chan error, 1)
+	go func() { rejoined <- st.Rejoin(1, NewFaultStore(NewInProcess(fresh), 1), RejoinOptions{}) }()
+	var err error
+	select {
+	case <-time.After(200 * time.Millisecond):
+		close(gate.release)
+		err = <-rejoined
+	case err = <-rejoined:
+		close(gate.release)
+	}
+	<-wrote
+	if err != nil {
+		t.Fatalf("rejoin: %v", err)
+	}
+	for _, p := range rejoinerParts(1, S, R) {
+		if got, want := fresh.FingerprintPart(p, S), ref.FingerprintPart(p, S); got != want {
+			t.Fatalf("rejoined server partition %d fingerprint %x != reference %x", p, got, want)
+		}
+	}
+}
+
 // TestRejoinMidResyncFailure is the attributed-failure leg: the rejoiner
 // dies again mid-transfer. The rejoin surfaces an op-"resync" *TierError
 // naming the server, re-marks it dead — no half-live state — and the tier
