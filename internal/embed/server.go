@@ -449,7 +449,7 @@ func MergeTierReplicated(tier []*Server, replicate int, dead []bool) (*Server, e
 	} else if len(dead) != S {
 		return nil, fmt.Errorf("embed: dead set lists %d servers for a %d-server tier", len(dead), S)
 	}
-	firstLive := -1
+	lead := -1
 	for s := range tier {
 		if dead[s] {
 			continue
@@ -457,14 +457,14 @@ func MergeTierReplicated(tier []*Server, replicate int, dead []bool) (*Server, e
 		if tier[s] == nil {
 			return nil, fmt.Errorf("embed: live tier server %d has no state", s)
 		}
-		if firstLive < 0 {
-			firstLive = s
+		if lead < 0 {
+			lead = s
 		}
 	}
-	if firstLive < 0 {
+	if lead < 0 {
 		return nil, fmt.Errorf("embed: every server of the %d-server tier is dead", S)
 	}
-	first := tier[firstLive]
+	first := tier[lead]
 	if S == 1 {
 		return first, nil
 	}
@@ -479,7 +479,7 @@ func MergeTierReplicated(tier []*Server, replicate int, dead []bool) (*Server, e
 			continue
 		}
 		if srv.Dim != first.Dim {
-			return nil, fmt.Errorf("embed: tier server %d has dim %d, server %d has dim %d", s, srv.Dim, firstLive, first.Dim)
+			return nil, fmt.Errorf("embed: tier server %d has dim %d, server %d has dim %d", s, srv.Dim, lead, first.Dim)
 		}
 		for _, id := range srv.MaterializedIDs() {
 			owner := core.OwnerOf(id, S)

@@ -5,9 +5,9 @@
 // of recommendation training: the working set grows and shrinks with the
 // workload, not with the trainer fleet. A tier that can only change width
 // by checkpoint-restart turns every capacity change into downtime. This
-// package removes that restriction using machinery the tier already has —
-// the per-partition export/recovery/fingerprint primitives built for dead-
-// server rejoin — re-aimed at ownership movement instead of replica repair.
+// package removes that restriction using machinery the tier already has:
+// transport.CopyPart, the partition transfer a dead-server rejoin runs at
+// unchanged width, aimed here at the intersections of two widths.
 //
 // The algorithm, per new-space partition p′ (0 ≤ p′ < S′):
 //
@@ -20,15 +20,16 @@
 //     is airtight, not probabilistic.
 //  2. Stream p′'s rows to each new-ring member that does not already hold
 //     them: for every old partition q that intersects p′ (q ≡ p′ mod
-//     gcd(S, S′) — CRT; all other pairs are empty), export the (q ∩ p′)
-//     intersection from a live old-ring replica and recovery-write it to
-//     the target. Recovery writes pass the freshness filter opened before
-//     the first dual epoch: a row the dual fan already refreshed is
-//     skipped, so the stream can never clobber a newer live write.
-//  3. Verify: digest the same intersection on source and target and
-//     compare. A mismatch (a write raced between the two probes) retries
-//     the round after a backoff; rounds repeat until the digests agree or
-//     the round budget is spent.
+//     gcd(S, S′) — CRT; all other pairs are empty), CopyPart exports the
+//     (q ∩ p′) intersection from a live old-ring replica and
+//     recovery-writes it to the target. Recovery writes pass the freshness
+//     filter opened before the first dual epoch: a row the dual fan already
+//     refreshed is skipped, so the stream can never clobber a newer live
+//     write.
+//  3. Verify: CopyPart digests the same intersection on source and target
+//     and compares. A mismatch (a write raced between the two probes)
+//     retries the round after a backoff; rounds repeat until the digests
+//     agree or the round budget is spent.
 //  4. Cut over: push p′ as PartMoved. Reads flip to the new ring; writes
 //     keep fanning to both rings, which is what keeps abort safe — the old
 //     space stays complete until the final settle.
@@ -42,6 +43,7 @@
 package reshard
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -53,14 +55,10 @@ type Options struct {
 	// To is the target tier width (required; 1 ≤ To ≤ tier capacity,
 	// To ≠ current width, To ≥ replication factor).
 	To int
-	// BatchRows bounds each recovery-write RPC (default 512).
-	BatchRows int
-	// MaxRounds bounds the export→stream→verify rounds per (old partition,
-	// target) pair before the migration aborts (default 64).
-	MaxRounds int
-	// RoundBackoff is the pause between verify rounds, giving racing dual
-	// writes time to land on both sides (default 25ms).
-	RoundBackoff time.Duration
+	// TransferOptions tunes each (old partition, target) pair's
+	// export→stream→verify rounds; MaxRounds and RoundBackoff also pace a
+	// grow's spare admission.
+	transport.TransferOptions
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
 }
@@ -77,15 +75,7 @@ type Report struct {
 }
 
 func (o *Options) defaults() {
-	if o.BatchRows <= 0 {
-		o.BatchRows = 512
-	}
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 64
-	}
-	if o.RoundBackoff <= 0 {
-		o.RoundBackoff = 25 * time.Millisecond
-	}
+	o.TransferOptions = o.TransferOptions.WithDefaults()
 	if o.Log == nil {
 		o.Log = func(string, ...any) {}
 	}
@@ -97,36 +87,6 @@ func gcd(a, b int) int {
 		a, b = b, a%b
 	}
 	return a
-}
-
-// inRing reports whether server s is in the replicate-deep replica ring of
-// partition base in a width-wide split.
-func inRing(s, base, width, replicate int) bool {
-	depth := replicate
-	if depth > width {
-		depth = width
-	}
-	for k := 0; k < depth; k++ {
-		if (base+k)%width == s {
-			return true
-		}
-	}
-	return false
-}
-
-// firstLive returns the first live member of partition base's ring in a
-// width-wide split, or -1 when every replica is down.
-func firstLive(t *transport.ShardedStore, base, width, replicate int) int {
-	depth := replicate
-	if depth > width {
-		depth = width
-	}
-	for k := 0; k < depth; k++ {
-		if s := (base + k) % width; t.LiveServer(s) {
-			return s
-		}
-	}
-	return -1
 }
 
 // Run migrates t from its current width to opts.To and blocks until the
@@ -266,13 +226,16 @@ func Run(t *transport.ShardedStore, opts Options) (*Report, error) {
 			}
 			ok := true
 			for q := pn % g; q < S; q += g {
-				if inRing(dst, q, S, R) {
+				if dst < S && (dst-q+S)%S < min(R, S) {
 					continue // dst is an old-ring replica of q: already authoritative
 				}
-				if err := migratePair(t, &opts, rep, q, S, pn, To, dst); err != nil {
+				n, b, err := t.CopyPart(dst, q, S, pn, To, opts.TransferOptions, false)
+				rep.Rows += n
+				rep.Bytes += b
+				if err != nil {
 					opts.Log("reshard: partition %d: target %d failed (old part %d): %v", pn, dst, q, err)
 					ok, lastErr = false, err
-					if noSource(err) {
+					if errors.Is(err, transport.ErrNoSource) {
 						return abort(pn, err) // every source replica dead: the data is gone
 					}
 					break
@@ -320,57 +283,4 @@ func Run(t *transport.ShardedStore, opts Options) (*Report, error) {
 	rep.Epochs = int(epoch - start.Epoch)
 	opts.Log("reshard: settled at width %d (%d epochs, %d rows, %d bytes streamed)", To, rep.Epochs, rep.Rows, rep.Bytes)
 	return rep, nil
-}
-
-// errNoSource marks the unrecoverable failure: every replica of an old
-// partition is dead, so its rows cannot be streamed anywhere.
-type errNoSource struct{ q int }
-
-func (e *errNoSource) Error() string {
-	return fmt.Sprintf("reshard: no live replica of old partition %d to stream from", e.q)
-}
-
-func noSource(err error) bool {
-	_, ok := err.(*errNoSource)
-	return ok
-}
-
-// migratePair streams the (q-of-S ∩ pn-of-To) intersection to dst and
-// verifies it digest-identical against a live source, retrying rounds on
-// the budget. Source failures rotate to the next live old-ring replica;
-// a dst failure is terminal for dst (it was condemned by the stream).
-func migratePair(t *transport.ShardedStore, opts *Options, rep *Report, q, S, pn, To, dst int) error {
-	for round := 0; round < opts.MaxRounds; round++ {
-		if round > 0 {
-			time.Sleep(opts.RoundBackoff)
-		}
-		src := firstLive(t, q, S, t.Replicate())
-		if src < 0 {
-			return &errNoSource{q: q}
-		}
-		ids, rows, err := t.ExportPartInFrom(src, q, S, pn, To)
-		if err != nil {
-			continue // src condemned; next round rotates to the next replica
-		}
-		n, b, err := t.RecoveryWriteTo(dst, ids, rows, opts.BatchRows)
-		rep.Rows += n
-		rep.Bytes += b
-		if err != nil {
-			return err
-		}
-		want, err := t.FingerprintPartInOn(src, q, S, pn, To)
-		if err != nil {
-			continue
-		}
-		got, err := t.FingerprintPartInOn(dst, q, S, pn, To)
-		if err != nil {
-			return err
-		}
-		if want == got {
-			return nil
-		}
-		// A live dual write raced between the probes; back off and re-run.
-	}
-	return fmt.Errorf("reshard: partition (%d of %d ∩ %d of %d) on server %d never verified after %d rounds",
-		q, S, pn, To, dst, opts.MaxRounds)
 }

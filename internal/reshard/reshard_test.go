@@ -40,7 +40,7 @@ func newTestTier(capacity, S, R int) (*transport.ShardedStore, []*transport.Faul
 
 // fastOpts keeps migration rounds snappy in tests.
 func fastOpts(to int) Options {
-	return Options{To: to, RoundBackoff: time.Millisecond}
+	return Options{To: to, TransferOptions: transport.TransferOptions{RoundBackoff: time.Millisecond}}
 }
 
 // TestReshardGrowShrink is the core conformance matrix: the tier migrates
@@ -96,6 +96,12 @@ func TestReshardGrowShrink(t *testing.T) {
 			h := st.TierHealth()
 			if h.RoutingEpoch == 0 || h.ReshardParts != int64(tc.To) {
 				t.Fatalf("TierHealth epoch %d parts %d, want epoch > 0, parts %d", h.RoutingEpoch, h.ReshardParts, tc.To)
+			}
+			if h.ReshardRows != int64(rep.Rows) || h.ReshardBytes != rep.Bytes {
+				t.Fatalf("TierHealth reshard rows/bytes %d/%d != report %d/%d", h.ReshardRows, h.ReshardBytes, rep.Rows, rep.Bytes)
+			}
+			if tc.To > tc.S && (rep.Rows == 0 || rep.Bytes == 0) {
+				t.Fatalf("grow %d->%d streamed %d rows, %d bytes: want both > 0", tc.S, tc.To, rep.Rows, rep.Bytes)
 			}
 
 			// Live traffic keeps certifying after the cutover...

@@ -195,7 +195,7 @@ func TestLRPPServerRejoinMidTraining(t *testing.T) {
 				return nil, fmt.Errorf("train rejoin test: server %d is not the victim", s)
 			}
 			return transport.NewInProcess(fresh), nil
-		}, transport.RejoinOptions{RoundBackoff: 2 * time.Millisecond}, nil)
+		}, transport.RejoinOptions{TransferOptions: transport.TransferOptions{RoundBackoff: 2 * time.Millisecond}}, nil)
 	}
 
 	res, err := RunLRPP(cfg, trs, nil)

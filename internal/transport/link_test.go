@@ -44,16 +44,12 @@ func TestDeadSlotPrimitivesReturnErrors(t *testing.T) {
 	st := NewTier([]Store{NewInProcess(tier[0]), nil}, TierOptions{Dead: []bool{false, true}})
 	ops := map[string]func() error{
 		"BeginRecoveryOn": func() error { return st.BeginRecoveryOn(1) },
-		"ExportPartInFrom": func() error {
-			_, _, err := st.ExportPartInFrom(1, 1, 2, 0, 1)
+		"CopyPart": func() error {
+			_, _, err := st.CopyPart(1, 1, 2, 0, 1, TransferOptions{}, false)
 			return err
 		},
-		"RecoveryWriteTo": func() error {
-			_, _, err := st.RecoveryWriteTo(1, []uint64{1}, [][]float32{make([]float32, st.Dim())}, 0)
-			return err
-		},
-		"FingerprintPartInOn": func() error {
-			_, err := st.FingerprintPartInOn(1, 1, 2, 0, 1)
+		"CopyPart verify-only": func() error {
+			_, _, err := st.CopyPart(1, 1, 2, 0, 1, TransferOptions{}, true)
 			return err
 		},
 		"RetainOwnedOn": func() error {

@@ -256,58 +256,6 @@ func (t *ShardedStore) BeginRecoveryOn(s int) error {
 	return l.TryBeginRecovery()
 }
 
-// ExportPartInFrom snapshots the (part-of-of ∩ within-of-withinOf)
-// intersection from server src: the migration's per-round source read. One
-// attempt — a failed source is condemned (fenced) and the round retries
-// from the next live holder.
-func (t *ShardedStore) ExportPartInFrom(src, part, of, within, withinOf int) (ids []uint64, rows [][]float32, err error) {
-	err = t.attempt(src, 1, func(l Link) (err error) {
-		ids, rows, err = l.TryExportPartIn(part, of, within, withinOf)
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return ids, rows, nil
-}
-
-// RecoveryWriteTo streams rows to server dst in batch-row recovery writes
-// (dst's freshness filter drops rows live dual writes already refreshed),
-// returning the rows and payload bytes actually sent — which also feed the
-// tier's ReshardRows/ReshardBytes counters. A mid-stream failure condemns
-// dst (fenced) and returns what landed.
-func (t *ShardedStore) RecoveryWriteTo(dst int, ids []uint64, rows [][]float32, batch int) (int, int64, error) {
-	if batch <= 0 {
-		batch = 512
-	}
-	sent, bytes := 0, int64(0)
-	err := t.attempt(dst, 1, func(l Link) error {
-		for off := 0; off < len(ids); off += batch {
-			end := min(off+batch, len(ids))
-			if err := l.TryWriteRecovery(ids[off:end], rows[off:end]); err != nil {
-				return err
-			}
-			sent += end - off
-			bytes += payloadBytes(end-off, t.dim)
-		}
-		return nil
-	})
-	t.reshardRows.Add(int64(sent))
-	t.reshardBytes.Add(bytes)
-	return sent, bytes, err
-}
-
-// FingerprintPartInOn digests the (part ∩ within) intersection on server
-// s: the migration's per-round verify probe. One attempt, unfenced by
-// routing (the epochs are the coordinator's own).
-func (t *ShardedStore) FingerprintPartInOn(s, part, of, within, withinOf int) (fp uint64, err error) {
-	err = t.attempt(s, 1, func(l Link) (err error) {
-		fp, err = l.TryFingerprintPartIn(part, of, within, withinOf)
-		return err
-	})
-	return fp, err
-}
-
 // RetainOwnedOn asks server s to shed every row outside its
 // replicate-deep replica set of an of-way split — the settle-time cleanup
 // that restores the invariant that a server materializes only rows it can

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -12,39 +13,32 @@ import (
 // The tier's per-server state machine is dead → resync → live. BeginRejoin
 // installs a freshly dialed connection under a new *generation* (incarnation
 // fence: outcomes of RPCs issued against the old connection can no longer
-// condemn the server), and flips the server to resync — from that moment
-// every write to one of its partitions is applied to the surviving replicas
-// *and* forwarded to the rejoiner, so no update is lost during recovery.
-// CompleteRejoin then runs the anti-entropy transfer: partition by
-// partition, a snapshot is exported from the partition's first live holder,
-// streamed to the rejoiner (whose server-side recovery mode skips rows the
-// forwarded live stream already refreshed), and certified by comparing
-// embed.FingerprintPart digests between source and rejoiner. Only when every
-// partition of the rejoiner's replica set verifies does markLive re-admit it
-// to the write quorum, the read ring, and the serving read path. Any failure
-// re-marks the rejoiner dead under its generation — there is no half-live
-// state, and a resyncing server never serves a read.
+// condemn the server), and flips the server to resync at the routing-install
+// barrier — from that moment every write to one of its partitions is applied
+// to the surviving replicas *and* forwarded to the rejoiner, so no update is
+// lost during recovery. CompleteRejoin then runs CopyPart, the partition
+// transfer a reshard migrates with, over each partition of the rejoiner's
+// replica set at unchanged width. Only when every one verifies does markLive
+// re-admit it to the write quorum, the read ring, and the serving read path.
+// Any failure re-marks the rejoiner dead under its generation — there is no
+// half-live state, and a resyncing server never serves a read.
 
-// RejoinOptions tunes an anti-entropy rejoin. The zero value is sensible.
-type RejoinOptions struct {
+// TransferOptions tunes CopyPart's rounds, for a rejoin and a reshard alike.
+// The zero value is sensible.
+type TransferOptions struct {
 	// BatchRows is the number of rows per recovery-write RPC (default 512).
 	BatchRows int
-	// MaxRounds bounds the export→transfer→verify attempts per partition
-	// (default 64). Concurrent writers from *other* tier clients can race a
-	// round's digest check; each round repairs what the previous one
-	// missed, and the loop converges once those writers either start
-	// forwarding to the rejoiner or quiesce.
+	// MaxRounds bounds the export→transfer→verify rounds per partition
+	// (default 64). Concurrent writers race a round's digest check; each
+	// round repairs what the previous one missed, and the loop converges
+	// once those writers either reach both sides or quiesce.
 	MaxRounds int
 	// RoundBackoff is the sleep between verify rounds (default 25ms).
 	RoundBackoff time.Duration
-	// VerifyOnly skips the transfer: the caller only waits for the
-	// rejoiner's partitions to verify against the live holders before
-	// re-admitting it. A read-only tier client (the serving front end's
-	// store) uses this — some read-write client owns the actual transfer.
-	VerifyOnly bool
 }
 
-func (o *RejoinOptions) defaults() {
+// WithDefaults returns o with every unset field at its default.
+func (o TransferOptions) WithDefaults() TransferOptions {
 	if o.BatchRows <= 0 {
 		o.BatchRows = 512
 	}
@@ -54,13 +48,34 @@ func (o *RejoinOptions) defaults() {
 	if o.RoundBackoff <= 0 {
 		o.RoundBackoff = 25 * time.Millisecond
 	}
+	return o
 }
+
+// RejoinOptions tunes an anti-entropy rejoin. The zero value is sensible.
+type RejoinOptions struct {
+	TransferOptions
+	// VerifyOnly skips the transfer: the caller only waits for the
+	// rejoiner's partitions to verify against the live holders before
+	// re-admitting it. A read-only tier client (the serving front end's
+	// store) uses this — some read-write client owns the actual transfer.
+	VerifyOnly bool
+}
+
+// ErrNoSource marks the unrecoverable transfer failure: every replica of
+// the source partition is down, so its rows cannot be copied anywhere.
+var ErrNoSource = errors.New("no live replica to copy from")
 
 // BeginRejoin installs st as the new connection to dead server s and flips
 // it to the resync state under a new generation. From return onward the
 // write fan-out forwards s's partitions' writes to st; reads still avoid s
 // until CompleteRejoin certifies it. st must be a Link serving the tier's
 // row width.
+//
+// The flip happens under the routing-install barrier, as InstallRouting's
+// table swap does: it waits out every in-flight data op, so no write that
+// saw s dead — and so skipped it — can land on a replica after a transfer
+// round has snapshotted it. Every op that can still race the transfer
+// forwards to s.
 //
 // A rejoin that races a reshard is refused: mid-reshard the partition map
 // is in motion, and re-admitting a server under ownership about to change
@@ -92,6 +107,11 @@ func (t *ShardedStore) BeginRejoin(s int, st Store) error {
 			return fmt.Errorf("transport: rejoining server %d refused the routing table: %w", s, err)
 		}
 	}
+	t.installMu.Lock()
+	defer t.installMu.Unlock()
+	if cur := t.routing.Load(); cur != rt {
+		return fmt.Errorf("transport: rejoin of server %d deferred: tier is resharding (epoch %d)", s, cur.Epoch)
+	}
 	t.stateMu.Lock()
 	defer t.stateMu.Unlock()
 	if t.state[s].Load() != srvDead {
@@ -114,7 +134,6 @@ func (t *ShardedStore) BeginRejoin(s int, st Store) error {
 // returned as a value: the tier itself stays healthy, serving from the
 // survivors exactly as before the attempt.
 func (t *ShardedStore) CompleteRejoin(s int, opts RejoinOptions) error {
-	opts.defaults()
 	t.rejoinMu.Lock()
 	defer t.rejoinMu.Unlock()
 	// Widths come from the settled routing table (BeginRejoin refused a
@@ -128,8 +147,9 @@ func (t *ShardedStore) CompleteRejoin(s int, opts RejoinOptions) error {
 	// s, s−1, …, s−R+1 on the ownership ring.
 	for k := 0; k < t.replicate; k++ {
 		p := ((s-k)%W + W) % W
-		if err := t.resyncPartition(s, g, p, W, &opts); err != nil {
-			return err
+		if _, _, err := t.CopyPart(s, p, W, 0, 1, opts.TransferOptions, opts.VerifyOnly); err != nil {
+			t.markDeadIfGen(s, g, err)
+			return &TierError{Op: "resync", Partition: p, Server: s, Replicate: t.replicate, Cause: err}
 		}
 	}
 	if !t.markLive(s, g) {
@@ -151,92 +171,95 @@ func (t *ShardedStore) Rejoin(s int, st Store, opts RejoinOptions) error {
 	return t.CompleteRejoin(s, opts)
 }
 
-// resyncPartition brings partition p of rejoiner s (generation g) up to
-// date: rounds of export-from-live-holder → recovery-write → digest-verify,
-// each round under the partition's exclusive resync lock so this client's
-// own writes cannot interleave between a snapshot and its application.
-func (t *ShardedStore) resyncPartition(s int, g uint64, p, W int, opts *RejoinOptions) error {
-	fail := func(cause error) error {
-		t.markDeadIfGen(s, g, cause)
-		return &TierError{Op: "resync", Partition: p, Server: s, Replicate: t.replicate, Cause: cause}
+// CopyPart brings server dst's copy of the (part-of-of ∩ within-of-withinOf)
+// intersection digest-identical to the first live holder of part's replica
+// ring, in rounds: export from that holder, recovery-write to dst in
+// BatchRows batches, then compare the two digests. A source failure condemns
+// the source (fenced) and the next round rotates to the next live holder; a
+// digest mismatch backs off and retries. verifyOnly skips the export and the
+// writes: another client owns the transfer, and this one only waits for the
+// digests to agree.
+//
+// The rounds take no lock. Every write that can still race them reaches dst
+// too — forwarded to a rejoiner, dual-written to a reshard target — and
+// dst's freshness filter (embed.Server.BeginRecovery) keeps a stale
+// snapshot from overwriting it; a write that lands between the two digest
+// probes makes them differ, and the next round repairs it.
+//
+// A dst-side failure condemns dst (fenced by its generation), and the loop
+// stops once dst leaves the state it started in. CopyPart returns the rows
+// and payload bytes written to dst — counted as ResyncRows for a resyncing
+// dst, as ReshardRows/ReshardBytes for a live one — and an error wrapping
+// ErrNoSource when part's whole ring is down.
+func (t *ShardedStore) CopyPart(dst, part, of, within, withinOf int, opts TransferOptions, verifyOnly bool) (rows int, bytes int64, err error) {
+	opts = opts.WithDefaults()
+	dl, g, err := t.link(dst)
+	if err != nil {
+		return 0, 0, err
 	}
-	var lastCause error
+	from := t.state[dst].Load()
+	if from != srvLive && from != srvResync {
+		return 0, 0, fmt.Errorf("transport: transfer target server %d is not serving", dst)
+	}
+	defer func() {
+		if from == srvResync {
+			t.resyncRows.Add(int64(rows))
+		} else {
+			t.reshardRows.Add(int64(rows))
+			t.reshardBytes.Add(bytes)
+		}
+	}()
 	for round := 0; round < opts.MaxRounds; round++ {
-		if t.gen[s].Load() != g || t.state[s].Load() != srvResync {
-			// A concurrent failure (a forwarded write erroring, a racing
-			// condemnation) already took s back to dead: surface it rather
-			// than keep transferring into a condemned incarnation.
-			cause := t.deadCause(s)
+		if round > 0 {
+			time.Sleep(opts.RoundBackoff)
+		}
+		if t.gen[dst].Load() != g || t.state[dst].Load() != from {
+			cause := t.deadCause(dst)
 			if cause == nil {
-				cause = fmt.Errorf("transport: server %d left resync during recovery of partition %d", s, p)
+				cause = errors.New("superseded")
 			}
-			return fail(cause)
+			return rows, bytes, fmt.Errorf("transport: server %d left the transfer of partition %d: %w", dst, part, cause)
 		}
-		ok, err := t.resyncRound(s, p, W, opts)
+		src := t.routeIn(part, of)
+		if src < 0 {
+			return rows, bytes, fmt.Errorf("transport: partition %d of %d: %w", part, of, ErrNoSource)
+		}
+		sl, sg, err := t.link(src)
 		if err != nil {
-			return fail(err)
+			return rows, bytes, err
 		}
-		if ok {
-			return nil
-		}
-		lastCause = fmt.Errorf("transport: partition %d digest still diverges after round %d (concurrent writers)", p, round+1)
-		time.Sleep(opts.RoundBackoff)
-	}
-	if lastCause == nil {
-		lastCause = fmt.Errorf("transport: partition %d never verified", p)
-	}
-	return fail(lastCause)
-}
-
-// resyncRound runs one export→transfer→verify round for partition p of
-// rejoiner s. Returns (true, nil) when the digests matched, (false, nil)
-// when the round should be retried (divergence under concurrent writers, or
-// a *source* failure — the next round routes to the next live holder), and
-// a non-nil error only for rejoiner-side failures, which are terminal.
-func (t *ShardedStore) resyncRound(s, p, W int, opts *RejoinOptions) (bool, error) {
-	lk := &t.partLocks[p]
-	lk.Lock()
-	defer lk.Unlock()
-	src := t.routeIn(p, W)
-	if src < 0 {
-		// Every verified holder of p is gone; the rejoin cannot be sourced
-		// (and the tier at large is about to discover the same loss).
-		return false, fmt.Errorf("transport: no live replica of partition %d to resync from", p)
-	}
-	srcLink, srcGen, err := t.link(src)
-	if err != nil {
-		return false, err
-	}
-	dst, _, err := t.link(s)
-	if err != nil {
-		return false, err
-	}
-	if !opts.VerifyOnly {
-		ids, rows, err := srcLink.TryExportPartIn(p, W, 0, 1)
-		if err != nil {
-			// Source failure: condemn it (fenced) and retry the round — the
-			// ring routes to the next live holder.
-			t.markDeadIfGen(src, srcGen, err)
-			return false, nil
-		}
-		for off := 0; off < len(ids); off += opts.BatchRows {
-			end := min(off+opts.BatchRows, len(ids))
-			if err := dst.TryWriteRecovery(ids[off:end], rows[off:end]); err != nil {
-				return false, err
+		if !verifyOnly {
+			ids, data, err := sl.TryExportPartIn(part, of, within, withinOf)
+			if err != nil {
+				t.markDeadIfGen(src, sg, err)
+				continue
 			}
-			t.resyncRows.Add(int64(end - off))
+			for off := 0; off < len(ids); off += opts.BatchRows {
+				end := min(off+opts.BatchRows, len(ids))
+				if err := dl.TryWriteRecovery(ids[off:end], data[off:end]); err != nil {
+					t.markDeadIfGen(dst, g, err)
+					return rows, bytes, err
+				}
+				rows += end - off
+				bytes += payloadBytes(end-off, t.dim)
+			}
+		}
+		want, err := sl.TryFingerprintPartIn(part, of, within, withinOf)
+		if err != nil {
+			t.markDeadIfGen(src, sg, err)
+			continue
+		}
+		got, err := dl.TryFingerprintPartIn(part, of, within, withinOf)
+		if err != nil {
+			t.markDeadIfGen(dst, g, err)
+			return rows, bytes, err
+		}
+		if want == got {
+			return rows, bytes, nil
 		}
 	}
-	want, err := srcLink.TryFingerprintPartIn(p, W, 0, 1)
-	if err != nil {
-		t.markDeadIfGen(src, srcGen, err)
-		return false, nil
-	}
-	got, err := dst.TryFingerprintPartIn(p, W, 0, 1)
-	if err != nil {
-		return false, err
-	}
-	return want == got, nil
+	return rows, bytes, fmt.Errorf("transport: partition (%d of %d ∩ %d of %d) on server %d never verified after %d rounds",
+		part, of, within, withinOf, dst, opts.MaxRounds)
 }
 
 // EndRecovery closes server s's server-side recovery window (the freshness

@@ -341,7 +341,7 @@ func TestRejoinMidResyncFailure(t *testing.T) {
 	// verify probe) dies mid-resync.
 	rejoiner := NewFaultStore(NewInProcess(freshServer()), 1)
 	rejoiner.SetDown(true)
-	err := st.Rejoin(1, rejoiner, RejoinOptions{MaxRounds: 3, RoundBackoff: time.Millisecond})
+	err := st.Rejoin(1, rejoiner, RejoinOptions{TransferOptions: TransferOptions{MaxRounds: 3, RoundBackoff: time.Millisecond}})
 	if err == nil {
 		t.Fatal("rejoin with a dead rejoiner reported success")
 	}
@@ -395,7 +395,7 @@ func TestRejoinSourceDeathMidResync(t *testing.T) {
 	// Partition 1's only live holder is server 2 (server 1 is resyncing);
 	// kill it before the transfer sources from it.
 	faults[2].SetDown(true)
-	err := st.CompleteRejoin(1, RejoinOptions{MaxRounds: 3, RoundBackoff: time.Millisecond})
+	err := st.CompleteRejoin(1, RejoinOptions{TransferOptions: TransferOptions{MaxRounds: 3, RoundBackoff: time.Millisecond}})
 	var te *TierError
 	if !errors.As(err, &te) || te.Op != "resync" {
 		t.Fatalf("rejoin with a dead source returned %v, want an op-resync *TierError", err)
@@ -478,7 +478,7 @@ func TestRejoinVerifyOnly(t *testing.T) {
 	ro.SubscribeRevived(func(s int) { roRevived.Add(1) })
 	roDone := make(chan error, 1)
 	go func() {
-		roDone <- ro.CompleteRejoin(1, RejoinOptions{MaxRounds: 400, RoundBackoff: 2 * time.Millisecond, VerifyOnly: true})
+		roDone <- ro.CompleteRejoin(1, RejoinOptions{TransferOptions: TransferOptions{MaxRounds: 400, RoundBackoff: 2 * time.Millisecond}, VerifyOnly: true})
 	}()
 
 	if err := rw.Rejoin(1, NewFaultStore(NewInProcess(fresh), 1), RejoinOptions{}); err != nil {

@@ -269,8 +269,8 @@ type ShardedStore struct {
 	// barrier against the data plane: every Fetch/Write/ReadFetch/
 	// Fingerprint/Checkpoint holds the read side for its whole run, so
 	// InstallRouting returns only once no in-flight op still routes by the
-	// predecessor. Lock order: installMu before stateMu/partLocks, never
-	// reversed.
+	// predecessor. BeginRejoin flips a server to resync under the same
+	// barrier. Lock order: installMu before stateMu, never reversed.
 	routing   atomic.Pointer[RoutingTable]
 	installMu sync.RWMutex
 	// dialFn connects absent spare slots admitted by a routing install.
@@ -299,13 +299,6 @@ type ShardedStore struct {
 	gen     []atomic.Uint64
 	stateMu sync.Mutex
 	causes  []error // guarded by stateMu
-
-	// partLocks serializes anti-entropy transfer rounds against the write
-	// fan-out, per (old-space) partition: writeBucket holds the read side, a
-	// resync round holds the write side around its export→transfer→verify
-	// sequence, so a snapshot can never be overwritten by a write that
-	// raced between export and apply.
-	partLocks []sync.RWMutex
 
 	// rejoinMu serializes whole rejoin operations (one server resyncing at
 	// a time keeps the transfer source stable and the gen bookkeeping
@@ -597,7 +590,6 @@ func NewTier(children []Store, opts TierOptions) *ShardedStore {
 		gen:             make([]atomic.Uint64, nslots),
 		readFails:       make([]atomic.Int32, nslots),
 		causes:          make([]error, nslots),
-		partLocks:       make([]sync.RWMutex, nslots),
 		onFailover:      opts.OnFailover,
 		onLost:          opts.OnLost,
 	}
@@ -1041,9 +1033,9 @@ func (t *ShardedStore) writeOnce(sc *shardScratch, ids []uint64, rows [][]float3
 // *forwarded* — applied so no update is lost during the anti-entropy
 // window, but not counted toward the ack quorum; a failing live replica is
 // declared dead and does not fail the write as long as at least one live
-// replica acked. q's resync lock is held shared for the whole fan-out (and
-// released via defer, so the lost() panic path cannot leak it): a transfer
-// round's export→apply→verify cannot interleave with a half-applied write.
+// replica acked. The fan-out takes no partition lock: the rejoin flip waits
+// out this op at the install barrier, so a write that skipped a dead replica
+// has landed before any transfer round snapshots its peers.
 //
 // While pn's dual window is open the bucket also goes, single-attempt, to
 // each live member of pn's new ring outside q's ring. Best-effort is enough
@@ -1062,9 +1054,6 @@ func (t *ShardedStore) writeBucket(sc *shardScratch, k int) (*StaleRoutingError,
 	// caller's buffers until the next write; deferred so the stale-abort
 	// and lost-panic exits clear too.
 	defer clear(subRows)
-	lk := &t.partLocks[q]
-	lk.RLock()
-	defer lk.RUnlock()
 	depth := min(t.replicate, rt.OldS)
 	acked, lastSrv := 0, q
 	var lastErr error
