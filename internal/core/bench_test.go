@@ -53,30 +53,44 @@ func BenchmarkCacheGet(b *testing.B) {
 }
 
 // BenchmarkOracleLookahead measures decision throughput of Algorithm 1 plus
-// the per-trainer plan split at the paper's default window (ℒ=200) on a
-// Criteo-shaped stream — the rate the oracle goroutine must sustain to stay
-// ahead of the trainers.
+// the per-trainer plan split — the rate the oracle goroutine must sustain to
+// stay ahead of the trainers — on two pre-generated streams, so it isolates
+// oracle work from synthetic data generation:
+//
+//   - criteo-L200-P4: the paper's default window (ℒ=200) on a Criteo-shaped
+//     stream;
+//   - uniform-L32-P2: the benchmark's uniform-key TCP shape (Criteo scaled
+//     by 100, batch 256, ℒ=32, two trainers), where every row is a miss and
+//     the plans are the largest; its B/op is what one stream of decisions
+//     and their plans allocates.
 func BenchmarkOracleLookahead(b *testing.B) {
-	spec := benchSpec()
-	gen := data.NewGenerator(spec, 3)
-	const batchSize = 256
-	// Pre-generate the stream so the benchmark isolates oracle work from
-	// synthetic data generation.
-	const nBatches = 64
-	batches := make([]*data.Batch, nBatches)
-	for i := range batches {
-		batches[i] = gen.Batch(i, batchSize)
-	}
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		o := NewOracle(&SliceSource{Batches: batches}, 200, 4)
-		for {
-			d, ok := o.Next()
-			if !ok {
-				break
-			}
-			d.Plans(4)
+	const batchSize, nBatches = 256, 64
+	for _, c := range []struct {
+		name string
+		spec *data.Spec
+		l, p int
+	}{
+		{"criteo-L200-P4", benchSpec(), 200, 4},
+		{"uniform-L32-P2", data.CriteoKaggle().Scaled(100).WithEmbDim(16).WithDist(data.Uniform{}), 32, 2},
+	} {
+		gen := data.NewGenerator(c.spec, 3)
+		batches := make([]*data.Batch, nBatches)
+		for i := range batches {
+			batches[i] = gen.Batch(i, batchSize)
 		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				o := NewOracle(&SliceSource{Batches: batches}, c.l, c.p)
+				for {
+					d, ok := o.Next()
+					if !ok {
+						break
+					}
+					d.Plans(c.p)
+				}
+			}
+			b.ReportMetric(float64(nBatches), "decisions/op")
+		})
 	}
-	b.ReportMetric(float64(nBatches), "decisions/op")
 }

@@ -287,8 +287,14 @@ func sameDecision(d *Decision, r *refDecision, p int) error {
 	flat, maps, refs := d.Plans(p), d.SplitPlans(p), r.refSplitPlans(p)
 	for tr := 0; tr < p; tr++ {
 		pl := flat[tr]
-		if pl.Trainer != tr || pl.Dec != d || len(pl.ReplicaOut) != p {
+		if pl.Trainer != tr || pl.Dec != flat[0].Dec || len(pl.ReplicaOut) != p {
 			return fmt.Errorf("trainer %d: plan header trainer %d, %d replica lists", tr, pl.Trainer, len(pl.ReplicaOut))
+		}
+		// The shared header carries the decision's batch and assignment and
+		// none of its per-id slices.
+		if h := pl.Dec; h == d || h.Iter != d.Iter || h.Batch != d.Batch || !slices.Equal(h.Assign, d.Assign) ||
+			h.IDs != nil || h.TTL != nil || h.Users != nil || h.NeededNext != nil || h.Prefetch != nil {
+			return fmt.Errorf("trainer %d: plan header %+v is not the decision's slim header", tr, *h)
 		}
 		for _, ids := range append([][]uint64{pl.Owned, pl.Prefetch, pl.Expiring, pl.Remote}, pl.ReplicaOut...) {
 			if !slices.IsSorted(ids) || len(slices.Compact(slices.Clone(ids))) != len(ids) {

@@ -15,7 +15,10 @@ import "math/bits"
 // is built on either side of the wire.
 type Plan struct {
 	Trainer int
-	Dec     *Decision
+	// Dec is the iteration's header, shared by its P plans: Iter, Batch
+	// and Assign. The decision's per-id slices are not carried; each
+	// plan holds its share of them below.
+	Dec *Decision
 
 	// Owned lists every id this trainer owns that the batch touches;
 	// OwnedTTL[k] is its TTL (the owner refreshes the cached row's TTL from
@@ -27,8 +30,8 @@ type Plan struct {
 	OwnedTTL   []int
 	OwnedUsers []Ranks
 
-	// Prefetch is the owned subset of Dec.Prefetch: rows this trainer must
-	// fetch from the embedding servers into its partition.
+	// Prefetch is the owned subset of the decision's Prefetch: rows this
+	// trainer must fetch from the embedding servers into its partition.
 	Prefetch []uint64
 
 	// Expiring lists owned ids whose TTL equals this iteration: after their
@@ -58,21 +61,59 @@ type Plan struct {
 // plans partition Prefetch, the TTLs, and the eviction set disjointly — the
 // invariant the fuzz harness asserts. p must be the trainer count the
 // decision's Users sets were computed for.
+//
+// The plans share one header, a Decision holding only Iter, Batch and
+// Assign: every per-id fact a trainer reads is in its plan, so the
+// decision's own per-id slices die with the decision, not with the last
+// plan. A counting pass sizes every list first, so each is allocated once.
 func (d *Decision) Plans(p int) []*Plan {
-	plans := make([]*Plan, p)
-	owned := make([]int, p)
-	for _, id := range d.IDs {
-		owned[OwnerOf(id, p)]++
+	// n[t*w+f] counts trainer t's list f: the fixed lists below, then its
+	// ReplicaOut lists, one per reader.
+	const (
+		nOwned = iota
+		nPrefetch
+		nExpiring
+		nRemote
+		nFixed
+	)
+	w := nFixed + p
+	n := make([]int, p*w)
+	for _, id := range d.Prefetch {
+		n[OwnerOf(id, p)*w+nPrefetch]++
 	}
-	for t := range plans {
-		plans[t] = &Plan{
-			Trainer:    t,
-			Dec:        d,
-			Owned:      make([]uint64, 0, owned[t]),
-			OwnedTTL:   make([]int, 0, owned[t]),
-			OwnedUsers: make([]Ranks, 0, owned[t]),
-			ReplicaOut: make([][]uint64, p),
+	for k, id := range d.IDs {
+		o := OwnerOf(id, p)
+		n[o*w+nOwned]++
+		if d.TTL[k] == d.Iter {
+			n[o*w+nExpiring]++
 		}
+		for others := d.Users[k] &^ (1 << uint(o)); others != 0; others &= others - 1 {
+			u := bits.TrailingZeros64(uint64(others))
+			n[o*w+nFixed+u]++
+			n[u*w+nRemote]++
+		}
+	}
+	hdr := &Decision{Iter: d.Iter, Batch: d.Batch, Assign: d.Assign}
+	plans := make([]*Plan, p)
+	for t := range plans {
+		c := n[t*w : (t+1)*w]
+		pl := &Plan{
+			Trainer:     t,
+			Dec:         hdr,
+			Owned:       make([]uint64, 0, c[nOwned]),
+			OwnedTTL:    make([]int, 0, c[nOwned]),
+			OwnedUsers:  make([]Ranks, 0, c[nOwned]),
+			Prefetch:    sized[uint64](c[nPrefetch]),
+			Expiring:    sized[uint64](c[nExpiring]),
+			ReplicaOut:  make([][]uint64, p),
+			Remote:      sized[uint64](c[nRemote]),
+			RemoteOwner: sized[int](c[nRemote]),
+			RemoteNext:  sized[bool](c[nRemote]),
+		}
+		for u := range pl.ReplicaOut {
+			pl.ReplicaOut[u] = sized[uint64](c[nFixed+u])
+		}
+		plans[t] = pl
 	}
 	for _, id := range d.Prefetch {
 		pl := plans[OwnerOf(id, p)]
@@ -98,6 +139,15 @@ func (d *Decision) Plans(p int) []*Plan {
 		}
 	}
 	return plans
+}
+
+// sized returns an empty list with capacity n, nil when n is 0: an empty
+// list stays nil, as appending to nil left it.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
 }
 
 // TrainerPlan is a Plan with its per-id facts as maps. The engine consumes

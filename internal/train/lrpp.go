@@ -164,10 +164,10 @@ type lrppTrainer struct {
 
 	clock stageClock
 
-	// Worker mode only (nil otherwise): the mesh-based collective reducer
-	// and the plan resequencer fed by the receiver goroutine.
-	mcoll   *meshColl
-	planBox *planSeq
+	// Worker mode only (nil otherwise): the mesh-based collective reducer,
+	// and on ranks ≥ 1 the plan ring fed by the receiver goroutine.
+	mcoll *meshColl
+	plans *planRing
 
 	// mu guards everything below: the cache partition is touched by the
 	// trainer loop (insert/read) and the sync receiver (update/evict). Each
@@ -280,14 +280,14 @@ func runLRPP(cfg Config, trs []transport.Store, mesh transport.Mesh, prep func(*
 	}
 
 	// Oracle: one lookahead walker emits per-trainer plans in iteration
-	// order.
+	// order, at most the plan lead ahead of each dispatcher.
 	gen := data.NewGenerator(cfg.Spec, cfg.Seed)
 	oracle := core.NewOracle(core.NewGeneratorSource(gen, cfg.BatchSize, cfg.NumBatches), cfg.LookAhead, P)
 	oracle.Partitioner = cfg.Partitioner
 	stats := make([]core.IterStats, 0, cfg.NumBatches)
-	planChs := make([]chan *core.Plan, P)
+	planChs := make([]planChan, P)
 	for p := range planChs {
-		planChs[p] = make(chan *core.Plan, cfg.LookAhead)
+		planChs[p] = make(planChan, planQueue(cfg.LookAhead))
 	}
 	go func() {
 		defer func() {
@@ -454,8 +454,8 @@ func (eng *lrppEngine) collectResult(trainers []*lrppTrainer, stats []core.IterS
 
 // run is one trainer process end to end: start the service goroutines,
 // drive the iteration loop, then drain and tear everything down.
-func (t *lrppTrainer) run(planCh <-chan *core.Plan) {
-	workCh := t.startDispatcher(planCh)
+func (t *lrppTrainer) run(plans planSource) {
+	workCh := t.startDispatcher(plans)
 	t.startReceiver()
 	t.startFlusher()
 	t.startMaintenance()
@@ -482,14 +482,14 @@ func (t *lrppTrainer) run(planCh <-chan *core.Plan) {
 // partition), files its plan in the iteration's record, and fetches its
 // owned misses concurrently with earlier iterations' compute, delivering
 // rows through the record's future.
-func (t *lrppTrainer) startDispatcher(planCh <-chan *core.Plan) <-chan *iterRec {
+func (t *lrppTrainer) startDispatcher(plans planSource) <-chan *iterRec {
 	eng := t.eng
 	workCh := make(chan *iterRec, eng.L)
 	go func() {
 		defer close(workCh)
 		for {
 			mark := time.Now()
-			pl, ok := <-planCh
+			pl, ok := plans.take()
 			if !ok {
 				return
 			}
@@ -588,11 +588,12 @@ func (t *lrppTrainer) startReceiver() {
 					transport.PutIDs(f.IDs)
 				}
 			case transport.PlanMsg:
-				// Worker mode only: the rank-0 process streams oracle plans.
-				if t.planBox == nil {
-					panic(fmt.Sprintf("train: trainer %d received a plan outside worker mode", t.p))
+				// Worker mode only: the rank-0 process streams oracle plans
+				// to the other ranks.
+				if t.plans == nil {
+					panic(fmt.Sprintf("train: trainer %d received a plan, but takes none over the mesh", t.p))
 				}
-				t.planBox.put(pl.Plan)
+				t.plans.put(pl.Plan)
 			case transport.FusedCollMsg:
 				// Worker mode only: collective contributions and results.
 				if t.mcoll == nil {

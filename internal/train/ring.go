@@ -2,6 +2,7 @@ package train
 
 import (
 	"fmt"
+	"sync"
 
 	"bagpipe/internal/core"
 	"bagpipe/internal/transport"
@@ -252,4 +253,100 @@ func (pt *partition) evict(s int32) core.Eviction {
 	pt.free = append(pt.free, s)
 	pt.resident--
 	return ev
+}
+
+// planLead is how many plans the oracle may queue for a trainer beyond the
+// one its dispatcher holds, capped at ℒ. A queued plan pins its iteration's
+// batch ahead of use, so the lead is memory, not throughput: once the
+// oracle is a few decisions ahead of the dispatcher it only waits on a full
+// queue. On the uniform-key two-trainer TCP shape, a lead of 2 made rank 1
+// wait for plans and a lead of 8 did not.
+const planLead = 8
+
+// planQueue is the capacity of a plan channel the oracle feeds directly.
+func planQueue(L int) int { return min(L, planLead) }
+
+// planSource feeds a trainer's dispatcher its plans in iteration order:
+// the oracle's channel in one process and on rank 0, the planRing on a
+// worker of rank ≥ 1.
+type planSource interface {
+	// take returns the next plan, or false once the run's last has gone.
+	take() (*core.Plan, bool)
+}
+
+// planChan is a plan channel the oracle fills and closes.
+type planChan chan *core.Plan
+
+func (c planChan) take() (*core.Plan, bool) {
+	pl, ok := <-c
+	return pl, ok
+}
+
+// planRing re-sequences the oracle plans a worker of rank ≥ 1 receives over
+// the mesh: the fabric may reorder them, the dispatcher drains them in
+// iteration order. The receiver files plan x at x mod N and the dispatcher
+// clears the slot as it takes the plan. With n the next iteration to drain
+// and lead = planQueue(ℒ):
+//
+//   - rank 0's dispatcher holds at most plan r+ℒ, with r its oldest
+//     unretired iteration: it admits one iteration per token, ℒ tokens,
+//     and takes the next plan before waiting for a token. Its channel
+//     queues lead more, and the oracle ships a plan to the peers before it
+//     queues it locally, so a peer has at most plan r+ℒ+lead+1.
+//   - Rank 0 retired r−1, so it routed r−1 in compute(r−1), which began
+//     after compute(r−2) and its collective round, whose root waits for
+//     this rank's compute(r−2) contribution. So this rank drained r−2, and
+//     n ≥ r−1.
+//
+// Undrained plans therefore lie in [n, n+ℒ+lead+2], and N = ℒ+lead+3 slots
+// hold them apart. put refuses a plan outside that window or the run, and
+// a second plan for one iteration: a peer sending either is broken, and a
+// plan the dispatcher would never drain is memory held for good.
+type planRing struct {
+	rank int
+	mu   sync.Mutex
+	cond sync.Cond
+	next int // the next iteration the dispatcher drains
+	end  int // the run's iteration count
+	ring []*core.Plan
+}
+
+func newPlanRing(rank, L, iters int) *planRing {
+	r := &planRing{rank: rank, end: iters, ring: make([]*core.Plan, L+planQueue(L)+3)}
+	r.cond.L = &r.mu
+	return r
+}
+
+// put files one arrived plan (the mesh receiver goroutine).
+func (r *planRing) put(pl *core.Plan) {
+	x := pl.Dec.Iter
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch {
+	case x < r.next:
+		panic(fmt.Sprintf("train: trainer %d received a plan for iteration %d, already drained up to %d", r.rank, x, r.next))
+	case x >= r.end || x >= r.next+len(r.ring):
+		panic(fmt.Sprintf("train: trainer %d received a plan for iteration %d, beyond the %d-plan ring from iteration %d of %d", r.rank, x, len(r.ring), r.next, r.end))
+	case r.ring[x%len(r.ring)] != nil:
+		panic(fmt.Sprintf("train: trainer %d received a second plan for iteration %d", r.rank, x))
+	}
+	r.ring[x%len(r.ring)] = pl
+	r.cond.Signal()
+}
+
+// take waits for the next iteration's plan and clears its slot.
+func (r *planRing) take() (*core.Plan, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.next == r.end {
+		return nil, false
+	}
+	slot := &r.ring[r.next%len(r.ring)]
+	for *slot == nil {
+		r.cond.Wait()
+	}
+	pl := *slot
+	*slot = nil
+	r.next++
+	return pl, true
 }

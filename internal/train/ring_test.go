@@ -129,3 +129,49 @@ func TestOwnedFromResolvesSubsequences(t *testing.T) {
 	mustPanic(t, func() { rec.ownedFrom(0, 13) }, "iteration 6", "id 13")
 	mustPanic(t, func() { rec.ownedFrom(2, 5) }, "id 5") // out of order: behind the cursor
 }
+
+// TestPlanRingRefuses feeds a worker's plan ring the arrivals a broken or
+// hostile peer could send, each refused with an attributed failure naming
+// the rank and iteration: a plan below the next iteration to drain, one at
+// or beyond the ring's bound or the run's end, and a second plan for a
+// filled slot. In-window plans arriving in any order drain in iteration
+// order, and the ring spans ℒ+lead+3 iterations.
+func TestPlanRingRefuses(t *testing.T) {
+	const L, iters = 4, 40
+	plan := func(x int) *core.Plan { return &core.Plan{Trainer: 1, Dec: &core.Decision{Iter: x}} }
+	r := newPlanRing(1, L, iters)
+	N := len(r.ring)
+	if N != L+planQueue(L)+3 {
+		t.Fatalf("%d slots for ℒ=%d, want ℒ+lead+3 = %d", N, L, L+planQueue(L)+3)
+	}
+	for x := N - 1; x >= 0; x-- {
+		r.put(plan(x))
+	}
+	mustPanic(t, func() { r.put(plan(N)) }, "trainer 1", fmt.Sprintf("iteration %d", N), "beyond")
+	mustPanic(t, func() { r.put(plan(3)) }, "trainer 1", "iteration 3", "second plan")
+	for x := 0; x < 2; x++ {
+		if pl, ok := r.take(); !ok || pl.Dec.Iter != x {
+			t.Fatalf("drain %d: got %v, %v", x, pl, ok)
+		}
+	}
+	mustPanic(t, func() { r.put(plan(1)) }, "trainer 1", "iteration 1", "already drained")
+	mustPanic(t, func() { r.put(plan(-5)) }, "trainer 1", "iteration -5", "already drained")
+	mustPanic(t, func() { r.put(plan(N + 2)) }, "trainer 1", fmt.Sprintf("iteration %d", N+2), "beyond")
+	r.put(plan(N + 1)) // the drained slots take the window's next plans
+	r.put(plan(N))
+	for x := 2; x < N+2; x++ {
+		if pl, ok := r.take(); !ok || pl.Dec.Iter != x {
+			t.Fatalf("drain %d: got %v, %v", x, pl, ok)
+		}
+	}
+	mustPanic(t, func() { r.put(plan(iters)) }, "trainer 1", fmt.Sprintf("iteration %d", iters), "beyond")
+	for x := N + 2; x < iters; x++ {
+		r.put(plan(x))
+		if pl, ok := r.take(); !ok || pl.Dec.Iter != x {
+			t.Fatalf("drain %d: got %v, %v", x, pl, ok)
+		}
+	}
+	if pl, ok := r.take(); ok {
+		t.Fatalf("plan %d drained past the run's end", pl.Dec.Iter)
+	}
+}

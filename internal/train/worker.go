@@ -2,7 +2,6 @@ package train
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"bagpipe/internal/core"
@@ -22,8 +21,8 @@ import (
 //
 //   - oracle plans (transport.PlanMsg): the rank-0 process hosts the Oracle
 //     Cacher and streams every peer its per-iteration core.Plan. Plans may
-//     arrive reordered (the mesh contract permits it), so a resequencer
-//     (planSeq) feeds the trainer in iteration order.
+//     arrive reordered (the mesh contract permits it), so a bounded ring
+//     (planRing, ring.go) feeds the trainer in iteration order.
 //   - dense-gradient and loss collectives: meshColl (meshcoll.go) reduces
 //     them as one FusedCollMsg per rank per iteration through rank 0,
 //     folding in rank order from zero, the exact summation order of
@@ -32,51 +31,15 @@ import (
 //   - everything LRPP already exchanged (replicas, delayed-sync flushes)
 //     rides the same mesh unchanged.
 
-// planSeq re-sequences oracle plans arriving over the mesh: the fabric may
-// reorder them, the trainer consumes them in iteration order.
-type planSeq struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	plans map[int]*core.Plan
-}
-
-func newPlanSeq() *planSeq {
-	b := &planSeq{plans: make(map[int]*core.Plan)}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// put deposits one arrived plan (called from the mesh receiver goroutine).
-func (b *planSeq) put(pl *core.Plan) {
-	b.mu.Lock()
-	b.plans[pl.Dec.Iter] = pl
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// stream emits plans for iterations [0, n) in order to out, then closes it.
-func (b *planSeq) stream(n int, out chan<- *core.Plan) {
-	defer close(out)
-	for iter := 0; iter < n; iter++ {
-		b.mu.Lock()
-		for b.plans[iter] == nil {
-			b.cond.Wait()
-		}
-		pl := b.plans[iter]
-		delete(b.plans, iter)
-		b.mu.Unlock()
-		out <- pl
-	}
-}
-
 // planMsgBytes models the wire size of one plan: the Decision's batch
 // payload (dense features, categorical ids, label per example) plus the
 // per-trainer plan — the same role syncBatchBytes/replicaMsgBytes play for
 // the data-path messages. The model prices the plan as id-keyed tables (16
 // bytes per owned TTL and per remote id, 12 + 4 per user for each owned
 // id's user list, 12 + 8 per id for each non-empty replica list) and counts
-// the decision's needed-next ids, whatever the codec's layout.
-func planMsgBytes(pl *core.Plan) int64 {
+// the decision's needed-next ids, whatever the codec's layout: the plan
+// carries only its own share of the decision, so the caller counts them.
+func planMsgBytes(pl *core.Plan, neededNext int) int64 {
 	b := int64(16)
 	b += 8 * int64(len(pl.Prefetch))
 	b += 16 * int64(len(pl.Owned))
@@ -92,13 +55,7 @@ func planMsgBytes(pl *core.Plan) int64 {
 	b += 16 * int64(len(pl.Remote))
 	b += 4 + 4*int64(pl.ReplicaFrom.Count())
 	d := pl.Dec
-	needed := 0
-	for _, n := range d.NeededNext {
-		if n {
-			needed++
-		}
-	}
-	b += 8 + 4*int64(len(d.Assign)) + 8*int64(needed)
+	b += 8 + 4*int64(len(d.Assign)) + 8*int64(neededNext)
 	// Only the destination's assigned examples travel.
 	for i, ex := range d.Batch.Examples {
 		if d.Assign[i] != pl.Trainer {
@@ -152,14 +109,16 @@ func RunLRPPWorker(cfg Config, rank int, tr transport.Store, mesh transport.Mesh
 	}
 	t.mcoll = mcoll
 
-	planCh := make(chan *core.Plan, cfg.LookAhead)
+	var src planSource
 	var stats []core.IterStats
 	if rank == 0 {
 		// Host the oracle: walk the stream, keep our plan, ship the rest.
 		// The local plan channel's capacity throttles the walk to the
-		// lookahead window ahead of rank 0's progress; peers can never
-		// outrun it by more than the collectives allow, so plans are always
-		// available where needed.
+		// plan lead ahead of rank 0's dispatcher; peers can never outrun
+		// it by more than the collectives allow, so plans are always
+		// available where needed (planRing derives the peers' bound).
+		planCh := make(planChan, planQueue(cfg.LookAhead))
+		src = planCh
 		gen := data.NewGenerator(cfg.Spec, cfg.Seed)
 		oracle := core.NewOracle(core.NewGeneratorSource(gen, cfg.BatchSize, cfg.NumBatches), cfg.LookAhead, P)
 		oracle.Partitioner = cfg.Partitioner
@@ -171,9 +130,15 @@ func RunLRPPWorker(cfg Config, rank int, tr transport.Store, mesh transport.Mesh
 					return
 				}
 				stats = append(stats, d.Stats(oracle.CacheOccupancy()))
+				needed := 0
+				for _, n := range d.NeededNext {
+					if n {
+						needed++
+					}
+				}
 				plans := d.Plans(P)
 				for p := 1; p < P; p++ {
-					pb := planMsgBytes(plans[p])
+					pb := planMsgBytes(plans[p], needed)
 					ep.Send(p, pb, transport.PlanMsg{Plan: plans[p]})
 					eng.countSend(classPlan, pb)
 				}
@@ -181,12 +146,12 @@ func RunLRPPWorker(cfg Config, rank int, tr transport.Store, mesh transport.Mesh
 			}
 		}()
 	} else {
-		t.planBox = newPlanSeq()
-		go t.planBox.stream(cfg.NumBatches, planCh)
+		t.plans = newPlanRing(rank, cfg.LookAhead, cfg.NumBatches)
+		src = t.plans
 	}
 
 	start, cpu0 := time.Now(), processCPU()
-	t.run(planCh)
+	t.run(src)
 	mesh.Quiesce()
 	return eng.collectResult([]*lrppTrainer{t}, stats, start, cpu0)
 }

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bagpipe/internal/core"
 	"bagpipe/internal/data"
 	"bagpipe/internal/embed"
+	"bagpipe/internal/tensor"
 	"bagpipe/internal/transport"
 )
 
@@ -227,7 +229,7 @@ func TestPlanMsgBytesMatchesMapFormula(t *testing.T) {
 			}
 			maps := d.SplitPlans(p)
 			for tr, pl := range d.Plans(p) {
-				if got, want := planMsgBytes(pl), mapPlanMsgBytes(maps[tr], needed); got != want {
+				if got, want := planMsgBytes(pl, needed), mapPlanMsgBytes(maps[tr], needed); got != want {
 					t.Fatalf("%s P=%d iter %d trainer %d: plan declares %d bytes, map formula %d", spec.Name, p, d.Iter, tr, got, want)
 				}
 			}
@@ -241,4 +243,137 @@ func TestPlanMsgBytesMatchesMapFormula(t *testing.T) {
 	criteo := data.CriteoKaggle().Scaled(100).WithEmbDim(16)
 	check(criteo, 256, 40, 32, 2, nil)
 	check(criteo.WithDist(data.Uniform{}), 256, 40, 32, 2, nil)
+}
+
+// countingDist counts the categorical draws of the generators using it.
+type countingDist struct {
+	data.Distribution
+	draws atomic.Int64
+}
+
+func (c *countingDist) Sample(rng *tensor.RNG, tableSize int64) int64 {
+	c.draws.Add(1)
+	return c.Distribution.Sample(rng, tableSize)
+}
+
+// gatedStore holds every Write until release closes.
+type gatedStore struct {
+	transport.Store
+	release chan struct{}
+}
+
+func (g gatedStore) Write(ids []uint64, rows [][]float32) {
+	<-g.release
+	g.Store.Write(ids, rows)
+}
+
+// TestPlanLeadBounded pins how far the oracle runs ahead of trainers that
+// cannot retire. Every write-back blocks, and iteration 0 evicts rows on
+// every trainer (uniform draws over tables far larger than a window), so no
+// token returns: each dispatcher admits iterations 0..ℒ−1 and holds plan ℒ,
+// its channel queues lead = min(ℒ, planLead) more, and the oracle blocks
+// queueing decision ℒ+lead+1. Each Next tops its window up to ℒ batches
+// from the decided one, so the generator has then made 2ℒ+lead+1 batches
+// (41 at ℒ=16; a lead of ℒ makes 3ℒ+1 = 49). The single-process engine and
+// worker mode over an in-process mesh (rank 0 ships the peers their plans
+// before queueing its own) stop at the same count. Released, both runs end
+// bit-identical to the baseline.
+func TestPlanLeadBounded(t *testing.T) {
+	for _, mode := range []string{"lrpp", "worker"} {
+		t.Run(mode, func(t *testing.T) {
+			cnt := &countingDist{Distribution: data.Uniform{}}
+			cfg := tinyConfig()
+			cfg.Spec = tinySpec()
+			cfg.Spec.TableSizes = []int64{1 << 16, 1 << 16, 1 << 16, 1 << 16}
+			cfg.Spec.Dist = cnt
+			cfg.LookAhead = 16
+			cfg.NumBatches = 64
+			perBatch := int64(cfg.BatchSize * cfg.Spec.NumCategorical)
+			want := int64(2*cfg.LookAhead + planQueue(cfg.LookAhead) + 1)
+
+			srv := newServer(cfg.Spec, 3)
+			release := make(chan struct{})
+			trs := newStores(srv, cfg.NumTrainers)
+			for p := range trs {
+				trs[p] = gatedStore{trs[p], release}
+			}
+			done := make(chan error, 1)
+			go func() {
+				var err error
+				if mode == "lrpp" {
+					_, err = RunLRPP(cfg, trs, nil)
+				} else {
+					mesh := transport.NewInprocMesh(cfg.NumTrainers)
+					errs := make(chan error, cfg.NumTrainers)
+					for p := range trs {
+						go func(p int) {
+							_, err := RunLRPPWorker(cfg, p, trs[p], mesh)
+							errs <- err
+						}(p)
+					}
+					for range trs {
+						if e := <-errs; e != nil {
+							err = e
+						}
+					}
+				}
+				done <- err
+			}()
+
+			// Wait for the oracle to stop: the draw count unchanged over
+			// several polls.
+			var batches int64
+			for stable, deadline := 0, time.Now().Add(20*time.Second); stable < 10; {
+				if time.Now().After(deadline) {
+					t.Fatalf("oracle still pulling batches after 20s (%d)", batches)
+				}
+				time.Sleep(30 * time.Millisecond)
+				n := cnt.draws.Load() / perBatch
+				if n == batches {
+					stable++
+				} else {
+					batches, stable = n, 0
+				}
+			}
+			t.Logf("%s: oracle stopped at %d batches with writes held, bound 2ℒ+lead+1 = %d", mode, batches, want)
+			if batches > want {
+				t.Errorf("oracle pulled %d batches with no iteration retired, want at most 2ℒ+lead+1 = %d", batches, want)
+			}
+
+			close(release)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			srvBase := newServer(cfg.Spec, 3)
+			if _, err := RunBaseline(cfg, transport.NewInProcess(srvBase)); err != nil {
+				t.Fatal(err)
+			}
+			if d := embed.Diff(srvBase, srv); len(d) != 0 {
+				t.Fatalf("embedding state diverged at %d ids (first: %v)", len(d), d[0])
+			}
+		})
+	}
+}
+
+// TestPlanRingUnderSkew runs workers whose rank 1 retires late (every
+// write-back 3 ms slow), so rank 0's oracle runs as far ahead of rank 1's
+// dispatcher as the collectives allow: the case planRing's bound is derived
+// for. Measured, plans arrived up to ℒ+lead+1 iterations ahead of the
+// drain, inside the ring's ℒ+lead+3 slots; a plan outside them panics. The
+// run must end bit-identical to the baseline.
+func TestPlanRingUnderSkew(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.LookAhead = 4
+	cfg.NumBatches = 60
+	srvBase := newServer(cfg.Spec, 3)
+	if _, err := RunBaseline(cfg, transport.NewInProcess(srvBase)); err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(cfg.Spec, 3)
+	trs := newStores(srv, cfg.NumTrainers)
+	trs[1] = skewStore{trs[1], 3 * time.Millisecond}
+	runWorkers(t, cfg, trs, transport.NewInprocMesh(cfg.NumTrainers))
+	if d := embed.Diff(srvBase, srv); len(d) != 0 {
+		t.Fatalf("embedding state diverged at %d ids (first: %v)", len(d), d[0])
+	}
 }

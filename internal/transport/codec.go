@@ -528,6 +528,26 @@ func (r *wireReader) plan() *core.Plan {
 		r.invalid("%d examples for a trainer assigned %d", n, mine)
 		return pl
 	}
+	// Every example's dense values decode into one array and its ids into
+	// another, each example viewing its runs: a first pass over a copy of
+	// the reader sums the run lengths (count proves each run's bytes are
+	// present), the second decodes.
+	scan, nd, nc := *r, 0, 0
+	for i := 0; i < n && scan.err == nil; i++ {
+		scan.u32()
+		k := scan.count(4)
+		scan.take(k, 4)
+		nd += k
+		k = scan.count(8)
+		scan.take(k, 8)
+		nc += k
+		scan.u32()
+	}
+	if scan.err != nil {
+		r.err = scan.err
+		return pl
+	}
+	dense, cats := make([]float32, nd), make([]uint64, nc)
 	prev := -1
 	for i := 0; i < n && r.err == nil; i++ {
 		idx := int(r.u32())
@@ -536,12 +556,31 @@ func (r *wireReader) plan() *core.Plan {
 			return pl
 		}
 		prev = idx
-		ex := data.Example{Dense: r.f32s(), Cat: r.u64s()}
+		ex := data.Example{Dense: runIn(r, &dense, 4), Cat: runIn(r, &cats, 8)}
 		ex.Label = r.f32()
 		d.Batch.Examples[idx] = ex
 	}
 	pl.Dec = d
 	return pl
+}
+
+// runIn decodes a count-prefixed run of size-byte values into the front of
+// *buf and advances *buf past it, so runs decoded in turn view one array.
+// An empty run is nil, and a run longer than what is left of *buf fails the
+// reader.
+func runIn[T float32 | uint64](r *wireReader, buf *[]T, size int) []T {
+	n := r.count(size)
+	if n == 0 {
+		return nil
+	}
+	if n > len(*buf) {
+		r.fail()
+		return nil
+	}
+	xs := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	copyLE(bytesOf(xs), r.take(n, size), size)
+	return xs
 }
 
 // ascending reads a count-prefixed id list and fails the reader unless it
@@ -708,16 +747,6 @@ func (r *wireReader) take(n, elem int) []byte {
 	b := r.b[:n*elem]
 	r.b = r.b[n*elem:]
 	return b
-}
-
-func (r *wireReader) f32s() []float32 {
-	n := r.count(4)
-	if n == 0 {
-		return nil
-	}
-	xs := make([]float32, n)
-	copyLE(bytesOf(xs), r.take(n, 4), 4)
-	return xs
 }
 
 // f32sInto decodes a count-prefixed float32 vector into the caller's dst
