@@ -61,23 +61,26 @@ func BenchmarkCacheGet(b *testing.B) {
 //     stream;
 //   - uniform-L32-P2: the benchmark's uniform-key TCP shape (Criteo scaled
 //     by 100, batch 256, ℒ=32, two trainers), where every row is a miss and
-//     the plans are the largest; its B/op is what one stream of decisions
-//     and their plans allocates.
+//     the plans are the largest.
+//
+// Both build a fresh oracle per op, so their B/op is one stream's
+// decisions and plans plus the window's warm-up growth: the id table, the
+// slot slab and the window buffers, which a long run allocates only once.
+// steady-uniform-L32-P2 is the long run: one warmed oracle over the
+// uniform stream, replayed in a cycle, where each op is one decision's
+// Next, Plans(2) and Recycle, the engine's oracle loop.
 func BenchmarkOracleLookahead(b *testing.B) {
 	const batchSize, nBatches = 256, 64
+	uniform := data.CriteoKaggle().Scaled(100).WithEmbDim(16).WithDist(data.Uniform{})
 	for _, c := range []struct {
 		name string
 		spec *data.Spec
 		l, p int
 	}{
 		{"criteo-L200-P4", benchSpec(), 200, 4},
-		{"uniform-L32-P2", data.CriteoKaggle().Scaled(100).WithEmbDim(16).WithDist(data.Uniform{}), 32, 2},
+		{"uniform-L32-P2", uniform, 32, 2},
 	} {
-		gen := data.NewGenerator(c.spec, 3)
-		batches := make([]*data.Batch, nBatches)
-		for i := range batches {
-			batches[i] = gen.Batch(i, batchSize)
-		}
+		batches := genBatches(c.spec, nBatches, batchSize)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
@@ -93,4 +96,54 @@ func BenchmarkOracleLookahead(b *testing.B) {
 			b.ReportMetric(float64(nBatches), "decisions/op")
 		})
 	}
+	b.Run("steady-uniform-L32-P2", func(b *testing.B) {
+		o := warmOracle(genBatches(uniform, nBatches, batchSize), 32, 2)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			d, _ := o.Next()
+			d.Plans(2)
+			o.Recycle(d)
+		}
+	})
+}
+
+// genBatches pre-generates n batches of spec's stream.
+func genBatches(spec *data.Spec, n, size int) []*data.Batch {
+	gen := data.NewGenerator(spec, 3)
+	batches := make([]*data.Batch, n)
+	for i := range batches {
+		batches[i] = gen.Batch(i, size)
+	}
+	return batches
+}
+
+// cycleSource replays a ring of batches without end, renumbering each as it
+// goes out so indices keep increasing. A batch goes out again only after
+// len(batches) others, so with more batches than the window holds, no batch
+// is renumbered while a window or a pending decision still holds it.
+type cycleSource struct {
+	batches []*data.Batch
+	next    int
+}
+
+func (c *cycleSource) Next() (*data.Batch, bool) {
+	b := c.batches[c.next%len(c.batches)]
+	b.Index = c.next
+	c.next++
+	return b, true
+}
+
+// warmOracle returns an oracle with lookahead l for p trainers over batches
+// in a cycle, run through three cycles of Next, Plans and Recycle: its id
+// table, slot slab, window buffers and recycled decision have reached the
+// stream's steady size.
+func warmOracle(batches []*data.Batch, l, p int) *Oracle {
+	o := NewOracle(&cycleSource{batches: batches}, l, p)
+	for range 3 * len(batches) {
+		d, _ := o.Next()
+		d.Plans(p)
+		o.Recycle(d)
+	}
+	return o
 }

@@ -16,7 +16,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -197,11 +196,12 @@ func (d *Decision) Stats(cacheOccupancy int) IterStats {
 //
 // Every id is interned once, when the first window batch that uses it
 // enters the window, into a private slot that lives until the id's last
-// window use has been decided; slots recycle through a free list, so their
-// number is bounded by the distinct ids of one window. Everything Next
-// computes per id — last use, residency, the users of the current batch,
-// membership of the next batch — is a field of that slot, so the id → slot
-// table is the only map the walk consults.
+// window use has been decided; the IDTable recycles slots, so their number
+// is bounded by the distinct ids of one window. Everything Next computes
+// per id — last use, residency, the users of the current batch, membership
+// of the next batch — is a field of that slot, and each window batch's
+// distinct ids are grouped by a radix sort, so the walk consults no Go map
+// and sorts nothing by comparison.
 type Oracle struct {
 	// LookAhead is ℒ: the size of the inspection window in batches,
 	// counting the current batch, exactly as in Algorithm 1's
@@ -215,16 +215,17 @@ type Oracle struct {
 	// equal chunks (Bagpipe's default).
 	Partitioner Partitioner
 
-	src   BatchSource
-	queue []*window
-	spare []*window // recycled window buffers
-	done  bool
-	last  int // index of the newest batch in the window (-1 before the first)
+	src      BatchSource
+	queue    []*window
+	spare    []*window // recycled window buffers
+	recycled *Decision // handed back by Recycle, for the next Next
+	done     bool
+	last     int // index of the newest batch in the window (-1 before the first)
 
-	slotOf map[uint64]int32
-	slots  []oracleSlot
-	free   []int32
-	epoch  uint32 // stamp generator: every fill and every Next draws a fresh one
+	ids   IDTable
+	slots []oracleSlot
+	epoch uint32   // stamp generator: every fill and every Next draws a fresh one
+	radix []idSlot // SortByID's scratch, swapped with each filled window's uniq
 
 	cached int // ids the oracle considers resident (Algorithm 1's InCache)
 	peak   int
@@ -232,7 +233,6 @@ type Oracle struct {
 
 // oracleSlot is one interned id's state.
 type oracleSlot struct {
-	id     uint64
 	last   int    // newest window batch using the id: its TTL
 	users  Ranks  // trainers touching it in the batch being decided
 	stamp  uint32 // epoch of the last fill or next-batch mark that saw it
@@ -265,32 +265,19 @@ func NewOracle(src BatchSource, l, numTrainers int) *Oracle {
 		NumTrainers: numTrainers,
 		src:         src,
 		last:        -1,
-		slotOf:      make(map[uint64]int32),
 	}
 }
 
 // intern returns id's slot, allocating one on the id's first window use.
 func (o *Oracle) intern(id uint64) int32 {
-	if s, ok := o.slotOf[id]; ok {
-		return s
+	s, added := o.ids.Put(id)
+	if added {
+		if int(s) == len(o.slots) {
+			o.slots = append(o.slots, oracleSlot{})
+		}
+		o.slots[s] = oracleSlot{}
 	}
-	var s int32
-	if n := len(o.free); n > 0 {
-		s = o.free[n-1]
-		o.free = o.free[:n-1]
-	} else {
-		s = int32(len(o.slots))
-		o.slots = append(o.slots, oracleSlot{})
-	}
-	o.slots[s] = oracleSlot{id: id}
-	o.slotOf[id] = s
 	return s
-}
-
-// release recycles a slot whose last window use has been decided.
-func (o *Oracle) release(s int32) {
-	delete(o.slotOf, o.slots[s].id)
-	o.free = append(o.free, s)
 }
 
 // fill tops the window up to LookAhead batches beyond the current front.
@@ -314,6 +301,7 @@ func (o *Oracle) fill() {
 		}
 		w.b, w.acc, w.uniq = b, w.acc[:0], w.uniq[:0]
 		o.epoch++
+		var top uint64 // the OR of the distinct ids: the largest one's bit length
 		for _, ex := range b.Examples {
 			for _, id := range ex.Cat {
 				s := o.intern(id)
@@ -322,16 +310,19 @@ func (o *Oracle) fill() {
 					sl.stamp = o.epoch
 					sl.last = b.Index
 					w.uniq = append(w.uniq, idSlot{id, s})
+					top |= id
 				}
 			}
 		}
-		slices.SortFunc(w.uniq, func(a, b idSlot) int { return cmp.Compare(a.id, b.id) })
+		w.uniq, o.radix = SortByID(w.uniq, o.radix, top, func(u *idSlot) uint64 { return u.id })
 		o.queue = append(o.queue, w)
 	}
 }
 
 // Next runs one step of Algorithm 1 and returns the decision for the next
-// batch, or ok=false when the stream is exhausted.
+// batch, or ok=false when the stream is exhausted. The decision's per-id
+// slices are new unless a decision was handed back through Recycle, whose
+// buffers they then reuse.
 func (o *Oracle) Next() (*Decision, bool) {
 	o.fill()
 	if len(o.queue) == 0 {
@@ -346,18 +337,29 @@ func (o *Oracle) Next() (*Decision, bool) {
 	if p == nil {
 		p = Contiguous{}
 	}
-	n := len(cur.uniq)
-	d := &Decision{
-		Iter:       cur.b.Index,
-		Batch:      cur.b,
-		Assign:     p.Assign(cur.b, o.NumTrainers),
-		IDs:        make([]uint64, n),
-		TTL:        make([]int, n),
-		Users:      make([]Ranks, n),
-		NeededNext: make([]bool, n),
-	}
+	// Reset the users of the batch's ids, counting the ones not resident:
+	// they are the prefetch list's exact length.
+	misses := 0
 	for _, u := range cur.uniq {
-		o.slots[u.slot].users = 0
+		sl := &o.slots[u.slot]
+		sl.users = 0
+		if !sl.cached {
+			misses++
+		}
+	}
+	n := len(cur.uniq)
+	d := o.recycled
+	o.recycled = nil
+	if d == nil {
+		d = new(Decision)
+	}
+	d.Iter, d.Batch, d.Assign = cur.b.Index, cur.b, p.Assign(cur.b, o.NumTrainers)
+	d.IDs, d.TTL = slices.Grow(d.IDs[:0], n)[:n], slices.Grow(d.TTL[:0], n)[:n]
+	d.Users, d.NeededNext = slices.Grow(d.Users[:0], n)[:n], slices.Grow(d.NeededNext[:0], n)[:n]
+	if misses == 0 {
+		d.Prefetch = nil // an empty list stays nil, as appending to nil left it
+	} else {
+		d.Prefetch = slices.Grow(d.Prefetch[:0], misses)
 	}
 	k := 0
 	for i, ex := range cur.b.Examples {
@@ -376,6 +378,7 @@ func (o *Oracle) Next() (*Decision, bool) {
 	for j, u := range cur.uniq {
 		sl := &o.slots[u.slot]
 		d.IDs[j], d.TTL[j], d.Users[j] = u.id, sl.last, sl.users
+		d.NeededNext[j] = sl.last != d.Iter && sl.stamp == o.epoch
 		if !sl.cached {
 			d.Prefetch = append(d.Prefetch, u.id)
 			sl.cached = true
@@ -384,9 +387,7 @@ func (o *Oracle) Next() (*Decision, bool) {
 		if sl.last == d.Iter {
 			sl.cached = false
 			o.cached--
-			o.release(u.slot)
-		} else if sl.stamp == o.epoch {
-			d.NeededNext[j] = true
+			o.ids.Delete(u.id)
 		}
 	}
 	if o.cached > o.peak {
@@ -395,6 +396,17 @@ func (o *Oracle) Next() (*Decision, bool) {
 	cur.b = nil
 	o.spare = append(o.spare, cur)
 	return d, true
+}
+
+// Recycle hands d back for Next to reuse its IDs, TTL, Users, NeededNext
+// and Prefetch buffers. d must be a decision of this oracle whose Stats,
+// needed-next count and Plans are done: after Recycle nothing may read d,
+// and the next Next overwrites it. Plans made from d stay valid, because
+// they share only the slim Iter/Batch/Assign header, never d. A caller that
+// never recycles gets fresh slices from every Next.
+func (o *Oracle) Recycle(d *Decision) {
+	d.Batch, d.Assign = nil, nil
+	o.recycled = d
 }
 
 // CacheOccupancy returns the oracle's current view of cached rows.

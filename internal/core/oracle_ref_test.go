@@ -209,7 +209,8 @@ func sortU64(ids []uint64) {
 
 // matchReference runs the flat oracle and the reference over the same
 // batches and fails at the first decision, per-trainer plan or occupancy
-// figure on which they differ.
+// figure on which they differ. It recycles every other decision, so the
+// reused buffers answer to the reference too.
 func matchReference(t *testing.T, batches []*data.Batch, l, p int, part Partitioner) {
 	t.Helper()
 	flat := NewOracle(&SliceSource{Batches: batches}, l, p)
@@ -230,12 +231,15 @@ func matchReference(t *testing.T, batches []*data.Batch, l, p int, part Partitio
 		if flat.CacheOccupancy() != len(ref.inCache) {
 			t.Fatalf("iter %d: occupancy %d, reference %d", d.Iter, flat.CacheOccupancy(), len(ref.inCache))
 		}
+		if n%2 == 1 {
+			flat.Recycle(d)
+		}
 	}
 	if flat.PeakOccupancy() != ref.peak {
 		t.Fatalf("peak occupancy %d, reference %d", flat.PeakOccupancy(), ref.peak)
 	}
-	if len(flat.slotOf) != 0 || len(flat.free) != len(flat.slots) {
-		t.Fatalf("%d ids still interned, %d of %d slots free after the stream", len(flat.slotOf), len(flat.free), len(flat.slots))
+	if flat.ids.n != 0 || len(flat.ids.free) != len(flat.slots) {
+		t.Fatalf("%d ids still interned, %d of %d slots free after the stream", flat.ids.n, len(flat.ids.free), len(flat.slots))
 	}
 }
 

@@ -100,11 +100,15 @@ func (g *Generator) Batch(i, batchSize int) *Batch {
 	if d, ok := g.Spec.Dist.(*Drifting); ok {
 		d.SetClock(int64(i) * int64(batchSize) * int64(g.Spec.NumCategorical))
 	}
+	// Every example views its share of one dense and one id array; the
+	// full slice expressions keep an append from spilling into a neighbour.
+	nd, nc := g.Spec.NumNumeric, g.Spec.NumCategorical
+	dense, cat := make([]float32, batchSize*nd), make([]uint64, batchSize*nc)
 	b := &Batch{Index: i, Examples: make([]Example, batchSize)}
 	for e := range b.Examples {
 		ex := Example{
-			Dense: make([]float32, g.Spec.NumNumeric),
-			Cat:   make([]uint64, g.Spec.NumCategorical),
+			Dense: dense[e*nd : (e+1)*nd : (e+1)*nd],
+			Cat:   cat[e*nc : (e+1)*nc : (e+1)*nc],
 		}
 		logit := float32(0)
 		for d := range ex.Dense {

@@ -1,7 +1,6 @@
 package train
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -184,11 +183,12 @@ type lrppTrainer struct {
 	// Hot-path scratch, all guarded by mu (or touched only by the one
 	// goroutine noted): the arena every fetch/replica/partial/write-back
 	// recycles through, the shared fold buffer and the partials it spent,
-	// and the row table, its id index and the partials by table row
-	// (trainer loop only).
+	// the radix sort's scratch for eviction batches, and the row table,
+	// its id index and the partials by table row (trainer loop only).
 	arena    *transport.RowArena
 	foldBuf  []float32
 	spent    [][]float32
+	evSort   []core.Eviction
 	tab      [][]float32
 	idx      map[uint64]int32
 	partials [][]float32
@@ -280,7 +280,9 @@ func runLRPP(cfg Config, trs []transport.Store, mesh transport.Mesh, prep func(*
 	}
 
 	// Oracle: one lookahead walker emits per-trainer plans in iteration
-	// order, at most the plan lead ahead of each dispatcher.
+	// order, at most the plan lead ahead of each dispatcher. Each decision
+	// goes back to the oracle once its plans are cut, for the next Next to
+	// reuse its buffers.
 	gen := data.NewGenerator(cfg.Spec, cfg.Seed)
 	oracle := core.NewOracle(core.NewGeneratorSource(gen, cfg.BatchSize, cfg.NumBatches), cfg.LookAhead, P)
 	oracle.Partitioner = cfg.Partitioner
@@ -301,7 +303,9 @@ func runLRPP(cfg Config, trs []transport.Store, mesh transport.Mesh, prep func(*
 				return
 			}
 			stats = append(stats, d.Stats(oracle.CacheOccupancy()))
-			for p, pl := range d.Plans(P) {
+			plans := d.Plans(P)
+			oracle.Recycle(d)
+			for p, pl := range plans {
 				planChs[p] <- pl
 			}
 		}
@@ -573,7 +577,7 @@ func (t *lrppTrainer) startReceiver() {
 				t.mu.Lock()
 				for _, f := range pl.Flushes {
 					for i, id := range f.IDs {
-						s, ok := t.part.slotOf[id]
+						s, ok := t.part.ids.Get(id)
 						if !ok {
 							panic(fmt.Sprintf("train: trainer %d: contribution for unregistered id %d iter %d", t.p, id, f.Iter))
 						}
@@ -1140,7 +1144,11 @@ func (t *lrppTrainer) maybeEmitLocked(rec *iterRec) {
 		return
 	}
 	rec.emitted = true
-	slices.SortFunc(rec.evs, func(a, b core.Eviction) int { return cmp.Compare(a.ID, b.ID) })
+	var top uint64
+	for _, ev := range rec.evs {
+		top |= ev.ID
+	}
+	rec.evs, t.evSort = core.SortByID(rec.evs, t.evSort, top, func(ev *core.Eviction) uint64 { return ev.ID })
 	select {
 	case t.maintPoke <- struct{}{}:
 	default: // a wake-up is already pending, and the walk takes every emitted iteration

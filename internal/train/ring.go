@@ -47,7 +47,7 @@ const unclaimed = -1
 // arriving ℒ ahead of r: ℒ+1 records is the observed floor, ℒ+2 the bound.
 // Sync flushes are not filed here: a peer's deferred partial for x may land
 // after x retired (x waits only for its expiring rows' merges), so the
-// receiver resolves them through partition.slotOf.
+// receiver resolves them through the partition's id table.
 type iterRing []iterRec
 
 func newIterRing(L, P int) iterRing {
@@ -144,42 +144,35 @@ type iterMerge struct {
 }
 
 // partition is an owner's cache partition: a slab of slot records, one per
-// row it is responsible for. Slots are private to the trainer — allocated
-// at a row's registration, recycled at its eviction, so the slab is bounded
-// by the partition's peak occupancy — and the id → slot map is consulted
-// once per row per registration and once per received remote partial;
-// every other step of an iteration indexes the slab through the slots its
-// registration recorded. It is not synchronized (the trainer's mu guards
-// it), and records and their merges are reused in place, so the steady
-// state allocates nothing.
+// row it is responsible for. Slots are private to the trainer — handed out
+// by the id table at a row's registration and freed at its eviction, so the
+// slab and the table are bounded by the partition's peak occupancy — and
+// the table is consulted once per row per registration and once per
+// received remote partial; every other step of an iteration indexes the
+// slab through the slots its registration recorded. It is not synchronized
+// (the trainer's mu guards it), and records and their merges are reused in
+// place, so the steady state allocates nothing.
 type partition struct {
 	ranks    int
-	slotOf   map[uint64]int32
+	ids      core.IDTable
 	recs     []slotRec
-	free     []int32
 	resident int // rows inserted and not yet evicted
 	peak     int
 }
 
 func newPartition(ranks int) partition {
-	return partition{ranks: ranks, slotOf: make(map[uint64]int32)}
+	return partition{ranks: ranks}
 }
 
 // slot returns id's record, allocating one when the id has none.
 func (pt *partition) slot(id uint64) int32 {
-	if s, ok := pt.slotOf[id]; ok {
-		return s
+	s, added := pt.ids.Put(id)
+	if added {
+		if int(s) == len(pt.recs) {
+			pt.recs = append(pt.recs, slotRec{})
+		}
+		pt.recs[s].id = id
 	}
-	var s int32
-	if n := len(pt.free); n > 0 {
-		s = pt.free[n-1]
-		pt.free = pt.free[:n-1]
-	} else {
-		s = int32(len(pt.recs))
-		pt.recs = append(pt.recs, slotRec{})
-	}
-	pt.recs[s].id = id
-	pt.slotOf[id] = s
 	return s
 }
 
@@ -248,9 +241,8 @@ func (pt *partition) insert(s int32, row []float32) {
 func (pt *partition) evict(s int32) core.Eviction {
 	rec := &pt.recs[s]
 	ev := core.Eviction{ID: rec.id, Row: rec.row}
-	delete(pt.slotOf, rec.id)
+	pt.ids.Delete(rec.id)
 	rec.row = nil
-	pt.free = append(pt.free, s)
 	pt.resident--
 	return ev
 }

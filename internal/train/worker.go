@@ -116,7 +116,8 @@ func RunLRPPWorker(cfg Config, rank int, tr transport.Store, mesh transport.Mesh
 		// The local plan channel's capacity throttles the walk to the
 		// plan lead ahead of rank 0's dispatcher; peers can never outrun
 		// it by more than the collectives allow, so plans are always
-		// available where needed (planRing derives the peers' bound).
+		// available where needed (planRing derives the peers' bound). Each
+		// decision goes back to the oracle once its plans are cut.
 		planCh := make(planChan, planQueue(cfg.LookAhead))
 		src = planCh
 		gen := data.NewGenerator(cfg.Spec, cfg.Seed)
@@ -137,6 +138,7 @@ func RunLRPPWorker(cfg Config, rank int, tr transport.Store, mesh transport.Mesh
 					}
 				}
 				plans := d.Plans(P)
+				oracle.Recycle(d)
 				for p := 1; p < P; p++ {
 					pb := planMsgBytes(plans[p], needed)
 					ep.Send(p, pb, transport.PlanMsg{Plan: plans[p]})
