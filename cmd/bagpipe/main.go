@@ -583,6 +583,9 @@ func runLocal(cfg train.Config, spec *data.Spec, netName string) {
 	report(res)
 	if *statsFl {
 		md.report(res.Iters)
+		for i, srv := range srvs[:finalS] {
+			reportTables(fmt.Sprintf("server %d", i), srv.Stats())
+		}
 		if *serveInfer {
 			reportInterference(cfg, spec, netName, res)
 		}
@@ -612,13 +615,13 @@ func runLocal(cfg train.Config, spec *data.Spec, netName string) {
 			fatal(fmt.Errorf("FAIL: embedding state differs at %d ids (first %v)", len(diff), diff[0]))
 		}
 		fmt.Printf("\nPASS: lrpp over %d server(s) and baseline embedding state bit-identical across %d materialized rows\n",
-			finalS, len(merged.MaterializedIDs()))
+			finalS, merged.NumMaterialized())
 		if res.Elapsed < baseRes.Elapsed {
 			fmt.Printf("lrpp speedup over baseline: %.2fx\n", baseRes.Elapsed.Seconds()/res.Elapsed.Seconds())
 		}
 		if *reshardTo > 0 {
 			fmt.Printf("\nPASS: tier resharded %d -> %d: migrated tier certified bit-identical to the no-cache baseline across %d materialized rows\n",
-				*servers, finalS, len(merged.MaterializedIDs()))
+				*servers, finalS, merged.NumMaterialized())
 		}
 	}
 }
@@ -764,7 +767,21 @@ func runServer(spec *data.Spec) {
 	if err := transport.ServeEmbed(lis, srv); err != nil {
 		fatal(err)
 	}
+	if *statsFl {
+		reportTables("embedding server", srv.Stats())
+	}
 	fmt.Println("embedding server: shutdown")
+}
+
+// reportTables prints what one embedding server's tables hold: rows, slab
+// and id-table bytes, and the two per row.
+func reportTables(name string, st embed.Stats) {
+	perRow := 0.0
+	if st.Rows > 0 {
+		perRow = float64(st.SlabBytes+st.IndexBytes) / float64(st.Rows)
+	}
+	fmt.Printf("  tables: %s %d rows, slab %.2f MB, index %.2f MB (%.1f B/row)\n",
+		name, st.Rows, float64(st.SlabBytes)/1e6, float64(st.IndexBytes)/1e6, perRow)
 }
 
 // runWorker is one trainer process of a distributed LRPP run: it meshes
@@ -1382,14 +1399,14 @@ func runTCPDriver(cfg train.Config, spec *data.Spec) {
 		}
 		if *killServer >= 0 {
 			fmt.Printf("\nPASS: distributed lrpp over loopback TCP survived killing embedding server %d: surviving tier bit-identical to the baseline across %d materialized rows\n",
-				*killServer, len(remote.MaterializedIDs()))
+				*killServer, remote.NumMaterialized())
 		} else {
 			fmt.Printf("\nPASS: distributed lrpp over loopback TCP left the %d-server embedding tier bit-identical to the baseline across %d materialized rows\n",
-				finalS, len(remote.MaterializedIDs()))
+				finalS, remote.NumMaterialized())
 		}
 		if *reshardTo > 0 {
 			fmt.Printf("\nPASS: tier resharded %d -> %d: migrated tier certified bit-identical to the no-cache baseline across %d materialized rows\n",
-				*servers, finalS, len(remote.MaterializedIDs()))
+				*servers, finalS, remote.NumMaterialized())
 		}
 	}
 	if *restartFl {

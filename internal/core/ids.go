@@ -6,34 +6,39 @@ import (
 )
 
 // IDTable maps embedding ids to dense slot numbers, the indices of a slab
-// its user keeps beside it: the Oracle Cacher's per-id state, and each
-// trainer's partition of cached rows. Put hands a new id the most recently
+// its user keeps beside it: the Oracle Cacher's per-id state, each
+// trainer's partition of cached rows and its per-iteration row table, and
+// each embedding-table shard's rows. Put hands a new id the most recently
 // freed slot, or the next one never handed out; Delete frees the id's slot.
 // Slot numbers are therefore bounded by the peak number of ids held at
-// once, and so is the slab.
+// once, and so is the slab. ID reads a slot's id back, so a user can walk
+// its slab in slot order without listing the ids.
 //
 // The table is open-addressed with linear probing over a power-of-two
 // array of 8-byte entries, each a 32-bit hash tag and a slot; the ids
 // themselves sit in a slot-indexed array, read only on a tag match, so a
 // miss probes the entry array alone and a rehash reads no id. (Entries
 // holding the id itself, 16 bytes each, measured about 12 % slower per
-// oracle decision at the benchmark's uniform-key shape, whose table holds
-// 75k ids in 256k entries.) Deletion shifts the rest of the probe run back
-// instead of leaving a tombstone: both users delete every id once per
-// residency, so tombstones would fill the array. The array doubles only
-// when the live count passes half its length, so every probe run ends at an
-// empty entry and the array stays below four times the peak live count. A
-// user whose live count stops growing stops allocating:
+// oracle decision at the benchmark's uniform-key shape.) Deletion shifts
+// the rest of the probe run back instead of leaving a tombstone: the users
+// delete every id once per residency, so tombstones would fill the array.
+// The array doubles only when the live count passes three quarters of its
+// length, so every probe run ends at an empty entry and the array stays
+// below 8/3 times the peak live count. (At half, an embedding shard's
+// table outgrew the Go map it replaced.) A user whose live count stops
+// growing stops allocating:
 //
 //   - the oracle holds the ids of its window, so its table is bounded by
 //     one window's distinct ids (ℒ batches' worth);
 //   - a trainer holds the rows registered in its partition, so its table is
-//     bounded by the partition's peak occupancy.
+//     bounded by the partition's peak occupancy;
+//   - an embedding shard holds its materialized rows.
 //
-// The zero value is an empty table. It is not synchronized.
+// The zero value is an empty table. It is not synchronized; concurrent
+// Get, ID, Len and Slots calls are safe while no Put, Delete or Reset runs.
 type IDTable struct {
 	ents  []idEnt  // len is 0 or a power of two
-	ids   []uint64 // ids[s] is slot s's id, while the slot is held
+	ids   []uint64 // ids[s] is slot s's id; a freed slot keeps its last one
 	shift uint     // 32 − log2(len(ents)): a tag's top bits index ents
 	n     int      // ids held
 	free  []int32  // freed slots, reused last in, first out
@@ -99,7 +104,7 @@ func (t *IDTable) Put(id uint64) (s int32, added bool) {
 	}
 	t.ids[s] = id
 	t.ents[i] = idEnt{tag(id), s + 1}
-	if t.n++; t.n > len(t.ents)/2 {
+	if t.n++; t.n > len(t.ents)/4*3 {
 		t.resize(2 * len(t.ents))
 	}
 	return s, true
@@ -129,6 +134,40 @@ func (t *IDTable) Delete(id uint64) {
 	t.ents[i] = idEnt{}
 	t.n--
 	t.free = append(t.free, e.s-1)
+}
+
+// ID returns the id slot s holds, and whether it holds one: a freed slot,
+// or one at or past Slots, holds none. A freed slot keeps its last id, so
+// ID probes for it: the slot is held exactly when the table maps that id
+// to it. Liveness thus costs Put and Delete nothing, and a walk one probe
+// per slot.
+func (t *IDTable) ID(s int32) (uint64, bool) {
+	if int(s) >= len(t.ids) {
+		return 0, false
+	}
+	id := t.ids[s]
+	return id, t.ents[t.find(id)].s == s+1
+}
+
+// Len returns how many ids the table holds.
+func (t *IDTable) Len() int { return t.n }
+
+// Slots returns how many slots the table has handed out: every held slot
+// is below it.
+func (t *IDTable) Slots() int { return len(t.ids) }
+
+// Bytes returns the bytes the table's arrays hold, capacity included.
+func (t *IDTable) Bytes() int {
+	return 8*cap(t.ents) + 8*cap(t.ids) + 4*cap(t.free)
+}
+
+// Reset empties the table and keeps its arrays, so a table refilled to the
+// same size allocates nothing. Slots restart at 0: until a Delete, the
+// k-th id Put after a Reset gets slot k.
+func (t *IDTable) Reset() {
+	clear(t.ents)
+	t.ids, t.free = t.ids[:0], t.free[:0]
+	t.n = 0
 }
 
 // resize rehashes every entry into a new array of length n.

@@ -73,8 +73,22 @@ func (o *tableOracle) check(absent ...uint64) {
 	if len(o.tab.ids) > o.peak {
 		o.t.Fatalf("%d slots handed out for a peak of %d ids", len(o.tab.ids), o.peak)
 	}
-	if n := len(o.tab.ents); n > minIDTable && n >= 4*o.peak {
+	if n := len(o.tab.ents); n > minIDTable && 3*n >= 8*o.peak {
 		o.t.Fatalf("%d entries for a peak of %d ids", n, o.peak)
+	}
+	// Every held slot reads its id back, and no other slot reads one.
+	held := 0
+	for s := int32(0); int(s) <= o.tab.Slots(); s++ {
+		id, ok := o.tab.ID(s)
+		if ok != o.held[s] || ok && o.slotOf[id] != s {
+			o.t.Fatalf("ID(%d) = %d, %v; slot held %v", s, id, ok, o.held[s])
+		}
+		if ok {
+			held++
+		}
+	}
+	if held != o.tab.Len() || held != len(o.slotOf) {
+		o.t.Fatalf("%d slots read an id, Len %d, map holds %d", held, o.tab.Len(), len(o.slotOf))
 	}
 }
 
@@ -114,17 +128,19 @@ func TestIDTableMatchesMap(t *testing.T) {
 
 // TestIDTableProbeRuns forces ids into one probe run, homed at the array's
 // first, middle and last entry (the last run wraps past the end), until the
-// table grows in the middle of the run and rehashes it. Deleting from the
-// front, the middle and the end of a run must shift the rest back without
-// losing an id.
+// table grows in the middle of the run and rehashes it: at three quarters
+// load, the growth point the IDTable doc comment's 8/3 array bound rests
+// on. Deleting from the front, the middle and the end of a run must shift
+// the rest back without losing an id.
 func TestIDTableProbeRuns(t *testing.T) {
+	const grow = minIDTable / 4 * 3 // ids a minIDTable array holds before it grows
 	for _, h := range []int{0, minIDTable/2 - 1, minIDTable - 1} {
-		ids := sameHome(minIDTable/2+1, minIDTable, h)
+		ids := sameHome(grow+1, minIDTable, h)
 		o := newTableOracle(t)
 		for i, id := range ids {
 			o.put(id)
-			if want := minIDTable << (i / (minIDTable / 2)); len(o.tab.ents) != want {
-				t.Fatalf("home %d: %d ids in %d entries, want the table grown", h, i+1, len(o.tab.ents))
+			if want := minIDTable << (i / grow); len(o.tab.ents) != want {
+				t.Fatalf("home %d: %d ids in %d entries, want %d", h, i+1, len(o.tab.ents), want)
 			}
 			o.check(ids...)
 		}
@@ -145,13 +161,37 @@ func TestIDTableProbeRuns(t *testing.T) {
 			o.del(more[k])
 			o.check(more...)
 		}
-		for _, k := range []int{0, 8, 3, 1, 6, 2, 5, 4, 7} {
+		for _, k := range []int{0, 12, 3, 1, 9, 6, 2, 11, 5, 4, 10, 7, 8} {
 			o.del(ids[k])
 			o.check(ids...)
 		}
 		if o.tab.n != 0 {
 			t.Fatalf("home %d: %d ids left", h, o.tab.n)
 		}
+	}
+}
+
+// TestIDTableResetRestartsSlots: after a Reset the table holds nothing,
+// hands out slots 0, 1, 2, … in insertion order and, refilled to the same
+// size, allocates nothing — the per-iteration row table's contract.
+func TestIDTableResetRestartsSlots(t *testing.T) {
+	var tab IDTable
+	fill := func(base uint64) {
+		tab.Reset()
+		for k := uint64(0); k < 500; k++ {
+			if s, added := tab.Put(base + 7*k); !added || s != int32(k) {
+				t.Fatalf("Put #%d after Reset = slot %d, added %v", k, s, added)
+			}
+		}
+	}
+	fill(0)
+	tab.Delete(14) // a freed slot must not survive the Reset either
+	fill(1 << 40)
+	if _, ok := tab.Get(7); ok || tab.Len() != 500 || tab.Slots() != 500 {
+		t.Fatalf("after Reset: id 7 still held %v, Len %d, Slots %d", ok, tab.Len(), tab.Slots())
+	}
+	if a := testing.AllocsPerRun(20, func() { fill(1 << 41) }); a != 0 {
+		t.Fatalf("%v allocations per refill once warm", a)
 	}
 }
 

@@ -91,62 +91,90 @@ func (s *Server) RoutedWrite(announced uint64, ids []uint64, rows [][]float32) *
 // migrated (old-partition, new-partition) slice with exactly this
 // intersection — the destination holds its whole new partition, the source
 // holds its whole old partition, and only the overlap is comparable.
+//
+// The digest is a commutative sum, so it reads each shard's rows where they
+// lie (Table.walk): no id list, no sort, no allocation, and a writer waits
+// behind at most one slab chunk. At quiescence it equals the digest of the
+// sorted materialized set; a certificate racing writers is not a snapshot,
+// and the tier's retry loops re-take it.
 func (s *Server) FingerprintPartIn(part, of, within, withinOf int) uint64 {
-	if of <= 0 || part < 0 || part >= of {
-		panic(fmt.Sprintf("embed: fingerprint partition %d of %d", part, of))
-	}
-	if withinOf > 1 && (within < 0 || within >= withinOf) {
-		panic(fmt.Sprintf("embed: fingerprint partition %d of %d", within, withinOf))
-	}
-	row := make([]float32, s.Dim)
+	checkPartIn("fingerprint", part, of, within, withinOf)
 	var sum uint64
-	for _, id := range s.MaterializedIDs() {
-		if of > 1 && core.OwnerOf(id, of) != part {
-			continue
-		}
-		if withinOf > 1 && core.OwnerOf(id, withinOf) != within {
-			continue
-		}
-		s.shards[s.ShardOf(id)].peek(id, row)
-		sum += rowDigest(id, row)
+	for _, sh := range s.shards {
+		sh.walk(func(id uint64, row []float32) {
+			if inPart(id, part, of, within, withinOf) {
+				sum += rowDigest(id, row)
+			}
+		})
 	}
 	return sum
+}
+
+// checkPartIn panics on a partition outside its split.
+func checkPartIn(op string, part, of, within, withinOf int) {
+	if of <= 0 || part < 0 || part >= of {
+		panic(fmt.Sprintf("embed: %s partition %d of %d", op, part, of))
+	}
+	if withinOf > 1 && (within < 0 || within >= withinOf) {
+		panic(fmt.Sprintf("embed: %s partition %d of %d", op, within, withinOf))
+	}
+}
+
+// inPart reports whether id falls in partition part of an of-way split and
+// in partition within of a withinOf-way one (see FingerprintPartIn).
+func inPart(id uint64, part, of, within, withinOf int) bool {
+	return (of <= 1 || core.OwnerOf(id, of) == part) &&
+		(withinOf <= 1 || core.OwnerOf(id, withinOf) == within)
+}
+
+// exportRec is one exported row before the sort: its id, and where its
+// copy starts in the export's flat row storage.
+type exportRec struct {
+	id  uint64
+	off int
 }
 
 // ExportPartIn snapshots the materialized rows of partition part of an
 // of-way split (core.OwnerOf(id, of) == part) intersected with partition
 // within of a second, withinOf-way space (see FingerprintPartIn), returning
-// parallel id/row slices. This is the anti-entropy source read: a surviving
-// replica exports a partition (within 0 of 1) so a rejoining server can
-// restore it, and resharding streams one (old-partition ∩ new-partition)
-// slice so a migration never moves rows the destination doesn't own in the
-// new space. Rows are copied (peek, not Get), so the export neither
-// materializes rows nor aliases live storage; concurrent writes
-// interleaving with the copy are repaired by the freshness protocol on the
-// receiving side plus the fingerprint retry loop in the tier's resync
-// driver.
+// parallel id/row slices, ascending by id. This is the anti-entropy source
+// read: a surviving replica exports a partition (within 0 of 1) so a
+// rejoining server can restore it, and resharding streams one
+// (old-partition ∩ new-partition) slice so a migration never moves rows the
+// destination doesn't own in the new space. The walk copies each exported
+// row as it passes, so the export neither materializes rows nor aliases
+// live storage, and only the exported ids are sorted (core.SortByID), each
+// listed once;
+// concurrent writes interleaving with the copy are repaired by the
+// freshness protocol on the receiving side plus the fingerprint retry loop
+// in the tier's resync driver.
 func (s *Server) ExportPartIn(part, of, within, withinOf int) ([]uint64, [][]float32) {
-	if of <= 0 || part < 0 || part >= of {
-		panic(fmt.Sprintf("embed: export partition %d of %d", part, of))
+	checkPartIn("export", part, of, within, withinOf)
+	var (
+		recs []exportRec
+		flat []float32
+		top  uint64
+	)
+	for _, sh := range s.shards {
+		sh.walk(func(id uint64, row []float32) {
+			if inPart(id, part, of, within, withinOf) {
+				recs = append(recs, exportRec{id, len(flat)})
+				flat = append(flat, row...)
+				top |= id
+			}
+		})
 	}
-	if withinOf > 1 && (within < 0 || within >= withinOf) {
-		panic(fmt.Sprintf("embed: export partition %d of %d", within, withinOf))
-	}
-	var ids []uint64
-	for _, id := range s.MaterializedIDs() {
-		if of > 1 && core.OwnerOf(id, of) != part {
+	recs, _ = core.SortByID(recs, nil, top, func(r *exportRec) uint64 { return r.id })
+	ids := make([]uint64, 0, len(recs))
+	rows := make([][]float32, 0, len(recs))
+	for i, r := range recs {
+		// A row removed and re-added behind a racing walk is visited twice;
+		// the sort is stable, so the later, newer copy is the one kept.
+		if i+1 < len(recs) && recs[i+1].id == r.id {
 			continue
 		}
-		if withinOf > 1 && core.OwnerOf(id, withinOf) != within {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	flat := make([]float32, len(ids)*s.Dim)
-	rows := make([][]float32, len(ids))
-	for i, id := range ids {
-		rows[i] = flat[i*s.Dim : (i+1)*s.Dim]
-		s.shards[s.ShardOf(id)].peek(id, rows[i])
+		ids = append(ids, r.id)
+		rows = append(rows, flat[r.off:r.off+s.Dim:r.off+s.Dim])
 	}
 	return ids, rows
 }
@@ -158,7 +186,7 @@ func (s *Server) ExportPartIn(part, of, within, withinOf int) ([]uint64, [][]flo
 // its deterministic (seed, id) init, which is correct precisely because the
 // dropped rows are ones the new routing never sends to this server, and it
 // restores the MergeTierReplicated invariant (a server materializes only
-// rows in its replica set).
+// rows in its replica set). Each shard is swept in place (Table.sweep).
 func (s *Server) RetainOwned(self, of, replicate int) int {
 	if of <= 0 || self < 0 || self >= of {
 		panic(fmt.Sprintf("embed: retain for server %d of %d", self, of))
@@ -167,13 +195,10 @@ func (s *Server) RetainOwned(self, of, replicate int) int {
 		replicate = 1
 	}
 	dropped := 0
-	for _, id := range s.MaterializedIDs() {
-		owner := core.OwnerOf(id, of)
-		if delta := (self - owner + of) % of; delta >= replicate {
-			if s.shards[s.ShardOf(id)].Remove(id) {
-				dropped++
-			}
-		}
+	for _, sh := range s.shards {
+		dropped += sh.sweep(func(id uint64) bool {
+			return (self-core.OwnerOf(id, of)+of)%of >= replicate
+		})
 	}
 	return dropped
 }

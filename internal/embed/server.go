@@ -5,19 +5,23 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"bagpipe/internal/core"
 )
 
-// Stats counts server traffic, used by the experiments to account bytes.
+// Stats counts server traffic, used by the experiments to account bytes,
+// and the memory the server's tables hold.
 type Stats struct {
 	RowsFetched int64
 	RowsWritten int64
 	Fetches     int64 // fetch RPCs
 	Writes      int64 // write RPCs
+	Rows        int64 // materialized rows
+	SlabBytes   int64 // slab chunks holding the rows, partly used ones included
+	IndexBytes  int64 // id → slot tables, capacity included
 }
 
 // Server is Bagpipe's Embedding Server tier: embedding rows sharded across
@@ -300,14 +304,21 @@ func (s *Server) Get(id uint64) []float32 {
 	return row
 }
 
-// Stats returns a snapshot of traffic counters.
+// Stats returns a snapshot of traffic counters and table footprints.
 func (s *Server) Stats() Stats {
-	return Stats{
+	st := Stats{
 		RowsFetched: s.rowsFetched.Load(),
 		RowsWritten: s.rowsWritten.Load(),
 		Fetches:     s.fetches.Load(),
 		Writes:      s.writes.Load(),
 	}
+	for _, sh := range s.shards {
+		rows, slab, index := sh.footprint()
+		st.Rows += int64(rows)
+		st.SlabBytes += int64(slab)
+		st.IndexBytes += int64(index)
+	}
+	return st
 }
 
 // NumMaterialized returns the total number of touched rows across shards.
@@ -355,13 +366,19 @@ func RestoreServer(r io.Reader, numShards int) (*Server, error) {
 }
 
 // MaterializedIDs returns the sorted ids of every materialized row across
-// all shards.
+// all shards, exactly so at quiescence (a walk racing writers is not a
+// snapshot, see Table.walk). A caller that needs only their number uses
+// NumMaterialized.
 func (s *Server) MaterializedIDs() []uint64 {
-	var ids []uint64
+	ids := make([]uint64, 0, s.NumMaterialized())
+	var top uint64
 	for _, sh := range s.shards {
-		ids = append(ids, sh.IDs()...)
+		sh.walk(func(id uint64, _ []float32) {
+			ids = append(ids, id)
+			top |= id
+		})
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids, _ = core.SortByID(ids, nil, top, func(id *uint64) uint64 { return *id })
 	return ids
 }
 
@@ -567,17 +584,17 @@ func Diff(a, b *Server) []uint64 {
 	if a.Dim != b.Dim {
 		panic(fmt.Sprintf("embed: Diff dim mismatch %d vs %d", a.Dim, b.Dim))
 	}
-	union := make(map[uint64]struct{})
-	for _, id := range a.MaterializedIDs() {
-		union[id] = struct{}{}
+	// The union of both materialized sets, ascending, so differ is too.
+	ids := append(a.MaterializedIDs(), b.MaterializedIDs()...)
+	var top uint64
+	for _, id := range ids {
+		top |= id
 	}
-	for _, id := range b.MaterializedIDs() {
-		union[id] = struct{}{}
-	}
+	ids, _ = core.SortByID(ids, nil, top, func(id *uint64) uint64 { return *id })
 	ra := make([]float32, a.Dim)
 	rb := make([]float32, b.Dim)
 	var differ []uint64
-	for id := range union {
+	for _, id := range slices.Compact(ids) {
 		// peek, not Get: comparison must not materialize rows in either
 		// server (Get would permanently inflate their materialized sets).
 		a.shards[a.ShardOf(id)].peek(id, ra)
@@ -589,6 +606,5 @@ func Diff(a, b *Server) []uint64 {
 			}
 		}
 	}
-	sort.Slice(differ, func(i, j int) bool { return differ[i] < differ[j] })
 	return differ
 }

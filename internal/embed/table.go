@@ -26,8 +26,9 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
+
+	"bagpipe/internal/core"
 )
 
 // rowInit derives the deterministic initial value of element col of row id.
@@ -47,24 +48,25 @@ func rowInit(seed, id uint64, col int, dim int, scale float32) float32 {
 // embedding ID to its float32 row. Safe for concurrent use.
 //
 // Rows live in a slab: fixed-size chunks of slabChunkRows rows each, found
-// through a pointer-free id → slot index, so a materialized row costs no
-// heap object of its own and the GC never scans the index. Removed slots go
-// on a free list and are reused before the slab grows.
+// through a pointer-free core.IDTable, so a materialized row costs no heap
+// object of its own and the GC never scans the index. The id table owns
+// slot reuse: a removed row's slot is handed to the next new row before
+// the slab grows. Its slot-indexed ids let walk and sweep read the rows
+// where they lie, one chunk per lock hold, without listing the ids.
 type Table struct {
 	Dim       int
 	Seed      uint64
 	InitScale float32
 
 	mu     sync.RWMutex
-	index  map[uint64]int32 // id → slot
-	chunks [][]float32      // slot s is chunks[s/slabChunkRows], row s%slabChunkRows
-	free   []int32          // removed slots
-	slots  int32            // slots ever handed out
+	index  core.IDTable // id → slot
+	chunks [][]float32  // slot s is chunks[s/slabChunkRows], row s%slabChunkRows
 }
 
 // slabChunkRows is the row count of one slab chunk: one allocation per
 // 1024 materialized rows (64 KiB at dim 16), at most one partly used chunk
-// per table.
+// per table. It is also the most rows a walk or sweep visits per lock
+// hold.
 const slabChunkRows = 1024
 
 // NewTable returns an empty lazily-initialized table.
@@ -72,7 +74,7 @@ func NewTable(dim int, seed uint64, initScale float32) *Table {
 	if dim <= 0 {
 		panic(fmt.Sprintf("embed: non-positive dim %d", dim))
 	}
-	return &Table{Dim: dim, Seed: seed, InitScale: initScale, index: make(map[uint64]int32)}
+	return &Table{Dim: dim, Seed: seed, InitScale: initScale}
 }
 
 // row returns slot s's storage.
@@ -84,7 +86,7 @@ func (t *Table) row(s int32) []float32 {
 // lookup returns id's row, or nil when it is not materialized. Caller must
 // hold mu.
 func (t *Table) lookup(id uint64) []float32 {
-	if s, ok := t.index[id]; ok {
+	if s, ok := t.index.Get(id); ok {
 		return t.row(s)
 	}
 	return nil
@@ -94,22 +96,55 @@ func (t *Table) lookup(id uint64) []float32 {
 // never been touched. A fresh slot's contents are undefined: every caller
 // overwrites the whole row. Caller must hold mu for writing.
 func (t *Table) materialize(id uint64) []float32 {
-	if s, ok := t.index[id]; ok {
-		return t.row(s)
+	s, _ := t.index.Put(id)
+	if int(s) >= len(t.chunks)*slabChunkRows {
+		t.chunks = append(t.chunks, make([]float32, slabChunkRows*t.Dim))
 	}
-	var s int32
-	if n := len(t.free); n > 0 {
-		s = t.free[n-1]
-		t.free = t.free[:n-1]
-	} else {
-		if t.slots%slabChunkRows == 0 {
-			t.chunks = append(t.chunks, make([]float32, slabChunkRows*t.Dim))
-		}
-		s = t.slots
-		t.slots++
-	}
-	t.index[id] = s
 	return t.row(s)
+}
+
+// walk calls fn with every materialized row in slot order. It holds the
+// read lock for one slab chunk at a time, so a writer waits behind at most
+// slabChunkRows rows, and fn runs under it: fn must not keep row or call
+// back into the table. A row held throughout the walk keeps its slot, so
+// it is visited exactly once, with its value at the visit; a row added or
+// removed meanwhile may be missed, and one removed and re-added may be
+// visited twice. A walk racing writers is therefore not a snapshot; at
+// quiescence it visits exactly the materialized set.
+func (t *Table) walk(fn func(id uint64, row []float32)) {
+	for lo := 0; ; lo += slabChunkRows {
+		t.mu.RLock()
+		hi := min(lo+slabChunkRows, t.index.Slots())
+		for s := int32(lo); int(s) < hi; s++ {
+			if id, ok := t.index.ID(s); ok {
+				fn(id, t.row(s))
+			}
+		}
+		t.mu.RUnlock()
+		if hi < lo+slabChunkRows {
+			return
+		}
+	}
+}
+
+// sweep removes every materialized row whose id drop reports, holding the
+// write lock for one slab chunk at a time, and returns how many went.
+func (t *Table) sweep(drop func(id uint64) bool) int {
+	n := 0
+	for lo := 0; ; lo += slabChunkRows {
+		t.mu.Lock()
+		hi := min(lo+slabChunkRows, t.index.Slots())
+		for s := int32(lo); int(s) < hi; s++ {
+			if id, ok := t.index.ID(s); ok && drop(id) {
+				t.index.Delete(id)
+				n++
+			}
+		}
+		t.mu.Unlock()
+		if hi < lo+slabChunkRows {
+			return n
+		}
+	}
 }
 
 // initInto fills dst with row id's deterministic initial value without
@@ -219,32 +254,27 @@ func (t *Table) peek(id uint64, dst []float32) {
 // away, not a way to zero a row.
 func (t *Table) Remove(id uint64) bool {
 	t.mu.Lock()
-	s, ok := t.index[id]
-	if ok {
-		delete(t.index, id)
-		t.free = append(t.free, s)
+	defer t.mu.Unlock()
+	if _, ok := t.index.Get(id); !ok {
+		return false
 	}
-	t.mu.Unlock()
-	return ok
-}
-
-// IDs returns the sorted ids of every materialized row.
-func (t *Table) IDs() []uint64 {
-	t.mu.RLock()
-	ids := make([]uint64, 0, len(t.index))
-	for id := range t.index {
-		ids = append(ids, id)
-	}
-	t.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	t.index.Delete(id)
+	return true
 }
 
 // NumMaterialized returns how many rows have been touched.
 func (t *Table) NumMaterialized() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.index)
+	return t.index.Len()
+}
+
+// footprint returns the table's row count, the bytes its slab chunks hold
+// and the bytes its id table holds.
+func (t *Table) footprint() (rows, slab, index int) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.index.Len(), 4 * t.Dim * slabChunkRows * len(t.chunks), t.index.Bytes()
 }
 
 // tableState is the gob wire form of a table checkpoint.
@@ -261,9 +291,11 @@ type tableState struct {
 func (t *Table) Checkpoint(w io.Writer) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	rows := make(map[uint64][]float32, len(t.index))
-	for id, s := range t.index {
-		rows[id] = t.row(s)
+	rows := make(map[uint64][]float32, t.index.Len())
+	for s := range int32(t.index.Slots()) {
+		if id, ok := t.index.ID(s); ok {
+			rows[id] = t.row(s)
+		}
 	}
 	return gob.NewEncoder(w).Encode(tableState{
 		Dim: t.Dim, Seed: t.Seed, InitScale: t.InitScale, Rows: rows,

@@ -3,6 +3,7 @@ package train
 import (
 	"time"
 
+	"bagpipe/internal/core"
 	"bagpipe/internal/data"
 	"bagpipe/internal/transport"
 )
@@ -35,18 +36,18 @@ func RunBaseline(cfg Config, tr transport.Store) (*Result, error) {
 	res := &Result{Engine: "baseline"}
 	start := time.Now()
 	var lossSum float64
-	idx := make(map[uint64]int32)
+	var idx core.IDTable // id → position in ids, slots in insertion order
 	for iter := 0; iter < cfg.NumBatches; iter++ {
 		b := gen.Batch(iter, cfg.BatchSize)
 		ids := b.UniqueIDs()
 		fetched := tr.Fetch(ids)
-		clear(idx)
-		for i, id := range ids {
-			idx[id] = int32(i)
+		idx.Reset()
+		for _, id := range ids {
+			idx.Put(id)
 		}
 
 		assign := part.Assign(b, cfg.NumTrainers)
-		loss, grads := rk.step(b, assign, idx, fetched)
+		loss, grads := rk.step(b, assign, &idx, fetched)
 
 		// Apply sparse updates in sorted-ID order and write everything
 		// straight back.

@@ -190,7 +190,7 @@ type lrppTrainer struct {
 	spent    [][]float32
 	evSort   []core.Eviction
 	tab      [][]float32
-	idx      map[uint64]int32
+	idx      core.IDTable
 	partials [][]float32
 
 	evictedRows int64
@@ -375,7 +375,6 @@ func newLRPPTrainer(eng *lrppEngine, p int, tr transport.Store, ep transport.End
 		part:     newPartition(eng.P),
 		arena:    transport.Rows(cfg.Spec.EmbDim),
 		foldBuf:  make([]float32, cfg.Spec.EmbDim),
-		idx:      make(map[uint64]int32),
 		routedCh: make(chan struct{}, 1),
 		// One window of routed iterations may queue for the flusher. The
 		// only send (compute, step 8) holds no lock, so a full queue is
@@ -889,8 +888,10 @@ func (t *lrppTrainer) compute(rec *iterRec, mark time.Time) time.Time {
 	// trainer's rows into the iteration's row table: its owned rows in
 	// Owned order, then its remote ones in Remote order, zipped per owner
 	// with the replica run that owner pushed (exactly these ids, ascending).
-	// idx maps each id to its table position; the table aliases partition
-	// and replica rows only until fillEmb copies them.
+	// idx maps each id to its table position: reset here, it hands out
+	// slots in insertion order, so an id's slot is the position its row is
+	// appended at. The table aliases partition and replica rows only until
+	// fillEmb copies them.
 	t.mu.Lock()
 	for !rec.staged {
 		t.gathered.Wait()
@@ -904,8 +905,8 @@ func (t *lrppTrainer) compute(rec *iterRec, mark time.Time) time.Time {
 	// record's reps are read below without mu until retirement clears them.
 	slots, reps := rec.slots, rec.reps
 	var cur [core.MaxTrainers]int
-	tab, idx := t.tab[:0], t.idx
-	clear(idx)
+	tab, idx := t.tab[:0], &t.idx
+	idx.Reset()
 	for k, s := range slots {
 		if !pl.OwnedUsers[k].Has(t.p) {
 			continue
@@ -914,7 +915,7 @@ func (t *lrppTrainer) compute(rec *iterRec, mark time.Time) time.Time {
 		if row == nil {
 			panic(fmt.Sprintf("train: trainer %d iter %d: owned id %d missing from partition (oracle consistency violated)", t.p, x, pl.Owned[k]))
 		}
-		idx[pl.Owned[k]] = int32(len(tab))
+		idx.Put(pl.Owned[k])
 		tab = append(tab, row)
 	}
 	t.mu.Unlock()
@@ -926,7 +927,7 @@ func (t *lrppTrainer) compute(rec *iterRec, mark time.Time) time.Time {
 			panic(fmt.Sprintf("train: trainer %d iter %d: no dim-%d replica of id %d from trainer %d (oracle consistency violated)", t.p, x, eng.dim, id, o))
 		}
 		cur[o] = i + 1
-		idx[id] = int32(len(tab))
+		idx.Put(id)
 		tab = append(tab, rep.Rows[i])
 	}
 	t.tab = tab

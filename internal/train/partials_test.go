@@ -63,13 +63,13 @@ func TestEmbeddingGradientOrderIsPerRankPartialThenRankOrder(t *testing.T) {
 				results[r].mine = append(results[r].mine, i)
 			}
 			ids := b.UniqueIDs()
-			idx := make(map[uint64]int32)
-			for i, id := range ids {
-				idx[id] = int32(i)
+			var idx core.IDTable
+			for _, id := range ids {
+				idx.Put(id)
 			}
 			for r := range results {
 				ls := &localSlice{mine: results[r].mine}
-				ls.index(b, numCat, idx, len(ids))
+				ls.index(b, numCat, &idx, len(ids))
 				results[r].pos = ls.pos
 				dEmb := tensor.NewMatrix(len(results[r].mine), numCat*dim)
 				for k, i := range results[r].mine {
@@ -127,11 +127,12 @@ func TestEmbeddingGradientOrderIsPerRankPartialThenRankOrder(t *testing.T) {
 			// the same bits.
 			arena := transport.Rows(dim)
 			parts := make([][]float32, P)
+			hs, _ := idx.Get(hot)
 			for _, r := range []int{1, 0} {
 				partial := make([][]float32, len(ids))
 				arena.GetN(partial)
 				rankPartials(partial, results[r].pos, results[r].dEmb, dim)
-				parts[r] = partial[idx[hot]]
+				parts[r] = partial[hs]
 			}
 			g := make([]float32, dim)
 			arena.PutN(foldParts(g, parts, nil))

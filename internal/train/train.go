@@ -305,8 +305,8 @@ type ranks struct {
 type rankWork struct {
 	batch  *data.Batch
 	assign []int
-	idx    map[uint64]int32 // id → position in tab (read-only for ranks)
-	tab    [][]float32      // the batch's current rows (read-only for ranks)
+	idx    *core.IDTable // id → position in tab (read-only for ranks)
+	tab    [][]float32   // the batch's current rows (read-only for ranks)
 }
 
 type rankResult struct {
@@ -437,7 +437,7 @@ func (ls *localSlice) extract(b *data.Batch, assign []int, rank, numDense int) {
 // id-keyed lookup per (example, field) an iteration makes, and returns how
 // many of the table's n positions the slice uses. A field whose id idx
 // lacks is an oracle bug and panics.
-func (ls *localSlice) index(b *data.Batch, numCat int, idx map[uint64]int32, n int) int {
+func (ls *localSlice) index(b *data.Batch, numCat int, idx *core.IDTable, n int) int {
 	ls.pos = ls.pos[:0]
 	ls.hit = slices.Grow(ls.hit[:0], n)[:n]
 	clear(ls.hit)
@@ -448,7 +448,7 @@ func (ls *localSlice) index(b *data.Batch, numCat int, idx map[uint64]int32, n i
 			panic(fmt.Sprintf("train: example %d has %d categorical fields, want %d", i, len(cat), numCat))
 		}
 		for _, id := range cat {
-			p, ok := idx[id]
+			p, ok := idx.Get(id)
 			if !ok {
 				panic(fmt.Sprintf("train: id %d of example %d has no row in the iteration's table (oracle consistency violated)", id, i))
 			}
@@ -517,7 +517,7 @@ func stableBCE(z, y float32) float32 {
 // full-batch loss plus the embedding gradient of every table row in the
 // canonical order (foldRankGrads), so the result is independent of rank
 // scheduling.
-func (r *ranks) step(b *data.Batch, assign []int, idx map[uint64]int32, tab [][]float32) (float32, [][]float32) {
+func (r *ranks) step(b *data.Batch, assign []int, idx *core.IDTable, tab [][]float32) (float32, [][]float32) {
 	for i := 0; i < r.n; i++ {
 		r.in[i] <- rankWork{batch: b, assign: assign, idx: idx, tab: tab}
 	}
