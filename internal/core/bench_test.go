@@ -68,7 +68,8 @@ func BenchmarkCacheGet(b *testing.B) {
 // slot slab and the window buffers, which a long run allocates only once.
 // steady-uniform-L32-P2 is the long run: one warmed oracle over the
 // uniform stream, replayed in a cycle, where each op is one decision's
-// Next, Plans(2) and Recycle, the engine's oracle loop.
+// Next, Plans(2) and Recycle, and the hand-back of both plans: the
+// engine's oracle loop.
 func BenchmarkOracleLookahead(b *testing.B) {
 	const batchSize, nBatches = 256, 64
 	uniform := data.CriteoKaggle().Scaled(100).WithEmbDim(16).WithDist(data.Uniform{})
@@ -102,8 +103,11 @@ func BenchmarkOracleLookahead(b *testing.B) {
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
 			d, _ := o.Next()
-			d.Plans(2)
+			plans := d.Plans(2)
 			o.Recycle(d)
+			for _, pl := range plans {
+				pl.Release()
+			}
 		}
 	})
 }
@@ -135,15 +139,18 @@ func (c *cycleSource) Next() (*data.Batch, bool) {
 }
 
 // warmOracle returns an oracle with lookahead l for p trainers over batches
-// in a cycle, run through three cycles of Next, Plans and Recycle: its id
-// table, slot slab, window buffers and recycled decision have reached the
-// stream's steady size.
+// in a cycle, run through three cycles of Next, Plans, Recycle and the
+// plans' hand-back: its id table, slot slab, window buffers, recycled
+// decision and plan set have reached the stream's steady size.
 func warmOracle(batches []*data.Batch, l, p int) *Oracle {
 	o := NewOracle(&cycleSource{batches: batches}, l, p)
 	for range 3 * len(batches) {
 		d, _ := o.Next()
-		d.Plans(p)
+		plans := d.Plans(p)
 		o.Recycle(d)
+		for _, pl := range plans {
+			pl.Release()
+		}
 	}
 	return o
 }

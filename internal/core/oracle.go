@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"bagpipe/internal/data"
 )
@@ -52,13 +53,26 @@ type BatchSource interface {
 	Next() (b *data.Batch, ok bool)
 }
 
+// BatchRecycler is a BatchSource that takes batches back to fill again. An
+// oracle over one returns each batch once every plan of its decision has
+// been handed back (Plan.Release).
+type BatchRecycler interface {
+	BatchSource
+	// Recycle takes back a batch nothing reads any more.
+	Recycle(b *data.Batch)
+}
+
 // GeneratorSource adapts a data.Generator to a BatchSource over a fixed
-// range of iterations.
+// range of iterations. It is a BatchRecycler: Next fills a batch handed
+// back through Recycle when there is one.
 type GeneratorSource struct {
 	Gen       *data.Generator
 	BatchSize int
 	NextIndex int
 	Limit     int // exclusive upper bound on batch index
+
+	mu   sync.Mutex
+	free []*data.Batch
 }
 
 // NewGeneratorSource streams batches [0, limit) of the given size.
@@ -71,9 +85,24 @@ func (g *GeneratorSource) Next() (*data.Batch, bool) {
 	if g.NextIndex >= g.Limit {
 		return nil, false
 	}
-	b := g.Gen.Batch(g.NextIndex, g.BatchSize)
+	var b *data.Batch
+	g.mu.Lock()
+	if n := len(g.free); n > 0 {
+		b = g.free[n-1]
+		g.free[n-1] = nil
+		g.free = g.free[:n-1]
+	}
+	g.mu.Unlock()
+	b = g.Gen.BatchInto(b, g.NextIndex, g.BatchSize)
 	g.NextIndex++
 	return b, true
+}
+
+// Recycle implements BatchRecycler.
+func (g *GeneratorSource) Recycle(b *data.Batch) {
+	g.mu.Lock()
+	g.free = append(g.free, b)
+	g.mu.Unlock()
 }
 
 // SliceSource is a BatchSource over a fixed slice (tests).
@@ -131,6 +160,8 @@ type Decision struct {
 	// critical path, everything else can be delayed into the next forward
 	// pass.
 	NeededNext []bool
+
+	set *planSet // the plan set Plans cuts this decision into, if Next made one
 }
 
 // EvictAfter returns the IDs whose TTL expires at this iteration, sorted.
@@ -216,6 +247,7 @@ type Oracle struct {
 	Partitioner Partitioner
 
 	src      BatchSource
+	plans    planPool // the plan sets of this oracle's decisions
 	queue    []*window
 	spare    []*window // recycled window buffers
 	recycled *Decision // handed back by Recycle, for the next Next
@@ -260,12 +292,14 @@ func NewOracle(src BatchSource, l, numTrainers int) *Oracle {
 	if numTrainers < 1 || numTrainers > MaxTrainers {
 		panic(fmt.Sprintf("core: trainer count must be in [1, %d], got %d", MaxTrainers, numTrainers))
 	}
-	return &Oracle{
+	o := &Oracle{
 		LookAhead:   l,
 		NumTrainers: numTrainers,
 		src:         src,
 		last:        -1,
 	}
+	o.plans.batches, _ = src.(BatchRecycler)
+	return o
 }
 
 // intern returns id's slot, allocating one on the id's first window use.
@@ -322,7 +356,9 @@ func (o *Oracle) fill() {
 // Next runs one step of Algorithm 1 and returns the decision for the next
 // batch, or ok=false when the stream is exhausted. The decision's per-id
 // slices are new unless a decision was handed back through Recycle, whose
-// buffers they then reuse.
+// buffers they then reuse; its Assign is the storage of the plan set Plans
+// will cut it into, a recycled one when every plan of an earlier set has
+// been handed back.
 func (o *Oracle) Next() (*Decision, bool) {
 	o.fill()
 	if len(o.queue) == 0 {
@@ -353,7 +389,12 @@ func (o *Oracle) Next() (*Decision, bool) {
 	if d == nil {
 		d = new(Decision)
 	}
-	d.Iter, d.Batch, d.Assign = cur.b.Index, cur.b, p.Assign(cur.b, o.NumTrainers)
+	if d.set == nil {
+		d.set = o.plans.get()
+	}
+	h := &d.set.hdr
+	h.Assign = assignInto(p, h.Assign, cur.b, o.NumTrainers)
+	d.Iter, d.Batch, d.Assign = cur.b.Index, cur.b, h.Assign
 	d.IDs, d.TTL = slices.Grow(d.IDs[:0], n)[:n], slices.Grow(d.TTL[:0], n)[:n]
 	d.Users, d.NeededNext = slices.Grow(d.Users[:0], n)[:n], slices.Grow(d.NeededNext[:0], n)[:n]
 	if misses == 0 {
@@ -399,11 +440,12 @@ func (o *Oracle) Next() (*Decision, bool) {
 }
 
 // Recycle hands d back for Next to reuse its IDs, TTL, Users, NeededNext
-// and Prefetch buffers. d must be a decision of this oracle whose Stats,
-// needed-next count and Plans are done: after Recycle nothing may read d,
-// and the next Next overwrites it. Plans made from d stay valid, because
-// they share only the slim Iter/Batch/Assign header, never d. A caller that
-// never recycles gets fresh slices from every Next.
+// and Prefetch buffers, and its plan set if Plans did not cut it. d must be
+// a decision of this oracle whose Stats, needed-next count and Plans are
+// done: after Recycle nothing may read d, and the next Next overwrites it.
+// Plans made from d stay valid, because they share only the slim
+// Iter/Batch/Assign header, never d. A caller that never recycles gets
+// fresh slices from every Next.
 func (o *Oracle) Recycle(d *Decision) {
 	d.Batch, d.Assign = nil, nil
 	o.recycled = d

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bagpipe/internal/data"
@@ -17,6 +18,17 @@ type Partitioner interface {
 	Name() string
 }
 
+// assignInto is part's Assign, into dst's storage when part can fill it in
+// place.
+func assignInto(part Partitioner, dst []int, b *data.Batch, p int) []int {
+	if in, ok := part.(interface {
+		AssignInto(dst []int, b *data.Batch, p int) []int
+	}); ok {
+		return in.AssignInto(dst, b, p)
+	}
+	return part.Assign(b, p)
+}
+
 // Contiguous splits the batch into p equal contiguous chunks — Bagpipe's
 // default data-parallel partitioning.
 type Contiguous struct{}
@@ -25,9 +37,12 @@ type Contiguous struct{}
 func (Contiguous) Name() string { return "contiguous" }
 
 // Assign implements Partitioner.
-func (Contiguous) Assign(b *data.Batch, p int) []int {
+func (c Contiguous) Assign(b *data.Batch, p int) []int { return c.AssignInto(nil, b, p) }
+
+// AssignInto is Assign into dst's storage.
+func (Contiguous) AssignInto(dst []int, b *data.Batch, p int) []int {
 	n := b.Size()
-	out := make([]int, n)
+	out := slices.Grow(dst[:0], n)[:n]
 	for i := range out {
 		out[i] = i * p / n
 		if out[i] >= p {
@@ -45,8 +60,11 @@ type RoundRobin struct{}
 func (RoundRobin) Name() string { return "roundrobin" }
 
 // Assign implements Partitioner.
-func (RoundRobin) Assign(b *data.Batch, p int) []int {
-	out := make([]int, b.Size())
+func (r RoundRobin) Assign(b *data.Batch, p int) []int { return r.AssignInto(nil, b, p) }
+
+// AssignInto is Assign into dst's storage.
+func (RoundRobin) AssignInto(dst []int, b *data.Batch, p int) []int {
+	out := slices.Grow(dst[:0], b.Size())[:b.Size()]
 	for i := range out {
 		out[i] = i % p
 	}

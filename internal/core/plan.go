@@ -1,6 +1,12 @@
 package core
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+	"sync"
+	"sync/atomic"
+)
 
 // Plan is one trainer's slice of a Decision under the LRPP (logically
 // replicated, physically partitioned) cache: ownership of every id is
@@ -54,6 +60,8 @@ type Plan struct {
 	// ReplicaFrom is the set of owners this trainer expects replica pushes
 	// from this iteration.
 	ReplicaFrom Ranks
+
+	set *planSet // the set the plan was cut from, nil when decoded or built
 }
 
 // Plans slices the decision into p per-trainer LRPP plans in one pass over
@@ -65,8 +73,44 @@ type Plan struct {
 // The plans share one header, a Decision holding only Iter, Batch and
 // Assign: every per-id fact a trainer reads is in its plan, so the
 // decision's own per-id slices die with the decision, not with the last
-// plan. A counting pass sizes every list first, so each is allocated once.
+// plan. A counting pass sizes every list first, and the lists of one
+// element type are cut from one array.
+//
+// A decision from Oracle.Next is cut into a plan set the oracle recycles:
+// once every plan has been handed back (Plan.Release), the lists, the
+// header and its Assign serve a later decision and the batch returns to
+// the oracle's source. A caller that never hands a plan back gets fresh
+// buffers, as does a second Plans of one decision. The returned slice is
+// the set's, valid as long as any of its plans is.
 func (d *Decision) Plans(p int) []*Plan {
+	s := d.set
+	d.set = nil
+	if s == nil {
+		s = new(planSet)
+	}
+	return s.cut(d, p)
+}
+
+// planSet is one decision's plans and their shared header, with the arrays
+// their lists are cut from. The arrays keep their largest size, so a set
+// that cycles through an oracle's pool stops allocating once its decisions
+// have reached their size.
+type planSet struct {
+	hdr   Decision
+	plans []Plan
+	ptrs  []*Plan
+	lists [][]uint64 // every plan's ReplicaOut, p per plan
+	ids   []uint64
+	ints  []int
+	ranks []Ranks
+	flags []bool
+	count []int        // the counting pass
+	out   atomic.Int32 // plans not yet handed back
+	pool  *planPool    // where the set returns; nil for a decision no oracle made
+}
+
+// cut slices d into p plans cut from the set's arrays.
+func (s *planSet) cut(d *Decision, p int) []*Plan {
 	// n[t*w+f] counts trainer t's list f: the fixed lists below, then its
 	// ReplicaOut lists, one per reader.
 	const (
@@ -77,44 +121,61 @@ func (d *Decision) Plans(p int) []*Plan {
 		nFixed
 	)
 	w := nFixed + p
-	n := make([]int, p*w)
+	n := resized(s.count, p*w)
+	s.count = n
+	clear(n)
 	for _, id := range d.Prefetch {
 		n[OwnerOf(id, p)*w+nPrefetch]++
 	}
+	expiring, remote := 0, 0
 	for k, id := range d.IDs {
 		o := OwnerOf(id, p)
 		n[o*w+nOwned]++
 		if d.TTL[k] == d.Iter {
 			n[o*w+nExpiring]++
+			expiring++
 		}
 		for others := d.Users[k] &^ (1 << uint(o)); others != 0; others &= others - 1 {
 			u := bits.TrailingZeros64(uint64(others))
 			n[o*w+nFixed+u]++
 			n[u*w+nRemote]++
+			remote++
 		}
 	}
-	hdr := &Decision{Iter: d.Iter, Batch: d.Batch, Assign: d.Assign}
-	plans := make([]*Plan, p)
-	for t := range plans {
+	// Every id is owned once; a remote read is one Remote entry and one
+	// ReplicaOut entry.
+	owned := len(d.IDs)
+	s.ids = resized(s.ids, owned+len(d.Prefetch)+expiring+2*remote)
+	s.ints = resized(s.ints, owned+remote)
+	s.ranks = resized(s.ranks, owned)
+	s.flags = resized(s.flags, remote)
+	s.plans, s.ptrs, s.lists = resized(s.plans, p), resized(s.ptrs, p), resized(s.lists, p*p)
+	s.hdr = Decision{Iter: d.Iter, Batch: d.Batch, Assign: d.Assign}
+	s.out.Store(int32(p))
+	ids, ints, ranks, flags := s.ids, s.ints, s.ranks, s.flags
+	for t := range s.plans {
 		c := n[t*w : (t+1)*w]
-		pl := &Plan{
+		pl := &s.plans[t]
+		*pl = Plan{
 			Trainer:     t,
-			Dec:         hdr,
-			Owned:       make([]uint64, 0, c[nOwned]),
-			OwnedTTL:    make([]int, 0, c[nOwned]),
-			OwnedUsers:  make([]Ranks, 0, c[nOwned]),
-			Prefetch:    sized[uint64](c[nPrefetch]),
-			Expiring:    sized[uint64](c[nExpiring]),
-			ReplicaOut:  make([][]uint64, p),
-			Remote:      sized[uint64](c[nRemote]),
-			RemoteOwner: sized[int](c[nRemote]),
-			RemoteNext:  sized[bool](c[nRemote]),
+			Dec:         &s.hdr,
+			Owned:       carve(&ids, c[nOwned]),
+			OwnedTTL:    carve(&ints, c[nOwned]),
+			OwnedUsers:  carve(&ranks, c[nOwned]),
+			Prefetch:    carve(&ids, c[nPrefetch]),
+			Expiring:    carve(&ids, c[nExpiring]),
+			ReplicaOut:  s.lists[t*p : (t+1)*p : (t+1)*p],
+			Remote:      carve(&ids, c[nRemote]),
+			RemoteOwner: carve(&ints, c[nRemote]),
+			RemoteNext:  carve(&flags, c[nRemote]),
+			set:         s,
 		}
 		for u := range pl.ReplicaOut {
-			pl.ReplicaOut[u] = sized[uint64](c[nFixed+u])
+			pl.ReplicaOut[u] = carve(&ids, c[nFixed+u])
 		}
-		plans[t] = pl
+		s.ptrs[t] = pl
 	}
+	plans := s.ptrs
 	for _, id := range d.Prefetch {
 		pl := plans[OwnerOf(id, p)]
 		pl.Prefetch = append(pl.Prefetch, id)
@@ -141,13 +202,76 @@ func (d *Decision) Plans(p int) []*Plan {
 	return plans
 }
 
-// sized returns an empty list with capacity n, nil when n is 0: an empty
-// list stays nil, as appending to nil left it.
-func sized[T any](n int) []T {
+// Release hands the plan back. Once every plan of its set has been handed
+// back, the set returns to the oracle that cut it and the batch to the
+// oracle's source, so nothing may read the plan, its header or its batch
+// after Release: the engine releases a plan once its trainer has routed the
+// iteration, and a fabric that encodes a plan releases it once encoded. A
+// plan no oracle cut (a decoded or hand-built one) ignores it.
+func (pl *Plan) Release() {
+	s := pl.set
+	if s == nil {
+		return
+	}
+	switch n := s.out.Add(-1); {
+	case n == 0:
+		s.pool.put(s)
+	case n < 0:
+		panic(fmt.Sprintf("core: plan %d of iteration %d released twice", pl.Trainer, pl.Dec.Iter))
+	}
+}
+
+// planPool is an oracle's free list of plan sets. A set returns to it from
+// whichever goroutine hands back its last plan, and its batch goes back to
+// the source when the source takes batches back.
+type planPool struct {
+	mu      sync.Mutex
+	free    []*planSet
+	batches BatchRecycler // nil when the source takes none back
+}
+
+// get returns a free set, or a new one of this pool.
+func (h *planPool) get() *planSet {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if n := len(h.free); n > 0 {
+		s := h.free[n-1]
+		h.free[n-1] = nil
+		h.free = h.free[:n-1]
+		return s
+	}
+	return &planSet{pool: h}
+}
+
+// put takes back a set whose plans have all been handed back.
+func (h *planPool) put(s *planSet) {
+	if h == nil {
+		return
+	}
+	b := s.hdr.Batch
+	s.hdr.Batch = nil
+	if b != nil && h.batches != nil {
+		h.batches.Recycle(b)
+	}
+	h.mu.Lock()
+	h.free = append(h.free, s)
+	h.mu.Unlock()
+}
+
+// resized returns buf with length n, reallocated only when it is short.
+func resized[T any](buf []T, n int) []T {
+	return slices.Grow(buf[:0], n)[:n]
+}
+
+// carve cuts the next n values off *buf as an empty list with capacity n,
+// nil when n is 0 (an empty list stays nil, as appending to nil left it).
+func carve[T any](buf *[]T, n int) []T {
 	if n == 0 {
 		return nil
 	}
-	return make([]T, 0, n)
+	xs := (*buf)[:0:n]
+	*buf = (*buf)[n:]
+	return xs
 }
 
 // TrainerPlan is a Plan with its per-id facts as maps. The engine consumes

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"bagpipe/internal/data"
@@ -152,4 +153,88 @@ func TestCacheRemove(t *testing.T) {
 	if evicted != 2 {
 		t.Fatalf("evicted counter %d want 2", evicted)
 	}
+}
+
+// TestRecycledPlansMatchFresh cuts every decision twice, once into the
+// oracle's recycled plan set and once into fresh buffers, and requires the
+// two cuts to agree field by field. The stream's batches shrink and grow
+// (256, 64, 128, 32 examples in turn) and every set is handed back before
+// the next decision, so each cut reuses arrays last sized by a larger
+// decision: a stale tail, a list not reset or a header left over would
+// show. Uniform and hot-tail keys, one to three trainers.
+func TestRecycledPlansMatchFresh(t *testing.T) {
+	spec := data.CriteoKaggle().Scaled(1000)
+	for _, s := range []struct {
+		name string
+		spec *data.Spec
+	}{{"uniform", spec.WithDist(data.Uniform{})}, {"hot-tail", spec}} {
+		gen := data.NewGenerator(s.spec, 5)
+		var batches []*data.Batch
+		for i := range 24 {
+			batches = append(batches, gen.Batch(i, []int{256, 64, 128, 32}[i%4]))
+		}
+		for p := 1; p <= 3; p++ {
+			o := NewOracle(&SliceSource{Batches: batches}, 4, p)
+			var last *planSet
+			for {
+				d, ok := o.Next()
+				if !ok {
+					break
+				}
+				recycled := d.Plans(p)
+				fresh := d.Plans(p)
+				set := recycled[0].set
+				if last != nil && set != last {
+					t.Fatalf("%s P=%d iter %d: a new plan set while the last one was handed back", s.name, p, d.Iter)
+				}
+				last = set
+				o.Recycle(d)
+				for tr := range p {
+					got, want := *recycled[tr], *fresh[tr]
+					if !reflect.DeepEqual(*got.Dec, *want.Dec) {
+						t.Fatalf("%s P=%d iter %d trainer %d: header %+v, fresh %+v", s.name, p, d.Iter, tr, *got.Dec, *want.Dec)
+					}
+					got.Dec, want.Dec, got.set, want.set = nil, nil, nil, nil
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s P=%d iter %d trainer %d: recycled plan\n%+v\nfresh plan\n%+v", s.name, p, d.Iter, tr, got, want)
+					}
+				}
+				for _, pl := range recycled {
+					pl.Release()
+				}
+			}
+		}
+	}
+}
+
+// TestPlanReleaseReturnsSetAndBatch: the last hand-back of a decision's
+// plans, from any goroutine, returns the set to the oracle and the batch to
+// a recycling source, and a second hand-back of one plan panics.
+func TestPlanReleaseReturnsSetAndBatch(t *testing.T) {
+	gen := data.NewGenerator(data.CriteoKaggle().Scaled(1000), 3)
+	src := NewGeneratorSource(gen, 64, 8)
+	o := NewOracle(src, 2, 2)
+	d, _ := o.Next()
+	b := d.Batch
+	plans := d.Plans(2)
+	o.Recycle(d)
+	done := make(chan struct{})
+	go func() {
+		plans[1].Release()
+		close(done)
+	}()
+	<-done
+	if len(src.free) != 0 || len(o.plans.free) != 0 {
+		t.Fatal("the set returned with a plan still out")
+	}
+	plans[0].Release()
+	if len(src.free) != 1 || src.free[0] != b || len(o.plans.free) != 1 {
+		t.Fatalf("after the last hand-back: %d free batches, %d free sets", len(src.free), len(o.plans.free))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second hand-back did not panic")
+		}
+	}()
+	plans[0].Release()
 }

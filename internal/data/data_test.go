@@ -1,6 +1,7 @@
 package data
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -121,6 +122,23 @@ func TestBatchDeterminism(t *testing.T) {
 				t.Fatalf("dense differ at %d/%d", i, j)
 			}
 		}
+	}
+}
+
+// TestBatchIntoMatchesBatch: a batch filled into a recycled one, last
+// filled larger (or smaller), equals a fresh batch of the same index and
+// size, and a refill of a batch no smaller allocates nothing.
+func TestBatchIntoMatchesBatch(t *testing.T) {
+	g := NewGenerator(smallSpec(), 7)
+	b := g.Batch(0, 256)
+	for i, size := range []int{64, 256, 32, 200, 200} {
+		b = g.BatchInto(b, i+1, size)
+		if want := g.Batch(i+1, size); !reflect.DeepEqual(b, want) {
+			t.Fatalf("batch %d of %d examples differs from a fresh one", i+1, size)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { b = g.BatchInto(b, 9, 128) }); n != 0 {
+		t.Errorf("refilling a batch allocates %v objects", n)
 	}
 }
 

@@ -3,6 +3,7 @@ package data
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"bagpipe/internal/tensor"
@@ -20,6 +21,12 @@ type Example struct {
 type Batch struct {
 	Index    int // iteration number this batch trains
 	Examples []Example
+
+	// The arrays every example's Dense and Cat view and the batch's random
+	// stream, kept for a refill (Generator.BatchInto).
+	dense []float32
+	cat   []uint64
+	rng   tensor.RNG
 }
 
 // Size returns the number of examples in the batch.
@@ -93,18 +100,32 @@ func latentWeight(id uint64) float32 {
 // Batch generates batch i with batchSize examples. The result depends only
 // on (spec, seed, i, batchSize): regeneration yields identical data.
 func (g *Generator) Batch(i, batchSize int) *Batch {
+	return g.BatchInto(nil, i, batchSize)
+}
+
+// BatchInto is Batch generated into b's arrays, which grow when short, so
+// a caller that hands its spent batches back allocates nothing per batch;
+// b == nil takes a new batch. The draws are Batch's, in Batch's order, so
+// the batch is identical to a fresh one.
+func (g *Generator) BatchInto(b *Batch, i, batchSize int) *Batch {
 	if i < 0 || batchSize <= 0 {
 		panic(fmt.Sprintf("data: bad batch request (%d, %d)", i, batchSize))
 	}
-	rng := tensor.NewRNG(g.Seed ^ (uint64(i)+1)*0x5851F42D4C957F2D)
+	if b == nil {
+		b = new(Batch)
+	}
+	b.rng = *tensor.NewRNG(g.Seed ^ (uint64(i)+1)*0x5851F42D4C957F2D)
+	rng := &b.rng
 	if d, ok := g.Spec.Dist.(*Drifting); ok {
 		d.SetClock(int64(i) * int64(batchSize) * int64(g.Spec.NumCategorical))
 	}
 	// Every example views its share of one dense and one id array; the
 	// full slice expressions keep an append from spilling into a neighbour.
 	nd, nc := g.Spec.NumNumeric, g.Spec.NumCategorical
-	dense, cat := make([]float32, batchSize*nd), make([]uint64, batchSize*nc)
-	b := &Batch{Index: i, Examples: make([]Example, batchSize)}
+	b.dense = slices.Grow(b.dense[:0], batchSize*nd)[:batchSize*nd]
+	b.cat = slices.Grow(b.cat[:0], batchSize*nc)[:batchSize*nc]
+	b.Index, b.Examples = i, slices.Grow(b.Examples[:0], batchSize)[:batchSize]
+	dense, cat := b.dense, b.cat
 	for e := range b.Examples {
 		ex := Example{
 			Dense: dense[e*nd : (e+1)*nd : (e+1)*nd],

@@ -11,7 +11,7 @@ import (
 func benchIDs(n int) []uint64 {
 	ids := make([]uint64, n)
 	for i := range ids {
-		ids[i] = uint64(i*2654435761) % 1_000_000
+		ids[i] = uint64(i) * 2654435761 % 1_000_000
 	}
 	return ids
 }

@@ -1,0 +1,107 @@
+//go:build !race
+
+package train
+
+import (
+	"runtime"
+	"testing"
+
+	"bagpipe/internal/data"
+	"bagpipe/internal/transport"
+)
+
+// allocSpec is a uniform-key stream over tables small enough that the
+// embedding server has materialized nearly every row within the warm-up,
+// so the tier's growth does not scale with the run.
+func allocSpec() *data.Spec {
+	return &data.Spec{
+		Name:           "alloc",
+		NumExamples:    1 << 20,
+		NumCategorical: 8,
+		NumNumeric:     4,
+		TableSizes:     []int64{256, 256, 256, 256, 256, 256, 256, 256},
+		EmbDim:         8,
+		Dist:           data.Uniform{},
+	}
+}
+
+// engineMallocs returns the heap objects the whole process allocated while
+// one engine run of iters iterations ran: the leg's stores, mesh, oracle,
+// trainers and their goroutines, everything built inside it.
+func engineMallocs(t *testing.T, leg string, iters int) uint64 {
+	t.Helper()
+	cfg := tinyConfig()
+	cfg.Spec = allocSpec()
+	cfg.BatchSize = 64
+	cfg.LookAhead = 4
+	cfg.NumBatches = iters
+	srv := newServer(cfg.Spec, 2)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	switch leg {
+	case "lrpp":
+		if _, err := RunLRPP(cfg, newStores(srv, cfg.NumTrainers), nil); err != nil {
+			t.Fatal(err)
+		}
+	case "worker-inproc":
+		runWorkers(t, cfg, newStores(srv, cfg.NumTrainers), transport.NewInprocMesh(cfg.NumTrainers))
+	case "worker-tcp":
+		lb, err := transport.NewLoopbackTCPMesh(cfg.NumTrainers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runWorkers(t, cfg, newStores(srv, cfg.NumTrainers), lb)
+		lb.Shutdown()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestEngineSteadyStateAllocs is the engine-level allocation gate: RunLRPP,
+// and RunLRPPWorker over an in-process mesh and over loopback TCP, each
+// trains N and 2N iterations in this process (P = 2, batch 64, ℒ = 4,
+// uniform keys, one 2-shard embedding server behind in-process stores),
+// and the N extra iterations may allocate at most a constant each. The
+// oracle's decisions and plans, the plans rank 1 decodes into its ring and
+// the generated batches all come back once their iteration has routed, so
+// none of them is in the constant; what is, per iteration, counted from the allocation
+// profile with more than one CPU (one CPU skips the server's shard fan-out):
+//
+//   - the embedding server, 16: each trainer's Fetch and Write is 4 calls,
+//     and each call allocates its shard closure, its WaitGroup and one
+//     goroutine closure per shard (4 each);
+//   - the trainers, 14: per trainer the prefetch goroutine's closure and
+//     frame (2), the replica push boxed into Send's any (1), the flusher's
+//     per-owner flush list growing to urgent + lazy (2), its frame boxed
+//     into Send's any (1) and its backlog's append (1);
+//   - worker mode adds the mesh collective, 7: the contribution and the
+//     result snapshots (3), each boxed into Send's any (2), and rank 0's
+//     per-round table of contributions (2);
+//   - loopback TCP adds the decoder, 11: the replica push, the sync frame
+//     and its flush list, the collective frame and its segment list, each
+//     decoded on both ranks (10), and the result's loss term (1).
+//
+// That is 30 in one process, 37 in worker mode and 48 over TCP, which the
+// profile of a long run reproduces to the object. Whole-process counts
+// read 0–4 more from run to run (the partition's merge records still
+// growing, an arena briefly dry, runtime objects the profile does not
+// attribute), so the gate allows 8 more. Before plans and batches were
+// recycled the three legs read 61, 69 and 98.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	const n = 128
+	for _, c := range []struct {
+		leg   string
+		bound float64
+	}{{"lrpp", 30 + 8}, {"worker-inproc", 37 + 8}, {"worker-tcp", 48 + 8}} {
+		t.Run(c.leg, func(t *testing.T) {
+			engineMallocs(t, c.leg, 16) // the process's one-time growth
+			short, long := engineMallocs(t, c.leg, n), engineMallocs(t, c.leg, 2*n)
+			per := (float64(long) - float64(short)) / n
+			t.Logf("%s: %d objects for %d iterations, %d for %d: %.1f per iteration (bound %.0f)", c.leg, short, n, long, 2*n, per, c.bound)
+			if per > c.bound {
+				t.Errorf("%s allocates %.1f objects per iteration, want at most %.0f", c.leg, per, c.bound)
+			}
+		})
+	}
+}

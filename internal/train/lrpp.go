@@ -282,7 +282,8 @@ func runLRPP(cfg Config, trs []transport.Store, mesh transport.Mesh, prep func(*
 	// Oracle: one lookahead walker emits per-trainer plans in iteration
 	// order, at most the plan lead ahead of each dispatcher. Each decision
 	// goes back to the oracle once its plans are cut, for the next Next to
-	// reuse its buffers.
+	// reuse its buffers; the plans, their header and the batch go back once
+	// every trainer has routed the iteration (handBack).
 	gen := data.NewGenerator(cfg.Spec, cfg.Seed)
 	oracle := core.NewOracle(core.NewGeneratorSource(gen, cfg.BatchSize, cfg.NumBatches), cfg.LookAhead, P)
 	oracle.Partitioner = cfg.Partitioner
@@ -841,15 +842,18 @@ func (t *lrppTrainer) stage(rec *iterRec) {
 	rec.staged = true
 	t.mu.Unlock()
 	t.gathered.Signal()
-	for q, ids := range pl.ReplicaOut {
-		if len(ids) == 0 {
+	// The sends read the record's snapshots, not the plan: compute may
+	// route x and hand the plan back while they are still going.
+	for q := range rec.outs {
+		n := len(rec.outs[q].IDs)
+		if n == 0 {
 			continue
 		}
-		b := replicaMsgBytes(len(ids), eng.dim)
+		b := replicaMsgBytes(n, eng.dim)
 		t.ep.Send(q, b, rec.outs[q])
 		rec.outs[q] = transport.ReplicaMsg{}
 		eng.countSend(classReplica, b)
-		eng.replicaRows.Add(int64(len(ids)))
+		eng.replicaRows.Add(int64(n))
 	}
 	t.clock.add(StageWaitRows, waitRows)
 	t.clock.add(StageWaitMerges, waitMerges)
@@ -999,8 +1003,10 @@ func (t *lrppTrainer) compute(rec *iterRec, mark time.Time) time.Time {
 	t.arena.PutN(t.spent)
 	t.spent = t.spent[:0]
 	rec.routed = true
+	rec.plan = nil
 	t.maybeEmitLocked(rec)
 	t.mu.Unlock()
+	t.handBack(pl)
 	t.flushQ <- fi
 	t.routedCh <- struct{}{}
 	mark = t.clock.lap(StageRoute, mark)
@@ -1034,6 +1040,21 @@ func (t *lrppTrainer) compute(rec *iterRec, mark time.Time) time.Time {
 		eng.prog.noteExamples(len(ls.mine))
 	}
 	return t.clock.lap(StageStep, mark)
+}
+
+// handBack hands back the plan of an iteration this trainer has routed.
+// Routing is the last step that reads a plan or its batch: the stager's
+// replica sends read the record's snapshots, and after routing compute
+// touches dense state only and retirement only the evictions. A plan the
+// oracle cut returns to it once every trainer has handed its plan back (in
+// one process, over the in-process and simulated meshes, which pass plans
+// by pointer, that is each reader's own routing); a plan decoded into the
+// plan ring's slot frees the slot's buffer.
+func (t *lrppTrainer) handBack(pl *core.Plan) {
+	if t.plans != nil {
+		t.plans.handBack(pl)
+	}
+	pl.Release()
 }
 
 // collWait returns how much of collective round x, which this trainer

@@ -287,13 +287,20 @@ func (c planChan) take() (*core.Plan, bool) {
 //     queues it locally, so a peer has at most plan r+ℒ+lead+1.
 //   - Rank 0 retired r−1, so it routed r−1 in compute(r−1), which began
 //     after compute(r−2) and its collective round, whose root waits for
-//     this rank's compute(r−2) contribution. So this rank drained r−2, and
-//     n ≥ r−1.
+//     this rank's compute(r−2) contribution. So this rank routed r−2 (its
+//     compute routes before it contributes), and n ≥ r−1.
 //
 // Undrained plans therefore lie in [n, n+ℒ+lead+2], and N = ℒ+lead+3 slots
 // hold them apart. put refuses a plan outside that window or the run, and
 // a second plan for one iteration: a peer sending either is broken, and a
 // plan the dispatcher would never drain is memory held for good.
+//
+// On a fabric that decodes plans (TCP), slot x mod N also owns the buffer
+// plan x decodes into (buf). Its previous plan, x−N ≤ r−2, was routed here
+// before x could arrive, and a trainer reads its plan last when it routes
+// the iteration and then hands it back (handBack): so the buffer is free
+// whenever the bound holds. buf checks it anyway, and a plan whose slot is
+// still held, or outside the window, decodes into a fresh buffer.
 type planRing struct {
 	rank int
 	mu   sync.Mutex
@@ -301,12 +308,39 @@ type planRing struct {
 	next int // the next iteration the dispatcher drains
 	end  int // the run's iteration count
 	ring []*core.Plan
+	bufs []transport.PlanBuf
+	held []bool // held[i]: bufs[i] holds a plan not yet handed back
 }
 
 func newPlanRing(rank, L, iters int) *planRing {
-	r := &planRing{rank: rank, end: iters, ring: make([]*core.Plan, L+planQueue(L)+3)}
+	n := L + planQueue(L) + 3
+	r := &planRing{rank: rank, end: iters, ring: make([]*core.Plan, n), bufs: make([]transport.PlanBuf, n), held: make([]bool, n)}
 	r.cond.L = &r.mu
 	return r
+}
+
+// buf returns the buffer plan x decodes into, nil when x is outside the
+// window or its slot's buffer is still held (the mesh receiver of a
+// decoding fabric, before put).
+func (r *planRing) buf(x int) *transport.PlanBuf {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	i := x % len(r.ring)
+	if x < r.next || x >= r.end || x >= r.next+len(r.ring) || r.ring[i] != nil || r.held[i] {
+		return nil
+	}
+	r.held[i] = true
+	return &r.bufs[i]
+}
+
+// handBack frees pl's buffer for a later plan when pl was decoded into one.
+func (r *planRing) handBack(pl *core.Plan) {
+	i := pl.Dec.Iter % len(r.ring)
+	r.mu.Lock()
+	if r.bufs[i].Plan() == pl {
+		r.held[i] = false
+	}
+	r.mu.Unlock()
 }
 
 // put files one arrived plan (the mesh receiver goroutine).

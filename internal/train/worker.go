@@ -117,7 +117,9 @@ func RunLRPPWorker(cfg Config, rank int, tr transport.Store, mesh transport.Mesh
 		// plan lead ahead of rank 0's dispatcher; peers can never outrun
 		// it by more than the collectives allow, so plans are always
 		// available where needed (planRing derives the peers' bound). Each
-		// decision goes back to the oracle once its plans are cut.
+		// decision goes back to the oracle once its plans are cut; a plan
+		// comes back once its trainer has routed it, or, over a fabric that
+		// encodes it, once encoded (transport.ReleasePayload).
 		planCh := make(planChan, planQueue(cfg.LookAhead))
 		src = planCh
 		gen := data.NewGenerator(cfg.Spec, cfg.Seed)
@@ -150,6 +152,11 @@ func RunLRPPWorker(cfg Config, rank int, tr transport.Store, mesh transport.Mesh
 	} else {
 		t.plans = newPlanRing(rank, cfg.LookAhead, cfg.NumBatches)
 		src = t.plans
+		// A fabric that decodes plans (TCP) decodes each into its ring slot.
+		if dec, ok := ep.(interface{ DecodePlansInto(transport.PlanSlots) }); ok {
+			dec.DecodePlansInto(t.plans.buf)
+			defer dec.DecodePlansInto(nil)
+		}
 	}
 
 	start, cpu0 := time.Now(), processCPU()

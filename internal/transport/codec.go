@@ -196,11 +196,16 @@ func appendPayload(b []byte, p any) []byte {
 }
 
 // DecodePayload is the inverse of EncodePayload.
-func DecodePayload(b []byte) (any, error) {
+func DecodePayload(b []byte) (any, error) { return decodePayload(b, nil) }
+
+// decodePayload is DecodePayload with a plan decoding into the buffer slots
+// names for its iteration.
+func decodePayload(b []byte, slots PlanSlots) (any, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("transport: empty payload")
 	}
-	r := &wireReader{b: b[1:]}
+	body := b[1:]
+	r := &wireReader{b: body}
 	var out any
 	switch b[0] {
 	case tagReplica:
@@ -213,7 +218,16 @@ func DecodePayload(b []byte) (any, error) {
 		}
 		out = m
 	case tagPlan:
-		out = PlanMsg{Plan: r.plan()}
+		var buf *PlanBuf
+		if slots != nil {
+			if x, ok := planIter(body); ok {
+				buf = slots(x)
+			}
+		}
+		if buf == nil {
+			buf = new(PlanBuf)
+		}
+		out = PlanMsg{Plan: r.plan(buf)}
 	case tagFusedColl:
 		// Segments come from the per-length arenas the senders snapshot
 		// into; the collective returns them once folded or copied out.
@@ -438,15 +452,69 @@ func planSize(pl *core.Plan) int {
 	return n
 }
 
-// plan decodes putPlan's layout. Everything the engine indexes by is
+// PlanBuf is the reusable home of one received plan: the plan, its header
+// and its sparse batch, and every array they view. A decode into a PlanBuf
+// reuses each array that is large enough, so a receiver that owns one
+// buffer per plan it holds (a worker's plan ring) stops allocating once its
+// plans have reached their size. The zero value is an empty buffer.
+type PlanBuf struct {
+	plan  core.Plan
+	dec   core.Decision
+	batch data.Batch
+
+	owned, prefetch, expiring, remote []uint64
+	replicaOut, replicas              [][]uint64 // the ReplicaOut header, and each list's array
+	ttl, owners, assign               []int
+	users                             []core.Ranks
+	next                              []bool
+	dense                             []float32
+	cats                              []uint64
+}
+
+// Plan returns the plan last decoded into b.
+func (b *PlanBuf) Plan() *core.Plan { return &b.plan }
+
+// PlanSlots names the buffer each received plan decodes into: it returns
+// plan iter's buffer, or nil for a fresh one. A receiver that owns its
+// plans' buffers hands one to an endpoint that decodes plans off a wire
+// (the TCP endpoint's DecodePlansInto); fabrics that pass plans by pointer
+// have nothing to decode.
+type PlanSlots func(iter int) *PlanBuf
+
+// planIter reads the iteration of an encoded plan body without decoding
+// it, so a receiver can name the buffer the plan decodes into.
+func planIter(b []byte) (int, bool) {
+	r := &wireReader{b: b}
+	r.u32()
+	p := int(r.u32())
+	if r.err != nil || p < 1 || p > core.MaxTrainers {
+		return 0, false
+	}
+	skip := func(size int) { r.take(r.count(size), size) }
+	for _, size := range []int{8, 4, 8, 8, 8} { // Owned, OwnedTTL, OwnedUsers, Prefetch, Expiring
+		skip(size)
+	}
+	for range p { // ReplicaOut
+		skip(8)
+	}
+	skip(8) // Remote
+	skip(4) // RemoteOwner
+	skip(1) // RemoteNext
+	r.u64() // ReplicaFrom
+	x := int(r.u64())
+	return x, r.err == nil
+}
+
+// plan decodes putPlan's layout into b. Everything the engine indexes by is
 // validated here, so a hostile frame is an error, never a panic or a hang
 // in the trainer: id lists strictly ascending, parallel slices of equal
 // length, every list the owner walks against Owned a subset of it, ranks
 // and rank sets below the trainer count, ReplicaFrom exactly the owners of
 // Remote, and the examples exactly the destination's assigned ones, in
 // batch order.
-func (r *wireReader) plan() *core.Plan {
-	pl := &core.Plan{Trainer: int(r.u32())}
+func (r *wireReader) plan(b *PlanBuf) *core.Plan {
+	pl := &b.plan
+	*pl = core.Plan{Trainer: int(r.u32())}
 	p := int(r.u32())
 	if r.err != nil || p < 1 || p > core.MaxTrainers || pl.Trainer >= p {
 		r.invalid("plan trainer %d of %d", pl.Trainer, p)
@@ -456,10 +524,10 @@ func (r *wireReader) plan() *core.Plan {
 	if p == core.MaxTrainers {
 		all = ^core.Ranks(0)
 	}
-	pl.Owned = r.ascending()
-	pl.OwnedTTL = r.ints()
+	pl.Owned = r.ascending(&b.owned)
+	pl.OwnedTTL = r.ints(&b.ttl)
 	n := r.count(8)
-	pl.OwnedUsers = make([]core.Ranks, n)
+	pl.OwnedUsers = list(&b.users, n)
 	for i := range pl.OwnedUsers {
 		u := core.Ranks(r.u64())
 		if u == 0 || u&^all != 0 {
@@ -470,17 +538,19 @@ func (r *wireReader) plan() *core.Plan {
 	if len(pl.OwnedTTL) != len(pl.Owned) || len(pl.OwnedUsers) != len(pl.Owned) {
 		r.invalid("plan owns %d ids with %d TTLs and %d user sets", len(pl.Owned), len(pl.OwnedTTL), len(pl.OwnedUsers))
 	}
-	pl.Prefetch = r.subset(pl.Owned)
-	pl.Expiring = r.subset(pl.Owned)
-	pl.ReplicaOut = make([][]uint64, p)
+	pl.Prefetch = r.subset(&b.prefetch, pl.Owned)
+	pl.Expiring = r.subset(&b.expiring, pl.Owned)
+	b.replicas = resized(b.replicas, p)
+	pl.ReplicaOut = resized(b.replicaOut, p)
+	b.replicaOut = pl.ReplicaOut
 	for u := range pl.ReplicaOut {
-		pl.ReplicaOut[u] = r.subset(pl.Owned)
+		pl.ReplicaOut[u] = r.subset(&b.replicas[u], pl.Owned)
 	}
 	if len(pl.ReplicaOut[pl.Trainer]) != 0 {
 		r.invalid("plan pushes replicas to its own trainer")
 	}
-	pl.Remote = r.ascending()
-	pl.RemoteOwner = r.ints()
+	pl.Remote = r.ascending(&b.remote)
+	pl.RemoteOwner = r.ints(&b.owners)
 	var owners core.Ranks
 	for _, o := range pl.RemoteOwner {
 		if o >= p || o == pl.Trainer {
@@ -489,14 +559,12 @@ func (r *wireReader) plan() *core.Plan {
 		owners |= 1 << uint(o)
 	}
 	n = r.count(1)
-	if n > 0 {
-		pl.RemoteNext = make([]bool, n)
-		for i, c := range r.take(n, 1) {
-			if c > 1 {
-				r.invalid("plan needed-next flag %d", c)
-			}
-			pl.RemoteNext[i] = c == 1
+	pl.RemoteNext = list(&b.next, n)
+	for i, c := range r.take(n, 1) {
+		if c > 1 {
+			r.invalid("plan needed-next flag %d", c)
 		}
+		pl.RemoteNext[i] = c == 1
 	}
 	if len(pl.RemoteOwner) != len(pl.Remote) || len(pl.RemoteNext) != len(pl.Remote) {
 		r.invalid("plan has %d remote ids with %d owners and %d flags", len(pl.Remote), len(pl.RemoteOwner), len(pl.RemoteNext))
@@ -505,8 +573,10 @@ func (r *wireReader) plan() *core.Plan {
 		r.invalid("plan expects replicas from %#x, its remote ids are owned by %#x", uint64(pl.ReplicaFrom), uint64(owners))
 	}
 
-	d := &core.Decision{Iter: int(r.u64())}
-	d.Assign = r.ints()
+	d := &b.dec
+	*d = core.Decision{Iter: int(r.u64())}
+	pl.Dec = d
+	d.Assign = r.ints(&b.assign)
 	mine := 0
 	for _, t := range d.Assign {
 		if t >= p {
@@ -516,14 +586,16 @@ func (r *wireReader) plan() *core.Plan {
 			mine++
 		}
 	}
-	d.Batch = &data.Batch{Index: int(r.u64())}
+	d.Batch = &b.batch
+	d.Batch.Index = int(r.u64())
 	// Sparse slots carry no bytes of their own; the assignment, 4 bytes per
 	// slot, bounds the allocation.
 	if full := int(r.u32()); r.err != nil || full != len(d.Assign) {
 		r.invalid("batch of %d examples with %d assignments", full, len(d.Assign))
 		return pl
 	}
-	d.Batch.Examples = make([]data.Example, len(d.Assign))
+	d.Batch.Examples = resized(d.Batch.Examples, len(d.Assign))
+	clear(d.Batch.Examples)
 	if n = r.count(4); n != mine {
 		r.invalid("%d examples for a trainer assigned %d", n, mine)
 		return pl
@@ -547,7 +619,8 @@ func (r *wireReader) plan() *core.Plan {
 		r.err = scan.err
 		return pl
 	}
-	dense, cats := make([]float32, nd), make([]uint64, nc)
+	dense, cats := resized(b.dense, nd), resized(b.cats, nc)
+	b.dense, b.cats = dense, cats
 	prev := -1
 	for i := 0; i < n && r.err == nil; i++ {
 		idx := int(r.u32())
@@ -560,8 +633,22 @@ func (r *wireReader) plan() *core.Plan {
 		ex.Label = r.f32()
 		d.Batch.Examples[idx] = ex
 	}
-	pl.Dec = d
 	return pl
+}
+
+// resized returns buf with length n, reallocated only when it is short.
+func resized[T any](buf []T, n int) []T {
+	return slices.Grow(buf[:0], n)[:n]
+}
+
+// list returns a list of n values in *buf's array, which grows when short:
+// nil when n is 0, as a fresh decode leaves an empty list.
+func list[T any](buf *[]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	*buf = resized(*buf, n)
+	return (*buf)[:n:n]
 }
 
 // runIn decodes a count-prefixed run of size-byte values into the front of
@@ -583,10 +670,10 @@ func runIn[T float32 | uint64](r *wireReader, buf *[]T, size int) []T {
 	return xs
 }
 
-// ascending reads a count-prefixed id list and fails the reader unless it
-// is strictly ascending.
-func (r *wireReader) ascending() []uint64 {
-	ids := r.u64s()
+// ascending reads a count-prefixed id list into *buf's array and fails the
+// reader unless it is strictly ascending.
+func (r *wireReader) ascending(buf *[]uint64) []uint64 {
+	ids := r.u64sInto(buf)
 	for i := 1; i < len(ids); i++ {
 		if ids[i] <= ids[i-1] {
 			r.invalid("ids not strictly ascending")
@@ -596,10 +683,10 @@ func (r *wireReader) ascending() []uint64 {
 	return ids
 }
 
-// subset reads a strictly ascending id list and fails the reader unless
-// every id is in of (itself ascending).
-func (r *wireReader) subset(of []uint64) []uint64 {
-	ids := r.ascending()
+// subset reads a strictly ascending id list into *buf's array and fails
+// the reader unless every id is in of (itself ascending).
+func (r *wireReader) subset(buf *[]uint64, of []uint64) []uint64 {
+	ids := r.ascending(buf)
 	j := 0
 	for _, id := range ids {
 		for j < len(of) && of[j] < id {
@@ -772,22 +859,24 @@ func (r *wireReader) f64s() []float64 {
 }
 
 func (r *wireReader) u64s() []uint64 {
-	n := r.count(8)
-	if n == 0 {
-		return nil
-	}
-	xs := make([]uint64, n)
-	copyLE(bytesOf(xs), r.take(n, 8), 8)
+	var xs []uint64
+	return r.u64sInto(&xs)
+}
+
+// u64sInto reads a count-prefixed id list into *buf's array, which grows
+// when short, and returns it: nil when empty, as u64s returns.
+func (r *wireReader) u64sInto(buf *[]uint64) []uint64 {
+	xs := list(buf, r.count(8))
+	copyLE(bytesOf(xs), r.take(len(xs), 8), 8)
 	return xs
 }
 
-func (r *wireReader) ints() []int {
+// ints reads a count-prefixed list of u32s (ranks, assignments) into
+// *buf's array, which grows when short: nil when empty.
+func (r *wireReader) ints(buf *[]int) []int {
 	n := r.count(4)
-	if n == 0 {
-		return nil
-	}
+	xs := list(buf, n)
 	b := r.take(n, 4)
-	xs := make([]int, n)
 	for i := range xs {
 		xs[i] = int(binary.LittleEndian.Uint32(b[4*i:]))
 	}

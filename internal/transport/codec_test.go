@@ -494,3 +494,60 @@ func TestByteViewMatchesLittleEndianLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanDecodeIntoReusedBuf decodes every plan of a real oracle stream
+// twice, into fresh buffers and into one PlanBuf reused for all of them,
+// and requires the two decodes to agree field by field: plan, header and
+// sparse batch. The batches shrink and grow (192, 48, 96, 24 examples in
+// turn), so each reused decode overwrites arrays a larger plan filled last:
+// a stale tail or an example slot left over would show. planIter reads
+// each frame's iteration without decoding it.
+func TestPlanDecodeIntoReusedBuf(t *testing.T) {
+	const p = 3
+	gen := data.NewGenerator(data.CriteoKaggle().Scaled(1000).WithDist(data.Uniform{}), 9)
+	var batches []*data.Batch
+	for i := range 16 {
+		batches = append(batches, gen.Batch(i, []int{192, 48, 96, 24}[i%4]))
+	}
+	o := core.NewOracle(&core.SliceSource{Batches: batches}, 3, p)
+	var buf PlanBuf
+	slots := PlanSlots(func(int) *PlanBuf { return &buf })
+	for {
+		d, ok := o.Next()
+		if !ok {
+			break
+		}
+		for _, pl := range d.Plans(p) {
+			frame := EncodePayload(PlanMsg{Plan: pl})
+			if x, ok := planIter(frame[1:]); !ok || x != d.Iter {
+				t.Fatalf("iter %d: planIter read %d, %v", d.Iter, x, ok)
+			}
+			fresh, err := DecodePayload(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reused, err := decodePayload(frame, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := fresh.(PlanMsg).Plan, reused.(PlanMsg).Plan
+			if got != buf.Plan() {
+				t.Fatalf("iter %d trainer %d: the plan was not decoded into the slot's buffer", d.Iter, pl.Trainer)
+			}
+			if !reflect.DeepEqual(*got.Dec.Batch, *want.Dec.Batch) {
+				t.Fatalf("iter %d trainer %d: reused batch\n%+v\nfresh\n%+v", d.Iter, pl.Trainer, *got.Dec.Batch, *want.Dec.Batch)
+			}
+			gd, wd := *got.Dec, *want.Dec
+			gd.Batch, wd.Batch = nil, nil
+			if !reflect.DeepEqual(gd, wd) {
+				t.Fatalf("iter %d trainer %d: reused header %+v, fresh %+v", d.Iter, pl.Trainer, gd, wd)
+			}
+			gp, wp := *got, *want
+			gp.Dec, wp.Dec = nil, nil
+			if !reflect.DeepEqual(gp, wp) {
+				t.Fatalf("iter %d trainer %d: reused plan\n%+v\nfresh\n%+v", d.Iter, pl.Trainer, gp, wp)
+			}
+		}
+		o.Recycle(d)
+	}
+}

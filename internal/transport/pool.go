@@ -164,10 +164,11 @@ func (a *RowArena) PutN(rows [][]float32) {
 }
 
 // ReleasePayload returns what a mesh payload owns — arena rows, pooled id
-// and row-slice headers, collective segments — to the pools. The last
-// holder of a payload calls it once done (see Endpoint.Send): the TCP
-// endpoint right after encoding, a receiver once it has consumed what it
-// received. Payload types that own nothing pooled are left to the GC.
+// and row-slice headers, collective segments — to the pools, and hands a
+// plan back to the oracle that cut it (core.Plan.Release). The last holder
+// of a payload calls it once done (see Endpoint.Send): the TCP endpoint
+// right after encoding, a receiver once it has consumed what it received.
+// Payload types that own nothing pooled are left to the GC.
 func ReleasePayload(p any) {
 	switch m := p.(type) {
 	case ReplicaMsg:
@@ -182,6 +183,8 @@ func ReleasePayload(p any) {
 				Rows(len(s)).Put(s)
 			}
 		}
+	case PlanMsg:
+		m.Plan.Release()
 	}
 }
 

@@ -800,8 +800,13 @@ func serveEmbedConn(conn net.Conn, srv *embed.Server, shutdown func()) {
 	var announced uint64
 	// One request buffer and one response buffer serve the connection's
 	// whole life: every op copies what it keeps out of the request, and
-	// the response is on the wire before the next request is read.
+	// the response is on the wire before the next request is read. The id
+	// list of a fetch or a write decodes into one buffer too:
+	// RoutedFetchInto, RoutedWrite and WriteRecovery keep no id slice —
+	// they read the ids, or copy them into the tables (and WriteRecovery
+	// into a list filtered against its fresh set), before returning.
 	var req, out []byte
+	var idBuf []uint64
 	for {
 		body, err := readFrame(br, req)
 		if err != nil {
@@ -819,7 +824,7 @@ func serveEmbedConn(conn net.Conn, srv *embed.Server, shutdown func()) {
 		resp = putU64(resp, seq)
 		switch op {
 		case opFetch:
-			ids := r.u64s()
+			ids := r.u64sInto(&idBuf)
 			if r.err != nil {
 				return
 			}
@@ -843,7 +848,7 @@ func serveEmbedConn(conn net.Conn, srv *embed.Server, shutdown func()) {
 			arena.PutN(rows)
 			PutRowSlice(rows)
 		case opWrite:
-			ids := r.u64s()
+			ids := r.u64sInto(&idBuf)
 			if r.err != nil {
 				return
 			}
@@ -875,7 +880,7 @@ func serveEmbedConn(conn net.Conn, srv *embed.Server, shutdown func()) {
 			}
 			resp = append(resp, buf.Bytes()...)
 		case opWriteRecovery:
-			ids := r.u64s()
+			ids := r.u64sInto(&idBuf)
 			if r.err != nil {
 				return
 			}
@@ -955,5 +960,8 @@ func serveEmbedConn(conn net.Conn, srv *embed.Server, shutdown func()) {
 			return
 		}
 		out = reusable(resp)
+		if 8*cap(idBuf) > maxPooledBuf {
+			idBuf = nil // as reusable drops a one-off giant frame
+		}
 	}
 }

@@ -46,6 +46,9 @@ type TCPMesh struct {
 	done   chan struct{}
 	stop   sync.Once
 
+	// slots names the buffers received plans decode into (DecodePlansInto).
+	slots atomic.Pointer[PlanSlots]
+
 	msgs, bytes, dropped atomic.Int64
 	// Socket-frame counters (exclude self-sends); the loopback facade uses
 	// them to tell when the fabric is globally quiet.
@@ -342,7 +345,11 @@ func (m *TCPMesh) readLoop(p *tcpPeer) {
 			panic(fmt.Sprintf("transport: mesh frame from rank %d too short (%d bytes)", p.rank, len(body)))
 		}
 		declared := int64(binary.LittleEndian.Uint64(body[:8]))
-		payload, err := DecodePayload(body[8:])
+		var slots PlanSlots
+		if sp := m.slots.Load(); sp != nil {
+			slots = *sp
+		}
+		payload, err := decodePayload(body[8:], slots)
 		if err != nil {
 			panic(fmt.Sprintf("transport: mesh frame from rank %d: %v", p.rank, err))
 		}
@@ -459,6 +466,17 @@ func (e *tcpEndpoint) Send(to int, bytes int64, payload any) bool {
 
 func (e *tcpEndpoint) Recv() (MeshMsg, bool) { return e.mesh.box.get() }
 func (e *tcpEndpoint) Close()                { e.mesh.box.close() }
+
+// DecodePlansInto makes every later plan frame decode into the buffer slots
+// names; nil restores fresh buffers. A plan frame that arrives before the
+// call decodes into a fresh buffer.
+func (e *tcpEndpoint) DecodePlansInto(slots PlanSlots) {
+	if slots == nil {
+		e.mesh.slots.Store(nil)
+		return
+	}
+	e.mesh.slots.Store(&slots)
+}
 
 // LoopbackTCPMesh is the all-ranks facade over n TCPMesh instances wired
 // together on 127.0.0.1 ephemeral ports: a Mesh whose every endpoint works,
