@@ -1386,11 +1386,11 @@ func runTCPDriver(cfg train.Config, spec *data.Spec) {
 			}
 			for k := 0; k < *replicate; k++ {
 				p := ((*killServer-k)%*servers + *servers) % *servers
-				got, err := link.TryFingerprintPartIn(p, *servers, 0, 1)
+				res, err := link.Control(&transport.Ctl{Op: transport.CtlFingerprintPartIn, Part: p, Of: *servers})
 				if err != nil {
 					die(fmt.Errorf("fingerprint partition %d on rejoined server %d: %w", p, *killServer, err))
 				}
-				if want := srvBase.FingerprintPart(p, *servers); got != want {
+				if got, want := res.N, srvBase.FingerprintPart(p, *servers); got != want {
 					die(fmt.Errorf("FAIL: rejoined server %d partition %d fingerprint %x != baseline %x", *killServer, p, got, want))
 				}
 			}

@@ -231,9 +231,3 @@ func (g *Group) FusedAllReduce(rank int, segs [][]float32, loss []float64) {
 	}
 	g.depart()
 }
-
-// AllReduceSum64 is the float64 all-reduce: per-rank values summed in rank
-// order from zero. No engine calls it; it is the bit reference the tests
-// hold FusedAllReduce's loss fold to, so every trainer reports the
-// identical full-batch loss the baseline would.
-func (g *Group) AllReduceSum64(rank int, x []float64) { allReduceSum(g, rank, x) }

@@ -164,17 +164,6 @@ type Decision struct {
 	set *planSet // the plan set Plans cuts this decision into, if Next made one
 }
 
-// EvictAfter returns the IDs whose TTL expires at this iteration, sorted.
-func (d *Decision) EvictAfter() []uint64 {
-	var ids []uint64
-	for k, id := range d.IDs {
-		if d.TTL[k] == d.Iter {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
 // IterStats summarizes a decision for the performance model and the
 // experiment harness.
 type IterStats struct {

@@ -485,3 +485,14 @@ func TestOracleSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// EvictAfter returns the IDs whose TTL expires at this iteration, sorted.
+func (d *Decision) EvictAfter() []uint64 {
+	var ids []uint64
+	for k, id := range d.IDs {
+		if d.TTL[k] == d.Iter {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}

@@ -170,16 +170,6 @@ func (o Ownership) Owner(id uint64, p int) int {
 	return OwnerOf(id, p)
 }
 
-// OwnershipByHash assigns each id to hash(id) % p, the way a partitioned
-// cache shards its contents.
-func OwnershipByHash(ids []uint64, p int) Ownership {
-	o := make(Ownership, len(ids))
-	for _, id := range ids {
-		o[id] = OwnerOf(id, p)
-	}
-	return o
-}
-
 // CommAware approximates the paper's MILP: place each example on the
 // trainer that already owns the most of its embeddings, subject to the
 // balance constraint. The paper solves this exactly with Gurobi and finds
@@ -271,38 +261,4 @@ func AssignmentCommCost(b *data.Batch, assign []int, p int, own Ownership) int {
 		}
 	}
 	return len(need)
-}
-
-// ExactAssign solves the balanced min-communication assignment by
-// exhaustive search. Exponential; only for tiny instances in tests, where
-// it certifies the greedy CommAware heuristic.
-func ExactAssign(b *data.Batch, p int, own Ownership) ([]int, int) {
-	n := b.Size()
-	capPer := (n + p - 1) / p
-	best := make([]int, n)
-	cur := make([]int, n)
-	load := make([]int, p)
-	bestCost := -1
-	var rec func(i int)
-	rec = func(i int) {
-		if i == n {
-			c := AssignmentCommCost(b, cur, p, own)
-			if bestCost == -1 || c < bestCost {
-				bestCost = c
-				copy(best, cur)
-			}
-			return
-		}
-		for j := 0; j < p; j++ {
-			if load[j] >= capPer {
-				continue
-			}
-			cur[i] = j
-			load[j]++
-			rec(i + 1)
-			load[j]--
-		}
-	}
-	rec(0)
-	return best, bestCost
 }

@@ -189,3 +189,47 @@ func TestExactAssignRespectsBalance(t *testing.T) {
 		t.Fatal("no solution found")
 	}
 }
+
+// ExactAssign solves the balanced min-communication assignment by
+// exhaustive search. Exponential; only for tiny instances in tests, where
+// it certifies the greedy CommAware heuristic.
+func ExactAssign(b *data.Batch, p int, own Ownership) ([]int, int) {
+	n := b.Size()
+	capPer := (n + p - 1) / p
+	best := make([]int, n)
+	cur := make([]int, n)
+	load := make([]int, p)
+	bestCost := -1
+	var rec func(i int)
+	rec = func(i int) {
+		if i == n {
+			c := AssignmentCommCost(b, cur, p, own)
+			if bestCost == -1 || c < bestCost {
+				bestCost = c
+				copy(best, cur)
+			}
+			return
+		}
+		for j := 0; j < p; j++ {
+			if load[j] >= capPer {
+				continue
+			}
+			cur[i] = j
+			load[j]++
+			rec(i + 1)
+			load[j]--
+		}
+	}
+	rec(0)
+	return best, bestCost
+}
+
+// OwnershipByHash assigns each id to hash(id) % p, the way a partitioned
+// cache shards its contents.
+func OwnershipByHash(ids []uint64, p int) Ownership {
+	o := make(Ownership, len(ids))
+	for _, id := range ids {
+		o[id] = OwnerOf(id, p)
+	}
+	return o
+}

@@ -322,3 +322,9 @@ func TestNumBatches(t *testing.T) {
 		t.Fatalf("NumBatches=%d", n)
 	}
 }
+
+// TableSizeBytes returns the embedding-table footprint in bytes at 4 bytes
+// per element (float32), the figure Table 1 of the paper reports.
+func (s *Spec) TableSizeBytes() int64 {
+	return s.TotalRows() * int64(s.EmbDim) * 4
+}

@@ -39,12 +39,6 @@ func (s *Spec) TotalRows() int64 {
 	return n
 }
 
-// TableSizeBytes returns the embedding-table footprint in bytes at 4 bytes
-// per element (float32), the figure Table 1 of the paper reports.
-func (s *Spec) TableSizeBytes() int64 {
-	return s.TotalRows() * int64(s.EmbDim) * 4
-}
-
 // TableOffsets returns the global-ID offset of each table: the ID of table
 // t row r is TableOffsets()[t] + r. Global IDs give the Oracle Cacher and
 // the embedding servers a single flat keyspace.

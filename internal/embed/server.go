@@ -172,23 +172,6 @@ func (s *Server) forEachShard(bounds []int, fn func(sh int)) {
 	}
 }
 
-// FetchSerial is the pre-refactor row-at-a-time fetch path (one shard lock
-// acquisition per row, no concurrency). It is retained as the reference
-// implementation for differential tests and as the benchmark baseline the
-// shard-grouped Fetch is measured against.
-func (s *Server) FetchSerial(ids []uint64) [][]float32 {
-	flat := make([]float32, len(ids)*s.Dim)
-	out := make([][]float32, len(ids))
-	for i, id := range ids {
-		row := flat[i*s.Dim : (i+1)*s.Dim]
-		s.shards[s.ShardOf(id)].Get(id, row)
-		out[i] = row
-	}
-	s.rowsFetched.Add(int64(len(ids)))
-	s.fetches.Add(1)
-	return out
-}
-
 // Write writes back updated rows (trainer evictions / background sync),
 // shard-grouped and shard-parallel like Fetch. While the server is in
 // recovery mode (BeginRecovery), every written id is also marked fresh so

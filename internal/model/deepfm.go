@@ -127,19 +127,3 @@ func (m *DeepFM) Params() []nn.Param {
 func (m *DeepFM) DenseParamCount() int {
 	return len(m.linW) + m.deep.NumParams() + m.deepHead.NumParams()
 }
-
-// PaperDenseParamCount returns the Table 2 count for the full-size Criteo
-// Kaggle configuration, for cross-checking against the paper.
-func PaperDenseParamCount(name string) int {
-	switch name {
-	case "dlrm":
-		return 2962289
-	case "wd":
-		return 136673
-	case "dc":
-		return 2718609
-	case "deepfm":
-		return 33851283
-	}
-	return 0
-}

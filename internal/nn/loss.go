@@ -23,42 +23,3 @@ func BCEWithLogits(logits, labels, dlogits []float32) float32 {
 	}
 	return float32(total / n)
 }
-
-// LogLoss computes the mean binary cross-entropy given probabilities
-// already passed through a sigmoid. Probabilities are clamped away from
-// 0 and 1 for stability. Used for evaluation, not training.
-func LogLoss(probs, labels []float32) float32 {
-	if len(probs) != len(labels) {
-		panic("nn: LogLoss length mismatch")
-	}
-	const eps = 1e-7
-	var total float64
-	for i, p := range probs {
-		pf := math.Min(math.Max(float64(p), eps), 1-eps)
-		if labels[i] > 0.5 {
-			total += -math.Log(pf)
-		} else {
-			total += -math.Log(1 - pf)
-		}
-	}
-	return float32(total / float64(len(probs)))
-}
-
-// Accuracy returns the fraction of logits whose sign matches the label
-// (logit > 0 predicts class 1).
-func Accuracy(logits, labels []float32) float32 {
-	if len(logits) != len(labels) {
-		panic("nn: Accuracy length mismatch")
-	}
-	correct := 0
-	for i, z := range logits {
-		pred := float32(0)
-		if z > 0 {
-			pred = 1
-		}
-		if pred == labels[i] {
-			correct++
-		}
-	}
-	return float32(correct) / float32(len(logits))
-}

@@ -91,24 +91,6 @@ func (m *Matrix) Equal(o *Matrix) bool {
 	return true
 }
 
-// AlmostEqual reports whether m and o have identical shape and elementwise
-// absolute difference at most eps.
-func (m *Matrix) AlmostEqual(o *Matrix, eps float32) bool {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		d := v - o.Data[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > eps {
-			return false
-		}
-	}
-	return true
-}
-
 // MatMul computes dst = a × b. dst must be a.Rows × b.Cols and must not
 // alias a or b. Every dst[i][j] is the sum, formed in ascending k from +0,
 // of the products a[i][k]·b[k][j] whose a[i][k] is not zero. The skip is

@@ -606,3 +606,21 @@ func TestMatMulDistributiveProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// AlmostEqual reports whether m and o have identical shape and elementwise
+// absolute difference at most eps.
+func (m *Matrix) AlmostEqual(o *Matrix, eps float32) bool {
+	if m.Rows != o.Rows || m.Cols != o.Cols {
+		return false
+	}
+	for i, v := range m.Data {
+		d := v - o.Data[i]
+		if d < 0 {
+			d = -d
+		}
+		if d > eps {
+			return false
+		}
+	}
+	return true
+}

@@ -50,18 +50,12 @@ func (c *chaosStore) TryWrite(ids []uint64, rows [][]float32) error {
 	return c.SimNet.TryWrite(ids, rows)
 }
 
-func (c *chaosStore) TryFingerprintPartIn(part, of, within, withinOf int) (uint64, error) {
+// Control gates every control op, as a killed server answers none of them.
+func (c *chaosStore) Control(ctl *transport.Ctl) (transport.CtlResult, error) {
 	if c.dead() {
-		return 0, c.errDead()
+		return transport.CtlResult{}, c.errDead()
 	}
-	return c.SimNet.TryFingerprintPartIn(part, of, within, withinOf)
-}
-
-func (c *chaosStore) TryCheckpoint() ([]byte, error) {
-	if c.dead() {
-		return nil, c.errDead()
-	}
-	return c.SimNet.TryCheckpoint()
+	return c.SimNet.Control(ctl)
 }
 
 func TestLRPPReplicatedTierSurvivesServerDeath(t *testing.T) {

@@ -700,6 +700,100 @@ func (r *wireReader) subset(buf *[]uint64, of []uint64) []uint64 {
 	return ids
 }
 
+// --- link control requests and results ---
+
+// putCtl writes a control request body, one layout for every op: the five
+// partition arguments (each an int64, so any int crosses exactly), the
+// epoch, a routing flag (1: the table follows in encodeRouting form), the
+// id list, then the rows, each behind its own count. A Ctl encodes
+// faithfully whatever its fields hold; checking them is the dispatcher's.
+func putCtl(b []byte, c *Ctl) []byte {
+	for _, v := range [...]int{c.Part, c.Of, c.Within, c.WithinOf, c.Replicate} {
+		b = putU64(b, uint64(v))
+	}
+	b = putU64(b, c.Epoch)
+	if c.Routing == nil {
+		b = append(b, 0)
+	} else {
+		b = encodeRouting(append(b, 1), c.Routing)
+	}
+	b = putU64s(b, c.IDs)
+	b = putU32(b, uint32(len(c.Rows)))
+	for _, row := range c.Rows {
+		b = putF32s(b, row)
+	}
+	return b
+}
+
+// ctlBuf is the reusable home of one connection's requests: each control
+// request decodes into its Ctl, reusing the id, row and float arrays, and
+// a fetch's or a write's ids into the same id array.
+type ctlBuf struct {
+	Ctl
+	ids  []uint64
+	rows [][]float32
+	flat []float32
+}
+
+// ctl decodes a control request body (putCtl's layout) into b.Ctl with op.
+// A routing table decodes fresh, since the server keeps it. Arguments are
+// left unchecked; a body that does not parse, or has bytes left over,
+// fails the reader.
+func (r *wireReader) ctl(b *ctlBuf, op CtlOp) *Ctl {
+	c := &b.Ctl
+	*c = Ctl{Op: op}
+	c.Part, c.Of, c.Within, c.WithinOf, c.Replicate = r.i64(), r.i64(), r.i64(), r.i64(), r.i64()
+	c.Epoch = r.u64()
+	switch r.u8() {
+	case 0:
+	case 1:
+		c.Routing = r.routing()
+	default:
+		r.invalid("routing flag")
+	}
+	c.IDs = r.u64sInto(&b.ids)
+	n := r.count(4)
+	// Every row's floats fit in what is left of the body, so the rows view
+	// one array that never regrows under them.
+	flat := resized(b.flat, len(r.b)/4)
+	b.flat = flat
+	c.Rows = list(&b.rows, n)
+	for i := range c.Rows {
+		c.Rows[i] = runIn(r, &flat, 4)
+	}
+	if r.err == nil && len(r.b) > 0 {
+		r.invalid("%d bytes after a control request", len(r.b))
+	}
+	return c
+}
+
+// trim drops arrays a one-off giant request grew, as reusable drops a
+// giant frame.
+func (b *ctlBuf) trim() {
+	if 8*cap(b.ids) > maxPooledBuf || 4*cap(b.flat) > maxPooledBuf || 24*cap(b.rows) > maxPooledBuf {
+		*b = ctlBuf{}
+	}
+}
+
+// putCtlResult writes a control result, one layout for every op: N, the
+// count-prefixed bytes, the id list, then the rows as one flat matrix
+// behind a single count.
+func putCtlResult(b []byte, res *CtlResult) []byte {
+	b = putU64(b, res.N)
+	b = putU32(b, uint32(len(res.Bytes)))
+	b = append(b, res.Bytes...)
+	b = putU64s(b, res.IDs)
+	n := 0
+	for _, row := range res.Rows {
+		n += len(row)
+	}
+	b = putU32(b, uint32(n))
+	for _, row := range res.Rows {
+		b = putF32sRaw(b, row)
+	}
+	return b
+}
+
 // --- primitive writers (append-style, little-endian) ---
 
 func putU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
@@ -810,6 +904,9 @@ func (r *wireReader) u64() uint64 {
 }
 
 func (r *wireReader) f32() float32 { return math.Float32frombits(r.u32()) }
+
+// i64 reads an int written as its int64 bit pattern.
+func (r *wireReader) i64() int { return int(int64(r.u64())) }
 
 // count reads a u32 element count and sanity-checks it against the bytes
 // remaining (each element needs at least minElem bytes), so a corrupt frame

@@ -13,10 +13,10 @@ import (
 // the main build so test suites in other packages (train, serve) can inject
 // faults through the same wrapper.
 //
-// Semantics: while down, every Try op fails with an error naming the
-// server. The errorless Store methods pass straight through — the tier
-// drives its children only through the Try ops, so a FaultStore is always
-// condemnable.
+// Semantics: while down, TryFetch, TryWrite and Control fail with an error
+// naming the server. The errorless Store methods pass straight through — the
+// tier drives its children only through the error-returning ops, so a
+// FaultStore is always condemnable.
 type FaultStore struct {
 	Link
 	server int
@@ -47,10 +47,10 @@ func (f *FaultStore) gate() error {
 	return nil
 }
 
-// The Try ops implement Link: gate, then forward to the child. Every op is
-// gated, so tests can kill a data-path server, an anti-entropy source or
-// rejoiner mid-transfer, or a migration source, target or the
-// coordinator's control plane mid-reshard.
+// TryFetch, TryWrite and Control implement Link: gate, then forward to the
+// child. Every op is gated, so tests can kill a data-path server, an
+// anti-entropy source or rejoiner mid-transfer, or a migration source,
+// target or the coordinator's control plane mid-reshard.
 func (f *FaultStore) TryFetch(ids []uint64) ([][]float32, error) {
 	if err := f.gate(); err != nil {
 		return nil, err
@@ -65,65 +65,9 @@ func (f *FaultStore) TryWrite(ids []uint64, rows [][]float32) error {
 	return f.Link.TryWrite(ids, rows)
 }
 
-func (f *FaultStore) TryCheckpoint() ([]byte, error) {
+func (f *FaultStore) Control(c *Ctl) (CtlResult, error) {
 	if err := f.gate(); err != nil {
-		return nil, err
+		return CtlResult{}, err
 	}
-	return f.Link.TryCheckpoint()
-}
-
-func (f *FaultStore) TryBeginRecovery() error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	return f.Link.TryBeginRecovery()
-}
-
-func (f *FaultStore) TryWriteRecovery(ids []uint64, rows [][]float32) error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	return f.Link.TryWriteRecovery(ids, rows)
-}
-
-func (f *FaultStore) TryEndRecovery() error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	return f.Link.TryEndRecovery()
-}
-
-func (f *FaultStore) TryInstallRouting(rt *RoutingTable) error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	return f.Link.TryInstallRouting(rt)
-}
-
-func (f *FaultStore) TryAnnounceEpoch(epoch uint64) error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	return f.Link.TryAnnounceEpoch(epoch)
-}
-
-func (f *FaultStore) TryExportPartIn(part, of, within, withinOf int) ([]uint64, [][]float32, error) {
-	if err := f.gate(); err != nil {
-		return nil, nil, err
-	}
-	return f.Link.TryExportPartIn(part, of, within, withinOf)
-}
-
-func (f *FaultStore) TryFingerprintPartIn(part, of, within, withinOf int) (uint64, error) {
-	if err := f.gate(); err != nil {
-		return 0, err
-	}
-	return f.Link.TryFingerprintPartIn(part, of, within, withinOf)
-}
-
-func (f *FaultStore) TryRetainOwned(self, of, replicate int) (int, error) {
-	if err := f.gate(); err != nil {
-		return 0, err
-	}
-	return f.Link.TryRetainOwned(self, of, replicate)
+	return f.Link.Control(c)
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -111,22 +112,19 @@ func startGarbageServer(t *testing.T, dim int, reply func(op byte) []byte) strin
 }
 
 // TestTCPLinkMalformedResponses: a peer answering with truncated or
-// mismatched bodies makes every decoding op return an attributed error —
-// never a panic, never a zero value passed off as a certificate — and an
-// R = 2 tier over that peer condemns it and keeps serving from the replica.
+// mismatched bodies makes the fetch and every control op return an
+// attributed error — never a panic, never a zero value passed off as a
+// certificate — and an R = 2 tier over that peer condemns it and keeps
+// serving from the replica.
 func TestTCPLinkMalformedResponses(t *testing.T) {
 	const dim = 4
 	replies := map[string]func(op byte) []byte{
 		"truncated": func(byte) []byte { return nil },
 		"mismatched": func(op byte) []byte {
-			switch op {
-			case opFetch:
+			if op == opFetch {
 				return putF32s(nil, []float32{1}) // one float, whatever the id count
-			case opExportPartIn:
-				return putU32(putU64s(nil, []uint64{7}), 0) // one id, no floats
-			default:
-				return []byte{1, 2, 3, 4} // half a u64
 			}
+			return putCtlResult(nil, &CtlResult{IDs: []uint64{7}}) // one id, no floats
 		},
 	}
 	for name, reply := range replies {
@@ -142,18 +140,12 @@ func TestTCPLinkMalformedResponses(t *testing.T) {
 					_, err := link.TryFetch([]uint64{1, 2})
 					return err
 				},
-				"TryExportPartIn": func() error {
-					_, _, err := link.TryExportPartIn(0, 1, 0, 1)
+			}
+			for _, op := range allCtlOps() {
+				ops[op.String()] = func() error {
+					_, err := link.Control(sampleCtl(op, dim))
 					return err
-				},
-				"TryFingerprintPartIn": func() error {
-					_, err := link.TryFingerprintPartIn(0, 1, 0, 1)
-					return err
-				},
-				"TryRetainOwned": func() error {
-					_, err := link.TryRetainOwned(0, 1, 1)
-					return err
-				},
+				}
 			}
 			for op, call := range ops {
 				if err := call(); err == nil || !strings.Contains(err.Error(), addr) {
@@ -221,6 +213,20 @@ func FuzzServeEmbedConn(f *testing.F) {
 	}
 	fetch := frame(opFetch, putU64s(nil, []uint64{1, 2, 5}))
 	install := frame(opInstallRouting, encodeRouting(nil, settledRouting(1, 2)))
+	// Every control op in the layout it travels in, valid and with
+	// arguments the dispatcher refuses; and the two reserved opcodes.
+	for _, op := range append(allCtlOps(), CtlOp(opWrite+1), CtlOp(opResp+1)) {
+		f.Add(frame(byte(op), putCtl(nil, sampleCtl(op, 4))))
+		f.Add(frame(byte(op), putCtl(nil, &Ctl{Op: op, Part: 3, Of: 2, WithinOf: -1, IDs: []uint64{4}})))
+	}
+	// An install, then an announce of another epoch that fences the fetch
+	// after it.
+	f.Add(slices.Concat(
+		frame(opInstallRouting, putCtl(nil, &Ctl{Routing: settledRouting(1, 2)})),
+		frame(opAnnounceEpoch, putCtl(nil, &Ctl{Epoch: 2})),
+		fetch))
+	// The seeds from before the one control layout, where a control op in
+	// its old layout now closes the connection.
 	for _, seed := range [][]byte{
 		fetch,
 		frame(opWrite, rowsBody),

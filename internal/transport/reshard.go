@@ -174,9 +174,9 @@ func (t *ShardedStore) adoptRouting(se *StaleRoutingError) {
 		// No connection to teach (an unattributed fence); the reissue routes
 		// afresh.
 	case se.Epoch < cur.Epoch:
-		_ = l.TryInstallRouting(cur)
+		_, _ = l.Control(&Ctl{Op: CtlInstallRouting, Routing: cur})
 	default:
-		_ = l.TryAnnounceEpoch(cur.Epoch)
+		_, _ = l.Control(&Ctl{Op: CtlAnnounceEpoch, Epoch: cur.Epoch})
 	}
 }
 
@@ -235,7 +235,7 @@ func (t *ShardedStore) PushRouting(rt *RoutingTable) error {
 			continue
 		}
 		t.attempt(s, 1, func(l Link) error {
-			if err := l.TryInstallRouting(rt); err != nil {
+			if _, err := l.Control(&Ctl{Op: CtlInstallRouting, Routing: rt}); err != nil {
 				return fmt.Errorf("transport: routing push to server %d: %w", s, err)
 			}
 			return nil
@@ -253,7 +253,8 @@ func (t *ShardedStore) BeginRecoveryOn(s int) error {
 	if err != nil {
 		return err
 	}
-	return l.TryBeginRecovery()
+	_, err = l.Control(&Ctl{Op: CtlBeginRecovery})
+	return err
 }
 
 // RetainOwnedOn asks server s to shed every row outside its
@@ -261,8 +262,9 @@ func (t *ShardedStore) BeginRecoveryOn(s int) error {
 // that restores the invariant that a server materializes only rows it can
 // be asked for.
 func (t *ShardedStore) RetainOwnedOn(s, self, of, replicate int) (n int, err error) {
-	err = t.attempt(s, 1, func(l Link) (err error) {
-		n, err = l.TryRetainOwned(self, of, replicate)
+	err = t.attempt(s, 1, func(l Link) error {
+		res, err := l.Control(&Ctl{Op: CtlRetainOwned, Part: self, Of: of, Replicate: replicate})
+		n = int(res.N)
 		return err
 	})
 	return n, err

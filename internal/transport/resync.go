@@ -103,7 +103,7 @@ func (t *ShardedStore) BeginRejoin(s int, st Store) error {
 		return fmt.Errorf("transport: rejoining server %d serves dim %d, tier serves %d", s, st.Dim(), t.dim)
 	}
 	if rt.Epoch > 0 {
-		if err := l.TryInstallRouting(rt); err != nil {
+		if _, err := l.Control(&Ctl{Op: CtlInstallRouting, Routing: rt}); err != nil {
 			return fmt.Errorf("transport: rejoining server %d refused the routing table: %w", s, err)
 		}
 	}
@@ -229,14 +229,14 @@ func (t *ShardedStore) CopyPart(dst, part, of, within, withinOf int, opts Transf
 			return rows, bytes, err
 		}
 		if !verifyOnly {
-			ids, data, err := sl.TryExportPartIn(part, of, within, withinOf)
+			ex, err := sl.Control(&Ctl{Op: CtlExportPartIn, Part: part, Of: of, Within: within, WithinOf: withinOf})
 			if err != nil {
 				t.markDeadIfGen(src, sg, err)
 				continue
 			}
-			for off := 0; off < len(ids); off += opts.BatchRows {
-				end := min(off+opts.BatchRows, len(ids))
-				if err := dl.TryWriteRecovery(ids[off:end], data[off:end]); err != nil {
+			for off := 0; off < len(ex.IDs); off += opts.BatchRows {
+				end := min(off+opts.BatchRows, len(ex.IDs))
+				if _, err := dl.Control(&Ctl{Op: CtlWriteRecovery, IDs: ex.IDs[off:end], Rows: ex.Rows[off:end]}); err != nil {
 					t.markDeadIfGen(dst, g, err)
 					return rows, bytes, err
 				}
@@ -244,17 +244,18 @@ func (t *ShardedStore) CopyPart(dst, part, of, within, withinOf int, opts Transf
 				bytes += payloadBytes(end-off, t.dim)
 			}
 		}
-		want, err := sl.TryFingerprintPartIn(part, of, within, withinOf)
+		fp := &Ctl{Op: CtlFingerprintPartIn, Part: part, Of: of, Within: within, WithinOf: withinOf}
+		want, err := sl.Control(fp)
 		if err != nil {
 			t.markDeadIfGen(src, sg, err)
 			continue
 		}
-		got, err := dl.TryFingerprintPartIn(part, of, within, withinOf)
+		got, err := dl.Control(fp)
 		if err != nil {
 			t.markDeadIfGen(dst, g, err)
 			return rows, bytes, err
 		}
-		if want == got {
+		if want.N == got.N {
 			return rows, bytes, nil
 		}
 	}
@@ -272,7 +273,8 @@ func (t *ShardedStore) EndRecovery(s int) error {
 	if err != nil {
 		return err
 	}
-	return l.TryEndRecovery()
+	_, err = l.Control(&Ctl{Op: CtlEndRecovery})
+	return err
 }
 
 // Reviver watches the tier for dead servers and brings them back: it

@@ -697,11 +697,11 @@ func TestRejoinTCP(t *testing.T) {
 
 	// Per-partition certificates straight off the rejoiner's link.
 	for _, p := range rejoinerParts(1, S, R) {
-		got, err := link2.TryFingerprintPartIn(p, S, 0, 1)
+		res, err := link2.Control(&Ctl{Op: CtlFingerprintPartIn, Part: p, Of: S})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := ref.FingerprintPart(p, S); got != want {
+		if got, want := res.N, ref.FingerprintPart(p, S); got != want {
 			t.Fatalf("rejoined tcp server partition %d fingerprint %x != reference %x", p, got, want)
 		}
 	}

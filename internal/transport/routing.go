@@ -127,7 +127,8 @@ func (rt *RoutingTable) dualWrite(pn int) bool {
 	return rt.State != nil && rt.State[pn] != PartPending
 }
 
-// validate rejects structurally corrupt tables (a wire decode gone wrong).
+// validate rejects structurally corrupt tables: a wire decode gone wrong,
+// or a table a control request installs.
 func (rt *RoutingTable) validate() error {
 	if rt.OldS < 1 || rt.NewS < 1 {
 		return fmt.Errorf("transport: routing table widths %d→%d", rt.OldS, rt.NewS)
@@ -170,32 +171,21 @@ func encodeRouting(b []byte, rt *RoutingTable) []byte {
 	return b
 }
 
-// decodeRouting parses one encoded routing table.
-func decodeRouting(b []byte) (*RoutingTable, error) {
-	r := &wireReader{b: b}
+// routing reads one table in encodeRouting form; the caller validates it.
+func (r *wireReader) routing() *RoutingTable {
 	rt := &RoutingTable{Epoch: r.u64(), OldS: int(r.u32()), NewS: int(r.u32())}
-	settled := r.u8()
-	if r.err == nil && settled == 0 {
-		if rt.NewS < 1 || rt.NewS > maxFrame {
-			return nil, fmt.Errorf("transport: routing table target width %d", rt.NewS)
-		}
+	if settled := r.u8(); r.err == nil && settled == 0 {
 		// take trusts its length: the states must all be present.
-		if rt.NewS > len(r.b) {
+		if rt.NewS < 0 || rt.NewS > len(r.b) {
 			r.fail()
-		} else {
-			rt.State = make([]PartState, rt.NewS)
-			for i, v := range r.take(rt.NewS, 1) {
-				rt.State[i] = PartState(v)
-			}
+			return rt
+		}
+		rt.State = make([]PartState, rt.NewS)
+		for i, v := range r.take(rt.NewS, 1) {
+			rt.State[i] = PartState(v)
 		}
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("transport: truncated routing table (%d bytes)", len(b))
-	}
-	if err := rt.validate(); err != nil {
-		return nil, err
-	}
-	return rt, nil
+	return rt
 }
 
 // StaleRoutingError is a server's rejection of a data op announced under a

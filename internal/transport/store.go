@@ -1203,8 +1203,9 @@ func (t *ShardedStore) fingerprintPartition(part, W int) uint64 {
 			t.lost(&TierError{Op: "fingerprint", Partition: part, Server: (part + t.replicate - 1) % W, Replicate: t.replicate})
 		}
 		var fp uint64
-		err := t.attempt(s, t.retries, func(l Link) (err error) {
-			fp, err = l.TryFingerprintPartIn(part, W, 0, 1)
+		err := t.attempt(s, t.retries, func(l Link) error {
+			res, err := l.Control(&Ctl{Op: CtlFingerprintPartIn, Part: part, Of: W})
+			fp = res.N
 			return err
 		})
 		if err == nil {
@@ -1283,8 +1284,9 @@ func (t *ShardedStore) Checkpoint() []byte {
 // checkpointServer pulls one server's checkpoint with bounded retry; on
 // exhaustion the server is declared dead and nil returned.
 func (t *ShardedStore) checkpointServer(s int) (b []byte) {
-	t.attempt(s, t.retries, func(l Link) (err error) {
-		b, err = l.TryCheckpoint()
+	t.attempt(s, t.retries, func(l Link) error {
+		res, err := l.Control(&Ctl{Op: CtlCheckpoint})
+		b = res.Bytes
 		return err
 	})
 	return b

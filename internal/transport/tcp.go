@@ -2,8 +2,8 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -24,13 +24,17 @@ import (
 // to ℒ prefetches with write-backs on the same link), and a writer
 // goroutine coalesces queued requests into one buffered flush.
 
-// linkMagic opens every link connection: "BGL" + protocol version.
-const linkMagic uint32 = 'B'<<24 | 'G'<<16 | 'L'<<8 | 1
+// linkMagic opens every link connection: "BGL" + protocol version. Version
+// 2 is the one control layout (putCtl, putCtlResult).
+const linkMagic uint32 = 'B'<<24 | 'G'<<16 | 'L'<<8 | 2
 
-// Link protocol ops (first body byte of a link frame). New ops append at
-// the end: existing op values are wire constants shared across process
-// generations. A retired op keeps its slot as a reserved `_` entry and is
-// never reused; a server closes a connection that sends one.
+// Link protocol ops (first body byte of a link frame). opFetch and opWrite
+// carry the data path in layouts of their own; every other request op is a
+// control op, the CtlOp of the same value, whose body is putCtl's layout and
+// whose result is putCtlResult's. New ops append at the end: existing op
+// values are wire constants shared across process generations. A retired
+// op keeps its slot as a reserved `_` entry and is never reused; a server
+// closes a connection that sends one.
 const (
 	opFetch byte = 0x10 + iota
 	opWrite
@@ -147,10 +151,10 @@ func readBody(r *bufio.Reader, n int, buf []byte) ([]byte, error) {
 // TCPLink is the one Link that can genuinely fail, so both faces of the
 // contract matter here: the errorless Store methods panic on a broken
 // connection (a worker with an unreplicated tier cannot make progress, so
-// dying loudly is the correct degradation), while the Try methods return
-// the link error — or a malformed response, attributed to the peer —
-// instead: the path a replicated ShardedStore uses to retry, declare the
-// server dead, and fail over to a ring replica.
+// dying loudly is the correct degradation), while TryFetch, TryWrite and
+// Control return the link error — or a malformed response, attributed to
+// the peer — instead: the path a replicated ShardedStore uses to retry,
+// declare the server dead, and fail over to a ring replica.
 type TCPLink struct {
 	conn  net.Conn
 	dim   int
@@ -343,31 +347,12 @@ func (t *TCPLink) badResp(format string, args ...any) error {
 	return fmt.Errorf("transport: tcp link to %s: malformed %s", t.conn.RemoteAddr(), fmt.Sprintf(format, args...))
 }
 
-// call is the errorless form of callErr: a broken link panics, the contract
-// of the errorless Store face.
-func (t *TCPLink) call(op byte, body func(b []byte) []byte) []byte {
-	resp, err := t.callErr(op, body)
-	if err != nil {
-		panic(err.Error())
-	}
-	return resp
-}
-
-// callErr sends one request (op + body after the seq field) and blocks for
-// the response body, returning an error once the link is broken.
-func (t *TCPLink) callErr(op byte, body func(b []byte) []byte) ([]byte, error) {
-	frame, err := t.roundTrip(op, 0, body)
-	if err != nil {
-		return nil, err
-	}
-	return frame[9:], nil
-}
-
-// roundTrip is callErr returning the whole response frame (op, seq, then
-// the result at frame[9:]). The request is encoded into a pooled buffer
-// presized for size body bytes, which the writer returns once written;
-// the response is a pooled buffer the caller may hand back with putBuf
-// once it has decoded everything it keeps.
+// roundTrip sends one request (op, seq, then body's bytes) and blocks for
+// the whole response frame (op, seq, then the result at frame[9:]),
+// returning an error once the link is broken. The request is encoded into
+// a pooled buffer presized for size body bytes, which the writer returns
+// once written; the response is a pooled buffer the caller hands back with
+// putBuf once it has decoded everything it keeps.
 //
 // The pending registration and the enqueue race the reader's failPending:
 // a request registered before the failure is woken by it (its channel is
@@ -421,7 +406,9 @@ func (t *TCPLink) roundTrip(op byte, size int, body func(b []byte) []byte) ([]by
 
 // decodeLinkErr parses an opRespErr payload: a per-request failure the
 // link survives (unlike a broken connection). The stale-routing kind
-// reconstructs the server's fence rejection, table included.
+// reconstructs the server's fence rejection, table included; any other kind
+// carries the server's error text, which is returned as it stands, so a
+// control op's refusal reads the same on every fabric.
 func decodeLinkErr(pay []byte) error {
 	if len(pay) < 1 {
 		return fmt.Errorf("transport: malformed link error response")
@@ -434,12 +421,12 @@ func decodeLinkErr(pay []byte) error {
 			return fmt.Errorf("transport: malformed stale-routing response")
 		}
 		se := &StaleRoutingError{Server: -1, Epoch: epoch}
-		if rt, err := decodeRouting(r.b); err == nil {
+		if rt := r.routing(); r.err == nil && rt.validate() == nil {
 			se.Table = rt
 		}
 		return se
 	default:
-		return fmt.Errorf("transport: server error: %s", string(pay[1:]))
+		return errors.New(string(pay[1:]))
 	}
 }
 
@@ -466,14 +453,26 @@ func (t *TCPLink) TryFetch(ids []uint64) ([][]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer putBuf(frame)
-	r := &wireReader{b: frame[9:]}
-	n := r.count(4)
-	if r.err != nil || n != len(ids)*t.dim {
-		return nil, t.badResp("fetch response: %d ids, %d floats", len(ids), n)
+	rows, err := t.fetchRows(frame[9:], len(ids))
+	putBuf(frame)
+	if err != nil {
+		return nil, err
 	}
-	reg := r.take(n, 4)
-	rows := GetRowSlice(len(ids))
+	t.fetches.Add(1)
+	t.rowsFetched.Add(int64(len(ids)))
+	t.bytesFetched.Add(payloadBytes(len(ids), t.dim))
+	return rows, nil
+}
+
+// fetchRows decodes a fetch result for n ids into pooled arena rows.
+func (t *TCPLink) fetchRows(resp []byte, n int) ([][]float32, error) {
+	r := &wireReader{b: resp}
+	nf := r.count(4)
+	if r.err != nil || nf != n*t.dim {
+		return nil, t.badResp("fetch response: %d ids, %d floats", n, nf)
+	}
+	reg := r.take(nf, 4)
+	rows := GetRowSlice(n)
 	t.arena.GetN(rows)
 	for i, row := range rows {
 		off := i * t.dim * 4
@@ -481,9 +480,6 @@ func (t *TCPLink) TryFetch(ids []uint64) ([][]float32, error) {
 			row[k] = math.Float32frombits(binary.LittleEndian.Uint32(reg[off+4*k:]))
 		}
 	}
-	t.fetches.Add(1)
-	t.rowsFetched.Add(int64(len(ids)))
-	t.bytesFetched.Add(payloadBytes(len(ids), t.dim))
 	return rows, nil
 }
 
@@ -521,158 +517,57 @@ func (t *TCPLink) TryWrite(ids []uint64, rows [][]float32) error {
 	return nil
 }
 
-// Fingerprint asks the server for embed.Server.Fingerprint — the cheap
-// remote state certificate used by distributed verification.
-func (t *TCPLink) Fingerprint() uint64 {
-	fp, err := t.TryFingerprintPartIn(0, 1, 0, 1)
-	if err != nil {
-		panic(err.Error())
-	}
-	return fp
-}
-
-// Checkpoint streams the server's checkpoint (every shard, in order) and
-// returns its bytes; embed.RestoreServer rebuilds an identical local copy,
-// which is how the driver diffs a remote run against a local baseline.
-func (t *TCPLink) Checkpoint() []byte {
-	b, err := t.TryCheckpoint()
-	if err != nil {
-		panic(err.Error())
-	}
-	return b
-}
-
-// TryCheckpoint implements Link.
-func (t *TCPLink) TryCheckpoint() ([]byte, error) {
-	return t.callErr(opCheckpoint, nil)
-}
-
-// decodeExport parses an export response: ids, then a flat float matrix.
-// Off the hot path, so rows are plainly allocated, not pooled.
-func (t *TCPLink) decodeExport(resp []byte) ([]uint64, [][]float32, error) {
-	r := &wireReader{b: resp}
-	ids := r.u64s()
-	n := r.count(4)
-	if r.err != nil || n != len(ids)*t.dim {
-		return nil, nil, t.badResp("export response: %d ids, %d floats", len(ids), n)
-	}
-	reg := r.take(n, 4)
-	flat := make([]float32, n)
-	rows := make([][]float32, len(ids))
-	for i := range rows {
-		rows[i] = flat[i*t.dim : (i+1)*t.dim]
-		off := i * t.dim * 4
-		for k := range rows[i] {
-			rows[i][k] = math.Float32frombits(binary.LittleEndian.Uint32(reg[off+4*k:]))
-		}
-	}
-	return ids, rows, nil
-}
-
-// TryWriteRecovery implements Link: a bulk recovery write the server
-// filters through its freshness set (embed.Server.WriteRecovery).
-func (t *TCPLink) TryWriteRecovery(ids []uint64, rows [][]float32) error {
-	if len(ids) != len(rows) {
-		panic("transport: WriteRecovery ids/rows length mismatch")
-	}
-	_, err := t.callErr(opWriteRecovery, func(b []byte) []byte {
-		b = putU64s(b, ids)
-		for _, row := range rows {
-			b = putF32s(b, row)
-		}
-		return b
-	})
-	return err
-}
-
-// TryEndRecovery implements Link: close the server's recovery
-// window once the whole tier has certified the rejoin.
-func (t *TCPLink) TryEndRecovery() error {
-	_, err := t.callErr(opEndRecovery, nil)
-	return err
-}
-
-// TryInstallRouting implements Link: ship rt to the server (which
-// installs it monotonically and keeps the encoded bytes to hand back in
-// fence rejections) and mark this connection announced at rt.Epoch.
-func (t *TCPLink) TryInstallRouting(rt *RoutingTable) error {
-	_, err := t.callErr(opInstallRouting, func(b []byte) []byte {
-		return encodeRouting(b, rt)
-	})
-	return err
-}
-
-// TryAnnounceEpoch implements Link: declare the epoch this
-// connection's future data ops are routed by.
-func (t *TCPLink) TryAnnounceEpoch(epoch uint64) error {
-	_, err := t.callErr(opAnnounceEpoch, func(b []byte) []byte {
-		return putU64(b, epoch)
-	})
-	return err
-}
-
-// TryBeginRecovery implements Link: open the server's recovery
-// window ahead of a migration stream.
-func (t *TCPLink) TryBeginRecovery() error {
-	_, err := t.callErr(opBeginRecovery, nil)
-	return err
-}
-
-// TryExportPartIn implements Link: the partition-intersection
-// export (embed.Server.ExportPartIn).
-func (t *TCPLink) TryExportPartIn(part, of, within, withinOf int) ([]uint64, [][]float32, error) {
-	resp, err := t.callErr(opExportPartIn, func(b []byte) []byte {
-		b = putU32(b, uint32(part))
-		b = putU32(b, uint32(of))
-		b = putU32(b, uint32(within))
-		return putU32(b, uint32(withinOf))
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return t.decodeExport(resp)
-}
-
-// TryFingerprintPartIn implements Link: the intersection digest.
-func (t *TCPLink) TryFingerprintPartIn(part, of, within, withinOf int) (uint64, error) {
-	resp, err := t.callErr(opFingerprintPartIn, func(b []byte) []byte {
-		b = putU32(b, uint32(part))
-		b = putU32(b, uint32(of))
-		b = putU32(b, uint32(within))
-		return putU32(b, uint32(withinOf))
-	})
-	if err != nil {
-		return 0, err
-	}
-	r := &wireReader{b: resp}
-	if fp := r.u64(); r.err == nil {
-		return fp, nil
-	}
-	return 0, t.badResp("fingerprint response (%d bytes)", len(resp))
-}
-
-// TryRetainOwned implements Link: settle-time cleanup of rows the
-// new routing moved away.
-func (t *TCPLink) TryRetainOwned(self, of, replicate int) (int, error) {
-	resp, err := t.callErr(opRetainOwned, func(b []byte) []byte {
-		b = putU32(b, uint32(self))
-		b = putU32(b, uint32(of))
-		return putU32(b, uint32(replicate))
-	})
-	if err != nil {
-		return 0, err
-	}
-	r := &wireReader{b: resp}
-	if n := r.u64(); r.err == nil {
-		return int(n), nil
-	}
-	return 0, t.badResp("retain response (%d bytes)", len(resp))
-}
-
-// Shutdown implements Store: ask the serving process to stop accepting and
+// Fingerprint, Checkpoint and Shutdown implement Store through Control.
+// Fingerprint is the cheap remote state certificate distributed
+// verification uses; Checkpoint streams the server's checkpoint (every
+// shard, in order), which embed.RestoreServer rebuilds into an identical
+// local copy; Shutdown asks the serving process to stop accepting and
 // return from ServeEmbed once the ack is on the wire.
-func (t *TCPLink) Shutdown() {
-	t.call(opShutdown, nil)
+func (t *TCPLink) Fingerprint() uint64 {
+	return mustControl(t, &Ctl{Op: CtlFingerprintPartIn, Of: 1}).N
+}
+func (t *TCPLink) Checkpoint() []byte { return mustControl(t, &Ctl{Op: CtlCheckpoint}).Bytes }
+func (t *TCPLink) Shutdown()          { mustControl(t, &Ctl{Op: CtlShutdown}) }
+
+// Control implements Link: c travels in putCtl's layout under its own
+// opcode, and the result comes back in putCtlResult's. A request the
+// dispatcher would refuse is refused here with the same error, before it
+// is sent: the encoder carries requests, not repairs.
+func (t *TCPLink) Control(c *Ctl) (CtlResult, error) {
+	if err := c.check(t.dim); err != nil {
+		return CtlResult{}, err
+	}
+	frame, err := t.roundTrip(byte(c.Op), 0, func(b []byte) []byte { return putCtl(b, c) })
+	if err != nil {
+		return CtlResult{}, err
+	}
+	defer putBuf(frame)
+	return t.ctlResult(frame[9:])
+}
+
+// ctlResult decodes a control result (putCtlResult's layout). Off the hot
+// path, so ids, rows and bytes are plainly allocated, not pooled, and
+// nothing aliases the response frame.
+func (t *TCPLink) ctlResult(resp []byte) (CtlResult, error) {
+	r := &wireReader{b: resp}
+	res := CtlResult{N: r.u64()}
+	if n := r.count(1); n > 0 {
+		res.Bytes = append([]byte(nil), r.take(n, 1)...)
+	}
+	res.IDs = r.u64s()
+	n := r.count(4)
+	if r.err != nil || n != len(res.IDs)*t.dim || len(r.b) != 4*n {
+		return CtlResult{}, t.badResp("control response: %d ids, %d floats in %d bytes", len(res.IDs), n, len(resp))
+	}
+	if n > 0 {
+		flat := make([]float32, n)
+		fillRow(flat, r.take(n, 4))
+		res.Rows = make([][]float32, len(res.IDs))
+		for i := range res.Rows {
+			res.Rows[i] = flat[i*t.dim : (i+1)*t.dim : (i+1)*t.dim]
+		}
+	}
+	return res, nil
 }
 
 // ServerStats implements Store (a one-server tier).
@@ -699,13 +594,13 @@ func (t *TCPLink) Stats() Stats {
 }
 
 // ServeEmbed serves srv over lis: the embedding-server process's main loop.
-// Each accepted connection gets a handler goroutine that answers Fetch /
-// Write / Fingerprint / Checkpoint requests in order (per-connection FIFO
-// keeps the write-ack contract trivially true; cross-connection parallelism
-// comes from each trainer holding its own link, and shard parallelism from
-// embed.Server itself). ServeEmbed returns after a client sends the
-// shutdown op, or with the first accept error after lis is closed
-// externally.
+// Each accepted connection gets a handler goroutine that answers fetch and
+// write requests, and every control op through the shared dispatcher, in
+// order (per-connection FIFO keeps the write-ack contract trivially true;
+// cross-connection parallelism comes from each trainer holding its own
+// link, and shard parallelism from embed.Server itself). ServeEmbed returns
+// after a client sends the shutdown op, or with the first accept error
+// after lis is closed externally.
 func ServeEmbed(lis net.Listener, srv *embed.Server) error {
 	var (
 		mu    sync.Mutex
@@ -753,22 +648,22 @@ func ServeEmbed(lis net.Listener, srv *embed.Server) error {
 	}
 }
 
-// linkStaleResp builds the opRespErr frame for a routing fence rejection:
-// the server's installed epoch, then its installed table so the client can
-// adopt it in one round trip.
-func linkStaleResp(seq uint64, se *embed.StaleRouting) []byte {
-	resp := make([]byte, 0, 64)
-	resp = append(resp, opRespErr)
-	resp = putU64(resp, seq)
-	resp = append(resp, respErrStale)
-	resp = putU64(resp, se.Epoch)
-	switch tb := se.Table.(type) {
-	case []byte:
-		resp = append(resp, tb...)
-	case *RoutingTable:
-		resp = encodeRouting(resp, tb)
+// linkErrResp appends to b the opRespErr frame for a request the link
+// survives: a routing fence rejection (the server's installed epoch, then
+// its installed table so the client can adopt it in one round trip), or a
+// control request the dispatcher refused (its error text).
+func linkErrResp(b []byte, seq uint64, se *embed.StaleRouting, err error) []byte {
+	b = append(b, opRespErr)
+	b = putU64(b, seq)
+	if se == nil {
+		return append(append(b, respErrGeneric), err.Error()...)
 	}
-	return resp
+	b = append(b, respErrStale)
+	b = putU64(b, se.Epoch)
+	if rt, ok := se.Table.(*RoutingTable); ok {
+		b = encodeRouting(b, rt)
+	}
+	return b
 }
 
 // serveEmbedConn answers one client's requests until EOF or shutdown.
@@ -797,16 +692,18 @@ func serveEmbedConn(conn net.Conn, srv *embed.Server, shutdown func()) {
 	// server's installed epoch, and an install or announce op on this
 	// connection moves it. Per-connection, not per-server — each tier
 	// client adopts a new table at its own pace.
-	var announced uint64
+	var announced atomic.Uint64
 	// One request buffer and one response buffer serve the connection's
 	// whole life: every op copies what it keeps out of the request, and
-	// the response is on the wire before the next request is read. The id
-	// list of a fetch or a write decodes into one buffer too:
-	// RoutedFetchInto, RoutedWrite and WriteRecovery keep no id slice —
-	// they read the ids, or copy them into the tables (and WriteRecovery
-	// into a list filtered against its fresh set), before returning.
+	// the response is on the wire before the next request is read. Every
+	// control request decodes into one Ctl, and the id list of a fetch or a
+	// write into that Ctl's id array too: RoutedFetchInto, RoutedWrite and
+	// WriteRecovery keep no id or row slice — they read them, or copy them
+	// into the tables (and WriteRecovery into a list filtered against its
+	// fresh set), before returning. Only an installed table is kept, and it
+	// decodes fresh.
 	var req, out []byte
-	var idBuf []uint64
+	var ctl ctlBuf
 	for {
 		body, err := readFrame(br, req)
 		if err != nil {
@@ -824,7 +721,7 @@ func serveEmbedConn(conn net.Conn, srv *embed.Server, shutdown func()) {
 		resp = putU64(resp, seq)
 		switch op {
 		case opFetch:
-			ids := r.u64sInto(&idBuf)
+			ids := r.u64sInto(&ctl.ids)
 			if r.err != nil {
 				return
 			}
@@ -834,10 +731,10 @@ func serveEmbedConn(conn net.Conn, srv *embed.Server, shutdown func()) {
 			rows := GetRowSlice(len(ids))
 			arena := Rows(srv.Dim)
 			arena.GetN(rows)
-			if se := srv.RoutedFetchInto(announced, ids, rows); se != nil {
+			if se := srv.RoutedFetchInto(announced.Load(), ids, rows); se != nil {
 				arena.PutN(rows)
 				PutRowSlice(rows)
-				resp = linkStaleResp(seq, se)
+				resp = linkErrResp(out, seq, se, nil)
 				break
 			}
 			resp = slices.Grow(resp, 4+4*len(ids)*srv.Dim)
@@ -848,7 +745,7 @@ func serveEmbedConn(conn net.Conn, srv *embed.Server, shutdown func()) {
 			arena.PutN(rows)
 			PutRowSlice(rows)
 		case opWrite:
-			ids := r.u64sInto(&idBuf)
+			ids := r.u64sInto(&ctl.ids)
 			if r.err != nil {
 				return
 			}
@@ -867,101 +764,41 @@ func serveEmbedConn(conn net.Conn, srv *embed.Server, shutdown func()) {
 				PutRowSlice(rows)
 				return
 			}
-			se := srv.RoutedWrite(announced, ids, rows)
+			se := srv.RoutedWrite(announced.Load(), ids, rows)
 			arena.PutN(rows)
 			PutRowSlice(rows)
 			if se != nil {
-				resp = linkStaleResp(seq, se)
+				resp = linkErrResp(out, seq, se, nil)
 			}
-		case opCheckpoint:
-			var buf bytes.Buffer
-			if err := srv.Checkpoint(&buf); err != nil {
+		default:
+			// Every control op decodes and dispatches alike; any other
+			// opcode, a reserved one included, closes the connection.
+			if ctlNames[op] == "" {
 				return
 			}
-			resp = append(resp, buf.Bytes()...)
-		case opWriteRecovery:
-			ids := r.u64sInto(&idBuf)
+			c := r.ctl(&ctl, CtlOp(op))
 			if r.err != nil {
 				return
 			}
-			rows := GetRowSlice(len(ids))
-			arena := Rows(srv.Dim)
-			arena.GetN(rows)
-			ok := true
-			for i := range rows {
-				if !r.f32sInto(rows[i]) {
-					ok = false
-					break
-				}
-			}
-			if !ok || r.err != nil {
-				arena.PutN(rows)
-				PutRowSlice(rows)
-				return
-			}
-			srv.WriteRecovery(ids, rows)
-			arena.PutN(rows)
-			PutRowSlice(rows)
-		case opEndRecovery:
-			srv.EndRecovery()
-		case opBeginRecovery:
-			srv.BeginRecovery()
-		case opInstallRouting:
-			rt, err := decodeRouting(r.b)
+			res, err := control(srv, c, &announced)
 			if err != nil {
-				return
+				resp = linkErrResp(out, seq, nil, err)
+				break
 			}
-			// The server keeps the encoded bytes (its own copy — r.b aliases
-			// the frame) so fence rejections can hand the table back without
-			// re-encoding.
-			srv.InstallRouting(rt.Epoch, append([]byte(nil), r.b...))
-			announced = rt.Epoch
-		case opAnnounceEpoch:
-			e := r.u64()
-			if r.err != nil {
-				return
-			}
-			announced = e
-		case opExportPartIn:
-			part, of, within, withinOf := r.u32(), r.u32(), r.u32(), r.u32()
-			if r.err != nil || of == 0 || part >= of || (withinOf > 1 && within >= withinOf) {
-				return
-			}
-			ids, rows := srv.ExportPartIn(int(part), int(of), int(within), int(withinOf))
-			resp = putU64s(resp, ids)
-			resp = putU32(resp, uint32(len(ids)*srv.Dim))
-			for _, row := range rows {
-				resp = putF32sRaw(resp, row)
-			}
-		case opFingerprintPartIn:
-			part, of, within, withinOf := r.u32(), r.u32(), r.u32(), r.u32()
-			if r.err != nil || of == 0 || part >= of || (withinOf > 1 && within >= withinOf) {
-				return
-			}
-			resp = putU64(resp, srv.FingerprintPartIn(int(part), int(of), int(within), int(withinOf)))
-		case opRetainOwned:
-			self, of, rep := r.u32(), r.u32(), r.u32()
-			if r.err != nil || of == 0 || self >= of || rep == 0 {
-				return
-			}
-			resp = putU64(resp, uint64(srv.RetainOwned(int(self), int(of), int(rep))))
-		case opShutdown:
-			bw.writeFrame(resp)
-			bw.Flush()
+			resp = putCtlResult(resp, &res)
+		}
+		err = bw.writeFrame(resp)
+		if err == nil {
+			err = bw.Flush()
+		}
+		if op == opShutdown {
 			shutdown()
 			return
-		default:
-			return
 		}
-		if bw.writeFrame(resp) != nil {
-			return
-		}
-		if bw.Flush() != nil {
+		if err != nil {
 			return
 		}
 		out = reusable(resp)
-		if 8*cap(idBuf) > maxPooledBuf {
-			idBuf = nil // as reusable drops a one-off giant frame
-		}
+		ctl.trim()
 	}
 }

@@ -16,8 +16,10 @@
 //     distributed multi-process runs.
 //
 // Every server connection (SimNet, TCPLink, and the FaultStore test
-// wrapper) is a Link: the Store face plus the error-returning ops the tier
-// client retries, fails over, rejoins and reshards with.
+// wrapper) is a Link: the Store face, the error-returning data ops the tier
+// client retries and fails over with, and one control verb, Control, that
+// carries every certification, rejoin and reshard op (a Ctl) to one
+// dispatcher shared by all three.
 //
 // Two invariants hold across all implementations, and the conformance
 // suite (conformance_test.go) pins them:
@@ -79,46 +81,25 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Link is one embedding server's connection as the tier client drives it:
-// the Store face plus the error-returning ops behind retry, failover,
-// rejoin and reshard. Every tier child implements it — SimNet (the
-// in-process fabric is a free SimNet), TCPLink, and the fault-injection
-// wrapper — and a ShardedStore checks for it once, wherever a connection
-// enters the tier. The Try forms mirror their Store counterparts exactly
-// (same ownership rules, same accounting) but report failure instead of
-// dying, so a replicated tier can retry, condemn the server, and fail over.
+// the Store face, the two data ops in error-returning form, and one control
+// verb. Every tier child implements it — SimNet (the in-process fabric is a
+// free SimNet), TCPLink, and the fault-injection wrapper — and a
+// ShardedStore checks for it once, wherever a connection enters the tier.
+// TryFetch and TryWrite mirror Fetch and Write exactly (same ownership
+// rules, same accounting) but report failure instead of dying, so a
+// replicated tier can retry, condemn the server, and fail over.
 //
-// Export and partition fingerprints take the intersection form only: the
-// plain partition p of an of-way split is (p, of, 0, 1), exactly as
-// embed.Server defines FingerprintPart.
+// Control runs one control-plane op (a Ctl) for certification, rejoin and
+// resharding. Every implementation hands it to the same dispatcher,
+// control, so an op means the same thing and refuses the same arguments
+// with the same error on every fabric. Control does not modify c, and
+// keeps nothing of it but an installed Routing table, which an in-process
+// server holds by reference.
 type Link interface {
 	Store
 	TryFetch(ids []uint64) ([][]float32, error)
 	TryWrite(ids []uint64, rows [][]float32) error
-	TryCheckpoint() ([]byte, error)
-	// TryBeginRecovery opens the server's recovery window (freshness
-	// filter), so migration streams and live dual writes can interleave.
-	TryBeginRecovery() error
-	// TryWriteRecovery is a bulk recovery write that skips rows the live
-	// stream already refreshed (see embed.Server.WriteRecovery).
-	TryWriteRecovery(ids []uint64, rows [][]float32) error
-	// TryEndRecovery closes the recovery window once the tier has
-	// certified the rejoin.
-	TryEndRecovery() error
-	// TryInstallRouting installs rt on the server (monotonic by epoch) and
-	// marks this link's announced epoch rt.Epoch.
-	TryInstallRouting(rt *RoutingTable) error
-	// TryAnnounceEpoch declares the epoch this link's future data ops are
-	// routed by.
-	TryAnnounceEpoch(epoch uint64) error
-	// TryExportPartIn snapshots the rows in partition part of an of-way
-	// split that also fall in partition within of a withinOf-way split
-	// (withinOf <= 1 disables the second filter).
-	TryExportPartIn(part, of, within, withinOf int) ([]uint64, [][]float32, error)
-	// TryFingerprintPartIn is the digest of the same intersection.
-	TryFingerprintPartIn(part, of, within, withinOf int) (uint64, error)
-	// TryRetainOwned drops every row outside server self's replicate-deep
-	// replica set of an of-way split, returning how many went.
-	TryRetainOwned(self, of, replicate int) (int, error)
+	Control(c *Ctl) (CtlResult, error)
 }
 
 var (
@@ -127,37 +108,162 @@ var (
 	_ Link = (*FaultStore)(nil)
 )
 
+// CtlOp names a control op. Its value is the op's link opcode, a wire
+// constant (see tcp.go), and ctlNames names every one. Each op reads only
+// its own Ctl fields.
+type CtlOp byte
+
+const (
+	CtlCheckpoint        = CtlOp(opCheckpoint)        // the server's checkpoint, in Bytes
+	CtlShutdown          = CtlOp(opShutdown)          // a serving process stops once it has answered
+	CtlWriteRecovery     = CtlOp(opWriteRecovery)     // IDs and Rows, skipping rows written live since BeginRecovery
+	CtlEndRecovery       = CtlOp(opEndRecovery)       // close the recovery window once the rejoin is certified
+	CtlBeginRecovery     = CtlOp(opBeginRecovery)     // open the recovery window (embed.Server.BeginRecovery)
+	CtlInstallRouting    = CtlOp(opInstallRouting)    // install Routing (monotonic by epoch) and announce its epoch
+	CtlAnnounceEpoch     = CtlOp(opAnnounceEpoch)     // route this link's future data ops by Epoch
+	CtlExportPartIn      = CtlOp(opExportPartIn)      // the partition intersection's IDs and Rows, ascending by id
+	CtlFingerprintPartIn = CtlOp(opFingerprintPartIn) // the same intersection's digest, in N
+	CtlRetainOwned       = CtlOp(opRetainOwned)       // drop rows outside server Part's replica set; N rows went
+)
+
+var ctlNames = [256]string{
+	CtlCheckpoint:        "checkpoint",
+	CtlShutdown:          "shutdown",
+	CtlWriteRecovery:     "write-recovery",
+	CtlEndRecovery:       "end-recovery",
+	CtlBeginRecovery:     "begin-recovery",
+	CtlInstallRouting:    "install-routing",
+	CtlAnnounceEpoch:     "announce-epoch",
+	CtlExportPartIn:      "export",
+	CtlFingerprintPartIn: "fingerprint",
+	CtlRetainOwned:       "retain",
+}
+
+func (op CtlOp) String() string {
+	if name := ctlNames[op]; name != "" {
+		return name
+	}
+	return fmt.Sprintf("op %#x", byte(op))
+}
+
+// Ctl is one control request. Export and fingerprint take partition Part
+// of an Of-way split intersected with partition Within of a WithinOf-way
+// one (WithinOf <= 1 disables the second filter), exactly as embed.Server
+// defines FingerprintPartIn: the plain partition p of an of-way split is
+// {Part: p, Of: of}. Retain keeps server Part's Replicate-deep replica set
+// of an Of-way split.
+type Ctl struct {
+	Op                                    CtlOp
+	Part, Of, Within, WithinOf, Replicate int
+	Epoch                                 uint64
+	Routing                               *RoutingTable
+	IDs                                   []uint64
+	Rows                                  [][]float32
+}
+
+// CtlResult is what a control op returns: the exported ids and rows, a
+// digest or row count in N, and the checkpoint's bytes.
+type CtlResult struct {
+	IDs   []uint64
+	Rows  [][]float32
+	N     uint64
+	Bytes []byte
+}
+
+// check is the one argument check of a control request against a server
+// of width dim: the error every fabric returns for it.
+func (c *Ctl) check(dim int) error {
+	if ctlNames[c.Op] == "" {
+		return fmt.Errorf("transport: unknown control %v", c.Op)
+	}
+	switch c.Op {
+	case CtlExportPartIn, CtlFingerprintPartIn:
+		if c.Of <= 0 || c.Part < 0 || c.Part >= c.Of || (c.WithinOf > 1 && (c.Within < 0 || c.Within >= c.WithinOf)) {
+			return fmt.Errorf("transport: %v: partition %d of %d within %d of %d", c.Op, c.Part, c.Of, c.Within, c.WithinOf)
+		}
+	case CtlRetainOwned:
+		if c.Of <= 0 || c.Part < 0 || c.Part >= c.Of || c.Replicate < 1 {
+			return fmt.Errorf("transport: %v: server %d of %d, replicate %d", c.Op, c.Part, c.Of, c.Replicate)
+		}
+	case CtlInstallRouting:
+		if c.Routing == nil {
+			return fmt.Errorf("transport: %v: no table", c.Op)
+		}
+		return c.Routing.validate()
+	case CtlWriteRecovery:
+		if len(c.IDs) != len(c.Rows) {
+			return fmt.Errorf("transport: %v: %d ids, %d rows", c.Op, len(c.IDs), len(c.Rows))
+		}
+		for i, row := range c.Rows {
+			if len(row) != dim {
+				return fmt.Errorf("transport: %v: row %d has %d elements, server dim is %d", c.Op, i, len(row), dim)
+			}
+		}
+	}
+	return nil
+}
+
+// control is the one control dispatcher: every fabric's Control, and the
+// TCP server for every control opcode, applies c to srv here. announced is
+// the calling connection's declared routing epoch (see
+// embed.Server.RoutedFetchInto), which install and announce move. The
+// server keeps an installed table by reference: a fence rejection hands it
+// back, encoded when it crosses a wire.
+func control(srv *embed.Server, c *Ctl, announced *atomic.Uint64) (CtlResult, error) {
+	var res CtlResult
+	if err := c.check(srv.Dim); err != nil {
+		return res, err
+	}
+	switch c.Op {
+	case CtlCheckpoint:
+		var buf bytes.Buffer
+		if err := srv.Checkpoint(&buf); err != nil {
+			return res, fmt.Errorf("transport: %v: %w", c.Op, err)
+		}
+		res.Bytes = buf.Bytes()
+	case CtlShutdown:
+		// Nothing to do here: a serving process stops once it has answered.
+	case CtlWriteRecovery:
+		srv.WriteRecovery(c.IDs, c.Rows)
+	case CtlEndRecovery:
+		srv.EndRecovery()
+	case CtlBeginRecovery:
+		srv.BeginRecovery()
+	case CtlInstallRouting:
+		srv.InstallRouting(c.Routing.Epoch, c.Routing)
+		announced.Store(c.Routing.Epoch)
+	case CtlAnnounceEpoch:
+		announced.Store(c.Epoch)
+	case CtlExportPartIn:
+		res.IDs, res.Rows = srv.ExportPartIn(c.Part, c.Of, c.Within, c.WithinOf)
+	case CtlFingerprintPartIn:
+		res.N = srv.FingerprintPartIn(c.Part, c.Of, c.Within, c.WithinOf)
+	case CtlRetainOwned:
+		res.N = uint64(srv.RetainOwned(c.Part, c.Of, c.Replicate))
+	}
+	return res, nil
+}
+
+// mustControl is Control for the errorless Store face (Fingerprint,
+// Checkpoint, Shutdown): a failure panics.
+func mustControl(l Link, c *Ctl) CtlResult {
+	res, err := l.Control(c)
+	if err != nil {
+		panic(err.Error())
+	}
+	return res
+}
+
 // NewInProcess returns the zero-cost link to srv: a SimNet that charges
 // nothing, so trainers and the embedding server share an address space and
 // calls go straight to the server (which is itself shard-parallel).
 func NewInProcess(srv *embed.Server) *SimNet { return NewSimNet(srv, 0, 0) }
 
 // staleFromEmbed converts the embed layer's fence rejection to the
-// transport's attributed form, decoding the carried table when the server
-// holds it in a form this transport understands (a *RoutingTable installed
-// in-process, or encoded bytes installed over a wire).
+// transport's attributed form, table included.
 func staleFromEmbed(se *embed.StaleRouting) *StaleRoutingError {
-	out := &StaleRoutingError{Server: -1, Epoch: se.Epoch}
-	switch tb := se.Table.(type) {
-	case *RoutingTable:
-		out.Table = tb
-	case []byte:
-		if rt, err := decodeRouting(tb); err == nil {
-			out.Table = rt
-		}
-	}
-	return out
-}
-
-// checkpointBytes serializes srv. Checkpointing to memory cannot fail; an
-// encoder error means corrupted in-process state and dies loudly like every
-// other errorless-path failure.
-func checkpointBytes(srv *embed.Server) []byte {
-	var buf bytes.Buffer
-	if err := srv.Checkpoint(&buf); err != nil {
-		panic(fmt.Sprintf("transport: checkpoint: %v", err))
-	}
-	return buf.Bytes()
+	rt, _ := se.Table.(*RoutingTable)
+	return &StaleRoutingError{Server: -1, Epoch: se.Epoch, Table: rt}
 }
 
 // payloadBytes is the wire size of a fetch or write touching n rows.
@@ -269,26 +375,23 @@ func (t *SimNet) Stats() Stats {
 	}
 }
 
-// Fingerprint implements Store. Tier control ops are verification plumbing,
-// off the measured data path, so the simulated link charges them nothing.
-func (t *SimNet) Fingerprint() uint64 { return t.Server.Fingerprint() }
-
-// Checkpoint implements Store.
-func (t *SimNet) Checkpoint() []byte { return checkpointBytes(t.Server) }
-
-// Shutdown implements Store: the server's lifetime belongs to whoever built
-// it (no remote process behind a simulated link).
-func (t *SimNet) Shutdown() {}
+// Fingerprint, Checkpoint and Shutdown implement Store through Control.
+// Shutdown is a no-op: the server's lifetime belongs to whoever built it (no
+// remote process behind a simulated link).
+func (t *SimNet) Fingerprint() uint64 {
+	return mustControl(t, &Ctl{Op: CtlFingerprintPartIn, Of: 1}).N
+}
+func (t *SimNet) Checkpoint() []byte { return mustControl(t, &Ctl{Op: CtlCheckpoint}).Bytes }
+func (t *SimNet) Shutdown()          { mustControl(t, &Ctl{Op: CtlShutdown}) }
 
 // ServerStats implements Store.
 func (t *SimNet) ServerStats() []Stats { return []Stats{t.Stats()} }
 
-// The Try ops implement Link. A simulated link models delay, not loss, so
-// the only error they can return is the routing fence (the fault-injection
-// wrapper models loss). A fenced op still pays the link charge — the bytes
-// moved and were refused, exactly like a real network. Recovery and
-// migration transfers move real payload and are charged like the data
-// path; control ops are free like the other tier plumbing.
+// TryFetch, TryWrite and Control implement Link. A simulated link models
+// delay, not loss, so the only error the data ops can return is the routing
+// fence (the fault-injection wrapper models loss). A fenced op still pays
+// the link charge — the bytes moved and were refused, exactly like a real
+// network.
 func (t *SimNet) TryFetch(ids []uint64) ([][]float32, error) {
 	bytes := payloadBytes(len(ids), t.Server.Dim)
 	t.delay(bytes)
@@ -317,47 +420,17 @@ func (t *SimNet) TryWrite(ids []uint64, rows [][]float32) error {
 	return nil
 }
 
-func (t *SimNet) TryCheckpoint() ([]byte, error) { return checkpointBytes(t.Server), nil }
-
-func (t *SimNet) TryBeginRecovery() error {
-	t.Server.BeginRecovery()
-	return nil
-}
-
-func (t *SimNet) TryWriteRecovery(ids []uint64, rows [][]float32) error {
-	t.delay(payloadBytes(len(ids), t.Server.Dim))
-	t.Server.WriteRecovery(ids, rows)
-	return nil
-}
-
-func (t *SimNet) TryEndRecovery() error {
-	t.Server.EndRecovery()
-	return nil
-}
-
-// TryInstallRouting hands the server the table by reference — no wire, no
-// encoding.
-func (t *SimNet) TryInstallRouting(rt *RoutingTable) error {
-	t.Server.InstallRouting(rt.Epoch, rt)
-	t.announced.Store(rt.Epoch)
-	return nil
-}
-
-func (t *SimNet) TryAnnounceEpoch(epoch uint64) error {
-	t.announced.Store(epoch)
-	return nil
-}
-
-func (t *SimNet) TryExportPartIn(part, of, within, withinOf int) ([]uint64, [][]float32, error) {
-	ids, rows := t.Server.ExportPartIn(part, of, within, withinOf)
-	t.delay(payloadBytes(len(ids), t.Server.Dim))
-	return ids, rows, nil
-}
-
-func (t *SimNet) TryFingerprintPartIn(part, of, within, withinOf int) (uint64, error) {
-	return t.Server.FingerprintPartIn(part, of, within, withinOf), nil
-}
-
-func (t *SimNet) TryRetainOwned(self, of, replicate int) (int, error) {
-	return t.Server.RetainOwned(self, of, replicate), nil
+// Control charges the recovery and migration transfers like the data path
+// (a recovery write by its request rows, an export by its result rows);
+// every other control op is verification plumbing, off the measured data
+// path, and free.
+func (t *SimNet) Control(c *Ctl) (CtlResult, error) {
+	if c.Op == CtlWriteRecovery {
+		t.delay(payloadBytes(len(c.IDs), t.Server.Dim))
+	}
+	res, err := control(t.Server, c, &t.announced)
+	if c.Op == CtlExportPartIn {
+		t.delay(payloadBytes(len(res.IDs), t.Server.Dim))
+	}
+	return res, err
 }
