@@ -487,7 +487,7 @@ func (d *memDelta) report(iters int) {
 
 // runLocal is the single-process driver: either engine and the inproc/sim
 // fabrics against an in-process -servers S tier, plus in-process -verify
-// (the merged tier state against an unsharded no-cache baseline).
+// (the tier certified against an unsharded no-cache baseline).
 func runLocal(cfg train.Config, spec *data.Spec, netName string) {
 	if *autoLook {
 		var rtt time.Duration
@@ -602,28 +602,43 @@ func runLocal(cfg train.Config, spec *data.Spec, netName string) {
 			fatal(err)
 		}
 		report(baseRes)
-		// Merge only the final routed width: after a shrink the retired
+		// Certify only the final routed width: after a shrink the retired
 		// servers still hold their stale pre-migration partitions, and after
 		// a grow the migrated rows live on the new servers — finalS is where
 		// the routing settled.
-		merged, err := embed.MergeTierReplicated(srvs[:finalS], *replicate, nil)
-		if err != nil {
+		links := make([]transport.Store, finalS)
+		for i, srv := range srvs[:finalS] {
+			links[i] = transport.NewInProcess(srv)
+		}
+		if err := certifyTier(transport.NewTier(links, transport.TierOptions{Replicate: *replicate}), srvBase); err != nil {
 			fatal(err)
 		}
-		diff := embed.Diff(srvBase, merged)
-		if len(diff) != 0 {
-			fatal(fmt.Errorf("FAIL: embedding state differs at %d ids (first %v)", len(diff), diff[0]))
-		}
 		fmt.Printf("\nPASS: lrpp over %d server(s) and baseline embedding state bit-identical across %d materialized rows\n",
-			finalS, merged.NumMaterialized())
+			finalS, srvBase.NumMaterialized())
 		if res.Elapsed < baseRes.Elapsed {
 			fmt.Printf("lrpp speedup over baseline: %.2fx\n", baseRes.Elapsed.Seconds()/res.Elapsed.Seconds())
 		}
 		if *reshardTo > 0 {
 			fmt.Printf("\nPASS: tier resharded %d -> %d: migrated tier certified bit-identical to the no-cache baseline across %d materialized rows\n",
-				*servers, finalS, merged.NumMaterialized())
+				*servers, finalS, srvBase.NumMaterialized())
 		}
 	}
+}
+
+// certifyTier certifies st against ref (transport.Certify), prints the
+// certificate's one certified: line, and returns the FAIL naming the ids
+// whose rows differ, if any.
+func certifyTier(st transport.Store, ref *embed.Server) error {
+	cert, err := transport.Certify(st, ref)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("certified: %d holders digested, %d partitions exported, %d rows compared\n",
+		cert.Holders, cert.Exported, cert.Compared)
+	if len(cert.Differ) != 0 {
+		return fmt.Errorf("FAIL: embedding state differs at %d ids (first %v)", len(cert.Differ), cert.Differ[0])
+	}
+	return nil
 }
 
 // newFrontend assembles the inference front end from the -infer-* flags
@@ -888,8 +903,9 @@ func runWorker(cfg train.Config) {
 // runTCPDriver forks the whole distributed system locally: -servers S
 // embedding-server processes plus (for the lrpp engine) one process per
 // trainer, all on loopback TCP — then optionally certifies the remote tier
-// state against a local baseline run, exactly as the in-process -verify
-// does, by restoring every server's checkpoint and merging the tier.
+// state against a local baseline run with the same certificate the
+// in-process -verify uses (transport.Certify): every live holder's
+// partition digests over its control link, rows only where one differs.
 func runTCPDriver(cfg train.Config, spec *data.Spec) {
 	banner(spec, "tcp")
 	exe, err := os.Executable()
@@ -1328,85 +1344,47 @@ func runTCPDriver(cfg train.Config, spec *data.Spec) {
 		fmt.Fprintf(os.Stderr, "bagpipe: server %d resynced and re-admitted to the control tier\n", *killServer)
 		if *killAfterRj >= 0 && !peerKilled.Swap(true) {
 			fmt.Fprintf(os.Stderr, "chaos: killing embedding server %d now that server %d rejoined\n", *killAfterRj, *killServer)
+			// Certification discovers the death: a holder that fails its
+			// RPCs is condemned, and the rejoiner must cover its partitions.
 			if p := serverProcs[*killAfterRj].Process; p != nil {
 				p.Kill()
 			}
-			// One throwaway tier op lets the failover machinery discover the
-			// death and settle the membership before the checkpoint snapshot.
-			ctl.Fingerprint()
 		}
 	}
 	if *verify {
 		if *baseline {
 			die(fmt.Errorf("-verify compares the lrpp engine against the baseline; drop -baseline"))
 		}
-		fmt.Println("\n--- verify: fetching remote tier checkpoints, rerunning the no-cache baseline locally ---")
-		// The restore's dead-set must match the membership the checkpoint was
-		// actually taken under — which the rejoin (server back in) and the
-		// double-chaos kill (peer out) may both have moved since dial time —
-		// so read it off the tier rather than reusing the dial-time slice.
-		deadNow := ctlDead
-		if tier, ok := ctl.(*transport.ShardedStore); ok {
-			deadNow = make([]bool, finalS)
-			for _, s := range tier.DownServers() {
-				deadNow[s] = true
-			}
-		}
-		remote, err := embed.RestoreTierReplicated(bytes.NewReader(ctl.Checkpoint()), finalS, *shards, *replicate, deadNow)
-		if err != nil {
-			die(fmt.Errorf("restore remote tier checkpoint: %w", err))
-		}
+		fmt.Println("\n--- verify: rerunning the no-cache baseline locally, certifying the remote tier by digest ---")
 		srvBase := newServer(spec)
 		baseRes, err := train.RunBaseline(cfg, transport.NewInProcess(srvBase))
 		if err != nil {
 			die(err)
 		}
 		report(baseRes)
-		diff := embed.Diff(srvBase, remote)
-		if len(diff) != 0 {
-			die(fmt.Errorf("FAIL: remote embedding state differs at %d ids (first %v)", len(diff), diff[0]))
-		}
-		if *replicate > 1 {
-			// Second, independent certificate: the live tier's wire
-			// fingerprint (per-partition sums from each partition's first
-			// live replica) must match the baseline server's — proving the
-			// failover read path, not just the checkpoints, sees the
-			// surviving state.
-			if fp, ref := ctl.Fingerprint(), srvBase.Fingerprint(); fp != ref {
-				die(fmt.Errorf("FAIL: surviving tier fingerprint %x != baseline %x", fp, ref))
-			}
+		// The certificate digests every live holder of every partition over
+		// its own link, so the rejoined server is held to the baseline on its
+		// own, not through the tier's failover routing.
+		if err := certifyTier(ctl, srvBase); err != nil {
+			die(err)
 		}
 		if *restartFl {
-			// The rejoin certificate: every partition the revived server
-			// holds, fingerprinted over its own link (not the tier's failover
-			// routing), must be bit-identical to the no-cache baseline.
-			link := ctlLinks[*killServer]
-			if link == nil {
-				die(fmt.Errorf("no control link to the rejoined server %d", *killServer))
-			}
-			for k := 0; k < *replicate; k++ {
-				p := ((*killServer-k)%*servers + *servers) % *servers
-				res, err := link.Control(&transport.Ctl{Op: transport.CtlFingerprintPartIn, Part: p, Of: *servers})
-				if err != nil {
-					die(fmt.Errorf("fingerprint partition %d on rejoined server %d: %w", p, *killServer, err))
-				}
-				if got, want := res.N, srvBase.FingerprintPart(p, *servers); got != want {
-					die(fmt.Errorf("FAIL: rejoined server %d partition %d fingerprint %x != baseline %x", *killServer, p, got, want))
-				}
+			if tier, ok := ctl.(*transport.ShardedStore); !ok || !tier.LiveServer(*killServer) {
+				die(fmt.Errorf("FAIL: rejoined server %d is not live at certification", *killServer))
 			}
 			fmt.Printf("\nPASS: server %d rejoined: all %d of its partitions certified bit-identical to the baseline after anti-entropy resync\n",
 				*killServer, *replicate)
 		}
 		if *killServer >= 0 {
 			fmt.Printf("\nPASS: distributed lrpp over loopback TCP survived killing embedding server %d: surviving tier bit-identical to the baseline across %d materialized rows\n",
-				*killServer, remote.NumMaterialized())
+				*killServer, srvBase.NumMaterialized())
 		} else {
 			fmt.Printf("\nPASS: distributed lrpp over loopback TCP left the %d-server embedding tier bit-identical to the baseline across %d materialized rows\n",
-				finalS, remote.NumMaterialized())
+				finalS, srvBase.NumMaterialized())
 		}
 		if *reshardTo > 0 {
 			fmt.Printf("\nPASS: tier resharded %d -> %d: migrated tier certified bit-identical to the no-cache baseline across %d materialized rows\n",
-				*servers, finalS, remote.NumMaterialized())
+				*servers, finalS, srvBase.NumMaterialized())
 		}
 	}
 	if *restartFl {

@@ -1,7 +1,6 @@
 package embed
 
 import (
-	"bytes"
 	"slices"
 	"sync"
 	"testing"
@@ -86,34 +85,6 @@ func TestSetGetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTableCheckpointRestore(t *testing.T) {
-	tab := NewTable(4, 5, 0.1)
-	tab.Set(1, []float32{9, 9, 9, 9})
-	var buf bytes.Buffer
-	if err := tab.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := RestoreTable(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := make([]float32, 4)
-	got.Get(1, row)
-	if row[0] != 9 {
-		t.Fatalf("restored row %v", row)
-	}
-	// untouched rows must still materialize identically
-	a := make([]float32, 4)
-	b := make([]float32, 4)
-	tab.Get(77, a)
-	got.Get(77, b)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("untouched rows differ after restore")
-		}
-	}
-}
-
 func TestServerShardingConsistent(t *testing.T) {
 	s := NewServer(4, 8, 11, 0.1)
 	for id := uint64(0); id < 64; id++ {
@@ -152,25 +123,6 @@ func TestServerStateIndependentOfShardCount(t *testing.T) {
 				t.Fatalf("id %d differs across shard counts", id)
 			}
 		}
-	}
-}
-
-func TestServerCheckpointRestore(t *testing.T) {
-	s := NewServer(2, 4, 21, 0.1)
-	s.Write([]uint64{3, 4}, [][]float32{{1, 1, 1, 1}, {2, 2, 2, 2}})
-	var buf bytes.Buffer
-	if err := s.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r, err := RestoreServer(&buf, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Get(3)[0] != 1 || r.Get(4)[0] != 2 {
-		t.Fatal("restored server lost writes")
-	}
-	if r.Dim != 4 {
-		t.Fatalf("restored dim %d", r.Dim)
 	}
 }
 
@@ -312,24 +264,6 @@ func TestTableGetSetBatch(t *testing.T) {
 	}
 }
 
-func TestRestoreServerRejectsDimMismatch(t *testing.T) {
-	// A concatenation of shard checkpoints with disagreeing dims is a
-	// corrupt server checkpoint and must be rejected.
-	var buf bytes.Buffer
-	if err := NewTable(4, 1, 0.1).Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewTable(8, 1, 0.1).Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RestoreServer(&buf, 2); err == nil {
-		t.Fatal("expected dim-mismatch error")
-	}
-	if _, err := RestoreServer(&bytes.Buffer{}, 0); err == nil {
-		t.Fatal("expected shard-count error")
-	}
-}
-
 func TestServerDiff(t *testing.T) {
 	a := NewServer(2, 4, 55, 0.1)
 	b := NewServer(3, 4, 55, 0.1) // shard count must not matter
@@ -346,6 +280,30 @@ func TestServerDiff(t *testing.T) {
 	// must not materialize it in a.
 	if got := a.NumMaterialized(); got != 1 {
 		t.Fatalf("Diff materialized rows in its input: %d rows, want 1", got)
+	}
+}
+
+// TestDiffRows: an export compares with a server's partition by Diff's
+// rule — a row materialized on one side only compares as its init — and
+// only ids of that partition are compared.
+func TestDiffRows(t *testing.T) {
+	s := NewServer(2, 4, 55, 0.1)
+	other := NewServer(3, 4, 55, 0.1)
+	s.Write([]uint64{2, 4, 6, 8, 5}, [][]float32{{1, 1, 1, 1}, {2, 2, 2, 2}, s.Get(6), {4, 4, 4, 4}, {5, 5, 5, 5}})
+	other.Write([]uint64{2, 4, 10, 12}, [][]float32{{1, 1, 1, 1}, {9, 9, 9, 9}, other.Get(10), {7, 7, 7, 7}})
+	ids, rows := other.ExportPartIn(0, 2, 0, 1)
+	// Partition 0 of 2 holds the even ids: 2 agrees, 4 differs, 6 and 10
+	// are init on the side that holds them, 8 and 12 are written on one
+	// side only; 5 is outside the partition.
+	differ, compared := s.DiffRows(0, 2, ids, rows)
+	if !slices.Equal(differ, []uint64{4, 8, 12}) || compared != 6 {
+		t.Fatalf("DiffRows = %v over %d ids, want [4 8 12] over 6", differ, compared)
+	}
+	if d := Diff(s, other); !slices.Equal(d, []uint64{4, 5, 8, 12}) {
+		t.Fatalf("Diff = %v, want [4 5 8 12]", d)
+	}
+	if s.NumMaterialized() != 5 || other.NumMaterialized() != 4 {
+		t.Fatal("DiffRows materialized rows")
 	}
 }
 

@@ -1,7 +1,6 @@
 package embed
 
 import (
-	"bytes"
 	"testing"
 
 	"bagpipe/internal/core"
@@ -127,38 +126,5 @@ func TestMergeTierReplicatedValidation(t *testing.T) {
 	tier[1].Write([]uint64{0}, [][]float32{{1, 2, 3, 4}}) // owner 0, R=1
 	if _, err := MergeTierReplicated(tier, 1, nil); err == nil {
 		t.Fatal("out-of-set row accepted")
-	}
-}
-
-func TestRestoreTierReplicatedSkipsDeadServers(t *testing.T) {
-	const S, R = 3, 2
-	tier := make([]*Server, S)
-	for i := range tier {
-		tier[i] = NewServer(2, 4, 123, 0.1)
-	}
-	ref := NewServer(2, 4, 123, 0.1)
-	for id := uint64(0); id < 25; id++ {
-		row := []float32{0.25, float32(id), 3, -4}
-		writeReplicated(tier, id, row, R)
-		ref.Write([]uint64{id}, [][]float32{row})
-	}
-	dead := []bool{false, true, false}
-	// The dead server contributes no checkpoint bytes, exactly like the
-	// tier client's Checkpoint after a failover.
-	var buf bytes.Buffer
-	for s, srv := range tier {
-		if dead[s] {
-			continue
-		}
-		if err := srv.Checkpoint(&buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	restored, err := RestoreTierReplicated(&buf, S, 2, R, dead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := Diff(ref, restored); len(d) != 0 {
-		t.Fatalf("restored maimed tier differs at %v", d)
 	}
 }

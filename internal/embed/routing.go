@@ -19,9 +19,9 @@ import (
 // old path.
 //
 // The fence covers only the routed data plane (fetch/write). Certificates
-// and transfer primitives (fingerprints, checkpoints, exports, recovery
-// writes) carry their partition space explicitly in their arguments and are
-// deliberately unfenced: the coordinator drives them across epochs.
+// and transfer primitives (fingerprints, exports, recovery writes) carry
+// their partition space explicitly in their arguments and are deliberately
+// unfenced: the coordinator drives them across epochs.
 
 // StaleRouting rejects a data op announced under a routing epoch other than
 // the server's installed one. Table is the installed routing table in

@@ -2,7 +2,6 @@ package embed
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"slices"
@@ -313,41 +312,6 @@ func (s *Server) NumMaterialized() int {
 	return n
 }
 
-// Checkpoint writes every shard to w.
-func (s *Server) Checkpoint(w io.Writer) error {
-	for i, sh := range s.shards {
-		if err := sh.Checkpoint(w); err != nil {
-			return fmt.Errorf("embed: shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// RestoreServer reads numShards shard checkpoints written by Checkpoint.
-// All shards must agree on the row width; a checkpoint whose shards report
-// different Dims is corrupt and is rejected rather than silently yielding a
-// server whose Dim is whatever the last shard said.
-func RestoreServer(r io.Reader, numShards int) (*Server, error) {
-	if numShards <= 0 {
-		return nil, fmt.Errorf("embed: restore with non-positive shard count %d", numShards)
-	}
-	s := &Server{shards: make([]*Table, numShards)}
-	for i := range s.shards {
-		t, err := RestoreTable(r)
-		if err != nil {
-			return nil, fmt.Errorf("embed: restore shard %d: %w", i, err)
-		}
-		if i == 0 {
-			s.Dim = t.Dim
-		} else if t.Dim != s.Dim {
-			return nil, fmt.Errorf("embed: restore shard %d has dim %d, shard 0 has dim %d (corrupt checkpoint)",
-				i, t.Dim, s.Dim)
-		}
-		s.shards[i] = t
-	}
-	return s, nil
-}
-
 // MaterializedIDs returns the sorted ids of every materialized row across
 // all shards, exactly so at quiescence (a walk racing writers is not a
 // snapshot, see Table.walk). A caller that needs only their number uses
@@ -376,7 +340,7 @@ func (s *Server) MaterializedIDs() []uint64 {
 // materialized sets, so their fingerprints sum (wrapping) to the
 // fingerprint of the merged state. transport.ShardedStore relies on this to
 // certify an S-server tier against an S=1 reference from S cheap remote
-// fingerprints, without moving checkpoints.
+// fingerprints, without moving rows.
 func (s *Server) Fingerprint() uint64 { return s.FingerprintPart(0, 1) }
 
 // FingerprintPart is the partition-scoped form of Fingerprint: it digests
@@ -413,8 +377,9 @@ func rowDigest(id uint64, row []float32) uint64 {
 }
 
 // MergeTier merges the state of an S-server embedding tier into one logical
-// server comparable against an S=1 reference (the direction -verify needs:
-// every engine's sharded run must land the bits of the unsharded baseline).
+// server comparable against an S=1 reference: the in-memory reference the
+// tests hold transport.Certify to (every engine's sharded run must land the
+// bits of the unsharded baseline).
 // Server s of a tier addressed through transport.ShardedStore may only hold
 // materialized rows it owns (id % S == s); a row materialized on the wrong
 // server means the sharding map was violated, and is reported rather than
@@ -521,73 +486,45 @@ func MergeTierReplicated(tier []*Server, replicate int, dead []bool) (*Server, e
 	return merged, nil
 }
 
-// RestoreTier reads numServers consecutive server checkpoints (numShards
-// shard tables each — the byte layout transport.Store.Checkpoint produces
-// for a tier) and merges them into one logical server. This is how the
-// driver certifies a remote multi-server run: pull every server's
-// checkpoint, rebuild the tier locally, and Diff the merged state against a
-// local baseline.
-func RestoreTier(r io.Reader, numServers, numShards int) (*Server, error) {
-	return RestoreTierReplicated(r, numServers, numShards, 1, nil)
-}
-
-// RestoreTierReplicated is RestoreTier for a replicated tier that may have
-// lost servers: dead servers contribute no checkpoint bytes (the transport's
-// tier checkpoint concatenates live servers only, in server order), and the
-// merge recovers their partitions from the surviving replicas.
-func RestoreTierReplicated(r io.Reader, numServers, numShards, replicate int, dead []bool) (*Server, error) {
-	if numServers <= 0 {
-		return nil, fmt.Errorf("embed: restore with non-positive server count %d", numServers)
-	}
-	if dead != nil && len(dead) != numServers {
-		return nil, fmt.Errorf("embed: dead set lists %d servers for a %d-server tier", len(dead), numServers)
-	}
-	tier := make([]*Server, numServers)
-	for s := range tier {
-		if dead != nil && dead[s] {
-			continue
-		}
-		srv, err := RestoreServer(r, numShards)
-		if err != nil {
-			return nil, fmt.Errorf("embed: restore tier server %d: %w", s, err)
-		}
-		tier[s] = srv
-	}
-	return MergeTierReplicated(tier, replicate, dead)
-}
-
 // Diff compares the logical state of two servers and returns the ids whose
-// rows differ bit-for-bit. Only the union of materialized ids is inspected:
-// untouched rows are deterministic functions of (seed, id) and therefore
-// already known equal when seeds match. Shard counts may differ (state is
-// sharding-independent). Used by the differential tests and cmd/bagpipe's
-// -verify mode to certify that the LRPP trainers and the baseline trainer
-// left the embedding tier in identical states.
+// rows differ bit-for-bit, ascending. Shard counts may differ (state is
+// sharding-independent). It is DiffRows over b's whole export, so the tests
+// that compare a merged tier with a reference and transport.Certify, which
+// compares a remote partition's export, apply one rule.
 func Diff(a, b *Server) []uint64 {
-	if a.Dim != b.Dim {
-		panic(fmt.Sprintf("embed: Diff dim mismatch %d vs %d", a.Dim, b.Dim))
-	}
-	// The union of both materialized sets, ascending, so differ is too.
-	ids := append(a.MaterializedIDs(), b.MaterializedIDs()...)
-	var top uint64
-	for _, id := range ids {
-		top |= id
-	}
-	ids, _ = core.SortByID(ids, nil, top, func(id *uint64) uint64 { return *id })
-	ra := make([]float32, a.Dim)
-	rb := make([]float32, b.Dim)
-	var differ []uint64
-	for _, id := range slices.Compact(ids) {
-		// peek, not Get: comparison must not materialize rows in either
-		// server (Get would permanently inflate their materialized sets).
-		a.shards[a.ShardOf(id)].peek(id, ra)
-		b.shards[b.ShardOf(id)].peek(id, rb)
-		for i := range ra {
-			if ra[i] != rb[i] {
-				differ = append(differ, id)
-				break
-			}
+	ids, rows := b.ExportPartIn(0, 1, 0, 1)
+	differ, _ := a.DiffRows(0, 1, ids, rows)
+	return differ
+}
+
+// DiffRows compares rows, parallel to strictly ascending ids (an export of
+// partition part of an of-way split, as ExportPartIn returns it), with s's
+// state in that partition. It returns the ids whose rows differ
+// bit-for-bit, ascending, and how many ids it compared. Only the union of
+// the materialized ids is inspected: a row materialized on one side only
+// compares as its deterministic (seed, id) init, which is the other side's
+// logical value when the seeds match. Nothing is materialized in s.
+func (s *Server) DiffRows(part, of int, ids []uint64, rows [][]float32) (differ []uint64, compared int) {
+	row := make([]float32, s.Dim)
+	for i, id := range ids {
+		s.shards[s.ShardOf(id)].peek(id, row)
+		if !slices.Equal(row, rows[i]) {
+			differ = append(differ, id)
 		}
 	}
-	return differ
+	compared = len(ids)
+	for _, sh := range s.shards {
+		sh.walk(func(id uint64, mine []float32) {
+			if _, listed := slices.BinarySearch(ids, id); listed || !inPart(id, part, of, 0, 1) {
+				return
+			}
+			compared++
+			sh.initInto(id, row)
+			if !slices.Equal(mine, row) {
+				differ = append(differ, id)
+			}
+		})
+	}
+	slices.Sort(differ)
+	return differ, compared
 }

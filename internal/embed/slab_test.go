@@ -1,8 +1,6 @@
 package embed
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,43 +9,9 @@ import (
 	"bagpipe/internal/core"
 )
 
-// TestRestoreTableRejectsMalformed: checkpoint bytes can arrive over a
-// socket, so a width the rows do not have, or no width at all, is an error
-// — never a table whose Get hands back part of the caller's buffer.
-func TestRestoreTableRejectsMalformed(t *testing.T) {
-	craft := func(st tableState) *bytes.Buffer {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-			t.Fatal(err)
-		}
-		return &buf
-	}
-	for name, st := range map[string]tableState{
-		"short row":     {Dim: 4, Seed: 1, Rows: map[uint64][]float32{7: {1, 2}}},
-		"long row":      {Dim: 2, Seed: 1, Rows: map[uint64][]float32{7: {1, 2, 3}}},
-		"one bad row":   {Dim: 2, Seed: 1, Rows: map[uint64][]float32{7: {1, 2}, 8: {}, 9: {3, 4}}},
-		"zero dim":      {Dim: 0, Seed: 1},
-		"negative dim":  {Dim: -3, Seed: 1, Rows: map[uint64][]float32{7: {}}},
-		"zero dim rows": {Dim: 0, Seed: 1, Rows: map[uint64][]float32{7: {}}},
-	} {
-		if tab, err := RestoreTable(craft(st)); err == nil {
-			t.Errorf("%s: restored a table of dim %d", name, tab.Dim)
-		}
-	}
-	tab, err := RestoreTable(craft(tableState{Dim: 2, Seed: 1, InitScale: 0.1, Rows: map[uint64][]float32{7: {1, 2}}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := []float32{9, 9}
-	tab.Get(7, dst)
-	if dst[0] != 1 || dst[1] != 2 || tab.NumMaterialized() != 1 {
-		t.Fatalf("well-formed checkpoint restored row %v, %d rows", dst, tab.NumMaterialized())
-	}
-}
-
 // TestTableSlabMatchesMapReference drives a seeded mix of single and
 // batched writes, removals, settle-time RetainOwned sweeps, reads and
-// checkpoint round trips through a server whose tables keep rows in the
+// export round trips through a server whose tables keep rows in the
 // slab, and the same operations through a plain id → row map. Every read,
 // the materialized ids, their count and the fingerprint must agree bit for
 // bit, and a table may grow its slab only when no removed slot is free.
@@ -164,16 +128,10 @@ func TestTableSlabMatchesMapReference(t *testing.T) {
 					t.Fatalf("step %d: row %d = %v, model %v", step, id, got, want)
 				}
 			}
-		default: // checkpoint round trip
-			var buf bytes.Buffer
-			if err := srv.Checkpoint(&buf); err != nil {
-				t.Fatal(err)
-			}
-			restored, err := RestoreServer(&buf, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv = restored
+		default: // export round trip into a fresh server
+			ids, rows := srv.ExportPartIn(0, 1, 0, 1)
+			srv = NewServer(shards, dim, seed, scale)
+			srv.Write(ids, rows)
 			for sh, tab := range srv.shards {
 				peak[sh] = tab.NumMaterialized()
 			}

@@ -9,23 +9,19 @@
 // materializing the full table — the property that lets this reproduction
 // "store" Criteo-Terabyte's 882M-row tables while only ever allocating the
 // rows a run touches, and that lets the sync-equivalence tests compare a
-// distributed run against a single-process reference. Checkpoints preserve
-// the (seed, init-scale) identity alongside the materialized rows, so a
-// server restored from a remote process's checkpoint (transport.TCPLink's
-// Checkpoint op, served by transport.ServeEmbed) peeks identically to the
-// original and can be Diff'ed bit-for-bit against a local baseline — the
-// mechanism behind `bagpipe -net tcp -verify`.
+// distributed run against a single-process reference. A remote server is
+// certified against a local baseline by digest (FingerprintPartIn), and
+// only a partition whose digest differs is exported and compared row by
+// row (DiffRows) — the mechanism behind `bagpipe -verify`.
 //
 // The package never touches the network itself: it exposes batched,
 // shard-parallel Fetch/Write plus state-comparison primitives
-// (Diff, Fingerprint, Checkpoint/Restore), and internal/transport decides
+// (Diff, Fingerprint, export), and internal/transport decides
 // whether those calls cross a socket.
 package embed
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"sync"
 
 	"bagpipe/internal/core"
@@ -275,51 +271,4 @@ func (t *Table) footprint() (rows, slab, index int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.index.Len(), 4 * t.Dim * slabChunkRows * len(t.chunks), t.index.Bytes()
-}
-
-// tableState is the gob wire form of a table checkpoint.
-type tableState struct {
-	Dim       int
-	Seed      uint64
-	InitScale float32
-	Rows      map[uint64][]float32
-}
-
-// Checkpoint serializes the materialized rows to w (Check-N-Run-style
-// periodic embedding-server checkpointing, §3.4). The gob form is the
-// id → row map it always was; the slab is an in-memory layout only.
-func (t *Table) Checkpoint(w io.Writer) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	rows := make(map[uint64][]float32, t.index.Len())
-	for s := range int32(t.index.Slots()) {
-		if id, ok := t.index.ID(s); ok {
-			rows[id] = t.row(s)
-		}
-	}
-	return gob.NewEncoder(w).Encode(tableState{
-		Dim: t.Dim, Seed: t.Seed, InitScale: t.InitScale, Rows: rows,
-	})
-}
-
-// RestoreTable reads a checkpoint written by Checkpoint. The bytes may have
-// crossed a socket (the -verify pull), so they are checked, not trusted: a
-// non-positive width, or any row whose length is not the width, is an
-// error rather than a table that reads back a caller's stale tail.
-func RestoreTable(r io.Reader) (*Table, error) {
-	var st tableState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("embed: restore: %w", err)
-	}
-	if st.Dim <= 0 {
-		return nil, fmt.Errorf("embed: restore: checkpoint declares dim %d", st.Dim)
-	}
-	t := NewTable(st.Dim, st.Seed, st.InitScale)
-	for id, row := range st.Rows {
-		if len(row) != st.Dim {
-			return nil, fmt.Errorf("embed: restore: row %d has %d elements, checkpoint dim is %d", id, len(row), st.Dim)
-		}
-		copy(t.materialize(id), row)
-	}
-	return t, nil
 }

@@ -125,8 +125,7 @@ func TestEnginesShardedTierAcrossFabrics(t *testing.T) {
 // configuration: 2 embedding-server loops over real listeners, 3 worker
 // engines each reaching the tier through a ShardedStore of TCPLinks and
 // meshed over loopback TCP — then the tier is certified against a baseline
-// both ways the driver supports: the cheap combined fingerprint and the
-// restored, merged checkpoints.
+// two ways: the cheap combined fingerprint and the merged tier state.
 func TestLRPPWorkersShardedTCPEndToEnd(t *testing.T) {
 	const S = 2
 	cfg := tinyConfig()

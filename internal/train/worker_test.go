@@ -103,8 +103,8 @@ func TestLRPPWorkersMatchBaseline(t *testing.T) {
 // one test: an embedding-server process loop served over a real listener,
 // every worker reaching it through its own TCPLink, and the trainer mesh
 // over
-// loopback TCP — then the state is certified against a baseline run the way
-// cmd/bagpipe -net tcp -verify does, via the remote checkpoint.
+// loopback TCP — then the state is certified against a baseline run by the
+// remote fingerprint.
 func TestLRPPWorkersOverTCPEndToEnd(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.NumTrainers = 3

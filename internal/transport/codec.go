@@ -775,13 +775,10 @@ func (b *ctlBuf) trim() {
 	}
 }
 
-// putCtlResult writes a control result, one layout for every op: N, the
-// count-prefixed bytes, the id list, then the rows as one flat matrix
-// behind a single count.
+// putCtlResult writes a control result, one layout for every op: N, the id
+// list, then the rows as one flat matrix behind a single count.
 func putCtlResult(b []byte, res *CtlResult) []byte {
 	b = putU64(b, res.N)
-	b = putU32(b, uint32(len(res.Bytes)))
-	b = append(b, res.Bytes...)
 	b = putU64s(b, res.IDs)
 	n := 0
 	for _, row := range res.Rows {

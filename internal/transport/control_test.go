@@ -119,15 +119,6 @@ func TestControlConformance(t *testing.T) {
 				if op == CtlShutdown && f.name == "tcp" {
 					stopped = true
 				}
-				if res.Bytes != nil {
-					// A checkpoint's gob maps have no byte order; compare the
-					// state it restores.
-					back, err := embed.RestoreServer(bytes.NewReader(res.Bytes), 2)
-					if err != nil {
-						t.Fatalf("%s: restore: %v", f.name, err)
-					}
-					res.Bytes, res.N = nil, back.Fingerprint()
-				}
 				if i == 0 {
 					want = res
 					continue
@@ -187,6 +178,7 @@ func TestControlConformance(t *testing.T) {
 		{"write-recovery narrow row", Ctl{Op: CtlWriteRecovery, IDs: []uint64{1}, Rows: [][]float32{make([]float32, dim-1)}}, true},
 		{"fetch opcode", Ctl{Op: CtlOp(opFetch)}, false},
 		{"reserved opcode", Ctl{Op: CtlOp(opWrite + 1)}, false},
+		{"retired checkpoint opcode", Ctl{Op: CtlOp(opWrite + 2)}, false},
 		{"response opcode", Ctl{Op: CtlOp(opResp)}, false},
 	}
 	stopped := false
@@ -200,6 +192,9 @@ func TestControlConformance(t *testing.T) {
 				t.Errorf("%s on %s: accepted", tc.name, f.name)
 				continue
 			}
+			if _, ok := err.(*RefusedError); !ok {
+				t.Errorf("%s on %s: %T, want a *RefusedError", tc.name, f.name, err)
+			}
 			if i == 0 {
 				want = err.Error()
 			} else if err.Error() != want {
@@ -208,8 +203,8 @@ func TestControlConformance(t *testing.T) {
 		}
 		if tc.raw {
 			_, err := tl.roundTrip(byte(tc.ctl.Op), 0, func(b []byte) []byte { return putCtl(b, &tc.ctl) })
-			if err == nil || err.Error() != want {
-				t.Errorf("%s as a raw frame: server answered %v, want %q", tc.name, err, want)
+			if _, ok := err.(*RefusedError); !ok || err.Error() != want {
+				t.Errorf("%s as a raw frame: server answered %v, want the refusal %q", tc.name, err, want)
 			}
 		}
 	}
@@ -269,7 +264,9 @@ func FuzzLinkResponse(f *testing.F) {
 	f.Add(uint8(1), putF32s(nil, []float32{1}))
 	f.Add(uint8(0), putCtlResult(nil, &CtlResult{N: 7}))
 	f.Add(uint8(1), putCtlResult(nil, &CtlResult{IDs: []uint64{3, 8}, Rows: [][]float32{{1, 2, 3, 4}, {5, 6, 7, 8}}}))
-	f.Add(uint8(1), putCtlResult(nil, &CtlResult{Bytes: []byte("checkpoint")}))
+	// A checkpoint result in the version 2 layout, whose byte field this
+	// layout no longer has.
+	f.Add(uint8(1), append(putU32(putU64(nil, 0), 10), "checkpoint\x00\x00\x00\x00\x00\x00\x00\x00"...))
 	f.Add(uint8(1), putCtlResult(nil, &CtlResult{IDs: []uint64{7}}))
 	f.Add(uint8(0), putU64(append([]byte{respErrStale}, putU64(nil, 2)...), 9))
 	f.Add(uint8(0), append([]byte{respErrGeneric}, "refused"...))
@@ -298,8 +295,10 @@ func FuzzLinkResponse(f *testing.F) {
 		} else if back := putCtlResult(nil, &res); !bytes.Equal(back, body) {
 			t.Fatalf("accepted control result re-encodes to % x, got % x", back, body)
 		}
-		if err := decodeLinkErr(body); err == nil {
-			t.Fatal("an error payload decoded to no error")
+		for _, op := range []byte{opFetch, opExportPartIn} {
+			if err := decodeLinkErr(op, body); err == nil {
+				t.Fatal("an error payload decoded to no error")
+			}
 		}
 	})
 }

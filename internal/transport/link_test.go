@@ -214,8 +214,9 @@ func FuzzServeEmbedConn(f *testing.F) {
 	fetch := frame(opFetch, putU64s(nil, []uint64{1, 2, 5}))
 	install := frame(opInstallRouting, encodeRouting(nil, settledRouting(1, 2)))
 	// Every control op in the layout it travels in, valid and with
-	// arguments the dispatcher refuses; and the two reserved opcodes.
-	for _, op := range append(allCtlOps(), CtlOp(opWrite+1), CtlOp(opResp+1)) {
+	// arguments the dispatcher refuses; and the three reserved opcodes (the
+	// retired whole-partition fingerprint, checkpoint and export).
+	for _, op := range append(allCtlOps(), CtlOp(opWrite+1), CtlOp(opWrite+2), CtlOp(opResp+1)) {
 		f.Add(frame(byte(op), putCtl(nil, sampleCtl(op, 4))))
 		f.Add(frame(byte(op), putCtl(nil, &Ctl{Op: op, Part: 3, Of: 2, WithinOf: -1, IDs: []uint64{4}})))
 	}
@@ -230,7 +231,7 @@ func FuzzServeEmbedConn(f *testing.F) {
 	for _, seed := range [][]byte{
 		fetch,
 		frame(opWrite, rowsBody),
-		frame(opCheckpoint, nil),
+		frame(opWrite+2, nil), // the retired checkpoint
 		frame(opShutdown, nil),
 		frame(opWriteRecovery, rowsBody),
 		frame(opEndRecovery, nil),
@@ -240,7 +241,8 @@ func FuzzServeEmbedConn(f *testing.F) {
 		frame(opExportPartIn, u32s(0, 2, 0, 1)),
 		frame(opFingerprintPartIn, u32s(1, 2, 0, 1)),
 		frame(opRetainOwned, u32s(0, 2, 1)),
-		// The two retired ops (reserved slots after opWrite and opResp).
+		// The retired whole-partition ops (reserved slots after opWrite and
+		// opResp).
 		frame(opWrite+1, u32s(0, 1)),
 		frame(opResp+1, u32s(0, 1)),
 		// A truncated frame, and an install that fences the fetch after it.

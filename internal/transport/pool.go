@@ -40,7 +40,7 @@ import (
 //   - Row-slice headers are zeroed on Put so a recycled header can never
 //     resurrect rows the previous owner released.
 //
-// Every free list is bounded, so a burst (a checkpoint, a reshard stream,
+// Every free list is bounded, so a burst (an export, a reshard stream,
 // the end of a run returning every resident row) cannot pin its peak in the
 // pool for the rest of the process: a Put beyond the bound drops the buffer
 // to the GC.
@@ -52,7 +52,7 @@ const (
 	maxPooledHeaders = 1024
 	// Frame buffers are pooled in power-of-two capacity classes from
 	// minPooledBuf to maxPooledBuf bytes, holding at most bufPoolBytes of
-	// capacity in all. A buffer above maxPooledBuf (a checkpoint or export
+	// capacity in all. A buffer above maxPooledBuf (a large export
 	// response) is never retained.
 	minPooledBuf  = 1 << 10
 	numBufClasses = 13

@@ -23,7 +23,7 @@ const staleRetryLimit = 256
 // InstallRouting installs rt as this client's routing table, monotonically
 // by epoch (false: rt is not newer than the installed table). The install
 // is a barrier against the data plane: it waits out every in-flight
-// Fetch/Write/ReadFetch/Fingerprint/Checkpoint, so when it returns no op
+// Fetch/Write/ReadFetch/Fingerprint/Certify, so when it returns no op
 // still routes by the predecessor. Absent spare servers the table
 // references are admitted live — connected through TierOptions.Dial when
 // their slot has no store yet; a spare that cannot be connected is marked

@@ -67,7 +67,7 @@ func (rt *RoutingTable) Settled() bool { return rt.State == nil }
 
 // Width returns the authoritative partition space: the tier width when
 // settled, the *old* width mid-reshard — the old space receives every write
-// until the settle, so certificates (fingerprints, checkpoints) taken
+// until the settle, so certificates (fingerprints, Certify) taken
 // mid-reshard are complete exactly there.
 func (rt *RoutingTable) Width() int {
 	if rt.Settled() {

@@ -14,8 +14,8 @@ import (
 
 // Store is the trainer's client API to the embedding tier: the data path
 // (Fetch/Write/Dim/Stats/Name) plus the tier operations every engine and
-// the verification drivers need — state fingerprinting, checkpointing, and
-// remote shutdown — so callers program against *the tier*, never against
+// the verification drivers need — state fingerprinting and remote
+// shutdown — so callers program against *the tier*, never against
 // an individual server. The single-server links (SimNet, TCPLink) are
 // degenerate one-server tiers; ShardedStore composes S of them into a real
 // one. Engines take a Store and cannot tell the difference: sharding is a
@@ -41,14 +41,8 @@ type Store interface {
 	// holder, so replicated rows are counted once (a single server is its
 	// own one partition). The combine is order-independent and the
 	// partitions are disjoint, so an S-server tier fingerprints identically
-	// to the equivalent S=1 server — distributed verification needs S cheap
-	// RPCs, not checkpoints.
+	// to the equivalent S=1 server. Certify is the per-holder certificate.
 	Fingerprint() uint64
-	// Checkpoint returns the serialized state of every *live* backend
-	// server, in server order; embed.RestoreTier (or, for a tier that lost
-	// servers, embed.RestoreTierReplicated with the store's DeadServers)
-	// rebuilds the merged logical state.
-	Checkpoint() []byte
 	// Shutdown asks every live remote server process behind the store to
 	// stop serving once in-flight requests complete. A no-op for in-process
 	// stores, whose servers the caller owns directly.
@@ -64,7 +58,7 @@ type Store interface {
 // process intercept it first for a clean, attributed exit, and AsTierError
 // recovers it from either path in tests.
 type TierError struct {
-	Op        string // "fetch", "write", "fingerprint", "checkpoint", "read", "resync"
+	Op        string // "fetch", "write", "fingerprint", "certify", "read", "resync"
 	Partition int    // partition whose data became unreachable (== its owner server)
 	Server    int    // last server tried for the partition
 	Replicate int    // the tier's replication factor
@@ -267,7 +261,7 @@ type ShardedStore struct {
 	// every data op routes by (settled at the construction width until a
 	// reshard coordinator installs successors). installMu makes an install a
 	// barrier against the data plane: every Fetch/Write/ReadFetch/
-	// Fingerprint/Checkpoint holds the read side for its whole run, so
+	// Fingerprint/Certify holds the read side for its whole run, so
 	// InstallRouting returns only once no in-flight op still routes by the
 	// predecessor. BeginRejoin flips a server to resync under the same
 	// barrier. Lock order: installMu before stateMu, never reversed.
@@ -392,8 +386,9 @@ func (t *ShardedStore) link(s int) (Link, uint64, error) {
 // attempt runs op on server s's link up to tries times, sleeping the
 // backoff between attempts; on exhaustion the server is declared dead
 // (fenced by generation) and the last error returned. A stale-routing
-// rejection short-circuits: no retries, no condemnation — the routing
-// layer heals it.
+// rejection or a refused control request short-circuits: no retries, no
+// condemnation — the routing layer heals the one, and the caller is at
+// fault for the other.
 func (t *ShardedStore) attempt(s, tries int, op func(Link) error) error {
 	l, g, err := t.link(s)
 	if err != nil {
@@ -401,7 +396,7 @@ func (t *ShardedStore) attempt(s, tries int, op func(Link) error) error {
 	}
 	for a := 0; ; a++ {
 		err := op(l)
-		if err == nil || asStaleRouting(err) != nil {
+		if err == nil || asStaleRouting(err) != nil || errors.As(err, new(*RefusedError)) {
 			return err
 		}
 		if a+1 >= tries {
@@ -1212,84 +1207,6 @@ func (t *ShardedStore) fingerprintPartition(part, W int) uint64 {
 			return fp
 		}
 	}
-}
-
-// Checkpoint implements Store: every live server's checkpoint concatenated
-// in server order, the layout embed.RestoreTierReplicated consumes together
-// with DeadServers (for an unreplicated, fully-live tier this is exactly
-// the classic embed.RestoreTier layout). Like Fingerprint, the per-server
-// RPCs fan out concurrently — these move full server states, so the tier
-// checkpoint costs the slowest server, not the sum. A server lost *during*
-// checkpointing is excluded like any other dead server — its partitions'
-// writes live on their surviving replicas — unless some partition then has
-// no live replica at all, which is unrecoverable.
-func (t *ShardedStore) Checkpoint() []byte {
-	// Like Fingerprint, checkpoints are taken in the authoritative
-	// partition space under the install barrier: the old width mid-reshard
-	// (where dual writes keep every server complete), the settled width
-	// otherwise.
-	t.installMu.RLock()
-	defer t.installMu.RUnlock()
-	S := t.routing.Load().Width()
-	// Snapshot the down set once: servers changing state mid-checkpoint
-	// (a rejoin completing, a mid-pull death) must not leave the
-	// concatenation half from one membership view and half from another.
-	down := make([]bool, S)
-	for s := 0; s < S; s++ {
-		down[s] = t.down(s)
-	}
-	parts := make([][]byte, S)
-	var wg sync.WaitGroup
-	for s := 0; s < S; s++ {
-		if down[s] {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			parts[s] = t.checkpointServer(s)
-		}(s)
-	}
-	wg.Wait()
-	// A server whose pull failed was declared dead by checkpointServer and
-	// contributed no bytes; fold it into the snapshot before the coverage
-	// check.
-	for s := 0; s < S; s++ {
-		if !down[s] && parts[s] == nil {
-			down[s] = true
-		}
-	}
-	for part := 0; part < S; part++ {
-		covered := false
-		for k := 0; k < t.replicate; k++ {
-			if !down[(part+k)%S] {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			t.lost(&TierError{Op: "checkpoint", Partition: part, Server: (part + t.replicate - 1) % S, Replicate: t.replicate})
-		}
-	}
-	var out []byte
-	for s, p := range parts {
-		if down[s] {
-			continue
-		}
-		out = append(out, p...)
-	}
-	return out
-}
-
-// checkpointServer pulls one server's checkpoint with bounded retry; on
-// exhaustion the server is declared dead and nil returned.
-func (t *ShardedStore) checkpointServer(s int) (b []byte) {
-	t.attempt(s, t.retries, func(l Link) error {
-		res, err := l.Control(&Ctl{Op: CtlCheckpoint})
-		b = res.Bytes
-		return err
-	})
-	return b
 }
 
 // Shutdown implements Store, skipping dead and absent servers (there is no

@@ -108,7 +108,7 @@ func TestStatsAdd(t *testing.T) {
 // TestStoreConformance runs the full tier contract over every fabric × tier
 // width: fetched rows arrive in request order with reference values, writes
 // land on the owning server only, and the tier operations (fingerprint,
-// checkpoint, per-server stats) certify the merged state against the S=1
+// Certify, per-server stats) certify the merged state against the S=1
 // reference.
 func TestStoreConformance(t *testing.T) {
 	// ids span all owners of every S in the sweep, interleaved so no
@@ -140,8 +140,8 @@ func TestStoreConformance(t *testing.T) {
 				store.Write(ids, rows)
 				refStore.Write(ids, refRows)
 
-				// Tier state merges back to the reference, both live and
-				// through the checkpoint protocol.
+				// Tier state merges back to the reference, and certifies
+				// against it over the links.
 				merged, err := embed.MergeTier(tier)
 				if err != nil {
 					t.Fatalf("merge tier: %v", err)
@@ -149,12 +149,8 @@ func TestStoreConformance(t *testing.T) {
 				if d := embed.Diff(ref, merged); len(d) != 0 {
 					t.Fatalf("tier state diverged from reference at ids %v", d)
 				}
-				restored, err := embed.RestoreTier(bytes.NewReader(store.Checkpoint()), S, ref.NumShards())
-				if err != nil {
-					t.Fatalf("restore tier checkpoint: %v", err)
-				}
-				if d := embed.Diff(ref, restored); len(d) != 0 {
-					t.Fatalf("restored tier checkpoint diverged at ids %v", d)
+				if cert, err := Certify(store, ref); err != nil || len(cert.Differ) != 0 {
+					t.Fatalf("tier certificate %+v, err %v", cert, err)
 				}
 				if fp, want := store.Fingerprint(), ref.Fingerprint(); fp != want {
 					t.Fatalf("tier fingerprint %x != reference %x", fp, want)
@@ -438,7 +434,7 @@ func faultTier(S int, opts TierOptions) (*ShardedStore, []*FaultStore, []*embed.
 // suite: a server dies mid-run under R=2, the tier marks it dead and
 // reroutes, and the surviving state still certifies against the S=1
 // reference three independent ways — live fingerprint, tier merge, and
-// checkpoint restore.
+// the per-holder certificate.
 func TestStoreFailoverReplicated(t *testing.T) {
 	const S, R = 3, 2
 	var failedOver []int
@@ -515,14 +511,10 @@ func TestStoreFailoverReplicated(t *testing.T) {
 	if d := embed.Diff(ref, merged); len(d) != 0 {
 		t.Fatalf("surviving merge differs from reference at %v", d)
 	}
-	// Certification 3: the checkpoint protocol, which must exclude the dead
-	// server's bytes.
-	restored, err := embed.RestoreTierReplicated(bytes.NewReader(st.Checkpoint()), S, ref.NumShards(), R, deadSet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := embed.Diff(ref, restored); len(d) != 0 {
-		t.Fatalf("restored surviving checkpoint differs at %v", d)
+	// Certification 3: the per-holder certificate, which must skip the dead
+	// server.
+	if cert, err := Certify(st, ref); err != nil || len(cert.Differ) != 0 {
+		t.Fatalf("surviving tier certificate %+v, err %v", cert, err)
 	}
 }
 

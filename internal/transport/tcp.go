@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -25,8 +24,9 @@ import (
 // goroutine coalesces queued requests into one buffered flush.
 
 // linkMagic opens every link connection: "BGL" + protocol version. Version
-// 2 is the one control layout (putCtl, putCtlResult).
-const linkMagic uint32 = 'B'<<24 | 'G'<<16 | 'L'<<8 | 2
+// 2 is the one control layout (putCtl, putCtlResult); version 3 retires the
+// checkpoint op and the result's byte field.
+const linkMagic uint32 = 'B'<<24 | 'G'<<16 | 'L'<<8 | 3
 
 // Link protocol ops (first body byte of a link frame). opFetch and opWrite
 // carry the data path in layouts of their own; every other request op is a
@@ -39,7 +39,7 @@ const (
 	opFetch byte = 0x10 + iota
 	opWrite
 	_ // reserved: the retired whole-partition fingerprint (now opFingerprintPartIn)
-	opCheckpoint
+	_ // reserved: the retired whole-server Checkpoint (gob state; now Certify's digests)
 	opShutdown
 	opResp // server → client: u64 seq, then the op-specific result
 	_      // reserved: the retired whole-partition export (now opExportPartIn)
@@ -399,22 +399,20 @@ func (t *TCPLink) roundTrip(op byte, size int, body func(b []byte) []byte) ([]by
 		return nil, t.linkErr(err)
 	}
 	if resp[0] == opRespErr {
-		return nil, decodeLinkErr(resp[9:])
+		return nil, decodeLinkErr(op, resp[9:])
 	}
 	return resp, nil
 }
 
-// decodeLinkErr parses an opRespErr payload: a per-request failure the
-// link survives (unlike a broken connection). The stale-routing kind
-// reconstructs the server's fence rejection, table included; any other kind
-// carries the server's error text, which is returned as it stands, so a
-// control op's refusal reads the same on every fabric.
-func decodeLinkErr(pay []byte) error {
-	if len(pay) < 1 {
-		return fmt.Errorf("transport: malformed link error response")
-	}
-	switch pay[0] {
-	case respErrStale:
+// decodeLinkErr parses the opRespErr payload answering a request of op: a
+// per-request failure the link survives (unlike a broken connection). The
+// stale-routing kind reconstructs the server's fence rejection, table
+// included; the generic kind answering a control op is the dispatcher's
+// refusal, its text returned as it stands, so it reads the same on every
+// fabric. Anything else is malformed: a server refuses no data op.
+func decodeLinkErr(op byte, pay []byte) error {
+	switch {
+	case len(pay) > 0 && pay[0] == respErrStale:
 		r := &wireReader{b: pay[1:]}
 		epoch := r.u64()
 		if r.err != nil {
@@ -425,9 +423,10 @@ func decodeLinkErr(pay []byte) error {
 			se.Table = rt
 		}
 		return se
-	default:
-		return errors.New(string(pay[1:]))
+	case len(pay) > 0 && pay[0] == respErrGeneric && op != opFetch && op != opWrite:
+		return &RefusedError{Reason: string(pay[1:])}
 	}
+	return fmt.Errorf("transport: malformed link error response")
 }
 
 // Name implements Store.
@@ -517,17 +516,13 @@ func (t *TCPLink) TryWrite(ids []uint64, rows [][]float32) error {
 	return nil
 }
 
-// Fingerprint, Checkpoint and Shutdown implement Store through Control.
-// Fingerprint is the cheap remote state certificate distributed
-// verification uses; Checkpoint streams the server's checkpoint (every
-// shard, in order), which embed.RestoreServer rebuilds into an identical
-// local copy; Shutdown asks the serving process to stop accepting and
-// return from ServeEmbed once the ack is on the wire.
+// Fingerprint and Shutdown implement Store through Control. Fingerprint is
+// the cheap remote state digest; Shutdown asks the serving process to stop
+// accepting and return from ServeEmbed once the ack is on the wire.
 func (t *TCPLink) Fingerprint() uint64 {
 	return mustControl(t, &Ctl{Op: CtlFingerprintPartIn, Of: 1}).N
 }
-func (t *TCPLink) Checkpoint() []byte { return mustControl(t, &Ctl{Op: CtlCheckpoint}).Bytes }
-func (t *TCPLink) Shutdown()          { mustControl(t, &Ctl{Op: CtlShutdown}) }
+func (t *TCPLink) Shutdown() { mustControl(t, &Ctl{Op: CtlShutdown}) }
 
 // Control implements Link: c travels in putCtl's layout under its own
 // opcode, and the result comes back in putCtlResult's. A request the
@@ -546,14 +541,11 @@ func (t *TCPLink) Control(c *Ctl) (CtlResult, error) {
 }
 
 // ctlResult decodes a control result (putCtlResult's layout). Off the hot
-// path, so ids, rows and bytes are plainly allocated, not pooled, and
-// nothing aliases the response frame.
+// path, so ids and rows are plainly allocated, not pooled, and nothing
+// aliases the response frame.
 func (t *TCPLink) ctlResult(resp []byte) (CtlResult, error) {
 	r := &wireReader{b: resp}
 	res := CtlResult{N: r.u64()}
-	if n := r.count(1); n > 0 {
-		res.Bytes = append([]byte(nil), r.take(n, 1)...)
-	}
 	res.IDs = r.u64s()
 	n := r.count(4)
 	if r.err != nil || n != len(res.IDs)*t.dim || len(r.b) != 4*n {

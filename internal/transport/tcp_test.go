@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -32,7 +31,7 @@ func startEmbedServer(t *testing.T, srv *embed.Server) (string, func()) {
 
 // TestTCPLinkRoundTrip: fetch/write over a real socket mutate the server
 // exactly like the in-process transport, and the control ops (fingerprint,
-// checkpoint, shutdown) work.
+// the certificate, shutdown) work.
 func TestTCPLinkRoundTrip(t *testing.T) {
 	srv := embed.NewServer(2, 4, 3, 0.1)
 	ref := embed.NewServer(2, 4, 3, 0.1)
@@ -66,12 +65,8 @@ func TestTCPLinkRoundTrip(t *testing.T) {
 	if fp := tr.Fingerprint(); fp != ref.Fingerprint() {
 		t.Fatalf("remote fingerprint %x != local %x", fp, ref.Fingerprint())
 	}
-	restored, err := embed.RestoreServer(bytes.NewReader(tr.Checkpoint()), srv.NumShards())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := embed.Diff(ref, restored); len(d) != 0 {
-		t.Fatalf("restored checkpoint diverged at ids %v", d)
+	if cert, err := Certify(tr, ref); err != nil || len(cert.Differ) != 0 || cert.Holders != 1 || cert.Exported != 0 {
+		t.Fatalf("certificate %+v, err %v: want one holder digested, nothing exported", cert, err)
 	}
 
 	st := tr.Stats()
@@ -388,12 +383,8 @@ func TestShardedStoreTCPServerKillFailover(t *testing.T) {
 	if d := embed.Diff(ref, merged); len(d) != 0 {
 		t.Fatalf("surviving merge differs from reference at %v", d)
 	}
-	restored, err := embed.RestoreTierReplicated(bytes.NewReader(st.Checkpoint()), S, ref.NumShards(), R, deadSet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := embed.Diff(ref, restored); len(d) != 0 {
-		t.Fatalf("restored surviving checkpoint differs at %v", d)
+	if cert, err := Certify(st, ref); err != nil || len(cert.Differ) != 0 {
+		t.Fatalf("surviving tier certificate %+v, err %v", cert, err)
 	}
 
 	st.Shutdown() // skips the dead server

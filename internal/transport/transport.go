@@ -39,7 +39,6 @@
 package transport
 
 import (
-	"bytes"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -114,7 +113,6 @@ var (
 type CtlOp byte
 
 const (
-	CtlCheckpoint        = CtlOp(opCheckpoint)        // the server's checkpoint, in Bytes
 	CtlShutdown          = CtlOp(opShutdown)          // a serving process stops once it has answered
 	CtlWriteRecovery     = CtlOp(opWriteRecovery)     // IDs and Rows, skipping rows written live since BeginRecovery
 	CtlEndRecovery       = CtlOp(opEndRecovery)       // close the recovery window once the rejoin is certified
@@ -127,7 +125,6 @@ const (
 )
 
 var ctlNames = [256]string{
-	CtlCheckpoint:        "checkpoint",
 	CtlShutdown:          "shutdown",
 	CtlWriteRecovery:     "write-recovery",
 	CtlEndRecovery:       "end-recovery",
@@ -161,42 +158,56 @@ type Ctl struct {
 	Rows                                  [][]float32
 }
 
-// CtlResult is what a control op returns: the exported ids and rows, a
-// digest or row count in N, and the checkpoint's bytes.
+// CtlResult is what a control op returns: the exported ids and rows, and a
+// digest or row count in N.
 type CtlResult struct {
-	IDs   []uint64
-	Rows  [][]float32
-	N     uint64
-	Bytes []byte
+	IDs  []uint64
+	Rows [][]float32
+	N    uint64
+}
+
+// RefusedError is a control request the dispatcher refused for its
+// arguments: the caller is at fault, not the server, so the tier returns it
+// at once — no retry, and no server condemned over it.
+type RefusedError struct{ Reason string }
+
+func (e *RefusedError) Error() string { return e.Reason }
+
+// refuse returns the refusal of a control request.
+func refuse(format string, args ...any) error {
+	return &RefusedError{Reason: fmt.Sprintf(format, args...)}
 }
 
 // check is the one argument check of a control request against a server
-// of width dim: the error every fabric returns for it.
+// of width dim: the refusal every fabric returns for it, and the
+// dispatcher's only error.
 func (c *Ctl) check(dim int) error {
 	if ctlNames[c.Op] == "" {
-		return fmt.Errorf("transport: unknown control %v", c.Op)
+		return refuse("transport: unknown control %v", c.Op)
 	}
 	switch c.Op {
 	case CtlExportPartIn, CtlFingerprintPartIn:
 		if c.Of <= 0 || c.Part < 0 || c.Part >= c.Of || (c.WithinOf > 1 && (c.Within < 0 || c.Within >= c.WithinOf)) {
-			return fmt.Errorf("transport: %v: partition %d of %d within %d of %d", c.Op, c.Part, c.Of, c.Within, c.WithinOf)
+			return refuse("transport: %v: partition %d of %d within %d of %d", c.Op, c.Part, c.Of, c.Within, c.WithinOf)
 		}
 	case CtlRetainOwned:
 		if c.Of <= 0 || c.Part < 0 || c.Part >= c.Of || c.Replicate < 1 {
-			return fmt.Errorf("transport: %v: server %d of %d, replicate %d", c.Op, c.Part, c.Of, c.Replicate)
+			return refuse("transport: %v: server %d of %d, replicate %d", c.Op, c.Part, c.Of, c.Replicate)
 		}
 	case CtlInstallRouting:
 		if c.Routing == nil {
-			return fmt.Errorf("transport: %v: no table", c.Op)
+			return refuse("transport: %v: no table", c.Op)
 		}
-		return c.Routing.validate()
+		if err := c.Routing.validate(); err != nil {
+			return refuse("%v", err)
+		}
 	case CtlWriteRecovery:
 		if len(c.IDs) != len(c.Rows) {
-			return fmt.Errorf("transport: %v: %d ids, %d rows", c.Op, len(c.IDs), len(c.Rows))
+			return refuse("transport: %v: %d ids, %d rows", c.Op, len(c.IDs), len(c.Rows))
 		}
 		for i, row := range c.Rows {
 			if len(row) != dim {
-				return fmt.Errorf("transport: %v: row %d has %d elements, server dim is %d", c.Op, i, len(row), dim)
+				return refuse("transport: %v: row %d has %d elements, server dim is %d", c.Op, i, len(row), dim)
 			}
 		}
 	}
@@ -215,12 +226,6 @@ func control(srv *embed.Server, c *Ctl, announced *atomic.Uint64) (CtlResult, er
 		return res, err
 	}
 	switch c.Op {
-	case CtlCheckpoint:
-		var buf bytes.Buffer
-		if err := srv.Checkpoint(&buf); err != nil {
-			return res, fmt.Errorf("transport: %v: %w", c.Op, err)
-		}
-		res.Bytes = buf.Bytes()
 	case CtlShutdown:
 		// Nothing to do here: a serving process stops once it has answered.
 	case CtlWriteRecovery:
@@ -245,7 +250,7 @@ func control(srv *embed.Server, c *Ctl, announced *atomic.Uint64) (CtlResult, er
 }
 
 // mustControl is Control for the errorless Store face (Fingerprint,
-// Checkpoint, Shutdown): a failure panics.
+// Shutdown): a failure panics.
 func mustControl(l Link, c *Ctl) CtlResult {
 	res, err := l.Control(c)
 	if err != nil {
@@ -375,14 +380,13 @@ func (t *SimNet) Stats() Stats {
 	}
 }
 
-// Fingerprint, Checkpoint and Shutdown implement Store through Control.
-// Shutdown is a no-op: the server's lifetime belongs to whoever built it (no
-// remote process behind a simulated link).
+// Fingerprint and Shutdown implement Store through Control. Shutdown is a
+// no-op: the server's lifetime belongs to whoever built it (no remote
+// process behind a simulated link).
 func (t *SimNet) Fingerprint() uint64 {
 	return mustControl(t, &Ctl{Op: CtlFingerprintPartIn, Of: 1}).N
 }
-func (t *SimNet) Checkpoint() []byte { return mustControl(t, &Ctl{Op: CtlCheckpoint}).Bytes }
-func (t *SimNet) Shutdown()          { mustControl(t, &Ctl{Op: CtlShutdown}) }
+func (t *SimNet) Shutdown() { mustControl(t, &Ctl{Op: CtlShutdown}) }
 
 // ServerStats implements Store.
 func (t *SimNet) ServerStats() []Stats { return []Stats{t.Stats()} }
