@@ -1088,6 +1088,7 @@ func runTCPDriver(cfg train.Config, spec *data.Spec) {
 			}
 			procs = append(procs, startProc(fmt.Sprintf("trainer %d", p), markWatch, targs...))
 		}
+		spawnedAt := time.Now()
 		// The serving leg lives in the driver process, on its own tier links,
 		// while the trainer processes mutate the tier. The front end cannot
 		// see the trainers' retirement clock from here, so the staleness
@@ -1101,6 +1102,8 @@ func runTCPDriver(cfg train.Config, spec *data.Spec) {
 			infStop  chan struct{}
 			infRev   *transport.Reviver
 			infMu    sync.Mutex
+			// When the chaos kill fired, after trainer spawn (0: not yet).
+			killedAt atomic.Int64
 		)
 		if *serveInfer {
 			store, links, err := dialStores(srvAddrs, 30*time.Second, nil, nil, *servers)
@@ -1166,6 +1169,7 @@ func runTCPDriver(cfg train.Config, spec *data.Spec) {
 			go func() {
 				time.Sleep(*killDelay)
 				fmt.Fprintf(os.Stderr, "chaos: killing embedding server %d (%v after trainer spawn)\n", *killServer, *killDelay)
+				killedAt.Store(int64(time.Since(spawnedAt)))
 				if p := serverProcs[*killServer].Process; p != nil {
 					p.Kill()
 				}
@@ -1217,6 +1221,7 @@ func runTCPDriver(cfg train.Config, spec *data.Spec) {
 		}
 		if *serveInfer {
 			close(infStop)
+			loadStopped := time.Since(spawnedAt)
 			<-infDone
 			if infRev != nil {
 				infRev.Stop()
@@ -1233,12 +1238,22 @@ func runTCPDriver(cfg train.Config, spec *data.Spec) {
 				die(err)
 			}
 			if *killServer >= 0 {
+				// The PASS claims serving survived the kill, so the kill must
+				// have landed while the load still ran.
+				if k := time.Duration(killedAt.Load()); k == 0 || k >= loadStopped {
+					fired := "had not fired"
+					if k > 0 {
+						fired = fmt.Sprintf("fired %v after trainer spawn", k.Round(time.Millisecond))
+					}
+					die(fmt.Errorf("FAIL: serving under chaos: the kill of server %d did not land while queries were served: the load stopped %v after trainer spawn, the kill %s",
+						*killServer, loadStopped.Round(time.Millisecond), fired))
+				}
 				st := infFE.Stats()
 				if st.LookupP99 > *inferP99 {
 					die(fmt.Errorf("FAIL: serving under chaos: lookup p99 %v exceeds the -infer-p99-bound %v", st.LookupP99, *inferP99))
 				}
-				fmt.Printf("\nPASS: serving under chaos: %d queries served across the kill of server %d, lookup p99 %v within %v, audit clean\n",
-					infRes.Served, *killServer, st.LookupP99, *inferP99)
+				fmt.Printf("\nPASS: serving under chaos: %d queries served across the kill of server %d (killed %v, load stopped %v after trainer spawn), lookup p99 %v within %v, audit clean\n",
+					infRes.Served, *killServer, time.Duration(killedAt.Load()).Round(time.Millisecond), loadStopped.Round(time.Millisecond), st.LookupP99, *inferP99)
 			}
 		}
 		if failed {
@@ -1620,6 +1635,9 @@ func report(r *train.Result) {
 			row("sync", c.SyncMsgs, c.SyncBytes)
 			row("collective", c.CollMsgs, c.CollBytes)
 			row("plan", c.PlanMsgs, c.PlanBytes)
+			for i, d := range r.Depths {
+				fmt.Printf("  admission depth %d of ℒ %d (trainer %d)\n", d, *lookahd, r.Stages.Trainers[i].Trainer)
+			}
 			reportStages(r)
 		}
 	}

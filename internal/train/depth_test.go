@@ -1,0 +1,110 @@
+//go:build !race
+
+package train
+
+import (
+	"testing"
+	"time"
+
+	"bagpipe/internal/data"
+	"bagpipe/internal/embed"
+	"bagpipe/internal/transport"
+)
+
+// slowFetchStore delays every Fetch, as a remote tier's round trip would.
+type slowFetchStore struct {
+	transport.Store
+	d time.Duration
+}
+
+func (s slowFetchStore) Fetch(ids []uint64) [][]float32 {
+	time.Sleep(s.d)
+	return s.Store.Fetch(ids)
+}
+
+// TestAdmissionDepth pins the admission depth rule. Uniform draws over
+// tables far larger than a window make every iteration prefetch. Over free
+// in-process links a fetch lands long before its iteration is staged, so the
+// depth stays at its floor. When every Fetch sleeps 20 ms, far longer than a
+// tiny model's iteration, staged iterations find their rows missing and the
+// depth grows until the prefetches are issued early enough: the extra
+// iterations of a run twice as long then wait for rows almost not at all.
+// The depth never passes ℒ, and every run ends bit-identical to the
+// baseline. The race detector slows the model so far that a 20 ms fetch is
+// no longer long against an iteration, so the test builds without it, as
+// the allocation gate does.
+func TestAdmissionDepth(t *testing.T) {
+	base := tinyConfig()
+	base.Spec = tinySpec()
+	base.Spec.TableSizes = []int64{1 << 16, 1 << 16, 1 << 16, 1 << 16}
+	base.Spec.Dist = data.Uniform{}
+	base.LookAhead = 32
+
+	run := func(t *testing.T, iters int, delay time.Duration) *Result {
+		t.Helper()
+		cfg := base
+		cfg.NumBatches = iters
+		srvBase := newServer(cfg.Spec, 3)
+		want, err := RunBaseline(cfg, transport.NewInProcess(srvBase))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := newServer(cfg.Spec, 3)
+		trs := newStores(srv, cfg.NumTrainers)
+		if delay > 0 {
+			for p := range trs {
+				trs[p] = slowFetchStore{trs[p], delay}
+			}
+		}
+		res, err := RunLRPP(cfg, trs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := embed.Diff(srvBase, srv); len(d) != 0 {
+			t.Fatalf("embedding state diverged at %d ids (first: %v)", len(d), d[0])
+		}
+		if res.LastLoss != want.LastLoss {
+			t.Fatalf("last loss %v, baseline %v", res.LastLoss, want.LastLoss)
+		}
+		if len(res.Depths) != cfg.NumTrainers {
+			t.Fatalf("%d depths for %d trainers", len(res.Depths), cfg.NumTrainers)
+		}
+		for p, d := range res.Depths {
+			if d < admitFloor || d > cfg.LookAhead {
+				t.Errorf("trainer %d ended at depth %d, outside [%d, ℒ = %d]", p, d, admitFloor, cfg.LookAhead)
+			}
+		}
+		return res
+	}
+	waitRows := func(res *Result) (d time.Duration) {
+		for _, ts := range res.Stages.Trainers {
+			d += ts.Time[StageWaitRows]
+		}
+		return d / time.Duration(len(res.Stages.Trainers))
+	}
+
+	t.Run("free", func(t *testing.T) {
+		res := run(t, 64, 0)
+		t.Logf("depths %v", res.Depths)
+		for p, d := range res.Depths {
+			if d != admitFloor {
+				t.Errorf("trainer %d grew to depth %d over free links, want the floor %d", p, d, admitFloor)
+			}
+		}
+	})
+	t.Run("slow-fetch", func(t *testing.T) {
+		const n, delay = 200, 20 * time.Millisecond
+		short, long := run(t, n, delay), run(t, 2*n, delay)
+		steady := (waitRows(long) - waitRows(short)) / n
+		t.Logf("depths %v over %d iterations, %v over %d; steady wait-rows %v per iteration (the whole short run %v)",
+			short.Depths, n, long.Depths, 2*n, steady, waitRows(short)/n)
+		for p, d := range long.Depths {
+			if d <= admitFloor {
+				t.Errorf("trainer %d stayed at depth %d behind a %v fetch", p, d, delay)
+			}
+		}
+		if steady > delay/20 {
+			t.Errorf("steady wait-rows %v per iteration, want at most %v", steady, delay/20)
+		}
+	})
+}

@@ -71,29 +71,31 @@ func engineMallocs(t *testing.T, leg string, iters int) uint64 {
 //   - the embedding server, 16: each trainer's Fetch and Write is 4 calls,
 //     and each call allocates its shard closure, its WaitGroup and one
 //     goroutine closure per shard (4 each);
-//   - the trainers, 14: per trainer the prefetch goroutine's closure and
-//     frame (2), the replica push boxed into Send's any (1), the flusher's
-//     per-owner flush list growing to urgent + lazy (2), its frame boxed
-//     into Send's any (1) and its backlog's append (1);
+//   - the trainers, 8: per trainer the prefetch goroutine's closure and
+//     frame (2), the replica push boxed into Send's any (1) and the sync
+//     frame boxed into Send's any (1). The flusher's per-owner flush lists
+//     come from a pool the receiver (or, over TCP, the encoder) returns
+//     them to, and its backlog keeps one fixed array;
 //   - worker mode adds the mesh collective, 7: the contribution and the
 //     result snapshots (3), each boxed into Send's any (2), and rank 0's
 //     per-round table of contributions (2);
-//   - loopback TCP adds the decoder, 11: the replica push, the sync frame
-//     and its flush list, the collective frame and its segment list, each
-//     decoded on both ranks (10), and the result's loss term (1).
+//   - loopback TCP adds the decoder, 9: the replica push, the sync frame,
+//     the collective frame and its segment list, each decoded on both
+//     ranks (8), and the result's loss term (1). The sync frame's flush
+//     list comes from the flushers' pool.
 //
-// That is 30 in one process, 37 in worker mode and 48 over TCP, which the
-// profile of a long run reproduces to the object. Whole-process counts
-// read 0–4 more from run to run (the partition's merge records still
+// That is 24 in one process, 31 in worker mode and 40 over TCP. Whole-process
+// counts read 0–4 more from run to run (the partition's merge records still
 // growing, an arena briefly dry, runtime objects the profile does not
 // attribute), so the gate allows 8 more. Before plans and batches were
-// recycled the three legs read 61, 69 and 98.
+// recycled the three legs read 61, 69 and 98, and before flush lists were
+// pooled 30, 37 and 48.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	const n = 128
 	for _, c := range []struct {
 		leg   string
 		bound float64
-	}{{"lrpp", 30 + 8}, {"worker-inproc", 37 + 8}, {"worker-tcp", 48 + 8}} {
+	}{{"lrpp", 24 + 8}, {"worker-inproc", 31 + 8}, {"worker-tcp", 40 + 8}} {
 		t.Run(c.leg, func(t *testing.T) {
 			engineMallocs(t, c.leg, 16) // the process's one-time growth
 			short, long := engineMallocs(t, c.leg, n), engineMallocs(t, c.leg, 2*n)

@@ -204,9 +204,15 @@ type lrppTrainer struct {
 	// maintPoke (capacity 1) wakes maintenance when an iteration emits.
 	maintPoke chan struct{}
 	tokens    chan struct{}
-	recvWG    sync.WaitGroup
-	flushWG   sync.WaitGroup
-	maintWG   sync.WaitGroup
+	// credits holds the admission depth's free credits (capacity ℒ): the
+	// dispatcher takes one per admitted iteration beside its token, compute
+	// returns it once it has routed the iteration and handed back its plan,
+	// and the stager adds one each time it deepens the admission (depth).
+	credits chan struct{}
+	depth   int // the admission depth D, written by the stager only
+	recvWG  sync.WaitGroup
+	flushWG sync.WaitGroup
+	maintWG sync.WaitGroup
 }
 
 // RunLRPP trains with the multi-trainer LRPP engine (§3.3 of the paper):
@@ -239,7 +245,11 @@ type lrppTrainer struct {
 // Consistency keeps the paper's ℒ-window shape, enforced per partition: a
 // trainer's prefetch for iteration x is issued only once its own iteration
 // x−ℒ fully retired (all write-backs landed). Ownership is disjoint, so
-// per-trainer windows compose into the global guarantee.
+// per-trainer windows compose into the global guarantee. ℒ bounds staleness
+// and the furthest admission; when a prefetch is issued is the admission
+// depth D's business (admitFloor): x is admitted only once x−D has routed,
+// and D grows by one, up to ℒ, whenever a staged iteration finds its rows
+// still in flight. The oracle decides over ℒ either way.
 //
 // mesh may be nil, which wires the trainers over an in-process mesh.
 func RunLRPP(cfg Config, trs []transport.Store, mesh transport.Mesh) (*Result, error) {
@@ -388,6 +398,8 @@ func newLRPPTrainer(eng *lrppEngine, p int, tr transport.Store, ep transport.End
 		flushFree: make(chan *flushItem, eng.lag+2),
 		maintPoke: make(chan struct{}, 1),
 		tokens:    make(chan struct{}, cfg.LookAhead),
+		credits:   make(chan struct{}, cfg.LookAhead),
+		depth:     min(cfg.LookAhead, admitFloor),
 	}
 	t.merged.L, t.gathered.L = &t.mu, &t.mu
 	t.params = m.Params()
@@ -396,6 +408,9 @@ func newLRPPTrainer(eng *lrppEngine, p int, tr transport.Store, ep transport.End
 	}
 	for i := 0; i < cfg.LookAhead; i++ {
 		t.tokens <- struct{}{}
+	}
+	for i := 0; i < t.depth; i++ {
+		t.credits <- struct{}{}
 	}
 	t.routedCh <- struct{}{}
 	return t, nil
@@ -427,6 +442,7 @@ func (eng *lrppEngine) collectResult(trainers []*lrppTrainer, stats []core.IterS
 		}
 		res.Evicted += t.evictedRows
 		res.Stages.Trainers = append(res.Stages.Trainers, t.clock.snapshot(t.p))
+		res.Depths = append(res.Depths, t.depth)
 		res.PeakCache += t.part.peak
 		res.Transport.Add(t.tr.Stats())
 		addTierHealth(res, t.tr)
@@ -481,11 +497,22 @@ func (t *lrppTrainer) run(plans planSource) {
 	t.recvWG.Wait()
 }
 
+// admitFloor is the admission depth a trainer starts at, capped at ℒ. The
+// depth bounds how early a prefetch is issued, so it is memory, not
+// consistency: every iteration admitted ahead holds its plan, its fetched
+// rows and its batch. From 4 the depth never grew on a benchmark shape,
+// where a fetch lands within one iteration. A floor of 2 held no less
+// memory on serve-live (a 42.2 MB peak either way over three pairs), and
+// one set of runs saw it cost that workload's training rate and serving
+// p95, so the floor is 4.
+const admitFloor = 4
+
 // startDispatcher runs the per-trainer prefetch front end: it admits one
 // iteration per lookahead token (the ℒ-deep consistency window over this
-// partition), files its plan in the iteration's record, and fetches its
-// owned misses concurrently with earlier iterations' compute, delivering
-// rows through the record's future.
+// partition) and depth credit (at most D admitted and not yet routed), files
+// its plan in the iteration's record, and fetches its owned misses
+// concurrently with earlier iterations' compute, delivering rows through
+// the record's future.
 func (t *lrppTrainer) startDispatcher(plans planSource) <-chan *iterRec {
 	eng := t.eng
 	workCh := make(chan *iterRec, eng.L)
@@ -499,7 +526,9 @@ func (t *lrppTrainer) startDispatcher(plans planSource) <-chan *iterRec {
 			}
 			mark = t.clock.lap(StageWaitPlan, mark)
 			<-t.tokens
-			t.clock.lap(StageWaitToken, mark)
+			mark = t.clock.lap(StageWaitToken, mark)
+			<-t.credits
+			t.clock.lap(StageWaitDepth, mark)
 			t.mu.Lock()
 			rec := t.ring.at(pl.Dec.Iter)
 			rec.plan = pl
@@ -572,8 +601,9 @@ func (t *lrppTrainer) startReceiver() {
 				// One coalesced frame, several iterations' flushes: deposits
 				// are keyed by (id, iteration, sender), so table order is
 				// irrelevant. As with replica pushes the flush transfers
-				// ownership of its pooled runs and partials: the merges
-				// adopt the partials, the emptied runs go back here.
+				// ownership of its pooled runs, partials and flush list: the
+				// merges adopt the partials, the emptied runs and the list go
+				// back here.
 				t.mu.Lock()
 				for _, f := range pl.Flushes {
 					for i, id := range f.IDs {
@@ -591,6 +621,7 @@ func (t *lrppTrainer) startReceiver() {
 					transport.PutRowSlice(f.Partials)
 					transport.PutIDs(f.IDs)
 				}
+				transport.PutSyncList(pl.Flushes)
 			case transport.PlanMsg:
 				// Worker mode only: the rank-0 process streams oracle plans
 				// to the other ranks.
@@ -625,7 +656,8 @@ func (t *lrppTrainer) startFlusher() {
 	t.flushWG.Add(1)
 	go func() {
 		defer t.flushWG.Done()
-		// pass accumulates one flush pass's per-owner iteration tables; the
+		// pass accumulates one flush pass's per-owner iteration tables, in
+		// pooled flush lists that transfer to the owner with the frame; the
 		// urgent/delayed counters keep their historical granularity (one
 		// per non-empty per-owner table) even though the frames coalesce.
 		pass := make([][]transport.SyncMsg, eng.P)
@@ -633,6 +665,9 @@ func (t *lrppTrainer) startFlusher() {
 			for o := range runs {
 				if len(runs[o].IDs) == 0 {
 					continue
+				}
+				if pass[o] == nil {
+					pass[o] = transport.GetSyncList(0)
 				}
 				runs[o].Iter = iter
 				pass[o] = append(pass[o], runs[o])
@@ -655,7 +690,9 @@ func (t *lrppTrainer) startFlusher() {
 				pass[o] = nil
 			}
 		}
-		var backlog []*flushItem
+		// backlog holds the items whose lazy half is still to ship, at most
+		// lag+1 of them, in one array that never regrows.
+		backlog := make([]*flushItem, 0, eng.lag+2)
 		for it := range t.flushQ {
 			start := time.Now()
 			collect(it.urgent, it.iter, true)
@@ -663,7 +700,7 @@ func (t *lrppTrainer) startFlusher() {
 			for len(backlog) > 0 && backlog[0].iter <= it.iter-eng.lag {
 				done := backlog[0]
 				collect(done.lazy, done.iter, false)
-				backlog = backlog[1:]
+				backlog = append(backlog[:0], backlog[1:]...)
 				// Both halves now belong to pass: hand the emptied item back.
 				select {
 				case t.flushFree <- done:
@@ -791,9 +828,21 @@ func (t *lrppTrainer) stage(rec *iterRec) {
 
 	// 2. Insert the prefetched owned rows. The partition adopts the row
 	// buffers by reference (they return to the arena at write-back); the
-	// fetch's header slice is dead after the loop, so recycle it.
+	// fetch's header slice is dead after the loop, so recycle it. Rows not
+	// yet arrived once the pipeline has filled (x past the first D
+	// admissions) mean the prefetch was issued too late: deepen the
+	// admission by one, up to ℒ, before waiting.
 	mark := time.Now()
-	rows := <-rec.rows
+	var rows [][]float32
+	select {
+	case rows = <-rec.rows:
+	default:
+		if x >= t.depth && t.depth < eng.L {
+			t.depth++
+			t.credits <- struct{}{}
+		}
+		rows = <-rec.rows
+	}
 	waitRows := time.Since(mark)
 	t.mu.Lock()
 	k := 0
@@ -1007,6 +1056,7 @@ func (t *lrppTrainer) compute(rec *iterRec, mark time.Time) time.Time {
 	t.maybeEmitLocked(rec)
 	t.mu.Unlock()
 	t.handBack(pl)
+	t.credits <- struct{}{}
 	t.flushQ <- fi
 	t.routedCh <- struct{}{}
 	mark = t.clock.lap(StageRoute, mark)
@@ -1048,13 +1098,15 @@ func (t *lrppTrainer) compute(rec *iterRec, mark time.Time) time.Time {
 // touches dense state only and retirement only the evictions. A plan the
 // oracle cut returns to it once every trainer has handed its plan back (in
 // one process, over the in-process and simulated meshes, which pass plans
-// by pointer, that is each reader's own routing); a plan decoded into the
-// plan ring's slot frees the slot's buffer.
+// by pointer, that is each reader's own routing); a plan decoded into a
+// plan ring buffer frees the buffer, last: the receiver may decode the next
+// plan into it at once.
 func (t *lrppTrainer) handBack(pl *core.Plan) {
-	if t.plans != nil {
-		t.plans.handBack(pl)
-	}
+	x := pl.Dec.Iter
 	pl.Release()
+	if t.plans != nil {
+		t.plans.handBack(x, pl)
+	}
 }
 
 // collWait returns how much of collective round x, which this trainer

@@ -45,6 +45,9 @@ const unclaimed = -1
 // Live iterations lie in [r, r+ℒ+1], ℒ+2 apart at most, so no two share a
 // record. With trainer 0's write-backs delayed, pushes were measured
 // arriving ℒ ahead of r: ℒ+1 records is the observed floor, ℒ+2 the bound.
+// The admission depth D does not shorten it: it bounds admissions past the
+// oldest unrouted iteration, and retirement lags routing by as much as the
+// write-backs do, up to the ℒ tokens.
 // Sync flushes are not filed here: a peer's deferred partial for x may land
 // after x retired (x waits only for its expiring rows' merges), so the
 // receiver resolves them through the partition's id table.
@@ -277,30 +280,34 @@ func (c planChan) take() (*core.Plan, bool) {
 // planRing re-sequences the oracle plans a worker of rank ≥ 1 receives over
 // the mesh: the fabric may reorder them, the dispatcher drains them in
 // iteration order. The receiver files plan x at x mod N and the dispatcher
-// clears the slot as it takes the plan. With n the next iteration to drain
-// and lead = planQueue(ℒ):
+// clears the slot as it takes the plan. With n the next iteration to drain,
+// lead = planQueue(ℒ), and D rank 0's admission depth (D ≤ ℒ):
 //
-//   - rank 0's dispatcher holds at most plan r+ℒ, with r its oldest
-//     unretired iteration: it admits one iteration per token, ℒ tokens,
-//     and takes the next plan before waiting for a token. Its channel
-//     queues lead more, and the oracle ships a plan to the peers before it
-//     queues it locally, so a peer has at most plan r+ℒ+lead+1.
-//   - Rank 0 retired r−1, so it routed r−1 in compute(r−1), which began
-//     after compute(r−2) and its collective round, whose root waits for
-//     this rank's compute(r−2) contribution. So this rank routed r−2 (its
-//     compute routes before it contributes), and n ≥ r−1.
+//   - rank 0's dispatcher holds at most plan u+D, with u its oldest
+//     unrouted iteration: it admits an iteration only with a depth credit,
+//     D of them, returned as it routes, and takes the next plan before
+//     waiting for one (its ℒ tokens bound it as well, and more loosely).
+//     Its channel queues lead more, and the oracle ships a plan to the
+//     peers before it queues it locally, so a peer has at most plan
+//     u+D+lead+1.
+//   - Rank 0 routed u−1 in compute(u−1), which began after compute(u−2)
+//     and its collective round, whose root waits for this rank's
+//     compute(u−2) contribution. So this rank routed u−2 (its compute
+//     routes before it contributes), and n ≥ u−1.
 //
-// Undrained plans therefore lie in [n, n+ℒ+lead+2], and N = ℒ+lead+3 slots
-// hold them apart. put refuses a plan outside that window or the run, and
-// a second plan for one iteration: a peer sending either is broken, and a
-// plan the dispatcher would never drain is memory held for good.
+// Undrained plans therefore lie in [n, n+D+lead+2], and N = ℒ+lead+3 slots
+// hold them apart at any depth. put refuses a plan outside that window or
+// the run, and a second plan for one iteration: a peer sending either is
+// broken, and a plan the dispatcher would never drain is memory held for
+// good.
 //
-// On a fabric that decodes plans (TCP), slot x mod N also owns the buffer
-// plan x decodes into (buf). Its previous plan, x−N ≤ r−2, was routed here
-// before x could arrive, and a trainer reads its plan last when it routes
-// the iteration and then hands it back (handBack): so the buffer is free
-// whenever the bound holds. buf checks it anyway, and a plan whose slot is
-// still held, or outside the window, decodes into a fresh buffer.
+// On a fabric that decodes plans (TCP), plan x decodes into a buffer from
+// the ring's free list (buf), which slot x mod N holds until this trainer
+// routes x and hands the plan back (handBack). A held plan is one not yet
+// routed here, so its iteration is at least u−1 by the argument above:
+// held plans lie in [u−1, u+D+lead+1], and the ring makes at most D+lead+3
+// buffers, not one per slot. buf checks the slot anyway, and a plan whose
+// slot is still held, or outside the window, decodes into a fresh buffer.
 type planRing struct {
 	rank int
 	mu   sync.Mutex
@@ -308,37 +315,46 @@ type planRing struct {
 	next int // the next iteration the dispatcher drains
 	end  int // the run's iteration count
 	ring []*core.Plan
-	bufs []transport.PlanBuf
-	held []bool // held[i]: bufs[i] holds a plan not yet handed back
+	held []*transport.PlanBuf // held[i]: the buffer slot i's plan decoded into, until handed back
+	free []*transport.PlanBuf // buffers no plan holds
 }
 
 func newPlanRing(rank, L, iters int) *planRing {
 	n := L + planQueue(L) + 3
-	r := &planRing{rank: rank, end: iters, ring: make([]*core.Plan, n), bufs: make([]transport.PlanBuf, n), held: make([]bool, n)}
+	r := &planRing{rank: rank, end: iters, ring: make([]*core.Plan, n), held: make([]*transport.PlanBuf, n)}
 	r.cond.L = &r.mu
 	return r
 }
 
-// buf returns the buffer plan x decodes into, nil when x is outside the
-// window or its slot's buffer is still held (the mesh receiver of a
-// decoding fabric, before put).
+// buf returns a free buffer for plan x to decode into, nil when x is
+// outside the window or its slot still holds a buffer (the mesh receiver of
+// a decoding fabric, before put).
 func (r *planRing) buf(x int) *transport.PlanBuf {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	i := x % len(r.ring)
-	if x < r.next || x >= r.end || x >= r.next+len(r.ring) || r.ring[i] != nil || r.held[i] {
+	if x < r.next || x >= r.end || x >= r.next+len(r.ring) || r.ring[i] != nil || r.held[i] != nil {
 		return nil
 	}
-	r.held[i] = true
-	return &r.bufs[i]
+	var b *transport.PlanBuf
+	if n := len(r.free); n > 0 {
+		b, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		b = new(transport.PlanBuf)
+	}
+	r.held[i] = b
+	return b
 }
 
-// handBack frees pl's buffer for a later plan when pl was decoded into one.
-func (r *planRing) handBack(pl *core.Plan) {
-	i := pl.Dec.Iter % len(r.ring)
+// handBack returns the buffer of plan x, pl, to the free list when pl was
+// decoded into one. It does not read pl, which its oracle may already have
+// reused when pl was not decoded.
+func (r *planRing) handBack(x int, pl *core.Plan) {
+	i := x % len(r.ring)
 	r.mu.Lock()
-	if r.bufs[i].Plan() == pl {
-		r.held[i] = false
+	if b := r.held[i]; b != nil && b.Plan() == pl {
+		r.held[i] = nil
+		r.free = append(r.free, b)
 	}
 	r.mu.Unlock()
 }

@@ -32,7 +32,8 @@ const (
 	StageWaitRows     Stage = numLoopStages + iota // stager: prefetched rows
 	StageWaitMerges                                // stager: earlier merges on the rows it uses
 	StageWaitPlan                                  // dispatcher: the next plan (the mesh's, in worker mode)
-	StageWaitToken                                 // dispatcher: a lookahead token
+	StageWaitToken                                 // dispatcher: a lookahead token (the ℒ window)
+	StageWaitDepth                                 // dispatcher: a depth credit (at most D admitted and unrouted)
 	StageBusyDispatch                              // dispatcher: prefetches in flight, summed over concurrent ones
 	StageBusyStager                                // stager: stage(x) less its two waits
 	StageBusyFlusher
@@ -44,7 +45,7 @@ const (
 var stageNames = [NumStages]string{
 	"handoff", "forward-dense", "wait-stage", "wait-replicas", "sparse",
 	"route", "backward-dense", "coll-wait", "coll-fold", "step",
-	"wait-rows", "wait-merges", "wait-plan", "wait-token",
+	"wait-rows", "wait-merges", "wait-plan", "wait-token", "wait-depth",
 	"busy-dispatch", "busy-stager", "busy-flusher", "busy-receiver", "busy-maint",
 }
 

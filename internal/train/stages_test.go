@@ -10,8 +10,10 @@ import (
 
 // The stage clock partitions every trainer loop: the loop stages' shares sum
 // to 1 and the loop's wall time fits in the run's. In both engine modes the
-// compute stages, the collective and the service goroutines are charged, and
-// the process CPU is read where getrusage exists.
+// compute stages, the collective, the service goroutines and the
+// dispatcher's two admission waits (the ℒ window's token, the depth's
+// credit) are charged, each trainer reports an admission depth in [floor,
+// ℒ], and the process CPU is read where getrusage exists.
 func TestStageClock(t *testing.T) {
 	cfg := tinyConfig()
 	check := func(t *testing.T, res *Result, want ...int) {
@@ -39,13 +41,21 @@ func TestStageClock(t *testing.T) {
 			if ts.Loop() > res.Elapsed {
 				t.Errorf("trainer %d: loop %v outlasts the run's %v", ts.Trainer, ts.Loop(), res.Elapsed)
 			}
-			for _, s := range []Stage{StageForwardDense, StageSparse, StageBackwardDense, StageStep, StageBusyStager, StageBusyMaint} {
+			for _, s := range []Stage{StageForwardDense, StageSparse, StageBackwardDense, StageStep, StageBusyStager, StageBusyMaint, StageWaitToken, StageWaitDepth} {
 				if ts.Time[s] <= 0 {
 					t.Errorf("trainer %d: %v never charged", ts.Trainer, s)
 				}
 			}
 			if ts.Time[StageCollWait]+ts.Time[StageCollFold] <= 0 {
 				t.Errorf("trainer %d: the collective never charged", ts.Trainer)
+			}
+		}
+		if len(res.Depths) != len(want) {
+			t.Fatalf("%d admission depths for %d trainers", len(res.Depths), len(want))
+		}
+		for i, d := range res.Depths {
+			if d < min(cfg.LookAhead, admitFloor) || d > cfg.LookAhead {
+				t.Errorf("trainer %d: admission depth %d outside [%d, ℒ = %d]", want[i], d, min(cfg.LookAhead, admitFloor), cfg.LookAhead)
 			}
 		}
 		if runtime.GOOS == "linux" && st.CPU <= 0 {

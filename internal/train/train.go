@@ -181,6 +181,10 @@ type Result struct {
 	// trainer's time went, and the process CPU over the run. Empty for the
 	// baseline engine.
 	Stages Stages
+	// Depths is each hosted trainer's admission depth D at the end of the
+	// run, in Stages.Trainers order: how many iterations it admitted ahead
+	// of routing (at most ℒ, see admitFloor). Empty for the baseline engine.
+	Depths []int
 
 	Transport transport.Stats
 	// StoreServers splits the embedding-tier traffic by backend server:

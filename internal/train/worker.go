@@ -81,6 +81,12 @@ func planMsgBytes(pl *core.Plan, neededNext int) int64 {
 // returns (a TCPMesh still carries peers' teardown traffic when this
 // trainer finishes first).
 func RunLRPPWorker(cfg Config, rank int, tr transport.Store, mesh transport.Mesh) (*Result, error) {
+	return runLRPPWorker(cfg, rank, tr, mesh, nil)
+}
+
+// runLRPPWorker is RunLRPPWorker with a seam for the package's tests: prep,
+// when non-nil, sees the trainer once it is wired, before it starts.
+func runLRPPWorker(cfg Config, rank int, tr transport.Store, mesh transport.Mesh, prep func(*lrppTrainer)) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -159,6 +165,9 @@ func RunLRPPWorker(cfg Config, rank int, tr transport.Store, mesh transport.Mesh
 		}
 	}
 
+	if prep != nil {
+		prep(t)
+	}
 	start, cpu0 := time.Now(), processCPU()
 	t.run(src)
 	mesh.Quiesce()

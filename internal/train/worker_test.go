@@ -19,6 +19,12 @@ import (
 // with its own transport, and returns the per-rank results.
 func runWorkers(t *testing.T, cfg Config, trs []transport.Store, mesh transport.Mesh) []*Result {
 	t.Helper()
+	return runWorkersPrep(t, cfg, trs, mesh, nil)
+}
+
+// runWorkersPrep is runWorkers with runLRPPWorker's prep seam.
+func runWorkersPrep(t *testing.T, cfg Config, trs []transport.Store, mesh transport.Mesh, prep func(*lrppTrainer)) []*Result {
+	t.Helper()
 	P := cfg.NumTrainers
 	results := make([]*Result, P)
 	errs := make([]error, P)
@@ -27,7 +33,7 @@ func runWorkers(t *testing.T, cfg Config, trs []transport.Store, mesh transport.
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			results[p], errs[p] = RunLRPPWorker(cfg, p, trs[p], mesh)
+			results[p], errs[p] = runLRPPWorker(cfg, p, trs[p], mesh, prep)
 		}(p)
 	}
 	wg.Wait()
@@ -270,7 +276,9 @@ func (g gatedStore) Write(ids []uint64, rows [][]float32) {
 // TestPlanLeadBounded pins how far the oracle runs ahead of trainers that
 // cannot retire. Every write-back blocks, and iteration 0 evicts rows on
 // every trainer (uniform draws over tables far larger than a window), so no
-// token returns: each dispatcher admits iterations 0..ℒ−1 and holds plan ℒ,
+// token returns. Depth credits still do, since routing waits for no
+// write-back, so the tokens stop admission: each dispatcher admits
+// iterations 0..ℒ−1 and holds plan ℒ, however deep its admission depth,
 // its channel queues lead = min(ℒ, planLead) more, and the oracle blocks
 // queueing decision ℒ+lead+1. Each Next tops its window up to ℒ batches
 // from the decided one, so the generator has then made 2ℒ+lead+1 batches
@@ -357,23 +365,57 @@ func TestPlanLeadBounded(t *testing.T) {
 
 // TestPlanRingUnderSkew runs workers whose rank 1 retires late (every
 // write-back 3 ms slow), so rank 0's oracle runs as far ahead of rank 1's
-// dispatcher as the collectives allow: the case planRing's bound is derived
-// for. Measured, plans arrived up to ℒ+lead+1 iterations ahead of the
-// drain, inside the ring's ℒ+lead+3 slots; a plan outside them panics. The
-// run must end bit-identical to the baseline.
+// dispatcher as the collectives allow: the case planRing's bounds are
+// derived for. Measured at ℒ = 4, plans arrived up to ℒ+lead+1 iterations
+// ahead of the drain, inside the ring's ℒ+lead+3 slots; a plan outside them
+// panics. Over loopback TCP, where rank 1 decodes every plan into a buffer
+// of its ring, it never makes more than D+lead+3 buffers, D rank 0's
+// admission depth: at ℒ = 16 that is fewer than the ring's slots. Every run
+// must end bit-identical to the baseline.
 func TestPlanRingUnderSkew(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.LookAhead = 4
-	cfg.NumBatches = 60
-	srvBase := newServer(cfg.Spec, 3)
-	if _, err := RunBaseline(cfg, transport.NewInProcess(srvBase)); err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(cfg.Spec, 3)
-	trs := newStores(srv, cfg.NumTrainers)
-	trs[1] = skewStore{trs[1], 3 * time.Millisecond}
-	runWorkers(t, cfg, trs, transport.NewInprocMesh(cfg.NumTrainers))
-	if d := embed.Diff(srvBase, srv); len(d) != 0 {
-		t.Fatalf("embedding state diverged at %d ids (first: %v)", len(d), d[0])
+	for _, fabric := range []string{"inproc", "tcp"} {
+		for _, L := range []int{4, 16} {
+			t.Run(fmt.Sprintf("%s_L%d", fabric, L), func(t *testing.T) {
+				cfg := tinyConfig()
+				cfg.LookAhead = L
+				cfg.NumBatches = 60
+				srvBase := newServer(cfg.Spec, 3)
+				if _, err := RunBaseline(cfg, transport.NewInProcess(srvBase)); err != nil {
+					t.Fatal(err)
+				}
+				srv := newServer(cfg.Spec, 3)
+				trs := newStores(srv, cfg.NumTrainers)
+				trs[1] = skewStore{trs[1], 3 * time.Millisecond}
+				var mesh transport.Mesh = transport.NewInprocMesh(cfg.NumTrainers)
+				if fabric == "tcp" {
+					lb, err := transport.NewLoopbackTCPMesh(cfg.NumTrainers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer lb.Shutdown()
+					mesh = lb
+				}
+				var ring *planRing
+				res := runWorkersPrep(t, cfg, trs, mesh, func(tr *lrppTrainer) {
+					if tr.p == 1 {
+						ring = tr.plans
+					}
+				})
+				if d := embed.Diff(srvBase, srv); len(d) != 0 {
+					t.Fatalf("embedding state diverged at %d ids (first: %v)", len(d), d[0])
+				}
+				// Every plan was routed and handed back, so every buffer the
+				// ring made is on its free list.
+				made := len(ring.free)
+				bound := res[0].Depths[0] + planQueue(L) + 3
+				t.Logf("rank 1 made %d plan buffers for %d slots; rank 0 depth %d, bound D+lead+3 = %d", made, len(ring.ring), res[0].Depths[0], bound)
+				if made > bound {
+					t.Errorf("rank 1 made %d plan buffers, want at most D+lead+3 = %d", made, bound)
+				}
+				if fabric == "tcp" && made == 0 {
+					t.Error("rank 1 decoded no plan into its ring over TCP")
+				}
+			})
+		}
 	}
 }

@@ -211,10 +211,9 @@ func decodePayload(b []byte, slots PlanSlots) (any, error) {
 	case tagReplica:
 		out = r.replica()
 	case tagSyncBatch:
-		n := r.count(17)
-		m := SyncBatchMsg{Flushes: make([]SyncMsg, 0, n)}
-		for i := 0; i < n; i++ {
-			m.Flushes = append(m.Flushes, r.sync())
+		m := SyncBatchMsg{Flushes: GetSyncList(r.count(17))}
+		for i := range m.Flushes {
+			m.Flushes[i] = r.sync()
 		}
 		out = m
 	case tagPlan:

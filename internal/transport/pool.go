@@ -177,6 +177,7 @@ func ReleasePayload(p any) {
 		for _, f := range m.Flushes {
 			releaseRun(f.IDs, f.Partials)
 		}
+		PutSyncList(m.Flushes)
 	case FusedCollMsg:
 		for _, s := range m.Segs {
 			if len(s) > 0 {
@@ -240,6 +241,7 @@ func (p *slicePool[T]) put(h []T) {
 var (
 	rowSlicePool slicePool[[]float32]
 	idSlicePool  slicePool[uint64]
+	syncListPool slicePool[SyncMsg]
 )
 
 // GetRowSlice returns a [][]float32 of length n with all-nil slots. The
@@ -257,6 +259,14 @@ func GetIDs(n int) []uint64 { return idSlicePool.get(n) }
 
 // PutIDs returns an id slice to the pool.
 func PutIDs(ids []uint64) { idSlicePool.put(ids) }
+
+// GetSyncList returns a flush list of length n with zeroed entries — the
+// Flushes of a SyncBatchMsg, which transfers with the message.
+func GetSyncList(n int) []SyncMsg { return syncListPool.get(n) }
+
+// PutSyncList returns a flush list to the pool, clearing its entries. The
+// runs they named are unaffected: their owner releases them separately.
+func PutSyncList(l []SyncMsg) { syncListPool.put(l) }
 
 // bufPool recycles encoded frames: class c holds buffers whose capacity is
 // at least minPooledBuf<<c, so any buffer in class bufClass(n) fits n bytes.
