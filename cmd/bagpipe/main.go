@@ -60,7 +60,7 @@ var (
 	batches   = flag.Int("batches", 50, "number of iterations to train")
 	lookahd   = flag.Int("lookahead", 32, "oracle lookahead window in batches (paper default 200)")
 	trainers  = flag.Int("trainers", 2, "trainer processes (LRPP cache partitions / data-parallel ranks)")
-	partFl    = flag.String("partitioner", "hash", "batch partitioner: hash (contiguous split over hash-partitioned caches), roundrobin, comm-aware")
+	partFl    = flag.String("partitioner", "comm-aware", "example placement over hash-partitioned caches: comm-aware (fewest cross-trainer rows), hash (the paper's contiguous split), roundrobin")
 	eager     = flag.Bool("eager-sync", false, "lrpp: flush all cross-trainer sync on the critical path instead of delaying it")
 	autoLook  = flag.Bool("auto-lookahead", false, "pick ℒ at startup from measured iteration time, link RTT, and -cache-rows (overrides -lookahead)")
 	cacheRws  = flag.Int("cache-rows", 0, "auto-lookahead: trainer cache budget in rows (0 = 1/4 of the scaled table rows)")
@@ -1585,19 +1585,18 @@ func specByName(name string) (*data.Spec, error) {
 	return nil, fmt.Errorf("unknown dataset %q", name)
 }
 
-// partitionerByName resolves the partitioner flag. "hash" is the LRPP
-// default: contiguous example split, rows hash-partitioned across trainer
-// caches (ownership is always by hash; the flag picks example placement).
+// partitionerByName resolves the partitioner flag, which picks example
+// placement only: rows are always hash-partitioned across trainer caches.
+// "comm-aware" is the engine default, core.DefaultPartitioner; "hash" is
+// the paper's contiguous split.
 func partitionerByName(name string) (core.Partitioner, error) {
 	switch name {
-	case "hash", "contiguous", "":
-		return nil, nil // engine default: core.Contiguous
+	case "comm-aware", "":
+		return nil, nil // engine default: core.CommAware
+	case "hash", "contiguous":
+		return core.Contiguous{}, nil
 	case "roundrobin":
 		return core.RoundRobin{}, nil
-	case "comm-aware":
-		// Empty seen-set: ownership resolves through the hash fallback,
-		// matching where the LRPP cache actually places every row.
-		return &core.CommAware{Own: core.Ownership{}}, nil
 	}
 	return nil, fmt.Errorf("unknown partitioner %q", name)
 }

@@ -66,10 +66,11 @@ func BenchmarkCacheGet(b *testing.B) {
 // Both build a fresh oracle per op, so their B/op is one stream's
 // decisions and plans plus the window's warm-up growth: the id table, the
 // slot slab and the window buffers, which a long run allocates only once.
-// steady-uniform-L32-P2 is the long run: one warmed oracle over the
-// uniform stream, replayed in a cycle, where each op is one decision's
-// Next, Plans(2) and Recycle, and the hand-back of both plans: the
-// engine's oracle loop.
+// steady-uniform-L32-P2 and steady-hottail-L32-P2 are the long run: one
+// warmed oracle over the uniform or the hot-tail stream, replayed in a
+// cycle, where each op is one decision's Next, Plans(2) and Recycle, and
+// the hand-back of both plans: the engine's oracle loop, placement
+// included.
 func BenchmarkOracleLookahead(b *testing.B) {
 	const batchSize, nBatches = 256, 64
 	uniform := data.CriteoKaggle().Scaled(100).WithEmbDim(16).WithDist(data.Uniform{})
@@ -97,19 +98,27 @@ func BenchmarkOracleLookahead(b *testing.B) {
 			b.ReportMetric(float64(nBatches), "decisions/op")
 		})
 	}
-	b.Run("steady-uniform-L32-P2", func(b *testing.B) {
-		o := warmOracle(genBatches(uniform, nBatches, batchSize), 32, 2)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			d, _ := o.Next()
-			plans := d.Plans(2)
-			o.Recycle(d)
-			for _, pl := range plans {
-				pl.Release()
+	for _, c := range []struct {
+		name string
+		spec *data.Spec
+	}{
+		{"steady-uniform-L32-P2", uniform},
+		{"steady-hottail-L32-P2", data.CriteoKaggle().Scaled(100).WithEmbDim(16)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			o := warmOracle(genBatches(c.spec, nBatches, batchSize), 32, 2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				d, _ := o.Next()
+				plans := d.Plans(2)
+				o.Recycle(d)
+				for _, pl := range plans {
+					pl.Release()
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // genBatches pre-generates n batches of spec's stream.

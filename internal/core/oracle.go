@@ -218,10 +218,11 @@ func (d *Decision) Stats(cacheOccupancy int) IterStats {
 // enters the window, into a private slot that lives until the id's last
 // window use has been decided; the IDTable recycles slots, so their number
 // is bounded by the distinct ids of one window. Everything Next computes
-// per id — last use, residency, the users of the current batch, membership
-// of the next batch — is a field of that slot, and each window batch's
-// distinct ids are grouped by a radix sort, so the walk consults no Go map
-// and sorts nothing by comparison.
+// per id — last use, residency, membership of the next batch — is a field
+// of that slot; the users of the current batch are a word per row of its
+// batchRows, the accesses resolved at fill time that CommAware places by.
+// Each window batch's distinct ids are grouped by a radix sort, so the walk
+// consults no Go map and sorts nothing by comparison.
 type Oracle struct {
 	// LookAhead is ℒ: the size of the inspection window in batches,
 	// counting the current batch, exactly as in Algorithm 1's
@@ -231,8 +232,8 @@ type Oracle struct {
 	LookAhead int
 	// NumTrainers is the trainer count used for LRPP annotations.
 	NumTrainers int
-	// Partitioner assigns batch examples to trainers; nil means contiguous
-	// equal chunks (Bagpipe's default).
+	// Partitioner assigns batch examples to trainers; nil means
+	// DefaultPartitioner.
 	Partitioner Partitioner
 
 	src      BatchSource
@@ -248,6 +249,9 @@ type Oracle struct {
 	epoch uint32   // stamp generator: every fill and every Next draws a fresh one
 	radix []idSlot // SortByID's scratch, swapped with each filled window's uniq
 
+	users  []Ranks // the trainers touching each row of the batch being decided
+	placer Placer  // CommAware's scratch
+
 	cached int // ids the oracle considers resident (Algorithm 1's InCache)
 	peak   int
 }
@@ -255,21 +259,24 @@ type Oracle struct {
 // oracleSlot is one interned id's state.
 type oracleSlot struct {
 	last   int    // newest window batch using the id: its TTL
-	users  Ranks  // trainers touching it in the batch being decided
 	stamp  uint32 // epoch of the last fill or next-batch mark that saw it
+	row    int32  // the id's row in the batch being filled
+	owner  uint8  // OwnerOf(id, NumTrainers)
 	cached bool
 }
 
-// window is one queued batch with its accesses resolved to slots.
+// window is one queued batch with its accesses resolved to batch-local
+// rows, the numbering CommAware places by.
 type window struct {
 	b    *data.Batch
-	acc  []int32  // slot of every categorical access, example-major
+	rows batchRows
 	uniq []idSlot // the batch's distinct ids, ascending
 }
 
 type idSlot struct {
 	id   uint64
 	slot int32
+	row  int32
 }
 
 // NewOracle returns an Oracle over src with lookahead l for numTrainers
@@ -298,7 +305,7 @@ func (o *Oracle) intern(id uint64) int32 {
 		if int(s) == len(o.slots) {
 			o.slots = append(o.slots, oracleSlot{})
 		}
-		o.slots[s] = oracleSlot{}
+		o.slots[s] = oracleSlot{owner: uint8(OwnerOf(id, o.NumTrainers))}
 	}
 	return s
 }
@@ -322,22 +329,29 @@ func (o *Oracle) fill() {
 		} else {
 			w = new(window)
 		}
-		w.b, w.acc, w.uniq = b, w.acc[:0], w.uniq[:0]
+		w.b = b
 		o.epoch++
 		var top uint64 // the OR of the distinct ids: the largest one's bit length
+		br := &w.rows
+		acc, owner, start := br.grow(b), br.owner[:0], br.start[:0]
+		uniq, k := w.uniq[:0], 0
 		for _, ex := range b.Examples {
+			start = append(start, int32(len(owner)))
 			for _, id := range ex.Cat {
 				s := o.intern(id)
-				w.acc = append(w.acc, s)
-				if sl := &o.slots[s]; sl.stamp != o.epoch {
-					sl.stamp = o.epoch
-					sl.last = b.Index
-					w.uniq = append(w.uniq, idSlot{id, s})
+				sl := &o.slots[s]
+				if sl.stamp != o.epoch {
+					sl.stamp, sl.last, sl.row = o.epoch, b.Index, int32(len(owner))
+					uniq = append(uniq, idSlot{id, s, sl.row})
+					owner = append(owner, sl.owner)
 					top |= id
 				}
+				acc[k] = sl.row
+				k++
 			}
 		}
-		w.uniq, o.radix = SortByID(w.uniq, o.radix, top, func(u *idSlot) uint64 { return u.id })
+		br.owner, br.start = owner, start
+		w.uniq, o.radix = SortByID(uniq, o.radix, top, func(u *idSlot) uint64 { return u.id })
 		o.queue = append(o.queue, w)
 	}
 }
@@ -358,17 +372,11 @@ func (o *Oracle) Next() (*Decision, bool) {
 	o.queue[len(o.queue)-1] = nil
 	o.queue = o.queue[:len(o.queue)-1]
 
-	p := o.Partitioner
-	if p == nil {
-		p = Contiguous{}
-	}
-	// Reset the users of the batch's ids, counting the ones not resident:
-	// they are the prefetch list's exact length.
+	// Count the batch's ids not resident: they are the prefetch list's
+	// exact length.
 	misses := 0
 	for _, u := range cur.uniq {
-		sl := &o.slots[u.slot]
-		sl.users = 0
-		if !sl.cached {
+		if !o.slots[u.slot].cached {
 			misses++
 		}
 	}
@@ -382,7 +390,11 @@ func (o *Oracle) Next() (*Decision, bool) {
 		d.set = o.plans.get()
 	}
 	h := &d.set.hdr
-	h.Assign = assignInto(p, h.Assign, cur.b, o.NumTrainers)
+	if isCommAware(o.Partitioner) {
+		h.Assign = o.placer.place(h.Assign, cur.b, &cur.rows, o.NumTrainers)
+	} else {
+		h.Assign = assignInto(o.Partitioner, h.Assign, cur.b, o.NumTrainers)
+	}
 	d.Iter, d.Batch, d.Assign = cur.b.Index, cur.b, h.Assign
 	d.IDs, d.TTL = slices.Grow(d.IDs[:0], n)[:n], slices.Grow(d.TTL[:0], n)[:n]
 	d.Users, d.NeededNext = slices.Grow(d.Users[:0], n)[:n], slices.Grow(d.NeededNext[:0], n)[:n]
@@ -391,11 +403,13 @@ func (o *Oracle) Next() (*Decision, bool) {
 	} else {
 		d.Prefetch = slices.Grow(d.Prefetch[:0], misses)
 	}
+	o.users = slices.Grow(o.users[:0], n)[:n]
+	clear(o.users)
 	k := 0
 	for i, ex := range cur.b.Examples {
 		bit := Ranks(1) << uint(d.Assign[i])
 		for range ex.Cat {
-			o.slots[cur.acc[k]].users |= bit
+			o.users[cur.rows.acc[k]] |= bit
 			k++
 		}
 	}
@@ -407,7 +421,7 @@ func (o *Oracle) Next() (*Decision, bool) {
 	}
 	for j, u := range cur.uniq {
 		sl := &o.slots[u.slot]
-		d.IDs[j], d.TTL[j], d.Users[j] = u.id, sl.last, sl.users
+		d.IDs[j], d.TTL[j], d.Users[j] = u.id, sl.last, o.users[u.row]
 		d.NeededNext[j] = sl.last != d.Iter && sl.stamp == o.epoch
 		if !sl.cached {
 			d.Prefetch = append(d.Prefetch, u.id)

@@ -104,7 +104,7 @@ func (o *refOracle) Next() (*refDecision, bool) {
 
 	p := o.Partitioner
 	if p == nil {
-		p = Contiguous{}
+		p = DefaultPartitioner
 	}
 	d.Assign = p.Assign(d.Batch, o.NumTrainers)
 	d.UsedBy = usedBy(d.Batch, d.Assign)
@@ -348,7 +348,7 @@ func randomStream(seed uint64, n, size int, vocab uint64) []*data.Batch {
 // Criteo-shaped hot-tail and uniform streams at its batch size and window.
 func TestFlatOracleMatchesReference(t *testing.T) {
 	for p := 1; p <= 4; p++ {
-		parts := []Partitioner{Contiguous{}, RoundRobin{}, &CommAware{Own: Ownership{}}}
+		parts := []Partitioner{Contiguous{}, RoundRobin{}, CommAware{}}
 		for _, part := range parts {
 			for l := 1; l <= 5; l++ {
 				matchReference(t, randomStream(uint64(100*p+l), 14, 8, 40), l, p, part)
@@ -383,7 +383,7 @@ func FuzzOracleMatchesReference(f *testing.F) {
 		case 1:
 			part = RoundRobin{}
 		case 2:
-			part = &CommAware{Own: Ownership{}}
+			part = Contiguous{}
 		}
 		matchReference(t, randomStream(seed, 3+int(seed%17), size, vocab), l, p, part)
 	})

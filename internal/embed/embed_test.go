@@ -350,3 +350,36 @@ func (s *Server) FetchSerial(ids []uint64) [][]float32 {
 	s.fetches.Add(1)
 	return out
 }
+
+// TestTableGetManyMissesAllocateNothing gates the fetch hot path on rows
+// never written: GetMany compacts its misses into the caller's index list
+// instead of collecting them in a list of its own.
+func TestTableGetManyMissesAllocateNothing(t *testing.T) {
+	tab := NewTable(8, 3, 0.1)
+	ids := make([]uint64, 64)
+	dsts := make([][]float32, len(ids))
+	for i := range ids {
+		ids[i] = uint64(1000 + i)
+		dsts[i] = make([]float32, 8)
+	}
+	for i := 0; i < len(ids); i += 3 {
+		tab.Set(ids[i], dsts[i]) // a third are hits
+	}
+	idxs := make([]int, len(ids))
+	want := make([]float32, 8)
+	got := testing.AllocsPerRun(20, func() {
+		for i := range idxs {
+			idxs[i] = len(idxs) - 1 - i
+		}
+		tab.GetMany(ids, idxs, dsts)
+	})
+	if got != 0 {
+		t.Errorf("GetMany with misses allocates %v per call, want 0", got)
+	}
+	for i, id := range ids {
+		tab.Get(id, want)
+		if !slices.Equal(dsts[i], want) {
+			t.Fatalf("row %d: GetMany %v, Get %v", id, dsts[i], want)
+		}
+	}
+}

@@ -136,6 +136,8 @@ func (s *Server) FetchInto(ids []uint64, dsts [][]float32) {
 	} else {
 		g := s.getGroupScratch()
 		pos, bounds := g.GroupByOwner(ids, len(s.shards))
+		// Each shard's run of pos is disjoint and dead after its GetMany,
+		// which reorders it.
 		s.forEachShard(bounds, func(sh int) {
 			s.shards[sh].GetMany(ids, pos[bounds[sh]:bounds[sh+1]], dsts)
 		})

@@ -190,8 +190,10 @@ func (t *Table) Set(id uint64, src []float32) {
 // single lock acquisition. The index-list form lets the Server hand each
 // shard its slice of a fetch without building per-shard copies of the
 // request arrays — this is the hot path behind every oracle-driven prefetch.
+// idxs is scratch to GetMany: it compacts the misses to the front of it,
+// so a fetch of never-written rows allocates nothing.
 func (t *Table) GetMany(ids []uint64, idxs []int, dsts [][]float32) {
-	var missing []int
+	missing := 0
 	t.mu.RLock()
 	for _, i := range idxs {
 		if len(dsts[i]) != t.Dim {
@@ -201,13 +203,14 @@ func (t *Table) GetMany(ids []uint64, idxs []int, dsts [][]float32) {
 		if row := t.lookup(ids[i]); row != nil {
 			copy(dsts[i], row)
 		} else {
-			missing = append(missing, i)
+			idxs[missing] = i // at or behind the read position
+			missing++
 		}
 	}
 	t.mu.RUnlock()
 	// Misses are computed lock-free from the init derivation rather than
 	// materialized: fetches stay read-only on the table (see Get).
-	for _, i := range missing {
+	for _, i := range idxs[:missing] {
 		t.initInto(ids[i], dsts[i])
 	}
 }

@@ -37,6 +37,8 @@ func RunBaseline(cfg Config, tr transport.Store) (*Result, error) {
 	start := time.Now()
 	var lossSum float64
 	var idx core.IDTable // id → position in ids, slots in insertion order
+	var placer core.Placer
+	var assign []int
 	for iter := 0; iter < cfg.NumBatches; iter++ {
 		b := gen.Batch(iter, cfg.BatchSize)
 		ids := b.UniqueIDs()
@@ -46,7 +48,7 @@ func RunBaseline(cfg Config, tr transport.Store) (*Result, error) {
 			idx.Put(id)
 		}
 
-		assign := part.Assign(b, cfg.NumTrainers)
+		assign = placer.Assign(part, assign, b, cfg.NumTrainers)
 		loss, grads := rk.step(b, assign, &idx, fetched)
 
 		// Apply sparse updates in sorted-ID order and write everything

@@ -3,6 +3,7 @@
 package train
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -107,4 +108,23 @@ func TestAdmissionDepth(t *testing.T) {
 			t.Errorf("steady wait-rows %v per iteration, want at most %v", steady, delay/20)
 		}
 	})
+}
+
+// TestAdmissionGrowsOncePerDepth pins the one-step rule of admission.late:
+// iterations admitted before the pipeline filled or before the last growth
+// took effect do not grow the depth, so a run of late iterations admitted
+// under one depth grows it once, and the depth stops at its limit.
+func TestAdmissionGrowsOncePerDepth(t *testing.T) {
+	a := admission{depth: 4}
+	var grew []int
+	for x := 0; x < 40; x++ { // every iteration staged late
+		if a.late(x, 7) {
+			grew = append(grew, x)
+		}
+	}
+	// 4 grows D to 5, and 4+4 is the first iteration admitted under it;
+	// 8 grows it to 6 (first under it: 13), 13 to 7, the limit.
+	if want := []int{4, 8, 13}; !slices.Equal(grew, want) || a.depth != 7 {
+		t.Fatalf("grew at %v to depth %d, want %v to 7", grew, a.depth, want)
+	}
 }

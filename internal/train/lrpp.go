@@ -209,7 +209,7 @@ type lrppTrainer struct {
 	// returns it once it has routed the iteration and handed back its plan,
 	// and the stager adds one each time it deepens the admission (depth).
 	credits chan struct{}
-	depth   int // the admission depth D, written by the stager only
+	adm     admission // the admission depth D, written by the stager only
 	recvWG  sync.WaitGroup
 	flushWG sync.WaitGroup
 	maintWG sync.WaitGroup
@@ -399,7 +399,7 @@ func newLRPPTrainer(eng *lrppEngine, p int, tr transport.Store, ep transport.End
 		maintPoke: make(chan struct{}, 1),
 		tokens:    make(chan struct{}, cfg.LookAhead),
 		credits:   make(chan struct{}, cfg.LookAhead),
-		depth:     min(cfg.LookAhead, admitFloor),
+		adm:       admission{depth: min(cfg.LookAhead, admitFloor)},
 	}
 	t.merged.L, t.gathered.L = &t.mu, &t.mu
 	t.params = m.Params()
@@ -409,7 +409,7 @@ func newLRPPTrainer(eng *lrppEngine, p int, tr transport.Store, ep transport.End
 	for i := 0; i < cfg.LookAhead; i++ {
 		t.tokens <- struct{}{}
 	}
-	for i := 0; i < t.depth; i++ {
+	for i := 0; i < t.adm.depth; i++ {
 		t.credits <- struct{}{}
 	}
 	t.routedCh <- struct{}{}
@@ -442,7 +442,7 @@ func (eng *lrppEngine) collectResult(trainers []*lrppTrainer, stats []core.IterS
 		}
 		res.Evicted += t.evictedRows
 		res.Stages.Trainers = append(res.Stages.Trainers, t.clock.snapshot(t.p))
-		res.Depths = append(res.Depths, t.depth)
+		res.Depths = append(res.Depths, t.adm.depth)
 		res.PeakCache += t.part.peak
 		res.Transport.Add(t.tr.Stats())
 		addTierHealth(res, t.tr)
@@ -495,6 +495,29 @@ func (t *lrppTrainer) run(plans planSource) {
 	t.maintWG.Wait()
 	t.ep.Close()
 	t.recvWG.Wait()
+}
+
+// admission is a trainer's admission depth D, with the first iteration
+// admitted under it.
+type admission struct {
+	depth   int
+	settled int // iterations before it were admitted under a shallower depth
+}
+
+// late records that iteration x found its rows missing when staged and
+// reports whether the depth grew by one, up to limit (ℒ). Only an
+// iteration admitted under the current depth grows it: one admitted before
+// the pipeline filled (x < D) or before the last growth took effect
+// (x < settled) says nothing about the current depth, so a run of late
+// iterations admitted under one depth grows it once. The iteration the
+// new credit admits first is x + D, the first admitted under D + 1.
+func (a *admission) late(x, limit int) bool {
+	if x < a.depth || x < a.settled || a.depth >= limit {
+		return false
+	}
+	a.settled = x + a.depth
+	a.depth++
+	return true
 }
 
 // admitFloor is the admission depth a trainer starts at, capped at ℒ. The
@@ -829,16 +852,14 @@ func (t *lrppTrainer) stage(rec *iterRec) {
 	// 2. Insert the prefetched owned rows. The partition adopts the row
 	// buffers by reference (they return to the arena at write-back); the
 	// fetch's header slice is dead after the loop, so recycle it. Rows not
-	// yet arrived once the pipeline has filled (x past the first D
-	// admissions) mean the prefetch was issued too late: deepen the
-	// admission by one, up to ℒ, before waiting.
+	// yet arrived mean the prefetch was issued too late: deepen the
+	// admission (admission.late) before waiting.
 	mark := time.Now()
 	var rows [][]float32
 	select {
 	case rows = <-rec.rows:
 	default:
-		if x >= t.depth && t.depth < eng.L {
-			t.depth++
+		if t.adm.late(x, eng.L) {
 			t.credits <- struct{}{}
 		}
 		rows = <-rec.rows

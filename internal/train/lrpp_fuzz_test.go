@@ -213,7 +213,7 @@ func FuzzLRPPDifferential(f *testing.F) {
 		case 1:
 			cfg.Partitioner = core.RoundRobin{}
 		case 2:
-			cfg.Partitioner = &core.CommAware{Own: core.Ownership{}}
+			cfg.Partitioner = core.Contiguous{}
 		}
 
 		srvBase := embed.NewServer(2, cfg.Spec.EmbDim, seed^0xBEEF, 0.05)

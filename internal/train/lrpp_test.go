@@ -66,10 +66,10 @@ func TestLRPPMatchesBaselineAcrossTrainersAndPartitioners(t *testing.T) {
 				cfg.NumTrainers = p
 				cfg.NumBatches = 20 * cfg.LookAhead
 				switch partName {
+				case "hash":
+					cfg.Partitioner = core.Contiguous{}
 				case "roundrobin":
 					cfg.Partitioner = core.RoundRobin{}
-				case "comm-aware":
-					cfg.Partitioner = &core.CommAware{Own: core.Ownership{}}
 				}
 
 				srvBase := newServer(cfg.Spec, 3)
@@ -108,6 +108,36 @@ func TestLRPPMatchesBaselineAcrossTrainersAndPartitioners(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPlacementDeterministicSharedConfig runs the baseline and LRPP at
+// once over one Config whose nil Partitioner is the comm-aware default:
+// the partitioner value holds no scratch, each run places with its own
+// (the oracle's, the baseline loop's), so under -race the two runs share
+// nothing and still agree bit for bit.
+func TestPlacementDeterministicSharedConfig(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.NumTrainers = 3
+	cfg.NumBatches = 4 * cfg.LookAhead
+	srvBase, srvLRPP := newServer(cfg.Spec, 3), newServer(cfg.Spec, 3)
+	var wg sync.WaitGroup
+	var errBase, errLRPP error
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		_, errBase = RunBaseline(cfg, transport.NewInProcess(srvBase))
+	}()
+	go func() {
+		defer wg.Done()
+		_, errLRPP = RunLRPP(cfg, newStores(srvLRPP, cfg.NumTrainers), nil)
+	}()
+	wg.Wait()
+	if errBase != nil || errLRPP != nil {
+		t.Fatalf("baseline: %v, lrpp: %v", errBase, errLRPP)
+	}
+	if d := embed.Diff(srvBase, srvLRPP); len(d) != 0 {
+		t.Fatalf("embedding state diverged at %d ids (first: %v)", len(d), d[0])
 	}
 }
 

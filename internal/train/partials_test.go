@@ -27,9 +27,13 @@ func TestEmbeddingGradientOrderIsPerRankPartialThenRankOrder(t *testing.T) {
 		P, dim = 2, 2
 		hot    = uint64(2) // hash owner 0
 	)
-	// Slots 1 and 2 steer comm-aware: even ids are owned by trainer 0, odd
-	// ones by trainer 1, so examples 0 and 3 are cheapest on trainer 0 and
-	// examples 1 and 2 on trainer 1.
+	// Slots 1 and 2 steer comm-aware. Each of their ids is read by one
+	// example only, a vote for its owner (even ids trainer 0, odd ones
+	// trainer 1), so examples 0 and 3 are cheapest on trainer 0 and
+	// examples 1 and 2 on trainer 1: 0 cross-trainer pairs there, against
+	// the contiguous split's 4. Row hot does not steer: four readers are
+	// more than one trainer holds (⌈4/2⌉ = 2), so it is read on both
+	// trainers under every balanced placement.
 	b := &data.Batch{Examples: []data.Example{
 		{Cat: []uint64{hot, 10, 12}},
 		{Cat: []uint64{hot, 11, 13}},
@@ -46,7 +50,7 @@ func TestEmbeddingGradientOrderIsPerRankPartialThenRankOrder(t *testing.T) {
 	}{
 		{core.Contiguous{}, []int{0, 0, 1, 1}, 0},
 		{core.RoundRobin{}, []int{0, 1, 0, 1}, 2},
-		{&core.CommAware{Own: core.Ownership{}}, []int{0, 1, 1, 0}, 0},
+		{core.CommAware{}, []int{0, 1, 1, 0}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.part.Name(), func(t *testing.T) {

@@ -75,7 +75,8 @@ type Config struct {
 	LookAhead int
 	// NumTrainers is the data-parallel rank count.
 	NumTrainers int
-	// Partitioner assigns examples to ranks; nil means core.Contiguous.
+	// Partitioner assigns examples to ranks; nil means
+	// core.DefaultPartitioner.
 	Partitioner core.Partitioner
 
 	// SyncEager, when true, makes the LRPP engine flush every cross-trainer
@@ -119,7 +120,7 @@ func (c *Config) partitioner() core.Partitioner {
 	if c.Partitioner != nil {
 		return c.Partitioner
 	}
-	return core.Contiguous{}
+	return core.DefaultPartitioner
 }
 
 // newOptimizers builds the dense optimizer for one rank and the shared

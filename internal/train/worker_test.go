@@ -242,7 +242,7 @@ func TestPlanMsgBytesMatchesMapFormula(t *testing.T) {
 		}
 	}
 	for p := 1; p <= 4; p++ {
-		for _, part := range []core.Partitioner{nil, core.RoundRobin{}, &core.CommAware{Own: core.Ownership{}}} {
+		for _, part := range []core.Partitioner{nil, core.RoundRobin{}, core.Contiguous{}} {
 			check(tinySpec(), 16, 24, 5, p, part)
 		}
 	}
