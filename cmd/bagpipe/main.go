@@ -61,7 +61,6 @@ var (
 	lookahd   = flag.Int("lookahead", 32, "oracle lookahead window in batches (paper default 200)")
 	trainers  = flag.Int("trainers", 2, "trainer processes (LRPP cache partitions / data-parallel ranks)")
 	partFl    = flag.String("partitioner", "comm-aware", "example placement over hash-partitioned caches: comm-aware (fewest cross-trainer rows), hash (the paper's contiguous split), roundrobin")
-	eager     = flag.Bool("eager-sync", false, "lrpp: flush all cross-trainer sync on the critical path instead of delaying it")
 	autoLook  = flag.Bool("auto-lookahead", false, "pick ℒ at startup from measured iteration time, link RTT, and -cache-rows (overrides -lookahead)")
 	cacheRws  = flag.Int("cache-rows", 0, "auto-lookahead: trainer cache budget in rows (0 = 1/4 of the scaled table rows)")
 	statsFl   = flag.Bool("stats", false, "print per-phase mesh traffic (frames + bytes split by replica/sync/collective/plan) and the engine stage clock")
@@ -236,7 +235,6 @@ func main() {
 		LookAhead:   *lookahd,
 		NumTrainers: *trainers,
 		Partitioner: part,
-		SyncEager:   *eager,
 	}
 
 	switch {
@@ -938,7 +936,6 @@ func runTCPDriver(cfg train.Config, spec *data.Spec) {
 			"-lookahead", fmt.Sprint(*lookahd),
 			"-trainers", fmt.Sprint(*trainers),
 			"-partitioner", *partFl,
-			fmt.Sprintf("-eager-sync=%v", *eager),
 			fmt.Sprintf("-stats=%v", *statsFl),
 			"-servers", fmt.Sprint(*servers),
 			"-replicate", fmt.Sprint(*replicate),

@@ -171,6 +171,42 @@ func TestIDTableProbeRuns(t *testing.T) {
 	}
 }
 
+// TestIDTableGrowAtHalf: a table told to grow at half load doubles its
+// array once its live count passes half the length, and keeps doing so
+// after a Reset; a default table waits for three quarters. Either way it
+// holds every id it was given.
+func TestIDTableGrowAtHalf(t *testing.T) {
+	var half, full IDTable
+	half.GrowAtHalf()
+	for i := 1; i <= 4*minIDTable; i++ {
+		id := uint64(i) * 7919
+		half.Put(id)
+		full.Put(id)
+		if want := minIDTable << bits.Len(uint((i-1)/(minIDTable/2))); len(half.ents) != want {
+			t.Fatalf("half-load table: %d ids in %d entries, want %d", i, len(half.ents), want)
+		}
+		if want := minIDTable << bits.Len(uint((i-1)/(minIDTable/4*3))); len(full.ents) != want {
+			t.Fatalf("default table: %d ids in %d entries, want %d", i, len(full.ents), want)
+		}
+	}
+	for i := 1; i <= 4*minIDTable; i++ {
+		if s, ok := half.Get(uint64(i) * 7919); !ok || s != int32(i-1) {
+			t.Fatalf("half-load table lost id %d (slot %d, held %v)", i, s, ok)
+		}
+	}
+	half.Reset()
+	n := len(half.ents)
+	for i := 0; i < n/2; i++ {
+		half.Put(uint64(i))
+	}
+	if len(half.ents) != n {
+		t.Fatalf("refilled to half of %d entries, the array grew to %d", n, len(half.ents))
+	}
+	if half.Put(uint64(n)); len(half.ents) != 2*n {
+		t.Fatalf("refilled past half of %d entries, the array is %d", n, len(half.ents))
+	}
+}
+
 // TestIDTableResetRestartsSlots: after a Reset the table holds nothing,
 // hands out slots 0, 1, 2, … in insertion order and, refilled to the same
 // size, allocates nothing — the per-iteration row table's contract.

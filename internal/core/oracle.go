@@ -295,6 +295,7 @@ func NewOracle(src BatchSource, l, numTrainers int) *Oracle {
 		last:        -1,
 	}
 	o.plans.batches, _ = src.(BatchRecycler)
+	o.ids.GrowAtHalf()
 	return o
 }
 

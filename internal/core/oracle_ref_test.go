@@ -305,9 +305,14 @@ func sameDecision(d *Decision, r *refDecision, p int) error {
 				return fmt.Errorf("trainer %d: id list %v not strictly ascending", tr, ids)
 			}
 		}
-		if len(pl.OwnedTTL) != len(pl.Owned) || len(pl.OwnedUsers) != len(pl.Owned) ||
+		if len(pl.OwnedTTL) != len(pl.Owned) || len(pl.OwnedUsers) != len(pl.Owned) || len(pl.OwnedNext) != len(pl.Owned) ||
 			len(pl.RemoteOwner) != len(pl.Remote) || len(pl.RemoteNext) != len(pl.Remote) {
 			return fmt.Errorf("trainer %d: parallel slice lengths differ", tr)
+		}
+		for k, id := range pl.Owned {
+			if pl.OwnedNext[k] != r.NeededNext[id] {
+				return fmt.Errorf("trainer %d: owned id %d needed-next %v, reference %v", tr, id, pl.OwnedNext[k], r.NeededNext[id])
+			}
 		}
 		for k, id := range pl.Remote {
 			if pl.RemoteNext[k] != r.NeededNext[id] {

@@ -31,10 +31,13 @@ type Plan struct {
 	// it each iteration — Algorithm 1's TTLUpdateRequests restricted to the
 	// partition) and OwnedUsers[k] the trainers whose examples touch it,
 	// the contributors the owner collects gradient partials from before
-	// updating the row.
+	// updating the row. OwnedNext[k] is whether the next batch reads it,
+	// which splits its remote partials into the urgent and the deferred
+	// flush exactly as each reader's RemoteNext does.
 	Owned      []uint64
 	OwnedTTL   []int
 	OwnedUsers []Ranks
+	OwnedNext  []bool
 
 	// Prefetch is the owned subset of the decision's Prefetch: rows this
 	// trainer must fetch from the embedding servers into its partition.
@@ -148,7 +151,7 @@ func (s *planSet) cut(d *Decision, p int) []*Plan {
 	s.ids = resized(s.ids, owned+len(d.Prefetch)+expiring+2*remote)
 	s.ints = resized(s.ints, owned+remote)
 	s.ranks = resized(s.ranks, owned)
-	s.flags = resized(s.flags, remote)
+	s.flags = resized(s.flags, owned+remote)
 	s.plans, s.ptrs, s.lists = resized(s.plans, p), resized(s.ptrs, p), resized(s.lists, p*p)
 	s.hdr = Decision{Iter: d.Iter, Batch: d.Batch, Assign: d.Assign}
 	s.out.Store(int32(p))
@@ -162,6 +165,7 @@ func (s *planSet) cut(d *Decision, p int) []*Plan {
 			Owned:       carve(&ids, c[nOwned]),
 			OwnedTTL:    carve(&ints, c[nOwned]),
 			OwnedUsers:  carve(&ranks, c[nOwned]),
+			OwnedNext:   carve(&flags, c[nOwned]),
 			Prefetch:    carve(&ids, c[nPrefetch]),
 			Expiring:    carve(&ids, c[nExpiring]),
 			ReplicaOut:  s.lists[t*p : (t+1)*p : (t+1)*p],
@@ -186,6 +190,7 @@ func (s *planSet) cut(d *Decision, p int) []*Plan {
 		pl.Owned = append(pl.Owned, id)
 		pl.OwnedTTL = append(pl.OwnedTTL, d.TTL[k])
 		pl.OwnedUsers = append(pl.OwnedUsers, d.Users[k])
+		pl.OwnedNext = append(pl.OwnedNext, d.NeededNext[k])
 		if d.TTL[k] == d.Iter {
 			pl.Expiring = append(pl.Expiring, id)
 		}

@@ -2,6 +2,7 @@ package train
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -54,22 +55,34 @@ type LRPPHooks struct {
 // in-process, simulated, and TCP fabrics — only the TCP mesh additionally
 // runs them through the little-endian codec.
 
-// syncBatchBytes is the size of one coalesced sync frame, exactly what the
-// codec writes for it (len(transport.EncodePayload(msg)), pinned by
+// syncBatchBytes is the size of one sync frame, exactly what the codec
+// writes for it (len(transport.EncodePayload(msg)), pinned by
 // TestSyncBatchBytesMatchesCodec): payload tag and flush count, then per
-// iteration table its header (iteration, reserved byte, width, row count)
-// and one id plus dim float32s per partial.
+// flush its header (iteration, class, width, partial count) and dim
+// float32s per partial. No ids: the owner reads them from its plan.
 func syncBatchBytes(flushes []transport.SyncMsg, dim int) int64 {
 	b := int64(1 + 4)
 	for _, f := range flushes {
-		b += 8 + 1 + 4 + 4 + int64(len(f.IDs))*(8+4*int64(dim))
+		b += 8 + 1 + 4 + 4 + int64(len(f.Partials))*4*int64(dim)
 	}
 	return b
 }
 
-// replicaMsgBytes models the wire size of one replica push of n rows.
+// replicaMsgBytes is the size of one replica push of n rows, exactly what
+// the codec writes for it (pinned by TestReplicaMsgBytesMatchesCodec):
+// payload tag, iteration, width and row count, then dim float32s per row.
+// No ids: the reader reads them from its plan.
 func replicaMsgBytes(n, dim int) int64 {
-	return 8 + int64(n)*(8+4*int64(dim))
+	return 1 + 8 + 4 + 4 + int64(n)*4*int64(dim)
+}
+
+// syncClass is the flush a partial travels in: urgent when the next
+// iteration reads its row.
+func syncClass(next bool) transport.SyncClass {
+	if next {
+		return transport.SyncUrgent
+	}
+	return transport.SyncDeferred
 }
 
 // lrppColl is the collective layer a trainer steps its dense gradients and
@@ -96,7 +109,6 @@ type lrppEngine struct {
 	cfg    *Config
 	dim    int
 	P, L   int
-	lag    int // delayed-sync flush lag in iterations (0 or 1)
 	mesh   transport.Mesh
 	coll   lrppColl
 	hooks  *LRPPHooks
@@ -132,14 +144,13 @@ func (eng *lrppEngine) countSend(class int, bytes int64) {
 }
 
 // flushItem hands one iteration's remote partials to the delayed-sync
-// flusher, split by criticality, one ascending id/partial run per owner.
-// The runs are pooled and the partials arena rows; both transfer to the
+// flusher: parts[c][o] is owner o's class-c partials in plan order. The
+// headers are pooled and the partials arena rows; both transfer to the
 // owner with the flush. The item and its owner-indexed slices cycle
 // between the trainer loop and the flusher (lrppTrainer.flushFree).
 type flushItem struct {
-	iter   int
-	urgent []transport.SyncMsg // owner → partials needed next iteration
-	lazy   []transport.SyncMsg // owner → partials deferrable off the critical path
+	iter  int
+	parts [transport.NumSyncClasses][][][]float32
 }
 
 // lrppTrainer is one trainer process: a model replica, the owned LRPP
@@ -223,11 +234,12 @@ type lrppTrainer struct {
 // are pushed to it as per-iteration replicas over the mesh; gradient
 // updates to remote-owned rows are queued and flushed by a background
 // delayed-sync goroutine — batched per owner, contributions the next
-// iteration depends on flushed first, the rest one iteration later — so no
-// cross-trainer synchronization sits on the forward/backward critical
-// path. Each iteration runs in two halves on two goroutines: stage (register,
-// insert the prefetched rows, wait for earlier merges, push replicas) and
-// compute (the model, staged by model.Staged, and the gradient routing).
+// iteration depends on flushed first, the rest in a second frame right
+// behind them — so no cross-trainer synchronization sits on the
+// forward/backward critical path. Each iteration runs in two halves on two
+// goroutines: stage (register, insert the prefetched rows, wait for earlier
+// merges, push replicas) and compute (the model, staged by model.Staged,
+// and the gradient routing).
 // The stager begins stage(x+1) the moment compute(x) has routed its
 // partials, and compute runs the embedding-independent layers forward
 // before it waits for the staged half and the peers' replicas, and backward
@@ -350,9 +362,6 @@ func newLRPPEngine(cfg *Config, mesh transport.Mesh, coll lrppColl) *lrppEngine 
 		losses: make([]float64, cfg.NumBatches),
 		epoch:  time.Now(),
 	}
-	if !cfg.SyncEager && cfg.LookAhead > 1 {
-		eng.lag = 1
-	}
 	return eng
 }
 
@@ -392,10 +401,10 @@ func newLRPPTrainer(eng *lrppEngine, p int, tr transport.Store, ep transport.End
 		// backpressure on the trainer loop and nothing else; the flusher
 		// waits on nothing the loop holds, so the queue always drains.
 		flushQ: make(chan *flushItem, cfg.LookAhead),
-		// An item is away from its iteration's routing until its lazy half
-		// ships lag passes later: lag+2 cover the steady state, a longer
-		// flusher backlog allocates and the surplus is dropped.
-		flushFree: make(chan *flushItem, eng.lag+2),
+		// An item is away from its iteration's routing until the flusher
+		// has sent it: two cover the steady state, a longer flusher queue
+		// allocates and the surplus is dropped.
+		flushFree: make(chan *flushItem, 2),
 		maintPoke: make(chan struct{}, 1),
 		tokens:    make(chan struct{}, cfg.LookAhead),
 		credits:   make(chan struct{}, cfg.LookAhead),
@@ -485,8 +494,8 @@ func (t *lrppTrainer) run(plans planSource) {
 		mark = t.compute(rec, t.clock.lap(StageHandoff, mark))
 	}
 
-	// Teardown: flush the delayed-sync backlog, wait until maintenance has
-	// retired every iteration, then close the endpoint. Retiring the last
+	// Teardown: let the flusher send what is queued, wait until maintenance
+	// has retired every iteration, then close the endpoint. Retiring the last
 	// iteration takes every merge and eviction this partition owes (fed by
 	// the other trainers' final flushes): every registered row expires by
 	// the last iteration, and its eviction follows all of its merges.
@@ -610,10 +619,11 @@ func (t *lrppTrainer) startReceiver() {
 			start := time.Now()
 			switch pl := msg.Payload.(type) {
 			case transport.ReplicaMsg:
-				// The push transfers ownership of its id run, header and
-				// rows (pooled at the sender in-process, decoded into the
-				// same pools by the TCP codec): file it under its owner.
-				// compute's step 6 releases it once the rows are consumed.
+				// The push transfers ownership of its header and rows
+				// (pooled at the sender in-process, decoded into the same
+				// pools by the TCP codec): file it under its owner.
+				// compute's step 6 checks it against the plan and releases
+				// it once the rows are consumed.
 				t.mu.Lock()
 				rec := t.ring.at(pl.Iter)
 				rec.reps[msg.From] = pl
@@ -621,28 +631,21 @@ func (t *lrppTrainer) startReceiver() {
 				t.mu.Unlock()
 				t.gathered.Signal()
 			case transport.SyncBatchMsg:
-				// One coalesced frame, several iterations' flushes: deposits
-				// are keyed by (id, iteration, sender), so table order is
-				// irrelevant. As with replica pushes the flush transfers
-				// ownership of its pooled runs, partials and flush list: the
-				// merges adopt the partials, the emptied runs and the list go
-				// back here.
+				// Each flush zips against the slot list its iteration's
+				// registration built for the sender and class; every flush
+				// of the frame is checked before any partial merges. As
+				// with replica pushes the flush transfers ownership of its
+				// pooled header, partials and flush list: the merges adopt
+				// the partials, the emptied header and the list go back here.
 				t.mu.Lock()
-				for _, f := range pl.Flushes {
-					for i, id := range f.IDs {
-						s, ok := t.part.ids.Get(id)
-						if !ok {
-							panic(fmt.Sprintf("train: trainer %d: contribution for unregistered id %d iter %d", t.p, id, f.Iter))
-						}
-						t.depositLocked(s, f.Iter, msg.From, f.Partials[i])
-					}
+				if err := t.mergeFlushesLocked(msg.From, pl.Flushes); err != nil {
+					panic(err.Error())
 				}
 				t.arena.PutN(t.spent)
 				t.spent = t.spent[:0]
 				t.mu.Unlock()
 				for _, f := range pl.Flushes {
 					transport.PutRowSlice(f.Partials)
-					transport.PutIDs(f.IDs)
 				}
 				transport.PutSyncList(pl.Flushes)
 			case transport.PlanMsg:
@@ -666,77 +669,45 @@ func (t *lrppTrainer) startReceiver() {
 	}()
 }
 
-// startFlusher runs the delayed-sync sender: per iteration it flushes
-// critical partials (rows the next iteration reads) immediately and
-// holds the rest back lag iterations. Everything one flush pass owes one
-// owner — typically iteration x's urgent partials plus iteration
-// x−lag's deferred ones — is coalesced into a single SyncBatchMsg frame
-// with a per-iteration id → partial table, instead of one frame per
-// (iteration, criticality), so the trainer loop never blocks on
-// cross-trainer traffic and the fabric sees one frame per owner per pass.
+// startFlusher runs the delayed-sync sender: per routed iteration it sends
+// each owner the partials of rows the next iteration reads (the urgent
+// flush, which the owner's stage of that iteration waits for), then each
+// owner the rest (the deferred flush, which nothing waits for until the
+// rows' last use), one frame per owner and class. So the trainer loop
+// never blocks on cross-trainer traffic, and no deferred partial rides in
+// front of an urgent one.
 func (t *lrppTrainer) startFlusher() {
 	eng := t.eng
 	t.flushWG.Add(1)
 	go func() {
 		defer t.flushWG.Done()
-		// pass accumulates one flush pass's per-owner iteration tables, in
-		// pooled flush lists that transfer to the owner with the frame; the
-		// urgent/delayed counters keep their historical granularity (one
-		// per non-empty per-owner table) even though the frames coalesce.
-		pass := make([][]transport.SyncMsg, eng.P)
-		collect := func(runs []transport.SyncMsg, iter int, urgent bool) {
-			for o := range runs {
-				if len(runs[o].IDs) == 0 {
-					continue
-				}
-				if pass[o] == nil {
-					pass[o] = transport.GetSyncList(0)
-				}
-				runs[o].Iter = iter
-				pass[o] = append(pass[o], runs[o])
-				runs[o] = transport.SyncMsg{}
-				if urgent {
-					eng.urgentFlushes.Add(1)
-				} else {
-					eng.delayedFlushes.Add(1)
-				}
-			}
-		}
-		flush := func() {
-			for o, flushes := range pass {
-				if len(flushes) == 0 {
-					continue
-				}
-				b := syncBatchBytes(flushes, eng.dim)
-				t.ep.Send(o, b, transport.SyncBatchMsg{Flushes: flushes})
-				eng.countSend(classSync, b)
-				pass[o] = nil
-			}
-		}
-		// backlog holds the items whose lazy half is still to ship, at most
-		// lag+1 of them, in one array that never regrows.
-		backlog := make([]*flushItem, 0, eng.lag+2)
 		for it := range t.flushQ {
 			start := time.Now()
-			collect(it.urgent, it.iter, true)
-			backlog = append(backlog, it)
-			for len(backlog) > 0 && backlog[0].iter <= it.iter-eng.lag {
-				done := backlog[0]
-				collect(done.lazy, done.iter, false)
-				backlog = append(backlog[:0], backlog[1:]...)
-				// Both halves now belong to pass: hand the emptied item back.
-				select {
-				case t.flushFree <- done:
-				default:
+			for c := range it.parts {
+				for o, parts := range it.parts[c] {
+					if len(parts) == 0 {
+						continue
+					}
+					// The flush list transfers to the owner with the frame.
+					f := transport.GetSyncList(1)
+					f[0] = transport.SyncMsg{Iter: it.iter, Class: transport.SyncClass(c), Partials: parts}
+					it.parts[c][o] = nil
+					b := syncBatchBytes(f, eng.dim)
+					t.ep.Send(o, b, transport.SyncBatchMsg{Flushes: f})
+					eng.countSend(classSync, b)
+					if transport.SyncClass(c) == transport.SyncUrgent {
+						eng.urgentFlushes.Add(1)
+					} else {
+						eng.delayedFlushes.Add(1)
+					}
 				}
 			}
-			flush()
+			select {
+			case t.flushFree <- it:
+			default:
+			}
 			t.clock.lap(StageBusyFlusher, start)
 		}
-		for _, it := range backlog {
-			collect(it.lazy, it.iter, false)
-		}
-		flush()
 	}()
 }
 
@@ -833,20 +804,36 @@ func (t *lrppTrainer) stage(rec *iterRec) {
 	// before pushing any replica: a peer computes a partial for one of our
 	// rows only from the iteration-x replica of it (step 4), so registration
 	// always precedes the first deposit. Registration resolves every owned
-	// row to its slot once and refreshes its TTL; the steps below and
-	// compute index the slab through slots. A slot still live here already
-	// had a TTL ≥ x (its row stayed cached for x), so no earlier merge
-	// landing before step 2 evicts it.
+	// row to its slot once and refreshes its TTL; the steps below, compute
+	// and the sync receiver index the slab through slots, the receiver
+	// through the per-reader, per-class lists built here. A slot still live
+	// here already had a TTL ≥ x (its row stayed cached for x), so no
+	// earlier merge landing before step 2 evicts it.
 	t.mu.Lock()
 	slots := rec.slots[:0]
+	for c := range rec.sync {
+		for q := range rec.sync[c] {
+			rec.sync[c][q] = rec.sync[c][q][:0]
+		}
+	}
 	for k, id := range pl.Owned {
 		s := pt.slot(id)
-		pt.expect(s, x, rankBits(pl.OwnedUsers[k]))
+		users := rankBits(pl.OwnedUsers[k])
+		pt.expect(s, x, users)
 		pt.recs[s].ttl = pl.OwnedTTL[k]
 		slots = append(slots, s)
+		lists := rec.sync[syncClass(pl.OwnedNext[k])]
+		for others := users &^ (1 << uint(t.p)); others != 0; others &= others - 1 {
+			q := bits.TrailingZeros64(uint64(others))
+			if len(lists[q]) == 0 {
+				rec.owed++ // one flush per non-empty list
+			}
+			lists[q] = append(lists[q], s)
+		}
 	}
 	rec.slots = slots
 	rec.expiring = len(pl.Expiring)
+	rec.registered = true
 	t.mu.Unlock()
 
 	// 2. Insert the prefetched owned rows. The partition adopts the row
@@ -879,7 +866,7 @@ func (t *lrppTrainer) stage(rec *iterRec) {
 	// 3. Wait until every owned row used this iteration has absorbed all
 	// merges from earlier iterations (the per-row sync horizon).
 	mark = time.Now()
-	for slices.ContainsFunc(slots, func(s int32) bool { return pt.recs[s].merges[0].iter < x }) {
+	for slices.ContainsFunc(slots, func(s int32) bool { return !pt.settled(s, x) }) {
 		t.merged.Wait()
 	}
 	waitMerges := time.Since(mark)
@@ -889,14 +876,14 @@ func (t *lrppTrainer) stage(rec *iterRec) {
 		if len(ids) == 0 {
 			continue
 		}
-		// Snapshot into pooled buffers: the id run, header and rows transfer
-		// to the receiver with the push (in-process meshes deliver by
+		// Snapshot into pooled buffers, in ReplicaOut order, which is the
+		// order of the reader's plan: the header and rows transfer to the
+		// receiver with the push (in-process meshes deliver by
 		// reference), which recycles them after consuming the iteration —
 		// so nothing here, including the counters below, may touch the
 		// message after Send.
 		snap := &rec.outs[q]
-		*snap = transport.ReplicaMsg{Iter: x, IDs: transport.GetIDs(len(ids)), Rows: transport.GetRowSlice(len(ids))}
-		copy(snap.IDs, ids)
+		*snap = transport.ReplicaMsg{Iter: x, Rows: transport.GetRowSlice(len(ids))}
 		t.arena.GetN(snap.Rows)
 		k := 0
 		for i, id := range ids {
@@ -915,7 +902,7 @@ func (t *lrppTrainer) stage(rec *iterRec) {
 	// The sends read the record's snapshots, not the plan: compute may
 	// route x and hand the plan back while they are still going.
 	for q := range rec.outs {
-		n := len(rec.outs[q].IDs)
+		n := len(rec.outs[q].Rows)
 		if n == 0 {
 			continue
 		}
@@ -961,7 +948,8 @@ func (t *lrppTrainer) compute(rec *iterRec, mark time.Time) time.Time {
 	// 6. Wait for stage(x) and the replicas we need, then gather this
 	// trainer's rows into the iteration's row table: its owned rows in
 	// Owned order, then its remote ones in Remote order, zipped per owner
-	// with the replica run that owner pushed (exactly these ids, ascending).
+	// with the rows that owner pushed, which follow the same ids once
+	// checkReplicas has matched their counts.
 	// idx maps each id to its table position: reset here, it hands out
 	// slots in insertion order, so an id's slot is the position its row is
 	// appended at. The table aliases partition and replica rows only until
@@ -978,6 +966,9 @@ func (t *lrppTrainer) compute(rec *iterRec, mark time.Time) time.Time {
 	// Every push this iteration reads has arrived and no other will, so the
 	// record's reps are read below without mu until retirement clears them.
 	slots, reps := rec.slots, rec.reps
+	if err := t.checkReplicas(pl, reps); err != nil {
+		panic(err.Error())
+	}
 	var cur [core.MaxTrainers]int
 	tab, idx := t.tab[:0], &t.idx
 	idx.Reset()
@@ -996,13 +987,9 @@ func (t *lrppTrainer) compute(rec *iterRec, mark time.Time) time.Time {
 	nOwn := len(tab)
 	for k, id := range pl.Remote {
 		o := pl.RemoteOwner[k]
-		rep, i := &reps[o], cur[o]
-		if i == len(rep.IDs) || rep.IDs[i] != id || len(rep.Rows[i]) != eng.dim {
-			panic(fmt.Sprintf("train: trainer %d iter %d: no dim-%d replica of id %d from trainer %d (oracle consistency violated)", t.p, x, eng.dim, id, o))
-		}
-		cur[o] = i + 1
 		idx.Put(id)
-		tab = append(tab, rep.Rows[i])
+		tab = append(tab, reps[o].Rows[cur[o]])
+		cur[o]++
 	}
 	t.tab = tab
 	if used := ls.index(d.Batch, spec.NumCategorical, idx, len(tab)); used != len(tab) {
@@ -1011,10 +998,7 @@ func (t *lrppTrainer) compute(rec *iterRec, mark time.Time) time.Time {
 	ls.fillEmb(tab, spec.NumCategorical, eng.dim)
 	// fillEmb copied every row, so the replica pushes this trainer adopted
 	// are dead: return each to the pools its sender drew it from.
-	for o, rep := range reps {
-		if cur[o] != len(rep.IDs) {
-			panic(fmt.Sprintf("train: trainer %d iter %d: trainer %d pushed %d replica rows, the plan reads %d (oracle consistency violated)", t.p, x, o, len(rep.IDs), cur[o]))
-		}
+	for _, rep := range reps {
 		transport.ReleasePayload(rep)
 	}
 
@@ -1035,8 +1019,8 @@ func (t *lrppTrainer) compute(rec *iterRec, mark time.Time) time.Time {
 	// permitted at the end of this step) travel while every trainer is
 	// still inside step 9: partials for owned rows merge locally (ids used
 	// only here are the LRPP fast path — no mesh traffic at all);
-	// remote-owned ones join their owner's urgent or lazy run for the
-	// delayed-sync flusher. The partials own their memory — models reuse the
+	// remote-owned ones join their owner's urgent or deferred flush for the
+	// delayed-sync flusher, in plan order. The partials own their memory — models reuse the
 	// dEmb buffer across iterations, and a deferred merge or delayed flush
 	// outlives this backward pass — and whoever folds them recycles them.
 	parts := slices.Grow(t.partials[:0], len(tab))[:len(tab)]
@@ -1048,19 +1032,18 @@ func (t *lrppTrainer) compute(rec *iterRec, mark time.Time) time.Time {
 	select {
 	case fi = <-t.flushFree:
 	default:
-		fi = &flushItem{urgent: make([]transport.SyncMsg, eng.P), lazy: make([]transport.SyncMsg, eng.P)}
+		fi = new(flushItem)
+		for c := range fi.parts {
+			fi.parts[c] = make([][][]float32, eng.P)
+		}
 	}
 	fi.iter = x
-	for k, id := range pl.Remote {
-		run := &fi.lazy[pl.RemoteOwner[k]]
-		if pl.RemoteNext[k] {
-			run = &fi.urgent[pl.RemoteOwner[k]]
+	for k := range pl.Remote {
+		run := &fi.parts[syncClass(pl.RemoteNext[k])][pl.RemoteOwner[k]]
+		if *run == nil {
+			*run = transport.GetRowSlice(0)
 		}
-		if run.IDs == nil {
-			run.IDs, run.Partials = transport.GetIDs(0), transport.GetRowSlice(0)
-		}
-		run.IDs = append(run.IDs, id)
-		run.Partials = append(run.Partials, parts[nOwn+k])
+		*run = append(*run, parts[nOwn+k])
 	}
 	t.mu.Lock()
 	j := 0
@@ -1147,17 +1130,82 @@ func (t *lrppTrainer) collWait(x int, arr time.Time, coll time.Duration) time.Du
 	return min(max(time.Duration(last)-arr.Sub(eng.epoch), 0), coll)
 }
 
+// checkReplicas refuses iteration x's replica pushes unless each carries
+// exactly as many rows as the plan reads from its owner, each row dim wide,
+// so the gather never indexes past a push.
+func (t *lrppTrainer) checkReplicas(pl *core.Plan, reps []transport.ReplicaMsg) error {
+	var want [core.MaxTrainers]int
+	for _, o := range pl.RemoteOwner {
+		want[o]++
+	}
+	for o := range reps {
+		rows := reps[o].Rows
+		if len(rows) != want[o] {
+			return fmt.Errorf("train: trainer %d: replica push from trainer %d for iteration %d carries %d rows, the plan lists %d", t.p, o, pl.Dec.Iter, len(rows), want[o])
+		}
+		if len(rows) > 0 && len(rows[0]) != t.eng.dim {
+			return fmt.Errorf("train: trainer %d: replica push from trainer %d for iteration %d carries rows of width %d, want %d", t.p, o, pl.Dec.Iter, len(rows[0]), t.eng.dim)
+		}
+	}
+	return nil
+}
+
+// admitFlushLocked refuses sync flush f from trainer from unless its
+// iteration is registered here and its partials match, one for one, the
+// slot list that registration built for the sender and class, each dim
+// wide, and marks the flush landed. Caller holds t.mu.
+func (t *lrppTrainer) admitFlushLocked(from int, f *transport.SyncMsg) error {
+	if f.Class >= transport.NumSyncClasses {
+		return fmt.Errorf("train: trainer %d: sync flush from trainer %d for iteration %d has class %d", t.p, from, f.Iter, f.Class)
+	}
+	rec := t.ring.registered(f.Iter)
+	if rec == nil {
+		return fmt.Errorf("train: trainer %d: sync flush from trainer %d for iteration %d carries %d partials, the iteration is not staged here (0 listed)", t.p, from, f.Iter, len(f.Partials))
+	}
+	want := rec.sync[f.Class][from]
+	if len(f.Partials) != len(want) || len(want) == 0 || rec.landed[f.Class].has(from) {
+		return fmt.Errorf("train: trainer %d: class-%d sync flush from trainer %d for iteration %d carries %d partials, the plan lists %d (landed before: %v)", t.p, f.Class, from, f.Iter, len(f.Partials), len(want), rec.landed[f.Class].has(from))
+	}
+	if w := len(f.Partials[0]); w != t.eng.dim {
+		return fmt.Errorf("train: trainer %d: class-%d sync flush from trainer %d for iteration %d carries partials of width %d, want %d", t.p, f.Class, from, f.Iter, w, t.eng.dim)
+	}
+	rec.landed[f.Class].set(from)
+	return nil
+}
+
+// mergeFlushesLocked deposits the partials of one sync frame from trainer
+// from, each flush zipped against the slot list its iteration's
+// registration built for the sender and class. It refuses the whole frame
+// before depositing anything unless every flush is admitted. Caller holds
+// t.mu.
+func (t *lrppTrainer) mergeFlushesLocked(from int, flushes []transport.SyncMsg) error {
+	for i := range flushes {
+		if err := t.admitFlushLocked(from, &flushes[i]); err != nil {
+			return err
+		}
+	}
+	for _, f := range flushes {
+		rec := t.ring.registered(f.Iter)
+		for i, s := range rec.sync[f.Class][from] {
+			t.depositLocked(s, f.Iter, from, f.Partials[i])
+		}
+		rec.owed--
+		t.maybeEmitLocked(rec)
+	}
+	return nil
+}
+
 // depositLocked takes ownership of trainer from's partial for (slot s,
 // iter) and applies every merge that became ready. Caller holds t.mu.
 func (t *lrppTrainer) depositLocked(s int32, iter, from int, g []float32) {
-	im := t.part.merge(s, iter)
+	im, parts := t.part.merge(s, iter)
 	if im == nil {
 		panic(fmt.Sprintf("train: trainer %d: contribution for unregistered iter %d of id %d", t.p, iter, t.part.recs[s].id))
 	}
 	if !im.expect.clearBit(from) {
 		panic(fmt.Sprintf("train: trainer %d: unexpected or repeated partial from trainer %d for id %d iter %d", t.p, from, t.part.recs[s].id, iter))
 	}
-	im.parts[from] = g
+	parts[from] = g
 	t.applyReadyLocked(s)
 }
 
@@ -1169,7 +1217,7 @@ func (t *lrppTrainer) applyReadyLocked(s int32) {
 	eng := t.eng
 	pt := &t.part
 	applied := false
-	for im := pt.ready(s); im != nil; im = pt.ready(s) {
+	for im, parts := pt.ready(s); im != nil; im, parts = pt.ready(s) {
 		applied = true
 		iter := im.iter
 		rec := &pt.recs[s]
@@ -1178,7 +1226,7 @@ func (t *lrppTrainer) applyReadyLocked(s int32) {
 		}
 		// Fold into the trainer's persistent buffer (mu is held).
 		g := t.foldBuf
-		t.spent = foldParts(g, im.parts, t.spent)
+		t.spent = foldParts(g, parts, t.spent)
 		t.rowOpt.UpdateRow(rec.id, rec.row, g)
 		if eng.hooks != nil && eng.hooks.OnSyncApply != nil {
 			eng.hooks.OnSyncApply(t.p, iter, rec.id)
@@ -1187,7 +1235,7 @@ func (t *lrppTrainer) applyReadyLocked(s int32) {
 		if rec.ttl != iter {
 			continue
 		}
-		if len(rec.merges) > 0 {
+		if rec.pending > 0 {
 			panic(fmt.Sprintf("train: trainer %d iter %d: sync for id %d landed after eviction", t.p, rec.merges[0].iter, rec.id))
 		}
 		if eng.hooks != nil && eng.hooks.OnEvict != nil {
@@ -1224,8 +1272,9 @@ func foldParts(g []float32, parts, spent [][]float32) [][]float32 {
 }
 
 // maybeEmitLocked marks an iteration emitted, its eviction batch sorted for
-// maintenance, once the trainer loop has routed its partials and its last
-// expiring row has evicted, and wakes maintenance without blocking.
+// maintenance, once the trainer loop has routed its partials, its last
+// expiring row has evicted and every peer's flush for it has landed, and
+// wakes maintenance without blocking.
 // Routing, not the end of the iteration, is the gate: retirement is about
 // embedding write-backs, and after routing the loop touches no embedding
 // state of the iteration again — the dense backward, collective and
@@ -1235,7 +1284,7 @@ func foldParts(g []float32, parts, spent [][]float32) [][]float32 {
 // unchanged (FuzzLRPPDifferential is the proof). Each iteration routes once
 // and its count reaches zero once, so it emits once. Caller holds t.mu.
 func (t *lrppTrainer) maybeEmitLocked(rec *iterRec) {
-	if !rec.routed || rec.expiring != 0 {
+	if !rec.routed || rec.expiring != 0 || rec.owed != 0 {
 		return
 	}
 	rec.emitted = true

@@ -186,16 +186,16 @@ func (s skewStore) Write(ids []uint64, rows [][]float32) {
 // to RunBaseline. The seeded corpus runs in regular `go test` mode, so CI
 // exercises the harness even without -fuzz.
 func FuzzLRPPDifferential(f *testing.F) {
-	f.Add(uint64(42), uint8(1), uint8(4), uint8(6), uint8(8), uint8(0), false, false, false)
-	f.Add(uint64(7), uint8(2), uint8(0), uint8(3), uint8(6), uint8(1), false, false, false) // L=1: lag collapses to 0
-	f.Add(uint64(9), uint8(3), uint8(2), uint8(7), uint8(10), uint8(2), true, false, false) // comm-aware, eager
-	f.Add(uint64(1), uint8(0), uint8(5), uint8(2), uint8(4), uint8(2), false, false, false) // P=1 degenerate
-	f.Add(uint64(1234), uint8(3), uint8(1), uint8(5), uint8(9), uint8(1), false, false, false)
-	f.Add(uint64(42), uint8(1), uint8(4), uint8(6), uint8(9), uint8(0), false, true, false) // simulated fabric
-	f.Add(uint64(5), uint8(2), uint8(3), uint8(4), uint8(9), uint8(1), true, true, false)
-	f.Add(uint64(3), uint8(1), uint8(0), uint8(4), uint8(9), uint8(0), false, false, true) // skew, P=2 L=1
-	f.Add(uint64(8), uint8(1), uint8(1), uint8(4), uint8(9), uint8(0), true, false, true)  // skew, P=2 L=2, eager
-	f.Fuzz(func(t *testing.T, seed uint64, pSel, lSel, bSel, nSel, partSel uint8, eager, sim, skew bool) {
+	f.Add(uint64(42), uint8(1), uint8(4), uint8(6), uint8(8), uint8(0), false, false)
+	f.Add(uint64(7), uint8(2), uint8(0), uint8(3), uint8(6), uint8(1), false, false)  // L=1
+	f.Add(uint64(9), uint8(3), uint8(2), uint8(7), uint8(10), uint8(2), false, false) // comm-aware
+	f.Add(uint64(1), uint8(0), uint8(5), uint8(2), uint8(4), uint8(2), false, false)  // P=1 degenerate
+	f.Add(uint64(1234), uint8(3), uint8(1), uint8(5), uint8(9), uint8(1), false, false)
+	f.Add(uint64(42), uint8(1), uint8(4), uint8(6), uint8(9), uint8(0), true, false) // simulated fabric
+	f.Add(uint64(5), uint8(2), uint8(3), uint8(4), uint8(9), uint8(1), true, false)
+	f.Add(uint64(3), uint8(1), uint8(0), uint8(4), uint8(9), uint8(0), false, true) // skew, P=2 L=1
+	f.Add(uint64(8), uint8(1), uint8(1), uint8(4), uint8(9), uint8(0), false, true) // skew, P=2 L=2
+	f.Fuzz(func(t *testing.T, seed uint64, pSel, lSel, bSel, nSel, partSel uint8, sim, skew bool) {
 		p := 1 + int(pSel)%4
 		cfg := Config{
 			Spec:        fuzzSpec(),
@@ -207,7 +207,6 @@ func FuzzLRPPDifferential(f *testing.F) {
 			NumBatches:  2 + int(nSel)%10,
 			LookAhead:   1 + int(lSel)%6,
 			NumTrainers: p,
-			SyncEager:   eager,
 		}
 		switch partSel % 3 {
 		case 1:
@@ -247,8 +246,8 @@ func FuzzLRPPDifferential(f *testing.F) {
 
 		if srvBase.Fingerprint() != srvLRPP.Fingerprint() {
 			d := embed.Diff(srvBase, srvLRPP)
-			t.Fatalf("state diverged from baseline at %d ids (first %v) [P=%d L=%d B=%d N=%d part=%d eager=%v sim=%v skew=%v]",
-				len(d), d[:1], p, cfg.LookAhead, cfg.BatchSize, cfg.NumBatches, partSel%3, eager, sim, skew)
+			t.Fatalf("state diverged from baseline at %d ids (first %v) [P=%d L=%d B=%d N=%d part=%d sim=%v skew=%v]",
+				len(d), d[:1], p, cfg.LookAhead, cfg.BatchSize, cfg.NumBatches, partSel%3, sim, skew)
 		}
 		if res.Evicted != res.Prefetched {
 			t.Fatalf("evicted %d != prefetched %d", res.Evicted, res.Prefetched)

@@ -141,37 +141,7 @@ func TestPlacementDeterministicSharedConfig(t *testing.T) {
 	}
 }
 
-// TestLRPPEagerAndDelayedSyncAgree: the delayed-sync lag is a scheduling
-// choice, not a math change — eager flushing must land in the same state.
-func TestLRPPEagerAndDelayedSyncAgree(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.NumTrainers = 3
-	cfg.NumBatches = 24
-
-	delayed := newServer(cfg.Spec, 2)
-	resDelayed, err := RunLRPP(cfg, newStores(delayed, 3), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.SyncEager = true
-	eager := newServer(cfg.Spec, 2)
-	resEager, err := RunLRPP(cfg, newStores(eager, 3), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := embed.Diff(delayed, eager); len(d) != 0 {
-		t.Fatalf("eager and delayed sync diverged at %v", d)
-	}
-	if resDelayed.DelayedFlushes == 0 {
-		t.Fatal("delayed mode never delayed a flush")
-	}
-	if resEager.LastLoss != resDelayed.LastLoss {
-		t.Fatalf("losses diverged: %v vs %v", resEager.LastLoss, resDelayed.LastLoss)
-	}
-}
-
-// TestLRPPLookaheadInvariance: ℒ changes the schedule (and the delayed-
-// sync lag at ℒ=1), never the math.
+// TestLRPPLookaheadInvariance: ℒ changes the schedule, never the math.
 func TestLRPPLookaheadInvariance(t *testing.T) {
 	var ref *embed.Server
 	for _, L := range []int{1, 3, 16} {

@@ -152,28 +152,36 @@ func TestEmbeddingGradientOrderIsPerRankPartialThenRankOrder(t *testing.T) {
 	}
 }
 
+// testRows returns n rows of width dim with distinct values.
+func testRows(n, dim int) [][]float32 {
+	rows := make([][]float32, n)
+	for i := range rows {
+		rows[i] = make([]float32, dim)
+		for k := range rows[i] {
+			rows[i][k] = float32(i) + 0.25*float32(k)
+		}
+	}
+	return rows
+}
+
 // TestSyncBatchBytesMatchesCodec: the size the engine declares for a sync
 // frame (what the simulated mesh charges bandwidth for and MeshClasses
 // reports) is exactly what the codec writes.
 func TestSyncBatchBytesMatchesCodec(t *testing.T) {
 	const dim = 6
-	table := func(iter, n int) transport.SyncMsg {
-		m := transport.SyncMsg{Iter: iter}
-		for i := 0; i < n; i++ {
-			g := make([]float32, dim)
-			for k := range g {
-				g[k] = float32(i) + 0.25*float32(k)
-			}
-			m.IDs = append(m.IDs, uint64(7*i+3))
-			m.Partials = append(m.Partials, g)
+	flush := func(iter int, c transport.SyncClass, n int) transport.SyncMsg {
+		m := transport.SyncMsg{Iter: iter, Class: c}
+		if n > 0 {
+			m.Partials = testRows(n, dim)
 		}
 		return m
 	}
 	cases := [][]transport.SyncMsg{
 		nil,
-		{table(9, 1)},
-		{table(4, 5), table(3, 17)},
-		{table(1, 0), table(2, 3)},
+		{flush(9, transport.SyncUrgent, 1)},
+		{flush(4, transport.SyncDeferred, 5)},
+		{flush(4, transport.SyncUrgent, 5), flush(3, transport.SyncDeferred, 17)},
+		{flush(1, transport.SyncUrgent, 0), flush(2, transport.SyncDeferred, 3)},
 	}
 	for i, flushes := range cases {
 		declared := syncBatchBytes(flushes, dim)
@@ -184,12 +192,30 @@ func TestSyncBatchBytesMatchesCodec(t *testing.T) {
 	}
 }
 
+// TestReplicaMsgBytesMatchesCodec: the size the engine declares for a
+// replica push is exactly what the codec writes.
+func TestReplicaMsgBytesMatchesCodec(t *testing.T) {
+	for _, dim := range []int{1, 6, 16} {
+		for _, n := range []int{0, 1, 7, 300} {
+			msg := transport.ReplicaMsg{Iter: 11}
+			if n > 0 {
+				msg.Rows = testRows(n, dim)
+			}
+			declared := replicaMsgBytes(n, dim)
+			encoded := len(transport.EncodePayload(msg))
+			if declared != int64(encoded) {
+				t.Fatalf("%d rows of dim %d: declared %d bytes, codec wrote %d", n, dim, declared, encoded)
+			}
+		}
+	}
+}
+
 // TestSyncPreAggregationByteCut pins the point of sender-side
 // pre-aggregation on the input it exists for: on a hot-tail spec at P=2 the
 // sync class ships at most a third of what one vector per (example, remote
 // row) would cost — remote lookups × (4 + 4·dim), the old per-example entry
-// — in no more frames than one per (sender, owner, flush pass), while the
-// run stays bit-identical to the baseline.
+// — in no more frames than one per (sender, owner, iteration, class), while
+// the run stays bit-identical to the baseline.
 func TestSyncPreAggregationByteCut(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Spec = tinySpec().WithEmbDim(16)
@@ -238,13 +264,17 @@ func TestSyncPreAggregationByteCut(t *testing.T) {
 		t.Fatalf("sync bytes %d not ≤ 1/3 of the per-example cost %d (%d remote lookups, %d remote partials)",
 			mc.SyncBytes, perExample, remoteLookups, remotePartials)
 	}
-	// Exactly one vector per (sender, remote row, iteration) crossed the mesh:
-	// the declared bytes are the partials plus per-frame and per-table headers.
-	tables := res.UrgentFlushes + res.DelayedFlushes
-	if want := 5*mc.SyncMsgs + 17*tables + remotePartials*int64(8+4*cfg.Spec.EmbDim); mc.SyncBytes != want {
-		t.Fatalf("sync bytes %d, want %d (%d frames, %d tables, %d partials)", mc.SyncBytes, want, mc.SyncMsgs, tables, remotePartials)
+	// Exactly one vector per (sender, remote row, iteration) crossed the mesh,
+	// without its id: the declared bytes are the partials plus per-frame and
+	// per-flush headers, one flush per frame.
+	flushes := res.UrgentFlushes + res.DelayedFlushes
+	if flushes != mc.SyncMsgs || res.UrgentFlushes == 0 || res.DelayedFlushes == 0 {
+		t.Fatalf("%d sync frames for %d urgent and %d deferred flushes, want one frame each and both classes", mc.SyncMsgs, res.UrgentFlushes, res.DelayedFlushes)
 	}
-	if maxFrames := int64(P * (P - 1) * (cfg.NumBatches + 1)); mc.SyncMsgs == 0 || mc.SyncMsgs > maxFrames {
-		t.Fatalf("%d sync frames, want 1..%d (one per sender, owner and flush pass)", mc.SyncMsgs, maxFrames)
+	if want := (5+17)*mc.SyncMsgs + remotePartials*int64(4*cfg.Spec.EmbDim); mc.SyncBytes != want {
+		t.Fatalf("sync bytes %d, want %d (%d frames, %d partials)", mc.SyncBytes, want, mc.SyncMsgs, remotePartials)
+	}
+	if maxFrames := int64(P * (P - 1) * 2 * cfg.NumBatches); mc.SyncMsgs > maxFrames {
+		t.Fatalf("%d sync frames, want at most %d (one per sender, owner, iteration and class)", mc.SyncMsgs, maxFrames)
 	}
 }

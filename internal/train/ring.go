@@ -2,6 +2,7 @@ package train
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"bagpipe/internal/core"
@@ -22,9 +23,21 @@ type iterRec struct {
 	outs    []transport.ReplicaMsg
 	reps    []transport.ReplicaMsg // owner → the replica push received from it
 	repFrom rankBits               // the owners heard from
-	staged  bool                   // stage has snapshotted the replicas: compute may gather
-	routed  bool                   // compute deposited and queued its partials
-	emitted bool                   // routed and every expiring row evicted: maintenance's to write
+	// sync[c][q] lists, in plan order, the slots of the owned rows reader q
+	// sends class-c partials for: its Remote ids we own whose needed-next
+	// flag is class c, which a sync flush's partials zip against. stage
+	// builds them as it registers the iteration (registered). owed counts
+	// the flushes still to land, one per non-empty list, and landed marks
+	// per class the readers whose flush has: the record is not emitted, so
+	// not retired, until owed is 0, and the lists outlive every flush that
+	// reads them.
+	sync       [transport.NumSyncClasses][][]int32
+	landed     [transport.NumSyncClasses]rankBits
+	owed       int
+	registered bool
+	staged     bool // stage has snapshotted the replicas: compute may gather
+	routed     bool // compute deposited and queued its partials
+	emitted    bool // routed and every expiring row evicted: maintenance's to write
 	// expiring counts the owned rows still to evict, evs their write-backs.
 	expiring int
 	evs      []core.Eviction
@@ -48,17 +61,37 @@ const unclaimed = -1
 // The admission depth D does not shorten it: it bounds admissions past the
 // oldest unrouted iteration, and retirement lags routing by as much as the
 // write-backs do, up to the ℒ tokens.
-// Sync flushes are not filed here: a peer's deferred partial for x may land
-// after x retired (x waits only for its expiring rows' merges), so the
-// receiver resolves them through the partition's id table.
+//
+// Sync flushes are filed here too, and claim nothing: a peer computes its
+// partials for x from the replica our stage(x) pushed after registering x,
+// so a flush for x finds x's record registered, and the record is retired
+// only once every flush it expects has landed (iterRec.owed). Holding a
+// record that long holds r back, and with r the tokens and so every
+// admission, so the bound above holds unchanged: x waits for its peers to
+// route x, which they do urgent flush first, deferred right behind.
 type iterRing []iterRec
 
 func newIterRing(L, P int) iterRing {
 	r := make(iterRing, L+2)
 	for i := range r {
 		r[i] = iterRec{iter: unclaimed, rows: make(chan [][]float32, 1), outs: make([]transport.ReplicaMsg, P), reps: make([]transport.ReplicaMsg, P)}
+		for c := range r[i].sync {
+			r[i].sync[c] = make([][]int32, P)
+		}
 	}
 	return r
+}
+
+// registered returns iteration x's record when x is live and registered,
+// nil otherwise. It claims nothing.
+func (r iterRing) registered(x int) *iterRec {
+	if x < 0 {
+		return nil
+	}
+	if rec := &r[x%len(r)]; rec.iter == x && rec.registered {
+		return rec
+	}
+	return nil
 }
 
 // at returns iteration x's record, claiming it when unclaimed. A record still
@@ -90,7 +123,8 @@ func (r iterRing) retire(x int) {
 	rec.iter, rec.plan = unclaimed, nil
 	rec.slots, rec.evs = rec.slots[:0], rec.evs[:0]
 	rec.repFrom, rec.expiring = 0, 0
-	rec.staged, rec.routed, rec.emitted = false, false, false
+	rec.landed = [transport.NumSyncClasses]rankBits{}
+	rec.registered, rec.staged, rec.routed, rec.emitted = false, false, false, false
 }
 
 // ownedFrom returns the index of id in the record's plan.Owned, searching
@@ -115,6 +149,8 @@ type rankBits uint64
 
 func (b *rankBits) set(r int) { *b |= 1 << uint(r) }
 
+func (b rankBits) has(r int) bool { return b&(1<<uint(r)) != 0 }
+
 // clearBit drops rank r's bit and reports whether it was set.
 func (b *rankBits) clearBit(r int) bool {
 	was := *b&(1<<uint(r)) != 0
@@ -129,36 +165,44 @@ type slotRec struct {
 	id  uint64
 	row []float32 // nil until the prefetched row is inserted
 	ttl int
-	// merges are the row's pending per-iteration merges. Registration
-	// appends them in iteration order and they apply strictly in that
-	// order, so the row replays the exact update sequence the baseline
-	// produces. Entries past len keep their parts tables for the next
-	// registration, and the array stays with the slot when it is recycled.
-	merges []iterMerge
+	// merges is a two-entry ring of the row's pending per-iteration
+	// merges, the oldest at head. Registration appends them in iteration
+	// order and they apply strictly in that order, so the row replays the
+	// exact update sequence the baseline produces. Two suffice: the stager
+	// registers one iteration at a time, and stage(x) returns only once
+	// every merge before x on the rows x uses has applied, so registering a
+	// row finds at most the merge of its previous use pending.
+	merges        [2]iterMerge
+	head, pending uint8
 }
 
-// iterMerge holds one (row, iteration)'s partials, one slot per rank, until
-// every expected trainer has reported (expect, the ranks still owing one,
-// is empty).
+// iterMerge is one (row, iteration)'s merge, waiting until every expected
+// trainer has reported (expect, the ranks still owing a partial, is
+// empty). Its partials wait in the partition's parts table.
 type iterMerge struct {
 	iter   int
 	expect rankBits
-	parts  [][]float32 // rank → arena-backed partial; nil until deposited
 }
 
 // partition is an owner's cache partition: a slab of slot records, one per
 // row it is responsible for. Slots are private to the trainer — handed out
 // by the id table at a row's registration and freed at its eviction, so the
 // slab and the table are bounded by the partition's peak occupancy — and
-// the table is consulted once per row per registration and once per
-// received remote partial; every other step of an iteration indexes the
+// the table is consulted once per row per registration; every other step
+// of an iteration, the merge of a received partial included, indexes the
 // slab through the slots its registration recorded. It is not synchronized
 // (the trainer's mu guards it), and records and their merges are reused in
-// place, so the steady state allocates nothing.
+// place. The partials grow with the slab, so a slot costs no allocation of
+// its own however the peak occupancy moves with the pace of the merges:
+// the steady state allocates nothing.
 type partition struct {
-	ranks    int
-	ids      core.IDTable
-	recs     []slotRec
+	ranks int
+	ids   core.IDTable
+	recs  []slotRec
+	// parts holds each merge entry's partials, one per rank: entry e of
+	// slot s owns parts[(2s+e)·ranks:][:ranks], arena-backed and nil until
+	// deposited.
+	parts    [][]float32
 	resident int // rows inserted and not yet evicted
 	peak     int
 }
@@ -173,6 +217,8 @@ func (pt *partition) slot(id uint64) int32 {
 	if added {
 		if int(s) == len(pt.recs) {
 			pt.recs = append(pt.recs, slotRec{})
+			n := len(pt.parts) + 2*pt.ranks
+			pt.parts = slices.Grow(pt.parts, 2*pt.ranks)[:n]
 		}
 		pt.recs[s].id = id
 	}
@@ -183,51 +229,55 @@ func (pt *partition) slot(id uint64) int32 {
 // from every rank in users.
 func (pt *partition) expect(s int32, iter int, users rankBits) {
 	rec := &pt.recs[s]
-	n := len(rec.merges)
-	if n < cap(rec.merges) {
-		rec.merges = rec.merges[:n+1]
-	} else {
-		rec.merges = append(rec.merges, iterMerge{})
+	if int(rec.pending) == len(rec.merges) {
+		panic(fmt.Sprintf("train: id %d: merge of iteration %d registered behind %d pending ones", rec.id, iter, rec.pending))
 	}
-	im := &rec.merges[n]
-	if im.parts == nil {
-		im.parts = make([][]float32, pt.ranks)
-	}
-	im.iter, im.expect = iter, users
+	rec.merges[(rec.head+rec.pending)&1] = iterMerge{iter: iter, expect: users}
+	rec.pending++
 }
 
-// merge returns slot s's pending merge for iteration iter, nil if none.
-// The pointer is valid until the slot's next expect or pop.
-func (pt *partition) merge(s int32, iter int) *iterMerge {
-	m := pt.recs[s].merges
-	for i := range m {
-		if m[i].iter == iter {
-			return &m[i]
+// entry returns slot s's merge entry e and its partials, one per rank.
+func (pt *partition) entry(s int32, e uint8) (*iterMerge, [][]float32) {
+	k := (2*int(s) + int(e)) * pt.ranks
+	return &pt.recs[s].merges[e], pt.parts[k : k+pt.ranks : k+pt.ranks]
+}
+
+// merge returns slot s's pending merge for iteration iter and its
+// partials, nil if none. Both are valid until the slot's next expect or
+// pop.
+func (pt *partition) merge(s int32, iter int) (*iterMerge, [][]float32) {
+	rec := &pt.recs[s]
+	for i := range rec.pending {
+		if e := (rec.head + i) & 1; rec.merges[e].iter == iter {
+			return pt.entry(s, e)
 		}
 	}
-	return nil
+	return nil, nil
 }
 
-// ready returns slot s's oldest pending merge once every expected partial
-// has arrived, nil otherwise. The pointer is valid until the slot's next
-// expect or pop.
-func (pt *partition) ready(s int32) *iterMerge {
-	if m := pt.recs[s].merges; len(m) > 0 && m[0].expect == 0 {
-		return &m[0]
+// settled reports whether slot s has applied every merge before iteration x.
+func (pt *partition) settled(s int32, x int) bool {
+	rec := &pt.recs[s]
+	return rec.pending == 0 || rec.merges[rec.head].iter >= x
+}
+
+// ready returns slot s's oldest pending merge and its partials once every
+// expected partial has arrived, nil otherwise. Both are valid until the
+// slot's next expect or pop.
+func (pt *partition) ready(s int32) (*iterMerge, [][]float32) {
+	if rec := &pt.recs[s]; rec.pending > 0 && rec.merges[rec.head].expect == 0 {
+		return pt.entry(s, rec.head)
 	}
-	return nil
+	return nil, nil
 }
 
 // pop retires slot s's oldest merge, whose partials the fold has already
-// returned to the arena: the others move up, and its emptied parts table
-// moves past the end for the next registration to reuse.
+// returned to the arena, leaving their entries empty for the next
+// registration.
 func (pt *partition) pop(s int32) {
 	rec := &pt.recs[s]
-	m := rec.merges
-	head := m[0].parts
-	copy(m, m[1:])
-	m[len(m)-1] = iterMerge{parts: head}
-	rec.merges = m[:len(m)-1]
+	rec.head ^= 1
+	rec.pending--
 }
 
 // insert adopts row as slot s's resident value.

@@ -70,29 +70,31 @@ func TestIterRingRetireClears(t *testing.T) {
 	rows := rec.rows
 	rec.plan = &core.Plan{}
 	rec.slots = append(rec.slots, 3, 1, 2)
-	rec.reps[1] = transport.ReplicaMsg{Iter: 4, IDs: []uint64{7}, Rows: [][]float32{{1}}}
+	rec.reps[1] = transport.ReplicaMsg{Iter: 4, Rows: [][]float32{{1}}}
 	rec.repFrom.set(1)
-	rec.staged, rec.routed, rec.emitted = true, true, true
+	rec.sync[transport.SyncUrgent][1] = append(rec.sync[transport.SyncUrgent][1], 3)
+	rec.landed[transport.SyncUrgent].set(1)
+	rec.registered, rec.staged, rec.routed, rec.emitted = true, true, true, true
 	rec.expiring = 2
 	rec.evs = append(rec.evs, core.Eviction{ID: 7, Row: []float32{1}})
-	if !r.emitted(4) {
+	if !r.emitted(4) || r.registered(4) != rec {
 		t.Fatal("emitted live record not found")
 	}
 	r.retire(4)
-	if r.emitted(4) {
-		t.Fatal("retired record still found as emitted")
+	if r.emitted(4) || r.registered(4) != nil {
+		t.Fatal("retired record still found as emitted or registered")
 	}
 
 	got := r.at(4 + N)
 	if got != rec {
 		t.Fatalf("iteration %d did not reuse iteration 4's record", 4+N)
 	}
-	if got.iter != 4+N || got.plan != nil || len(got.slots) != 0 || got.repFrom != 0 ||
-		got.staged || got.routed || got.emitted || got.expiring != 0 || len(got.evs) != 0 || len(got.rows) != 0 {
+	if got.iter != 4+N || got.plan != nil || len(got.slots) != 0 || got.repFrom != 0 || got.landed[transport.SyncUrgent] != 0 ||
+		got.registered || got.staged || got.routed || got.emitted || got.expiring != 0 || got.owed != 0 || len(got.evs) != 0 || len(got.rows) != 0 {
 		t.Fatalf("reused record is not clean: %+v", *got)
 	}
 	for o, rep := range got.reps {
-		if rep.IDs != nil || rep.Rows != nil {
+		if rep.Rows != nil {
 			t.Fatalf("reused record still holds owner %d's replica push", o)
 		}
 	}

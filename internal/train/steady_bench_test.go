@@ -95,17 +95,17 @@ func (w *steadyWorker) step(iter int) {
 		copy(snap, rec.row)
 		w.arena.Put(snap)
 		for r, partial := range w.partials {
-			im := w.part.merge(s, iter)
+			im, parts := w.part.merge(s, iter)
 			if !im.expect.clearBit(r) {
 				panic("steady: partial not expected")
 			}
-			im.parts[r] = partial[i]
+			parts[r] = partial[i]
 		}
-		im := w.part.ready(s)
+		im, parts := w.part.ready(s)
 		if im == nil {
 			panic("steady: merge incomplete after every deposit")
 		}
-		w.spent = foldParts(w.fold, im.parts, w.spent)
+		w.spent = foldParts(w.fold, parts, w.spent)
 		w.opt.UpdateRow(id, rec.row, w.fold)
 		w.part.pop(s)
 	}

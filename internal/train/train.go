@@ -79,11 +79,6 @@ type Config struct {
 	// core.DefaultPartitioner.
 	Partitioner core.Partitioner
 
-	// SyncEager, when true, makes the LRPP engine flush every cross-trainer
-	// gradient contribution as soon as its iteration's backward pass ends,
-	// instead of delaying non-critical contributions one iteration off the
-	// critical path (the §3.3 "Delayed Synchronization" default).
-	SyncEager bool
 	// Collective names the mesh all-reduce of multi-process worker runs.
 	// The one strategy is CollFused (also what "" means): every dense
 	// parameter segment plus the loss in a single frame, reduced through

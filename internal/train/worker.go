@@ -29,20 +29,23 @@ import (
 //     collective.Group, so worker runs stay bit-identical to single-process
 //     and baseline runs.
 //   - everything LRPP already exchanged (replicas, delayed-sync flushes)
-//     rides the same mesh unchanged.
+//     rides the same mesh unchanged; the plans' needed-next flags fix the
+//     order their partials follow.
 
 // planMsgBytes models the wire size of one plan: the Decision's batch
 // payload (dense features, categorical ids, label per example) plus the
 // per-trainer plan — the same role syncBatchBytes/replicaMsgBytes play for
 // the data-path messages. The model prices the plan as id-keyed tables (16
 // bytes per owned TTL and per remote id, 12 + 4 per user for each owned
-// id's user list, 12 + 8 per id for each non-empty replica list) and counts
-// the decision's needed-next ids, whatever the codec's layout: the plan
-// carries only its own share of the decision, so the caller counts them.
+// id's user list, 12 + 8 per id for each non-empty replica list, one byte
+// per owned id for the needed-next flag its owner splits the sync lists by)
+// and counts the decision's needed-next ids, whatever the codec's layout:
+// the plan carries only its own share of the decision, so the caller counts
+// them.
 func planMsgBytes(pl *core.Plan, neededNext int) int64 {
 	b := int64(16)
 	b += 8 * int64(len(pl.Prefetch))
-	b += 16 * int64(len(pl.Owned))
+	b += 17 * int64(len(pl.Owned))
 	b += 8 * int64(len(pl.Expiring))
 	for _, us := range pl.OwnedUsers {
 		b += 12 + 4*int64(us.Count())

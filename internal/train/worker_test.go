@@ -194,7 +194,7 @@ func TestLRPPWorkerValidation(t *testing.T) {
 func mapPlanMsgBytes(pl *core.TrainerPlan, neededNext int) int64 {
 	b := int64(16)
 	b += 8 * int64(len(pl.Prefetch))
-	b += 16 * int64(len(pl.OwnedTTL))
+	b += 17 * int64(len(pl.OwnedTTL))
 	b += 8 * int64(len(pl.Expiring))
 	for _, us := range pl.Users {
 		b += 12 + 4*int64(len(us))

@@ -34,37 +34,36 @@ import (
 // values (TCP additionally through EncodePayload/DecodePayload).
 type (
 	// ReplicaMsg carries an owner's per-iteration row snapshots to a
-	// non-owner whose examples read them (LRPP logical replication):
-	// Rows[i] is row IDs[i], the ids strictly ascending, every row of one
-	// width greater than zero. The id run, the row-slice header and the
-	// rows are pooled (GetIDs, GetRowSlice, Rows(dim)) and transfer to the
-	// receiver, which recycles them once consumed (ReleasePayload).
+	// non-owner whose examples read them (LRPP logical replication), all of
+	// one width greater than zero. No ids: Rows[i] is the row of the i-th
+	// id of the owner's ReplicaOut list for the reader, which is the
+	// reader's ascending Remote ids of that owner. The header and rows are
+	// pooled (GetRowSlice, Rows(dim)) and transfer to the receiver, which
+	// recycles them once consumed (ReleasePayload).
 	ReplicaMsg struct {
 		Iter int
-		IDs  []uint64
 		Rows [][]float32
 	}
 
 	// SyncMsg is one delayed-sync flush: one sender's gradient partials for
-	// one iteration — Partials[i] is, for owned row IDs[i], the sum of the
-	// sender's own examples' gradients for that row, accumulated in its
-	// sub-batch order. The sender is MeshMsg.From; the owner folds an (id,
+	// one iteration and class, all of one width. Partials[i] is the sum of
+	// the sender's own examples' gradients, in its sub-batch order, for the
+	// i-th of its ascending Remote ids of the owner whose RemoteNext is the
+	// class — on the owner, its Owned ids the sender reads whose OwnedNext
+	// is the class. The sender is MeshMsg.From; the owner folds an (id,
 	// iteration)'s partials in rank order from zero, the rule dense
-	// gradients follow. The ids are strictly ascending and all partials of
-	// one flush share one width. Like replica rows, the run and its vectors
-	// are pooled and transfer to the receiver, which recycles them once
-	// merged. It only travels inside a SyncBatchMsg.
+	// gradients follow. Like replica rows, the header and vectors are
+	// pooled and transfer to the receiver. It only travels inside a
+	// SyncBatchMsg.
 	SyncMsg struct {
 		Iter     int
-		IDs      []uint64
+		Class    SyncClass
 		Partials [][]float32
 	}
 
-	// SyncBatchMsg coalesces every delayed-sync flush one sender owes one
-	// owner at a flush pass — typically iteration x's critical
-	// contributions plus iteration x−lag's deferred ones — into a single
-	// frame: one per-row entry table per iteration instead of one frame
-	// per (iteration, criticality).
+	// SyncBatchMsg is one sync frame: the flushes one sender sends one owner
+	// together. The engine sends each class of an iteration in its own
+	// frame, urgent first.
 	SyncBatchMsg struct {
 		Flushes []SyncMsg
 	}
@@ -105,6 +104,17 @@ type (
 	RawMsg []byte
 )
 
+// SyncClass is which of an iteration's two flushes a SyncMsg is: the
+// partials of rows the next iteration reads, which its stage waits for, or
+// the rest, which nothing waits for until the rows' last use.
+type SyncClass uint8
+
+const (
+	SyncUrgent SyncClass = iota
+	SyncDeferred
+	NumSyncClasses
+)
+
 // Payload type tags (first byte of an encoded payload).
 const (
 	tagReplica byte = 1 + iota
@@ -125,17 +135,16 @@ func EncodePayload(p any) []byte {
 }
 
 // payloadSize is the exact length appendPayload writes for p, so a frame
-// can be taken from the pool at its final size. The declared byte counts
-// the engine charges are a model of the wire, not this: replicaMsgBytes,
-// for one, omits each row's count and the header's tag and row count.
+// can be taken from the pool at its final size. It is also the size the
+// engine declares for a replica push and a sync frame.
 func payloadSize(p any) int {
 	switch m := p.(type) {
 	case ReplicaMsg:
-		return 1 + 8 + 4 + len(m.IDs)*(8+4+4*runWidth(m.Rows))
+		return 1 + 8 + runSize(m.Rows)
 	case SyncBatchMsg:
 		n := 1 + 4
 		for _, f := range m.Flushes {
-			n += 8 + 1 + 4 + 4 + len(f.IDs)*(8+4*runWidth(f.Partials))
+			n += 8 + 1 + runSize(f.Partials)
 		}
 		return n
 	case PlanMsg:
@@ -157,22 +166,19 @@ func payloadSize(p any) int {
 func appendPayload(b []byte, p any) []byte {
 	switch m := p.(type) {
 	case ReplicaMsg:
-		dim := checkRun("replica", m.IDs, m.Rows)
-		if len(m.IDs) > 0 && dim == 0 {
-			panic("transport: replica rows of width 0")
-		}
 		b = append(b, tagReplica)
 		b = putU64(b, uint64(m.Iter))
-		b = putU32(b, uint32(len(m.IDs)))
-		for i, id := range m.IDs {
-			b = putU64(b, id)
-			b = putF32s(b, m.Rows[i])
-		}
+		b = putRun(b, "replica", m.Rows)
 	case SyncBatchMsg:
 		b = append(b, tagSyncBatch)
 		b = putU32(b, uint32(len(m.Flushes)))
 		for _, f := range m.Flushes {
-			b = putSyncBody(b, f)
+			if f.Class >= NumSyncClasses {
+				panic(fmt.Sprintf("transport: sync class %d", f.Class))
+			}
+			b = putU64(b, uint64(f.Iter))
+			b = append(b, byte(f.Class))
+			b = putRun(b, "sync", f.Partials)
 		}
 	case PlanMsg:
 		b = append(b, tagPlan)
@@ -209,11 +215,18 @@ func decodePayload(b []byte, slots PlanSlots) (any, error) {
 	var out any
 	switch b[0] {
 	case tagReplica:
-		out = r.replica()
+		m := ReplicaMsg{Iter: int(r.u64())}
+		m.Rows = r.run()
+		out = m
 	case tagSyncBatch:
-		m := SyncBatchMsg{Flushes: GetSyncList(r.count(17))}
+		m := SyncBatchMsg{Flushes: GetSyncList(r.count(8 + 1 + 8))}
 		for i := range m.Flushes {
-			m.Flushes[i] = r.sync()
+			f := &m.Flushes[i]
+			f.Iter = int(r.u64())
+			if f.Class = SyncClass(r.u8()); f.Class >= NumSyncClasses {
+				r.invalid("sync class %d", f.Class)
+			}
+			f.Partials = r.run()
 		}
 		out = m
 	case tagPlan:
@@ -265,109 +278,51 @@ func runWidth(rows [][]float32) int {
 	return len(rows[0])
 }
 
-// checkRun returns the shared width of an id/row run, panicking — a
-// programming error the encoder reports at the first Send — unless the ids
-// are strictly ascending, parallel to the rows, and the rows of one width.
-func checkRun(kind string, ids []uint64, rows [][]float32) int {
-	if len(ids) != len(rows) {
-		panic(fmt.Sprintf("transport: %s run of %d ids and %d rows", kind, len(ids), len(rows)))
-	}
+// runSize is the exact length putRun writes for rows.
+func runSize(rows [][]float32) int { return 4 + 4 + 4*len(rows)*runWidth(rows) }
+
+// putRun writes a run of rows of one width: the width, the row count, then
+// the rows' floats back to back. The width is 0 exactly for an empty run.
+// A ragged run, or rows of width 0, panic — a programming error the
+// encoder reports at the first Send.
+func putRun(b []byte, kind string, rows [][]float32) []byte {
 	dim := runWidth(rows)
+	if len(rows) > 0 && dim == 0 {
+		panic(fmt.Sprintf("transport: %s rows of width 0", kind))
+	}
+	b = putU32(b, uint32(dim))
+	b = putU32(b, uint32(len(rows)))
 	for i, row := range rows {
 		if len(row) != dim {
-			panic(fmt.Sprintf("transport: %s row for id %d has width %d, run width is %d", kind, ids[i], len(row), dim))
+			panic(fmt.Sprintf("transport: %s row %d has width %d, run width is %d", kind, i, len(row), dim))
 		}
-		if i > 0 && ids[i] <= ids[i-1] {
-			panic(fmt.Sprintf("transport: %s ids not strictly ascending at %d", kind, ids[i]))
-		}
-	}
-	return dim
-}
-
-// replica reads a replica push: iteration, row count, then per row its id
-// and its count-prefixed floats. Every row has the first row's width, and
-// that width is not 0 — the encoder writes nothing else. The id run, the
-// header and the rows (one GetN) come from the pools the in-process
-// senders draw from; the receiver releases them once consumed.
-func (r *wireReader) replica() ReplicaMsg {
-	m := ReplicaMsg{Iter: int(r.u64())}
-	n := r.count(8 + 4 + 4)
-	if n == 0 || r.err != nil {
-		return m
-	}
-	m.IDs, m.Rows = GetIDs(n), GetRowSlice(n)
-	for i := 0; i < n && r.err == nil; i++ {
-		m.IDs[i] = r.u64()
-		if i > 0 && m.IDs[i] <= m.IDs[i-1] {
-			r.invalid("replica row ids not strictly ascending")
-		}
-		ne := r.count(4)
-		if i == 0 && ne > 0 {
-			// Every row is as wide as the first: prove the frame holds
-			// all n of them before one GetN allocates n×ne floats, so a
-			// corrupt frame cannot drive an allocation past its own size.
-			if uint64(n-1)*uint64(8+4+4*ne)+uint64(4*ne) > uint64(len(r.b)) {
-				r.fail()
-				break
-			}
-			Rows(ne).GetN(m.Rows)
-		}
-		if ne == 0 || ne != len(m.Rows[0]) {
-			r.invalid("replica row of width %d in a run of width %d", ne, len(m.Rows[0]))
-			break
-		}
-		fillRow(m.Rows[i], r.take(ne, 4))
-	}
-	return m
-}
-
-// putSyncBody writes one iteration's flush: iteration, a reserved byte
-// (always 0; it was the float16 flag), the shared partial width, then the
-// id → partial table in ascending id order with the vectors raw (no
-// per-vector count). The size is exactly 17 + n·(8 + 4·dim) bytes — what
-// the engine declares to the mesh.
-func putSyncBody(b []byte, m SyncMsg) []byte {
-	dim := checkRun("sync", m.IDs, m.Partials)
-	b = putU64(b, uint64(m.Iter))
-	b = append(b, 0)
-	b = putU32(b, uint32(dim))
-	b = putU32(b, uint32(len(m.IDs)))
-	for i, id := range m.IDs {
-		b = putU64(b, id)
-		b = putF32sRaw(b, m.Partials[i])
+		b = putF32sRaw(b, row)
 	}
 	return b
 }
 
-// sync reads one iteration's flush (the inverse of putSyncBody) into the
-// pooled id run, header and arena rows (one GetN) the in-process senders
-// draw from.
-func (r *wireReader) sync() SyncMsg {
-	m := SyncMsg{Iter: int(r.u64())}
-	if c := r.u8(); c != 0 {
-		r.invalid("sync reserved byte %d", c)
-	}
+// run reads putRun's layout into a pooled header and arena rows (one GetN),
+// the pools the in-process senders draw from; nil for an empty run. The
+// count is proven against the bytes present before anything is allocated,
+// so a corrupt frame cannot drive an allocation past its own size.
+func (r *wireReader) run() [][]float32 {
 	dim := int(r.u32())
-	if dim < 0 || dim > len(r.b)/4 { // no partial that wide fits; on a 32-bit host it may not even fit an int
+	if dim < 0 || dim > len(r.b)/4 { // no row that wide fits; on a 32-bit host it may not even fit an int
 		r.fail()
 	}
-	n := r.count(8 + 4*dim)
-	if (n == 0) != (dim == 0) { // the encoder writes width 0 exactly for an empty table
+	n := r.count(4 * dim)
+	if (n == 0) != (dim == 0) {
 		r.fail()
 	}
 	if n == 0 || r.err != nil {
-		return m
+		return nil
 	}
-	m.IDs, m.Partials = GetIDs(n), GetRowSlice(n)
-	Rows(dim).GetN(m.Partials)
-	for i := range m.IDs {
-		m.IDs[i] = r.u64()
-		if i > 0 && m.IDs[i] <= m.IDs[i-1] {
-			r.invalid("sync partial ids not strictly ascending")
-		}
-		fillRow(m.Partials[i], r.take(dim, 4))
+	rows := GetRowSlice(n)
+	Rows(dim).GetN(rows)
+	for _, row := range rows {
+		fillRow(row, r.take(dim, 4))
 	}
-	return m
+	return rows
 }
 
 // fillRow decodes len(row) float32 bit patterns from reg.
@@ -387,6 +342,7 @@ func putPlan(b []byte, pl *core.Plan) []byte {
 	for _, u := range pl.OwnedUsers {
 		b = putU64(b, uint64(u))
 	}
+	b = putBools(b, pl.OwnedNext)
 	b = putU64s(b, pl.Prefetch)
 	b = putU64s(b, pl.Expiring)
 	for _, ids := range pl.ReplicaOut {
@@ -394,14 +350,7 @@ func putPlan(b []byte, pl *core.Plan) []byte {
 	}
 	b = putU64s(b, pl.Remote)
 	b = putInts(b, pl.RemoteOwner)
-	b = putU32(b, uint32(len(pl.RemoteNext)))
-	for _, next := range pl.RemoteNext {
-		if next {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
+	b = putBools(b, pl.RemoteNext)
 	b = putU64(b, uint64(pl.ReplicaFrom))
 
 	d := pl.Dec
@@ -435,7 +384,7 @@ func putPlan(b []byte, pl *core.Plan) []byte {
 // planSize is the exact length putPlan writes for pl.
 func planSize(pl *core.Plan) int {
 	n := 4 + 4 +
-		4 + 8*len(pl.Owned) + 4 + 4*len(pl.OwnedTTL) + 4 + 8*len(pl.OwnedUsers) +
+		4 + 8*len(pl.Owned) + 4 + 4*len(pl.OwnedTTL) + 4 + 8*len(pl.OwnedUsers) + 4 + len(pl.OwnedNext) +
 		4 + 8*len(pl.Prefetch) + 4 + 8*len(pl.Expiring) +
 		4 + 8*len(pl.Remote) + 4 + 4*len(pl.RemoteOwner) + 4 + len(pl.RemoteNext) + 8
 	for _, ids := range pl.ReplicaOut {
@@ -465,7 +414,7 @@ type PlanBuf struct {
 	replicaOut, replicas              [][]uint64 // the ReplicaOut header, and each list's array
 	ttl, owners, assign               []int
 	users                             []core.Ranks
-	next                              []bool
+	ownedNext, next                   []bool
 	dense                             []float32
 	cats                              []uint64
 }
@@ -490,7 +439,7 @@ func planIter(b []byte) (int, bool) {
 		return 0, false
 	}
 	skip := func(size int) { r.take(r.count(size), size) }
-	for _, size := range []int{8, 4, 8, 8, 8} { // Owned, OwnedTTL, OwnedUsers, Prefetch, Expiring
+	for _, size := range []int{8, 4, 8, 1, 8, 8} { // Owned, OwnedTTL, OwnedUsers, OwnedNext, Prefetch, Expiring
 		skip(size)
 	}
 	for range p { // ReplicaOut
@@ -534,8 +483,9 @@ func (r *wireReader) plan(b *PlanBuf) *core.Plan {
 		}
 		pl.OwnedUsers[i] = u
 	}
-	if len(pl.OwnedTTL) != len(pl.Owned) || len(pl.OwnedUsers) != len(pl.Owned) {
-		r.invalid("plan owns %d ids with %d TTLs and %d user sets", len(pl.Owned), len(pl.OwnedTTL), len(pl.OwnedUsers))
+	pl.OwnedNext = r.bools(&b.ownedNext)
+	if len(pl.OwnedTTL) != len(pl.Owned) || len(pl.OwnedUsers) != len(pl.Owned) || len(pl.OwnedNext) != len(pl.Owned) {
+		r.invalid("plan owns %d ids with %d TTLs, %d user sets and %d flags", len(pl.Owned), len(pl.OwnedTTL), len(pl.OwnedUsers), len(pl.OwnedNext))
 	}
 	pl.Prefetch = r.subset(&b.prefetch, pl.Owned)
 	pl.Expiring = r.subset(&b.expiring, pl.Owned)
@@ -557,14 +507,7 @@ func (r *wireReader) plan(b *PlanBuf) *core.Plan {
 		}
 		owners |= 1 << uint(o)
 	}
-	n = r.count(1)
-	pl.RemoteNext = list(&b.next, n)
-	for i, c := range r.take(n, 1) {
-		if c > 1 {
-			r.invalid("plan needed-next flag %d", c)
-		}
-		pl.RemoteNext[i] = c == 1
-	}
+	pl.RemoteNext = r.bools(&b.next)
 	if len(pl.RemoteOwner) != len(pl.Remote) || len(pl.RemoteNext) != len(pl.Remote) {
 		r.invalid("plan has %d remote ids with %d owners and %d flags", len(pl.Remote), len(pl.RemoteOwner), len(pl.RemoteNext))
 	}
@@ -833,6 +776,19 @@ func putU64s(b []byte, xs []uint64) []byte {
 	return b
 }
 
+// putBools writes a count-prefixed run of flags, one byte (0 or 1) each.
+func putBools(b []byte, xs []bool) []byte {
+	b = putU32(b, uint32(len(xs)))
+	for _, x := range xs {
+		if x {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	return b
+}
+
 // putInts writes a non-negative int slice (ranks, assignments) as u32s.
 func putInts(b []byte, xs []int) []byte {
 	b = putU32(b, uint32(len(xs)))
@@ -961,6 +917,19 @@ func (r *wireReader) u64s() []uint64 {
 func (r *wireReader) u64sInto(buf *[]uint64) []uint64 {
 	xs := list(buf, r.count(8))
 	copyLE(bytesOf(xs), r.take(len(xs), 8), 8)
+	return xs
+}
+
+// bools reads putBools' layout into *buf's storage.
+func (r *wireReader) bools(buf *[]bool) []bool {
+	n := r.count(1)
+	xs := list(buf, n)
+	for i, c := range r.take(n, 1) {
+		if c > 1 {
+			r.invalid("flag byte %d", c)
+		}
+		xs[i] = c == 1
+	}
 	return xs
 }
 

@@ -23,18 +23,16 @@ const (
 // benchSegs is wd's dense-gradient segment table (135 841 floats).
 var benchSegs = []int{3328, 256, 65536, 256, 65536, 256, 672, 1}
 
-// benchRun is an ascending id run of n rows with ids spaced like a
-// uniform draw over a scaled Criteo table.
-func benchRun(n int, base uint64) ([]uint64, [][]float32) {
-	ids, rows := make([]uint64, n), make([][]float32, n)
-	for i := range ids {
-		ids[i] = base + 199*uint64(i)
+// benchRun is a run of n rows of benchDim floats.
+func benchRun(n int) [][]float32 {
+	rows := make([][]float32, n)
+	for i := range rows {
 		rows[i] = make([]float32, benchDim)
 		for k := range rows[i] {
 			rows[i][k] = float32(i*benchDim+k) * 1e-3
 		}
 	}
-	return ids, rows
+	return rows
 }
 
 // benchPlan is trainer 0's plan of a P = 2 uniform-key iteration.
@@ -50,6 +48,7 @@ func benchPlan() *core.Plan {
 			pl.ReplicaOut[1] = append(pl.ReplicaOut[1], id)
 		}
 		pl.OwnedUsers = append(pl.OwnedUsers, users)
+		pl.OwnedNext = append(pl.OwnedNext, i%3 == 0)
 	}
 	pl.Prefetch, pl.Expiring = pl.Owned, pl.Owned
 	for i := 0; i < benchReplicaRows; i++ {
@@ -79,14 +78,9 @@ func BenchmarkPayloadCodec(b *testing.B) {
 		name string
 		make func() any
 	}{
-		{"replica", func() any {
-			ids, rows := benchRun(benchReplicaRows, 3)
-			return ReplicaMsg{Iter: 5, IDs: ids, Rows: rows}
-		}},
+		{"replica", func() any { return ReplicaMsg{Iter: 5, Rows: benchRun(benchReplicaRows)} }},
 		{"sync", func() any {
-			uIDs, urgent := benchRun(benchSyncRows/2, 5)
-			lIDs, lazy := benchRun(benchSyncRows/2, 7)
-			return SyncBatchMsg{Flushes: []SyncMsg{{Iter: 5, IDs: uIDs, Partials: urgent}, {Iter: 4, IDs: lIDs, Partials: lazy}}}
+			return SyncBatchMsg{Flushes: []SyncMsg{{Iter: 5, Class: SyncUrgent, Partials: benchRun(benchSyncRows)}}}
 		}},
 		{"fused", func() any {
 			m := FusedCollMsg{Seq: 5, Origin: 1, Loss: []float64{0.69}}

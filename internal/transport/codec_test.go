@@ -20,6 +20,7 @@ func testPlan() *core.Plan {
 		Owned:       []uint64{3, 9, 27},
 		OwnedTTL:    []int{5, 4, 4},
 		OwnedUsers:  []core.Ranks{0b011, 0b110, 0b010},
+		OwnedNext:   []bool{true, false, true},
 		Prefetch:    []uint64{3, 27},
 		Expiring:    []uint64{9, 27},
 		ReplicaOut:  [][]uint64{{3}, nil, {9}},
@@ -44,20 +45,21 @@ func testPlan() *core.Plan {
 }
 
 // TestCodecRoundTrip pins the little-endian codec: every wire payload type
-// decodes back to a deep-equal value, including id/row runs and the nested
+// decodes back to a deep-equal value, including row runs and the nested
 // plan/decision/batch structure.
 func TestCodecRoundTrip(t *testing.T) {
 	plan := testPlan()
 	cases := []any{
-		ReplicaMsg{Iter: 7, IDs: []uint64{12, 99}, Rows: [][]float32{
+		ReplicaMsg{Iter: 7, Rows: [][]float32{
 			{1, 2.5, -3},
 			{0, -0.125, 42},
 		}},
-		// Coalesced sync flushes, id → partial: iterations out of order, and
-		// an empty table.
+		ReplicaMsg{Iter: 8},
+		// Sync flushes of both classes: iterations out of order, and an
+		// empty flush.
 		SyncBatchMsg{Flushes: []SyncMsg{
-			{Iter: 4, IDs: []uint64{2}, Partials: [][]float32{{0.5, 0.25}}},
-			{Iter: 3, IDs: []uint64{2, 8}, Partials: [][]float32{{0.1, -4}, {7, -2e-5}}},
+			{Iter: 4, Class: SyncUrgent, Partials: [][]float32{{0.5, 0.25}}},
+			{Iter: 3, Class: SyncDeferred, Partials: [][]float32{{0.1, -4}, {7, -2e-5}}},
 			{Iter: 5},
 		}},
 		PlanMsg{Plan: plan},
@@ -127,6 +129,8 @@ func TestPlanDecodeRejectsHostile(t *testing.T) {
 		"long user slice":        func(pl *core.Plan) { pl.OwnedUsers = append(pl.OwnedUsers, 1) },
 		"short owner slice":      func(pl *core.Plan) { pl.RemoteOwner = pl.RemoteOwner[:1] },
 		"short next slice":       func(pl *core.Plan) { pl.RemoteNext = nil },
+		"short owned-next slice": func(pl *core.Plan) { pl.OwnedNext = pl.OwnedNext[:2] },
+		"long owned-next slice":  func(pl *core.Plan) { pl.OwnedNext = append(pl.OwnedNext, true) },
 		"owner out of range":     func(pl *core.Plan) { pl.RemoteOwner = []int{0, 3} },
 		"owner is self":          func(pl *core.Plan) { pl.RemoteOwner = []int{0, 1}; pl.ReplicaFrom = 0b011 },
 		"user out of range":      func(pl *core.Plan) { pl.OwnedUsers[0] = 0b1001 },
@@ -167,14 +171,22 @@ func TestPlanDecodeRejectsHostile(t *testing.T) {
 	if _, err := DecodePayload(frame); err == nil {
 		t.Error("needed-next flag 2 decoded without error")
 	}
+	// The owner's needed-next flags follow its three 8-byte user sets, at
+	// byte 1 (tag) + 8 (trainer, trainer count) + 4+24 (Owned) + 4+12
+	// (OwnedTTL) + 4+24 (OwnedUsers) + 4 (the flags' count).
+	frame = append([]byte(nil), valid...)
+	frame[1+8+28+16+28+4] = 3
+	if _, err := DecodePayload(frame); err == nil {
+		t.Error("owned needed-next flag 3 decoded without error")
+	}
 }
 
 // retiredFrames is one frame of each retired encoding, laid out as a peer
 // that still spoke it would have sent it: the per-parameter collective
 // (tag 4: seq, element-type flag, float32 vector), the float16 replica
 // push (tag 6: iteration, one row of one binary16 element), and a sync
-// table whose reserved byte carries the old float16 flag (one partial of
-// one binary16 element). Every one must decode to an error.
+// table whose reserved byte carries the old float16 flag (one id and one
+// partial of one binary16 element). Every one must decode to an error.
 func retiredFrames() []struct {
 	name  string
 	frame []byte
@@ -203,26 +215,31 @@ func retiredFrames() []struct {
 // its pooled frame by) predicts its length.
 func FuzzDecodePayload(f *testing.F) {
 	for _, p := range []any{
-		ReplicaMsg{Iter: 7, IDs: []uint64{12, 99}, Rows: [][]float32{{1, 2.5, -3}, {0, -0.125, 42}}},
+		ReplicaMsg{Iter: 7, Rows: [][]float32{{1, 2.5, -3}, {0, -0.125, 42}}},
 		SyncBatchMsg{Flushes: []SyncMsg{
-			{Iter: 4, IDs: []uint64{2, 6}, Partials: [][]float32{{0.5, 0.25}, {1, 2}}},
-			{Iter: 3, IDs: []uint64{8}, Partials: [][]float32{{7, -2e-5}}},
+			{Iter: 4, Class: SyncUrgent, Partials: [][]float32{{0.5, 0.25}, {1, 2}}},
+			{Iter: 3, Class: SyncDeferred, Partials: [][]float32{{7, -2e-5}}},
 			{Iter: 5},
 		}},
 		PlanMsg{Plan: testPlan()},
 		FusedCollMsg{Seq: 43, Origin: 2, Segs: [][]float32{{1, 2, 3}, {-0.5}}, Loss: []float64{0.693147}},
 		RawMsg("hello mesh"),
+		// The id-free replica push of one row, and the engine's two sync
+		// frames of one iteration: urgent, then deferred.
+		ReplicaMsg{Iter: 2, Rows: [][]float32{{-1, 0.5}}},
+		SyncBatchMsg{Flushes: []SyncMsg{{Iter: 9, Class: SyncUrgent, Partials: [][]float32{{1}, {2}, {3}}}}},
+		SyncBatchMsg{Flushes: []SyncMsg{{Iter: 9, Class: SyncDeferred, Partials: [][]float32{{4}}}}},
 	} {
 		f.Add(EncodePayload(p))
 	}
 	for _, r := range retiredFrames() {
 		f.Add(r.frame)
 	}
-	// The replica runs the decoder refuses: a zero-width row, ragged rows,
-	// and more rows as wide as the first than the frame can hold.
-	f.Add(putU32(putU64(putU32(putU64([]byte{tagReplica}, 1), 1), 5), 0))
-	f.Add(putF32s(putU64(putU32(putU64([]byte{tagReplica}, 1), 3), 5), make([]float32, 12)))
-	f.Add(putF32s(putU64(putF32s(putU64(putU32(putU64([]byte{tagReplica}, 1), 2), 5), []float32{1, 2}), 6), []float32{3}))
+	// The runs the decoder refuses: replica rows of width 0, more rows than
+	// the frame can hold, and a sync flush of a third class.
+	f.Add(putU32(putU32(putU64([]byte{tagReplica}, 1), 0), 5))
+	f.Add(putF32sRaw(putU32(putU32(putU64([]byte{tagReplica}, 1), 4), 3), make([]float32, 4)))
+	f.Add(putF32sRaw(putU32(putU32(append(putU64(putU32([]byte{tagSyncBatch}, 1), 3), 2), 1), 1), []float32{1}))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		p, err := DecodePayload(frame)
 		if err != nil {
@@ -240,9 +257,8 @@ func FuzzDecodePayload(f *testing.F) {
 // TestCodecDeterministic: the same payload always produces identical bytes.
 func TestCodecDeterministic(t *testing.T) {
 	msg := ReplicaMsg{Iter: 1}
-	for id := uint64(0); id < 64; id++ {
-		msg.IDs = append(msg.IDs, id*7)
-		msg.Rows = append(msg.Rows, []float32{float32(id)})
+	for i := 0; i < 64; i++ {
+		msg.Rows = append(msg.Rows, []float32{float32(i)})
 	}
 	ref := EncodePayload(msg)
 	for i := 0; i < 16; i++ {
@@ -257,10 +273,10 @@ func TestCodecDeterministic(t *testing.T) {
 // including the segmented fused-collective and coalesced-sync encodings.
 func TestCodecRejectsCorrupt(t *testing.T) {
 	payloads := []any{
-		ReplicaMsg{Iter: 1, IDs: []uint64{5}, Rows: [][]float32{{1, 2, 3}}},
+		ReplicaMsg{Iter: 1, Rows: [][]float32{{1, 2, 3}}},
 		SyncBatchMsg{Flushes: []SyncMsg{
-			{Iter: 2, IDs: []uint64{3, 9}, Partials: [][]float32{{1, 2}, {5, 6}}},
-			{Iter: 1, IDs: []uint64{7}, Partials: [][]float32{{3, 4}}},
+			{Iter: 2, Class: SyncUrgent, Partials: [][]float32{{1, 2}, {5, 6}}},
+			{Iter: 1, Class: SyncDeferred, Partials: [][]float32{{3, 4}}},
 		}},
 		FusedCollMsg{Seq: 9, Origin: 1, Segs: [][]float32{{1, 2}, {3}}, Loss: []float64{0.5}},
 		PlanMsg{Plan: testPlan()},
@@ -305,47 +321,27 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 	}
 	// Well-framed values the encoder never writes: the decoder accepts
 	// only frames that re-encode to themselves.
-	syncRows := func(flag byte, dim uint32, ids ...uint64) []byte {
+	syncRows := func(class byte, dim, n uint32) []byte {
 		b := []byte{tagSyncBatch}
 		b = putU32(b, 1)
 		b = putU64(b, 3)
-		b = append(b, flag)
+		b = append(b, class)
 		b = putU32(b, dim)
-		b = putU32(b, uint32(len(ids)))
-		for _, id := range ids {
-			b = putU64(b, id)
-			b = putF32sRaw(b, make([]float32, dim))
-		}
-		return b
+		b = putU32(b, n)
+		return putF32sRaw(b, make([]float32, dim*n))
 	}
-	replicaRows := func(ids ...uint64) []byte {
-		b := putU32(putU64([]byte{tagReplica}, 1), uint32(len(ids)))
-		for _, id := range ids {
-			b = putU64(b, id)
-			b = putF32s(b, []float32{1})
-		}
-		return b
-	}
-	// One replica frame carries one row width, greater than 0: a zero-width
-	// or ragged run re-encodes to itself but would reach the trainer's
+	// One replica frame carries one row width, greater than 0 exactly
+	// when it carries rows: a zero-width run would reach the trainer's
 	// gather short of floats.
-	replicaWidths := func(widths ...int) []byte {
-		b := putU32(putU64([]byte{tagReplica}, 1), uint32(len(widths)))
-		for i, w := range widths {
-			b = putU64(b, uint64(i+1))
-			b = putF32s(b, make([]float32, w))
-		}
-		return b
+	replicaRows := func(dim, n uint32, floats int) []byte {
+		b := putU32(putU32(putU64([]byte{tagReplica}, 1), dim), n)
+		return putF32sRaw(b, make([]float32, floats))
 	}
 	// A replica frame that claims one 16-byte row per 16 bytes it holds,
-	// the first as wide as the whole frame: every row is as wide as the
-	// first, so a decoder that allocated the run before counting its
-	// bytes would ask for about len²/16 bytes.
+	// each as wide as the whole frame: a decoder that allocated the run
+	// before counting its bytes would ask for about len²/16 bytes.
 	replicaWide := func(body int) []byte {
-		ne := (body - 8 - 4) / 4
-		b := putU32(putU64([]byte{tagReplica}, 1), uint32(body/16))
-		b = putU64(b, 1)
-		return putF32s(b, make([]float32, ne))
+		return replicaRows(uint32(body/4-4), uint32(body/16), body/4-4)
 	}
 	wide := replicaWide(32 << 10)
 	var before, after runtime.MemStats
@@ -359,14 +355,13 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 	}
 	hostile := map[string][]byte{
 		"replica rows wider than the frame": replicaWide(1 << 10),
-		"replica zero-width row":            replicaWidths(0),
-		"replica ragged rows":               replicaWidths(2, 1),
-		"sync flag byte 1":                  syncRows(1, 1, 4),
-		"sync flag byte 2":                  syncRows(2, 1, 4),
-		"sync ids descending":               syncRows(0, 1, 9, 4),
-		"sync ids repeated":                 syncRows(0, 1, 4, 4),
-		"sync empty table of width 2":       syncRows(0, 2),
-		"replica ids descending":            replicaRows(9, 4),
+		"replica rows of width 0":           replicaRows(0, 2, 0),
+		"replica width without rows":        replicaRows(3, 0, 0),
+		"replica short of its rows":         replicaRows(2, 3, 5),
+		"sync class byte 2":                 syncRows(2, 1, 1),
+		"sync class byte 255":               syncRows(255, 1, 1),
+		"sync empty flush of width 2":       syncRows(0, 2, 0),
+		"sync partials of width 0":          syncRows(1, 0, 3),
 	}
 	for _, r := range retiredFrames() {
 		hostile[r.name] = r.frame
@@ -378,10 +373,10 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// TestSyncEncodeRefusesRaggedOrBare: one flush carries one partial width,
-// one replica push one row width greater than 0, and neither a SyncMsg nor
-// the retired CollMsg has a frame of its own — all are programming errors
-// the encoder reports at the first Send.
+// TestSyncEncodeRefusesRaggedOrBare: one flush carries one partial width
+// and one of the two classes, one replica push one row width greater than
+// 0, and neither a SyncMsg nor the retired CollMsg has a frame of its own —
+// all are programming errors the encoder reports at the first Send.
 func TestSyncEncodeRefusesRaggedOrBare(t *testing.T) {
 	mustPanic := func(name string, p any) {
 		t.Helper()
@@ -393,17 +388,21 @@ func TestSyncEncodeRefusesRaggedOrBare(t *testing.T) {
 		EncodePayload(p)
 	}
 	mustPanic("ragged flush", SyncBatchMsg{Flushes: []SyncMsg{
-		{Iter: 1, IDs: []uint64{1, 2}, Partials: [][]float32{{1, 2}, {3}}},
+		{Iter: 1, Partials: [][]float32{{1, 2}, {3}}},
 	}})
-	mustPanic("bare SyncMsg", SyncMsg{Iter: 1, IDs: []uint64{1}, Partials: [][]float32{{1}}})
-	mustPanic("ragged replica", ReplicaMsg{Iter: 1, IDs: []uint64{1, 2}, Rows: [][]float32{{1, 2}, {3}}})
-	mustPanic("zero-width replica", ReplicaMsg{Iter: 1, IDs: []uint64{1}, Rows: [][]float32{{}}})
+	mustPanic("third sync class", SyncBatchMsg{Flushes: []SyncMsg{
+		{Iter: 1, Class: NumSyncClasses, Partials: [][]float32{{1}}},
+	}})
+	mustPanic("bare SyncMsg", SyncMsg{Iter: 1, Partials: [][]float32{{1}}})
+	mustPanic("ragged replica", ReplicaMsg{Iter: 1, Rows: [][]float32{{1, 2}, {3}}})
+	mustPanic("zero-width replica", ReplicaMsg{Iter: 1, Rows: [][]float32{{}}})
 	mustPanic("retired CollMsg", CollMsg{})
 }
 
 // TestPayloadWireBytes pins the wire format byte for byte — it is a
-// contract with peers running other builds: one frame each of a replica
-// push, a sync batch, a fused collective and a plan, against fixed hex. The
+// contract with peers running other builds: one frame each of an id-free
+// replica push, a sync batch of both classes, a fused collective and a
+// plan, against fixed hex. The
 // floats include −Inf, a NaN with a payload and an empty segment.
 func TestPayloadWireBytes(t *testing.T) {
 	nan := math.Float32frombits(0x7fc00001)
@@ -412,17 +411,17 @@ func TestPayloadWireBytes(t *testing.T) {
 		p    any
 		hex  string
 	}{
-		{"replica", ReplicaMsg{Iter: 7, IDs: []uint64{12, 99}, Rows: [][]float32{{1, 2.5, float32(math.Inf(-1))}, {0, -0.125, 42}}},
-			"010700000000000000020000000c00000000000000030000000000803f00002040000080ff63000000000000000300000000000000000000be00002842"},
+		{"replica", ReplicaMsg{Iter: 7, Rows: [][]float32{{1, 2.5, float32(math.Inf(-1))}, {0, -0.125, 42}}},
+			"01070000000000000003000000020000000000803f00002040000080ff00000000000000be00002842"},
 		{"sync", SyncBatchMsg{Flushes: []SyncMsg{
-			{Iter: 4, IDs: []uint64{2, 6}, Partials: [][]float32{{0.5, nan}, {1, 2}}},
-			{Iter: 3, IDs: []uint64{8}, Partials: [][]float32{{7, -2e-5}}},
+			{Iter: 4, Class: SyncUrgent, Partials: [][]float32{{0.5, nan}, {1, 2}}},
+			{Iter: 3, Class: SyncDeferred, Partials: [][]float32{{7, -2e-5}}},
 			{Iter: 5},
-		}}, "0703000000040000000000000000020000000200000002000000000000000000003f0100c07f06000000000000000000803f00000040030000000000000000020000000100000008000000000000000000e040acc5a7b70500000000000000000000000000000000"},
+		}}, "070300000004000000000000000002000000020000000000003f0100c07f0000803f0000004003000000000000000102000000010000000000e040acc5a7b70500000000000000000000000000000000"},
 		{"fused", FusedCollMsg{Seq: 43, Origin: 2, Segs: [][]float32{{1, 2, 3}, {-0.5}, nil}, Loss: []float64{0.693147}},
 			"082b000000000000000200000003000000030000000000803f000000400000404001000000000000bf0000000001000000a2410a9e422ee63f"},
 		{"plan", PlanMsg{Plan: testPlan()},
-			"03010000000300000003000000030000000000000009000000000000001b0000000000000003000000050000000400000004000000030000000300000000000000060000000000000002000000000000000200000003000000000000001b000000000000000200000009000000000000001b0000000000000001000000030000000000000000000000010000000900000000000000020000000400000000000000080000000000000002000000000000000200000002000000010005000000000000000400000000000000040000000000000001000000010000000200000004000000000000000400000002000000010000000200000000000040000040400200000009000000000000000800000000000000000000000200000002000000000080be0000000002000000030000000000000008000000000000000000803f"},
+			"03010000000300000003000000030000000000000009000000000000001b000000000000000300000005000000040000000400000003000000030000000000000006000000000000000200000000000000030000000100010200000003000000000000001b000000000000000200000009000000000000001b0000000000000001000000030000000000000000000000010000000900000000000000020000000400000000000000080000000000000002000000000000000200000002000000010005000000000000000400000000000000040000000000000001000000010000000200000004000000000000000400000002000000010000000200000000000040000040400200000009000000000000000800000000000000000000000200000002000000000080be0000000002000000030000000000000008000000000000000000803f"},
 	}
 	for _, c := range cases {
 		if got := hex.EncodeToString(EncodePayload(c.p)); got != c.hex {

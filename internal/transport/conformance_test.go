@@ -283,10 +283,10 @@ func TestMeshConformanceCloseWhileSending(t *testing.T) {
 func TestMeshConformanceTypedPayloads(t *testing.T) {
 	payloads := func() []any {
 		return []any{
-			ReplicaMsg{Iter: 2, IDs: []uint64{7}, Rows: [][]float32{{1, -2, 0.5}}},
+			ReplicaMsg{Iter: 2, Rows: [][]float32{{1, -2, 0.5}}},
 			SyncBatchMsg{Flushes: []SyncMsg{
-				{Iter: 5, IDs: []uint64{3, 6}, Partials: [][]float32{{0.5, 2}, {-3, 1}}},
-				{Iter: 4, IDs: []uint64{8}, Partials: [][]float32{{-1, 0.1}}},
+				{Iter: 5, Class: SyncUrgent, Partials: [][]float32{{0.5, 2}, {-3, 1}}},
+				{Iter: 4, Class: SyncDeferred, Partials: [][]float32{{-1, 0.1}}},
 			}},
 			FusedCollMsg{Seq: 11, Origin: 1, Segs: [][]float32{{1, 2}, {3, 4, 5}}, Loss: []float64{0.125}},
 		}
@@ -335,11 +335,11 @@ func clonePayload(p any) any {
 	}
 	switch m := p.(type) {
 	case ReplicaMsg:
-		return ReplicaMsg{Iter: m.Iter, IDs: slices.Clone(m.IDs), Rows: rows(m.Rows)}
+		return ReplicaMsg{Iter: m.Iter, Rows: rows(m.Rows)}
 	case SyncBatchMsg:
 		c := SyncBatchMsg{Flushes: make([]SyncMsg, len(m.Flushes))}
 		for i, f := range m.Flushes {
-			c.Flushes[i] = SyncMsg{Iter: f.Iter, IDs: slices.Clone(f.IDs), Partials: rows(f.Partials)}
+			c.Flushes[i] = SyncMsg{Iter: f.Iter, Class: f.Class, Partials: rows(f.Partials)}
 		}
 		return c
 	case FusedCollMsg:

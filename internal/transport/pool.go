@@ -172,10 +172,10 @@ func (a *RowArena) PutN(rows [][]float32) {
 func ReleasePayload(p any) {
 	switch m := p.(type) {
 	case ReplicaMsg:
-		releaseRun(m.IDs, m.Rows)
+		releaseRun(m.Rows)
 	case SyncBatchMsg:
 		for _, f := range m.Flushes {
-			releaseRun(f.IDs, f.Partials)
+			releaseRun(f.Partials)
 		}
 		PutSyncList(m.Flushes)
 	case FusedCollMsg:
@@ -189,14 +189,13 @@ func ReleasePayload(p any) {
 	}
 }
 
-// releaseRun returns one id/row run — its rows share a width — with one
-// PutN, then its two headers.
-func releaseRun(ids []uint64, rows [][]float32) {
+// releaseRun returns one run of rows — they share a width — with one
+// PutN, then its header.
+func releaseRun(rows [][]float32) {
 	if len(rows) > 0 && len(rows[0]) > 0 {
 		Rows(len(rows[0])).PutN(rows)
 	}
 	PutRowSlice(rows)
-	PutIDs(ids)
 }
 
 // slicePool is a bounded free list of slice headers: row-slice headers
@@ -240,7 +239,6 @@ func (p *slicePool[T]) put(h []T) {
 
 var (
 	rowSlicePool slicePool[[]float32]
-	idSlicePool  slicePool[uint64]
 	syncListPool slicePool[SyncMsg]
 )
 
@@ -253,19 +251,12 @@ func GetRowSlice(n int) [][]float32 { return rowSlicePool.get(n) }
 // by whoever owns them.
 func PutRowSlice(h [][]float32) { rowSlicePool.put(h) }
 
-// GetIDs returns an id slice of length n (zeroed) — the id run of a replica
-// push or a sync flush.
-func GetIDs(n int) []uint64 { return idSlicePool.get(n) }
-
-// PutIDs returns an id slice to the pool.
-func PutIDs(ids []uint64) { idSlicePool.put(ids) }
-
 // GetSyncList returns a flush list of length n with zeroed entries — the
 // Flushes of a SyncBatchMsg, which transfers with the message.
 func GetSyncList(n int) []SyncMsg { return syncListPool.get(n) }
 
 // PutSyncList returns a flush list to the pool, clearing its entries. The
-// runs they named are unaffected: their owner releases them separately.
+// partials they named are unaffected: their owner releases them separately.
 func PutSyncList(l []SyncMsg) { syncListPool.put(l) }
 
 // bufPool recycles encoded frames: class c holds buffers whose capacity is

@@ -113,14 +113,3 @@ func TestRowSlicePool(t *testing.T) {
 	}
 	PutRowSlice(nil) // must be a no-op
 }
-
-// TestIDPool: recycled id runs come back zeroed at the requested length.
-func TestIDPool(t *testing.T) {
-	ids := GetIDs(4)
-	copy(ids, []uint64{7, 8, 9, 10})
-	PutIDs(ids)
-	if got := GetIDs(3); len(got) != 3 || got[0]|got[1]|got[2] != 0 {
-		t.Fatalf("recycled id run %v, want three zeros", got)
-	}
-	PutIDs(nil) // must be a no-op
-}

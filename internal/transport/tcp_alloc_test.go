@@ -171,23 +171,19 @@ func TestTCPMeshSteadyStateAllocs(t *testing.T) {
 	defer lb.Shutdown()
 	a, b := lb.Endpoint(0), lb.Endpoint(1)
 	arena := Rows(dim)
-	fill := func(n int, base uint64) ([]uint64, [][]float32) {
-		ids, rs := GetIDs(n), GetRowSlice(n)
+	fill := func(n int) [][]float32 {
+		rs := GetRowSlice(n)
 		arena.GetN(rs)
 		for i, row := range rs {
-			ids[i] = base + uint64(i)
 			for k := range row {
 				row[k] = float32(i + k)
 			}
 		}
-		return ids, rs
+		return rs
 	}
 	round := func() {
-		ids, rs := fill(rows, 100)
-		a.Send(1, 1, ReplicaMsg{Iter: 3, IDs: ids, Rows: rs})
-		uIDs, urgent := fill(4, 200)
-		lIDs, lazy := fill(6, 300)
-		a.Send(1, 1, SyncBatchMsg{Flushes: []SyncMsg{{Iter: 3, IDs: uIDs, Partials: urgent}, {Iter: 1, IDs: lIDs, Partials: lazy}}})
+		a.Send(1, 1, ReplicaMsg{Iter: 3, Rows: fill(rows)})
+		a.Send(1, 1, SyncBatchMsg{Flushes: []SyncMsg{{Iter: 3, Class: SyncUrgent, Partials: fill(4)}, {Iter: 3, Class: SyncDeferred, Partials: fill(6)}}})
 		coll := FusedCollMsg{Seq: 3, Origin: 0, Segs: make([][]float32, len(segLens)), Loss: []float64{0.5}}
 		for i, n := range segLens {
 			coll.Segs[i] = Rows(n).Get()

@@ -12,7 +12,9 @@ import (
 )
 
 // meshMagic opens every mesh connection: "BGM" + protocol version.
-const meshMagic uint32 = 'B'<<24 | 'G'<<16 | 'M'<<8 | 1
+// Version 2: replica pushes and sync flushes carry no ids, and plans carry
+// the owner's needed-next flags.
+const meshMagic uint32 = 'B'<<24 | 'G'<<16 | 'M'<<8 | 2
 
 // meshDialTimeout bounds how long mesh construction waits for peers: the
 // processes of one run start in arbitrary order, so dials retry and accepts
