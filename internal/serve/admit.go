@@ -25,31 +25,6 @@ type wallClock struct{}
 
 func (wallClock) Now() time.Time { return time.Now() }
 
-// FakeClock is a manually advanced Clock for tests.
-type FakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-// NewFakeClock starts a fake clock at an arbitrary fixed instant.
-func NewFakeClock() *FakeClock {
-	return &FakeClock{now: time.Unix(1_000_000, 0)}
-}
-
-// Now implements Clock.
-func (c *FakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Advance moves the clock forward by d.
-func (c *FakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
-
 // RateLimiter is a per-client token bucket: each client refills at rate
 // tokens/second up to burst, and one query spends one token. Clients are
 // isolated — a client blowing through its budget cannot starve another —

@@ -2,9 +2,35 @@ package serve
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
+
+// FakeClock is a manually advanced Clock for tests.
+type FakeClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+// NewFakeClock starts a fake clock at an arbitrary fixed instant.
+func NewFakeClock() *FakeClock {
+	return &FakeClock{now: time.Unix(1_000_000, 0)}
+}
+
+// Now implements Clock.
+func (c *FakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+// Advance moves the clock forward by d.
+func (c *FakeClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
 
 // Token-bucket arithmetic under a fake clock: burst drains, refill accrues
 // at exactly rate tokens/second, and the bucket caps at burst.

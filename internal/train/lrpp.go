@@ -55,27 +55,6 @@ type LRPPHooks struct {
 // in-process, simulated, and TCP fabrics — only the TCP mesh additionally
 // runs them through the little-endian codec.
 
-// syncBatchBytes is the size of one sync frame, exactly what the codec
-// writes for it (len(transport.EncodePayload(msg)), pinned by
-// TestSyncBatchBytesMatchesCodec): payload tag and flush count, then per
-// flush its header (iteration, class, width, partial count) and dim
-// float32s per partial. No ids: the owner reads them from its plan.
-func syncBatchBytes(flushes []transport.SyncMsg, dim int) int64 {
-	b := int64(1 + 4)
-	for _, f := range flushes {
-		b += 8 + 1 + 4 + 4 + int64(len(f.Partials))*4*int64(dim)
-	}
-	return b
-}
-
-// replicaMsgBytes is the size of one replica push of n rows, exactly what
-// the codec writes for it (pinned by TestReplicaMsgBytesMatchesCodec):
-// payload tag, iteration, width and row count, then dim float32s per row.
-// No ids: the reader reads them from its plan.
-func replicaMsgBytes(n, dim int) int64 {
-	return 1 + 8 + 4 + 4 + int64(n)*4*int64(dim)
-}
-
 // syncClass is the flush a partial travels in: urgent when the next
 // iteration reads its row.
 func syncClass(next bool) transport.SyncClass {
@@ -137,10 +116,17 @@ type lrppEngine struct {
 	collArrive [2][core.MaxTrainers]atomic.Int64
 }
 
-// countSend charges one sent mesh frame to its traffic class.
-func (eng *lrppEngine) countSend(class int, bytes int64) {
-	eng.classMsgs[class].Add(1)
-	eng.classBytes[class].Add(bytes)
+// send sends payload to trainer `to` over ep, declaring the bytes the
+// codec encodes for it (transport.PayloadSize) on every fabric, and charges
+// them to the traffic class. The payload is boxed once, by the caller, and
+// sized before Send, which transfers it. A nil engine only sends.
+func (eng *lrppEngine) send(ep transport.Endpoint, to, class int, payload any) {
+	b := int64(transport.PayloadSize(payload))
+	ep.Send(to, b, payload)
+	if eng != nil {
+		eng.classMsgs[class].Add(1)
+		eng.classBytes[class].Add(b)
+	}
 }
 
 // flushItem hands one iteration's remote partials to the delayed-sync
@@ -692,9 +678,7 @@ func (t *lrppTrainer) startFlusher() {
 					f := transport.GetSyncList(1)
 					f[0] = transport.SyncMsg{Iter: it.iter, Class: transport.SyncClass(c), Partials: parts}
 					it.parts[c][o] = nil
-					b := syncBatchBytes(f, eng.dim)
-					t.ep.Send(o, b, transport.SyncBatchMsg{Flushes: f})
-					eng.countSend(classSync, b)
+					eng.send(t.ep, o, classSync, transport.SyncBatchMsg{Flushes: f})
 					if transport.SyncClass(c) == transport.SyncUrgent {
 						eng.urgentFlushes.Add(1)
 					} else {
@@ -906,10 +890,8 @@ func (t *lrppTrainer) stage(rec *iterRec) {
 		if n == 0 {
 			continue
 		}
-		b := replicaMsgBytes(n, eng.dim)
-		t.ep.Send(q, b, rec.outs[q])
+		eng.send(t.ep, q, classReplica, rec.outs[q])
 		rec.outs[q] = transport.ReplicaMsg{}
-		eng.countSend(classReplica, b)
 		eng.replicaRows.Add(int64(n))
 	}
 	t.clock.add(StageWaitRows, waitRows)

@@ -54,15 +54,6 @@ func newMeshColl(rank, n int, ep transport.Endpoint, eng *lrppEngine) *meshColl 
 	return c
 }
 
-// send is the one place collective frames leave this rank: it charges the
-// engine's collective-class traffic counters alongside the mesh send.
-func (c *meshColl) send(to int, bytes int64, payload any) {
-	c.ep.Send(to, bytes, payload)
-	if c.eng != nil {
-		c.eng.countSend(classColl, bytes)
-	}
-}
-
 // deliverFused routes one inbound fused frame (called from the trainer's
 // mesh receiver goroutine): a peer's contribution on rank 0, the root's
 // result everywhere else.
@@ -160,7 +151,6 @@ func (c *meshColl) FusedAllReduce(rank int, segs [][]float32, loss []float64) {
 		return
 	}
 	seq := c.nextSeq()
-	bytes := fusedCollBytes(segs, len(loss))
 	if c.rank == 0 {
 		start := time.Now()
 		byOrigin := c.gatherFused(seq)
@@ -182,11 +172,11 @@ func (c *meshColl) FusedAllReduce(rank int, segs [][]float32, loss []float64) {
 		}
 		// One snapshot per destination: Send transfers ownership.
 		for r := 1; r < c.n; r++ {
-			c.send(r, bytes, snapshotFused(seq, 0, segs, loss))
+			c.eng.send(c.ep, r, classColl, snapshotFused(seq, 0, segs, loss))
 		}
 		return
 	}
-	c.send(0, bytes, snapshotFused(seq, c.rank, segs, loss))
+	c.eng.send(c.ep, 0, classColl, snapshotFused(seq, c.rank, segs, loss))
 	start := time.Now()
 	m := c.awaitFused(seq)
 	c.waited = time.Since(start)
@@ -196,14 +186,4 @@ func (c *meshColl) FusedAllReduce(rank int, segs [][]float32, loss []float64) {
 	}
 	copy(loss, m.Loss)
 	transport.ReleasePayload(m)
-}
-
-// fusedCollBytes is the declared wire size of one fused collective frame:
-// seq + origin + segment table + loss vector.
-func fusedCollBytes(segs [][]float32, lossLen int) int64 {
-	b := int64(8 + 4 + 4 + 4 + 8*lossLen)
-	for _, s := range segs {
-		b += 4 + 4*int64(len(s))
-	}
-	return b
 }

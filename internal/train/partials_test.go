@@ -1,7 +1,9 @@
 package train
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"bagpipe/internal/core"
@@ -152,60 +154,73 @@ func TestEmbeddingGradientOrderIsPerRankPartialThenRankOrder(t *testing.T) {
 	}
 }
 
-// testRows returns n rows of width dim with distinct values.
-func testRows(n, dim int) [][]float32 {
-	rows := make([][]float32, n)
-	for i := range rows {
-		rows[i] = make([]float32, dim)
-		for k := range rows[i] {
-			rows[i][k] = float32(i) + 0.25*float32(k)
-		}
-	}
-	return rows
+// declaredMesh wraps a mesh so every send checks the size it declares
+// against the codec's encoding of its payload, and tallies the checked
+// frames and bytes per payload type.
+type declaredMesh struct {
+	transport.Mesh
+	t     *testing.T
+	mu    sync.Mutex
+	sends map[string][2]int64 // payload type → frames, bytes
 }
 
-// TestSyncBatchBytesMatchesCodec: the size the engine declares for a sync
-// frame (what the simulated mesh charges bandwidth for and MeshClasses
-// reports) is exactly what the codec writes.
-func TestSyncBatchBytesMatchesCodec(t *testing.T) {
-	const dim = 6
-	flush := func(iter int, c transport.SyncClass, n int) transport.SyncMsg {
-		m := transport.SyncMsg{Iter: iter, Class: c}
-		if n > 0 {
-			m.Partials = testRows(n, dim)
-		}
-		return m
-	}
-	cases := [][]transport.SyncMsg{
-		nil,
-		{flush(9, transport.SyncUrgent, 1)},
-		{flush(4, transport.SyncDeferred, 5)},
-		{flush(4, transport.SyncUrgent, 5), flush(3, transport.SyncDeferred, 17)},
-		{flush(1, transport.SyncUrgent, 0), flush(2, transport.SyncDeferred, 3)},
-	}
-	for i, flushes := range cases {
-		declared := syncBatchBytes(flushes, dim)
-		encoded := len(transport.EncodePayload(transport.SyncBatchMsg{Flushes: flushes}))
-		if declared != int64(encoded) {
-			t.Fatalf("case %d: declared %d bytes, codec wrote %d", i, declared, encoded)
-		}
-	}
+func (m *declaredMesh) Endpoint(rank int) transport.Endpoint {
+	return declaredEndpoint{m.Mesh.Endpoint(rank), m}
 }
 
-// TestReplicaMsgBytesMatchesCodec: the size the engine declares for a
-// replica push is exactly what the codec writes.
-func TestReplicaMsgBytesMatchesCodec(t *testing.T) {
-	for _, dim := range []int{1, 6, 16} {
-		for _, n := range []int{0, 1, 7, 300} {
-			msg := transport.ReplicaMsg{Iter: 11}
-			if n > 0 {
-				msg.Rows = testRows(n, dim)
-			}
-			declared := replicaMsgBytes(n, dim)
-			encoded := len(transport.EncodePayload(msg))
-			if declared != int64(encoded) {
-				t.Fatalf("%d rows of dim %d: declared %d bytes, codec wrote %d", n, dim, declared, encoded)
-			}
+type declaredEndpoint struct {
+	transport.Endpoint
+	m *declaredMesh
+}
+
+func (e declaredEndpoint) Send(to int, bytes int64, payload any) bool {
+	name := fmt.Sprintf("%T", payload)
+	if n := int64(len(transport.EncodePayload(payload))); bytes != n {
+		e.m.t.Errorf("rank %d → %d: %s declared %d bytes, the codec writes %d", e.Rank(), to, name, bytes, n)
+	}
+	e.m.mu.Lock()
+	s := e.m.sends[name]
+	e.m.sends[name] = [2]int64{s[0] + 1, s[1] + bytes}
+	e.m.mu.Unlock()
+	return e.Endpoint.Send(to, bytes, payload)
+}
+
+// TestDeclaredBytesMatchCodec: over a worker-mode run at P = 3, every frame
+// of all four mesh classes — replica pushes, sync frames, plans and fused
+// collectives — declares exactly the bytes the codec encodes for it, and
+// MeshClasses, summed over the ranks, reports exactly those frames and
+// bytes. The declared size is what the simulated mesh charges bandwidth for
+// and what mesh_bytes_per_ex reads.
+func TestDeclaredBytesMatchCodec(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.NumTrainers = 3
+	cfg.NumBatches = 16
+	srv := newServer(cfg.Spec, 3)
+	mesh := &declaredMesh{Mesh: transport.NewInprocMesh(3), t: t, sends: map[string][2]int64{}}
+	var sum MeshTraffic
+	for _, res := range runWorkers(t, cfg, newStores(srv, 3), mesh) {
+		c := res.MeshClasses
+		sum.ReplicaMsgs, sum.ReplicaBytes = sum.ReplicaMsgs+c.ReplicaMsgs, sum.ReplicaBytes+c.ReplicaBytes
+		sum.SyncMsgs, sum.SyncBytes = sum.SyncMsgs+c.SyncMsgs, sum.SyncBytes+c.SyncBytes
+		sum.CollMsgs, sum.CollBytes = sum.CollMsgs+c.CollMsgs, sum.CollBytes+c.CollBytes
+		sum.PlanMsgs, sum.PlanBytes = sum.PlanMsgs+c.PlanMsgs, sum.PlanBytes+c.PlanBytes
+	}
+	for _, c := range []struct {
+		payload     any
+		msgs, bytes int64
+	}{
+		{transport.ReplicaMsg{}, sum.ReplicaMsgs, sum.ReplicaBytes},
+		{transport.SyncBatchMsg{}, sum.SyncMsgs, sum.SyncBytes},
+		{transport.PlanMsg{}, sum.PlanMsgs, sum.PlanBytes},
+		{transport.FusedCollMsg{}, sum.CollMsgs, sum.CollBytes},
+	} {
+		name := fmt.Sprintf("%T", c.payload)
+		s := mesh.sends[name]
+		if s[0] == 0 {
+			t.Errorf("no %s sent", name)
+		}
+		if s != [2]int64{c.msgs, c.bytes} {
+			t.Errorf("%s: %d frames of %d bytes sent, MeshClasses reports %d of %d", name, s[0], s[1], c.msgs, c.bytes)
 		}
 	}
 }

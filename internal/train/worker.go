@@ -32,43 +32,6 @@ import (
 //     rides the same mesh unchanged; the plans' needed-next flags fix the
 //     order their partials follow.
 
-// planMsgBytes models the wire size of one plan: the Decision's batch
-// payload (dense features, categorical ids, label per example) plus the
-// per-trainer plan — the same role syncBatchBytes/replicaMsgBytes play for
-// the data-path messages. The model prices the plan as id-keyed tables (16
-// bytes per owned TTL and per remote id, 12 + 4 per user for each owned
-// id's user list, 12 + 8 per id for each non-empty replica list, one byte
-// per owned id for the needed-next flag its owner splits the sync lists by)
-// and counts the decision's needed-next ids, whatever the codec's layout:
-// the plan carries only its own share of the decision, so the caller counts
-// them.
-func planMsgBytes(pl *core.Plan, neededNext int) int64 {
-	b := int64(16)
-	b += 8 * int64(len(pl.Prefetch))
-	b += 17 * int64(len(pl.Owned))
-	b += 8 * int64(len(pl.Expiring))
-	for _, us := range pl.OwnedUsers {
-		b += 12 + 4*int64(us.Count())
-	}
-	for _, ids := range pl.ReplicaOut {
-		if len(ids) > 0 {
-			b += 12 + 8*int64(len(ids))
-		}
-	}
-	b += 16 * int64(len(pl.Remote))
-	b += 4 + 4*int64(pl.ReplicaFrom.Count())
-	d := pl.Dec
-	b += 8 + 4*int64(len(d.Assign)) + 8*int64(neededNext)
-	// Only the destination's assigned examples travel.
-	for i, ex := range d.Batch.Examples {
-		if d.Assign[i] != pl.Trainer {
-			continue
-		}
-		b += 8 + 4*int64(len(ex.Dense)) + 8*int64(len(ex.Cat)) + 4
-	}
-	return b
-}
-
 // RunLRPPWorker runs trainer `rank` of a cfg.NumTrainers-trainer LRPP run
 // in this process, reaching the embedding tier through tr (in production a
 // TCPLink for a one-server tier, or a ShardedStore of TCPLinks for an
@@ -142,18 +105,10 @@ func runLRPPWorker(cfg Config, rank int, tr transport.Store, mesh transport.Mesh
 					return
 				}
 				stats = append(stats, d.Stats(oracle.CacheOccupancy()))
-				needed := 0
-				for _, n := range d.NeededNext {
-					if n {
-						needed++
-					}
-				}
 				plans := d.Plans(P)
 				oracle.Recycle(d)
 				for p := 1; p < P; p++ {
-					pb := planMsgBytes(plans[p], needed)
-					ep.Send(p, pb, transport.PlanMsg{Plan: plans[p]})
-					eng.countSend(classPlan, pb)
+					eng.send(ep, p, classPlan, transport.PlanMsg{Plan: plans[p]})
 				}
 				planCh <- plans[0]
 			}

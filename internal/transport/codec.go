@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"unsafe"
 
@@ -14,10 +15,11 @@ import (
 // This file is the wire codec for everything that crosses a real network:
 // the trainer-mesh payloads (replica pushes, delayed-sync flushes, oracle
 // plans, collective contributions) and the framing shared with the
-// trainer↔embedding-server link. Encoding is explicit little-endian — no
-// gob/json/reflection on the hot path — and deterministic: id runs travel
-// strictly ascending, as their senders build them, so the same payload
-// always produces the same bytes (the codec round-trip tests rely on it).
+// trainer↔embedding-server link. Encoding is explicit little-endian, with
+// plans in unsigned varints — no gob/json/reflection on the hot path — and
+// deterministic: id runs travel strictly ascending, as their senders build
+// them, so the same payload always produces the same bytes (the codec
+// round-trip tests rely on it).
 // A run of fixed-width values moves with one copy through a byte view of
 // its slice (bytesOf); a big-endian host adds a swap pass.
 //
@@ -70,10 +72,10 @@ type (
 
 	// PlanMsg distributes one trainer's oracle plan from the rank-0 process
 	// (which hosts the Oracle Cacher) to its peer. The plan's sorted slices
-	// travel as they are; of its Decision only what a remote trainer
-	// consumes travels (Iter, Assign, Batch — the plan itself carries the
-	// needed-next flags of the rows it routes), and of the batch only the
-	// destination's assigned examples, indexed — the decoded Batch keeps its
+	// travel gap-coded (planWriter.plan); of its Decision only what a remote
+	// trainer consumes travels (Iter, Assign, Batch — the plan itself
+	// carries the needed-next flags of the rows it routes), and of the batch
+	// only the destination's assigned examples — the decoded Batch keeps its
 	// full length with empty slots elsewhere, so batch-order semantics (loss
 	// scaling by the full size, the rank's sub-batch order its gradient
 	// partials accumulate in) are preserved at a fraction of the bytes.
@@ -131,13 +133,14 @@ const (
 // Unknown payload types panic: only codec-known messages may be handed to a
 // networked mesh, and catching that at the first Send beats a silent drop.
 func EncodePayload(p any) []byte {
-	return appendPayload(make([]byte, 0, payloadSize(p)), p)
+	return appendPayload(make([]byte, 0, PayloadSize(p)), p)
 }
 
-// payloadSize is the exact length appendPayload writes for p, so a frame
-// can be taken from the pool at its final size. It is also the size the
-// engine declares for a replica push and a sync frame.
-func payloadSize(p any) int {
+// PayloadSize is the exact length EncodePayload writes for p, so a frame
+// can be taken from the pool at its final size, and the size the engine
+// declares for every mesh send: each class is priced as the bytes it
+// encodes, on every fabric. Unknown payload types are 0.
+func PayloadSize(p any) int {
 	switch m := p.(type) {
 	case ReplicaMsg:
 		return 1 + 8 + runSize(m.Rows)
@@ -330,74 +333,179 @@ func fillRow(row []float32, reg []byte) {
 	copyLE(bytesOf(row), reg, 4)
 }
 
-// putPlan writes a plan: its header (trainer, trainer count), its sorted
-// and parallel slices each behind its own count, then the Decision subset
-// remote trainers consume (Iter, Assign, Batch).
+// putPlan writes a plan in the layout planWriter.plan walks.
 func putPlan(b []byte, pl *core.Plan) []byte {
-	b = putU32(b, uint32(pl.Trainer))
-	b = putU32(b, uint32(len(pl.ReplicaOut)))
-	b = putU64s(b, pl.Owned)
-	b = putInts(b, pl.OwnedTTL)
-	b = putU32(b, uint32(len(pl.OwnedUsers)))
-	for _, u := range pl.OwnedUsers {
-		b = putU64(b, uint64(u))
-	}
-	b = putBools(b, pl.OwnedNext)
-	b = putU64s(b, pl.Prefetch)
-	b = putU64s(b, pl.Expiring)
-	for _, ids := range pl.ReplicaOut {
-		b = putU64s(b, ids)
-	}
-	b = putU64s(b, pl.Remote)
-	b = putInts(b, pl.RemoteOwner)
-	b = putBools(b, pl.RemoteNext)
-	b = putU64(b, uint64(pl.ReplicaFrom))
+	w := planWriter{b: b}
+	w.plan(pl)
+	return w.b
+}
 
+// planSize is the exact length putPlan writes for pl: the same walk,
+// counting bytes instead of writing them.
+func planSize(pl *core.Plan) int {
+	w := planWriter{count: true}
+	w.plan(pl)
+	return w.n
+}
+
+// planWriter walks a plan in wire order and appends its bytes to b, or,
+// when count is set, only adds their number to n, so the layout has one
+// definition and putPlan and planSize cannot disagree.
+type planWriter struct {
+	b     []byte
+	n     int
+	count bool
+}
+
+// plan writes pl. Every integer is an unsigned varint, and every list
+// travels as its length, then gaps:
+//
+//	Dec.Iter, Trainer, P (the trainer count, len(ReplicaOut))
+//	Owned                ids: each the gap from the one before (the first from 0)
+//	OwnedTTL             per owned id, TTL − Iter
+//	OwnedUsers           per owned id, its rank set
+//	OwnedNext            bitmap, one bit per owned id
+//	Prefetch, Expiring   positions in Owned: each the gap from the one before
+//	ReplicaOut[0..P)     positions in Owned, likewise
+//	Remote               ids, gap-coded as Owned
+//	RemoteOwner          per remote id, its owner
+//	RemoteNext           bitmap, one bit per remote id
+//	Dec.Assign           length, then one rank per example
+//	Dec.Batch.Index
+//	per example assigned to Trainer, in batch order:
+//	  dense count, raw f32s; id count, ids; raw f32 label
+//
+// A bitmap packs eight flags to a byte, low bit first, and pads its last
+// byte with zeros. ReplicaFrom does not travel: it is the set of Remote's
+// owners. Neither does an example's index, nor the example count: the
+// examples are exactly the destination's in Assign, in batch order. Lists
+// that are not ascending, a position list naming an id outside Owned, or
+// parallel lists of different lengths panic: the plan was not cut by
+// Decision.Plans, a programming error the encoder reports at the first
+// Send.
+func (w *planWriter) plan(pl *core.Plan) {
 	d := pl.Dec
-	b = putU64(b, uint64(d.Iter))
-	b = putInts(b, d.Assign)
-	// Only the destination trainer's assigned examples travel (indexed, so
-	// batch-order semantics — loss scaling by the full size, the sub-batch
-	// order gradient partials accumulate in — are preserved); shipping the
-	// whole batch to every peer would make plans P× redundant.
-	b = putU64(b, uint64(d.Batch.Index))
-	b = putU32(b, uint32(len(d.Batch.Examples)))
-	mine := 0
-	for i := range d.Batch.Examples {
-		if d.Assign[i] == pl.Trainer {
-			mine++
-		}
+	if len(pl.OwnedTTL) != len(pl.Owned) || len(pl.OwnedUsers) != len(pl.Owned) || len(pl.OwnedNext) != len(pl.Owned) ||
+		len(pl.RemoteOwner) != len(pl.Remote) || len(pl.RemoteNext) != len(pl.Remote) || len(d.Assign) != len(d.Batch.Examples) {
+		panic(fmt.Sprintf("transport: plan %d of iteration %d has parallel lists of different lengths", pl.Trainer, d.Iter))
 	}
-	b = putU32(b, uint32(mine))
+	w.uvarint(uint64(d.Iter))
+	w.uvarint(uint64(pl.Trainer))
+	w.uvarint(uint64(len(pl.ReplicaOut)))
+	w.ids(pl.Owned)
+	for _, ttl := range pl.OwnedTTL {
+		w.uvarint(uint64(ttl - d.Iter))
+	}
+	for _, u := range pl.OwnedUsers {
+		w.uvarint(uint64(u))
+	}
+	w.bitmap(pl.OwnedNext)
+	w.positions(pl.Prefetch, pl.Owned)
+	w.positions(pl.Expiring, pl.Owned)
+	for _, ids := range pl.ReplicaOut {
+		w.positions(ids, pl.Owned)
+	}
+	w.ids(pl.Remote)
+	for _, o := range pl.RemoteOwner {
+		w.uvarint(uint64(o))
+	}
+	w.bitmap(pl.RemoteNext)
+	w.uvarint(uint64(len(d.Assign)))
+	for _, t := range d.Assign {
+		w.uvarint(uint64(t))
+	}
+	w.uvarint(uint64(d.Batch.Index))
 	for i, ex := range d.Batch.Examples {
 		if d.Assign[i] != pl.Trainer {
 			continue
 		}
-		b = putU32(b, uint32(i))
-		b = putF32s(b, ex.Dense)
-		b = putU64s(b, ex.Cat)
-		b = putF32(b, ex.Label)
+		w.uvarint(uint64(len(ex.Dense)))
+		w.f32s(ex.Dense)
+		w.uvarint(uint64(len(ex.Cat)))
+		for _, id := range ex.Cat {
+			w.uvarint(id)
+		}
+		w.f32(ex.Label)
 	}
-	return b
 }
 
-// planSize is the exact length putPlan writes for pl.
-func planSize(pl *core.Plan) int {
-	n := 4 + 4 +
-		4 + 8*len(pl.Owned) + 4 + 4*len(pl.OwnedTTL) + 4 + 8*len(pl.OwnedUsers) + 4 + len(pl.OwnedNext) +
-		4 + 8*len(pl.Prefetch) + 4 + 8*len(pl.Expiring) +
-		4 + 8*len(pl.Remote) + 4 + 4*len(pl.RemoteOwner) + 4 + len(pl.RemoteNext) + 8
-	for _, ids := range pl.ReplicaOut {
-		n += 4 + 8*len(ids)
+func (w *planWriter) uvarint(v uint64) {
+	if w.count {
+		w.n += uvarintLen(v)
+	} else {
+		w.b = binary.AppendUvarint(w.b, v)
 	}
-	d := pl.Dec
-	n += 8 + 4 + 4*len(d.Assign) + 8 + 4 + 4
-	for i, ex := range d.Batch.Examples {
-		if d.Assign[i] == pl.Trainer {
-			n += 4 + 4 + 4*len(ex.Dense) + 4 + 8*len(ex.Cat) + 4
+}
+
+// f32s writes xs raw, without a length.
+func (w *planWriter) f32s(xs []float32) {
+	if w.count {
+		w.n += 4 * len(xs)
+	} else {
+		w.b = putF32sRaw(w.b, xs)
+	}
+}
+
+func (w *planWriter) f32(v float32) {
+	if w.count {
+		w.n += 4
+	} else {
+		w.b = putF32(w.b, v)
+	}
+}
+
+// ids writes a strictly ascending id list as its length and gaps.
+func (w *planWriter) ids(xs []uint64) {
+	w.uvarint(uint64(len(xs)))
+	var prev uint64
+	for i, id := range xs {
+		if i > 0 && id <= prev {
+			panic(fmt.Sprintf("transport: plan id %d after %d", id, prev))
+		}
+		w.uvarint(id - prev)
+		prev = id
+	}
+}
+
+// positions writes xs, a strictly ascending subset of owned, as its length
+// and the gaps between its ids' positions in owned.
+func (w *planWriter) positions(xs, owned []uint64) {
+	w.uvarint(uint64(len(xs)))
+	at, prev := 0, 0
+	for _, id := range xs {
+		for at < len(owned) && owned[at] < id {
+			at++
+		}
+		if at == len(owned) || owned[at] != id {
+			panic(fmt.Sprintf("transport: plan lists id %d outside its owned ids, or out of order", id))
+		}
+		w.uvarint(uint64(at - prev))
+		prev = at
+		at++
+	}
+}
+
+// bitmap writes xs eight flags to a byte, low bit first.
+func (w *planWriter) bitmap(xs []bool) {
+	if w.count {
+		w.n += (len(xs) + 7) / 8
+		return
+	}
+	var c byte
+	for i, x := range xs {
+		if x {
+			c |= 1 << (i & 7)
+		}
+		if i&7 == 7 || i == len(xs)-1 {
+			w.b = append(w.b, c)
+			c = 0
 		}
 	}
-	return n
+}
+
+// uvarintLen is the length binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // PlanBuf is the reusable home of one received plan: the plan, its header
@@ -429,41 +537,31 @@ func (b *PlanBuf) Plan() *core.Plan { return &b.plan }
 // have nothing to decode.
 type PlanSlots func(iter int) *PlanBuf
 
-// planIter reads the iteration of an encoded plan body without decoding
-// it, so a receiver can name the buffer the plan decodes into.
+// planIter reads the iteration of an encoded plan body, its first field,
+// so a receiver can name the buffer the plan decodes into.
 func planIter(b []byte) (int, bool) {
-	r := &wireReader{b: b}
-	r.u32()
-	p := int(r.u32())
-	if r.err != nil || p < 1 || p > core.MaxTrainers {
-		return 0, false
-	}
-	skip := func(size int) { r.take(r.count(size), size) }
-	for _, size := range []int{8, 4, 8, 1, 8, 8} { // Owned, OwnedTTL, OwnedUsers, OwnedNext, Prefetch, Expiring
-		skip(size)
-	}
-	for range p { // ReplicaOut
-		skip(8)
-	}
-	skip(8) // Remote
-	skip(4) // RemoteOwner
-	skip(1) // RemoteNext
-	r.u64() // ReplicaFrom
-	x := int(r.u64())
+	r := wireReader{b: b}
+	x := r.int()
 	return x, r.err == nil
 }
 
-// plan decodes putPlan's layout into b. Everything the engine indexes by is
-// validated here, so a hostile frame is an error, never a panic or a hang
-// in the trainer: id lists strictly ascending, parallel slices of equal
-// length, every list the owner walks against Owned a subset of it, ranks
-// and rank sets below the trainer count, ReplicaFrom exactly the owners of
-// Remote, and the examples exactly the destination's assigned ones, in
-// batch order.
+// plan decodes planWriter.plan's layout into b. Everything the engine
+// indexes by is validated here, so a hostile frame is an error, never a
+// panic or a hang in the trainer. The layout makes most of it hold by
+// construction: id lists are strictly ascending, parallel lists share
+// their length, every list the owner walks against Owned is a subset of it,
+// ReplicaFrom is exactly the owners of Remote, and the examples are exactly
+// the destination's assigned ones, in batch order. What is left is
+// checked: ranks and rank sets below the trainer count, no replica list
+// for the plan's own trainer, and a canonical encoding — no overlong
+// varint, no zero gap after a list's first, no position past Owned, no set
+// padding bit — so an accepted frame re-encodes to itself.
 func (r *wireReader) plan(b *PlanBuf) *core.Plan {
+	d := &b.dec
+	*d = core.Decision{Iter: r.int()}
 	pl := &b.plan
-	*pl = core.Plan{Trainer: int(r.u32())}
-	p := int(r.u32())
+	*pl = core.Plan{Dec: d, Trainer: r.int()}
+	p := r.int()
 	if r.err != nil || p < 1 || p > core.MaxTrainers || pl.Trainer >= p {
 		r.invalid("plan trainer %d of %d", pl.Trainer, p)
 		return pl
@@ -472,110 +570,106 @@ func (r *wireReader) plan(b *PlanBuf) *core.Plan {
 	if p == core.MaxTrainers {
 		all = ^core.Ranks(0)
 	}
-	pl.Owned = r.ascending(&b.owned)
-	pl.OwnedTTL = r.ints(&b.ttl)
-	n := r.count(8)
+	pl.Owned = r.ids(&b.owned)
+	n := len(pl.Owned)
+	pl.OwnedTTL = list(&b.ttl, n)
+	for i := range pl.OwnedTTL {
+		g := r.int()
+		if g > math.MaxInt-d.Iter {
+			r.invalid("TTL %d iterations past %d", g, d.Iter)
+		}
+		pl.OwnedTTL[i] = d.Iter + g
+	}
 	pl.OwnedUsers = list(&b.users, n)
 	for i := range pl.OwnedUsers {
-		u := core.Ranks(r.u64())
-		if u == 0 || u&^all != 0 {
+		u := core.Ranks(r.uvarint())
+		if r.err == nil && (u == 0 || u&^all != 0) {
 			r.invalid("plan user set %#x outside %d trainers", uint64(u), p)
 		}
 		pl.OwnedUsers[i] = u
 	}
-	pl.OwnedNext = r.bools(&b.ownedNext)
-	if len(pl.OwnedTTL) != len(pl.Owned) || len(pl.OwnedUsers) != len(pl.Owned) || len(pl.OwnedNext) != len(pl.Owned) {
-		r.invalid("plan owns %d ids with %d TTLs, %d user sets and %d flags", len(pl.Owned), len(pl.OwnedTTL), len(pl.OwnedUsers), len(pl.OwnedNext))
-	}
-	pl.Prefetch = r.subset(&b.prefetch, pl.Owned)
-	pl.Expiring = r.subset(&b.expiring, pl.Owned)
+	pl.OwnedNext = r.bitmap(&b.ownedNext, n)
+	pl.Prefetch = r.positions(&b.prefetch, pl.Owned)
+	pl.Expiring = r.positions(&b.expiring, pl.Owned)
 	b.replicas = resized(b.replicas, p)
 	pl.ReplicaOut = resized(b.replicaOut, p)
 	b.replicaOut = pl.ReplicaOut
 	for u := range pl.ReplicaOut {
-		pl.ReplicaOut[u] = r.subset(&b.replicas[u], pl.Owned)
+		pl.ReplicaOut[u] = r.positions(&b.replicas[u], pl.Owned)
 	}
 	if len(pl.ReplicaOut[pl.Trainer]) != 0 {
 		r.invalid("plan pushes replicas to its own trainer")
 	}
-	pl.Remote = r.ascending(&b.remote)
-	pl.RemoteOwner = r.ints(&b.owners)
-	var owners core.Ranks
-	for _, o := range pl.RemoteOwner {
+	pl.Remote = r.ids(&b.remote)
+	pl.RemoteOwner = list(&b.owners, len(pl.Remote))
+	for i := range pl.RemoteOwner {
+		o := r.int()
 		if o >= p || o == pl.Trainer {
 			r.invalid("plan routes a remote id to trainer %d", o)
 		}
-		owners |= 1 << uint(o)
+		pl.RemoteOwner[i] = o
+		pl.ReplicaFrom |= 1 << uint(o)
 	}
-	pl.RemoteNext = r.bools(&b.next)
-	if len(pl.RemoteOwner) != len(pl.Remote) || len(pl.RemoteNext) != len(pl.Remote) {
-		r.invalid("plan has %d remote ids with %d owners and %d flags", len(pl.Remote), len(pl.RemoteOwner), len(pl.RemoteNext))
-	}
-	if pl.ReplicaFrom = core.Ranks(r.u64()); r.err == nil && pl.ReplicaFrom != owners {
-		r.invalid("plan expects replicas from %#x, its remote ids are owned by %#x", uint64(pl.ReplicaFrom), uint64(owners))
-	}
+	pl.RemoteNext = r.bitmap(&b.next, len(pl.Remote))
 
-	d := &b.dec
-	*d = core.Decision{Iter: int(r.u64())}
-	pl.Dec = d
-	d.Assign = r.ints(&b.assign)
-	mine := 0
-	for _, t := range d.Assign {
+	d.Assign = list(&b.assign, r.length(1))
+	for i := range d.Assign {
+		t := r.int()
 		if t >= p {
 			r.invalid("example assigned to trainer %d of %d", t, p)
 		}
-		if t == pl.Trainer {
-			mine++
-		}
+		d.Assign[i] = t
 	}
 	d.Batch = &b.batch
-	d.Batch.Index = int(r.u64())
-	// Sparse slots carry no bytes of their own; the assignment, 4 bytes per
-	// slot, bounds the allocation.
-	if full := int(r.u32()); r.err != nil || full != len(d.Assign) {
-		r.invalid("batch of %d examples with %d assignments", full, len(d.Assign))
-		return pl
-	}
+	d.Batch.Index = r.int()
 	d.Batch.Examples = resized(d.Batch.Examples, len(d.Assign))
 	clear(d.Batch.Examples)
-	if n = r.count(4); n != mine {
-		r.invalid("%d examples for a trainer assigned %d", n, mine)
+	if r.err != nil {
 		return pl
 	}
 	// Every example's dense values decode into one array and its ids into
-	// another, each example viewing its runs: a first pass over a copy of
-	// the reader sums the run lengths (count proves each run's bytes are
-	// present), the second decodes.
-	scan, nd, nc := *r, 0, 0
-	for i := 0; i < n && scan.err == nil; i++ {
-		scan.u32()
-		k := scan.count(4)
-		scan.take(k, 4)
-		nd += k
-		k = scan.count(8)
-		scan.take(k, 8)
-		nc += k
-		scan.u32()
-	}
-	if scan.err != nil {
-		r.err = scan.err
-		return pl
-	}
-	dense, cats := resized(b.dense, nd), resized(b.cats, nc)
-	b.dense, b.cats = dense, cats
-	prev := -1
-	for i := 0; i < n && r.err == nil; i++ {
-		idx := int(r.u32())
-		if idx <= prev || idx >= len(d.Assign) || d.Assign[idx] != pl.Trainer {
-			r.invalid("example %d out of order or not assigned to trainer %d", idx, pl.Trainer)
-			return pl
+	// another. An example first views its runs in the arrays as they grow;
+	// once they stop growing, a second pass points it at the same spans of
+	// the final arrays.
+	dense, cats := b.dense[:0], b.cats[:0]
+	for i, t := range d.Assign {
+		if t != pl.Trainer || r.err != nil {
+			continue
 		}
-		prev = idx
-		ex := data.Example{Dense: runIn(r, &dense, 4), Cat: runIn(r, &cats, 8)}
+		ex := &d.Batch.Examples[i]
+		k := r.length(4)
+		at := len(dense)
+		dense = slices.Grow(dense, k)[:at+k]
+		copyLE(bytesOf(dense[at:]), r.take(k, 4), 4)
+		ex.Dense = dense[at:]
+		k = r.length(1)
+		at = len(cats)
+		cats = slices.Grow(cats, k)[:at+k]
+		for j := at; j < len(cats); j++ {
+			cats[j] = r.uvarint()
+		}
+		ex.Cat = cats[at:]
 		ex.Label = r.f32()
-		d.Batch.Examples[idx] = ex
+	}
+	b.dense, b.cats = dense, cats
+	nd, nc := 0, 0
+	for i, t := range d.Assign {
+		if t == pl.Trainer {
+			ex := &d.Batch.Examples[i]
+			ex.Dense, nd = span(dense, nd, len(ex.Dense))
+			ex.Cat, nc = span(cats, nc, len(ex.Cat))
+		}
 	}
 	return pl
+}
+
+// span returns the n values of xs from at on (nil when n is 0) and where
+// the next span starts.
+func span[T any](xs []T, at, n int) ([]T, int) {
+	if n == 0 {
+		return nil, at
+	}
+	return xs[at : at+n : at+n], at + n
 }
 
 // resized returns buf with length n, reallocated only when it is short.
@@ -612,34 +706,66 @@ func runIn[T float32 | uint64](r *wireReader, buf *[]T, size int) []T {
 	return xs
 }
 
-// ascending reads a count-prefixed id list into *buf's array and fails the
-// reader unless it is strictly ascending.
-func (r *wireReader) ascending(buf *[]uint64) []uint64 {
-	ids := r.u64sInto(buf)
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			r.invalid("ids not strictly ascending")
-			break
+// ids reads ids' layout into *buf's array: strictly ascending ids as gaps,
+// the first from 0 and every later one non-zero, none past 2⁶⁴ − 1.
+func (r *wireReader) ids(buf *[]uint64) []uint64 {
+	xs := list(buf, r.length(1))
+	var id uint64
+	for i := range xs {
+		g := r.uvarint()
+		if i > 0 && g == 0 || id+g < id {
+			r.invalid("plan ids not strictly ascending")
 		}
+		id += g
+		xs[i] = id
 	}
-	return ids
+	return xs
 }
 
-// subset reads a strictly ascending id list into *buf's array and fails
-// the reader unless every id is in of (itself ascending).
-func (r *wireReader) subset(buf *[]uint64, of []uint64) []uint64 {
-	ids := r.ascending(buf)
-	j := 0
-	for _, id := range ids {
-		for j < len(of) && of[j] < id {
-			j++
-		}
-		if j == len(of) || of[j] != id {
-			r.invalid("id %d outside the plan's owned ids", id)
-			break
-		}
+// positions reads positions' layout into *buf's array as the ids of owned
+// at those positions: gaps, the first from 0 and every later one non-zero,
+// and no position past owned.
+func (r *wireReader) positions(buf *[]uint64, owned []uint64) []uint64 {
+	n := r.length(1)
+	if n > len(owned) {
+		r.invalid("plan lists %d of its %d owned ids", n, len(owned))
+		return nil
 	}
-	return ids
+	xs := list(buf, n)
+	var at uint64
+	for i := range xs {
+		g := r.uvarint()
+		if i > 0 && g == 0 {
+			r.invalid("plan repeats an owned position")
+			return xs
+		}
+		if g >= uint64(len(owned))-at {
+			r.invalid("plan position past its %d owned ids", len(owned))
+			return xs
+		}
+		at += g
+		xs[i] = owned[at]
+	}
+	return xs
+}
+
+// bitmap reads bitmap's layout of n flags into *buf's array, refusing a
+// set padding bit.
+func (r *wireReader) bitmap(buf *[]bool, n int) []bool {
+	xs := list(buf, n)
+	k := (n + 7) / 8
+	if r.err != nil || len(r.b) < k {
+		r.fail()
+		return xs
+	}
+	bs := r.take(k, 1)
+	for i := range xs {
+		xs[i] = bs[i>>3]>>(i&7)&1 != 0
+	}
+	if n%8 != 0 && bs[k-1]>>(n%8) != 0 {
+		r.invalid("bitmap padding bits set")
+	}
+	return xs
 }
 
 // --- link control requests and results ---
@@ -776,29 +902,6 @@ func putU64s(b []byte, xs []uint64) []byte {
 	return b
 }
 
-// putBools writes a count-prefixed run of flags, one byte (0 or 1) each.
-func putBools(b []byte, xs []bool) []byte {
-	b = putU32(b, uint32(len(xs)))
-	for _, x := range xs {
-		if x {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	return b
-}
-
-// putInts writes a non-negative int slice (ranks, assignments) as u32s.
-func putInts(b []byte, xs []int) []byte {
-	b = putU32(b, uint32(len(xs)))
-	b, off := grow(b, 4*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(b[off+4*i:], uint32(x))
-	}
-	return b
-}
-
 // --- primitive reader ---
 
 // wireReader consumes an encoded payload body. The first decode error
@@ -856,6 +959,60 @@ func (r *wireReader) u64() uint64 {
 }
 
 func (r *wireReader) f32() float32 { return math.Float32frombits(r.u32()) }
+
+// uvarint reads an unsigned varint, refusing one longer than its value
+// needs (a last byte of 0) or past 64 bits, so every value has exactly one
+// encoding.
+func (r *wireReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.b) > 0 && r.b[0] < 0x80 {
+		v := uint64(r.b[0])
+		r.b = r.b[1:]
+		return v
+	}
+	var v uint64
+	for i, c := range r.b {
+		if i == binary.MaxVarintLen64-1 && c > 1 {
+			r.invalid("varint past 64 bits")
+			return 0
+		}
+		v |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			if c == 0 {
+				r.invalid("overlong varint")
+				return 0
+			}
+			r.b = r.b[i+1:]
+			return v
+		}
+	}
+	r.fail()
+	return 0
+}
+
+// int reads a varint that must fit an int: an iteration, a rank, a count.
+func (r *wireReader) int() int {
+	v := r.uvarint()
+	if v > math.MaxInt {
+		r.invalid("varint %d past the int range", v)
+		return 0
+	}
+	return int(v)
+}
+
+// length reads a varint list length and checks it against the bytes left,
+// each element taking at least size of them, so a corrupt frame cannot
+// drive an allocation past a constant multiple of its own size.
+func (r *wireReader) length(size int) int {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.b)/size) {
+		r.fail()
+		return 0
+	}
+	return int(n)
+}
 
 // i64 reads an int written as its int64 bit pattern.
 func (r *wireReader) i64() int { return int(int64(r.u64())) }
@@ -917,31 +1074,6 @@ func (r *wireReader) u64s() []uint64 {
 func (r *wireReader) u64sInto(buf *[]uint64) []uint64 {
 	xs := list(buf, r.count(8))
 	copyLE(bytesOf(xs), r.take(len(xs), 8), 8)
-	return xs
-}
-
-// bools reads putBools' layout into *buf's storage.
-func (r *wireReader) bools(buf *[]bool) []bool {
-	n := r.count(1)
-	xs := list(buf, n)
-	for i, c := range r.take(n, 1) {
-		if c > 1 {
-			r.invalid("flag byte %d", c)
-		}
-		xs[i] = c == 1
-	}
-	return xs
-}
-
-// ints reads a count-prefixed list of u32s (ranks, assignments) into
-// *buf's array, which grows when short: nil when empty.
-func (r *wireReader) ints(buf *[]int) []int {
-	n := r.count(4)
-	xs := list(buf, n)
-	b := r.take(n, 4)
-	for i := range xs {
-		xs[i] = int(binary.LittleEndian.Uint32(b[4*i:]))
-	}
 	return xs
 }
 

@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"bagpipe/internal/core"
@@ -70,8 +71,8 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	for _, in := range cases {
 		enc := EncodePayload(in)
-		if n := payloadSize(in); n != len(enc) {
-			t.Fatalf("%T: payloadSize %d, encoding is %d bytes", in, n, len(enc))
+		if n := PayloadSize(in); n != len(enc) {
+			t.Fatalf("%T: PayloadSize %d, encoding is %d bytes", in, n, len(enc))
 		}
 		out, err := DecodePayload(enc)
 		if err != nil {
@@ -112,72 +113,116 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// testPlanSegs is testPlan's frame written out by hand, one named segment
+// per field of the layout, so a test can corrupt exactly one field.
+func testPlanSegs() [][2]string {
+	return [][2]string{
+		{"tag", "03"},
+		{"iter, trainer, P", "040103"},
+		{"owned", "03" + "030612"},  // 3, 9, 27 as gaps
+		{"ttl", "010000"},           // 5, 4, 4 less iteration 4
+		{"users", "030602"},         // 0b011, 0b110, 0b010
+		{"owned next", "05"},        // true, false, true
+		{"prefetch", "02" + "0002"}, // positions 0, 2
+		{"expiring", "02" + "0101"}, // positions 1, 2
+		{"replica out", "0100" + "00" + "0101"},
+		{"remote", "02" + "0404"}, // 4, 8
+		{"remote owner", "0002"},
+		{"remote next", "01"}, // true, false
+		{"assign", "04" + "00010102"},
+		{"batch index", "04"},
+		{"example 1", "02" + "000000400000" + "4040" + "02" + "0908" + "00000000"},
+		{"example 2", "02" + "000080be00000000" + "02" + "0308" + "0000803f"},
+	}
+}
+
+// planFrame joins segs, with seg name replaced by hex when name is set.
+func planFrame(t *testing.T, segs [][2]string, name, hexSeg string) []byte {
+	var s strings.Builder
+	found := name == ""
+	for _, seg := range segs {
+		if seg[0] == name {
+			seg[1], found = hexSeg, true
+		}
+		s.WriteString(seg[1])
+	}
+	if !found {
+		t.Fatalf("no plan segment %q", name)
+	}
+	b, err := hex.DecodeString(s.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestPlanDecodeRejectsHostile: a plan frame the encoder could not have
-// written from a consistent plan — unsorted or duplicate ids, parallel
-// slices of different lengths, a rank outside the trainer count, a list the
-// owner walks against Owned that leaves it, an example outside the batch or
-// not the destination's — is an error, never a plan the engine would
-// panic or hang on.
+// written from a consistent plan — an overlong varint, a repeated id or
+// position, a position past Owned, a set padding bit, a rank outside the
+// trainer count, a replica list for the plan's own trainer — is an error,
+// never a plan the engine would panic or hang on. The hand-written frame
+// the corruptions start from is first checked to be testPlan's encoding.
+// A plan the encoder cannot represent (unsorted ids, a subset list leaving
+// Owned, parallel lists of different lengths) panics at the encoder.
 func TestPlanDecodeRejectsHostile(t *testing.T) {
-	mutations := map[string]func(pl *core.Plan){
-		"unsorted owned": func(pl *core.Plan) { pl.Owned = []uint64{9, 3, 27} },
-		"duplicate remote": func(pl *core.Plan) {
-			pl.Remote, pl.RemoteOwner, pl.RemoteNext = []uint64{4, 4}, []int{0, 0}, []bool{true, true}
-		},
-		"unsorted replica list":  func(pl *core.Plan) { pl.ReplicaOut[2] = []uint64{9, 3} },
+	segs := testPlanSegs()
+	if got, want := planFrame(t, segs, "", ""), EncodePayload(PlanMsg{Plan: testPlan()}); !bytes.Equal(got, want) {
+		t.Fatalf("hand-written plan frame\n %x\nencoder writes\n %x", got, want)
+	}
+	for _, c := range []struct{ name, seg, hex string }{
+		{"overlong varint", "iter, trainer, P", "84000103"},
+		{"overlong zero", "iter, trainer, P", "04800003"},
+		{"varint past 64 bits", "batch index", "ffffffffffffffffff02"},
+		{"iteration past int", "iter, trainer, P", "ffffffffffffffffff010103"},
+		{"zero-gap duplicate id", "owned", "03" + "030012"},
+		{"zero-gap duplicate remote id", "remote", "02" + "0400"},
+		{"id past 2^64-1", "remote", "02" + "04ffffffffffffffffff01"},
+		{"repeated position", "prefetch", "02" + "0200"},
+		{"position past owned", "prefetch", "02" + "0003"},
+		{"first position past owned", "expiring", "01" + "03"},
+		{"replica position past owned", "replica out", "0103" + "00" + "0101"},
+		{"more positions than owned", "expiring", "04" + "00010101"},
+		{"owned-next padding", "owned next", "0d"},
+		{"remote-next padding", "remote next", "05"},
+		{"trainer past P", "iter, trainer, P", "040303"},
+		{"no trainers", "iter, trainer, P", "040100"},
+		{"too many trainers", "iter, trainer, P", "0401" + "41"},
+		{"owner past P", "remote owner", "0003"},
+		{"owner is self", "remote owner", "0001"},
+		{"user set past P", "users", "030609"},
+		{"empty user set", "users", "030600"},
+		{"assignment past P", "assign", "04" + "00010103"},
+		{"replica to self", "replica out", "0100" + "0100" + "0101"},
+		{"ttl past int", "ttl", "01ffffffffffffffff7f00"},
+		{"dense run past the frame", "example 2", "7f"},
+	} {
+		if _, err := DecodePayload(planFrame(t, segs, c.seg, c.hex)); err == nil {
+			t.Errorf("%s: decoded without error", c.name)
+		}
+	}
+	for name, mutate := range map[string]func(pl *core.Plan){
+		"unsorted owned":         func(pl *core.Plan) { pl.Owned = []uint64{9, 3, 27} },
+		"duplicate remote":       func(pl *core.Plan) { pl.Remote = []uint64{4, 4} },
+		"unsorted replica list":  func(pl *core.Plan) { pl.ReplicaOut[2] = []uint64{27, 9} },
 		"short ttl slice":        func(pl *core.Plan) { pl.OwnedTTL = pl.OwnedTTL[:2] },
 		"long user slice":        func(pl *core.Plan) { pl.OwnedUsers = append(pl.OwnedUsers, 1) },
 		"short owner slice":      func(pl *core.Plan) { pl.RemoteOwner = pl.RemoteOwner[:1] },
 		"short next slice":       func(pl *core.Plan) { pl.RemoteNext = nil },
-		"short owned-next slice": func(pl *core.Plan) { pl.OwnedNext = pl.OwnedNext[:2] },
 		"long owned-next slice":  func(pl *core.Plan) { pl.OwnedNext = append(pl.OwnedNext, true) },
-		"owner out of range":     func(pl *core.Plan) { pl.RemoteOwner = []int{0, 3} },
-		"owner is self":          func(pl *core.Plan) { pl.RemoteOwner = []int{0, 1}; pl.ReplicaFrom = 0b011 },
-		"user out of range":      func(pl *core.Plan) { pl.OwnedUsers[0] = 0b1001 },
-		"empty user set":         func(pl *core.Plan) { pl.OwnedUsers[2] = 0 },
-		"assign out of range":    func(pl *core.Plan) { pl.Dec.Assign = []int{0, 1, 1, 7} },
-		"trainer out of range":   func(pl *core.Plan) { pl.Trainer = 3 },
-		"too many trainers":      func(pl *core.Plan) { pl.ReplicaOut = make([][]uint64, core.MaxTrainers+1) },
 		"prefetch not owned":     func(pl *core.Plan) { pl.Prefetch = []uint64{3, 5} },
 		"expiring not owned":     func(pl *core.Plan) { pl.Expiring = []uint64{28} },
 		"replica of unowned row": func(pl *core.Plan) { pl.ReplicaOut[0] = []uint64{4} },
-		"replica to self":        func(pl *core.Plan) { pl.ReplicaOut[1] = []uint64{3} },
-		"replica-from mismatch":  func(pl *core.Plan) { pl.ReplicaFrom = 0b001 },
-	}
-	for name, mutate := range mutations {
+	} {
 		pl := testPlan()
 		mutate(pl)
-		if _, err := DecodePayload(EncodePayload(PlanMsg{Plan: pl})); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		}
-	}
-	// The example table is derived from the assignment by the encoder, so
-	// corrupt it in the frame: the last example (index 2, dense and cat of
-	// two elements each) starts 40 bytes before the end.
-	valid := EncodePayload(PlanMsg{Plan: testPlan()})
-	for name, idx := range map[string]uint32{"example index past the batch": 4, "example of another trainer": 3, "examples out of order": 1} {
-		frame := append([]byte(nil), valid...)
-		binary.LittleEndian.PutUint32(frame[len(frame)-40:], idx)
-		if _, err := DecodePayload(frame); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		}
-	}
-	// A needed-next flag byte other than 0 or 1. The last flag precedes the
-	// 8-byte replica-from set and the Decision subset: iteration (8),
-	// assignment (4 + 4·4), batch index (8), size (4), example count (4)
-	// and the two 40-byte examples.
-	frame := append([]byte(nil), valid...)
-	frame[len(frame)-124-8-1] = 2
-	if _, err := DecodePayload(frame); err == nil {
-		t.Error("needed-next flag 2 decoded without error")
-	}
-	// The owner's needed-next flags follow its three 8-byte user sets, at
-	// byte 1 (tag) + 8 (trainer, trainer count) + 4+24 (Owned) + 4+12
-	// (OwnedTTL) + 4+24 (OwnedUsers) + 4 (the flags' count).
-	frame = append([]byte(nil), valid...)
-	frame[1+8+28+16+28+4] = 3
-	if _, err := DecodePayload(frame); err == nil {
-		t.Error("owned needed-next flag 3 decoded without error")
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: encoded without a panic", name)
+				}
+			}()
+			EncodePayload(PlanMsg{Plan: pl})
+		}()
 	}
 }
 
@@ -208,10 +253,10 @@ func retiredFrames() []struct {
 }
 
 // FuzzDecodePayload feeds arbitrary bytes to the mesh payload decoder,
-// seeded with one valid frame of every type EncodePayload writes and one
-// of each retired encoding: decode must never panic or over-allocate, and
+// seeded with one valid frame of every type EncodePayload writes, one of
+// each retired encoding and oracle-cut plan frames: decode must never panic or over-allocate, and
 // every frame it accepts must be canonical — re-encoding the payload
-// reproduces it byte for byte, and payloadSize (what the TCP endpoint sizes
+// reproduces it byte for byte, and PayloadSize (what the TCP endpoint sizes
 // its pooled frame by) predicts its length.
 func FuzzDecodePayload(f *testing.F) {
 	for _, p := range []any{
@@ -240,6 +285,15 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add(putU32(putU32(putU64([]byte{tagReplica}, 1), 0), 5))
 	f.Add(putF32sRaw(putU32(putU32(putU64([]byte{tagReplica}, 1), 4), 3), make([]float32, 4)))
 	f.Add(putF32sRaw(putU32(putU32(append(putU64(putU32([]byte{tagSyncBatch}, 1), 3), 2), 1), 1), []float32{1}))
+	// Compact plan frames as the oracle cuts them: every plan of a short
+	// uniform-key stream at P = 3, batch 8, ℒ = 2.
+	spec := data.CriteoKaggle().Scaled(1000).WithDist(data.Uniform{})
+	o := core.NewOracle(core.NewGeneratorSource(data.NewGenerator(spec, 3), 8, 3), 2, 3)
+	for d, ok := o.Next(); ok; d, ok = o.Next() {
+		for _, pl := range d.Plans(3) {
+			f.Add(EncodePayload(PlanMsg{Plan: pl}))
+		}
+	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		p, err := DecodePayload(frame)
 		if err != nil {
@@ -248,8 +302,8 @@ func FuzzDecodePayload(f *testing.F) {
 		if again := EncodePayload(p); !bytes.Equal(again, frame) {
 			t.Fatalf("accepted %T frame re-encodes differently:\n in  %x\n out %x", p, frame, again)
 		}
-		if n := payloadSize(p); n != len(frame) {
-			t.Fatalf("accepted %T frame of %d bytes, payloadSize says %d", p, len(frame), n)
+		if n := PayloadSize(p); n != len(frame) {
+			t.Fatalf("accepted %T frame of %d bytes, PayloadSize says %d", p, len(frame), n)
 		}
 	})
 }
@@ -402,7 +456,7 @@ func TestSyncEncodeRefusesRaggedOrBare(t *testing.T) {
 // TestPayloadWireBytes pins the wire format byte for byte — it is a
 // contract with peers running other builds: one frame each of an id-free
 // replica push, a sync batch of both classes, a fused collective and a
-// plan, against fixed hex. The
+// plan (mesh protocol 3's gap-coded layout), against fixed hex. The
 // floats include −Inf, a NaN with a payload and an empty segment.
 func TestPayloadWireBytes(t *testing.T) {
 	nan := math.Float32frombits(0x7fc00001)
@@ -421,7 +475,7 @@ func TestPayloadWireBytes(t *testing.T) {
 		{"fused", FusedCollMsg{Seq: 43, Origin: 2, Segs: [][]float32{{1, 2, 3}, {-0.5}, nil}, Loss: []float64{0.693147}},
 			"082b000000000000000200000003000000030000000000803f000000400000404001000000000000bf0000000001000000a2410a9e422ee63f"},
 		{"plan", PlanMsg{Plan: testPlan()},
-			"03010000000300000003000000030000000000000009000000000000001b000000000000000300000005000000040000000400000003000000030000000000000006000000000000000200000000000000030000000100010200000003000000000000001b000000000000000200000009000000000000001b0000000000000001000000030000000000000000000000010000000900000000000000020000000400000000000000080000000000000002000000000000000200000002000000010005000000000000000400000000000000040000000000000001000000010000000200000004000000000000000400000002000000010000000200000000000040000040400200000009000000000000000800000000000000000000000200000002000000000080be0000000002000000030000000000000008000000000000000000803f"},
+			"03040103030306120100000306020502000202010101000001010204040002010400010102040200000040000040400209080000000002000080be000000000203080000803f"},
 	}
 	for _, c := range cases {
 		if got := hex.EncodeToString(EncodePayload(c.p)); got != c.hex {

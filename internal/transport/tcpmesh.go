@@ -13,8 +13,9 @@ import (
 
 // meshMagic opens every mesh connection: "BGM" + protocol version.
 // Version 2: replica pushes and sync flushes carry no ids, and plans carry
-// the owner's needed-next flags.
-const meshMagic uint32 = 'B'<<24 | 'G'<<16 | 'M'<<8 | 2
+// the owner's needed-next flags. Version 3: plans travel gap-coded, their
+// iteration first (planWriter.plan).
+const meshMagic uint32 = 'B'<<24 | 'G'<<16 | 'M'<<8 | 3
 
 // meshDialTimeout bounds how long mesh construction waits for peers: the
 // processes of one run start in arbitrary order, so dials retry and accepts
@@ -448,7 +449,7 @@ func (e *tcpEndpoint) Send(to int, bytes int64, payload any) bool {
 	// Encode straight into a pooled frame of the exact encoded size, after
 	// the header (the writer returns it), and recycle the payload itself:
 	// the encoding is the only copy this process keeps.
-	frame := getBuf(8 + payloadSize(payload))
+	frame := getBuf(8 + PayloadSize(payload))
 	frame = putU64(frame, uint64(bytes))
 	frame = appendPayload(frame, payload)
 	ReleasePayload(payload)
