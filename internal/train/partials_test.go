@@ -225,6 +225,84 @@ func TestDeclaredBytesMatchCodec(t *testing.T) {
 	}
 }
 
+// testRows returns n rows of width dim with distinct values.
+func testRows(n, dim int) [][]float32 {
+	rows := make([][]float32, n)
+	for i := range rows {
+		rows[i] = make([]float32, dim)
+		for k := range rows[i] {
+			rows[i][k] = float32(i) + 0.25*float32(k)
+		}
+	}
+	return rows
+}
+
+// recordingEndpoint records, for its last send, the size declared and the
+// size the codec encodes for the payload.
+type recordingEndpoint struct {
+	transport.Endpoint
+	declared, encoded int64
+}
+
+func (e *recordingEndpoint) Send(_ int, bytes int64, payload any) bool {
+	e.declared, e.encoded = bytes, int64(len(transport.EncodePayload(payload)))
+	return true
+}
+
+// sendDeclared sends payload through the engine's one send path and checks
+// that the size it declares, and charges to class, is what the codec
+// writes.
+func sendDeclared(t *testing.T, class int, payload any) {
+	t.Helper()
+	var eng lrppEngine
+	ep := &recordingEndpoint{}
+	eng.send(ep, 1, class, payload)
+	if ep.declared != ep.encoded {
+		t.Fatalf("%T: declared %d bytes, codec wrote %d", payload, ep.declared, ep.encoded)
+	}
+	if m, b := eng.classMsgs[class].Load(), eng.classBytes[class].Load(); m != 1 || b != ep.encoded {
+		t.Fatalf("%T: class %d charged %d frames of %d bytes, want 1 of %d", payload, class, m, b, ep.encoded)
+	}
+}
+
+// TestSyncBatchBytesMatchesCodec: the size the engine declares for a sync
+// frame (what the simulated mesh charges bandwidth for and MeshClasses
+// reports) is exactly what the codec writes.
+func TestSyncBatchBytesMatchesCodec(t *testing.T) {
+	const dim = 6
+	flush := func(iter int, c transport.SyncClass, n int) transport.SyncMsg {
+		m := transport.SyncMsg{Iter: iter, Class: c}
+		if n > 0 {
+			m.Partials = testRows(n, dim)
+		}
+		return m
+	}
+	cases := [][]transport.SyncMsg{
+		nil,
+		{flush(9, transport.SyncUrgent, 1)},
+		{flush(4, transport.SyncDeferred, 5)},
+		{flush(4, transport.SyncUrgent, 5), flush(3, transport.SyncDeferred, 17)},
+		{flush(1, transport.SyncUrgent, 0), flush(2, transport.SyncDeferred, 3)},
+	}
+	for _, flushes := range cases {
+		sendDeclared(t, classSync, transport.SyncBatchMsg{Flushes: flushes})
+	}
+}
+
+// TestReplicaMsgBytesMatchesCodec: the size the engine declares for a
+// replica push is exactly what the codec writes.
+func TestReplicaMsgBytesMatchesCodec(t *testing.T) {
+	for _, dim := range []int{1, 6, 16} {
+		for _, n := range []int{0, 1, 7, 300} {
+			msg := transport.ReplicaMsg{Iter: 11}
+			if n > 0 {
+				msg.Rows = testRows(n, dim)
+			}
+			sendDeclared(t, classReplica, msg)
+		}
+	}
+}
+
 // TestSyncPreAggregationByteCut pins the point of sender-side
 // pre-aggregation on the input it exists for: on a hot-tail spec at P=2 the
 // sync class ships at most a third of what one vector per (example, remote
