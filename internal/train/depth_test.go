@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bagpipe/internal/core"
 	"bagpipe/internal/data"
 	"bagpipe/internal/embed"
 	"bagpipe/internal/transport"
@@ -23,10 +24,30 @@ func (s slowFetchStore) Fetch(ids []uint64) [][]float32 {
 	return s.Store.Fetch(ids)
 }
 
+// stretchIterations returns hooks that sleep d on each trainer's stage of
+// every iteration, as its first prefetched row is inserted, so every
+// iteration takes at least d.
+func stretchIterations(d time.Duration) *LRPPHooks {
+	var last [core.MaxTrainers]int // each entry is written by its trainer's stager alone
+	for p := range last {
+		last[p] = -1
+	}
+	return &LRPPHooks{OnInsert: func(trainer, iter int, _ uint64) {
+		if last[trainer] != iter {
+			last[trainer] = iter
+			time.Sleep(d)
+		}
+	}}
+}
+
 // TestAdmissionDepth pins the admission depth rule. Uniform draws over
 // tables far larger than a window make every iteration prefetch. Over free
 // in-process links a fetch lands long before its iteration is staged, so the
-// depth stays at its floor. When every Fetch sleeps 20 ms, far longer than a
+// depth stays at its floor. That premise needs iterations long against an OS
+// time slice: a tiny model's iteration is a fraction of a millisecond, and
+// on a busy machine a fetch goroutine descheduled for one slice outlasts the
+// D−1 iterations of slack. The free run stretches every iteration to 10 ms
+// (stretchIterations). When every Fetch sleeps 20 ms, far longer than a
 // tiny model's iteration, staged iterations find their rows missing and the
 // depth grows until the prefetches are issued early enough: the extra
 // iterations of a run twice as long then wait for rows almost not at all.
@@ -41,10 +62,13 @@ func TestAdmissionDepth(t *testing.T) {
 	base.Spec.Dist = data.Uniform{}
 	base.LookAhead = 32
 
-	run := func(t *testing.T, iters int, delay time.Duration) *Result {
+	run := func(t *testing.T, iters int, delay, stretch time.Duration) *Result {
 		t.Helper()
 		cfg := base
 		cfg.NumBatches = iters
+		if stretch > 0 {
+			cfg.Hooks = stretchIterations(stretch)
+		}
 		srvBase := newServer(cfg.Spec, 3)
 		want, err := RunBaseline(cfg, transport.NewInProcess(srvBase))
 		if err != nil {
@@ -85,7 +109,7 @@ func TestAdmissionDepth(t *testing.T) {
 	}
 
 	t.Run("free", func(t *testing.T) {
-		res := run(t, 64, 0)
+		res := run(t, 64, 0, 10*time.Millisecond)
 		t.Logf("depths %v", res.Depths)
 		for p, d := range res.Depths {
 			if d != admitFloor {
@@ -95,7 +119,7 @@ func TestAdmissionDepth(t *testing.T) {
 	})
 	t.Run("slow-fetch", func(t *testing.T) {
 		const n, delay = 200, 20 * time.Millisecond
-		short, long := run(t, n, delay), run(t, 2*n, delay)
+		short, long := run(t, n, delay, 0), run(t, 2*n, delay, 0)
 		steady := (waitRows(long) - waitRows(short)) / n
 		t.Logf("depths %v over %d iterations, %v over %d; steady wait-rows %v per iteration (the whole short run %v)",
 			short.Depths, n, long.Depths, 2*n, steady, waitRows(short)/n)

@@ -552,8 +552,7 @@ func (t *lrppTrainer) startDispatcher(plans planSource) <-chan *iterRec {
 			rec.plan = pl
 			t.mu.Unlock()
 			workCh <- rec
-			go func(pl *core.Plan, rec *iterRec) {
-				rec.fetching.Store(true)
+			go func(pl *core.Plan, rows chan<- [][]float32) {
 				var fetched [][]float32
 				if len(pl.Prefetch) > 0 {
 					if eng.hooks != nil && eng.hooks.OnPrefetch != nil {
@@ -566,8 +565,8 @@ func (t *lrppTrainer) startDispatcher(plans planSource) <-chan *iterRec {
 					fetched = t.tr.Fetch(pl.Prefetch)
 					t.clock.lap(StageBusyDispatch, start)
 				}
-				rec.rows <- fetched
-			}(pl, rec)
+				rows <- fetched
+			}(pl, rec.rows)
 		}
 	}()
 	return workCh
@@ -824,22 +823,18 @@ func (t *lrppTrainer) stage(rec *iterRec) {
 	// 2. Insert the prefetched owned rows. The partition adopts the row
 	// buffers by reference (they return to the arena at write-back); the
 	// fetch's header slice is dead after the loop, so recycle it. Rows not
-	// yet arrived from a fetch already under way mean the prefetch was
-	// issued too late: deepen the admission (admission.late) before
-	// waiting. A fetch whose goroutine has not started yet is held up by
-	// the CPU, not by its latency, and a deeper admission would only hold
-	// more iterations in memory; it is waited for without deepening.
+	// yet arrived mean the prefetch was issued too late: deepen the
+	// admission (admission.late) before waiting.
 	mark := time.Now()
 	var rows [][]float32
 	select {
 	case rows = <-rec.rows:
 	default:
-		if rec.fetching.Load() && t.adm.late(x, eng.L) {
+		if t.adm.late(x, eng.L) {
 			t.credits <- struct{}{}
 		}
 		rows = <-rec.rows
 	}
-	rec.fetching.Store(false)
 	waitRows := time.Since(mark)
 	t.mu.Lock()
 	k := 0

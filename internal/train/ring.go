@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"bagpipe/internal/core"
 	"bagpipe/internal/transport"
@@ -19,9 +18,6 @@ type iterRec struct {
 	plan  *core.Plan
 	rows  chan [][]float32 // the prefetch future, capacity 1
 	slots []int32          // slots[k] is the slot of plan.Owned[k], set by stage
-	// fetching is set by the prefetch goroutine as it starts and cleared
-	// by stage once the rows have landed.
-	fetching *atomic.Bool
 	// outs[q] is the replica snapshot stage pushes to reader q; the stager
 	// alone touches it, emptying each entry as it sends it.
 	outs    []transport.ReplicaMsg
@@ -78,7 +74,7 @@ type iterRing []iterRec
 func newIterRing(L, P int) iterRing {
 	r := make(iterRing, L+2)
 	for i := range r {
-		r[i] = iterRec{iter: unclaimed, rows: make(chan [][]float32, 1), fetching: new(atomic.Bool), outs: make([]transport.ReplicaMsg, P), reps: make([]transport.ReplicaMsg, P)}
+		r[i] = iterRec{iter: unclaimed, rows: make(chan [][]float32, 1), outs: make([]transport.ReplicaMsg, P), reps: make([]transport.ReplicaMsg, P)}
 		for c := range r[i].sync {
 			r[i].sync[c] = make([][]int32, P)
 		}

@@ -136,10 +136,10 @@ func EncodePayload(p any) []byte {
 	return appendPayload(make([]byte, 0, PayloadSize(p)), p)
 }
 
-// PayloadSize is the exact length EncodePayload writes for p, so a frame
-// can be taken from the pool at its final size, and the size the engine
-// declares for every mesh send: each class is priced as the bytes it
-// encodes, on every fabric. Unknown payload types are 0.
+// PayloadSize is the exact length EncodePayload writes for p: the size the
+// engine declares for every mesh send, so each class is priced as the
+// bytes it encodes on every fabric, and the TCP endpoint takes each frame
+// from the pool at its final size. Unknown payload types are 0.
 func PayloadSize(p any) int {
 	switch m := p.(type) {
 	case ReplicaMsg:

@@ -34,7 +34,9 @@ type Endpoint interface {
 	Rank() int
 	// Send queues payload for delivery to trainer `to`. It reports whether
 	// the message was accepted; sends to a closed endpoint are dropped.
-	// Send never blocks on the receiver.
+	// Send never blocks on the receiver. bytes is the size the sender
+	// declares for payload, PayloadSize(payload) for every engine send; the
+	// TCP endpoint takes its frame at that size.
 	//
 	// Send transfers ownership on every fabric: a payload goes to exactly
 	// one peer, and the caller never touches it — its id runs, rows or

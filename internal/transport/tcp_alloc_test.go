@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"io"
 	"net"
@@ -141,6 +142,50 @@ func TestFrameReadsAllocateWithData(t *testing.T) {
 	})
 }
 
+// TestFrameTakenAtDeclaredSize: the TCP endpoint takes each frame at the
+// size declared for it, which the engine declares as PayloadSize. For a
+// frame of every engine class, each larger than the smallest pooled buffer,
+// the frame is the 8-byte declared size and then exactly the encoding, so
+// the declared size is the frame's payload length. A declared size short of the encoding still yields
+// the same frame. TestTCPMeshSteadyStateAllocs gates the regrowth a short
+// size would cost.
+func TestFrameTakenAtDeclaredSize(t *testing.T) {
+	rows := func(n, dim int) [][]float32 {
+		rs := make([][]float32, n)
+		for i := range rs {
+			rs[i] = make([]float32, dim)
+			for k := range rs[i] {
+				rs[i][k] = float32(i) - 0.5*float32(k)
+			}
+		}
+		return rs
+	}
+	o := benchOracle(true, 1, 2)
+	d, _ := o.Next()
+	for _, p := range []any{
+		ReplicaMsg{Iter: 3, Rows: rows(64, 16)},
+		SyncBatchMsg{Flushes: []SyncMsg{{Iter: 3, Class: SyncUrgent, Partials: rows(20, 16)}, {Iter: 3, Class: SyncDeferred, Partials: rows(30, 16)}}},
+		PlanMsg{Plan: d.Plans(2)[1]},
+		FusedCollMsg{Seq: 3, Origin: 1, Segs: rows(4, 300), Loss: []float64{0.5}},
+	} {
+		want := EncodePayload(p)
+		n := PayloadSize(p)
+		if n <= minPooledBuf {
+			t.Fatalf("%T: %d bytes fits the smallest pooled buffer; the case shows nothing", p, n)
+		}
+		for _, declared := range []int64{int64(n), 1} {
+			frame := encodeFrame(declared, p)
+			if got := int64(binary.LittleEndian.Uint64(frame)); got != declared {
+				t.Fatalf("%T: header declares %d, want %d", p, got, declared)
+			}
+			if !bytes.Equal(frame[8:], want) {
+				t.Fatalf("%T declared as %d: frame payload of %d bytes differs from the %d-byte encoding", p, declared, len(frame)-8, len(want))
+			}
+			putBuf(frame)
+		}
+	}
+}
+
 // TestTCPMeshSteadyStateAllocs is the TCP data path's allocation gate. Over
 // a loopback mesh, each round sends what one LRPP iteration sends a peer —
 // a replica push of 32 pooled arena rows, a sync batch of two flushes and a
@@ -181,14 +226,16 @@ func TestTCPMeshSteadyStateAllocs(t *testing.T) {
 		}
 		return rs
 	}
+	// send declares the encoded size, as the engine does for every send.
+	send := func(p any) { a.Send(1, int64(PayloadSize(p)), p) }
 	round := func() {
-		a.Send(1, 1, ReplicaMsg{Iter: 3, Rows: fill(rows)})
-		a.Send(1, 1, SyncBatchMsg{Flushes: []SyncMsg{{Iter: 3, Class: SyncUrgent, Partials: fill(4)}, {Iter: 3, Class: SyncDeferred, Partials: fill(6)}}})
+		send(ReplicaMsg{Iter: 3, Rows: fill(rows)})
+		send(SyncBatchMsg{Flushes: []SyncMsg{{Iter: 3, Class: SyncUrgent, Partials: fill(4)}, {Iter: 3, Class: SyncDeferred, Partials: fill(6)}}})
 		coll := FusedCollMsg{Seq: 3, Origin: 0, Segs: make([][]float32, len(segLens)), Loss: []float64{0.5}}
 		for i, n := range segLens {
 			coll.Segs[i] = Rows(n).Get()
 		}
-		a.Send(1, 1, coll)
+		send(coll)
 
 		for i := 0; i < 3; i++ {
 			msg, ok := b.Recv()

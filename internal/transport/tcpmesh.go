@@ -446,12 +446,10 @@ func (e *tcpEndpoint) Send(to int, bytes int64, payload any) bool {
 		m.dropped.Add(1)
 		return false
 	}
-	// Encode straight into a pooled frame of the exact encoded size, after
-	// the header (the writer returns it), and recycle the payload itself:
-	// the encoding is the only copy this process keeps.
-	frame := getBuf(8 + PayloadSize(payload))
-	frame = putU64(frame, uint64(bytes))
-	frame = appendPayload(frame, payload)
+	// Encode straight into a pooled frame (the writer returns it), and
+	// recycle the payload itself: the encoding is the only copy this
+	// process keeps.
+	frame := encodeFrame(bytes, payload)
 	ReleasePayload(payload)
 	m.sendWG.add(1)
 	select {
@@ -465,6 +463,17 @@ func (e *tcpEndpoint) Send(to int, bytes int64, payload any) bool {
 	m.msgs.Add(1)
 	m.bytes.Add(bytes)
 	return true
+}
+
+// encodeFrame encodes payload into a pooled frame after its 8-byte header,
+// the declared size. The frame is taken at the declared size, which the
+// engine declares as the encoded size (PayloadSize), so the payload is not
+// sized a second time; a declared size short of the encoding costs the
+// append a regrowth, never a different frame.
+func encodeFrame(bytes int64, payload any) []byte {
+	frame := getBuf(8 + int(bytes))
+	frame = putU64(frame, uint64(bytes))
+	return appendPayload(frame, payload)
 }
 
 func (e *tcpEndpoint) Recv() (MeshMsg, bool) { return e.mesh.box.get() }
