@@ -1,6 +1,8 @@
 package collective
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -207,6 +209,20 @@ func TestRankOutOfRangePanics(t *testing.T) {
 		g.AllReduceSum(5, []float32{1})
 	}()
 	<-done
+	for name, call := range map[string]func(){
+		"ReduceScatter":  func() { g.ReduceScatter(2, nil, nil, nil) },
+		"AllGather":      func() { g.AllGather(-1, nil, nil) },
+		"FusedAllReduce": func() { g.FusedAllReduce(2, nil, nil) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "out of [0,2)") {
+					t.Errorf("%s with a rank outside the group: %v", name, r)
+				}
+			}()
+			call()
+		}()
+	}
 }
 
 // AllReduceSum64 is the float64 all-reduce: per-rank values summed in rank

@@ -16,8 +16,8 @@ func benchIDs(n int) []uint64 {
 	return ids
 }
 
-// BenchmarkServerFetch compares the shard-grouped parallel fetch against the
-// seed's row-at-a-time loop at prefetch-sized requests on a multi-shard
+// BenchmarkServerFetch compares the shard-grouped fetch against the seed's
+// row-at-a-time loop at prefetch-sized requests on a multi-shard
 // server (the configuration the LRPP trainers' prefetch drives).
 func BenchmarkServerFetch(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
@@ -25,7 +25,7 @@ func BenchmarkServerFetch(b *testing.B) {
 			s := NewServer(shards, 48, 7, 0.1)
 			ids := benchIDs(n)
 			s.Fetch(ids) // materialize once so steady-state is measured
-			b.Run(fmt.Sprintf("parallel/shards=%d/ids=%d", shards, n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("grouped/shards=%d/ids=%d", shards, n), func(b *testing.B) {
 				b.SetBytes(int64(n * 48 * 4))
 				for i := 0; i < b.N; i++ {
 					s.Fetch(ids)
@@ -41,7 +41,7 @@ func BenchmarkServerFetch(b *testing.B) {
 	}
 }
 
-// BenchmarkServerWrite measures the shard-grouped parallel write-back path.
+// BenchmarkServerWrite measures the shard-grouped write-back path.
 func BenchmarkServerWrite(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		s := NewServer(shards, 48, 7, 0.1)

@@ -3,7 +3,6 @@ package embed
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -101,9 +100,11 @@ func (s *Server) NumShards() int { return len(s.shards) }
 // ShardOf returns the shard index owning id.
 func (s *Server) ShardOf(id uint64) int { return int(id % uint64(len(s.shards))) }
 
-// parallelMinRows is the request size below which shard grouping costs more
-// than it saves; smaller requests take the row-at-a-time path.
-const parallelMinRows = 64
+// groupMinRows is the request size below which shard grouping costs more
+// than it saves; smaller requests take the row-at-a-time path. With two
+// callers fetching at once (dim 16, 4 shards), the grouped path's one lock
+// per shard beat one lock per row by 15–55 % from 32 to 1 024 ids.
+const groupMinRows = 64
 
 // Fetch copies the rows for ids into a freshly allocated [len(ids)][dim]
 // block and returns per-row slices into it. This is the prefetch RPC.
@@ -122,59 +123,35 @@ func (s *Server) Fetch(ids []uint64) [][]float32 {
 // width-Dim slice per id) — the allocation-free form of Fetch that lets
 // transports serve fetches out of the pooled row arena. Requests are
 // grouped by shard — one batched call per shard instead of one lock
-// acquisition per row — and when more than one CPU is available the shards
-// (separate machines in the disaggregated deployment) serve their slices
-// concurrently.
+// acquisition per row — and the shards serve their slices one after
+// another: a goroutine per shard cost more than it saved at every request
+// size the engine sends, and allocated 10 objects per call instead of 1.
 func (s *Server) FetchInto(ids []uint64, dsts [][]float32) {
 	if len(ids) != len(dsts) {
 		panic(fmt.Sprintf("embed: FetchInto %d ids, %d dsts", len(ids), len(dsts)))
 	}
-	if len(s.shards) == 1 || len(ids) < parallelMinRows {
+	if len(s.shards) == 1 || len(ids) < groupMinRows {
 		for i, id := range ids {
 			s.shards[s.ShardOf(id)].Get(id, dsts[i])
 		}
 	} else {
 		g := s.getGroupScratch()
 		pos, bounds := g.GroupByOwner(ids, len(s.shards))
-		// Each shard's run of pos is disjoint and dead after its GetMany,
-		// which reorders it.
-		s.forEachShard(bounds, func(sh int) {
-			s.shards[sh].GetMany(ids, pos[bounds[sh]:bounds[sh+1]], dsts)
-		})
+		// Each shard's run of pos is dead after its GetMany, which
+		// reorders it.
+		for sh, t := range s.shards {
+			if bounds[sh] != bounds[sh+1] {
+				t.GetMany(ids, pos[bounds[sh]:bounds[sh+1]], dsts)
+			}
+		}
 		s.putGroupScratch(g)
 	}
 	s.rowsFetched.Add(int64(len(ids)))
 	s.fetches.Add(1)
 }
 
-// forEachShard runs fn for every shard with a non-empty run in bounds,
-// concurrently when more than one CPU is available, serially otherwise
-// (goroutine fan-out is pure overhead on a single core).
-func (s *Server) forEachShard(bounds []int, fn func(sh int)) {
-	if runtime.GOMAXPROCS(0) > 1 {
-		var wg sync.WaitGroup
-		for sh := range s.shards {
-			if bounds[sh] == bounds[sh+1] {
-				continue
-			}
-			wg.Add(1)
-			go func(sh int) {
-				defer wg.Done()
-				fn(sh)
-			}(sh)
-		}
-		wg.Wait()
-		return
-	}
-	for sh := range s.shards {
-		if bounds[sh] != bounds[sh+1] {
-			fn(sh)
-		}
-	}
-}
-
 // Write writes back updated rows (trainer evictions / background sync),
-// shard-grouped and shard-parallel like Fetch. While the server is in
+// shard-grouped like Fetch. While the server is in
 // recovery mode (BeginRecovery), every written id is also marked fresh so
 // concurrent anti-entropy transfers cannot clobber it with stale bytes.
 func (s *Server) Write(ids []uint64, rows [][]float32) {
@@ -207,16 +184,18 @@ func (s *Server) Write(ids []uint64, rows [][]float32) {
 // applyWrite is the shared shard-grouped row store underlying Write and
 // WriteRecovery.
 func (s *Server) applyWrite(ids []uint64, rows [][]float32) {
-	if len(s.shards) == 1 || len(ids) < parallelMinRows {
+	if len(s.shards) == 1 || len(ids) < groupMinRows {
 		for i, id := range ids {
 			s.shards[s.ShardOf(id)].Set(id, rows[i])
 		}
 	} else {
 		g := s.getGroupScratch()
 		pos, bounds := g.GroupByOwner(ids, len(s.shards))
-		s.forEachShard(bounds, func(sh int) {
-			s.shards[sh].SetMany(ids, pos[bounds[sh]:bounds[sh+1]], rows)
-		})
+		for sh, t := range s.shards {
+			if bounds[sh] != bounds[sh+1] {
+				t.SetMany(ids, pos[bounds[sh]:bounds[sh+1]], rows)
+			}
+		}
 		s.putGroupScratch(g)
 	}
 }

@@ -15,7 +15,7 @@
 // row (DiffRows) — the mechanism behind `bagpipe -verify`.
 //
 // The package never touches the network itself: it exposes batched,
-// shard-parallel Fetch/Write plus state-comparison primitives
+// shard-grouped Fetch/Write plus state-comparison primitives
 // (Diff, Fingerprint, export), and internal/transport decides
 // whether those calls cross a socket.
 package embed

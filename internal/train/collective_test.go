@@ -5,59 +5,80 @@ import (
 	"testing"
 	"time"
 
+	"bagpipe/internal/collective"
 	"bagpipe/internal/embed"
 	"bagpipe/internal/transport"
 )
 
 // TestCollectiveStrategiesBitIdentical is the collective conformance
-// matrix: the mesh all-reduce over every fabric (instant in-process,
-// reordering simulated links, real TCP sockets + codec) leaves the
-// embedding servers bit-identical to the no-cache baseline and reports its
-// exact losses.
+// matrix: the chunk-owned round of collective.Group in one process, and
+// over every mesh fabric (instant in-process, reordering simulated links,
+// real TCP sockets + codec), at P = 2, 3
+// and 4, where the model's segment total splits into uneven chunks, leaves
+// the embedding servers bit-identical to the no-cache baseline and
+// reports its exact losses. The optimizer varies with P, so that stateful
+// dense steps over uneven chunks are certified too.
 func TestCollectiveStrategiesBitIdentical(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.NumTrainers = 3
-	cfg.NumBatches = 12
-
-	srvBase := newServer(cfg.Spec, 3)
-	base, err := RunBaseline(cfg, transport.NewInProcess(srvBase))
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-
 	for _, strategy := range []string{CollFused} {
-		for _, meshName := range []string{"inproc", "sim", "tcp"} {
+		for _, meshName := range []string{"group", "inproc", "sim", "tcp"} {
 			t.Run(fmt.Sprintf("%s_%s", strategy, meshName), func(t *testing.T) {
-				c := cfg
-				c.Collective = strategy
-				srv := newServer(c.Spec, 3)
-				var mesh transport.Mesh
-				switch meshName {
-				case "inproc":
-					mesh = transport.NewInprocMesh(c.NumTrainers)
-				case "sim":
-					mesh = transport.NewSimMesh(c.NumTrainers, 200*time.Microsecond, 20e6)
-				case "tcp":
-					lb, err := transport.NewLoopbackTCPMesh(c.NumTrainers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer lb.Shutdown()
-					mesh = lb
-				}
-				results := runWorkers(t, c, newStores(srv, c.NumTrainers), mesh)
-
-				if d := embed.Diff(srvBase, srv); len(d) != 0 {
-					t.Fatalf("strategy %s over %s diverged at %d ids (first: %v)", strategy, meshName, len(d), d[0])
-				}
-				for p, res := range results {
-					if res.FirstLoss != base.FirstLoss || res.LastLoss != base.LastLoss {
-						t.Fatalf("worker %d losses diverged: %v/%v vs baseline %v/%v",
-							p, res.FirstLoss, res.LastLoss, base.FirstLoss, base.LastLoss)
-					}
-					if res.MeshClasses.CollMsgs == 0 {
-						t.Fatalf("worker %d sent no collective frames under strategy %s", p, strategy)
-					}
+				for _, P := range []int{2, 3, 4} {
+					t.Run(fmt.Sprintf("P%d", P), func(t *testing.T) {
+						c := unevenConfig(P)
+						c.Optimizer = []string{"sgd", "momentum", "adam"}[P-2]
+						c.Collective = strategy
+						srvBase := newServer(c.Spec, 3)
+						base, err := RunBaseline(c, transport.NewInProcess(srvBase))
+						if err != nil {
+							t.Fatalf("baseline: %v", err)
+						}
+						srv := newServer(c.Spec, 3)
+						var results []*Result
+						var total int
+						prep := func(tr *lrppTrainer) {
+							if tr.p == 0 { // workers prepare concurrently
+								total = collective.Len(tr.segs)
+							}
+						}
+						var mesh transport.Mesh
+						switch meshName {
+						case "group":
+							res, err := runLRPP(c, newStores(srv, P), nil, prep)
+							if err != nil {
+								t.Fatal(err)
+							}
+							results = []*Result{res}
+						case "inproc":
+							mesh = transport.NewInprocMesh(P)
+						case "sim":
+							mesh = transport.NewSimMesh(P, 200*time.Microsecond, 20e6)
+						case "tcp":
+							lb, err := transport.NewLoopbackTCPMesh(P)
+							if err != nil {
+								t.Fatal(err)
+							}
+							defer lb.Shutdown()
+							mesh = lb
+						}
+						if mesh != nil {
+							results = runWorkersPrep(t, c, newStores(srv, P), mesh, prep)
+						}
+						if total%P == 0 {
+							t.Fatalf("%d floats split evenly %d ways: the matrix needs uneven chunks", total, P)
+						}
+						if d := embed.Diff(srvBase, srv); len(d) != 0 {
+							t.Fatalf("strategy %s over %s diverged at %d ids (first: %v)", strategy, meshName, len(d), d[0])
+						}
+						for p, res := range results {
+							if res.FirstLoss != base.FirstLoss || res.LastLoss != base.LastLoss {
+								t.Fatalf("worker %d losses diverged: %v/%v vs baseline %v/%v",
+									p, res.FirstLoss, res.LastLoss, base.FirstLoss, base.LastLoss)
+							}
+							if mesh != nil && res.MeshClasses.CollMsgs == 0 {
+								t.Fatalf("worker %d sent no collective frames under strategy %s", p, strategy)
+							}
+						}
+					})
 				}
 			})
 		}
@@ -65,24 +86,54 @@ func TestCollectiveStrategiesBitIdentical(t *testing.T) {
 }
 
 // TestFusedCollectiveFrameReduction pins the collective's arithmetic from
-// the counters, not the math: per iteration every non-root rank sends one
-// fused frame to rank 0 and rank 0 sends the result back to each, so the
-// whole mesh carries exactly 2(P−1) collective frames per iteration.
+// the counters, not the math: per round every rank sends each peer one
+// reduce-scatter frame (the peer's chunk of its gradients and its loss
+// term) and one all-gather frame (its own stepped chunk), so each rank
+// sends exactly 2(P−1) collective frames per iteration, and exactly the
+// bytes those chunks encode to, 2(P−1)/P of the parameters' floats at
+// P = 3's uneven chunks.
 func TestFusedCollectiveFrameReduction(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.NumTrainers = 3
+	cfg := unevenConfig(3)
 	cfg.NumBatches = 10
 
 	srv := newServer(cfg.Spec, 3)
-	results := runWorkers(t, cfg, newStores(srv, cfg.NumTrainers), transport.NewInprocMesh(cfg.NumTrainers))
-	var frames int64
-	for _, res := range results {
-		frames += res.MeshClasses.CollMsgs
+	var total int
+	results := runWorkersPrep(t, cfg, newStores(srv, cfg.NumTrainers), transport.NewInprocMesh(cfg.NumTrainers), func(tr *lrppTrainer) {
+		if tr.p == 0 { // workers prepare concurrently
+			total = collective.Len(tr.segs)
+		}
+	})
+	P, iters := cfg.NumTrainers, int64(cfg.NumBatches)
+	for r, res := range results {
+		if want := int64(2*(P-1)) * iters; res.MeshClasses.CollMsgs != want {
+			t.Errorf("rank %d sent %d collective frames, want 2(P-1)·iters = %d", r, res.MeshClasses.CollMsgs, want)
+		}
+		lo, hi := collective.Chunk(total, P, r)
+		var perRound int
+		for q := range P {
+			if q != r {
+				qlo, qhi := collective.Chunk(total, P, q)
+				perRound += transport.PayloadSize(transport.FusedCollMsg{Data: make([]float32, qhi-qlo), Loss: make([]float64, 1)})
+				perRound += transport.PayloadSize(transport.FusedCollMsg{Gather: true, Data: make([]float32, hi-lo)})
+			}
+		}
+		if want := int64(perRound) * iters; res.MeshClasses.CollBytes != want {
+			t.Errorf("rank %d sent %d collective bytes, want %d", r, res.MeshClasses.CollBytes, want)
+		}
 	}
-	P, iters := int64(cfg.NumTrainers), int64(cfg.NumBatches)
-	if want := 2 * (P - 1) * iters; frames != want {
-		t.Errorf("sent %d collective frames, want 2(P-1)·iters = %d", frames, want)
-	}
+}
+
+// unevenConfig is tinyConfig at P trainers over a spec with one more
+// numeric feature, which makes wd's 133 153 dense floats split unevenly
+// two, three and four ways (tinySpec's 132 897 split evenly three ways).
+func unevenConfig(P int) Config {
+	cfg := tinyConfig()
+	spec := *cfg.Spec
+	spec.NumNumeric++
+	cfg.Spec = &spec
+	cfg.NumTrainers = P
+	cfg.NumBatches = 12
+	return cfg
 }
 
 // TestCalibrateAndAutoLookahead covers the -auto-lookahead machinery: the

@@ -65,27 +65,25 @@ func engineMallocs(t *testing.T, leg string, iters int) uint64 {
 // and the N extra iterations may allocate at most a constant each. The
 // oracle's decisions and plans, the plans rank 1 decodes into its ring and
 // the generated batches all come back once their iteration has routed, so
-// none of them is in the constant; what is, per iteration, counted from the allocation
-// profile with more than one CPU (one CPU skips the server's shard fan-out):
+// none of them is in the constant; what is, per iteration, counted from the
+// allocation profile:
 //
-//   - the embedding server, 16: each trainer's Fetch and Write is 4 calls,
-//     and each call allocates its shard closure, its WaitGroup and one
-//     goroutine closure per shard (4 each);
 //   - the trainers, 10: per trainer the prefetch goroutine's closure and
 //     frame (2), the replica push boxed into Send's any (1) and the urgent
 //     and the deferred sync frame, each boxed into Send's any (2). The
 //     flusher's flush lists come from a pool the receiver (or, over TCP,
-//     the encoder) returns them to;
-//   - worker mode adds the mesh collective, 8: the contribution and the
-//     result snapshots, each a segment list and a loss term (4), each boxed
-//     into Send's any (2), and rank 0's per-round table of contributions
-//     (2);
-//   - loopback TCP adds the decoder, 12: on each rank the replica push and
-//     the two sync frames boxed into Recv's any (3), and the collective
-//     frame with its segment list and loss term (3). The sync frames' flush
-//     lists come from the flushers' pool.
+//     the encoder) returns them to. The embedding server serves its shards
+//     in turn and allocates nothing per call;
+//   - worker mode adds the collective round, 4: per trainer its
+//     reduce-scatter and its all-gather frame, each boxed into Send's any.
+//     The frames' chunks come from the row arena and their loss terms from
+//     the sender's two-round buffer;
+//   - loopback TCP adds the decoder, 12: on each rank the replica push, the
+//     two sync frames and the two collective frames boxed into Recv's any
+//     (5), and the reduce-scatter frame's loss terms (1). The sync frames'
+//     flush lists come from the flushers' pool.
 //
-// That is 26 in one process, 34 in worker mode and 46 over TCP; the bounds
+// That is 10 in one process, 14 in worker mode and 26 over TCP; the bounds
 // allow 6, 5 and 2 more for what varies from run to run (an arena briefly
 // dry, a goroutine or queue reaching a new peak, runtime objects the
 // profile does not attribute). The worker legs used to vary by several
@@ -93,17 +91,18 @@ func engineMallocs(t *testing.T, leg string, iters int) uint64 {
 // eight runs) because each slot grew its own merge queue: how many merges
 // a row held at once followed the pace of the stager, so a loaded host
 // grew more of them later in the run. A slot's queue is now a fixed pair
-// whose partials grow with the slot slab, and ten runs of the gate
-// beside two busy-looping processes on a 2-core host read 25.0–26.6,
-// 34.0–34.3 and 46.0–46.4. Before plans and batches were recycled the
-// three legs read 61, 69 and 98, and before flush lists were pooled 30, 37
-// and 48.
+// whose partials grow with the slot slab. Before the server served its
+// shards in turn (it ran a goroutine per shard, 16 objects per iteration)
+// and the collective ran rooted at rank 0 with snapshot frames and a
+// per-round table (8 in worker mode), the three legs read 26, 34 and 46;
+// before plans and batches were recycled 61, 69 and 98, and before flush
+// lists were pooled 30, 37 and 48.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	const n = 128
 	for _, c := range []struct {
 		leg   string
 		bound float64
-	}{{"lrpp", 26 + 6}, {"worker-inproc", 34 + 5}, {"worker-tcp", 46 + 2}} {
+	}{{"lrpp", 10 + 6}, {"worker-inproc", 14 + 5}, {"worker-tcp", 26 + 2}} {
 		t.Run(c.leg, func(t *testing.T) {
 			engineMallocs(t, c.leg, 16) // the process's one-time growth
 			short, long := engineMallocs(t, c.leg, n), engineMallocs(t, c.leg, 2*n)

@@ -193,3 +193,86 @@ func TestReplicaPushRefusals(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectiveFrameRefusals: trainer 0 of three over 10 floats (chunks
+// of 3, 3 and 4) refuses a collective frame of another round than its
+// phase folds next — one too far ahead, or one of a phase already folded
+// — from an origin that repeats or is not a peer, or whose float or loss
+// count differs from the chunk it carries, naming the rank, the peer, the
+// round and both counts, before the frame is filed for any fold. The
+// valid frames of a round's two phases are filed, and complete it.
+func TestCollectiveFrameRefusals(t *testing.T) {
+	segs := [][]float32{make([]float32, 5), make([]float32, 3), make([]float32, 2)}
+	reduce := func(seq uint64, origin, n int) transport.FusedCollMsg {
+		return transport.FusedCollMsg{Seq: seq, Origin: origin, Data: make([]float32, n), Loss: []float64{0.5}}
+	}
+	gather := func(seq uint64, origin, n int) transport.FusedCollMsg {
+		return transport.FusedCollMsg{Seq: seq, Origin: origin, Gather: true, Data: make([]float32, n)}
+	}
+	for _, c := range []struct {
+		name   string
+		before []transport.FusedCollMsg // delivered first, and accepted
+		folded bool                     // the reduce-scatter of round 0 folds before the frame
+		frame  transport.FusedCollMsg
+		want   []string
+	}{
+		{"round ahead", nil, false, reduce(1, 1, 3), []string{"trainer 0", "trainer 1", "round 1", "expected round 0"}},
+		{"two rounds ahead", nil, true, reduce(2, 2, 3), []string{"trainer 0", "trainer 2", "round 2", "expected round 1"}},
+		{"phase already folded", nil, true, reduce(0, 1, 3), []string{"trainer 0", "trainer 1", "round 0", "expected round 1"}},
+		{"gather ahead", nil, false, gather(1, 2, 4), []string{"all-gather", "trainer 2", "round 1", "expected round 0"}},
+		{"repeated origin", []transport.FusedCollMsg{reduce(0, 1, 3)}, false, reduce(0, 1, 3), []string{"trainer 0", "second", "trainer 1", "round 0", "3 floats", "carried 3"}},
+		{"self", nil, false, reduce(0, 0, 3), []string{"trainer 0", "round 0", "not a peer"}},
+		{"origin out of range", nil, false, reduce(0, 3, 3), []string{"trainer 3", "not a peer of 3"}},
+		{"short chunk", nil, false, reduce(0, 2, 2), []string{"trainer 0", "trainer 2", "round 0", "2 floats", "holds 3"}},
+		{"gather of the receiver's chunk", nil, false, gather(0, 2, 3), []string{"trainer 0", "trainer 2", "round 0", "3 floats", "trainer 2's chunk holds 4"}},
+		{"loss terms", nil, false, transport.FusedCollMsg{Seq: 0, Origin: 1, Data: make([]float32, 3)}, []string{"trainer 1", "round 0", "0 loss terms", "holds 3 and 1"}},
+		{"gather with loss", nil, false, transport.FusedCollMsg{Seq: 0, Origin: 1, Gather: true, Data: make([]float32, 3), Loss: []float64{1}}, []string{"all-gather", "1 loss terms", "holds 3 and 0"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mc := newMeshColl(0, 3, nil, nil, segs, 1)
+			if c.folded {
+				for _, m := range []transport.FusedCollMsg{reduce(0, 1, 3), reduce(0, 2, 3)} {
+					if err := mc.deliver(m); err != nil {
+						t.Fatal(err)
+					}
+				}
+				mc.await(phaseReduce)
+				mc.done(phaseReduce)
+			}
+			for _, m := range c.before {
+				if err := mc.deliver(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			filed := mc.filled
+			err := mc.deliver(c.frame)
+			if err == nil {
+				t.Fatal("frame filed")
+			}
+			for _, w := range c.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("refusal %q does not say %q", err, w)
+				}
+			}
+			if mc.filled != filed {
+				t.Fatalf("refused frame changed the filed origins from %b to %b", filed, mc.filled)
+			}
+		})
+	}
+	mc := newMeshColl(0, 3, nil, nil, segs, 1)
+	for _, m := range []transport.FusedCollMsg{gather(0, 2, 4), reduce(0, 2, 3), gather(0, 1, 3), reduce(0, 1, 3)} {
+		if err := mc.deliver(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mc.await(phaseReduce)
+	mc.done(phaseReduce)
+	if err := mc.deliver(reduce(1, 1, 3)); err != nil {
+		t.Fatalf("the next round's reduce-scatter frame refused while the all-gather is open: %v", err)
+	}
+	mc.await(phaseGather)
+	mc.done(phaseGather)
+	if mc.next != [numPhases]uint64{1, 1} || mc.filled != [numPhases]rankBits{1 << 1, 0} {
+		t.Fatalf("after round 0: next rounds %v, filed origins %b", mc.next, mc.filled)
+	}
+}

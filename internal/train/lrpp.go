@@ -64,14 +64,6 @@ func syncClass(next bool) transport.SyncClass {
 	return transport.SyncDeferred
 }
 
-// lrppColl is the collective layer a trainer steps its dense gradients and
-// loss through, as one fused round per iteration: the in-process
-// collective.Group when all trainers share an address space, or the
-// mesh-based reducer (meshColl, meshcoll.go) when each trainer is its own
-// process. Every implementation folds per segment in rank order from zero,
-// so the result bits are identical.
-type lrppColl = collective.Collective
-
 // Mesh traffic classes for per-phase accounting (Result.MeshClasses).
 const (
 	classReplica = iota
@@ -89,7 +81,7 @@ type lrppEngine struct {
 	dim    int
 	P, L   int
 	mesh   transport.Mesh
-	coll   lrppColl
+	coll   collective.Collective // Group in one process, meshColl per worker
 	hooks  *LRPPHooks
 	prog   *Progress
 	worker bool // each trainer is its own process; record losses locally
@@ -108,12 +100,6 @@ type lrppEngine struct {
 	// bytes), indexed by class.
 	classMsgs  [numClasses]atomic.Int64
 	classBytes [numClasses]atomic.Int64
-
-	// collArrive[x%2][p] is when trainer p arrived at iteration x's
-	// in-process collective, in nanoseconds since epoch; the latest arrival
-	// splits each rank's collective time into wait and fold (collWait).
-	epoch      time.Time
-	collArrive [2][core.MaxTrainers]atomic.Int64
 }
 
 // send sends payload to trainer `to` over ep, declaring the bytes the
@@ -147,7 +133,10 @@ type lrppTrainer struct {
 
 	model   model.Model
 	params  []nn.Param  // model.Params(), stable for the run
-	segs    [][]float32 // params' gradients, the fused all-reduce's segments
+	segs    [][]float32 // params' gradients, the collective's segments
+	values  [][]float32 // params' values, which the all-gather completes
+	sum     []float32   // the reduce-scatter's total over this trainer's chunk
+	chunk   []nn.Param  // the chunk's pieces of params, their gradients in sum: what opt steps
 	lossVec [1]float64  // this trainer's loss term, reduced with segs
 	ls      localSlice  // this trainer's slice of the current batch
 	opt     optim.Optimizer
@@ -160,7 +149,7 @@ type lrppTrainer struct {
 
 	clock stageClock
 
-	// Worker mode only (nil otherwise): the mesh-based collective reducer,
+	// Worker mode only (nil otherwise): the mesh-based collective round,
 	// and on ranks ≥ 1 the plan ring fed by the receiver goroutine.
 	mcoll *meshColl
 	plans *planRing
@@ -335,7 +324,7 @@ func runLRPP(cfg Config, trs []transport.Store, mesh transport.Mesh, prep func(*
 }
 
 // newLRPPEngine builds the per-process engine state.
-func newLRPPEngine(cfg *Config, mesh transport.Mesh, coll lrppColl) *lrppEngine {
+func newLRPPEngine(cfg *Config, mesh transport.Mesh, coll collective.Collective) *lrppEngine {
 	eng := &lrppEngine{
 		cfg:    cfg,
 		dim:    cfg.Spec.EmbDim,
@@ -346,7 +335,6 @@ func newLRPPEngine(cfg *Config, mesh transport.Mesh, coll lrppColl) *lrppEngine 
 		hooks:  cfg.Hooks,
 		prog:   cfg.Progress,
 		losses: make([]float64, cfg.NumBatches),
-		epoch:  time.Now(),
 	}
 	return eng
 }
@@ -400,7 +388,15 @@ func newLRPPTrainer(eng *lrppEngine, p int, tr transport.Store, ep transport.End
 	t.params = m.Params()
 	for _, p := range t.params {
 		t.segs = append(t.segs, p.Grad)
+		t.values = append(t.values, p.Value)
 	}
+	// The optimizer steps this trainer's chunk only, through pieces of the
+	// params built once, so its per-parameter state stays keyed for the run.
+	lo, hi := collective.Chunk(collective.Len(t.segs), eng.P, p)
+	t.sum = make([]float32, hi-lo)
+	collective.Pieces(t.values, lo, hi, func(i, a, b, off int) {
+		t.chunk = append(t.chunk, nn.Param{Name: t.params[i].Name, Value: t.values[i][a:b], Grad: t.sum[off : off+b-a]})
+	})
 	for i := 0; i < cfg.LookAhead; i++ {
 		t.tokens <- struct{}{}
 	}
@@ -642,11 +638,13 @@ func (t *lrppTrainer) startReceiver() {
 				}
 				t.plans.put(pl.Plan)
 			case transport.FusedCollMsg:
-				// Worker mode only: collective contributions and results.
+				// Worker mode only: the collective round's chunks.
 				if t.mcoll == nil {
 					panic(fmt.Sprintf("train: trainer %d received a collective message outside worker mode", t.p))
 				}
-				t.mcoll.deliverFused(pl)
+				if err := t.mcoll.deliver(pl); err != nil {
+					panic(err.Error())
+				}
 			default:
 				panic(fmt.Sprintf("train: trainer %d received unknown mesh payload %T", t.p, msg.Payload))
 			}
@@ -1047,24 +1045,20 @@ func (t *lrppTrainer) compute(rec *iterRec, mark time.Time) time.Time {
 	t.routedCh <- struct{}{}
 	mark = t.clock.lap(StageRoute, mark)
 
-	// 9. Dense backward, then ONE fused collective round: every
-	// dense-parameter gradient segment plus the loss term crosses the
-	// trainer group together (a single frame per hop on mesh fabrics,
-	// instead of one per parameter), folded in rank order from zero — the
-	// identical call sequence and summation on every trainer.
+	// 9. Dense backward, then ONE chunk-owned collective round: the
+	// reduce-scatter folds this trainer's chunk of every rank's gradients
+	// and the loss terms in rank order from zero, the optimizer steps the
+	// chunk, and the all-gather returns every other chunk's updated
+	// parameters — the identical call sequence and summation on every
+	// trainer. The gradients are zeroed at the next iteration's start.
 	if !idle {
 		t.model.BackwardDense()
 	}
 	mark = t.clock.lap(StageBackwardDense, mark)
-	eng.collArrive[x%2][t.p].Store(int64(mark.Sub(eng.epoch)))
-	eng.coll.FusedAllReduce(t.p, t.segs, t.lossVec[:])
-	now := time.Now()
-	coll := now.Sub(mark)
-	wait := t.collWait(x, mark, coll)
-	t.clock.add(StageCollWait, wait)
-	t.clock.add(StageCollFold, coll-wait)
-	mark = now
-	t.opt.Step(t.params)
+	mark = t.collLap(mark, eng.coll.ReduceScatter(t.p, t.segs, t.lossVec[:], t.sum))
+	t.opt.Step(t.chunk)
+	mark = t.clock.lap(StageStep, mark)
+	mark = t.collLap(mark, eng.coll.AllGather(t.p, t.values, t.lossVec[:]))
 	eng.activeTrain.Add(-1)
 	// All ranks hold the identical reduced loss; in single-process mode the
 	// losses slice is shared so only trainer 0 writes it, in worker mode
@@ -1095,21 +1089,16 @@ func (t *lrppTrainer) handBack(pl *core.Plan) {
 	}
 }
 
-// collWait returns how much of collective round x, which this trainer
-// entered at arr and left coll later, it spent waiting for the other ranks.
-// In-process that is the gap to the last rank's arrival, which no rank can
-// overwrite before this one reads it: round x+2 needs this rank's arrival
-// at x+1. Across processes the mesh reducer times its own wait.
-func (t *lrppTrainer) collWait(x int, arr time.Time, coll time.Duration) time.Duration {
-	if t.mcoll != nil {
-		return min(t.mcoll.waited, coll)
-	}
-	eng := t.eng
-	var last int64
-	for p := range eng.P {
-		last = max(last, eng.collArrive[x%2][p].Load())
-	}
-	return min(max(time.Duration(last)-arr.Sub(eng.epoch), 0), coll)
+// collLap charges one collective phase that began at mark and waited wait
+// for the other ranks: the wait to coll-wait, the rest to coll-fold. It
+// returns now.
+func (t *lrppTrainer) collLap(mark time.Time, wait time.Duration) time.Time {
+	now := time.Now()
+	d := now.Sub(mark)
+	wait = min(wait, d)
+	t.clock.add(StageCollWait, wait)
+	t.clock.add(StageCollFold, d-wait)
+	return now
 }
 
 // checkReplicas refuses iteration x's replica pushes unless each carries

@@ -9,181 +9,182 @@ import (
 	"bagpipe/internal/transport"
 )
 
-// This file is the mesh-based side of the collective layer: the reducer a
-// multi-process LRPP worker steps its dense gradients and loss through
-// (collective.Collective's mesh implementation). One FusedCollMsg packs
-// every dense-parameter segment plus the loss term behind a segment table;
-// every rank sends its frame to rank 0, which folds all P contributions per
-// segment in rank order from zero — the summation order of the in-process
-// collective.Group, so the result bits are identical — and sends the result
-// back: 2(P−1) frames per iteration.
-//
-// Every call is tagged with a sequence number (all ranks make the same
-// sequence of collective calls, as with MPI communicators), so arbitrarily
-// reordered delivery cannot mismatch rounds. The trainer's receiver
-// goroutine feeds inbound frames in through deliverFused.
+// This file is the chunk-owned round (collective.Collective) of a
+// multi-process LRPP worker: each ordered pair of ranks exchanges one
+// FusedCollMsg per phase, 2(P−1) frames per rank per round. A frame waits
+// in a fixed slot per phase and origin that accepts only the round the
+// phase folds next: the current round, or the next for a reduce-scatter
+// frame that comes during the all-gather. No peer gets further ahead, since
+// its round x+1 ends only with this rank's all-gather frame of x+1, and for
+// the same reason no frame of a phase can come while the trainer folds that
+// phase's slots.
 
 // CollFused names the one mesh collective strategy (Config.Collective).
 const CollFused = "fused"
 
+const (
+	phaseReduce = iota
+	phaseGather
+	numPhases
+)
+
 // meshColl implements collective.Collective over a mesh endpoint.
 type meshColl struct {
 	rank, n int
+	total   int      // floats in the concatenated segments
+	nLoss   int      // loss terms per rank
+	peers   rankBits // every rank but this one
 	ep      transport.Endpoint
 	eng     *lrppEngine // per-class traffic accounting
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	seq     uint64
-	fused   map[uint64]map[int]transport.FusedCollMsg // root: seq → origin → contribution
-	fresult map[uint64]transport.FusedCollMsg         // non-root: seq → root's result
+	// slots[ph][origin] holds origin's frame of round next[ph] in phase ph
+	// once filled[ph] has origin's bit; the receiver goroutine files them
+	// under mu, the trainer folds them after await.
+	mu     sync.Mutex
+	cond   sync.Cond
+	slots  [numPhases][]transport.FusedCollMsg
+	filled [numPhases]rankBits
+	next   [numPhases]uint64
 
-	// waited is how long the last FusedAllReduce blocked on other ranks:
-	// for their frames at the root, for the result elsewhere. Only the
-	// calling trainer loop reads and writes it.
-	waited time.Duration
+	// lossOut[x%2] is this rank's loss terms of round x: its reduce-scatter
+	// frames of the round share it, and the receivers read it before the
+	// round after next, the first to rewrite it. lossSum is the folded
+	// total, from ReduceScatter to AllGather.
+	lossOut [2][]float64
+	lossSum []float64
 }
 
-func newMeshColl(rank, n int, ep transport.Endpoint, eng *lrppEngine) *meshColl {
-	c := &meshColl{
-		rank: rank, n: n, ep: ep, eng: eng,
-		fused:   make(map[uint64]map[int]transport.FusedCollMsg),
-		fresult: make(map[uint64]transport.FusedCollMsg),
+// newMeshColl builds rank's side of the round over segs' layout and nLoss
+// loss terms.
+func newMeshColl(rank, n int, ep transport.Endpoint, eng *lrppEngine, segs [][]float32, nLoss int) *meshColl {
+	c := &meshColl{rank: rank, n: n, total: collective.Len(segs), nLoss: nLoss, ep: ep, eng: eng,
+		peers: (rankBits(1)<<uint(n) - 1) &^ (1 << uint(rank)), lossSum: make([]float64, nLoss)}
+	c.cond.L = &c.mu
+	for ph := range c.slots {
+		c.slots[ph] = make([]transport.FusedCollMsg, n)
 	}
-	c.cond = sync.NewCond(&c.mu)
+	for x := range c.lossOut {
+		c.lossOut[x] = make([]float64, nLoss)
+	}
 	return c
 }
 
-// deliverFused routes one inbound fused frame (called from the trainer's
-// mesh receiver goroutine): a peer's contribution on rank 0, the root's
-// result everywhere else.
-func (c *meshColl) deliverFused(m transport.FusedCollMsg) {
-	c.mu.Lock()
-	if c.rank == 0 {
-		byOrigin := c.fused[m.Seq]
-		if byOrigin == nil {
-			byOrigin = make(map[int]transport.FusedCollMsg, c.n-1)
-			c.fused[m.Seq] = byOrigin
-		}
-		byOrigin[m.Origin] = m
-	} else {
-		c.fresult[m.Seq] = m
-	}
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
-// gatherFused blocks until all n−1 peer contributions for seq arrived
-// (rank 0 only) and removes them.
-func (c *meshColl) gatherFused(seq uint64) map[int]transport.FusedCollMsg {
+// deliver files one inbound frame in its slot (called from the trainer's
+// mesh receiver goroutine). A frame of another round than its phase folds
+// next, from an origin that is not a peer or has already delivered that
+// round and phase, or whose float or loss count differs from the chunk it
+// carries is refused, before anything folds.
+func (c *meshColl) deliver(m transport.FusedCollMsg) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.fused[seq]) < c.n-1 {
-		c.cond.Wait()
+	ph, name, owner, nLoss := phaseReduce, "reduce-scatter", c.rank, c.nLoss
+	if m.Gather {
+		ph, name, owner, nLoss = phaseGather, "all-gather", m.Origin, 0
 	}
-	byOrigin := c.fused[seq]
-	delete(c.fused, seq)
-	return byOrigin
+	lo, hi := collective.Chunk(c.total, c.n, owner)
+	switch {
+	case m.Seq != c.next[ph]:
+		return fmt.Errorf("train: trainer %d: %s frame from trainer %d for round %d, expected round %d",
+			c.rank, name, m.Origin, m.Seq, c.next[ph])
+	case m.Origin < 0 || m.Origin >= c.n || m.Origin == c.rank:
+		return fmt.Errorf("train: trainer %d: %s frame for round %d from trainer %d, not a peer of %d trainers",
+			c.rank, name, m.Seq, m.Origin, c.n)
+	case c.filled[ph].has(m.Origin):
+		return fmt.Errorf("train: trainer %d: second %s frame from trainer %d for round %d: %d floats, the first carried %d",
+			c.rank, name, m.Origin, m.Seq, len(m.Data), len(c.slots[ph][m.Origin].Data))
+	case len(m.Data) != hi-lo || len(m.Loss) != nLoss:
+		return fmt.Errorf("train: trainer %d: %s frame from trainer %d for round %d carries %d floats and %d loss terms, trainer %d's chunk holds %d and %d",
+			c.rank, name, m.Origin, m.Seq, len(m.Data), len(m.Loss), owner, hi-lo, nLoss)
+	}
+	c.slots[ph][m.Origin] = m
+	c.filled[ph].set(m.Origin)
+	c.cond.Signal()
+	return nil
 }
 
-// awaitFused blocks until the root's result for seq arrived (non-root
-// only).
-func (c *meshColl) awaitFused(seq uint64) transport.FusedCollMsg {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		if m, ok := c.fresult[seq]; ok {
-			delete(c.fresult, seq)
-			return m
-		}
-		c.cond.Wait()
-	}
-}
-
-func (c *meshColl) nextSeq() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.seq
-	c.seq++
-	return s
-}
-
-// snapshotFused copies segs and loss into a frame: the caller's buffers are
-// live (reused across iterations, mutated by the fold), and Send hands the
-// frame to its one receiver. Segments come from the per-length arenas;
-// whoever consumes the frame returns them (transport.ReleasePayload), over
-// TCP the sending endpoint once it has encoded them.
-func snapshotFused(seq uint64, origin int, segs [][]float32, loss []float64) transport.FusedCollMsg {
-	m := transport.FusedCollMsg{Seq: seq, Origin: origin,
-		Segs: make([][]float32, len(segs)), Loss: append([]float64(nil), loss...)}
-	for i, s := range segs {
-		if len(s) > 0 {
-			m.Segs[i] = transport.Rows(len(s)).Get()
-			copy(m.Segs[i], s)
-		}
-	}
-	return m
-}
-
-// checkFused panics unless m's shape matches the local call: a mismatch
-// means the ranks' collective call sequences diverged, which can only end
-// in silent corruption.
-func (c *meshColl) checkFused(m transport.FusedCollMsg, segs [][]float32, loss []float64) {
-	if len(m.Segs) != len(segs) || len(m.Loss) != len(loss) {
-		panic(fmt.Sprintf("train: collective %d: rank %d contributed %d segments / %d loss terms, want %d / %d",
-			m.Seq, m.Origin, len(m.Segs), len(m.Loss), len(segs), len(loss)))
-	}
-	for i, s := range segs {
-		if len(m.Segs[i]) != len(s) {
-			panic(fmt.Sprintf("train: collective %d: rank %d segment %d carried %d floats, want %d",
-				m.Seq, m.Origin, i, len(m.Segs[i]), len(s)))
-		}
-	}
-}
-
-// FusedAllReduce implements collective.Collective: one call reduces every
-// dense-parameter segment plus the loss vector across the mesh. Rank 0
-// folds all P frames in rank order from zero — the bit-identity contract —
-// and sends the result to every peer; every other rank sends its own frame
-// to rank 0 and blocks for the result.
-func (c *meshColl) FusedAllReduce(rank int, segs [][]float32, loss []float64) {
-	if c.n == 1 {
-		return
-	}
-	seq := c.nextSeq()
-	if c.rank == 0 {
-		start := time.Now()
-		byOrigin := c.gatherFused(seq)
-		c.waited = time.Since(start)
-		// Fold in rank order from zero: segs/loss already hold rank 0's
-		// terms. Whole segments at a time through the vector kernels — the
-		// same left-to-right per-element summation as the scalar loop.
-		for r := 1; r < c.n; r++ {
-			m, ok := byOrigin[r]
-			if !ok {
-				panic(fmt.Sprintf("train: collective %d: rank %d never contributed", seq, r))
-			}
-			c.checkFused(m, segs, loss)
-			for i, x := range segs {
-				collective.AddF32(x, m.Segs[i])
-			}
-			collective.AddF64(loss, m.Loss)
-			transport.ReleasePayload(m)
-		}
-		// One snapshot per destination: Send transfers ownership.
-		for r := 1; r < c.n; r++ {
-			c.eng.send(c.ep, r, classColl, snapshotFused(seq, 0, segs, loss))
-		}
-		return
-	}
-	c.eng.send(c.ep, 0, classColl, snapshotFused(seq, c.rank, segs, loss))
+// await blocks until every peer's frame of phase ph's next round is filed,
+// and returns how long it blocked.
+func (c *meshColl) await(ph int) time.Duration {
 	start := time.Now()
-	m := c.awaitFused(seq)
-	c.waited = time.Since(start)
-	c.checkFused(m, segs, loss)
-	for i := range segs {
-		copy(segs[i], m.Segs[i])
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.filled[ph] != c.peers {
+		c.cond.Wait()
 	}
-	copy(loss, m.Loss)
-	transport.ReleasePayload(m)
+	return time.Since(start)
+}
+
+// done returns phase ph's folded frames to the pools and opens its slots to
+// the round after.
+func (c *meshColl) done(ph int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, m := range c.slots[ph] {
+		transport.ReleasePayload(m)
+	}
+	clear(c.slots[ph])
+	c.filled[ph] = 0
+	c.next[ph]++
+}
+
+// send sends peer q a frame of the concatenation's floats [lo, hi) of segs.
+// They are copied into an arena row — segs are live, and Send hands the
+// frame to its one receiver — which the consumer returns
+// (transport.ReleasePayload), over TCP the sending endpoint once it has
+// encoded it.
+func (c *meshColl) send(q int, m transport.FusedCollMsg, segs [][]float32, lo, hi int) {
+	if hi > lo {
+		m.Data = transport.Rows(hi - lo).Get()
+		collective.FoldSpan(m.Data, segs, lo, true)
+	}
+	c.eng.send(c.ep, q, classColl, m)
+}
+
+// ReduceScatter implements collective.Collective: send every peer its
+// chunk of grads with this rank's loss terms, then fold this rank's chunk
+// from the peers' frames and its own grads, in rank order from zero.
+func (c *meshColl) ReduceScatter(_ int, grads [][]float32, loss []float64, sum []float32) time.Duration {
+	x := c.next[phaseReduce] // written only by this goroutine
+	out := c.lossOut[x%2]
+	copy(out, loss)
+	for q := range c.n {
+		if q != c.rank {
+			lo, hi := collective.Chunk(c.total, c.n, q)
+			c.send(q, transport.FusedCollMsg{Seq: x, Origin: c.rank, Loss: out}, grads, lo, hi)
+		}
+	}
+	wait := c.await(phaseReduce)
+	lo, _ := collective.Chunk(c.total, c.n, c.rank)
+	for q, m := range c.slots[phaseReduce] {
+		if q == c.rank {
+			collective.FoldSpan(sum, grads, lo, q == 0)
+			collective.Fold(c.lossSum, loss, q == 0)
+		} else {
+			collective.Fold(sum, m.Data, q == 0)
+			collective.Fold(c.lossSum, m.Loss, q == 0)
+		}
+	}
+	c.done(phaseReduce)
+	return wait
+}
+
+// AllGather implements collective.Collective: send every peer this rank's
+// stepped chunk of values, then scatter the peers' chunks into values.
+func (c *meshColl) AllGather(_ int, values [][]float32, loss []float64) time.Duration {
+	lo, hi := collective.Chunk(c.total, c.n, c.rank)
+	for q := range c.n {
+		if q != c.rank {
+			c.send(q, transport.FusedCollMsg{Seq: c.next[phaseGather], Origin: c.rank, Gather: true}, values, lo, hi)
+		}
+	}
+	wait := c.await(phaseGather)
+	for q, m := range c.slots[phaseGather] {
+		if q != c.rank {
+			qlo, _ := collective.Chunk(c.total, c.n, q)
+			collective.Scatter(values, qlo, m.Data)
+		}
+	}
+	c.done(phaseGather)
+	copy(loss, c.lossSum)
+	return wait
 }

@@ -9,8 +9,9 @@ import (
 type Stage int
 
 // The loop stages partition a trainer loop's wall time. Every iteration
-// passes through them in this order, each ending where the next begins, so
-// their totals sum to the loop's wall time and their shares to 1.
+// passes through them in this order (the collective's two phases bracket
+// the step), each ending where the next begins, so their totals sum to the
+// loop's wall time and their shares to 1.
 const (
 	StageHandoff       Stage = iota // waiting for the stager to hand over the next iteration
 	StageForwardDense               // slice extraction and the embedding-free layers forward
@@ -19,9 +20,9 @@ const (
 	StageSparse                     // row table, head forward, loss and backward to dEmb
 	StageRoute                      // partials, local merges, hand-off to the flusher
 	StageBackwardDense              // the embedding-free layers backward
-	StageCollWait                   // collective: waiting for the other ranks to arrive
-	StageCollFold                   // collective: the rest (fold, wake-up, result)
-	StageStep                       // optimizer step and loss bookkeeping
+	StageCollWait                   // collective, both phases: waiting for the other ranks to arrive
+	StageCollFold                   // collective, both phases: the rest (fold, wake-up, gather)
+	StageStep                       // the optimizer step of this trainer's chunk, between the phases, and loss bookkeeping
 	numLoopStages
 )
 

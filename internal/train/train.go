@@ -27,10 +27,14 @@
 // composes the per-trainer windows into the global guarantee.
 //
 // Both engines drive the same deterministic rank machinery: data-parallel
-// model replicas whose dense gradients and loss are combined in one fused
-// collective round per iteration, folded in rank order from zero
-// (collective.Group in-process; meshColl across processes — meshcoll.go),
-// and per-row embedding gradients reduced by the same rule: each rank sums
+// model replicas whose dense gradients and loss are combined in one
+// chunk-owned collective round per iteration (collective.Group in-process;
+// meshColl across processes — meshcoll.go). Rank r owns the r-th
+// contiguous 1/P of the dense parameters: a reduce-scatter folds each
+// chunk on its owner in rank order from zero, the owner's optimizer steps
+// only that chunk, and an all-gather returns the updated parameters, 2(P−1)
+// frames per rank per round on a mesh. Per-row embedding gradients are
+// reduced by the same rule: each rank sums
 // its own examples' gradients for a row in sub-batch order, and the
 // per-rank partials are folded in rank order from zero, with one optimizer
 // update per (row, iteration) (rankPartials / foldRankGrads). Over the
@@ -79,11 +83,13 @@ type Config struct {
 	// core.DefaultPartitioner.
 	Partitioner core.Partitioner
 
-	// Collective names the mesh all-reduce of multi-process worker runs.
-	// The one strategy is CollFused (also what "" means): every dense
-	// parameter segment plus the loss in a single frame, reduced through
-	// rank 0. Single-process engines always use the in-process
-	// collective.Group.
+	// Collective names the mesh collective of multi-process worker runs.
+	// The one strategy is CollFused (also what "" means): the chunk-owned
+	// round, in which each rank sends each peer one frame of the peer's
+	// chunk of its gradients and loss terms, steps its own chunk, and
+	// sends each peer one frame of its stepped chunk — 2(P−1) frames per
+	// rank per round. Single-process engines always use the in-process
+	// collective.Group, which runs the same round over shared buffers.
 	Collective string
 	// Hooks, when non-nil, receives LRPP engine events for invariant
 	// auditing (differential + fuzz harness). Nil in production runs.
@@ -167,7 +173,7 @@ type Result struct {
 	DelayedFlushes int64 // sync batches flushed off the critical path
 	Mesh           transport.MeshStats
 	// MeshClasses splits the mesh traffic this process *sent* by protocol
-	// phase — the counters that prove (rather than assert) the fused
+	// phase — the counters that prove (rather than assert) the
 	// collective's frame count. Collective and plan frames only cross
 	// the mesh in worker mode; replica and sync frames cross it in every
 	// multi-trainer LRPP run.

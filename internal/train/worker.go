@@ -23,11 +23,11 @@ import (
 //     Cacher and streams every peer its per-iteration core.Plan. Plans may
 //     arrive reordered (the mesh contract permits it), so a bounded ring
 //     (planRing, ring.go) feeds the trainer in iteration order.
-//   - dense-gradient and loss collectives: meshColl (meshcoll.go) reduces
-//     them as one FusedCollMsg per rank per iteration through rank 0,
-//     folding in rank order from zero, the exact summation order of
-//     collective.Group, so worker runs stay bit-identical to single-process
-//     and baseline runs.
+//   - dense-gradient and loss collectives: meshColl (meshcoll.go) runs the
+//     chunk-owned round, one FusedCollMsg per ordered pair of ranks per
+//     phase, folding each chunk on its owner in rank order from zero, the
+//     exact summation order of collective.Group, so worker runs stay
+//     bit-identical to single-process and baseline runs.
 //   - everything LRPP already exchanged (replicas, delayed-sync flushes)
 //     rides the same mesh unchanged; the plans' needed-next flags fix the
 //     order their partials follow.
@@ -73,13 +73,12 @@ func runLRPPWorker(cfg Config, rank int, tr transport.Store, mesh transport.Mesh
 	eng := newLRPPEngine(&cfg, mesh, nil)
 	eng.worker = true
 	ep := mesh.Endpoint(rank)
-	mcoll := newMeshColl(rank, P, ep, eng)
-	eng.coll = mcoll
 	t, err := newLRPPTrainer(eng, rank, tr, ep)
 	if err != nil {
 		return nil, err
 	}
-	t.mcoll = mcoll
+	t.mcoll = newMeshColl(rank, P, ep, eng, t.segs, len(t.lossVec))
+	eng.coll = t.mcoll
 
 	var src planSource
 	var stats []core.IterStats

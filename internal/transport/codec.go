@@ -89,15 +89,19 @@ type (
 	// panics on it.
 	CollMsg struct{}
 
-	// FusedCollMsg is one collective step: every dense-parameter gradient
-	// segment plus the float64 loss term of one iteration packed into a
-	// single frame behind a length-prefixed segment table — a rank's
-	// contribution to, or the root's result of, all-reduce call number Seq.
-	// Origin is the rank whose terms these are (0 for the result).
+	// FusedCollMsg is one frame of a chunk-owned collective round, call
+	// number Seq. The concatenation of a rank's dense-parameter segments
+	// splits into one contiguous chunk per rank; both ends derive the split
+	// from their own segments, so the frame carries no segment table. In the
+	// reduce-scatter it is Origin's gradient floats over the receiver's
+	// chunk and Origin's float64 loss terms; in the all-gather (Gather) it is
+	// Origin's updated parameter floats over Origin's own chunk, with no
+	// loss terms.
 	FusedCollMsg struct {
 		Seq    uint64
 		Origin int
-		Segs   [][]float32
+		Gather bool
+		Data   []float32
 		Loss   []float64
 	}
 
@@ -153,11 +157,7 @@ func PayloadSize(p any) int {
 	case PlanMsg:
 		return 1 + planSize(m.Plan)
 	case FusedCollMsg:
-		n := 1 + 8 + 4 + 4 + 4 + 8*len(m.Loss)
-		for _, seg := range m.Segs {
-			n += 4 + 4*len(seg)
-		}
-		return n
+		return 1 + 8 + 4 + 1 + 4 + 4*len(m.Data) + 4 + 8*len(m.Loss)
 	case RawMsg:
 		return 1 + len(m)
 	}
@@ -190,10 +190,12 @@ func appendPayload(b []byte, p any) []byte {
 		b = append(b, tagFusedColl)
 		b = putU64(b, m.Seq)
 		b = putU32(b, uint32(m.Origin))
-		b = putU32(b, uint32(len(m.Segs)))
-		for _, seg := range m.Segs {
-			b = putF32s(b, seg)
+		phase := byte(0)
+		if m.Gather {
+			phase = 1
 		}
+		b = append(b, phase)
+		b = putF32s(b, m.Data)
 		b = putF64s(b, m.Loss)
 	case RawMsg:
 		b = append(b, tagRaw)
@@ -244,16 +246,18 @@ func decodePayload(b []byte, slots PlanSlots) (any, error) {
 		}
 		out = PlanMsg{Plan: r.plan(buf)}
 	case tagFusedColl:
-		// Segments come from the per-length arenas the senders snapshot
-		// into; the collective returns them once folded or copied out.
+		// The floats come from the per-length arena the senders copy their
+		// chunks into; the collective returns them once folded or copied out.
 		m := FusedCollMsg{Seq: r.u64(), Origin: int(r.u32())}
-		n := r.count(4)
-		m.Segs = make([][]float32, n)
-		for i := range m.Segs {
-			if k := r.count(4); k > 0 {
-				m.Segs[i] = Rows(k).Get()
-				fillRow(m.Segs[i], r.take(k, 4))
-			}
+		switch g := r.u8(); g {
+		case 0, 1:
+			m.Gather = g == 1
+		default:
+			r.invalid("collective phase %d", g)
+		}
+		if k := r.count(4); k > 0 {
+			m.Data = Rows(k).Get()
+			fillRow(m.Data, r.take(k, 4))
 		}
 		m.Loss = r.f64s()
 		out = m

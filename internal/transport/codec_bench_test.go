@@ -20,8 +20,9 @@ const (
 	benchBatch       = 256
 )
 
-// benchSegs is wd's dense-gradient segment table (135 841 floats).
-var benchSegs = []int{3328, 256, 65536, 256, 65536, 256, 672, 1}
+// benchChunk is one rank's chunk of wd's 135 841 dense-parameter floats
+// at P = 2.
+const benchChunk = 135841 / 2
 
 // benchRun is a run of n rows of benchDim floats.
 func benchRun(n int) [][]float32 {
@@ -83,11 +84,7 @@ func BenchmarkPayloadCodec(b *testing.B) {
 			return SyncBatchMsg{Flushes: []SyncMsg{{Iter: 5, Class: SyncUrgent, Partials: benchRun(benchSyncRows)}}}
 		}},
 		{"fused", func() any {
-			m := FusedCollMsg{Seq: 5, Origin: 1, Loss: []float64{0.69}}
-			for _, n := range benchSegs {
-				m.Segs = append(m.Segs, make([]float32, n))
-			}
-			return m
+			return FusedCollMsg{Seq: 5, Origin: 1, Data: make([]float32, benchChunk), Loss: []float64{0.69}}
 		}},
 		{"plan", func() any { return PlanMsg{Plan: benchPlan()} }},
 	}

@@ -64,9 +64,8 @@ func TestCodecRoundTrip(t *testing.T) {
 			{Iter: 5},
 		}},
 		PlanMsg{Plan: plan},
-		FusedCollMsg{Seq: 43, Origin: 2,
-			Segs: [][]float32{{1, 2, 3}, {-0.5}, {4, 5}},
-			Loss: []float64{0.693147}},
+		FusedCollMsg{Seq: 43, Origin: 2, Data: []float32{1, 2, 3, -0.5, 4, 5}, Loss: []float64{0.693147}},
+		FusedCollMsg{Seq: 43, Origin: 1, Gather: true, Data: []float32{-0.5, 7}},
 		RawMsg("hello mesh"),
 	}
 	for _, in := range cases {
@@ -267,7 +266,8 @@ func FuzzDecodePayload(f *testing.F) {
 			{Iter: 5},
 		}},
 		PlanMsg{Plan: testPlan()},
-		FusedCollMsg{Seq: 43, Origin: 2, Segs: [][]float32{{1, 2, 3}, {-0.5}}, Loss: []float64{0.693147}},
+		FusedCollMsg{Seq: 43, Origin: 2, Data: []float32{1, 2, 3, -0.5}, Loss: []float64{0.693147}},
+		FusedCollMsg{Seq: 43, Origin: 1, Gather: true, Data: []float32{-0.5, 7}},
 		RawMsg("hello mesh"),
 		// The id-free replica push of one row, and the engine's two sync
 		// frames of one iteration: urgent, then deferred.
@@ -324,7 +324,7 @@ func TestCodecDeterministic(t *testing.T) {
 
 // TestCodecRejectsCorrupt: truncated or trailing-garbage frames error
 // instead of panicking or over-allocating, for every payload family
-// including the segmented fused-collective and coalesced-sync encodings.
+// including both collective phases and the coalesced-sync encoding.
 func TestCodecRejectsCorrupt(t *testing.T) {
 	payloads := []any{
 		ReplicaMsg{Iter: 1, Rows: [][]float32{{1, 2, 3}}},
@@ -332,7 +332,8 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 			{Iter: 2, Class: SyncUrgent, Partials: [][]float32{{1, 2}, {5, 6}}},
 			{Iter: 1, Class: SyncDeferred, Partials: [][]float32{{3, 4}}},
 		}},
-		FusedCollMsg{Seq: 9, Origin: 1, Segs: [][]float32{{1, 2}, {3}}, Loss: []float64{0.5}},
+		FusedCollMsg{Seq: 9, Origin: 1, Data: []float32{1, 2, 3}, Loss: []float64{0.5}},
+		FusedCollMsg{Seq: 9, Origin: 0, Gather: true, Data: []float32{4}},
 		PlanMsg{Plan: testPlan()},
 	}
 	for _, p := range payloads {
@@ -348,6 +349,12 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := DecodePayload([]byte{0x7F, 1, 2}); err == nil {
 		t.Fatal("unknown tag decoded without error")
+	}
+	// A collective frame's phase byte is 0 or 1.
+	coll := EncodePayload(FusedCollMsg{Seq: 9, Origin: 1, Data: []float32{1}})
+	coll[1+8+4] = 2
+	if _, err := DecodePayload(coll); err == nil {
+		t.Fatal("collective phase 2 decoded without error")
 	}
 	// Tag 2 was the standalone SyncMsg frame; flushes only travel coalesced.
 	if _, err := DecodePayload([]byte{2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
@@ -455,9 +462,9 @@ func TestSyncEncodeRefusesRaggedOrBare(t *testing.T) {
 
 // TestPayloadWireBytes pins the wire format byte for byte — it is a
 // contract with peers running other builds: one frame each of an id-free
-// replica push, a sync batch of both classes, a fused collective and a
-// plan (mesh protocol 3's gap-coded layout), against fixed hex. The
-// floats include −Inf, a NaN with a payload and an empty segment.
+// replica push, a sync batch of both classes, a collective frame of each
+// phase (mesh protocol 4) and a plan (protocol 3's gap-coded layout),
+// against fixed hex. The floats include −Inf and a NaN with a payload.
 func TestPayloadWireBytes(t *testing.T) {
 	nan := math.Float32frombits(0x7fc00001)
 	cases := []struct {
@@ -472,8 +479,10 @@ func TestPayloadWireBytes(t *testing.T) {
 			{Iter: 3, Class: SyncDeferred, Partials: [][]float32{{7, -2e-5}}},
 			{Iter: 5},
 		}}, "070300000004000000000000000002000000020000000000003f0100c07f0000803f0000004003000000000000000102000000010000000000e040acc5a7b70500000000000000000000000000000000"},
-		{"fused", FusedCollMsg{Seq: 43, Origin: 2, Segs: [][]float32{{1, 2, 3}, {-0.5}, nil}, Loss: []float64{0.693147}},
-			"082b000000000000000200000003000000030000000000803f000000400000404001000000000000bf0000000001000000a2410a9e422ee63f"},
+		{"fused", FusedCollMsg{Seq: 43, Origin: 2, Data: []float32{1, 2, 3, -0.5}, Loss: []float64{0.693147}},
+			"082b000000000000000200000000040000000000803f0000004000004040000000bf01000000a2410a9e422ee63f"},
+		{"fused-gather", FusedCollMsg{Seq: 43, Origin: 1, Gather: true, Data: []float32{-0.5, 7}},
+			"082b00000000000000010000000102000000000000bf0000e04000000000"},
 		{"plan", PlanMsg{Plan: testPlan()},
 			"03040103030306120100000306020502000202010101000001010204040002010400010102040200000040000040400209080000000002000080be000000000203080000803f"},
 	}

@@ -288,7 +288,7 @@ func TestMeshConformanceTypedPayloads(t *testing.T) {
 				{Iter: 5, Class: SyncUrgent, Partials: [][]float32{{0.5, 2}, {-3, 1}}},
 				{Iter: 4, Class: SyncDeferred, Partials: [][]float32{{-1, 0.1}}},
 			}},
-			FusedCollMsg{Seq: 11, Origin: 1, Segs: [][]float32{{1, 2}, {3, 4, 5}}, Loss: []float64{0.125}},
+			FusedCollMsg{Seq: 11, Origin: 1, Data: []float32{1, 2, 3, 4, 5}, Loss: []float64{0.125}},
 		}
 	}
 	for _, tc := range meshCases() {
@@ -343,11 +343,7 @@ func clonePayload(p any) any {
 		}
 		return c
 	case FusedCollMsg:
-		c := FusedCollMsg{Seq: m.Seq, Origin: m.Origin, Segs: make([][]float32, len(m.Segs)), Loss: slices.Clone(m.Loss)}
-		for i, s := range m.Segs {
-			c.Segs[i] = slices.Clone(s)
-		}
-		return c
+		return FusedCollMsg{Seq: m.Seq, Origin: m.Origin, Gather: m.Gather, Data: slices.Clone(m.Data), Loss: slices.Clone(m.Loss)}
 	}
 	panic(fmt.Sprintf("clonePayload: %T", p))
 }

@@ -164,7 +164,7 @@ func (a *RowArena) PutN(rows [][]float32) {
 }
 
 // ReleasePayload returns what a mesh payload owns — arena rows, pooled id
-// and row-slice headers, collective segments — to the pools, and hands a
+// and row-slice headers, collective chunks — to the pools, and hands a
 // plan back to the oracle that cut it (core.Plan.Release). The last holder
 // of a payload calls it once done (see Endpoint.Send): the TCP endpoint
 // right after encoding, a receiver once it has consumed what it received.
@@ -179,10 +179,8 @@ func ReleasePayload(p any) {
 		}
 		PutSyncList(m.Flushes)
 	case FusedCollMsg:
-		for _, s := range m.Segs {
-			if len(s) > 0 {
-				Rows(len(s)).Put(s)
-			}
+		if len(m.Data) > 0 {
+			Rows(len(m.Data)).Put(m.Data)
 		}
 	case PlanMsg:
 		m.Plan.Release()

@@ -166,7 +166,7 @@ func TestFrameTakenAtDeclaredSize(t *testing.T) {
 		ReplicaMsg{Iter: 3, Rows: rows(64, 16)},
 		SyncBatchMsg{Flushes: []SyncMsg{{Iter: 3, Class: SyncUrgent, Partials: rows(20, 16)}, {Iter: 3, Class: SyncDeferred, Partials: rows(30, 16)}}},
 		PlanMsg{Plan: d.Plans(2)[1]},
-		FusedCollMsg{Seq: 3, Origin: 1, Segs: rows(4, 300), Loss: []float64{0.5}},
+		FusedCollMsg{Seq: 3, Origin: 1, Data: rows(1, 1200)[0], Loss: []float64{0.5}},
 	} {
 		want := EncodePayload(p)
 		n := PayloadSize(p)
@@ -189,16 +189,18 @@ func TestFrameTakenAtDeclaredSize(t *testing.T) {
 // TestTCPMeshSteadyStateAllocs is the TCP data path's allocation gate. Over
 // a loopback mesh, each round sends what one LRPP iteration sends a peer —
 // a replica push of 32 pooled arena rows, a sync batch of two flushes and a
-// four-segment fused-collective frame — and the receiver recycles each the
-// way the engine does. Once the pools are warm nothing scales with rows or
-// floats; what is left is per message:
+// reduce-scatter frame of a chunk from the row arena — and the receiver
+// recycles each the way the engine does. Once the pools are warm nothing
+// scales with rows or floats; what is left is per message:
 //
 //   - boxing the payload into Send's `any`: 3 (one per message);
 //   - boxing the decoded payload into DecodePayload's `any`: 3;
-//   - the slice headers a sender builds and the decoder rebuilds — the
-//     sync batch's Flushes, the collective's Segs and Loss: 3 + 3.
+//   - the sync batch's Flushes this sender builds (the decoder's come from
+//     the pool): 1;
+//   - the collective frame's Loss, which the sender builds and the decoder
+//     rebuilds: 2.
 //
-// 12 per round; the gate allows one more for an arena that is briefly dry
+// 9 per round; the gate allows one more for an arena that is briefly dry
 // while the receiver still holds the previous round's rows. Before the TCP
 // endpoint recycled what it encoded, every decoded row and segment was a
 // fresh allocation.
@@ -206,9 +208,9 @@ func TestTCPMeshSteadyStateAllocs(t *testing.T) {
 	const (
 		dim      = 16
 		rows     = 32
-		maxAlloc = 13
+		maxAlloc = 10
 	)
-	segLens := []int{257, 16, 64, 1}
+	const collFloats = 338
 	lb, err := NewLoopbackTCPMesh(2)
 	if err != nil {
 		t.Fatal(err)
@@ -231,11 +233,7 @@ func TestTCPMeshSteadyStateAllocs(t *testing.T) {
 	round := func() {
 		send(ReplicaMsg{Iter: 3, Rows: fill(rows)})
 		send(SyncBatchMsg{Flushes: []SyncMsg{{Iter: 3, Class: SyncUrgent, Partials: fill(4)}, {Iter: 3, Class: SyncDeferred, Partials: fill(6)}}})
-		coll := FusedCollMsg{Seq: 3, Origin: 0, Segs: make([][]float32, len(segLens)), Loss: []float64{0.5}}
-		for i, n := range segLens {
-			coll.Segs[i] = Rows(n).Get()
-		}
-		send(coll)
+		send(FusedCollMsg{Seq: 3, Origin: 0, Data: Rows(collFloats).Get(), Loss: []float64{0.5}})
 
 		for i := 0; i < 3; i++ {
 			msg, ok := b.Recv()

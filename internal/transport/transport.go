@@ -261,7 +261,7 @@ func mustControl(l Link, c *Ctl) CtlResult {
 
 // NewInProcess returns the zero-cost link to srv: a SimNet that charges
 // nothing, so trainers and the embedding server share an address space and
-// calls go straight to the server (which is itself shard-parallel).
+// calls go straight to the server (which groups each call by shard).
 func NewInProcess(srv *embed.Server) *SimNet { return NewSimNet(srv, 0, 0) }
 
 // staleFromEmbed converts the embed layer's fence rejection to the
