@@ -86,7 +86,6 @@ var (
 	restartFl   = flag.Bool("restart-server", false, "chaos: respawn the -kill-server victim on its old address after -restart-delay and require its anti-entropy rejoin to certify (prints PASS: server K rejoined)")
 	restartWait = flag.Duration("restart-delay", 2*time.Second, "chaos: how long after the kill to respawn the -restart-server victim")
 	killAfterRj = flag.Int("kill-after-rejoin", -1, "chaos: once every trainer has re-admitted the rejoined server, kill server `K2` too — the rejoiner must then carry their shared partitions alone")
-	recoverFl   = flag.Bool("recover", false, "server mode (-serve): start in recovery — live writes are tracked as fresh and shielded from the anti-entropy snapshot until the tier certifies the rejoin and ends recovery")
 
 	reshardTo    = flag.Int("reshard-to", 0, "live reshard (lrpp): migrate the embedding tier to `S2` servers mid-run, per-partition dual-write/verify/cutover, while training and serving continue; the tcp driver spawns the new server processes on a grow and retires them after a shrink (0 disables)")
 	reshardDelay = flag.Duration("reshard-delay", 500*time.Millisecond, "reshard: how long after the trainers start before the migration begins")
@@ -179,9 +178,6 @@ func main() {
 		if *killAfterRj == *killServer {
 			fatal(fmt.Errorf("-kill-after-rejoin %d is the -kill-server victim itself; name a different replica", *killAfterRj))
 		}
-	}
-	if *recoverFl && !*serveFl {
-		fatal(fmt.Errorf("-recover is a -serve (embedding-server) flag"))
 	}
 	if *reshardTo < 0 {
 		fatal(fmt.Errorf("-reshard-to %d: the target tier width must be positive", *reshardTo))
@@ -765,18 +761,8 @@ func runServer(spec *data.Spec) {
 		fatal(err)
 	}
 	srv := newServer(spec)
-	if *recoverFl {
-		// A respawned chaos victim: rows a tier client writes from here on
-		// are fresh and win over the anti-entropy snapshot; the tier ends
-		// recovery once the rejoin certifies.
-		srv.BeginRecovery()
-	}
-	mode := ""
-	if *recoverFl {
-		mode = " (recovery mode)"
-	}
-	fmt.Printf("embedding server: %d shards, dim %d, listening on %s%s\n",
-		*shards, spec.EmbDim, lis.Addr(), mode)
+	fmt.Printf("embedding server: %d shards, dim %d, listening on %s\n",
+		*shards, spec.EmbDim, lis.Addr())
 	if err := transport.ServeEmbed(lis, srv); err != nil {
 		fatal(err)
 	}
@@ -1160,8 +1146,9 @@ func runTCPDriver(cfg train.Config, spec *data.Spec) {
 			// run. Kill only — reaping stays on the main goroutine (the final
 			// server Wait loop), so no two goroutines ever Wait on one child.
 			// With -restart-server the same goroutine then respawns the victim
-			// on its old address, in recovery mode; the main goroutine adopts
-			// the new process handle through respawnCh before it next touches
+			// on its old address, a new server ready to rejoin (its live-write
+			// marks start clear); the main goroutine adopts the new process
+			// handle through respawnCh before it next touches
 			// serverProcs[*killServer].
 			go func() {
 				time.Sleep(*killDelay)
@@ -1172,10 +1159,10 @@ func runTCPDriver(cfg train.Config, spec *data.Spec) {
 				}
 				if respawnCh != nil {
 					time.Sleep(*restartWait)
-					fmt.Fprintf(os.Stderr, "chaos: respawning embedding server %d on %s in recovery mode (%v after the kill)\n",
+					fmt.Fprintf(os.Stderr, "chaos: respawning embedding server %d on %s (%v after the kill)\n",
 						*killServer, srvAddrs[*killServer], *restartWait)
 					respawnCh <- startProc(fmt.Sprintf("server %d", *killServer), nil,
-						"-serve", "-listen", srvAddrs[*killServer], "-recover")
+						"-serve", "-listen", srvAddrs[*killServer])
 				}
 			}()
 		}
@@ -1397,16 +1384,6 @@ func runTCPDriver(cfg train.Config, spec *data.Spec) {
 		if *reshardTo > 0 {
 			fmt.Printf("\nPASS: tier resharded %d -> %d: migrated tier certified bit-identical to the no-cache baseline across %d materialized rows\n",
 				*servers, finalS, srvBase.NumMaterialized())
-		}
-	}
-	if *restartFl {
-		// Certification done: the driver — the coordinator that knows every
-		// tier client has re-admitted the rejoiner — closes its server-side
-		// recovery window, returning it to plain-write service.
-		if tier, ok := ctl.(*transport.ShardedStore); ok {
-			if err := tier.EndRecovery(*killServer); err != nil {
-				die(fmt.Errorf("end recovery of server %d: %w", *killServer, err))
-			}
 		}
 	}
 	ctl.Shutdown()

@@ -254,7 +254,7 @@ func TestTableGetSetBatch(t *testing.T) {
 		t.Fatalf("reads materialized rows: %v", got)
 	}
 	tab.SetMany([]uint64{1, 7, 9}, []int{2, 0},
-		[][]float32{{7, 7, 7, 7}, {6, 6, 6, 6}, {8, 8, 8, 8}})
+		[][]float32{{7, 7, 7, 7}, {6, 6, 6, 6}, {8, 8, 8, 8}}, false)
 	tab.Get(9, one)
 	if one[0] != 8 {
 		t.Fatalf("SetMany lost write: %v", one)

@@ -146,8 +146,8 @@ type exportRec struct {
 // live storage, and only the exported ids are sorted (core.SortByID), each
 // listed once;
 // concurrent writes interleaving with the copy are repaired by the
-// freshness protocol on the receiving side plus the fingerprint retry loop
-// in the tier's resync driver.
+// live-write mark on the receiving side (WriteRecovery) plus the
+// fingerprint retry loop in the tier's resync driver.
 func (s *Server) ExportPartIn(part, of, within, withinOf int) ([]uint64, [][]float32) {
 	checkPartIn("export", part, of, within, withinOf)
 	var (

@@ -42,17 +42,6 @@ type Server struct {
 	groupMu      sync.Mutex
 	groupScratch []*core.GroupScratch
 
-	// Recovery mode (anti-entropy rejoin). While recovering, normal Writes
-	// record their ids as "fresh" so that WriteRecovery — the bulk transfer
-	// of a possibly stale partition snapshot from a surviving replica —
-	// never overwrites a row the live write stream has already updated.
-	// inRecovery is the fast-path gate; recoverMu serializes the
-	// mark-fresh/apply pairs against the filter-fresh/apply pairs, which is
-	// what makes the freshness protocol race-free.
-	inRecovery atomic.Bool
-	recoverMu  sync.Mutex
-	fresh      map[uint64]struct{}
-
 	// Routing-epoch fence (see routing.go). routeEpoch 0 accepts every
 	// announced epoch, so pre-reshard deployments never block here.
 	routeMu    sync.RWMutex
@@ -151,113 +140,69 @@ func (s *Server) FetchInto(ids []uint64, dsts [][]float32) {
 }
 
 // Write writes back updated rows (trainer evictions / background sync),
-// shard-grouped like Fetch. While the server is in
-// recovery mode (BeginRecovery), every written id is also marked fresh so
-// concurrent anti-entropy transfers cannot clobber it with stale bytes.
-func (s *Server) Write(ids []uint64, rows [][]float32) {
-	if len(ids) != len(rows) {
-		panic("embed: Write ids/rows length mismatch")
-	}
-	if s.inRecovery.Load() {
-		// Mark and apply under one critical section: marking after applying
-		// would let a WriteRecovery slip between the two and overwrite the
-		// new value; applying outside the lock would let the transfer's
-		// filter read "not fresh" and then lose the race to Set.
-		s.recoverMu.Lock()
-		if s.fresh != nil {
-			for _, id := range ids {
-				s.fresh[id] = struct{}{}
-			}
-			s.applyWrite(ids, rows)
-			s.recoverMu.Unlock()
-			s.rowsWritten.Add(int64(len(ids)))
-			s.writes.Add(1)
-			return
-		}
-		s.recoverMu.Unlock()
-	}
-	s.applyWrite(ids, rows)
-	s.rowsWritten.Add(int64(len(ids)))
-	s.writes.Add(1)
-}
+// shard-grouped like Fetch, and marks each row live-written (see
+// WriteRecovery).
+func (s *Server) Write(ids []uint64, rows [][]float32) { s.write(ids, rows, false) }
 
-// applyWrite is the shared shard-grouped row store underlying Write and
-// WriteRecovery.
-func (s *Server) applyWrite(ids []uint64, rows [][]float32) {
+// write is the shared shard-grouped row store underlying Write and
+// WriteRecovery; it counts the rows it stored (Table.store) and the call.
+func (s *Server) write(ids []uint64, rows [][]float32, recovery bool) {
+	if len(ids) != len(rows) {
+		panic(fmt.Sprintf("embed: write of %d ids, %d rows", len(ids), len(rows)))
+	}
+	stored := 0
 	if len(s.shards) == 1 || len(ids) < groupMinRows {
 		for i, id := range ids {
-			s.shards[s.ShardOf(id)].Set(id, rows[i])
+			if s.shards[s.ShardOf(id)].set(id, rows[i], recovery) {
+				stored++
+			}
 		}
 	} else {
 		g := s.getGroupScratch()
 		pos, bounds := g.GroupByOwner(ids, len(s.shards))
 		for sh, t := range s.shards {
 			if bounds[sh] != bounds[sh+1] {
-				t.SetMany(ids, pos[bounds[sh]:bounds[sh+1]], rows)
+				stored += t.SetMany(ids, pos[bounds[sh]:bounds[sh+1]], rows, recovery)
 			}
 		}
 		s.putGroupScratch(g)
 	}
+	s.rowsWritten.Add(int64(stored))
+	s.writes.Add(1)
 }
-
-// BeginRecovery puts the server into recovery mode: until EndRecovery,
-// normal Writes mark their ids fresh and WriteRecovery skips fresh ids.
-// A rejoining server enters this mode before it starts accepting any
-// traffic, so the anti-entropy snapshot stream and the live forwarded
-// write stream can interleave without losing updates.
-func (s *Server) BeginRecovery() {
-	s.recoverMu.Lock()
-	if s.fresh == nil {
-		s.fresh = make(map[uint64]struct{})
-	}
-	s.inRecovery.Store(true)
-	s.recoverMu.Unlock()
-}
-
-// EndRecovery leaves recovery mode and drops the freshness set. Called once
-// the tier has certified the rejoined server's partitions.
-func (s *Server) EndRecovery() {
-	s.recoverMu.Lock()
-	s.fresh = nil
-	s.inRecovery.Store(false)
-	s.recoverMu.Unlock()
-}
-
-// Recovering reports whether the server is in recovery mode.
-func (s *Server) Recovering() bool { return s.inRecovery.Load() }
 
 // WriteRecovery applies a bulk anti-entropy transfer: rows copied from a
-// surviving replica's (possibly slightly stale) snapshot. Ids the live
-// write stream has already touched since BeginRecovery are skipped — their
-// local value is newer than the snapshot's. Outside recovery mode it
-// degenerates to a plain write.
-func (s *Server) WriteRecovery(ids []uint64, rows [][]float32) {
-	if len(ids) != len(rows) {
-		panic("embed: WriteRecovery ids/rows length mismatch")
+// surviving replica's (possibly slightly stale) snapshot. A row marked by a
+// live Write is skipped, and a stored row stays unmarked, so a later
+// transfer round may still repair it.
+//
+// The rule is safe because a marked row is current: the mark means a live
+// write of the row reached this server, and the server has been in the
+// row's write set ever since, so every later write of it arrived too.
+// Three facts keep a mark from outliving that membership.
+//
+//   - A rejoin target is always a new server: its marks start clear, and
+//     each is set by a write forwarded to it as a member of the row's set.
+//   - A server that loses a partition sheds its rows (RetainOwned), and a
+//     slot a shed row frees starts unmarked when it is reused.
+//   - reshard.Run resets (BeginRecovery) each live target before its first
+//     dual epoch, which clears the marks a retired spare kept from its last
+//     membership. Run skips servers that are not live and the tier refuses
+//     a rejoin that starts mid-reshard, so no resyncing server's marks are
+//     cleared, and a target whose reset fails is condemned, not streamed
+//     to unreset.
+//
+// A row the live stream never touched is unmarked and takes the snapshot's
+// value, which the transfer's digest rounds then verify.
+func (s *Server) WriteRecovery(ids []uint64, rows [][]float32) { s.write(ids, rows, true) }
+
+// BeginRecovery clears every live-write mark, readying the server to take
+// recovery writes as a reshard target. A new server starts clear and needs
+// no call.
+func (s *Server) BeginRecovery() {
+	for _, sh := range s.shards {
+		sh.clearMarks()
 	}
-	s.recoverMu.Lock()
-	if s.fresh == nil {
-		s.recoverMu.Unlock()
-		s.applyWrite(ids, rows)
-		s.rowsWritten.Add(int64(len(ids)))
-		s.writes.Add(1)
-		return
-	}
-	keptIDs := make([]uint64, 0, len(ids))
-	keptRows := make([][]float32, 0, len(rows))
-	for i, id := range ids {
-		if _, ok := s.fresh[id]; ok {
-			continue
-		}
-		keptIDs = append(keptIDs, id)
-		keptRows = append(keptRows, rows[i])
-	}
-	if len(keptIDs) > 0 {
-		s.applyWrite(keptIDs, keptRows)
-	}
-	s.recoverMu.Unlock()
-	s.rowsWritten.Add(int64(len(keptIDs)))
-	s.writes.Add(1)
 }
 
 // Get reads one row (convenience for tests and the reference trainer).

@@ -49,14 +49,21 @@ func rowInit(seed, id uint64, col int, dim int, scale float32) float32 {
 // slot reuse: a removed row's slot is handed to the next new row before
 // the slab grows. Its slot-indexed ids let walk and sweep read the rows
 // where they lie, one chunk per lock hold, without listing the ids.
+//
+// Each slot also carries a live-write mark, one bit per row in words
+// allocated with their slab chunk: a live write (Set, SetMany) sets it, and
+// a recovery write skips a marked row and leaves an unmarked one unmarked
+// (see Server.WriteRecovery). Both run under mu, so the mark and the row
+// it guards change together.
 type Table struct {
 	Dim       int
 	Seed      uint64
 	InitScale float32
 
 	mu     sync.RWMutex
-	index  core.IDTable // id → slot
-	chunks [][]float32  // slot s is chunks[s/slabChunkRows], row s%slabChunkRows
+	index  core.IDTable         // id → slot
+	chunks [][]float32          // slot s is chunks[s/slabChunkRows], row s%slabChunkRows
+	marks  []*[markWords]uint64 // slot s's mark is bit s%64 of marks[s/slabChunkRows][s%slabChunkRows/64]
 }
 
 // slabChunkRows is the row count of one slab chunk: one allocation per
@@ -64,6 +71,9 @@ type Table struct {
 // per table. It is also the most rows a walk or sweep visits per lock
 // hold.
 const slabChunkRows = 1024
+
+// markWords is the live-write mark words of one slab chunk.
+const markWords = slabChunkRows / 64
 
 // NewTable returns an empty lazily-initialized table.
 func NewTable(dim int, seed uint64, initScale float32) *Table {
@@ -88,15 +98,47 @@ func (t *Table) lookup(id uint64) []float32 {
 	return nil
 }
 
-// materialize returns the storage of row id, giving it a slot if it has
-// never been touched. A fresh slot's contents are undefined: every caller
-// overwrites the whole row. Caller must hold mu for writing.
-func (t *Table) materialize(id uint64) []float32 {
-	s, _ := t.index.Put(id)
+// store overwrites row id with src, giving it a slot if it has never been
+// touched, and reports whether it did. A live write marks the row. A
+// recovery write skips a marked row and clears the mark of a row it
+// stores, so a slot that a removed row left marked starts unmarked when a
+// recovery write reuses it. Caller must hold mu for writing.
+func (t *Table) store(id uint64, src []float32, recovery bool) bool {
+	if len(src) != t.Dim {
+		panic(fmt.Sprintf("embed: store src len %d != dim %d", len(src), t.Dim))
+	}
+	s, added := t.index.Put(id)
 	if int(s) >= len(t.chunks)*slabChunkRows {
 		t.chunks = append(t.chunks, make([]float32, slabChunkRows*t.Dim))
+		t.marks = append(t.marks, new([markWords]uint64))
 	}
-	return t.row(s)
+	w, bit := &t.marks[s/slabChunkRows][s%slabChunkRows/64], uint64(1)<<(s%64)
+	switch {
+	case !recovery:
+		*w |= bit
+	case !added && *w&bit != 0:
+		return false
+	default:
+		*w &^= bit
+	}
+	copy(t.row(s), src)
+	return true
+}
+
+// set stores one row under the write lock (see store).
+func (t *Table) set(id uint64, src []float32, recovery bool) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.store(id, src, recovery)
+}
+
+// clearMarks clears every live-write mark (Server.BeginRecovery).
+func (t *Table) clearMarks() {
+	t.mu.Lock()
+	for _, m := range t.marks {
+		*m = [markWords]uint64{}
+	}
+	t.mu.Unlock()
 }
 
 // walk calls fn with every materialized row in slot order. It holds the
@@ -175,16 +217,8 @@ func (t *Table) Get(id uint64, dst []float32) {
 	t.initInto(id, dst)
 }
 
-// Set overwrites row id with src (a trainer write-back).
-func (t *Table) Set(id uint64, src []float32) {
-	if len(src) != t.Dim {
-		panic(fmt.Sprintf("embed: Set src len %d != dim %d", len(src), t.Dim))
-	}
-	t.mu.Lock()
-	row := t.materialize(id)
-	copy(row, src)
-	t.mu.Unlock()
-}
+// Set overwrites row id with src (a trainer write-back) and marks it.
+func (t *Table) Set(id uint64, src []float32) { t.set(id, src, false) }
 
 // GetMany copies rows ids[i] into dsts[i] for every i in idxs under a
 // single lock acquisition. The index-list form lets the Server hand each
@@ -215,18 +249,19 @@ func (t *Table) GetMany(ids []uint64, idxs []int, dsts [][]float32) {
 	}
 }
 
-// SetMany overwrites rows ids[i] with srcs[i] for every i in idxs under a
-// single lock acquisition; the index-list counterpart of GetMany for
+// SetMany stores rows ids[i] from srcs[i] for every i in idxs under a
+// single lock acquisition, as live or recovery writes (see store), and
+// returns how many it stored; the index-list counterpart of GetMany for
 // batched write-backs.
-func (t *Table) SetMany(ids []uint64, idxs []int, srcs [][]float32) {
+func (t *Table) SetMany(ids []uint64, idxs []int, srcs [][]float32, recovery bool) (stored int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, i := range idxs {
-		if len(srcs[i]) != t.Dim {
-			panic(fmt.Sprintf("embed: SetMany src len %d != dim %d", len(srcs[i]), t.Dim))
+		if t.store(ids[i], srcs[i], recovery) {
+			stored++
 		}
-		copy(t.materialize(ids[i]), srcs[i])
 	}
+	return stored
 }
 
 // peek copies the current logical value of row id into dst without
@@ -269,9 +304,9 @@ func (t *Table) NumMaterialized() int {
 }
 
 // footprint returns the table's row count, the bytes its slab chunks hold
-// and the bytes its id table holds.
+// and the bytes its id table and live-write marks hold.
 func (t *Table) footprint() (rows, slab, index int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.index.Len(), 4 * t.Dim * slabChunkRows * len(t.chunks), t.index.Bytes()
+	return t.index.Len(), 4 * t.Dim * slabChunkRows * len(t.chunks), t.index.Bytes() + 8*markWords*len(t.marks)
 }

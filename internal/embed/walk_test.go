@@ -254,15 +254,16 @@ func TestFingerprintPartInAllocFree(t *testing.T) {
 
 // TestStatsBytesPerRow derives the bytes a materialized row costs at dim 16
 // and holds Stats to it: 64 B of slab, plus the id table's 8-byte entries
-// (below 8/3 per row at a 3/4 load bound) and its 8-byte id (appended, so
-// at most twice the rows); per table, at most one partly used slab chunk
-// and a minimum-size entry array.
+// (below 8/3 per row at a 3/4 load bound), its 8-byte id (appended, so at
+// most twice the rows) and the row's live-write mark bit (1/8 B); per
+// table, at most one partly used slab chunk with its mark words and a
+// minimum-size entry array.
 func TestStatsBytesPerRow(t *testing.T) {
 	const (
 		dim, shards, rows = 16, 4, 200_000
 		slabPerRow        = 4 * dim
-		indexPerRow       = 8*8.0/3 + 2*8
-		perTable          = 4*dim*(slabChunkRows-1) + 8*16 + 64
+		indexPerRow       = 8*8.0/3 + 2*8 + 1.0/8
+		perTable          = 4*dim*(slabChunkRows-1) + 8*16 + 64 + 8*markWords
 	)
 	srv := NewServer(shards, dim, 7, 0.1)
 	ids := make([]uint64, 0, 1000)

@@ -22,10 +22,10 @@
 //     them: for every old partition q that intersects p′ (q ≡ p′ mod
 //     gcd(S, S′) — CRT; all other pairs are empty), CopyPart exports the
 //     (q ∩ p′) intersection from a live old-ring replica and
-//     recovery-writes it to the target. Recovery writes pass the freshness
-//     filter opened before the first dual epoch: a row the dual fan already
-//     refreshed is skipped, so the stream can never clobber a newer live
-//     write.
+//     recovery-writes it to the target. Each target's live-write marks are
+//     cleared before the first dual epoch, and a dual write marks its row:
+//     a recovery write skips a marked row, so the stream can never clobber
+//     a newer live write.
 //  3. Verify: CopyPart digests the same intersection on source and target
 //     and compares. A mismatch (a write raced between the two probes)
 //     retries the round after a backoff; rounds repeat until the digests
@@ -136,37 +136,21 @@ func Run(t *transport.ShardedStore, opts Options) (*Report, error) {
 		opts.Log("reshard: target server %d live", s)
 	}
 
-	// Open every target's recovery window *before* the first dual epoch.
-	// The freshness filter it installs is what lets migration streams
-	// interleave with live dual writes: a row the fan already refreshed is
-	// skipped by the stream. Opening it early is harmless — normal writes
-	// are unaffected — and closing it is the last step of both exits.
-	var began []int
-	endRecovery := func() {
-		for _, s := range began {
-			if !t.LiveServer(s) {
-				continue
-			}
-			if err := t.EndRecovery(s); err != nil {
-				opts.Log("reshard: end recovery on server %d: %v", s, err)
-			}
-		}
-	}
+	// Reset every live target before the first dual epoch: clearing its
+	// live-write marks is what lets migration streams interleave with live
+	// dual writes — a row the fan marks from here on is skipped by the
+	// stream — and it clears the marks a retired spare kept from an
+	// earlier width. A target whose reset fails is condemned (almost
+	// certainly a server dying between admission and here, the chaos
+	// race), so no stream reaches it unreset; the per-partition verify
+	// decides whether the loss is fatal.
 	for s := 0; s < To; s++ {
 		if !t.LiveServer(s) {
 			continue
 		}
 		if err := t.BeginRecoveryOn(s); err != nil {
-			// Almost certainly a server dying in the window between admission
-			// and here (the chaos race): skip it rather than fail the whole
-			// migration — the data plane condemns it on first contact, and the
-			// per-partition verify decides whether the loss is fatal. A healthy
-			// server skipped here just misses the freshness filter, which the
-			// digest-compare rounds absorb like any racing write.
-			opts.Log("reshard: open recovery window on server %d failed, skipping it: %v", s, err)
-			continue
+			opts.Log("reshard: reset of server %d failed, condemned: %v", s, err)
 		}
-		began = append(began, s)
 	}
 
 	epoch := start.Epoch
@@ -200,7 +184,6 @@ func Run(t *transport.ShardedStore, opts Options) (*Report, error) {
 				opts.Log("reshard: abort cleanup on server %d: %v", s, err)
 			}
 		}
-		endRecovery()
 		rep.Aborted = true
 		rep.Epochs = int(epoch - start.Epoch)
 		return rep, &transport.TierError{Op: "reshard", Partition: pn, Server: -1, Replicate: R, Cause: cause}
@@ -279,7 +262,6 @@ func Run(t *transport.ShardedStore, opts Options) (*Report, error) {
 			opts.Log("reshard: server %d shed %d rows", s, n)
 		}
 	}
-	endRecovery()
 	rep.Epochs = int(epoch - start.Epoch)
 	opts.Log("reshard: settled at width %d (%d epochs, %d rows, %d bytes streamed)", To, rep.Epochs, rep.Rows, rep.Bytes)
 	return rep, nil

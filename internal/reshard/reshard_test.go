@@ -124,75 +124,107 @@ func TestReshardGrowShrink(t *testing.T) {
 }
 
 // TestReshardRoundTripUnderTraffic races both migration directions against
-// live writers and a live reader: the tier grows 2->4 and shrinks back 4->2
-// while three writers stamp disjoint id sets (mirrored to the reference) and
-// a reader drains ReadFetch. Nothing may error, and the final state must be
-// bit-identical. Run under -race in CI.
+// live writers and a live reader: the tier grows 2->4, shrinks back 4->2
+// and grows 2->4 again while three writers stamp disjoint id sets
+// (mirrored to the reference) and a reader drains ReadFetch. Nothing may
+// error, and the final state must certify bit-identical. The last grow
+// re-admits the spares the shrink retired with their rows untouched: every
+// id is rewritten while they sit retired, and that grow's writers touch
+// only half the ids, so the other half's stale copies — marked by the live
+// writes of their last membership — verify only because the migration
+// resets each target first. Run under -race in CI.
 func TestReshardRoundTripUnderTraffic(t *testing.T) {
-	const S, To, R, W = 2, 4, 2, 3
+	const S, To, R, W, N = 2, 4, 2, 3, 36
 	st, _, _, ref, refStore := newTestTier(To, S, R)
 
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < W; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ids := make([]uint64, 0, 12)
-			for id := uint64(w); id < 36; id += W {
-				ids = append(ids, id)
-			}
-			rows := make([][]float32, len(ids))
-			stamp := float32(0)
-			for !stop.Load() {
-				stamp++
-				for i := range rows {
-					rows[i] = []float32{stamp, float32(w), float32(ids[i]), 3}
+	// traffic starts the writers on the ids below n and the reader; the
+	// returned func stops them.
+	traffic := func(n uint64) func() {
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		for w := 0; w < W; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var ids []uint64
+				for id := uint64(w); id < n; id += W {
+					ids = append(ids, id)
 				}
-				st.Write(ids, rows)
-				refStore.Write(ids, rows)
-			}
-		}(w)
-	}
-	wg.Add(1)
-	readErr := make(chan error, 1)
-	go func() {
-		defer wg.Done()
-		ids := []uint64{0, 5, 11, 17, 23, 31}
-		for !stop.Load() {
-			rows, err := st.ReadFetch(ids, nil)
-			if err != nil {
-				select {
-				case readErr <- err:
-				default:
+				rows := make([][]float32, len(ids))
+				stamp := float32(0)
+				for !stop.Load() {
+					stamp++
+					for i := range rows {
+						rows[i] = []float32{stamp, float32(w), float32(ids[i]), 3}
+					}
+					st.Write(ids, rows)
+					refStore.Write(ids, rows)
 				}
-				return
-			}
-			transport.Rows(st.Dim()).PutN(rows)
-			transport.PutRowSlice(rows)
+			}(w)
 		}
-	}()
+		wg.Add(1)
+		readErr := make(chan error, 1)
+		go func() {
+			defer wg.Done()
+			ids := []uint64{0, 5, 11, 17, 23, 31}
+			for !stop.Load() {
+				rows, err := st.ReadFetch(ids, nil)
+				if err != nil {
+					readErr <- err
+					return
+				}
+				transport.Rows(st.Dim()).PutN(rows)
+				transport.PutRowSlice(rows)
+			}
+		}()
+		time.Sleep(5 * time.Millisecond)
+		return func() {
+			t.Helper()
+			stop.Store(true)
+			wg.Wait()
+			select {
+			case err := <-readErr:
+				t.Fatalf("ReadFetch during reshard: %v", err)
+			default:
+			}
+		}
+	}
 
-	time.Sleep(5 * time.Millisecond)
+	stop := traffic(N)
 	if rep, err := Run(st, fastOpts(To)); err != nil || rep.Aborted {
 		t.Fatalf("grow under traffic: %+v, %v", rep, err)
 	}
 	if rep, err := Run(st, fastOpts(S)); err != nil || rep.Aborted {
 		t.Fatalf("shrink under traffic: %+v, %v", rep, err)
 	}
-	stop.Store(true)
-	wg.Wait()
-	select {
-	case err := <-readErr:
-		t.Fatalf("ReadFetch during reshard: %v", err)
-	default:
+	stop()
+	if got := st.Servers(); got != S {
+		t.Fatalf("Servers() = %d after the shrink, want %d", got, S)
 	}
 
-	if got := st.Servers(); got != S {
-		t.Fatalf("Servers() = %d after the round trip, want %d", got, S)
+	// Rewrite every id while servers 2 and 3 sit retired: their copies go
+	// stale.
+	ids := make([]uint64, N)
+	rows := make([][]float32, N)
+	for i := range ids {
+		ids[i], rows[i] = uint64(i), []float32{-1, 0, float32(i), 7}
+	}
+	st.Write(ids, rows)
+	refStore.Write(ids, rows)
+
+	stop = traffic(N / 2)
+	if rep, err := Run(st, fastOpts(To)); err != nil || rep.Aborted {
+		t.Fatalf("grow onto the retired spares under traffic: %+v, %v", rep, err)
+	}
+	stop()
+	if got := st.Servers(); got != To {
+		t.Fatalf("Servers() = %d after the round trip, want %d", got, To)
 	}
 	if fp, want := st.Fingerprint(), ref.Fingerprint(); fp != want {
 		t.Fatalf("tier fingerprint %x != reference %x after reshard round trip", fp, want)
+	}
+	if cert, err := transport.Certify(st, ref); err != nil || len(cert.Differ) != 0 {
+		t.Fatalf("tier certificate %+v, err %v after reshard round trip", cert, err)
 	}
 }
 
@@ -246,11 +278,10 @@ func TestReshardTargetDeathCompletes(t *testing.T) {
 		t.Fatalf("tier fingerprint %x != reference %x after target death", fp, want)
 	}
 
-	// Rejoin the corpse: a pristine recovering replacement must land in the
+	// Rejoin the corpse: a pristine replacement must land in the
 	// settled (new) routing epoch and resync the width-To partitions it owns
 	// now — not the width-S partitions the old table would have given it.
 	fresh := embed.NewServer(3, 4, 11, 0.1)
-	fresh.BeginRecovery()
 	if err := st.Rejoin(3, transport.NewFaultStore(transport.NewInProcess(fresh), 3), transport.RejoinOptions{}); err != nil {
 		t.Fatalf("rejoin after reshard: %v", err)
 	}
@@ -360,7 +391,6 @@ func TestRejoinDuringReshardDeferred(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := embed.NewServer(3, 4, 11, 0.1)
-	fresh.BeginRecovery()
 	err := st.BeginRejoin(1, transport.NewFaultStore(transport.NewInProcess(fresh), 1))
 	if err == nil || !strings.Contains(err.Error(), "resharding") {
 		t.Fatalf("BeginRejoin mid-reshard = %v, want a deferred-for-resharding refusal", err)

@@ -150,10 +150,9 @@ func TestLRPPServerRejoinMidTraining(t *testing.T) {
 		t.Fatalf("baseline: %v", err)
 	}
 
-	// The replacement process: same ctor parameters, pristine state,
-	// started in recovery mode (the -recover flag of a respawned -serve).
+	// The replacement process: same ctor parameters, pristine state, its
+	// live-write marks clear as a respawned -serve's are.
 	fresh := newServer(cfg.Spec, 3)
-	fresh.BeginRecovery()
 
 	tier := newTier(cfg.Spec, S, 3)
 	var ops atomic.Int64
@@ -220,15 +219,6 @@ func TestLRPPServerRejoinMidTraining(t *testing.T) {
 	for _, rev := range revivers {
 		rev.Stop()
 	}
-	// Every client has re-admitted the server: the coordinator may end its
-	// recovery window.
-	if err := tiers[0].EndRecovery(1); err != nil {
-		t.Fatalf("end recovery: %v", err)
-	}
-	if fresh.Recovering() {
-		t.Fatal("rejoined server still in recovery mode")
-	}
-
 	// The differential property now holds over the FULL tier — the
 	// rejoined replacement is a first-class member, nobody is dead.
 	live := append([]*embed.Server(nil), tier...)

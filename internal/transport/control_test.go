@@ -106,6 +106,9 @@ func ctlFabrics(t *testing.T, dim int, stopped *bool) []ctlFabric {
 // answers with the same error and keeps the connection.
 func TestControlConformance(t *testing.T) {
 	const dim = 4
+	if n := len(allCtlOps()); n != 8 {
+		t.Fatalf("%d control ops, want 8", n)
+	}
 	for _, op := range allCtlOps() {
 		t.Run(op.String(), func(t *testing.T) {
 			stopped := false
@@ -179,6 +182,7 @@ func TestControlConformance(t *testing.T) {
 		{"fetch opcode", Ctl{Op: CtlOp(opFetch)}, false},
 		{"reserved opcode", Ctl{Op: CtlOp(opWrite + 1)}, false},
 		{"retired checkpoint opcode", Ctl{Op: CtlOp(opWrite + 2)}, false},
+		{"retired end-recovery opcode", Ctl{Op: CtlOp(opWriteRecovery + 1)}, false},
 		{"response opcode", Ctl{Op: CtlOp(opResp)}, false},
 	}
 	stopped := false

@@ -57,7 +57,6 @@ func TestDeadSlotPrimitivesReturnErrors(t *testing.T) {
 			_, err := st.RetainOwnedOn(1, 1, 2, 1)
 			return err
 		},
-		"EndRecovery": func() error { return st.EndRecovery(1) },
 	}
 	for name, op := range ops {
 		if err := op(); err == nil || !strings.Contains(err.Error(), "server 1") {
@@ -189,6 +188,43 @@ func TestTCPLinkMalformedResponses(t *testing.T) {
 	}
 }
 
+// retiredOps are the reserved slots of the retired control ops: the
+// whole-partition fingerprint, checkpoint and export, and end-recovery.
+var retiredOps = []CtlOp{CtlOp(opWrite + 1), CtlOp(opWrite + 2), CtlOp(opResp + 1), CtlOp(opWriteRecovery + 1)}
+
+// TestRetiredOpClosesConn: after a real handshake, a frame carrying a
+// retired opcode closes the connection with no response frame.
+func TestRetiredOpClosesConn(t *testing.T) {
+	for _, op := range retiredOps {
+		client, server := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			defer server.Close()
+			serveEmbedConn(server, embed.NewServer(1, 4, 7, 0.1), func() {})
+		}()
+		client.SetDeadline(time.Now().Add(10 * time.Second))
+		var hello [4]byte
+		binary.LittleEndian.PutUint32(hello[:], linkMagic)
+		var ack [8]byte
+		if _, err := client.Write(hello[:]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(client, ack[:]); err != nil {
+			t.Fatal(err)
+		}
+		frame := putU64(append(putU32(nil, 9), byte(op)), 1)
+		if _, err := client.Write(frame); err != nil {
+			t.Fatalf("%v: %v", op, err)
+		}
+		if body, err := readFrame(bufio.NewReader(client), nil); err != io.EOF {
+			t.Fatalf("%v: server answered % x (err %v), want the connection closed", op, body, err)
+		}
+		<-done
+		client.Close()
+	}
+}
+
 // FuzzServeEmbedConn feeds hostile request streams to the embedding
 // server's per-connection loop after a real handshake over net.Pipe. The
 // server must answer with well-formed response frames or close the
@@ -214,9 +250,10 @@ func FuzzServeEmbedConn(f *testing.F) {
 	fetch := frame(opFetch, putU64s(nil, []uint64{1, 2, 5}))
 	install := frame(opInstallRouting, encodeRouting(nil, settledRouting(1, 2)))
 	// Every control op in the layout it travels in, valid and with
-	// arguments the dispatcher refuses; and the three reserved opcodes (the
-	// retired whole-partition fingerprint, checkpoint and export).
-	for _, op := range append(allCtlOps(), CtlOp(opWrite+1), CtlOp(opWrite+2), CtlOp(opResp+1)) {
+	// arguments the dispatcher refuses; and the four reserved opcodes (the
+	// retired whole-partition fingerprint, checkpoint, export and
+	// end-recovery).
+	for _, op := range append(allCtlOps(), retiredOps...) {
 		f.Add(frame(byte(op), putCtl(nil, sampleCtl(op, 4))))
 		f.Add(frame(byte(op), putCtl(nil, &Ctl{Op: op, Part: 3, Of: 2, WithinOf: -1, IDs: []uint64{4}})))
 	}
@@ -234,7 +271,7 @@ func FuzzServeEmbedConn(f *testing.F) {
 		frame(opWrite+2, nil), // the retired checkpoint
 		frame(opShutdown, nil),
 		frame(opWriteRecovery, rowsBody),
-		frame(opEndRecovery, nil),
+		frame(opWriteRecovery+1, nil), // the retired end-recovery
 		frame(opBeginRecovery, nil),
 		install,
 		frame(opAnnounceEpoch, putU64(nil, 1)),

@@ -245,15 +245,19 @@ func (t *ShardedStore) PushRouting(rt *RoutingTable) error {
 	return nil
 }
 
-// BeginRecoveryOn opens server s's recovery window (the freshness filter
-// that lets migration streams interleave with live dual writes; see
-// embed.Server.BeginRecovery).
+// BeginRecoveryOn resets server s as a migration target: it clears the
+// server's live-write marks (embed.Server.BeginRecovery), so its recovery
+// writes skip only rows the live dual writes mark from here on. A server
+// whose reset fails is condemned (fenced by generation): streamed to with
+// its old marks, it could skip rows it must take and never verify.
 func (t *ShardedStore) BeginRecoveryOn(s int) error {
-	l, _, err := t.link(s)
+	l, g, err := t.link(s)
 	if err != nil {
 		return err
 	}
-	_, err = l.Control(&Ctl{Op: CtlBeginRecovery})
+	if _, err = l.Control(&Ctl{Op: CtlBeginRecovery}); err != nil {
+		t.markDeadIfGen(s, g, err)
+	}
 	return err
 }
 

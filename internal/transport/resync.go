@@ -182,8 +182,8 @@ func (t *ShardedStore) Rejoin(s int, st Store, opts RejoinOptions) error {
 //
 // The rounds take no lock. Every write that can still race them reaches dst
 // too — forwarded to a rejoiner, dual-written to a reshard target — and
-// dst's freshness filter (embed.Server.BeginRecovery) keeps a stale
-// snapshot from overwriting it; a write that lands between the two digest
+// marks its row there, so a stale snapshot never overwrites it (see
+// embed.Server.WriteRecovery); a write that lands between the two digest
 // probes makes them differ, and the next round repairs it.
 //
 // A dst-side failure condemns dst (fenced by its generation), and the loop
@@ -261,20 +261,6 @@ func (t *ShardedStore) CopyPart(dst, part, of, within, withinOf int, opts Transf
 	}
 	return rows, bytes, fmt.Errorf("transport: partition (%d of %d ∩ %d of %d) on server %d never verified after %d rounds",
 		part, of, within, withinOf, dst, opts.MaxRounds)
-}
-
-// EndRecovery closes server s's server-side recovery window (the freshness
-// filter of WriteRecovery). With several independent tier clients rejoining
-// the same server, only the coordinator that knows *every* client has
-// re-admitted it may call this — ending recovery while another client is
-// still transferring would let a stale snapshot overwrite live rows.
-func (t *ShardedStore) EndRecovery(s int) error {
-	l, _, err := t.link(s)
-	if err != nil {
-		return err
-	}
-	_, err = l.Control(&Ctl{Op: CtlEndRecovery})
-	return err
 }
 
 // Reviver watches the tier for dead servers and brings them back: it

@@ -15,13 +15,9 @@ import (
 func zeroJitter(time.Duration) time.Duration { return 0 }
 
 // freshServer builds a pristine replacement for a killed tier server (same
-// ctor parameters as faultTier's servers) already in recovery mode, the
-// state a respawned -recover process starts in.
-func freshServer() *embed.Server {
-	srv := embed.NewServer(3, 4, 11, 0.1)
-	srv.BeginRecovery()
-	return srv
-}
+// ctor parameters as faultTier's servers): a new server, whose live-write
+// marks start clear, as a respawned -serve process's do.
+func freshServer() *embed.Server { return embed.NewServer(3, 4, 11, 0.1) }
 
 // rejoinerParts lists the partitions server s holds under replication R:
 // s, s−1, …, s−R+1 on the ownership ring.
@@ -137,16 +133,10 @@ func TestRejoinReplicated(t *testing.T) {
 				t.Fatalf("tier certificate %+v, err %v after rejoin", cert, err)
 			}
 
-			// The coordinator ends recovery; plain writes keep certifying.
-			if err := st.EndRecovery(1); err != nil {
-				t.Fatalf("end recovery: %v", err)
-			}
-			if fresh.Recovering() {
-				t.Fatal("server still in recovery mode after EndRecovery")
-			}
+			// Writes after the rejoin keep certifying.
 			step(wide)
 			if fp, want := st.Fingerprint(), ref.Fingerprint(); fp != want {
-				t.Fatalf("tier fingerprint %x != reference %x after EndRecovery", fp, want)
+				t.Fatalf("tier fingerprint %x != reference %x after the rejoin's writes", fp, want)
 			}
 		})
 	}
@@ -678,7 +668,7 @@ func TestRejoinTCP(t *testing.T) {
 		t.Fatalf("DeadServers() = %v, want [1]", dead)
 	}
 
-	// Respawn in recovery mode on a fresh listener, rejoin over a new link.
+	// Respawn on a fresh listener, rejoin over a new link.
 	fresh := freshServer()
 	addr2, join2 := startEmbedServer(t, fresh)
 	link2, err := DialTCPLink(addr2, 5*time.Second)
@@ -703,12 +693,9 @@ func TestRejoinTCP(t *testing.T) {
 	if fp, want := st.Fingerprint(), ref.Fingerprint(); fp != want {
 		t.Fatalf("tier fingerprint %x != reference %x after tcp rejoin", fp, want)
 	}
-	if err := st.EndRecovery(1); err != nil {
-		t.Fatalf("end recovery over tcp: %v", err)
-	}
 	step(wide)
 	if fp, want := st.Fingerprint(), ref.Fingerprint(); fp != want {
-		t.Fatalf("tier fingerprint %x != reference %x after EndRecovery", fp, want)
+		t.Fatalf("tier fingerprint %x != reference %x after the rejoin's writes", fp, want)
 	}
 
 	st.Shutdown() // shuts down the survivors and the rejoined fresh server

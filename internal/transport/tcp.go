@@ -25,8 +25,9 @@ import (
 
 // linkMagic opens every link connection: "BGL" + protocol version. Version
 // 2 is the one control layout (putCtl, putCtlResult); version 3 retires the
-// checkpoint op and the result's byte field.
-const linkMagic uint32 = 'B'<<24 | 'G'<<16 | 'L'<<8 | 3
+// checkpoint op and the result's byte field; version 4 retires the
+// end-recovery op.
+const linkMagic uint32 = 'B'<<24 | 'G'<<16 | 'L'<<8 | 4
 
 // Link protocol ops (first body byte of a link frame). opFetch and opWrite
 // carry the data path in layouts of their own; every other request op is a
@@ -44,7 +45,7 @@ const (
 	opResp // server → client: u64 seq, then the op-specific result
 	_      // reserved: the retired whole-partition export (now opExportPartIn)
 	opWriteRecovery
-	opEndRecovery
+	_         // reserved: the retired end-recovery (a live write now marks its row)
 	opRespErr // server → client: u64 seq, kind byte, then the error payload
 	opBeginRecovery
 	opInstallRouting
@@ -691,9 +692,8 @@ func serveEmbedConn(conn net.Conn, srv *embed.Server, shutdown func()) {
 	// control request decodes into one Ctl, and the id list of a fetch or a
 	// write into that Ctl's id array too: RoutedFetchInto, RoutedWrite and
 	// WriteRecovery keep no id or row slice — they read them, or copy them
-	// into the tables (and WriteRecovery into a list filtered against its
-	// fresh set), before returning. Only an installed table is kept, and it
-	// decodes fresh.
+	// into the tables, before returning. Only an installed table is kept,
+	// and it decodes fresh.
 	var req, out []byte
 	var ctl ctlBuf
 	for {

@@ -114,9 +114,8 @@ type CtlOp byte
 
 const (
 	CtlShutdown          = CtlOp(opShutdown)          // a serving process stops once it has answered
-	CtlWriteRecovery     = CtlOp(opWriteRecovery)     // IDs and Rows, skipping rows written live since BeginRecovery
-	CtlEndRecovery       = CtlOp(opEndRecovery)       // close the recovery window once the rejoin is certified
-	CtlBeginRecovery     = CtlOp(opBeginRecovery)     // open the recovery window (embed.Server.BeginRecovery)
+	CtlWriteRecovery     = CtlOp(opWriteRecovery)     // IDs and Rows, skipping rows a live write marked
+	CtlBeginRecovery     = CtlOp(opBeginRecovery)     // clear the live-write marks (embed.Server.BeginRecovery)
 	CtlInstallRouting    = CtlOp(opInstallRouting)    // install Routing (monotonic by epoch) and announce its epoch
 	CtlAnnounceEpoch     = CtlOp(opAnnounceEpoch)     // route this link's future data ops by Epoch
 	CtlExportPartIn      = CtlOp(opExportPartIn)      // the partition intersection's IDs and Rows, ascending by id
@@ -127,7 +126,6 @@ const (
 var ctlNames = [256]string{
 	CtlShutdown:          "shutdown",
 	CtlWriteRecovery:     "write-recovery",
-	CtlEndRecovery:       "end-recovery",
 	CtlBeginRecovery:     "begin-recovery",
 	CtlInstallRouting:    "install-routing",
 	CtlAnnounceEpoch:     "announce-epoch",
@@ -230,8 +228,6 @@ func control(srv *embed.Server, c *Ctl, announced *atomic.Uint64) (CtlResult, er
 		// Nothing to do here: a serving process stops once it has answered.
 	case CtlWriteRecovery:
 		srv.WriteRecovery(c.IDs, c.Rows)
-	case CtlEndRecovery:
-		srv.EndRecovery()
 	case CtlBeginRecovery:
 		srv.BeginRecovery()
 	case CtlInstallRouting:
