@@ -181,8 +181,11 @@ func (s *Server) write(ids []uint64, rows [][]float32, recovery bool) {
 // row's write set ever since, so every later write of it arrived too.
 // Three facts keep a mark from outliving that membership.
 //
-//   - A rejoin target is always a new server: its marks start clear, and
-//     each is set by a write forwarded to it as a member of the row's set.
+//   - A tier client resets (BeginRecovery) a rejoin target when it stops
+//     writing around it: at its install barrier, once every write it made
+//     while the server was down has landed on the survivors and before any
+//     later one is forwarded. So a re-dialed server that outlived its
+//     outage keeps no mark from before it, and a new server starts clear.
 //   - A server that loses a partition sheds its rows (RetainOwned), and a
 //     slot a shed row frees starts unmarked when it is reused.
 //   - reshard.Run resets (BeginRecovery) each live target before its first
@@ -197,8 +200,7 @@ func (s *Server) write(ids []uint64, rows [][]float32, recovery bool) {
 func (s *Server) WriteRecovery(ids []uint64, rows [][]float32) { s.write(ids, rows, true) }
 
 // BeginRecovery clears every live-write mark, readying the server to take
-// recovery writes as a reshard target. A new server starts clear and needs
-// no call.
+// recovery writes as a rejoin or reshard target.
 func (s *Server) BeginRecovery() {
 	for _, sh := range s.shards {
 		sh.clearMarks()

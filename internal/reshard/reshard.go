@@ -149,7 +149,7 @@ func Run(t *transport.ShardedStore, opts Options) (*Report, error) {
 			continue
 		}
 		if err := t.BeginRecoveryOn(s); err != nil {
-			opts.Log("reshard: reset of server %d failed, condemned: %v", s, err)
+			opts.Log("reshard: reset of server %d failed: %v", s, err)
 		}
 	}
 

@@ -201,6 +201,12 @@ func TestReshardRoundTripUnderTraffic(t *testing.T) {
 	if got := st.Servers(); got != S {
 		t.Fatalf("Servers() = %d after the shrink, want %d", got, S)
 	}
+	if fp, want := st.Fingerprint(), ref.Fingerprint(); fp != want {
+		t.Fatalf("tier fingerprint %x != reference %x after the shrink", fp, want)
+	}
+	if cert, err := transport.Certify(st, ref); err != nil || len(cert.Differ) != 0 {
+		t.Fatalf("tier certificate %+v, err %v after the shrink", cert, err)
+	}
 
 	// Rewrite every id while servers 2 and 3 sit retired: their copies go
 	// stale.
@@ -297,6 +303,67 @@ func TestReshardTargetDeathCompletes(t *testing.T) {
 	refStore.Write(ids, refStore.Fetch(ids))
 	if fp, want := st.Fingerprint(), ref.Fingerprint(); fp != want {
 		t.Fatalf("tier fingerprint %x != reference %x after post-reshard rejoin", fp, want)
+	}
+}
+
+// TestReshardTargetResetFails kills a grow target between its admission
+// and its reset: the failed reset must condemn it on the spot — a stream
+// must never reach a target whose old marks it did not clear — and the
+// migration then completes on the surviving replicas at R=2, or aborts
+// attributed at R=1, where the target is its new partition's only holder.
+func TestReshardTargetResetFails(t *testing.T) {
+	const S, To = 2, 4
+	for _, R := range []int{2, 1} {
+		t.Run(fmt.Sprintf("R%d", R), func(t *testing.T) {
+			st, faults, _, ref, refStore := newTestTier(To, S, R)
+			ids := make([]uint64, 48)
+			for i := range ids {
+				ids[i] = uint64(i)
+			}
+			st.Write(ids, st.Fetch(ids))
+			refStore.Write(ids, refStore.Fetch(ids))
+
+			var resetFailed, liveAfter atomic.Bool
+			opts := fastOpts(To)
+			opts.Log = func(format string, args ...any) {
+				switch line := fmt.Sprintf(format, args...); {
+				case strings.Contains(line, "target server 3 live"):
+					faults[3].SetDown(true)
+				case strings.Contains(line, "reset of server 3 failed"):
+					resetFailed.Store(true)
+					liveAfter.Store(st.LiveServer(3))
+				}
+			}
+			rep, err := Run(st, opts)
+			if !resetFailed.Load() {
+				t.Fatal("no reset failure logged for server 3")
+			}
+			if liveAfter.Load() {
+				t.Fatal("server 3 still live after its reset failed")
+			}
+			if R == 1 {
+				var te *transport.TierError
+				if !errors.As(err, &te) || te.Op != "reshard" || rep == nil || !rep.Aborted {
+					t.Fatalf("R=1 reshard without its target = %+v, %v; want an aborted op-reshard *TierError", rep, err)
+				}
+				if got := st.Servers(); got != S {
+					t.Fatalf("Servers() = %d after the abort, want %d", got, S)
+				}
+			} else {
+				if err != nil || rep.Aborted || rep.Parts != To {
+					t.Fatalf("R=2 reshard without one target = %+v, %v; want all %d partitions moved", rep, err, To)
+				}
+				if got := st.Servers(); got != To {
+					t.Fatalf("Servers() = %d, want %d", got, To)
+				}
+				if dead := st.DeadServers(); len(dead) != 1 || dead[0] != 3 {
+					t.Fatalf("DeadServers() = %v, want [3]", dead)
+				}
+			}
+			if fp, want := st.Fingerprint(), ref.Fingerprint(); fp != want {
+				t.Fatalf("tier fingerprint %x != reference %x", fp, want)
+			}
+		})
 	}
 }
 

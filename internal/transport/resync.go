@@ -69,13 +69,16 @@ var ErrNoSource = errors.New("no live replica to copy from")
 // it to the resync state under a new generation. From return onward the
 // write fan-out forwards s's partitions' writes to st; reads still avoid s
 // until CompleteRejoin certifies it. st must be a Link serving the tier's
-// row width.
+// row width. The server behind st may be a respawned process or the same
+// one re-dialed: either way it is reset first (its live-write marks
+// cleared, see embed.Server.WriteRecovery), and a server that refuses the
+// reset stays dead, attributed by an op-"resync" *TierError.
 //
-// The flip happens under the routing-install barrier, as InstallRouting's
-// table swap does: it waits out every in-flight data op, so no write that
-// saw s dead — and so skipped it — can land on a replica after a transfer
-// round has snapshotted it. Every op that can still race the transfer
-// forwards to s.
+// The reset and the flip happen under the routing-install barrier, as
+// InstallRouting's table swap does: it waits out every in-flight data op,
+// so no write that saw s dead — and so skipped it — can land on a replica
+// after a transfer round has snapshotted it. Every op that can still race
+// the transfer forwards to s.
 //
 // A rejoin that races a reshard is refused: mid-reshard the partition map
 // is in motion, and re-admitting a server under ownership about to change
@@ -112,11 +115,19 @@ func (t *ShardedStore) BeginRejoin(s int, st Store) error {
 	if cur := t.routing.Load(); cur != rt {
 		return fmt.Errorf("transport: rejoin of server %d deferred: tier is resharding (epoch %d)", s, cur.Epoch)
 	}
-	t.stateMu.Lock()
-	defer t.stateMu.Unlock()
+	// Only a rejoin, under installMu, moves a server out of dead, so s
+	// stays dead across the reset below.
 	if t.state[s].Load() != srvDead {
 		return fmt.Errorf("transport: rejoin of server %d which is not dead", s)
 	}
+	// Reset s at the barrier: every write this client made while s was
+	// dead has landed on the survivors, and every later one reaches s, so
+	// no mark s kept from before its outage can hide a row it missed.
+	if _, err := l.Control(&Ctl{Op: CtlBeginRecovery}); err != nil {
+		return &TierError{Op: "resync", Partition: s, Server: s, Replicate: t.replicate, Cause: err}
+	}
+	t.stateMu.Lock()
+	defer t.stateMu.Unlock()
 	// Publication order matters for the incarnation fence: readers load gen
 	// before slot, so slot must be new by the time gen is, and both must be
 	// new by the time the resync state is visible.

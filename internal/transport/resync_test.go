@@ -351,6 +351,51 @@ func TestRejoinMidResyncFailure(t *testing.T) {
 	}
 }
 
+// TestRejoinSameServer re-admits a server whose process outlived its
+// outage (a dropped connection, not a crash), re-dialed through the same
+// store: it kept the rows and live-write marks of its first membership,
+// and every id was rewritten around it while it was down. The rejoin must
+// reset it and certify within a few rounds — a mark kept from before the
+// outage would hide a stale row from the transfer, and the rejoin would
+// never verify.
+func TestRejoinSameServer(t *testing.T) {
+	st, faults, tier, ref, refStore := faultTier(3, TierOptions{
+		Replicate: 2,
+		Retries:   1,
+		Backoff:   time.Millisecond,
+		Jitter:    zeroJitter,
+	})
+	ids := make([]uint64, 40)
+	rows := make([][]float32, len(ids))
+	write := func(stamp float32) {
+		for i := range ids {
+			ids[i], rows[i] = uint64(i), []float32{stamp, 0, float32(i), 1}
+		}
+		st.Write(ids, rows)
+		refStore.Write(ids, rows)
+	}
+	write(1) // marks server 1's rows
+	faults[1].SetDown(true)
+	write(2) // condemns server 1; its copies go stale
+	if dead := st.DeadServers(); len(dead) != 1 || dead[0] != 1 {
+		t.Fatalf("DeadServers() = %v, want [1]", dead)
+	}
+
+	faults[1].SetDown(false)
+	opts := RejoinOptions{TransferOptions: TransferOptions{MaxRounds: 3, RoundBackoff: time.Millisecond}}
+	if err := st.Rejoin(1, faults[1], opts); err != nil {
+		t.Fatalf("rejoin of the same server: %v", err)
+	}
+	for _, p := range rejoinerParts(1, 3, 2) {
+		if got, want := tier[1].FingerprintPart(p, 3), ref.FingerprintPart(p, 3); got != want {
+			t.Fatalf("rejoined server partition %d fingerprint %x != reference %x", p, got, want)
+		}
+	}
+	if cert, err := Certify(st, ref); err != nil || len(cert.Differ) != 0 {
+		t.Fatalf("tier certificate %+v, err %v after rejoin", cert, err)
+	}
+}
+
 // TestRejoinSourceDeathMidResync kills the anti-entropy *source* instead:
 // with the only other holder of the rejoiner's partitions gone, the rejoin
 // must fail attributed (never hang), and the rejoiner goes cleanly back to
