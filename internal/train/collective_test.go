@@ -2,6 +2,9 @@ package train
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"sync"
 	"testing"
 	"time"
 
@@ -89,38 +92,116 @@ func TestCollectiveStrategiesBitIdentical(t *testing.T) {
 // the counters, not the math: per round every rank sends each peer one
 // reduce-scatter frame (the peer's chunk of its gradients and its loss
 // term) and one all-gather frame (its own stepped chunk), so each rank
-// sends exactly 2(P−1) collective frames per iteration, and exactly the
-// bytes those chunks encode to, 2(P−1)/P of the parameters' floats at
-// P = 3's uneven chunks.
+// sends exactly 2(P−1) collective frames per iteration at P = 3's uneven
+// chunks. The reduce-scatter frames carry the chunks' raw floats, so their
+// bytes are pinned exactly. An all-gather frame is sized here from the
+// words the round moved, the XOR of each float of the owner's chunk with
+// the float it replaces: its header, a 2-bit tag per float, and each
+// word's significant bytes (one for a zero word). It never exceeds the raw
+// chunk by more than its ⌈n/4⌉ tag bytes.
 func TestFusedCollectiveFrameReduction(t *testing.T) {
 	cfg := unevenConfig(3)
 	cfg.NumBatches = 10
+	P, iters := cfg.NumTrainers, int64(cfg.NumBatches)
 
 	srv := newServer(cfg.Spec, 3)
+	mesh := &gatherMesh{Mesh: transport.NewInprocMesh(P), t: t, trainers: make([]*lrppTrainer, P),
+		prev: make([][]float32, P), want: make([]int64, P)}
 	var total int
-	results := runWorkersPrep(t, cfg, newStores(srv, cfg.NumTrainers), transport.NewInprocMesh(cfg.NumTrainers), func(tr *lrppTrainer) {
-		if tr.p == 0 { // workers prepare concurrently
-			total = collective.Len(tr.segs)
-		}
+	results := runWorkersPrep(t, cfg, newStores(srv, P), mesh, func(tr *lrppTrainer) {
+		mesh.mu.Lock()
+		defer mesh.mu.Unlock()
+		total = collective.Len(tr.values)
+		lo, hi := collective.Chunk(total, P, tr.p)
+		mesh.trainers[tr.p], mesh.prev[tr.p] = tr, make([]float32, hi-lo)
+		collective.FoldSpan(mesh.prev[tr.p], tr.values, lo, true)
 	})
-	P, iters := cfg.NumTrainers, int64(cfg.NumBatches)
 	for r, res := range results {
 		if want := int64(2*(P-1)) * iters; res.MeshClasses.CollMsgs != want {
 			t.Errorf("rank %d sent %d collective frames, want 2(P-1)·iters = %d", r, res.MeshClasses.CollMsgs, want)
 		}
-		lo, hi := collective.Chunk(total, P, r)
-		var perRound int
+		var reduce int64
 		for q := range P {
 			if q != r {
 				qlo, qhi := collective.Chunk(total, P, q)
-				perRound += transport.PayloadSize(transport.FusedCollMsg{Data: make([]float32, qhi-qlo), Loss: make([]float64, 1)})
-				perRound += transport.PayloadSize(transport.FusedCollMsg{Gather: true, Data: make([]float32, hi-lo)})
+				reduce += int64(transport.PayloadSize(transport.FusedCollMsg{Data: make([]float32, qhi-qlo), Loss: make([]float64, 1)}))
 			}
 		}
-		if want := int64(perRound) * iters; res.MeshClasses.CollBytes != want {
-			t.Errorf("rank %d sent %d collective bytes, want %d", r, res.MeshClasses.CollBytes, want)
+		if want := reduce*iters + mesh.want[r]; res.MeshClasses.CollBytes != want {
+			t.Errorf("rank %d sent %d collective bytes, want %d: %d of reduce-scatter, %d of all-gather", r, res.MeshClasses.CollBytes, want, reduce*iters, mesh.want[r])
+		}
+		lo, hi := collective.Chunk(total, P, r)
+		if raw := (hi - lo) * 4 * (P - 1) * int(iters); mesh.want[r] >= int64(raw) {
+			t.Errorf("rank %d's all-gather frames take %d bytes, not fewer than the %d of its raw chunks", r, mesh.want[r], raw)
 		}
 	}
+}
+
+// gatherMesh wraps a mesh so every all-gather frame is sized from the
+// words its owner's round moved: Send runs on the owner's trainer
+// goroutine, between its step and its next one, so the owner's chunk of
+// its values is the chunk the frame codes, and prev holds the chunk the
+// owner's last frame coded. want sums each rank's reference sizes.
+type gatherMesh struct {
+	transport.Mesh
+	t        *testing.T
+	mu       sync.Mutex
+	trainers []*lrppTrainer
+	prev     [][]float32
+	seq      []uint64 // rounds sized so far, per owner
+	words    []int64  // the size of the owner's current round's frame
+	want     []int64
+}
+
+func (m *gatherMesh) Endpoint(rank int) transport.Endpoint {
+	return gatherEndpoint{m.Mesh.Endpoint(rank), m}
+}
+
+type gatherEndpoint struct {
+	transport.Endpoint
+	m *gatherMesh
+}
+
+func (e gatherEndpoint) Send(to int, bytes int64, payload any) bool {
+	if f, ok := payload.(transport.FusedCollMsg); ok && f.Gather {
+		e.m.size(f, bytes)
+	}
+	return e.Endpoint.Send(to, bytes, payload)
+}
+
+// size checks one all-gather frame of bytes declared bytes against the
+// reference sizing of its owner's round, computing that once per round.
+func (m *gatherMesh) size(f transport.FusedCollMsg, bytes int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.seq == nil {
+		m.seq, m.words = make([]uint64, len(m.prev)), make([]int64, len(m.prev))
+	}
+	r, prev := f.Origin, m.prev[f.Origin]
+	n := len(prev)
+	if f.Seq == m.seq[r] {
+		tr := m.trainers[r]
+		lo, _ := collective.Chunk(collective.Len(tr.values), len(m.prev), r)
+		ref := int64(1+8+4+1+4) + int64(n+3)/4
+		collective.Pieces(tr.values, lo, lo+n, func(i, a, b, off int) {
+			for j, v := range tr.values[i][a:b] {
+				w := math.Float32bits(v) ^ math.Float32bits(prev[off+j])
+				ref += int64(max(1, (bits.Len32(w)+7)/8))
+				prev[off+j] = v
+			}
+		})
+		m.seq[r]++
+		m.words[r] = ref
+	} else if f.Seq != m.seq[r]-1 {
+		m.t.Errorf("rank %d's all-gather frame of round %d after round %d's", r, f.Seq, m.seq[r]-1)
+	}
+	if bytes != m.words[r] {
+		m.t.Errorf("rank %d's all-gather frame of round %d declares %d bytes, its words size to %d", r, f.Seq, bytes, m.words[r])
+	}
+	if raw := int64(1+8+4+1+4) + 4*int64(n); bytes > raw+int64(n+3)/4 {
+		m.t.Errorf("rank %d's all-gather frame of round %d takes %d bytes, past raw %d + ⌈n/4⌉", r, f.Seq, bytes, raw)
+	}
+	m.want[r] += m.words[r]
 }
 
 // unevenConfig is tinyConfig at P trainers over a spec with one more

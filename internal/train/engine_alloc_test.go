@@ -76,8 +76,10 @@ func engineMallocs(t *testing.T, leg string, iters int) uint64 {
 //     in turn and allocates nothing per call;
 //   - worker mode adds the collective round, 4: per trainer its
 //     reduce-scatter and its all-gather frame, each boxed into Send's any.
-//     The frames' chunks come from the row arena and their loss terms from
-//     the sender's two-round buffer;
+//     The reduce-scatter's chunk comes from the row arena and its loss
+//     terms from the sender's two-round buffer; the all-gather's coding
+//     comes from the frame-buffer pool, which the receiver (over TCP, the
+//     encoder and then the receiver) returns it to;
 //   - loopback TCP adds the decoder, 12: on each rank the replica push, the
 //     two sync frames and the two collective frames boxed into Recv's any
 //     (5), and the reduce-scatter frame's loss terms (1). The sync frames'
@@ -91,7 +93,14 @@ func engineMallocs(t *testing.T, leg string, iters int) uint64 {
 // eight runs) because each slot grew its own merge queue: how many merges
 // a row held at once followed the pace of the stager, so a loaded host
 // grew more of them later in the run. A slot's queue is now a fixed pair
-// whose partials grow with the slot slab. Before the server served its
+// whose partials grow with the slot slab. The TCP leg also read 26.1–28.4
+// from run to run, the high runs carrying about 280 more objects in the
+// 2N-iteration run only: rank 1 decodes each plan into its ring slot's
+// buffers, and a list that met a new largest plan was reallocated to fit
+// it exactly, so a longer run met more such records (seen in the diffed
+// allocation profiles of a high and a normal run, all under
+// decodePayload). A list now regrows with a quarter more room. Before the
+// server served its
 // shards in turn (it ran a goroutine per shard, 16 objects per iteration)
 // and the collective ran rooted at rank 0 with snapshot frames and a
 // per-round table (8 in worker mode), the three legs read 26, 34 and 46;

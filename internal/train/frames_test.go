@@ -199,7 +199,7 @@ func TestReplicaPushRefusals(t *testing.T) {
 // phase folds next — one too far ahead, or one of a phase already folded
 // — from an origin that repeats or is not a peer, or whose float or loss
 // count differs from the chunk it carries, naming the rank, the peer, the
-// round and both counts, before the frame is filed for any fold. The
+// round and both counts, before the frame is filed for any fold or unpack. The
 // valid frames of a round's two phases are filed, and complete it.
 func TestCollectiveFrameRefusals(t *testing.T) {
 	segs := [][]float32{make([]float32, 5), make([]float32, 3), make([]float32, 2)}
@@ -207,8 +207,11 @@ func TestCollectiveFrameRefusals(t *testing.T) {
 		return transport.FusedCollMsg{Seq: seq, Origin: origin, Data: make([]float32, n), Loss: []float64{0.5}}
 	}
 	gather := func(seq uint64, origin, n int) transport.FusedCollMsg {
-		return transport.FusedCollMsg{Seq: seq, Origin: origin, Gather: true, Data: make([]float32, n)}
+		packed := collective.Pack(nil, [][]float32{make([]float32, n)}, 0, make([]float32, n))
+		return transport.FusedCollMsg{Seq: seq, Origin: origin, Gather: true, Floats: n, Packed: packed}
 	}
+	withLoss := gather(0, 1, 3)
+	withLoss.Loss = []float64{1}
 	for _, c := range []struct {
 		name   string
 		before []transport.FusedCollMsg // delivered first, and accepted
@@ -226,7 +229,7 @@ func TestCollectiveFrameRefusals(t *testing.T) {
 		{"short chunk", nil, false, reduce(0, 2, 2), []string{"trainer 0", "trainer 2", "round 0", "2 floats", "holds 3"}},
 		{"gather of the receiver's chunk", nil, false, gather(0, 2, 3), []string{"trainer 0", "trainer 2", "round 0", "3 floats", "trainer 2's chunk holds 4"}},
 		{"loss terms", nil, false, transport.FusedCollMsg{Seq: 0, Origin: 1, Data: make([]float32, 3)}, []string{"trainer 1", "round 0", "0 loss terms", "holds 3 and 1"}},
-		{"gather with loss", nil, false, transport.FusedCollMsg{Seq: 0, Origin: 1, Gather: true, Data: make([]float32, 3), Loss: []float64{1}}, []string{"all-gather", "1 loss terms", "holds 3 and 0"}},
+		{"gather with loss", nil, false, withLoss, []string{"all-gather", "1 loss terms", "holds 3 and 0"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			mc := newMeshColl(0, 3, nil, nil, segs, 1)

@@ -18,6 +18,13 @@ import (
 // its round x+1 ends only with this rank's all-gather frame of x+1, and for
 // the same reason no frame of a phase can come while the trainer folds that
 // phase's slots.
+//
+// An all-gather frame carries its chunk XOR-coded against the chunk its
+// owner sent the round before (collective.Pack): every receiver holds
+// exactly those bits in its own parameters — the previous all-gather put
+// them there, and before the first one every rank holds the same initial
+// parameters — so it XORs the frame into them (collective.Unpack) and
+// ends with the owner's new bits. The owner keeps what it sent in prev.
 
 // CollFused names the one mesh collective strategy (Config.Collective).
 const CollFused = "fused"
@@ -52,13 +59,20 @@ type meshColl struct {
 	// total, from ReduceScatter to AllGather.
 	lossOut [2][]float64
 	lossSum []float64
+
+	// prev is this rank's chunk of the parameters as its last all-gather
+	// frame carried them: the initial parameters before the first.
+	prev []float32
 }
 
-// newMeshColl builds rank's side of the round over segs' layout and nLoss
-// loss terms.
-func newMeshColl(rank, n int, ep transport.Endpoint, eng *lrppEngine, segs [][]float32, nLoss int) *meshColl {
-	c := &meshColl{rank: rank, n: n, total: collective.Len(segs), nLoss: nLoss, ep: ep, eng: eng,
+// newMeshColl builds rank's side of the round over the parameters values,
+// as every rank initialises them, and nLoss loss terms.
+func newMeshColl(rank, n int, ep transport.Endpoint, eng *lrppEngine, values [][]float32, nLoss int) *meshColl {
+	c := &meshColl{rank: rank, n: n, total: collective.Len(values), nLoss: nLoss, ep: ep, eng: eng,
 		peers: (rankBits(1)<<uint(n) - 1) &^ (1 << uint(rank)), lossSum: make([]float64, nLoss)}
+	lo, hi := collective.Chunk(c.total, n, rank)
+	c.prev = make([]float32, hi-lo)
+	collective.FoldSpan(c.prev, values, lo, true)
 	c.cond.L = &c.mu
 	for ph := range c.slots {
 		c.slots[ph] = make([]transport.FusedCollMsg, n)
@@ -73,13 +87,15 @@ func newMeshColl(rank, n int, ep transport.Endpoint, eng *lrppEngine, segs [][]f
 // mesh receiver goroutine). A frame of another round than its phase folds
 // next, from an origin that is not a peer or has already delivered that
 // round and phase, or whose float or loss count differs from the chunk it
-// carries is refused, before anything folds.
+// carries is refused, before anything folds or unpacks. Over TCP the
+// decoder has already refused an all-gather coding that does not code its
+// float count (collective.CheckPacked).
 func (c *meshColl) deliver(m transport.FusedCollMsg) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ph, name, owner, nLoss := phaseReduce, "reduce-scatter", c.rank, c.nLoss
+	ph, name, owner, nLoss, floats := phaseReduce, "reduce-scatter", c.rank, c.nLoss, len(m.Data)
 	if m.Gather {
-		ph, name, owner, nLoss = phaseGather, "all-gather", m.Origin, 0
+		ph, name, owner, nLoss, floats = phaseGather, "all-gather", m.Origin, 0, m.Floats
 	}
 	lo, hi := collective.Chunk(c.total, c.n, owner)
 	switch {
@@ -90,11 +106,12 @@ func (c *meshColl) deliver(m transport.FusedCollMsg) error {
 		return fmt.Errorf("train: trainer %d: %s frame for round %d from trainer %d, not a peer of %d trainers",
 			c.rank, name, m.Seq, m.Origin, c.n)
 	case c.filled[ph].has(m.Origin):
+		first := c.slots[ph][m.Origin]
 		return fmt.Errorf("train: trainer %d: second %s frame from trainer %d for round %d: %d floats, the first carried %d",
-			c.rank, name, m.Origin, m.Seq, len(m.Data), len(c.slots[ph][m.Origin].Data))
-	case len(m.Data) != hi-lo || len(m.Loss) != nLoss:
+			c.rank, name, m.Origin, m.Seq, floats, len(first.Data)+first.Floats)
+	case floats != hi-lo || len(m.Loss) != nLoss:
 		return fmt.Errorf("train: trainer %d: %s frame from trainer %d for round %d carries %d floats and %d loss terms, trainer %d's chunk holds %d and %d",
-			c.rank, name, m.Origin, m.Seq, len(m.Data), len(m.Loss), owner, hi-lo, nLoss)
+			c.rank, name, m.Origin, m.Seq, floats, len(m.Loss), owner, hi-lo, nLoss)
 	}
 	c.slots[ph][m.Origin] = m
 	c.filled[ph].set(m.Origin)
@@ -127,30 +144,25 @@ func (c *meshColl) done(ph int) {
 	c.next[ph]++
 }
 
-// send sends peer q a frame of the concatenation's floats [lo, hi) of segs.
-// They are copied into an arena row — segs are live, and Send hands the
+// ReduceScatter implements collective.Collective: send every peer its
+// chunk of grads with this rank's loss terms, then fold this rank's chunk
+// from the peers' frames and its own grads, in rank order from zero. Each
+// chunk is copied into an arena row — grads are live, and Send hands the
 // frame to its one receiver — which the consumer returns
 // (transport.ReleasePayload), over TCP the sending endpoint once it has
 // encoded it.
-func (c *meshColl) send(q int, m transport.FusedCollMsg, segs [][]float32, lo, hi int) {
-	if hi > lo {
-		m.Data = transport.Rows(hi - lo).Get()
-		collective.FoldSpan(m.Data, segs, lo, true)
-	}
-	c.eng.send(c.ep, q, classColl, m)
-}
-
-// ReduceScatter implements collective.Collective: send every peer its
-// chunk of grads with this rank's loss terms, then fold this rank's chunk
-// from the peers' frames and its own grads, in rank order from zero.
 func (c *meshColl) ReduceScatter(_ int, grads [][]float32, loss []float64, sum []float32) time.Duration {
 	x := c.next[phaseReduce] // written only by this goroutine
 	out := c.lossOut[x%2]
 	copy(out, loss)
 	for q := range c.n {
 		if q != c.rank {
-			lo, hi := collective.Chunk(c.total, c.n, q)
-			c.send(q, transport.FusedCollMsg{Seq: x, Origin: c.rank, Loss: out}, grads, lo, hi)
+			m := transport.FusedCollMsg{Seq: x, Origin: c.rank, Loss: out}
+			if lo, hi := collective.Chunk(c.total, c.n, q); hi > lo {
+				m.Data = transport.Rows(hi - lo).Get()
+				collective.FoldSpan(m.Data, grads, lo, true)
+			}
+			c.eng.send(c.ep, q, classColl, m)
 		}
 	}
 	wait := c.await(phaseReduce)
@@ -169,19 +181,35 @@ func (c *meshColl) ReduceScatter(_ int, grads [][]float32, loss []float64, sum [
 }
 
 // AllGather implements collective.Collective: send every peer this rank's
-// stepped chunk of values, then scatter the peers' chunks into values.
+// stepped chunk of values, coded against prev in one pass that also
+// refreshes prev, then XOR the peers' codings into values. Each frame owns
+// its coding in a pooled frame buffer: the last peer's is the one packed,
+// sent once every other peer's copy of it is made, since Send hands it on.
 func (c *meshColl) AllGather(_ int, values [][]float32, loss []float64) time.Duration {
-	lo, hi := collective.Chunk(c.total, c.n, c.rank)
+	lo, _ := collective.Chunk(c.total, c.n, c.rank)
+	var packed []byte
+	if len(c.prev) > 0 {
+		packed = collective.Pack(transport.GetBytes(collective.PackedBound(len(c.prev))), values, lo, c.prev)
+	}
+	last := c.n - 1
+	if last == c.rank {
+		last--
+	}
 	for q := range c.n {
-		if q != c.rank {
-			c.send(q, transport.FusedCollMsg{Seq: c.next[phaseGather], Origin: c.rank, Gather: true}, values, lo, hi)
+		if q == c.rank {
+			continue
 		}
+		m := transport.FusedCollMsg{Seq: c.next[phaseGather], Origin: c.rank, Gather: true, Floats: len(c.prev), Packed: packed}
+		if q != last && packed != nil {
+			m.Packed = append(transport.GetBytes(len(packed)), packed...)
+		}
+		c.eng.send(c.ep, q, classColl, m)
 	}
 	wait := c.await(phaseGather)
 	for q, m := range c.slots[phaseGather] {
 		if q != c.rank {
 			qlo, _ := collective.Chunk(c.total, c.n, q)
-			collective.Scatter(values, qlo, m.Data)
+			collective.Unpack(values, qlo, m.Floats, m.Packed)
 		}
 	}
 	c.done(phaseGather)

@@ -77,7 +77,7 @@ func runLRPPWorker(cfg Config, rank int, tr transport.Store, mesh transport.Mesh
 	if err != nil {
 		return nil, err
 	}
-	t.mcoll = newMeshColl(rank, P, ep, eng, t.segs, len(t.lossVec))
+	t.mcoll = newMeshColl(rank, P, ep, eng, t.values, len(t.lossVec))
 	eng.coll = t.mcoll
 
 	var src planSource

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"unsafe"
 
+	"bagpipe/internal/collective"
 	"bagpipe/internal/core"
 	"bagpipe/internal/data"
 )
@@ -94,15 +95,20 @@ type (
 	// splits into one contiguous chunk per rank; both ends derive the split
 	// from their own segments, so the frame carries no segment table. In the
 	// reduce-scatter it is Origin's gradient floats over the receiver's
-	// chunk and Origin's float64 loss terms; in the all-gather (Gather) it is
-	// Origin's updated parameter floats over Origin's own chunk, with no
-	// loss terms.
+	// chunk (Data, an arena row) and Origin's float64 loss terms (Loss). In
+	// the all-gather (Gather) it is Origin's updated parameters over
+	// Origin's own chunk, Floats of them, XOR-coded against the chunk
+	// Origin sent the round before (collective.Pack), which every receiver
+	// holds: Packed, a pooled frame buffer (GetBytes). A gather frame
+	// carries no Data and no loss terms.
 	FusedCollMsg struct {
 		Seq    uint64
 		Origin int
 		Gather bool
 		Data   []float32
 		Loss   []float64
+		Floats int
+		Packed []byte
 	}
 
 	// RawMsg is an opaque byte payload (conformance tests, future control
@@ -157,6 +163,9 @@ func PayloadSize(p any) int {
 	case PlanMsg:
 		return 1 + planSize(m.Plan)
 	case FusedCollMsg:
+		if m.Gather {
+			return 1 + 8 + 4 + 1 + 4 + len(m.Packed)
+		}
 		return 1 + 8 + 4 + 1 + 4 + 4*len(m.Data) + 4 + 8*len(m.Loss)
 	case RawMsg:
 		return 1 + len(m)
@@ -190,13 +199,18 @@ func appendPayload(b []byte, p any) []byte {
 		b = append(b, tagFusedColl)
 		b = putU64(b, m.Seq)
 		b = putU32(b, uint32(m.Origin))
-		phase := byte(0)
-		if m.Gather {
-			phase = 1
+		if !m.Gather {
+			b = append(b, 0)
+			b = putF32s(b, m.Data)
+			b = putF64s(b, m.Loss)
+			break
 		}
-		b = append(b, phase)
-		b = putF32s(b, m.Data)
-		b = putF64s(b, m.Loss)
+		if len(m.Data) != 0 || len(m.Loss) != 0 {
+			panic("transport: all-gather frame with raw floats or loss terms")
+		}
+		b = append(b, 1)
+		b = putU32(b, uint32(m.Floats))
+		b = append(b, m.Packed...)
 	case RawMsg:
 		b = append(b, tagRaw)
 		b = append(b, m...)
@@ -246,20 +260,24 @@ func decodePayload(b []byte, slots PlanSlots) (any, error) {
 		}
 		out = PlanMsg{Plan: r.plan(buf)}
 	case tagFusedColl:
-		// The floats come from the per-length arena the senders copy their
-		// chunks into; the collective returns them once folded or copied out.
+		// The buffers come from the pools the senders fill theirs from: a
+		// reduce-scatter chunk's floats from the per-length arena, a gather
+		// chunk's coding from the frame buffers. The collective returns them
+		// once folded or unpacked.
 		m := FusedCollMsg{Seq: r.u64(), Origin: int(r.u32())}
 		switch g := r.u8(); g {
-		case 0, 1:
-			m.Gather = g == 1
+		case 0:
+			if k := r.count(4); k > 0 {
+				m.Data = Rows(k).Get()
+				fillRow(m.Data, r.take(k, 4))
+			}
+			m.Loss = r.f64s()
+		case 1:
+			m.Gather = true
+			m.Floats, m.Packed = r.packed()
 		default:
 			r.invalid("collective phase %d", g)
 		}
-		if k := r.count(4); k > 0 {
-			m.Data = Rows(k).Get()
-			fillRow(m.Data, r.take(k, 4))
-		}
-		m.Loss = r.f64s()
 		out = m
 	case tagRaw:
 		raw := make(RawMsg, len(b)-1)
@@ -330,6 +348,26 @@ func (r *wireReader) run() [][]float32 {
 		fillRow(row, r.take(dim, 4))
 	}
 	return rows
+}
+
+// packed reads an all-gather chunk: its float count, then its coding to
+// the end of the payload, which must be exactly a coding of that many
+// floats (collective.CheckPacked) before it is copied anywhere.
+func (r *wireReader) packed() (int, []byte) {
+	n := int(r.u32())
+	if r.err != nil {
+		return 0, nil
+	}
+	if err := collective.CheckPacked(r.b, n); err != nil {
+		r.invalid("all-gather chunk: %v", err)
+		return 0, nil
+	}
+	var b []byte
+	if len(r.b) > 0 {
+		b = append(getBuf(len(r.b)), r.b...)
+	}
+	r.b = r.b[len(r.b):]
+	return n, b
 }
 
 // fillRow decodes len(row) float32 bit patterns from reg.
@@ -676,9 +714,15 @@ func span[T any](xs []T, at, n int) ([]T, int) {
 	return xs[at : at+n : at+n], at + n
 }
 
-// resized returns buf with length n, reallocated only when it is short.
+// resized returns buf with length n, reallocated only when it is short,
+// and then with a quarter more room: a plan buffer meets a new largest
+// plan now and then all run long, and without the room each such plan
+// would reallocate every list it outgrew.
 func resized[T any](buf []T, n int) []T {
-	return slices.Grow(buf[:0], n)[:n]
+	if cap(buf) < n {
+		return make([]T, n, n+n/4)
+	}
+	return buf[:n]
 }
 
 // list returns a list of n values in *buf's array, which grows when short:

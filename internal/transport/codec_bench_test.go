@@ -86,6 +86,14 @@ func BenchmarkPayloadCodec(b *testing.B) {
 		{"fused", func() any {
 			return FusedCollMsg{Seq: 5, Origin: 1, Data: make([]float32, benchChunk), Loss: []float64{0.69}}
 		}},
+		{"gather", func() any {
+			prev, cur := make([]float32, benchChunk), make([]float32, benchChunk)
+			for i := range cur {
+				prev[i] = 0.01 * float32(i%97)
+				cur[i] = prev[i] - 1e-4
+			}
+			return gatherMsg(5, 1, prev, cur)
+		}},
 		{"plan", func() any { return PlanMsg{Plan: benchPlan()} }},
 	}
 	for _, p := range payloads {

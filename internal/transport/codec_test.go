@@ -7,12 +7,24 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"bagpipe/internal/collective"
 	"bagpipe/internal/core"
 	"bagpipe/internal/data"
 )
+
+// gatherMsg is Origin's all-gather frame of round seq when its chunk moves
+// from prev to cur: cur XOR-coded against prev.
+func gatherMsg(seq uint64, origin int, prev, cur []float32) FusedCollMsg {
+	m := FusedCollMsg{Seq: seq, Origin: origin, Gather: true, Floats: len(cur)}
+	if len(cur) > 0 {
+		m.Packed = collective.Pack(nil, [][]float32{cur}, 0, slices.Clone(prev))
+	}
+	return m
+}
 
 // testPlan is a consistent trainer-1 plan of a P=3 decision.
 func testPlan() *core.Plan {
@@ -65,7 +77,9 @@ func TestCodecRoundTrip(t *testing.T) {
 		}},
 		PlanMsg{Plan: plan},
 		FusedCollMsg{Seq: 43, Origin: 2, Data: []float32{1, 2, 3, -0.5, 4, 5}, Loss: []float64{0.693147}},
-		FusedCollMsg{Seq: 43, Origin: 1, Gather: true, Data: []float32{-0.5, 7}},
+		gatherMsg(43, 1, []float32{-0.5, 7}, []float32{0.5, 7.25}),
+		gatherMsg(44, 1, make([]float32, 9), []float32{1, 0, 2, 0, 3, 0, 4, 0, 5}),
+		gatherMsg(45, 0, nil, nil),
 		RawMsg("hello mesh"),
 	}
 	for _, in := range cases {
@@ -267,7 +281,12 @@ func FuzzDecodePayload(f *testing.F) {
 		}},
 		PlanMsg{Plan: testPlan()},
 		FusedCollMsg{Seq: 43, Origin: 2, Data: []float32{1, 2, 3, -0.5}, Loss: []float64{0.693147}},
-		FusedCollMsg{Seq: 43, Origin: 1, Gather: true, Data: []float32{-0.5, 7}},
+		// All-gather frames: words of one to four bytes over a chunk that
+		// does not end on a tag byte, every word at its widest, and an
+		// empty chunk.
+		gatherMsg(43, 1, []float32{-0.5, 7, 1, 0, 3}, []float32{0.5, 7.25, 1, float32(math.Inf(1)), 3.0000002}),
+		gatherMsg(44, 2, make([]float32, 6), []float32{-1, -2, -3, -4, -5, -6}),
+		gatherMsg(45, 1, nil, nil),
 		RawMsg("hello mesh"),
 		// The id-free replica push of one row, and the engine's two sync
 		// frames of one iteration: urgent, then deferred.
@@ -333,7 +352,7 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 			{Iter: 1, Class: SyncDeferred, Partials: [][]float32{{3, 4}}},
 		}},
 		FusedCollMsg{Seq: 9, Origin: 1, Data: []float32{1, 2, 3}, Loss: []float64{0.5}},
-		FusedCollMsg{Seq: 9, Origin: 0, Gather: true, Data: []float32{4}},
+		gatherMsg(9, 0, []float32{4, 1, 2, 3, 5}, []float32{4.5, 1, -2, 3, 5}),
 		PlanMsg{Plan: testPlan()},
 	}
 	for _, p := range payloads {
@@ -427,10 +446,27 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 	for _, r := range retiredFrames() {
 		hostile[r.name] = r.frame
 	}
+	// An all-gather frame of 5 floats: a one-byte word, three zero words
+	// and a sign flip. Its coding must be exactly the bytes its tags claim
+	// for its float count, and nothing may follow it.
+	gather := EncodePayload(gatherMsg(9, 0, []float32{4, 1, 2, 3, 5}, []float32{4.0000005, 1, 2, 3, -5}))
+	const head = 1 + 8 + 4 + 1 // tag, Seq, Origin, phase
+	gatherWith := func(edit func(b []byte) []byte) []byte { return edit(slices.Clone(gather)) }
+	hostile["gather tags claim more bytes than present"] = gatherWith(func(b []byte) []byte { b[head+4] |= 0x03; return b })
+	hostile["gather tags claim fewer bytes than present"] = gatherWith(func(b []byte) []byte { b[head+5] &^= 0x03; return b })
+	hostile["gather tag set past its floats"] = gatherWith(func(b []byte) []byte { b[head+5] |= 0x04; return b })
+	hostile["gather trailing byte"] = gatherWith(func(b []byte) []byte { return append(b, 0) })
+	hostile["gather float count above its coding"] = gatherWith(func(b []byte) []byte { b[head]++; return b })
+	hostile["gather float count below its coding"] = gatherWith(func(b []byte) []byte { b[head]--; return b })
+	hostile["gather float count past the frame"] = gatherWith(func(b []byte) []byte { b[head+3] = 0x80; return b })
+	hostile["gather carrying loss terms"] = gatherWith(func(b []byte) []byte { return putF64s(b, []float64{0.5}) })
 	for name, frame := range hostile {
 		if _, err := DecodePayload(frame); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
+	}
+	if _, err := DecodePayload(gather); err != nil {
+		t.Fatalf("the unedited gather frame: %v", err)
 	}
 }
 
@@ -463,8 +499,11 @@ func TestSyncEncodeRefusesRaggedOrBare(t *testing.T) {
 // TestPayloadWireBytes pins the wire format byte for byte — it is a
 // contract with peers running other builds: one frame each of an id-free
 // replica push, a sync batch of both classes, a collective frame of each
-// phase (mesh protocol 4) and a plan (protocol 3's gap-coded layout),
-// against fixed hex. The floats include −Inf and a NaN with a payload.
+// phase (mesh protocol 5: the all-gather chunk XOR-coded) and a plan
+// (protocol 3's gap-coded layout), against fixed hex. The floats include
+// −Inf and a NaN with a payload; the gather frame's words take four bytes
+// (a sign flip), one (unchanged), one (a subnormal's low bit) and three (a
+// NaN's payload).
 func TestPayloadWireBytes(t *testing.T) {
 	nan := math.Float32frombits(0x7fc00001)
 	cases := []struct {
@@ -481,8 +520,8 @@ func TestPayloadWireBytes(t *testing.T) {
 		}}, "070300000004000000000000000002000000020000000000003f0100c07f0000803f0000004003000000000000000102000000010000000000e040acc5a7b70500000000000000000000000000000000"},
 		{"fused", FusedCollMsg{Seq: 43, Origin: 2, Data: []float32{1, 2, 3, -0.5}, Loss: []float64{0.693147}},
 			"082b000000000000000200000000040000000000803f0000004000004040000000bf01000000a2410a9e422ee63f"},
-		{"fused-gather", FusedCollMsg{Seq: 43, Origin: 1, Gather: true, Data: []float32{-0.5, 7}},
-			"082b00000000000000010000000102000000000000bf0000e04000000000"},
+		{"fused-gather", gatherMsg(43, 1, []float32{1.5, 7, 0, nan}, []float32{-1.5, 7, math.Float32frombits(1), math.Float32frombits(0x7f800123)}),
+			"082b0000000000000001000000010400000083000000800001220140"},
 		{"plan", PlanMsg{Plan: testPlan()},
 			"03040103030306120100000306020502000202010101000001010204040002010400010102040200000040000040400209080000000002000080be000000000203080000803f"},
 	}

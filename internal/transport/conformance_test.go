@@ -289,6 +289,7 @@ func TestMeshConformanceTypedPayloads(t *testing.T) {
 				{Iter: 4, Class: SyncDeferred, Partials: [][]float32{{-1, 0.1}}},
 			}},
 			FusedCollMsg{Seq: 11, Origin: 1, Data: []float32{1, 2, 3, 4, 5}, Loss: []float64{0.125}},
+			gatherMsg(11, 0, []float32{1, 2, 3, 4, 5}, []float32{1.5, 2, -3, 4, 5}),
 		}
 	}
 	for _, tc := range meshCases() {
@@ -308,10 +309,11 @@ func TestMeshConformanceTypedPayloads(t *testing.T) {
 				if !ok {
 					t.Fatal("stream ended early")
 				}
-				// Fabrics may reorder; match by type.
+				// Fabrics may reorder; match by type, and a collective frame
+				// by phase.
 				var want any
 				for _, p := range sent {
-					if reflect.TypeOf(p) == reflect.TypeOf(msg.Payload) {
+					if reflect.TypeOf(p) == reflect.TypeOf(msg.Payload) && isGather(p) == isGather(msg.Payload) {
 						want = p
 					}
 				}
@@ -343,9 +345,16 @@ func clonePayload(p any) any {
 		}
 		return c
 	case FusedCollMsg:
-		return FusedCollMsg{Seq: m.Seq, Origin: m.Origin, Gather: m.Gather, Data: slices.Clone(m.Data), Loss: slices.Clone(m.Loss)}
+		return FusedCollMsg{Seq: m.Seq, Origin: m.Origin, Gather: m.Gather, Data: slices.Clone(m.Data), Loss: slices.Clone(m.Loss),
+			Floats: m.Floats, Packed: slices.Clone(m.Packed)}
 	}
 	panic(fmt.Sprintf("clonePayload: %T", p))
+}
+
+// isGather reports an all-gather frame.
+func isGather(p any) bool {
+	m, ok := p.(FusedCollMsg)
+	return ok && m.Gather
 }
 
 // TestMeshConformanceSelfSend: a rank may address itself (the engines don't

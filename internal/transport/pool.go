@@ -182,6 +182,7 @@ func ReleasePayload(p any) {
 		if len(m.Data) > 0 {
 			Rows(len(m.Data)).Put(m.Data)
 		}
+		putBuf(m.Packed)
 	case PlanMsg:
 		m.Plan.Release()
 	}
@@ -310,6 +311,11 @@ func getBuf(n int) []byte {
 	}
 	return make([]byte, 0, classCap(n))
 }
+
+// GetBytes returns an empty buffer from the frame-buffer pool with room for
+// n bytes: a payload's own bytes (an all-gather chunk's coding), which
+// whoever releases the payload returns (ReleasePayload).
+func GetBytes(n int) []byte { return getBuf(n) }
 
 // putBuf returns a buffer to the pool. The caller must hold the only live
 // reference. Buffers outside [minPooledBuf, maxPooledBuf], and any that

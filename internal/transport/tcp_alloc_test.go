@@ -167,6 +167,7 @@ func TestFrameTakenAtDeclaredSize(t *testing.T) {
 		SyncBatchMsg{Flushes: []SyncMsg{{Iter: 3, Class: SyncUrgent, Partials: rows(20, 16)}, {Iter: 3, Class: SyncDeferred, Partials: rows(30, 16)}}},
 		PlanMsg{Plan: d.Plans(2)[1]},
 		FusedCollMsg{Seq: 3, Origin: 1, Data: rows(1, 1200)[0], Loss: []float64{0.5}},
+		gatherMsg(3, 1, rows(1, 1200)[0], rows(2, 1200)[1]),
 	} {
 		want := EncodePayload(p)
 		n := PayloadSize(p)

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -163,6 +165,79 @@ func TestTCPMeshToleratesStrayConnections(t *testing.T) {
 	}
 	b0.m.Shutdown()
 	m1.Shutdown()
+}
+
+// TestTCPMeshRefusesProtocol4: a peer of mesh protocol 4, whose all-gather
+// chunks travel raw, is refused at the handshake from either side. An
+// acceptor drops its hello without an ack, and still meshes with the real
+// peer; a dialer refuses its ack, and mesh construction fails naming the
+// magic.
+func TestTCPMeshRefusesProtocol4(t *testing.T) {
+	v4 := meshMagic&^0xff | 4
+	hello := func(magic uint32, rank int) []byte {
+		return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, magic), uint32(rank))
+	}
+
+	l0, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []string{l0.Addr().String(), l1.Addr().String()}
+	type built struct {
+		m   *TCPMesh
+		err error
+	}
+	m0ch := make(chan built, 1)
+	go func() {
+		m, err := NewTCPMesh(0, addrs, l0)
+		m0ch <- built{m, err}
+	}()
+	old, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.Write(hello(v4, 1))
+	old.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := io.ReadFull(old, make([]byte, 8)); err == nil {
+		t.Fatalf("a protocol-4 hello was acked (%d bytes)", n)
+	}
+	old.Close()
+	m1, err := NewTCPMesh(1, addrs, l1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b0 := <-m0ch
+	if b0.err != nil {
+		t.Fatalf("rank 0 failed after refusing a protocol-4 hello: %v", b0.err)
+	}
+	b0.m.Shutdown()
+	m1.Shutdown()
+
+	// A protocol-4 acceptor at rank 0's address.
+	lold, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lold.Close()
+	go func() {
+		conn, err := lold.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := io.ReadFull(conn, make([]byte, 8)); err == nil {
+			conn.Write(hello(v4, 0))
+			io.ReadFull(conn, make([]byte, 1)) // until the dialer hangs up
+		}
+	}()
+	_, err = NewTCPMesh(1, []string{lold.Addr().String(), "127.0.0.1:0"}, nil)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("magic %#x", v4)) {
+		t.Fatalf("mesh construction against a protocol-4 peer: %v, want a refusal naming magic %#x", err, v4)
+	}
 }
 
 // TestTCPLinkPipelined drives one link from many goroutines at once — the

@@ -15,8 +15,10 @@ import (
 // Version 2: replica pushes and sync flushes carry no ids, and plans carry
 // the owner's needed-next flags. Version 3: plans travel gap-coded, their
 // iteration first (planWriter.plan). Version 4: a collective frame is one
-// chunk of a reduce-scatter or all-gather, with no segment table.
-const meshMagic uint32 = 'B'<<24 | 'G'<<16 | 'M'<<8 | 4
+// chunk of a reduce-scatter or all-gather, with no segment table. Version
+// 5: an all-gather chunk travels XOR-coded against its previous round
+// (collective.Pack).
+const meshMagic uint32 = 'B'<<24 | 'G'<<16 | 'M'<<8 | 5
 
 // meshDialTimeout bounds how long mesh construction waits for peers: the
 // processes of one run start in arbitrary order, so dials retry and accepts
